@@ -12,16 +12,15 @@ from .averaged import (AveragedSolveError, ClosedFormResult,
                        NoPositiveSolutionError, closed_form_mu0, grid_scan,
                        solve_averaged)
 from .coefficients import PeriodicCoefficient, extrema, mean_by_quadrature
-from .conditions import (BoundReport, ConditionVerdicts,
-                         DegenerateParameterError, M0_CANONICAL,
-                         M0_VARIANT_K2, check_conditions, compute_bounds)
+from .conditions import (BoundReport, DegenerateParameterError, M0_CANONICAL,
+                         M0_VARIANT_K2, compute_bounds)
 from .integrator import (IntegratorConfig, IntegrationError,
                          NonFiniteStateError, StepUnderflowError, Trajectory,
-                         flow_map, integrate, monodromy, variational_flow,
-                         write_trajectory_csv)
+                         flow_and_monodromy, flow_map, integrate,
+                         variational_flow, write_trajectory_csv)
 from .model import (DomainOverflowError, ModelParams, averaged_jacobian,
-                    averaged_residual, jac_log, jac_original, rhs_homotopy,
-                    rhs_log, rhs_original)
+                    averaged_residual, jac_log, jac_original, rhs_log,
+                    rhs_original)
 from .orbit import (BoundCheck, ExtinctionDiagnosis, NearDegenerateOrbitError,
                     NonConvergenceError, OrbitSearchError, PeriodicOrbit,
                     SeedResult, detect_steady_state, diagnose_extinction,

@@ -21,7 +21,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .model import ModelParams, averaged_jacobian, averaged_residual
+from .model import (DomainOverflowError, ModelParams, averaged_jacobian,
+                    averaged_residual)
 
 __all__ = [
     "ClosedFormResult",
@@ -84,7 +85,7 @@ def solve_averaged(params: ModelParams, mu: float, guess,
             z_try = z + s * dz
             try:
                 res_try = averaged_residual(params, z_try, mu)
-            except Exception:
+            except DomainOverflowError:
                 s *= 0.5
                 continue
             r_try = float(np.max(np.abs(res_try)))

@@ -32,18 +32,18 @@ import numpy as np
 from .averaged import (AveragedSolveError, closed_form_mu0, grid_scan,
                        solve_averaged)
 from .coefficients import PeriodicCoefficient
-from .conditions import (M0_CANONICAL, M0_VARIANT_K2, compute_bounds)
+from .conditions import (BoundReport, M0_CANONICAL, M0_VARIANT_K2,
+                         compute_bounds)
 from .integrator import (IntegrationError, IntegratorConfig, integrate,
                          write_trajectory_csv)
 from .model import ModelParams, rhs_original
-from .orbit import (OrbitSearchError, detect_steady_state, find_periodic_orbit,
-                    seed_by_transient, verify_bounds)
+from .orbit import (OrbitSearchError, PeriodicOrbit, detect_steady_state,
+                    find_periodic_orbit, seed_by_transient, verify_bounds)
 
 __all__ = [
     "ConfigError",
     "ExperimentConfig",
     "parse_config",
-    "config_to_dict",
     "load_config",
     "cmd_check",
     "cmd_simulate",
@@ -57,6 +57,7 @@ EXIT_CHECK_FAILED = 1
 EXIT_USAGE = 2
 
 _BUNDLED = {"example1": "example1.json", "remark-constant": "remark_constant.json"}
+_INTEGRATOR_FIELDS = {f.name for f in dataclasses.fields(IntegratorConfig)}
 
 
 class ConfigError(ValueError):
@@ -87,9 +88,17 @@ def _get(d, key, path, required=True, default=None):
 
 
 def _real(value, path):
-    if isinstance(value, bool) or not isinstance(value, (int, float)):
-        raise ConfigError(f"{path}: expected a number, got {value!r}")
+    if (isinstance(value, bool) or not isinstance(value, (int, float))
+            or not math.isfinite(value)):
+        raise ConfigError(f"{path}: expected a finite number, got {value!r}")
     return float(value)
+
+
+def _section(data, key, required=False):
+    value = _get(data, key, "config", required=required, default={})
+    if not isinstance(value, dict):
+        raise ConfigError(f"config.{key}: expected an object")
+    return value
 
 
 def parse_coefficient(obj, path) -> PeriodicCoefficient:
@@ -127,20 +136,10 @@ def parse_coefficient(obj, path) -> PeriodicCoefficient:
     raise ConfigError(f"{path}.kind: unknown coefficient kind {kind!r}")
 
 
-def coefficient_to_dict(coeff: PeriodicCoefficient) -> dict:
-    if coeff.kind == "constant":
-        return {"kind": "constant", "value": coeff.mean}
-    if coeff.kind == "sinusoid":
-        return {"kind": "sinusoid", "mean": coeff.mean, "amplitude": coeff.amplitude,
-                "omega": coeff.omega, "phase": coeff.phase}
-    return {"kind": "fourier", "mean": coeff.mean, "omega": coeff.omega,
-            "harmonics": [[a, b] for a, b in coeff.harmonics]}
-
-
 def parse_config(data: dict) -> ExperimentConfig:
     if not isinstance(data, dict):
         raise ConfigError("config: top level must be an object")
-    mdl = _get(data, "model", "config")
+    mdl = _section(data, "model", required=True)
     coeffs = {name: parse_coefficient(_get(mdl, name, "config.model"),
                                       f"config.model.{name}")
               for name in ("r1", "r2", "beta1", "beta2")}
@@ -158,17 +157,20 @@ def parse_config(data: dict) -> ExperimentConfig:
             raise
         raise ConfigError(f"config.model: {exc}") from exc
 
-    integ = _get(data, "integrator", "config", required=False, default={})
+    knobs = {}
+    for key, value in _section(data, "integrator").items():
+        path = f"config.integrator.{key}"
+        if key not in _INTEGRATOR_FIELDS:
+            raise ConfigError(f"{path}: unknown field")
+        if key in ("step", "abs_tol", "rel_tol") or (key == "max_step"
+                                                    and value is not None):
+            value = _real(value, path)
+        elif key == "dense_output":
+            value = bool(value)
+        knobs[key] = value
     try:
-        integrator = IntegratorConfig(
-            method=integ.get("method", "rk45-adaptive"),
-            step=float(integ.get("step", 1e-2)),
-            abs_tol=float(integ.get("abs_tol", 1e-10)),
-            rel_tol=float(integ.get("rel_tol", 1e-10)),
-            initial_step=integ.get("initial_step"),
-            max_step=integ.get("max_step"),
-            dense_output=bool(integ.get("dense_output", False)))
-    except (TypeError, ValueError) as exc:
+        integrator = IntegratorConfig(**knobs)
+    except ValueError as exc:
         raise ConfigError(f"config.integrator: {exc}") from exc
 
     interval = _get(data, "extremum_interval", "config", required=False)
@@ -205,7 +207,7 @@ def parse_config(data: dict) -> ExperimentConfig:
             or seed_periods < 1:
         raise ConfigError("config.seed_periods: expected a positive integer")
 
-    tols = _get(data, "tolerances", "config", required=False, default={})
+    tols = _section(data, "tolerances")
     orbit_tol = _real(tols.get("orbit_tol", 1e-12), "config.tolerances.orbit_tol")
     if orbit_tol <= 0:
         raise ConfigError("config.tolerances.orbit_tol: must be positive")
@@ -217,32 +219,6 @@ def parse_config(data: dict) -> ExperimentConfig:
         model=model, integrator=integrator, extremum_interval=interval,
         m0_denominator=m0_denom, initial_state=(x1, x2), horizon=horizon,
         seed_periods=seed_periods, orbit_tol=orbit_tol, newton_max_iter=max_iter)
-
-
-def config_to_dict(cfg: ExperimentConfig) -> dict:
-    m = cfg.model
-    return {
-        "model": {
-            "r1": coefficient_to_dict(m.r1), "r2": coefficient_to_dict(m.r2),
-            "beta1": coefficient_to_dict(m.beta1), "beta2": coefficient_to_dict(m.beta2),
-            "k1": m.k1, "k2": m.k2, "w1": m.w1, "w2": m.w2, "period": m.period,
-        },
-        "integrator": {
-            "method": cfg.integrator.method, "step": cfg.integrator.step,
-            "abs_tol": cfg.integrator.abs_tol, "rel_tol": cfg.integrator.rel_tol,
-            "initial_step": cfg.integrator.initial_step,
-            "max_step": cfg.integrator.max_step,
-            "dense_output": cfg.integrator.dense_output,
-        },
-        "extremum_interval": (list(cfg.extremum_interval)
-                              if cfg.extremum_interval is not None else None),
-        "m0_denominator": cfg.m0_denominator,
-        "initial_state": list(cfg.initial_state),
-        "horizon": cfg.horizon,
-        "seed_periods": cfg.seed_periods,
-        "tolerances": {"orbit_tol": cfg.orbit_tol,
-                       "newton_max_iter": cfg.newton_max_iter},
-    }
 
 
 def load_config(path) -> ExperimentConfig:
@@ -297,41 +273,28 @@ def _averaged_diagnostics(model: ModelParams) -> dict:
     return out
 
 
-def _build_check_report(cfg: ExperimentConfig,
-                        m0_denominator: str | None = None) -> dict:
-    report = compute_bounds(cfg.model,
-                            extremum_interval=cfg.extremum_interval,
-                            m0_denominator=m0_denominator or cfg.m0_denominator)
-    return {"bounds": report.to_dict(),
-            "all_conditions_hold": report.all_conditions_hold(),
-            "averaged_system": _averaged_diagnostics(cfg.model)}
+def _bounds(cfg: ExperimentConfig, m0_denominator: str | None = None) -> BoundReport:
+    return compute_bounds(cfg.model, extremum_interval=cfg.extremum_interval,
+                          m0_denominator=m0_denominator or cfg.m0_denominator)
 
 
-# --- subcommands ---------------------------------------------------------
-
-def cmd_check(cfg: ExperimentConfig, out_dir: Path) -> int:
-    doc = _build_check_report(cfg)
-    _write_json(out_dir / "check_report.json", doc)
-    return EXIT_OK if doc["all_conditions_hold"] else EXIT_CHECK_FAILED
-
-
-def cmd_simulate(cfg: ExperimentConfig, out_dir: Path) -> int:
-    field = lambda t, x: rhs_original(cfg.model, t, x)
-    try:
-        traj = integrate(field, 0.0, np.array(cfg.initial_state), cfg.horizon,
-                         cfg.integrator, frame="original")
-    except IntegrationError as exc:
-        print(f"integration failed: {exc} (last good time {exc.t})",
-              file=sys.stderr)
-        return EXIT_CHECK_FAILED
-    write_trajectory_csv(traj, out_dir / "trajectory.csv")
-    return EXIT_OK
+def _check(cfg: ExperimentConfig, out_dir: Path) -> BoundReport:
+    """Write check_report.json; returns the bound report behind it."""
+    bounds = _bounds(cfg)
+    _write_json(out_dir / "check_report.json",
+                {"bounds": bounds.to_dict(),
+                 "all_conditions_hold": bounds.all_conditions_hold(),
+                 "averaged_system": _averaged_diagnostics(cfg.model)})
+    return bounds
 
 
-def cmd_find_orbit(cfg: ExperimentConfig, out_dir: Path) -> int:
+def _find_orbit(cfg: ExperimentConfig, bounds: BoundReport,
+                out_dir: Path) -> tuple[dict, PeriodicOrbit | None]:
+    """Seed, shoot and write orbit_report.json (plus orbit.csv on success).
+
+    Returns the report and the orbit, or None when the search failed.
+    """
     model = cfg.model
-    bounds = compute_bounds(model, extremum_interval=cfg.extremum_interval,
-                            m0_denominator=cfg.m0_denominator)
     z_start = np.log(np.array(cfg.initial_state))
     seed = seed_by_transient(model, z_start, cfg.seed_periods, cfg.integrator)
     doc: dict = {
@@ -363,14 +326,38 @@ def cmd_find_orbit(cfg: ExperimentConfig, out_dir: Path) -> int:
                     "description": exc.diagnosis.describe(),
                 }
             _write_json(out_dir / "orbit_report.json", doc)
-            return EXIT_CHECK_FAILED
+            return doc, None
 
     doc["converged"] = True
     doc["orbit"] = orbit.to_dict()
     doc["bound_checks"] = [c.to_dict() for c in verify_bounds(orbit, bounds)]
     _write_json(out_dir / "orbit_report.json", doc)
     write_trajectory_csv(orbit.orbit_samples.to_original(), out_dir / "orbit.csv")
+    return doc, orbit
+
+
+# --- subcommands ---------------------------------------------------------
+
+def cmd_check(cfg: ExperimentConfig, out_dir: Path) -> int:
+    return EXIT_OK if _check(cfg, out_dir).all_conditions_hold() else EXIT_CHECK_FAILED
+
+
+def cmd_simulate(cfg: ExperimentConfig, out_dir: Path) -> int:
+    field = lambda t, x: rhs_original(cfg.model, t, x)
+    try:
+        traj = integrate(field, 0.0, np.array(cfg.initial_state), cfg.horizon,
+                         cfg.integrator, frame="original")
+    except IntegrationError as exc:
+        print(f"integration failed: {exc} (last good time {exc.t})",
+              file=sys.stderr)
+        return EXIT_CHECK_FAILED
+    write_trajectory_csv(traj, out_dir / "trajectory.csv")
     return EXIT_OK
+
+
+def cmd_find_orbit(cfg: ExperimentConfig, out_dir: Path) -> int:
+    _doc, orbit = _find_orbit(cfg, _bounds(cfg), out_dir)
+    return EXIT_CHECK_FAILED if orbit is None else EXIT_OK
 
 
 # --- reproduction bundles ------------------------------------------------
@@ -432,39 +419,28 @@ def cmd_reproduce(which: str, out_dir: Path) -> int:
     bundle_dir = out_dir / which
     bundle_dir.mkdir(parents=True, exist_ok=True)
 
-    files = []
-    check_doc = _build_check_report(cfg)
-    _write_json(bundle_dir / "check_report.json", check_doc)
-    files.append("check_report.json")
-
+    bounds = _check(cfg, bundle_dir)
     cmd_simulate(cfg, bundle_dir)
-    files.append("trajectory.csv")
     tail = _tail_metrics(cfg)
-
-    orbit_status = cmd_find_orbit(cfg, bundle_dir)
-    files.append("orbit_report.json")
-    if (bundle_dir / "orbit.csv").exists():
+    orbit_doc, orbit = _find_orbit(cfg, bounds, bundle_dir)
+    files = ["check_report.json", "trajectory.csv", "orbit_report.json"]
+    if orbit is not None:
         files.append("orbit.csv")
-    with open(bundle_dir / "orbit_report.json", encoding="utf-8") as fh:
-        orbit_doc = json.load(fh)
 
     regressions = []
     notes = []
     if which == "example1":
-        b = check_doc["bounds"]
-        canonical = compute_bounds(cfg.model,
-                                   extremum_interval=cfg.extremum_interval,
-                                   m0_denominator=M0_CANONICAL)
+        canonical = _bounds(cfg, M0_CANONICAL)
         regressions += [
-            _regress("k2_r2M", b["a1_lhs"], 5.4006, 1e-4),
-            _regress("one_plus_w1_k1", b["a1_rhs"], 161.0, 1e-4),
-            _regress("m0_variant", b["m0"], 0.0446, 1e-4),
-            _regress("beta1M_m0", b["a2_lhs"], 0.0223, 1e-4),
-            _regress("r1L", b["a2_rhs"], 0.03, 1e-4),
-            _regress("r2L_k2", b["a3_lhs"], 0.0006, 1e-4),
-            _regress("a3_rhs", b["a3_rhs"], 15600.9161, 1e-4),
+            _regress("k2_r2M", bounds.a1_lhs, 5.4006, 1e-4),
+            _regress("one_plus_w1_k1", bounds.a1_rhs, 161.0, 1e-4),
+            _regress("m0_variant", bounds.m0, 0.0446, 1e-4),
+            _regress("beta1M_m0", bounds.a2_lhs, 0.0223, 1e-4),
+            _regress("r1L", bounds.a2_rhs, 0.03, 1e-4),
+            _regress("r2L_k2", bounds.a3_lhs, 0.0006, 1e-4),
+            _regress("a3_rhs", bounds.a3_rhs, 15600.9161, 1e-4),
             _regress("m0_canonical", canonical.m0, 0.033544, 1e-5),
-            _regress("conditions_all_true", check_doc["all_conditions_hold"],
+            _regress("conditions_all_true", bounds.all_conditions_hold(),
                      True, None),
             _regress("conditions_all_true_canonical",
                      canonical.all_conditions_hold(), True, None),
@@ -472,7 +448,7 @@ def cmd_reproduce(which: str, out_dir: Path) -> int:
             # horizons is a transient; the non-toxic species decays
             # geometrically and the period map has no interior fixed
             # point, so the orbit search must report non-convergence.
-            _regress("orbit_converged", orbit_doc["converged"], False, None),
+            _regress("orbit_converged", orbit is not None, False, None),
         ]
         if "extinction" in orbit_doc:
             regressions.append(_regress(
@@ -494,15 +470,15 @@ def cmd_reproduce(which: str, out_dir: Path) -> int:
                      True, None),
             _regress("no_tail_oscillation",
                      tail["tail_oscillation_amplitude"] < 1e-7, True, None),
-            _regress("orbit_found", orbit_status == EXIT_OK, True, None),
+            _regress("orbit_found", orbit is not None, True, None),
             _regress("orbit_is_steady_state",
-                     bool(orbit_doc.get("orbit", {}).get("degenerate_steady_state",
-                                                         False)), True, None),
-            _regress("conditions_all_true", check_doc["all_conditions_hold"],
+                     orbit is not None and orbit.degenerate_steady_state,
+                     True, None),
+            _regress("conditions_all_true", bounds.all_conditions_hold(),
                      True, None),
         ]
-        if orbit_doc.get("converged"):
-            samples = np.array(list(_read_orbit_states(bundle_dir / "orbit.csv")))
+        if orbit is not None:
+            samples = orbit.orbit_samples.to_original().states
             variance = float(np.max(np.var(samples, axis=0)))
             regressions.append(_regress("orbit_sample_variance_below_1e-12",
                                         variance < 1e-12, True, None))
@@ -518,14 +494,6 @@ def cmd_reproduce(which: str, out_dir: Path) -> int:
     }
     _write_json(bundle_dir / "manifest.json", manifest)
     return EXIT_OK if ok else EXIT_CHECK_FAILED
-
-
-def _read_orbit_states(path):
-    with open(path, encoding="utf-8") as fh:
-        next(fh)
-        for line in fh:
-            _t, a, b = line.strip().split(",")
-            yield float(a), float(b)
 
 
 # --- entry point ---------------------------------------------------------

@@ -33,10 +33,8 @@ from .model import ModelParams
 
 __all__ = [
     "BoundReport",
-    "ConditionVerdicts",
     "DegenerateParameterError",
     "compute_bounds",
-    "check_conditions",
     "M0_CANONICAL",
     "M0_VARIANT_K2",
 ]
@@ -50,14 +48,6 @@ M0_VARIANT_K2 = "k2-paper-variant"
 
 class DegenerateParameterError(ValueError):
     """Parameters make a bound quantity undefined (division by zero)."""
-
-
-@dataclass(frozen=True)
-class ConditionVerdicts:
-    a1: bool
-    a2: bool
-    a3: bool
-    margins: tuple[float, float, float]  # RHS - LHS for each inequality
 
 
 @dataclass(frozen=True)
@@ -183,12 +173,3 @@ def compute_bounds(params: ModelParams,
         extremum_interval=(float(a), float(b)),
         m0_denominator=m0_denominator,
     )
-
-
-def check_conditions(report: BoundReport) -> ConditionVerdicts:
-    """Re-derive the three verdicts and margins from a computed report."""
-    m1 = report.a1_rhs - report.a1_lhs
-    m2 = report.a2_rhs - report.a2_lhs
-    m3 = report.a3_rhs - report.a3_lhs
-    return ConditionVerdicts(a1=m1 > 0.0, a2=m2 > 0.0, a3=m3 > 0.0,
-                             margins=(m1, m2, m3))

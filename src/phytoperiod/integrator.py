@@ -24,7 +24,7 @@ __all__ = [
     "NonFiniteStateError",
     "integrate",
     "flow_map",
-    "monodromy",
+    "flow_and_monodromy",
     "variational_flow",
     "write_trajectory_csv",
 ]
@@ -75,7 +75,6 @@ class IntegratorConfig:
     step: float = 1e-2          # fixed-step size (rk4-fixed only)
     abs_tol: float = 1e-10
     rel_tol: float = 1e-10
-    initial_step: float | None = None
     max_step: float | None = None
     dense_output: bool = False
 
@@ -86,8 +85,6 @@ class IntegratorConfig:
             raise ValueError("fixed step must be positive")
         if self.abs_tol <= 0 or self.rel_tol <= 0:
             raise ValueError("tolerances must be positive")
-        if self.initial_step is not None and self.initial_step <= 0:
-            raise ValueError("initial_step must be positive")
         if self.max_step is not None and self.max_step <= 0:
             raise ValueError("max_step must be positive")
 
@@ -167,7 +164,7 @@ def integrate(field, t0: float, y0, t1: float, cfg: IntegratorConfig,
                 accepted = True
             else:
                 if h_adaptive is None:
-                    h_adaptive = cfg.initial_step or (t1 - t0) * 1e-3
+                    h_adaptive = (t1 - t0) * 1e-3
                     if cfg.max_step:
                         h_adaptive = min(h_adaptive, cfg.max_step)
                 h = min(h_adaptive, stop - t)
@@ -260,16 +257,9 @@ def variational_flow(field, jac, t0: float, y0, t1: float,
     return wT[:2], wT[2:].reshape(2, 2)
 
 
-def monodromy(params: ModelParams, z0, cfg: IntegratorConfig) -> np.ndarray:
-    """Fundamental matrix over one period along the log-frame orbit."""
-    _, M = variational_flow(lambda t, z: rhs_log(params, t, z),
-                            lambda t, z: jac_log(params, t, z),
-                            0.0, z0, params.period, cfg)
-    return M
-
-
 def flow_and_monodromy(params: ModelParams, z0, cfg: IntegratorConfig):
-    """(z(T), Y(T)) in one augmented integration; used by the shooter."""
+    """State and fundamental matrix after one period of the log-frame
+    flow: (z(T), M) from one augmented integration with z(0) = z0."""
     return variational_flow(lambda t, z: rhs_log(params, t, z),
                             lambda t, z: jac_log(params, t, z),
                             0.0, z0, params.period, cfg)

@@ -32,7 +32,6 @@ __all__ = [
     "DomainOverflowError",
     "rhs_original",
     "rhs_log",
-    "rhs_homotopy",
     "jac_original",
     "jac_log",
     "averaged_residual",
@@ -127,13 +126,6 @@ def rhs_log(params: ModelParams, t: float, z) -> np.ndarray:
     dz2 = (r2 * (1.0 / (1.0 + params.w1 * u) - v / params.k2)
            - b2 * u - params.w2 * u * v)
     return np.array([dz1, dz2])
-
-
-def rhs_homotopy(params: ModelParams, lam: float, t: float, z) -> np.ndarray:
-    """The deformation family lambda * rhs_log, lambda in (0, 1]."""
-    if not 0.0 < lam <= 1.0:
-        raise ValueError(f"homotopy parameter must lie in (0, 1], got {lam}")
-    return lam * rhs_log(params, t, z)
 
 
 def jac_original(params: ModelParams, t: float, x) -> np.ndarray:

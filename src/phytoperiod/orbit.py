@@ -27,9 +27,11 @@ from dataclasses import dataclass
 import numpy as np
 
 from .conditions import BoundReport
-from .integrator import (IntegratorConfig, Trajectory, flow_and_monodromy,
-                         flow_map, integrate, variational_flow)
-from .model import ModelParams, jac_original, rhs_log, rhs_original
+from .integrator import (IntegrationError, IntegratorConfig, Trajectory,
+                         flow_and_monodromy, flow_map, integrate,
+                         variational_flow)
+from .model import (DomainOverflowError, ModelParams, jac_original, rhs_log,
+                    rhs_original)
 
 __all__ = [
     "PeriodicOrbit",
@@ -127,9 +129,7 @@ def seed_by_transient(params: ModelParams, z_start, n_periods: int,
     prev = z
     for _ in range(n_periods):
         prev = z
-        traj = integrate(lambda t, s: rhs_log(params, t, s),
-                         0.0, z, params.period, cfg, frame="log")
-        z = traj.final_state
+        z = flow_map(params, z, cfg)
     return SeedResult(z=z, contraction=float(np.max(np.abs(z - prev))))
 
 
@@ -189,7 +189,7 @@ def find_periodic_orbit(params: ModelParams, guess, tol: float = 1e-12,
             z_try = z + s * dz
             try:
                 r_try = float(np.max(np.abs(flow_map(params, z_try, cfg) - z_try)))
-            except Exception:
+            except (IntegrationError, DomainOverflowError):
                 s *= 0.5
                 continue
             if r_try < rnorm:
@@ -278,14 +278,9 @@ def diagnose_extinction(params: ModelParams, z, cfg: IntegratorConfig,
     no clean regime emerges within the period budget.
     """
     z = np.asarray(z, dtype=float)
-
-    def one_period(state):
-        return integrate(lambda t, s: rhs_log(params, t, s),
-                         0.0, state, params.period, cfg, frame="log").final_state
-
     try:
         for _ in range(max_periods):
-            z_next = one_period(z)
+            z_next = flow_map(params, z, cfg)
             drift = z_next - z
             z = z_next
             dying = [i for i in (0, 1) if drift[i] < -1e-3]
@@ -295,7 +290,7 @@ def diagnose_extinction(params: ModelParams, z, cfg: IntegratorConfig,
             if dying and settled:
                 rates = []
                 for _ in range(3):
-                    z_next = one_period(z)
+                    z_next = flow_map(params, z, cfg)
                     rates.append(z_next - z)
                     z = z_next
                 mean_drift = np.mean(rates, axis=0)
@@ -304,7 +299,7 @@ def diagnose_extinction(params: ModelParams, z, cfg: IntegratorConfig,
                     return ExtinctionDiagnosis(species=i + 1,
                                                rate_per_period=float(mean_drift[i]))
                 return None
-    except Exception:
+    except (IntegrationError, DomainOverflowError):
         return None
     return None
 

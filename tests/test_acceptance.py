@@ -22,9 +22,9 @@ from conftest import newton_equilibrium
 
 from phytoperiod import (IntegratorConfig, M0_CANONICAL, M0_VARIANT_K2,
                          OrbitSearchError, compute_bounds, detect_steady_state,
-                         find_periodic_orbit, flow_map, grid_scan, integrate,
-                         monodromy, rhs_log, rhs_original, seed_by_transient,
-                         solve_averaged)
+                         find_periodic_orbit, flow_and_monodromy, flow_map,
+                         grid_scan, integrate, rhs_log, rhs_original,
+                         seed_by_transient, solve_averaged)
 
 TWO_PI = 2.0 * math.pi
 HALF = (0.0, math.pi)
@@ -132,7 +132,7 @@ def test_criterion_4a_floquet_stability(demo_orbit_search):
 def test_criterion_4b_monodromy_vs_finite_differences(ex1_params):
     cfg = IntegratorConfig(abs_tol=1e-12, rel_tol=1e-12)
     z0 = np.log([0.002, 0.002])
-    M = monodromy(ex1_params, z0, cfg)
+    M = flow_and_monodromy(ex1_params, z0, cfg)[1]
     h = 1e-6
     M_fd = np.zeros((2, 2))
     for j in range(2):

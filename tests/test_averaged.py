@@ -78,6 +78,21 @@ def test_demo_grid_scan_confirms_infeasibility(ex1_params):
     assert res_best > 1e-2
 
 
+def test_line_search_lets_programming_errors_through(coexist_params,
+                                                     monkeypatch):
+    calls = []
+
+    def residual(*args):
+        calls.append(args)
+        if len(calls) > 1:      # the first call is the start point
+            raise TypeError("bug")
+        return averaged_residual(*args)
+
+    monkeypatch.setattr("phytoperiod.averaged.averaged_residual", residual)
+    with pytest.raises(TypeError):
+        solve_averaged(coexist_params, mu=1.0, guess=np.array([0.0, -1.0]))
+
+
 def test_mu_validation(coexist_params):
     with pytest.raises(ValueError):
         solve_averaged(coexist_params, mu=1.2, guess=np.zeros(2))

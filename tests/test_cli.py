@@ -2,15 +2,15 @@
 
 import json
 import math
+from importlib import resources
 
 import numpy as np
 import pytest
 
 from phytoperiod.cli import (ConfigError, EXIT_CHECK_FAILED, EXIT_OK,
                              EXIT_USAGE, cmd_check, cmd_find_orbit,
-                             cmd_reproduce, cmd_simulate, config_to_dict,
-                             load_bundled_config, load_config, main,
-                             parse_config)
+                             cmd_reproduce, cmd_simulate, load_bundled_config,
+                             load_config, main, parse_config)
 
 TWO_PI = 2.0 * math.pi
 
@@ -44,12 +44,6 @@ def test_parse_minimal_config():
     assert cfg.orbit_tol == 1e-12
 
 
-def test_config_roundtrip_is_semantically_identical():
-    cfg = parse_config(minimal_config())
-    again = parse_config(config_to_dict(cfg))
-    assert again == cfg
-
-
 def test_bundled_configs_parse():
     ex1 = load_bundled_config("example1")
     assert ex1.model.w1 == 20.0
@@ -69,6 +63,14 @@ def test_bundled_configs_parse():
     (lambda d: d.__setitem__("extremum_interval", [2.0, 1.0]), "extremum_interval"),
     (lambda d: d.__setitem__("seed_periods", -3), "seed_periods"),
     (lambda d: d.__setitem__("m0_denominator", "k9"), "m0_denominator"),
+    (lambda d: d.__setitem__("integrator", []), "config.integrator"),
+    (lambda d: d.__setitem__("tolerances", 3), "config.tolerances"),
+    (lambda d: d.__setitem__("model", 5), "config.model"),
+    (lambda d: d["model"]["r1"].__setitem__("omega", math.inf), "r1.omega"),
+    (lambda d: d.__setitem__("horizon", math.inf), "config.horizon"),
+    (lambda d: d.__setitem__("initial_state", [math.nan, 0.1]), "initial_state[0]"),
+    (lambda d: d.__setitem__("integrator", {"abs_tol": math.nan}), "abs_tol"),
+    (lambda d: d.__setitem__("integrator", {"abstol": 1e-8}), "abstol"),
 ])
 def test_parse_errors_carry_field_path(mutate, fragment):
     data = minimal_config()
@@ -154,8 +156,8 @@ def test_main_usage_error_on_bad_config(tmp_path):
 
 def test_main_interval_and_variant_overrides(tmp_path):
     cfg_path = tmp_path / "cfg.json"
-    ex1 = load_bundled_config("example1")
-    cfg_path.write_text(json.dumps(config_to_dict(ex1)))
+    cfg_path.write_text(resources.files("phytoperiod.configs")
+                        .joinpath("example1.json").read_text())
     code = main(["check", "--config", str(cfg_path), "--out", str(tmp_path),
                  "--interval", "0", str(TWO_PI), "--m0-variant", "k1"])
     assert code == EXIT_CHECK_FAILED  # full-period extrema break A2

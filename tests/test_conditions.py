@@ -7,7 +7,7 @@ import pytest
 
 from phytoperiod import (DegenerateParameterError, M0_CANONICAL,
                          M0_VARIANT_K2, ModelParams, PeriodicCoefficient,
-                         check_conditions, compute_bounds)
+                         compute_bounds)
 
 TWO_PI = 2.0 * math.pi
 HALF = (0.0, math.pi)
@@ -197,9 +197,9 @@ def test_margin_scaling_law(coexist_params):
 
 def test_check_conditions_matches_report_fields(ex1_params):
     rep = compute_bounds(ex1_params, HALF, M0_VARIANT_K2)
-    verdicts = check_conditions(rep)
-    assert (verdicts.a1, verdicts.a2, verdicts.a3) == (rep.A1, rep.A2, rep.A3)
-    assert verdicts.margins == rep.margins
+    assert rep.margins == (rep.a1_rhs - rep.a1_lhs, rep.a2_rhs - rep.a2_lhs,
+                           rep.a3_rhs - rep.a3_lhs)
+    assert (rep.A1, rep.A2, rep.A3) == tuple(m > 0.0 for m in rep.margins)
 
 
 def test_report_serialization_roundtrip(ex1_params):

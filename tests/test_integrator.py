@@ -6,8 +6,8 @@ import numpy as np
 import pytest
 
 from phytoperiod import (IntegratorConfig, NonFiniteStateError, Trajectory,
-                         flow_map, integrate, jac_log, monodromy, rhs_log,
-                         rhs_original, variational_flow, write_trajectory_csv)
+                         flow_map, integrate, rhs_log, rhs_original,
+                         variational_flow, write_trajectory_csv)
 
 TWO_PI = 2.0 * math.pi
 
@@ -199,22 +199,6 @@ def test_monodromy_decoupled_linear_field():
                             IntegratorConfig())
     np.testing.assert_allclose(
         M, np.diag([math.exp(a * T), math.exp(b * T)]), atol=1e-8)
-
-
-def test_monodromy_matches_finite_differences(ex1_params):
-    cfg = IntegratorConfig(abs_tol=1e-12, rel_tol=1e-12)
-    z0 = np.log([0.002, 0.002])
-    M = monodromy(ex1_params, z0, cfg)
-    h = 1e-6
-    M_fd = np.zeros((2, 2))
-    for j in range(2):
-        dz = np.zeros(2)
-        dz[j] = h
-        M_fd[:, j] = (flow_map(ex1_params, z0 + dz, cfg)
-                      - flow_map(ex1_params, z0 - dz, cfg)) / (2 * h)
-    diff = np.max(np.abs(M - M_fd))
-    print(f"\n  monodromy vs finite differences: {diff:.3e}")
-    assert diff < 1e-5
 
 
 # --- CSV export ----------------------------------------------------------

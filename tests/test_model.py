@@ -7,7 +7,7 @@ import pytest
 
 from phytoperiod import (DomainOverflowError, ModelParams, PeriodicCoefficient,
                          averaged_jacobian, averaged_residual, jac_log,
-                         jac_original, rhs_homotopy, rhs_log, rhs_original)
+                         jac_original, rhs_log, rhs_original)
 
 # direct substitution at t=0, x=(1,1): r1=0.03, r2=0.0001, b1=0.0004, b2=0.006
 EX1_RHS_AT_ONE = (0.02585, -2.0060119047619048)
@@ -71,37 +71,6 @@ def test_overflow_guard(ex1_params):
         rhs_log(ex1_params, 0.0, (800.0, 0.0))
     with pytest.raises(DomainOverflowError):
         rhs_log(ex1_params, 0.0, (0.0, float("nan")))
-
-
-# --- homotopy ------------------------------------------------------------
-
-def test_homotopy_is_identity_at_one(ex1_params):
-    z = (0.3, -2.0)
-    np.testing.assert_array_equal(rhs_homotopy(ex1_params, 1.0, 0.9, z),
-                                  rhs_log(ex1_params, 0.9, z))
-
-
-def test_homotopy_quarter_example(ex1_params):
-    dz = rhs_homotopy(ex1_params, 0.25, 0.0, (0.0, 0.0))
-    assert dz[0] == pytest.approx(0.0064625, abs=1e-12)
-    assert dz[1] == pytest.approx(-0.501502975, abs=1e-8)
-
-
-def test_homotopy_linearity(ex1_params):
-    rng = np.random.default_rng(5)
-    for _ in range(20):
-        lam = rng.uniform(0.01, 1.0)
-        t = rng.uniform(0, 10)
-        z = rng.uniform(-4, 1, size=2)
-        np.testing.assert_array_equal(
-            rhs_homotopy(ex1_params, lam, t, z),
-            lam * rhs_homotopy(ex1_params, 1.0, t, z))
-
-
-def test_homotopy_lambda_out_of_range(ex1_params):
-    for lam in (0.0, -0.5, 1.5):
-        with pytest.raises(ValueError):
-            rhs_homotopy(ex1_params, lam, 0.0, (0.0, 0.0))
 
 
 # --- Jacobians -----------------------------------------------------------

@@ -7,7 +7,8 @@ import pytest
 from conftest import newton_equilibrium
 
 from phytoperiod import (BoundCheck, IntegratorConfig, NonConvergenceError,
-                         OrbitSearchError, PeriodicOrbit, Trajectory,
+                         OrbitSearchError, PeriodicOrbit, StepUnderflowError,
+                         Trajectory,
                          compute_bounds, detect_steady_state,
                          diagnose_extinction, find_periodic_orbit, flow_map,
                          integrate, rhs_log, seed_by_transient, verify_bounds)
@@ -147,6 +148,35 @@ def test_demo_orbit_search_detects_extinction(ex1_params, cfg):
 def test_tol_validation(forced_params, cfg):
     with pytest.raises(ValueError):
         find_periodic_orbit(forced_params, np.zeros(2), tol=0.0, cfg=cfg)
+
+
+def _raiser(exc):
+    def flow_map(*args, **kwargs):
+        raise exc
+    return flow_map
+
+
+def test_integration_failures_stall_the_line_search(forced_params, cfg,
+                                                    monkeypatch):
+    monkeypatch.setattr("phytoperiod.orbit.flow_map",
+                        _raiser(StepUnderflowError("underflow", t=1.0)))
+    with pytest.raises(NonConvergenceError, match="line search stalled") as exc_info:
+        find_periodic_orbit(forced_params, np.array([0.0, -0.5]), cfg=cfg)
+    assert exc_info.value.diagnosis is None
+
+
+def test_line_search_lets_programming_errors_through(forced_params, cfg,
+                                                     monkeypatch):
+    monkeypatch.setattr("phytoperiod.orbit.flow_map", _raiser(TypeError("bug")))
+    with pytest.raises(TypeError):
+        find_periodic_orbit(forced_params, np.array([0.0, -0.5]), cfg=cfg)
+
+
+def test_extinction_diagnosis_lets_programming_errors_through(ex1_params, cfg,
+                                                              monkeypatch):
+    monkeypatch.setattr("phytoperiod.orbit.flow_map", _raiser(TypeError("bug")))
+    with pytest.raises(TypeError):
+        diagnose_extinction(ex1_params, np.log([0.5, 0.003]), cfg)
 
 
 # --- steady-state detection ----------------------------------------------
