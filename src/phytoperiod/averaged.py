@@ -4,20 +4,19 @@ Replacing every periodic rate by its period average turns the search
 for periodic solutions into a two-equation algebraic problem in the log
 densities.  This module solves it with a damped Newton iteration and
 also evaluates a pair of closed-form candidate expressions for the
-mu = 0 reduction of the system.
+"mu = 0" reduction of the system, which drops the fear-driven growth
+term r2_bar / (1 + w1 u) of the second equation.
 
-The mu = 0 reduction itself deserves a warning: its second equation is
-a sum of strictly negative terms whenever the averaged rates are
-positive, so it has no real root at all.  The closed-form expressions
-are therefore evaluated and validity-checked, but never asserted to
-solve that reduction; ``solve_averaged`` detects the no-root situation
-and raises a dedicated error instead of looping forever.
+That reduction deserves a warning: its second equation is a sum of
+strictly negative terms whenever the averaged rates are positive, so it
+has no real root at all.  The closed-form expressions are therefore
+evaluated and validity-checked, but never asserted to solve it.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -47,34 +46,33 @@ class NoPositiveSolutionError(AveragedSolveError):
     """The averaged system has no root with positive densities."""
 
 
-def solve_averaged(params: ModelParams, mu: float, guess,
+def solve_averaged(params: ModelParams, guess,
                    tol: float = 1e-13, max_iter: int = 60) -> np.ndarray:
     """Damped Newton on the averaged residual; returns the root.
 
     The step is halved (up to 20 times) until the residual norm
-    decreases, which tames overshoot caused by the exp nonlinearity.  A
-    stall with a negative second residual component is reported as
-    :class:`NoPositiveSolutionError`: every term of that component is
-    then negative for all real states, so no root exists.
+    decreases, which tames overshoot caused by the exp nonlinearity.
+    When no term of the second residual component can be positive and
+    one is negative, no root exists, and :class:`NoPositiveSolutionError`
+    is raised up front; a stall with a negative second component is
+    reported the same way.
     """
     if tol <= 0:
         raise ValueError("tol must be positive")
-    if not 0.0 <= mu <= 1.0:
-        raise ValueError(f"mu must lie in [0, 1], got {mu}")
-    r1b, r2b, b1b, b2b = params.means()
-    # mu = 0 with positive rates kills every positive term of res2
-    if mu * r2b <= 0.0 and (r2b > 0 or b2b > 0 or params.w2 > 0):
+    _, r2b, _, b2b = params.means()
+    # the terms of res2 have the signs of r2b, -r2b, -b2b and -w2
+    if r2b == 0.0 and b2b >= 0.0 and (b2b > 0.0 or params.w2 > 0.0):
         raise NoPositiveSolutionError(
             "second averaged equation is a sum of strictly negative terms; "
             "no real root exists", z_last=guess, residual=None)
 
     z = np.asarray(guess, dtype=float)
-    res = averaged_residual(params, z, mu)
+    res = averaged_residual(params, z)
     rnorm = float(np.max(np.abs(res)))
     for _ in range(max_iter):
         if rnorm < tol:
             return z
-        J = averaged_jacobian(params, z, mu)
+        J = averaged_jacobian(params, z)
         try:
             dz = np.linalg.solve(J, -res)
         except np.linalg.LinAlgError:
@@ -84,7 +82,7 @@ def solve_averaged(params: ModelParams, mu: float, guess,
         for _ in range(_MAX_HALVINGS):
             z_try = z + s * dz
             try:
-                res_try = averaged_residual(params, z_try, mu)
+                res_try = averaged_residual(params, z_try)
             except DomainOverflowError:
                 s *= 0.5
                 continue
@@ -125,8 +123,7 @@ class ClosedFormResult:
     valid: bool
 
     def to_dict(self) -> dict:
-        return {"z1": self.z1, "z2": self.z2,
-                "arg1": self.arg1, "arg2": self.arg2, "valid": self.valid}
+        return asdict(self)
 
 
 def closed_form_mu0(params: ModelParams) -> ClosedFormResult:
@@ -151,7 +148,7 @@ def closed_form_mu0(params: ModelParams) -> ClosedFormResult:
                             valid=arg1 > 0 and arg2 > 0)
 
 
-def grid_scan(params: ModelParams, mu: float = 1.0,
+def grid_scan(params: ModelParams,
               z1_range: tuple[float, float] = (-25.0, 3.0),
               z2_range: tuple[float, float] = (-25.0, 3.0),
               n: int = 200):
@@ -168,7 +165,7 @@ def grid_scan(params: ModelParams, mu: float = 1.0,
     r1b, r2b, b1b, b2b = params.means()
     R1 = r1b - r1b * U / params.k1 - b1b * V
     R2 = (-r2b * V / params.k2 - b2b * U - params.w2 * U * V
-          + mu * r2b / (1.0 + params.w1 * U))
+          + r2b / (1.0 + params.w1 * U))
     norms = np.maximum(np.abs(R1), np.abs(R2))
     i, j = np.unravel_index(int(np.argmin(norms)), norms.shape)
     cell = max(z1s[1] - z1s[0], z2s[1] - z2s[0])

@@ -36,7 +36,7 @@ from .conditions import (BoundReport, M0_CANONICAL, M0_VARIANT_K2,
                          compute_bounds)
 from .integrator import (IntegrationError, IntegratorConfig, integrate,
                          write_trajectory_csv)
-from .model import ModelParams, rhs_original
+from .model import DomainOverflowError, ModelParams, rhs_original
 from .orbit import (OrbitSearchError, PeriodicOrbit, detect_steady_state,
                     find_periodic_orbit, seed_by_transient, verify_bounds)
 
@@ -260,11 +260,11 @@ def _averaged_diagnostics(model: ModelParams) -> dict:
         out["closed_form_mu0"] = closed_form_mu0(model).to_dict()
     except ZeroDivisionError as exc:
         out["closed_form_mu0"] = {"error": str(exc)}
-    z_best, res_best, cell = grid_scan(model, mu=1.0)
+    z_best, res_best, cell = grid_scan(model)
     out["grid_scan"] = {"z": [float(z_best[0]), float(z_best[1])],
                         "min_residual_norm": res_best, "cell": cell}
     try:
-        root = solve_averaged(model, mu=1.0, guess=z_best)
+        root = solve_averaged(model, z_best)
         out["newton"] = {"converged": True,
                          "z": [float(root[0]), float(root[1])],
                          "x": [float(math.exp(root[0])), float(math.exp(root[1]))]}
@@ -295,17 +295,21 @@ def _find_orbit(cfg: ExperimentConfig, bounds: BoundReport,
     Returns the report and the orbit, or None when the search failed.
     """
     model = cfg.model
-    z_start = np.log(np.array(cfg.initial_state))
-    seed = seed_by_transient(model, z_start, cfg.seed_periods, cfg.integrator)
-    doc: dict = {
-        "seed": {"z": [float(v) for v in seed.z],
-                 "x": [float(math.exp(v)) for v in seed.z],
-                 "periods": cfg.seed_periods,
-                 "contraction": seed.contraction},
-        "conditions": bounds.to_dict(),
-    }
+    doc: dict = {"conditions": bounds.to_dict()}
+    try:
+        seed = seed_by_transient(model, np.log(np.array(cfg.initial_state)),
+                                 cfg.seed_periods, cfg.integrator)
+        orbit = detect_steady_state(model, seed.z, cfg.integrator)
+    except (IntegrationError, DomainOverflowError) as exc:
+        doc["converged"] = False
+        doc["error"] = f"seeding failed: {exc}"
+        _write_json(out_dir / "orbit_report.json", doc)
+        return doc, None
+    doc["seed"] = {"z": [float(v) for v in seed.z],
+                   "x": [float(math.exp(v)) for v in seed.z],
+                   "periods": cfg.seed_periods,
+                   "contraction": seed.contraction}
 
-    orbit = detect_steady_state(model, seed.z, cfg.integrator)
     if orbit is None:
         try:
             orbit = find_periodic_orbit(model, seed.z, tol=cfg.orbit_tol,

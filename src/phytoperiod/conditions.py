@@ -26,7 +26,7 @@ report is always produced.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 from .coefficients import extrema
 from .model import ModelParams
@@ -87,23 +87,8 @@ class BoundReport:
         return self.A1 and self.A2 and self.A3
 
     def to_dict(self) -> dict:
-        d = {
-            "r1L": self.r1L, "r1M": self.r1M,
-            "r2L": self.r2L, "r2M": self.r2M,
-            "beta1M": self.beta1M, "beta2M": self.beta2M,
-            "m0": self.m0, "g0": self.g0, "h0": self.h0,
-            "L1": self.L1, "L2": self.L2, "L3": self.L3, "L4": self.L4,
-            "Lambda1": self.Lambda1, "Lambda2": self.Lambda2,
-            "A1": self.A1, "A2": self.A2, "A3": self.A3,
-            "margins": {"A1": self.margins[0], "A2": self.margins[1],
-                        "A3": self.margins[2]},
-            "a1_lhs": self.a1_lhs, "a1_rhs": self.a1_rhs,
-            "a2_lhs": self.a2_lhs, "a2_rhs": self.a2_rhs,
-            "a3_lhs": self.a3_lhs, "a3_rhs": self.a3_rhs,
-            "positivity_audit": dict(self.positivity_audit),
-            "extremum_interval": list(self.extremum_interval),
-            "m0_denominator": self.m0_denominator,
-        }
+        d = asdict(self)
+        d["margins"] = dict(zip(("A1", "A2", "A3"), self.margins))
         return d
 
 

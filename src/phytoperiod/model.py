@@ -163,40 +163,30 @@ def jac_log(params: ModelParams, t: float, z) -> np.ndarray:
     ])
 
 
-def averaged_residual(params: ModelParams, z, mu: float = 1.0) -> np.ndarray:
+def averaged_residual(params: ModelParams, z) -> np.ndarray:
     """Residual of the period-averaged algebraic system at log state z.
 
     With the period averages r1_bar, r2_bar, beta1_bar, beta2_bar and
     u = e^{z1}, v = e^{z2}:
 
         res1 = r1_bar - r1_bar u / k1 - beta1_bar v
-        res2 = -r2_bar v / k2 - beta2_bar u - w2 u v
-               + mu * r2_bar / (1 + w1 u)
-
-    mu = 1 is the full averaged system; mu in [0, 1) interpolates to the
-    reduced system whose fear-driven growth term is switched off.  The
-    w2 term lives in the mu-independent part only, so that mu = 1
-    reproduces the full system exactly.
+        res2 = r2_bar / (1 + w1 u) - r2_bar v / k2 - beta2_bar u - w2 u v
     """
-    if not 0.0 <= mu <= 1.0:
-        raise ValueError(f"mu must lie in [0, 1], got {mu}")
     u, v = _exp_state(z)
     r1b, r2b, b1b, b2b = params.means()
     res1 = r1b - r1b * u / params.k1 - b1b * v
     res2 = (-r2b * v / params.k2 - b2b * u - params.w2 * u * v
-            + mu * r2b / (1.0 + params.w1 * u))
+            + r2b / (1.0 + params.w1 * u))
     return np.array([res1, res2])
 
 
-def averaged_jacobian(params: ModelParams, z, mu: float = 1.0) -> np.ndarray:
+def averaged_jacobian(params: ModelParams, z) -> np.ndarray:
     """Analytic Jacobian of averaged_residual with respect to (z1, z2)."""
-    if not 0.0 <= mu <= 1.0:
-        raise ValueError(f"mu must lie in [0, 1], got {mu}")
     u, v = _exp_state(z)
     r1b, r2b, b1b, b2b = params.means()
     fear = 1.0 / (1.0 + params.w1 * u)
     return np.array([
         [-r1b * u / params.k1, -b1b * v],
-        [-b2b * u - params.w2 * u * v - mu * r2b * params.w1 * u * fear * fear,
+        [-b2b * u - params.w2 * u * v - r2b * params.w1 * u * fear * fear,
          -r2b * v / params.k2 - params.w2 * u * v],
     ])

@@ -13,16 +13,16 @@ as bare non-convergence:
   essentially constant (an equilibrium, possibly on a coordinate axis
   where the log frame has no finite fixed point).  Detected up front
   and characterised with the original-frame variational equations.
-* extinction: one species decays geometrically period over period, so
-  the period map has no interior fixed point along the seeded path.
-  The Newton defect then stalls at the decay rate; the diagnosis names
-  the dying species and measures the rate.
+* extinction: one species cannot invade the state where it is absent,
+  so it decays geometrically near that boundary and the Newton defect
+  stalls at the decay rate.  The diagnosis names the species and gives
+  its invasion exponent, in closed form from the period means.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -64,12 +64,14 @@ class SeedResult:
 @dataclass(frozen=True)
 class ExtinctionDiagnosis:
     species: int                # 1 or 2
-    rate_per_period: float      # per-period drift of ln(density), < 0
+    rate_per_period: float      # invasion exponent of ln(density), < 0
+    boundary_state: float       # density of the other species there
 
     def describe(self) -> str:
-        return (f"species {self.species} decays geometrically "
-                f"(d ln x{self.species} = {self.rate_per_period:.6g} per period); "
-                "the period map has no interior fixed point along this path")
+        i, j = self.species, 3 - self.species
+        return (f"species {i} cannot invade the boundary state "
+                f"x{j} = {self.boundary_state:.6g} "
+                f"(d ln x{i} = {self.rate_per_period:.6g} per period there)")
 
 
 @dataclass(frozen=True)
@@ -153,15 +155,12 @@ def find_periodic_orbit(params: ModelParams, guess, tol: float = 1e-12,
         raise ValueError("tol must be positive")
     if cfg is None:
         cfg = IntegratorConfig()
-    z_start = np.asarray(guess, dtype=float)
-    z = z_start.copy()
+    z = np.array(guess, dtype=float)
     history: list[float] = []
 
-    # extinction is a property of the flow from the caller's state, not
-    # of wherever the iteration happens to wander, so diagnose from there
     def fail(exc_type, message, it):
         raise exc_type(message, z_last=z, residual=rnorm, iterations=it,
-                       diagnosis=diagnose_extinction(params, z_start, cfg))
+                       diagnosis=diagnose_extinction(params))
 
     zT, M = flow_and_monodromy(params, z, cfg)
     G = zT - z
@@ -266,42 +265,31 @@ def detect_steady_state(params: ModelParams, z, cfg: IntegratorConfig,
     )
 
 
-def diagnose_extinction(params: ModelParams, z, cfg: IntegratorConfig,
-                        max_periods: int = 300) -> ExtinctionDiagnosis | None:
-    """Detect a geometric collapse of one species from a stalled iterate.
+def diagnose_extinction(params: ModelParams) -> ExtinctionDiagnosis | None:
+    """Name the species that cannot invade the other's boundary state.
 
-    Follows the flow period by period.  The reported rate is asymptotic
-    only once the surviving component has stopped moving, so the
-    diagnosis waits until exactly one component keeps a steady negative
-    drift while the others sit still, then averages three more periods.
-    Returns None when nothing is dying (e.g. an orbit merely missed) or
-    no clean regime emerges within the period budget.
+    With species i absent, species j follows the periodic logistic
+    equation x' = r_j(t) x (1 - x/k_j), whose attractor is the constant
+    x_j* = k_j when r_j has a positive mean and 0 otherwise.  Along it
+    ln x_i grows by T times the mean of its log-frame rate per period:
+
+        lambda1 = T (r1_bar - beta1_bar x2*)
+        lambda2 = T (r2_bar / (1 + w1 x1*) - beta2_bar x1*)
+
+    (the invasion exponents of Cushing 1980).  Returns the species with
+    the more negative exponent when that exponent is negative, else None.
     """
-    z = np.asarray(z, dtype=float)
-    try:
-        for _ in range(max_periods):
-            z_next = flow_map(params, z, cfg)
-            drift = z_next - z
-            z = z_next
-            dying = [i for i in (0, 1) if drift[i] < -1e-3]
-            settled = all(abs(drift[j]) < 1e-6 for j in (0, 1) if j not in dying)
-            if not dying and settled:
-                return None
-            if dying and settled:
-                rates = []
-                for _ in range(3):
-                    z_next = flow_map(params, z, cfg)
-                    rates.append(z_next - z)
-                    z = z_next
-                mean_drift = np.mean(rates, axis=0)
-                i = max(dying, key=lambda j: -mean_drift[j])
-                if mean_drift[i] < -1e-3:
-                    return ExtinctionDiagnosis(species=i + 1,
-                                               rate_per_period=float(mean_drift[i]))
-                return None
-    except (IntegrationError, DomainOverflowError):
+    r1b, r2b, b1b, b2b = params.means()
+    x1 = params.k1 if r1b > 0.0 else 0.0
+    x2 = params.k2 if r2b > 0.0 else 0.0
+    T = params.period
+    exponents = (T * (r1b - b1b * x2),
+                 T * (r2b / (1.0 + params.w1 * x1) - b2b * x1))
+    i = 0 if exponents[0] < exponents[1] else 1
+    if exponents[i] >= 0.0:
         return None
-    return None
+    return ExtinctionDiagnosis(species=i + 1, rate_per_period=exponents[i],
+                               boundary_state=(x2, x1)[i])
 
 
 @dataclass(frozen=True)
@@ -314,8 +302,7 @@ class BoundCheck:
     worst_margin: float | None
 
     def to_dict(self) -> dict:
-        return {"name": self.name, "applicable": self.applicable,
-                "satisfied": self.satisfied, "worst_margin": self.worst_margin}
+        return asdict(self)
 
 
 def verify_bounds(orbit: PeriodicOrbit, report: BoundReport) -> list[BoundCheck]:

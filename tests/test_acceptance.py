@@ -224,8 +224,8 @@ def test_criterion_6_numerical_integrity(ex1_params, coexist_params):
     details.append(f"composition error {comp:.2e}")
 
     # averaged-system Newton root versus a 200 x 200 grid-scan bracket
-    root = solve_averaged(coexist_params, mu=1.0, guess=np.array([0.0, -1.0]))
-    z_grid, _, cell = grid_scan(coexist_params, mu=1.0, n=200)
+    root = solve_averaged(coexist_params, np.array([0.0, -1.0]))
+    z_grid, _, cell = grid_scan(coexist_params, n=200)
     grid_gap = float(np.max(np.abs(root - z_grid)))
     ok_grid = grid_gap <= cell
     details.append(f"grid gap {grid_gap:.3f} (cell {cell:.3f})")

@@ -21,46 +21,54 @@ def test_decoupled_case_closed_form():
     e^{z2} = k2 and e^{z1} = k1 (1 - beta1_bar k2 / r1_bar)."""
     p = ModelParams(r1=C(0.5), r2=C(0.7), beta1=C(0.1), beta2=C(0.0),
                     k1=4.0, k2=3.0, w1=0.0, w2=0.0, period=1.0)
-    z = solve_averaged(p, mu=1.0, guess=np.array([0.0, 0.0]))
+    z = solve_averaged(p, np.array([0.0, 0.0]))
     assert math.exp(z[1]) == pytest.approx(3.0, abs=1e-11)
     assert math.exp(z[0]) == pytest.approx(4.0 * (1.0 - 0.1 * 3.0 / 0.5), abs=1e-11)
 
 
 def test_root_has_tiny_residual(coexist_params):
-    z = solve_averaged(coexist_params, mu=1.0, guess=np.array([0.0, -1.0]))
-    res = averaged_residual(coexist_params, z, mu=1.0)
+    z = solve_averaged(coexist_params, np.array([0.0, -1.0]))
+    res = averaged_residual(coexist_params, z)
     assert np.max(np.abs(res)) < 1e-12
 
 
 def test_root_matches_grid_scan_bracket(coexist_params):
     """Independent brute-force bracket: the minimal-residual cell of a
     200 x 200 grid lies within one cell of the Newton root."""
-    z = solve_averaged(coexist_params, mu=1.0, guess=np.array([0.0, -1.0]))
-    z_grid, res_grid, cell = grid_scan(coexist_params, mu=1.0, n=200)
+    z = solve_averaged(coexist_params, np.array([0.0, -1.0]))
+    z_grid, res_grid, cell = grid_scan(coexist_params, n=200)
     print(f"\n  newton root {z}, grid cell {z_grid}, spacing {cell:.4f}")
     assert np.max(np.abs(z - z_grid)) <= cell
 
 
 def test_mean_field_root_is_autonomous_equilibrium(coexist_params):
-    """Constant coefficients: the mu=1 root equals the interior
+    """Constant coefficients: the averaged root equals the interior
     equilibrium of the autonomous system (independent Newton oracle in
     the original frame with finite-difference Jacobian)."""
-    z = solve_averaged(coexist_params, mu=1.0, guess=np.array([0.0, -1.0]))
+    z = solve_averaged(coexist_params, np.array([0.0, -1.0]))
     xeq = newton_equilibrium(coexist_params, np.array([1.9, 0.8]))
     assert np.max(np.abs(np.exp(z) - xeq)) < 1e-9
 
 
-def test_intermediate_mu_root(coexist_params):
-    z = solve_averaged(coexist_params, mu=0.6, guess=np.array([0.0, -1.0]))
-    res = averaged_residual(coexist_params, z, mu=0.6)
-    assert np.max(np.abs(res)) < 1e-12
+def test_negative_r2_mean_still_has_a_root():
+    """r2_bar < 0 makes -r2_bar v / k2 a positive term of res2, so the
+    no-root guard must not fire: with w1 = w2 = 0 the system is linear
+    in (u, v) and its root is u = 0.95 / 1.005, v = (1 + 0.1 u) / 10."""
+    p = ModelParams(r1=C(1.0), r2=C(-1.0), beta1=C(0.5), beta2=C(0.1),
+                    k1=1.0, k2=0.1, w1=0.0, w2=0.0, period=1.0)
+    z_best, _, _ = grid_scan(p)
+    z = solve_averaged(p, z_best)
+    u = 0.95 / 1.005
+    assert np.exp(z) == pytest.approx([u, (1.0 + 0.1 * u) / 10.0], rel=1e-12)
+    assert np.max(np.abs(averaged_residual(p, z))) < 1e-13
 
 
-def test_mu_zero_has_no_real_root(coexist_params):
-    """At mu = 0 the second equation is a sum of strictly negative
-    terms, so the solver must refuse rather than wander."""
-    with pytest.raises(NoPositiveSolutionError):
-        solve_averaged(coexist_params, mu=0.0, guess=np.array([0.0, 0.0]))
+def test_zero_r2_mean_has_no_root():
+    """r2_bar = 0 leaves only the negative terms -beta2_bar u - w2 u v."""
+    p = ModelParams(r1=C(1.0), r2=C(0.0), beta1=C(0.5), beta2=C(0.1),
+                    k1=1.0, k2=0.1, w1=0.0, w2=0.0, period=1.0)
+    with pytest.raises(NoPositiveSolutionError, match="no real root exists"):
+        solve_averaged(p, np.zeros(2))
 
 
 def test_demo_means_have_no_positive_root(ex1_params):
@@ -68,12 +76,12 @@ def test_demo_means_have_no_positive_root(ex1_params):
     w2 = 2) the full averaged system is infeasible: on the manifold of
     the first equation the second stays strictly negative."""
     with pytest.raises(NoPositiveSolutionError) as exc_info:
-        solve_averaged(ex1_params, mu=1.0, guess=np.array([0.0, -5.0]))
+        solve_averaged(ex1_params, np.array([0.0, -5.0]))
     assert exc_info.value.residual is None or exc_info.value.residual > 1e-3
 
 
 def test_demo_grid_scan_confirms_infeasibility(ex1_params):
-    _, res_best, _ = grid_scan(ex1_params, mu=1.0, n=200)
+    _, res_best, _ = grid_scan(ex1_params, n=200)
     print(f"\n  demo grid minimum residual: {res_best:.4e}")
     assert res_best > 1e-2
 
@@ -90,14 +98,12 @@ def test_line_search_lets_programming_errors_through(coexist_params,
 
     monkeypatch.setattr("phytoperiod.averaged.averaged_residual", residual)
     with pytest.raises(TypeError):
-        solve_averaged(coexist_params, mu=1.0, guess=np.array([0.0, -1.0]))
+        solve_averaged(coexist_params, np.array([0.0, -1.0]))
 
 
-def test_mu_validation(coexist_params):
+def test_tol_validation(coexist_params):
     with pytest.raises(ValueError):
-        solve_averaged(coexist_params, mu=1.2, guess=np.zeros(2))
-    with pytest.raises(ValueError):
-        solve_averaged(coexist_params, mu=0.5, guess=np.zeros(2), tol=0.0)
+        solve_averaged(coexist_params, np.zeros(2), tol=0.0)
 
 
 # --- closed form ---------------------------------------------------------

@@ -147,6 +147,17 @@ def test_cmd_find_orbit_reports_extinction(tmp_path):
     assert doc["extinction"]["rate_per_period"] == pytest.approx(-0.3016, abs=5e-3)
 
 
+def test_cmd_find_orbit_reports_seeding_failure(tmp_path):
+    """A blow-up while seeding is a failed search (exit 1 with a report
+    that names the error), not a traceback."""
+    cfg = parse_config(minimal_config(initial_state=[1e300, 1e300]))
+    assert cmd_find_orbit(cfg, tmp_path) == EXIT_CHECK_FAILED
+    doc = json.loads((tmp_path / "orbit_report.json").read_text())
+    assert doc["converged"] is False
+    assert doc["error"].startswith("seeding failed: ")
+    assert "seed" not in doc and "conditions" in doc
+
+
 def test_main_usage_error_on_bad_config(tmp_path):
     bad = tmp_path / "bad.json"
     bad.write_text("{")

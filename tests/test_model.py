@@ -107,7 +107,7 @@ def test_jac_original_matches_finite_differences(ex1_params):
 # --- averaged residual ---------------------------------------------------
 
 def test_averaged_residual_direct_substitution(ex1_params):
-    res = averaged_residual(ex1_params, (0.0, 0.0), mu=1.0)
+    res = averaged_residual(ex1_params, (0.0, 0.0))
     assert res[0] == pytest.approx(0.02585, abs=1e-12)
     assert res[1] == pytest.approx(-2.006012, abs=1e-6)
 
@@ -119,34 +119,15 @@ def test_averaged_residual_vanishing_field():
     rng = np.random.default_rng(23)
     for _ in range(10):
         z = rng.uniform(-3, 3, size=2)
-        np.testing.assert_array_equal(averaged_residual(p, z, rng.uniform(0, 1)),
-                                      [0.0, 0.0])
-
-
-def test_averaged_residual_mu_split(ex1_params):
-    # the mu part is exactly the averaged fear-driven growth term
-    z = (0.2, -1.0)
-    r2b = ex1_params.r2.mean_value()
-    u = math.exp(z[0])
-    for mu in (0.0, 0.3, 1.0):
-        res = averaged_residual(ex1_params, z, mu)
-        base = averaged_residual(ex1_params, z, 0.0)
-        assert res[0] == base[0]
-        assert res[1] == pytest.approx(
-            base[1] + mu * r2b / (1.0 + ex1_params.w1 * u), abs=1e-14)
-
-
-def test_averaged_residual_mu_validation(ex1_params):
-    with pytest.raises(ValueError):
-        averaged_residual(ex1_params, (0.0, 0.0), mu=1.5)
+        np.testing.assert_array_equal(averaged_residual(p, z), [0.0, 0.0])
 
 
 def test_averaged_jacobian_matches_finite_differences(ex1_params):
     rng = np.random.default_rng(29)
-    for mu in (0.0, 0.5, 1.0):
+    for _ in range(3):
         z = rng.uniform(-3, 1, size=2)
-        J = averaged_jacobian(ex1_params, z, mu)
-        J_fd = _fd_jacobian(lambda v: averaged_residual(ex1_params, v, mu), z)
+        J = averaged_jacobian(ex1_params, z)
+        J_fd = _fd_jacobian(lambda v: averaged_residual(ex1_params, v), z)
         np.testing.assert_allclose(J, J_fd, rtol=1e-6, atol=1e-9)
 
 

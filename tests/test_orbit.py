@@ -5,10 +5,13 @@ import math
 import numpy as np
 import pytest
 from conftest import newton_equilibrium
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
-from phytoperiod import (BoundCheck, IntegratorConfig, NonConvergenceError,
-                         OrbitSearchError, PeriodicOrbit, StepUnderflowError,
-                         Trajectory,
+from phytoperiod import (BoundCheck, IntegratorConfig, ModelParams,
+                         NonConvergenceError, OrbitSearchError,
+                         PeriodicCoefficient, PeriodicOrbit,
+                         StepUnderflowError, Trajectory,
                          compute_bounds, detect_steady_state,
                          diagnose_extinction, find_periodic_orbit, flow_map,
                          integrate, rhs_log, seed_by_transient, verify_bounds)
@@ -142,7 +145,7 @@ def test_demo_orbit_search_detects_extinction(ex1_params, cfg):
         find_periodic_orbit(ex1_params, seed.z, tol=1e-10, max_iter=10, cfg=cfg)
     diag = exc_info.value.diagnosis
     assert diag is not None and diag.species == 2
-    assert diag.rate_per_period == pytest.approx(-0.30159, abs=5e-3)
+    assert diag.rate_per_period == pytest.approx(-0.301589, abs=1e-6)
 
 
 def test_tol_validation(forced_params, cfg):
@@ -172,13 +175,6 @@ def test_line_search_lets_programming_errors_through(forced_params, cfg,
         find_periodic_orbit(forced_params, np.array([0.0, -0.5]), cfg=cfg)
 
 
-def test_extinction_diagnosis_lets_programming_errors_through(ex1_params, cfg,
-                                                              monkeypatch):
-    monkeypatch.setattr("phytoperiod.orbit.flow_map", _raiser(TypeError("bug")))
-    with pytest.raises(TypeError):
-        diagnose_extinction(ex1_params, np.log([0.5, 0.003]), cfg)
-
-
 # --- steady-state detection ----------------------------------------------
 
 def test_steady_state_detected_for_settled_constant_system(remark_params):
@@ -203,16 +199,105 @@ def test_steady_state_not_detected_mid_transient(remark_params, cfg):
     assert detect_steady_state(remark_params, seed.z, cfg) is None
 
 
-def test_extinction_diagnosis_asymptotic_rate(ex1_params, cfg):
-    diag = diagnose_extinction(ex1_params, np.log([0.5, 0.003]), cfg)
+def test_extinction_diagnosis_asymptotic_rate(ex1_params):
+    diag = diagnose_extinction(ex1_params)
     assert diag is not None and diag.species == 2
-    # asymptotic rate = (r2_bar/(1+w1 k1) - beta2_bar k1) * T
+    # invasion exponent along x1 = k1: (r2_bar/(1+w1 k1) - beta2_bar k1) * T
     expected = (0.0001 / 161.0 - 0.006 * 8.0) * TWO_PI
-    assert diag.rate_per_period == pytest.approx(expected, abs=5e-3)
+    assert diag.rate_per_period == pytest.approx(expected, rel=1e-12)
+    assert diag.describe() == ("species 2 cannot invade the boundary state "
+                               "x1 = 8 (d ln x2 = -0.301589 per period there)")
 
 
-def test_no_extinction_diagnosed_near_coexistence(forced_params, cfg):
-    assert diagnose_extinction(forced_params, np.log([1.0, 0.5]), cfg) is None
+def test_no_extinction_diagnosed_near_coexistence(forced_params):
+    assert diagnose_extinction(forced_params) is None
+
+
+# --- invasion exponents against the flow ----------------------------------
+
+_OFF_BOUNDARY = 1e-9
+
+
+def _measured_rates(params):
+    """d ln x_i over one period at 1e-12 tolerances, started 1e-9 off the
+    boundary state where species i is absent (x_j* = k_j when r_j has a
+    positive mean, else 0)."""
+    tight = IntegratorConfig(abs_tol=1e-12, rel_tol=1e-12)
+    r1b, r2b, _, _ = params.means()
+    x1 = params.k1 if r1b > 0.0 else _OFF_BOUNDARY
+    x2 = params.k2 if r2b > 0.0 else _OFF_BOUNDARY
+    rates = []
+    for i, start in ((0, [_OFF_BOUNDARY, x2]), (1, [x1, _OFF_BOUNDARY])):
+        z0 = np.log(start)
+        rates.append(float(flow_map(params, z0, tight)[i] - z0[i]))
+    return rates
+
+
+def test_species2_exponent_matches_flow_on_demo(ex1_params):
+    rates = _measured_rates(ex1_params)
+    diag = diagnose_extinction(ex1_params)
+    assert diag.species == 2 and diag.boundary_state == ex1_params.k1
+    assert diag.rate_per_period == pytest.approx(rates[1], abs=1e-6)
+    assert rates[0] > 0.0     # species 1 invades x2 = k2
+
+
+def test_species1_exponent_matches_flow_when_species1_loses():
+    C = PeriodicCoefficient.constant
+    params = ModelParams(
+        r1=PeriodicCoefficient.sinusoid(0.2, 0.5), r2=C(1.0),
+        beta1=PeriodicCoefficient.sinusoid(0.3, 0.2), beta2=C(0.01),
+        k1=2.0, k2=1.5, w1=0.5, w2=0.1, period=TWO_PI)
+    rates = _measured_rates(params)
+    diag = diagnose_extinction(params)
+    assert diag.species == 1 and diag.boundary_state == 1.5
+    assert diag.rate_per_period == pytest.approx((0.2 - 0.3 * 1.5) * TWO_PI,
+                                                 rel=1e-12)
+    assert diag.rate_per_period == pytest.approx(rates[0], abs=1e-6)
+
+
+def test_nonpositive_r1_mean_leaves_x1_absent():
+    """r1_bar < 0 sends x1 to 0, so species 2 invades the empty state at
+    its bare mean rate: no fear or toxin term from a species at k1."""
+    params = ModelParams(
+        r1=PeriodicCoefficient.sinusoid(-0.02, 0.5),
+        r2=PeriodicCoefficient.sinusoid(-0.05, 0.9),
+        beta1=PeriodicCoefficient.constant(0.1),
+        beta2=PeriodicCoefficient.constant(0.5),
+        k1=8.0, k2=6.0, w1=20.0, w2=2.0, period=TWO_PI)
+    rates = _measured_rates(params)
+    diag = diagnose_extinction(params)
+    assert diag.species == 2 and diag.boundary_state == 0.0
+    assert diag.rate_per_period == pytest.approx(-0.05 * TWO_PI, rel=1e-12)
+    assert diag.rate_per_period == pytest.approx(rates[1], abs=1e-6)
+    assert rates[0] == pytest.approx(-0.02 * TWO_PI, abs=1e-6)
+
+
+_mean = st.floats(-1.0, 1.0)
+_amplitude = st.floats(0.0, 0.5)
+_positive = st.floats(0.5, 5.0)
+
+
+@settings(max_examples=25, deadline=None, derandomize=True,
+          database=None)
+@given(r1=st.tuples(_mean, _amplitude), r2=st.tuples(_mean, _amplitude),
+       beta1=st.tuples(st.floats(0.0, 1.0), _amplitude),
+       beta2=st.tuples(st.floats(0.0, 1.0), _amplitude),
+       k1=_positive, k2=_positive, w1=st.floats(0.0, 5.0), w2=st.floats(0.0, 5.0))
+def test_diagnosis_agrees_with_flow_over_random_means(r1, r2, beta1, beta2,
+                                                      k1, k2, w1, w2):
+    sine = PeriodicCoefficient.sinusoid
+    params = ModelParams(r1=sine(*r1), r2=sine(*r2), beta1=sine(*beta1),
+                         beta2=sine(*beta2), k1=k1, k2=k2, w1=w1, w2=w2,
+                         period=TWO_PI)
+    rates = _measured_rates(params)
+    # the choice between the exponents is only defined away from ties and 0
+    assume(abs(rates[0] - rates[1]) > 1e-5 and abs(min(rates)) > 1e-5)
+    diag = diagnose_extinction(params)
+    if min(rates) > 0.0:
+        assert diag is None
+    else:
+        assert diag.species == 1 + int(np.argmin(rates))
+        assert diag.rate_per_period == pytest.approx(min(rates), abs=1e-6)
 
 
 # --- bound verification ---------------------------------------------------
