@@ -77,7 +77,23 @@ class PeriodicCoefficient:
         return 2.0 * math.pi / self.omega
 
     def __call__(self, t):
-        """Evaluate f(t).  Accepts scalars or numpy arrays."""
+        """Evaluate f(t).  Accepts scalars or numpy arrays.
+
+        A float or int t takes a ``math`` path and gives a float: the
+        integrator evaluates one time per call, where numpy's per-call
+        cost would dominate.
+        """
+        if isinstance(t, (float, int)):
+            if self.kind == "constant":
+                return self.mean
+            if self.kind == "sinusoid":
+                return self.mean + self.amplitude * math.sin(
+                    self.omega * t + self.phase)
+            out = self.mean
+            for k, (a, b) in enumerate(self.harmonics, start=1):
+                kwt = k * self.omega * t
+                out = out + a * math.cos(kwt) + b * math.sin(kwt)
+            return out
         if self.kind == "constant":
             return self.mean if np.isscalar(t) else np.full_like(
                 np.asarray(t, dtype=float), self.mean)

@@ -32,21 +32,26 @@ __all__ = [
 METHOD_RK4 = "rk4-fixed"
 METHOD_RK45 = "rk45-adaptive"
 
-# Dormand-Prince 5(4) tableau (propagates the 5th-order solution).
-_DP_C = (0.0, 1 / 5, 3 / 10, 4 / 5, 8 / 9, 1.0, 1.0)
-_DP_A = (
-    (),
-    (1 / 5,),
-    (3 / 40, 9 / 40),
-    (44 / 45, -56 / 15, 32 / 9),
-    (19372 / 6561, -25360 / 2187, 64448 / 6561, -212 / 729),
-    (9017 / 3168, -355 / 33, 46732 / 5247, 49 / 176, -5103 / 18656),
-    (35 / 384, 0.0, 500 / 1113, 125 / 192, -2187 / 6784, 11 / 84),
-)
-_DP_B5 = (35 / 384, 0.0, 500 / 1113, 125 / 192, -2187 / 6784, 11 / 84, 0.0)
-_DP_B4 = (5179 / 57600, 0.0, 7571 / 16695, 393 / 640, -92097 / 339200,
-          187 / 2100, 1 / 40)
-_DP_ERR = tuple(b5 - b4 for b5, b4 in zip(_DP_B5, _DP_B4))
+# Dormand-Prince 5(4) tableau.  The 5th-order weights equal the last row
+# of A, so the 7th stage is evaluated at the new solution and doubles as
+# the next step's 1st stage (FSAL, "first same as last").
+_C2, _C3, _C4, _C5 = 1 / 5, 3 / 10, 4 / 5, 8 / 9
+_A21 = 1 / 5
+_A31, _A32 = 3 / 40, 9 / 40
+_A41, _A42, _A43 = 44 / 45, -56 / 15, 32 / 9
+_A51, _A52, _A53, _A54 = (19372 / 6561, -25360 / 2187, 64448 / 6561,
+                          -212 / 729)
+_A61, _A62, _A63, _A64, _A65 = (9017 / 3168, -355 / 33, 46732 / 5247,
+                                49 / 176, -5103 / 18656)
+_B1, _B3, _B4, _B5, _B6 = (35 / 384, 500 / 1113, 125 / 192, -2187 / 6784,
+                           11 / 84)
+# error weights: 5th- minus 4th-order weights of the embedded pair
+_E1 = _B1 - 5179 / 57600
+_E3 = _B3 - 7571 / 16695
+_E4 = _B4 - 393 / 640
+_E5 = _B5 - -92097 / 339200
+_E6 = _B6 - 187 / 2100
+_E7 = -1 / 40
 
 _MIN_STEP_FACTOR = 1e-14  # underflow guard relative to the span
 
@@ -119,20 +124,16 @@ class Trajectory:
         return Trajectory("original", self.times, np.exp(self.states))
 
 
-def _error_norm(err, y_old, y_new, abs_tol, rel_tol):
-    scale = abs_tol + rel_tol * np.maximum(np.abs(y_old), np.abs(y_new))
-    return float(np.max(np.abs(err) / scale))
-
-
 def integrate(field, t0: float, y0, t1: float, cfg: IntegratorConfig,
               t_eval=None, frame: str = "original") -> Trajectory:
     """Integrate y' = field(t, y) from t0 to t1.
 
-    The final state lands exactly on t1 (steps are clipped).  If
-    ``t_eval`` is given, the stepper additionally lands on each of those
-    times and the returned trajectory contains exactly t0, the t_eval
-    points and t1.  With ``cfg.dense_output`` every accepted internal
-    step is recorded as well.
+    ``field(t, y)`` receives the state as a tuple of floats and may return
+    any sequence of floats.  The final state lands exactly on t1 (steps
+    are clipped).  If ``t_eval`` is given, the stepper additionally lands
+    on each of those times and the returned trajectory contains exactly
+    t0, the t_eval points and t1.  With ``cfg.dense_output`` every
+    accepted internal step is recorded as well.
     """
     if not t1 > t0:
         raise ValueError(f"need t1 > t0, got [{t0}, {t1}]")
@@ -148,35 +149,46 @@ def integrate(field, t0: float, y0, t1: float, cfg: IntegratorConfig,
         stops = sorted(set(pts) | {t1})
         stops = [s for s in stops if s > t0]
 
-    times = [t0]
-    states = [y0.copy()]
+    t, y = t0, tuple(y0.tolist())
+    times = [t]
+    states = [y]
     record_all = cfg.dense_output and t_eval is None
-
-    t, y = t0, y0.copy()
-    h_adaptive = None
+    rk4 = cfg.method == METHOD_RK4
+    abs_tol, rel_tol, max_step = cfg.abs_tol, cfg.rel_tol, cfg.max_step
+    h_floor = _MIN_STEP_FACTOR * (t1 - t0)
+    h_adaptive = (t1 - t0) * 1e-3
+    if max_step:
+        h_adaptive = min(h_adaptive, max_step)
+    k1 = None                   # field(t, y), kept across steps (FSAL)
     for stop in stops:
         while t < stop:
-            if cfg.method == METHOD_RK4:
+            if rk4:
                 h = min(cfg.step, stop - t)
                 clipped = h >= stop - t
                 y = _rk4_step(field, t, y, h)
                 t = stop if clipped else t + h
                 accepted = True
             else:
-                if h_adaptive is None:
-                    h_adaptive = (t1 - t0) * 1e-3
-                    if cfg.max_step:
-                        h_adaptive = min(h_adaptive, cfg.max_step)
                 h = min(h_adaptive, stop - t)
                 clipped = h >= stop - t
-                y_new, err = _dp_step(field, t, y, h)
-                enorm = _error_norm(err, y, y_new, cfg.abs_tol, cfg.rel_tol)
-                if enorm <= 1.0:
-                    t = stop if clipped else t + h
-                    y = y_new
-                    accepted = True
-                else:
-                    accepted = False
+                if k1 is None:
+                    k1 = field(t, y)
+                y_new, err, k7 = _dp_step(field, t, y, h, k1)
+                # max-norm of err / (abs_tol + rel_tol max(|y|, |y_new|));
+                # a NaN ratio is kept, so it rejects the step below
+                enorm = 0.0
+                for e, a, b in zip(err, y, y_new):
+                    r = abs(e) / (abs_tol + rel_tol * max(abs(a), abs(b)))
+                    if not r <= enorm:
+                        enorm = r
+                        if r != r:
+                            break
+                accepted = enorm <= 1.0
+                if accepted:
+                    t_new = stop if clipped else t + h
+                    # k7 was evaluated at t + h: reuse it only there
+                    k1 = k7 if t_new == t + h else None
+                    t, y = t_new, y_new
                 # standard I-controller with safety factor and clamps; a
                 # non-finite error estimate (NaN stages) forces a hard shrink
                 if enorm > 0.0 and math.isfinite(enorm):
@@ -186,48 +198,63 @@ def integrate(field, t0: float, y0, t1: float, cfg: IntegratorConfig,
                 else:
                     factor = 0.2
                 h_adaptive = h * min(5.0, max(0.2, factor))
-                if cfg.max_step:
-                    h_adaptive = min(h_adaptive, cfg.max_step)
-                if h_adaptive < _MIN_STEP_FACTOR * (t1 - t0):
+                if max_step:
+                    h_adaptive = min(h_adaptive, max_step)
+                if h_adaptive < h_floor:
                     raise StepUnderflowError(
                         f"adaptive step underflow at t = {t}", t=t)
-            if not np.all(np.isfinite(y)):
+            if not all(map(math.isfinite, y)):
                 raise NonFiniteStateError(
                     f"state became non-finite at t = {t}", t=t)
             if accepted and record_all and t < stop:
                 times.append(t)
-                states.append(y.copy())
+                states.append(y)
         times.append(t)
-        states.append(y.copy())
+        states.append(y)
 
     return Trajectory(frame, np.array(times), np.array(states))
 
 
 def _rk4_step(field, t, y, h):
+    hh = 0.5 * h
     k1 = field(t, y)
-    k2 = field(t + 0.5 * h, y + 0.5 * h * k1)
-    k3 = field(t + 0.5 * h, y + 0.5 * h * k2)
-    k4 = field(t + h, y + h * k3)
-    return y + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+    k2 = field(t + hh, tuple(yi + hh * p for yi, p in zip(y, k1)))
+    k3 = field(t + hh, tuple(yi + hh * q for yi, q in zip(y, k2)))
+    k4 = field(t + h, tuple(yi + h * r for yi, r in zip(y, k3)))
+    h6 = h / 6.0
+    return tuple(yi + h6 * (p + 2.0 * q + 2.0 * r + s)
+                 for yi, p, q, r, s in zip(y, k1, k2, k3, k4))
 
 
-def _dp_step(field, t, y, h):
-    k = []
-    for i in range(7):
-        yi = y
-        for j, a in enumerate(_DP_A[i]):
-            if a != 0.0:
-                yi = yi + (h * a) * k[j]
-        k.append(field(t + _DP_C[i] * h, yi))
-    y_new = y
-    for b, ki in zip(_DP_B5, k):
-        if b != 0.0:
-            y_new = y_new + (h * b) * ki
-    err = np.zeros_like(y)
-    for e, ki in zip(_DP_ERR, k):
-        if e != 0.0:
-            err = err + (h * e) * ki
-    return y_new, err
+def _dp_step(field, t, y, h, k1):
+    """One Dormand-Prince step from (t, y), given k1 = field(t, y).
+
+    Returns (y_new, err, k7) with k7 = field(t + h, y_new).  Each stage
+    sum runs left to right over plain floats.
+    """
+    a = h * _A21
+    k2 = field(t + _C2 * h, tuple(yi + a * p for yi, p in zip(y, k1)))
+    a1, a2 = h * _A31, h * _A32
+    k3 = field(t + _C3 * h, tuple(yi + a1 * p + a2 * q
+                                  for yi, p, q in zip(y, k1, k2)))
+    a1, a2, a3 = h * _A41, h * _A42, h * _A43
+    k4 = field(t + _C4 * h, tuple(yi + a1 * p + a2 * q + a3 * r
+                                  for yi, p, q, r in zip(y, k1, k2, k3)))
+    a1, a2, a3, a4 = h * _A51, h * _A52, h * _A53, h * _A54
+    k5 = field(t + _C5 * h, tuple(yi + a1 * p + a2 * q + a3 * r + a4 * s
+                                  for yi, p, q, r, s in zip(y, k1, k2, k3, k4)))
+    a1, a2, a3, a4, a5 = h * _A61, h * _A62, h * _A63, h * _A64, h * _A65
+    k6 = field(t + h, tuple(yi + a1 * p + a2 * q + a3 * r + a4 * s + a5 * u
+                            for yi, p, q, r, s, u in zip(y, k1, k2, k3, k4, k5)))
+    b1, b3, b4, b5, b6 = h * _B1, h * _B3, h * _B4, h * _B5, h * _B6
+    y_new = tuple(yi + b1 * p + b3 * r + b4 * s + b5 * u + b6 * v
+                  for yi, p, r, s, u, v in zip(y, k1, k3, k4, k5, k6))
+    k7 = field(t + h, y_new)
+    e1, e3, e4, e5, e6, e7 = (h * _E1, h * _E3, h * _E4, h * _E5, h * _E6,
+                              h * _E7)
+    err = tuple(e1 * p + e3 * r + e4 * s + e5 * u + e6 * v + e7 * w
+                for p, r, s, u, v, w in zip(k1, k3, k4, k5, k6, k7))
+    return y_new, err, k7
 
 
 def flow_map(params: ModelParams, z0, cfg: IntegratorConfig) -> np.ndarray:
@@ -242,17 +269,20 @@ def variational_flow(field, jac, t0: float, y0, t1: float,
     """Flow and fundamental matrix of an arbitrary planar field.
 
     Integrates the state together with Y' = J(t, y(t)) Y, Y(t0) = I and
-    returns (y(t1), Y(t1)).
+    returns (y(t1), Y(t1)).  ``jac(t, y)`` returns the rows of J.
     """
     def augmented(t, w):
         y = w[:2]
-        Y = w[2:].reshape(2, 2)
-        dy = field(t, y)
-        dY = jac(t, y) @ Y
-        return np.concatenate([dy, dY.ravel()])
+        dy1, dy2 = field(t, y)
+        (j11, j12), (j21, j22) = jac(t, y)
+        y11, y12, y21, y22 = w[2:]
+        return (dy1, dy2,
+                j11 * y11 + j12 * y21, j11 * y12 + j12 * y22,
+                j21 * y11 + j22 * y21, j21 * y12 + j22 * y22)
 
-    w0 = np.concatenate([np.asarray(y0, dtype=float), np.eye(2).ravel()])
-    traj = integrate(augmented, t0, w0, t1, cfg, frame="log")
+    y1, y2 = y0
+    traj = integrate(augmented, t0, (y1, y2, 1.0, 0.0, 0.0, 1.0), t1, cfg,
+                     frame="log")
     wT = traj.final_state
     return wT[:2], wT[2:].reshape(2, 2)
 

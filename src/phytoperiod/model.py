@@ -90,7 +90,7 @@ class ModelParams:
                 self.beta1.mean_value(), self.beta2.mean_value())
 
 
-def rhs_original(params: ModelParams, t: float, x) -> np.ndarray:
+def rhs_original(params: ModelParams, t: float, x) -> tuple[float, float]:
     """Time derivative (x1', x2') in the original frame."""
     x1, x2 = x
     r1 = params.r1(t)
@@ -100,7 +100,7 @@ def rhs_original(params: ModelParams, t: float, x) -> np.ndarray:
     dx1 = r1 * x1 * (1.0 - x1 / params.k1) - b1 * x1 * x2
     dx2 = (r2 * x2 * (1.0 / (1.0 + params.w1 * x1) - x2 / params.k2)
            - b2 * x1 * x2 - params.w2 * x1 * x2 * x2)
-    return np.array([dx1, dx2])
+    return dx1, dx2
 
 
 def _exp_state(z):
@@ -111,7 +111,7 @@ def _exp_state(z):
     return math.exp(z1), math.exp(z2)
 
 
-def rhs_log(params: ModelParams, t: float, z) -> np.ndarray:
+def rhs_log(params: ModelParams, t: float, z) -> tuple[float, float]:
     """Time derivative (z1', z2') in the log frame.
 
     Equals rhs_original(t, x)/x componentwise at x = exp(z).  Raises
@@ -125,26 +125,27 @@ def rhs_log(params: ModelParams, t: float, z) -> np.ndarray:
     dz1 = r1 * (1.0 - u / params.k1) - b1 * v
     dz2 = (r2 * (1.0 / (1.0 + params.w1 * u) - v / params.k2)
            - b2 * u - params.w2 * u * v)
-    return np.array([dz1, dz2])
+    return dz1, dz2
 
 
-def jac_original(params: ModelParams, t: float, x) -> np.ndarray:
-    """Analytic Jacobian of rhs_original with respect to (x1, x2)."""
+def jac_original(params: ModelParams, t: float, x):
+    """Analytic Jacobian of rhs_original with respect to (x1, x2), as the
+    row tuples ((J11, J12), (J21, J22))."""
     x1, x2 = x
     r1 = params.r1(t)
     r2 = params.r2(t)
     b1 = params.beta1(t)
     b2 = params.beta2(t)
     fear = 1.0 / (1.0 + params.w1 * x1)
-    return np.array([
-        [r1 * (1.0 - 2.0 * x1 / params.k1) - b1 * x2, -b1 * x1],
-        [-r2 * x2 * params.w1 * fear * fear - b2 * x2 - params.w2 * x2 * x2,
-         r2 * (fear - 2.0 * x2 / params.k2) - b2 * x1 - 2.0 * params.w2 * x1 * x2],
-    ])
+    return (
+        (r1 * (1.0 - 2.0 * x1 / params.k1) - b1 * x2, -b1 * x1),
+        (-r2 * x2 * params.w1 * fear * fear - b2 * x2 - params.w2 * x2 * x2,
+         r2 * (fear - 2.0 * x2 / params.k2) - b2 * x1 - 2.0 * params.w2 * x1 * x2),
+    )
 
 
-def jac_log(params: ModelParams, t: float, z) -> np.ndarray:
-    """Analytic Jacobian of rhs_log with respect to (z1, z2).
+def jac_log(params: ModelParams, t: float, z):
+    """Analytic Jacobian of rhs_log with respect to (z1, z2), as row tuples.
 
     Hand-derived; the fear term differentiates as
     d/dz1 [r2 / (1 + w1 e^{z1})] = -r2 w1 e^{z1} / (1 + w1 e^{z1})^2.
@@ -156,11 +157,11 @@ def jac_log(params: ModelParams, t: float, z) -> np.ndarray:
     b1 = params.beta1(t)
     b2 = params.beta2(t)
     fear = 1.0 / (1.0 + params.w1 * u)
-    return np.array([
-        [-r1 * u / params.k1, -b1 * v],
-        [-r2 * params.w1 * u * fear * fear - b2 * u - params.w2 * u * v,
-         -r2 * v / params.k2 - params.w2 * u * v],
-    ])
+    return (
+        (-r1 * u / params.k1, -b1 * v),
+        (-r2 * params.w1 * u * fear * fear - b2 * u - params.w2 * u * v,
+         -r2 * v / params.k2 - params.w2 * u * v),
+    )
 
 
 def averaged_residual(params: ModelParams, z) -> np.ndarray:

@@ -65,7 +65,7 @@ def newton_equilibrium(params, guess, tol=1e-13, max_iter=60):
 
     x = np.asarray(guess, dtype=float)
     for _ in range(max_iter):
-        f = rhs_original(params, 0.0, x)
+        f = np.asarray(rhs_original(params, 0.0, x))
         if np.max(np.abs(f)) < tol:
             return x
         J = np.zeros((2, 2))
@@ -73,7 +73,7 @@ def newton_equilibrium(params, guess, tol=1e-13, max_iter=60):
             h = 1e-7 * max(1.0, abs(x[j]))
             dx = np.zeros(2)
             dx[j] = h
-            J[:, j] = (rhs_original(params, 0.0, x + dx)
-                       - rhs_original(params, 0.0, x - dx)) / (2 * h)
+            J[:, j] = (np.asarray(rhs_original(params, 0.0, x + dx))
+                       - np.asarray(rhs_original(params, 0.0, x - dx))) / (2 * h)
         x = x + np.linalg.solve(J, -f)
     raise AssertionError("equilibrium oracle did not converge")

@@ -18,7 +18,6 @@ import time
 
 import numpy as np
 import pytest
-from conftest import newton_equilibrium
 
 from phytoperiod import (IntegratorConfig, M0_CANONICAL, M0_VARIANT_K2,
                          OrbitSearchError, compute_bounds, detect_steady_state,
@@ -195,7 +194,7 @@ def test_criterion_6_numerical_integrity(ex1_params, coexist_params):
     errors = []
     for h in steps:
         cfg = IntegratorConfig(method="rk4-fixed", step=h)
-        traj = integrate(lambda t, y: -y, 0.0, np.array([1.0]), 1.0, cfg)
+        traj = integrate(lambda t, y: (-y[0],), 0.0, np.array([1.0]), 1.0, cfg)
         errors.append(abs(traj.final_state[0] - math.exp(-1.0)))
     slope = float(np.polyfit(np.log(steps), np.log(errors), 1)[0])
     ok_order = 3.8 <= slope <= 4.2

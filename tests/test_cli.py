@@ -1,10 +1,11 @@
 """Config parsing, subcommand behaviour, exit codes, determinism."""
 
+import hashlib
 import json
 import math
 from importlib import resources
+from pathlib import Path
 
-import numpy as np
 import pytest
 
 from phytoperiod.cli import (ConfigError, EXIT_CHECK_FAILED, EXIT_OK,
@@ -204,6 +205,18 @@ def test_reproduce_is_deterministic(tmp_path):
         fa = (a / "remark-constant" / name).read_bytes()
         fb = (b / "remark-constant" / name).read_bytes()
         assert fa == fb, f"{name} differs between identical runs"
+
+
+def test_reproduce_bytes_match_golden_hashes(tmp_path):
+    """The reproduce artifacts pinned in golden_bytes.json, byte for byte."""
+    golden = json.loads(
+        (Path(__file__).parent / "golden_bytes.json").read_text())
+    for which, pinned in golden.items():
+        cmd_reproduce(which, tmp_path)
+        for name, digest in pinned.items():
+            data = (tmp_path / which / name).read_bytes()
+            assert hashlib.sha256(data).hexdigest() == digest, \
+                f"{which}/{name} differs from its golden bytes"
 
 
 def test_reproduce_example1_golden_content(tmp_path):

@@ -36,9 +36,14 @@ def test_fourier_eval_matches_series():
 
 
 def test_eval_accepts_arrays():
-    f = PeriodicCoefficient.sinusoid(1.0, 0.5, omega=3.0, phase=0.2)
+    # the array (numpy) and scalar (math) paths agree for every kind
     ts = np.linspace(0, 5, 11)
-    np.testing.assert_allclose(f(ts), [f(t) for t in ts], atol=1e-14)
+    for f in (PeriodicCoefficient.sinusoid(1.0, 0.5, omega=3.0, phase=0.2),
+              PeriodicCoefficient.fourier(0.5, [(0.2, -0.3), (0.05, 0.0)],
+                                          omega=2.0),
+              PeriodicCoefficient.constant(3.0)):
+        np.testing.assert_allclose(f(ts), [f(float(t)) for t in ts],
+                                   atol=1e-14)
 
 
 def test_periodicity_at_random_times():

@@ -5,15 +5,16 @@ import math
 import numpy as np
 import pytest
 
-from phytoperiod import (IntegratorConfig, NonFiniteStateError, Trajectory,
-                         flow_map, integrate, rhs_log, rhs_original,
-                         variational_flow, write_trajectory_csv)
+from phytoperiod import (IntegrationError, IntegratorConfig, Trajectory,
+                         flow_and_monodromy, flow_map, integrate, jac_log,
+                         rhs_log, rhs_original, variational_flow,
+                         write_trajectory_csv)
 
 TWO_PI = 2.0 * math.pi
 
 
 def exp_decay(t, y):
-    return -y
+    return (-y[0],)
 
 
 # --- basic accuracy ------------------------------------------------------
@@ -84,14 +85,47 @@ def test_dense_output_records_internal_steps():
         assert s[0] == pytest.approx(math.exp(-t), abs=1e-8)
 
 
+def test_adaptive_stepper_reuses_last_stage():
+    """Dormand-Prince is FSAL: after an accepted step its 7th stage is the
+    next step's 1st, so each step costs 6 field calls plus 1 at the start.
+    At the default tolerances y' = -y on [0, 10] rejects no step."""
+    calls = 0
+
+    def field(t, y):
+        nonlocal calls
+        calls += 1
+        return (-y[0],)
+
+    traj = integrate(field, 0.0, np.array([1.0]), 10.0,
+                     IntegratorConfig(dense_output=True))
+    assert calls == 6 * (len(traj.times) - 1) + 1
+
+
+def test_clipped_step_restarts_at_its_landing_time():
+    """A step clipped to a t_eval point ends exactly there, which can
+    differ from t + h in the last bit: 0.3 + (0.9 - 0.3) != 0.9.  The
+    next step's first stage is then evaluated at 0.9, not at t + h."""
+    seen = []
+
+    def field(t, y):
+        seen.append(t)
+        return (0.0,)
+
+    traj = integrate(field, 0.0, np.array([1.0]), 1.0, IntegratorConfig(),
+                     t_eval=[0.3, 0.9])
+    assert 0.3 + (0.9 - 0.3) != 0.9
+    assert list(traj.times) == [0.0, 0.3, 0.9, 1.0]
+    assert 0.9 in seen and 0.3 + (0.9 - 0.3) in seen
+
+
 def test_invalid_time_span():
     with pytest.raises(ValueError):
         integrate(exp_decay, 1.0, np.array([1.0]), 1.0, IntegratorConfig())
 
 
 def test_nonfinite_state_detected():
-    blow_up = lambda t, y: y * y  # finite-time blow-up from y0 = 2: t* = 0.5
-    with pytest.raises((NonFiniteStateError, Exception)):
+    blow_up = lambda t, y: (y[0] * y[0],)  # finite-time blow-up from y0 = 2: t* = 0.5
+    with pytest.raises(IntegrationError):
         integrate(blow_up, 0.0, np.array([2.0]), 1.0,
                   IntegratorConfig(abs_tol=1e-6, rel_tol=1e-6))
 
@@ -199,6 +233,54 @@ def test_monodromy_decoupled_linear_field():
                             IntegratorConfig())
     np.testing.assert_allclose(
         M, np.diag([math.exp(a * T), math.exp(b * T)]), atol=1e-8)
+
+
+def _augmented_oracle(params):
+    """The variational system written with numpy, for scipy."""
+    def rhs(t, w):
+        J = np.array(jac_log(params, t, w[:2]))
+        dY = J @ w[2:].reshape(2, 2)
+        return np.concatenate([rhs_log(params, t, w[:2]), dY.ravel()])
+    return rhs
+
+
+# (params fixture, z0): near the forced orbit, and near example1's
+# boundary state x1 = k1 where species 2 decays
+MONODROMY_CASES = [("forced_params", (0.64, -0.18)),
+                   ("ex1_params", (math.log(8.0), math.log(1e-3)))]
+
+
+@pytest.mark.parametrize("params_name, z0", MONODROMY_CASES)
+def test_monodromy_matches_scipy_dop853(request, params_name, z0):
+    from scipy.integrate import solve_ivp
+
+    params = request.getfixturevalue(params_name)
+    cfg = IntegratorConfig(abs_tol=1e-12, rel_tol=1e-12)
+    zT, M = flow_and_monodromy(params, np.array(z0), cfg)
+    sol = solve_ivp(_augmented_oracle(params), (0.0, params.period),
+                    [*z0, 1.0, 0.0, 0.0, 1.0], method="DOP853",
+                    rtol=1e-13, atol=1e-13)
+    assert sol.success
+    w = sol.y[:, -1]
+    assert np.max(np.abs(zT - w[:2])) < 1e-9
+    assert np.max(np.abs(M - w[2:].reshape(2, 2))) < 1e-9
+
+
+@pytest.mark.parametrize("params_name, z0", MONODROMY_CASES)
+def test_monodromy_satisfies_liouville(request, params_name, z0):
+    """ln det M(T) = integral of tr J(t, z(t)) over one period."""
+    params = request.getfixturevalue(params_name)
+    cfg = IntegratorConfig(abs_tol=1e-12, rel_tol=1e-12)
+    _, M = flow_and_monodromy(params, np.array(z0), cfg)
+    n = 2048
+    ts = np.linspace(0.0, params.period, n + 1)
+    traj = integrate(lambda t, z: rhs_log(params, t, z), 0.0, np.array(z0),
+                     params.period, cfg, t_eval=ts[1:-1], frame="log")
+    traces = np.array([np.trace(jac_log(params, t, z))
+                       for t, z in zip(traj.times, traj.states)])
+    integral = (params.period / n) * (traces.sum()
+                                      - 0.5 * (traces[0] + traces[-1]))
+    assert abs(math.log(np.linalg.det(M)) - integral) < 1e-8
 
 
 # --- CSV export ----------------------------------------------------------

@@ -80,7 +80,7 @@ def _fd_jacobian(fun, v, h=1e-6):
     for j in range(2):
         dv = np.zeros(2)
         dv[j] = h
-        J[:, j] = (fun(v + dv) - fun(v - dv)) / (2 * h)
+        J[:, j] = (np.asarray(fun(v + dv)) - np.asarray(fun(v - dv))) / (2 * h)
     return J
 
 

@@ -8,9 +8,8 @@ from conftest import newton_equilibrium
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from phytoperiod import (BoundCheck, IntegratorConfig, ModelParams,
-                         NonConvergenceError, OrbitSearchError,
-                         PeriodicCoefficient, PeriodicOrbit,
+from phytoperiod import (IntegratorConfig, ModelParams, NonConvergenceError,
+                         OrbitSearchError, PeriodicCoefficient, PeriodicOrbit,
                          StepUnderflowError, Trajectory,
                          compute_bounds, detect_steady_state,
                          diagnose_extinction, find_periodic_orbit, flow_map,
