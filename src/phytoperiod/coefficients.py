@@ -44,15 +44,22 @@ class PeriodicCoefficient:
     def __post_init__(self):
         if self.kind not in ("constant", "sinusoid", "fourier"):
             raise ValueError(f"unknown coefficient kind {self.kind!r}")
+        # stored as finite floats: the model's kernels bind them by bit pattern
+        for name in ("mean", "amplitude", "omega", "phase"):
+            value = float(getattr(self, name))
+            if not math.isfinite(value):
+                raise ValueError(f"coefficient {name} must be finite")
+            object.__setattr__(self, name, value)
         if self.kind != "constant":
             if self.omega <= 0.0:
                 raise ValueError("angular frequency must be positive")
         if self.kind == "sinusoid" and self.amplitude < 0.0:
             raise ValueError("sinusoid amplitude must be non-negative")
         if self.kind == "fourier":
-            object.__setattr__(
-                self, "harmonics",
-                tuple((float(a), float(b)) for a, b in self.harmonics))
+            harmonics = tuple((float(a), float(b)) for a, b in self.harmonics)
+            if not all(math.isfinite(x) for pair in harmonics for x in pair):
+                raise ValueError("coefficient harmonics must be finite")
+            object.__setattr__(self, "harmonics", harmonics)
 
     @classmethod
     def constant(cls, value: float) -> "PeriodicCoefficient":
@@ -79,9 +86,10 @@ class PeriodicCoefficient:
     def __call__(self, t):
         """Evaluate f(t).  Accepts scalars or numpy arrays.
 
-        A float or int t takes a ``math`` path and gives a float: the
-        integrator evaluates one time per call, where numpy's per-call
-        cost would dominate.
+        A float or int t takes a ``math`` path and gives a float.  It
+        serves ``extrema``, ``_refine`` and the tests; the integrator
+        evaluates all four rates through the kernels that
+        ``ModelParams`` compiles, which keep this path's operation order.
         """
         if isinstance(t, (float, int)):
             if self.kind == "constant":

@@ -207,16 +207,31 @@ def test_reproduce_is_deterministic(tmp_path):
         assert fa == fb, f"{name} differs between identical runs"
 
 
+GOLDEN_BYTES = json.loads((Path(__file__).parent / "golden_bytes.json").read_text())
+
+
+def _assert_golden(directory, pinned, label):
+    for name, digest in pinned.items():
+        data = (directory / name).read_bytes()
+        assert hashlib.sha256(data).hexdigest() == digest, \
+            f"{label}/{name} differs from its golden bytes"
+
+
 def test_reproduce_bytes_match_golden_hashes(tmp_path):
     """The reproduce artifacts pinned in golden_bytes.json, byte for byte."""
-    golden = json.loads(
-        (Path(__file__).parent / "golden_bytes.json").read_text())
-    for which, pinned in golden.items():
+    for which, pinned in GOLDEN_BYTES["reproduce"].items():
         cmd_reproduce(which, tmp_path)
-        for name, digest in pinned.items():
-            data = (tmp_path / which / name).read_bytes()
-            assert hashlib.sha256(data).hexdigest() == digest, \
-                f"{which}/{name} differs from its golden bytes"
+        _assert_golden(tmp_path / which, pinned, which)
+
+
+def test_find_orbit_bytes_match_golden_hashes(tmp_path):
+    """find-orbit on committed configs mixing coefficient kinds (sinusoid r1,
+    constant r2, Fourier beta1, constant beta2), byte for byte."""
+    for name, pinned in GOLDEN_BYTES["find-orbit"].items():
+        config = Path(__file__).parent / name
+        out = tmp_path / name
+        assert main(["find-orbit", "--config", str(config), "--out", str(out)]) == EXIT_OK
+        _assert_golden(out, pinned, name)
 
 
 def test_reproduce_example1_golden_content(tmp_path):

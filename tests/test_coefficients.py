@@ -77,6 +77,20 @@ def test_unknown_kind_rejected():
         PeriodicCoefficient(kind="spline")
 
 
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+@pytest.mark.parametrize("make", [
+    pytest.param(lambda x: PeriodicCoefficient.constant(x), id="mean"),
+    pytest.param(lambda x: PeriodicCoefficient.sinusoid(1.0, x), id="amplitude"),
+    pytest.param(lambda x: PeriodicCoefficient.sinusoid(1.0, 0.1, omega=x), id="omega"),
+    pytest.param(lambda x: PeriodicCoefficient.sinusoid(1.0, 0.1, phase=x), id="phase"),
+    pytest.param(lambda x: PeriodicCoefficient.fourier(1.0, [(0.1, 0.0), (0.0, x)]),
+                 id="harmonic"),
+])
+def test_nonfinite_field_rejected(make, value):
+    with pytest.raises(ValueError, match="finite"):
+        make(value)
+
+
 # --- extrema -------------------------------------------------------------
 
 def test_extrema_half_period_sinusoid():

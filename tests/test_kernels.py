@@ -1,0 +1,179 @@
+"""The field kernels that ModelParams builds, against the model equations
+evaluated through PeriodicCoefficient.__call__, bit for bit."""
+
+import copy
+import dataclasses
+import math
+import pickle
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from phytoperiod import (DomainOverflowError, ModelParams, PeriodicCoefficient,
+                         compute_bounds, jac_log, jac_original, rhs_log,
+                         rhs_original)
+from phytoperiod.model import _rate_kernel
+
+TWO_PI = 2.0 * math.pi
+
+
+# --- reference: the model equations, one coefficient call per rate ---------
+
+def _rates(params, t):
+    return params.r1(t), params.r2(t), params.beta1(t), params.beta2(t)
+
+
+def ref_rhs_original(params, t, x):
+    x1, x2 = x
+    r1, r2, b1, b2 = _rates(params, t)
+    dx1 = r1 * x1 * (1.0 - x1 / params.k1) - b1 * x1 * x2
+    dx2 = (r2 * x2 * (1.0 / (1.0 + params.w1 * x1) - x2 / params.k2)
+           - b2 * x1 * x2 - params.w2 * x1 * x2 * x2)
+    return dx1, dx2
+
+
+def ref_jac_original(params, t, x):
+    x1, x2 = x
+    r1, r2, b1, b2 = _rates(params, t)
+    fear = 1.0 / (1.0 + params.w1 * x1)
+    return (
+        (r1 * (1.0 - 2.0 * x1 / params.k1) - b1 * x2, -b1 * x1),
+        (-r2 * x2 * params.w1 * fear * fear - b2 * x2 - params.w2 * x2 * x2,
+         r2 * (fear - 2.0 * x2 / params.k2) - b2 * x1 - 2.0 * params.w2 * x1 * x2),
+    )
+
+
+def ref_rhs_log(params, t, z):
+    u, v = math.exp(z[0]), math.exp(z[1])
+    r1, r2, b1, b2 = _rates(params, t)
+    dz1 = r1 * (1.0 - u / params.k1) - b1 * v
+    dz2 = (r2 * (1.0 / (1.0 + params.w1 * u) - v / params.k2)
+           - b2 * u - params.w2 * u * v)
+    return dz1, dz2
+
+
+def ref_jac_log(params, t, z):
+    u, v = math.exp(z[0]), math.exp(z[1])
+    r1, r2, b1, b2 = _rates(params, t)
+    fear = 1.0 / (1.0 + params.w1 * u)
+    return (
+        (-r1 * u / params.k1, -b1 * v),
+        (-r2 * params.w1 * u * fear * fear - b2 * u - params.w2 * u * v,
+         -r2 * v / params.k2 - params.w2 * u * v),
+    )
+
+
+def bits(values):
+    """Nested tuples of float.hex(): equal only when bit for bit equal
+    (signed zeros included)."""
+    if isinstance(values, (tuple, list)):
+        return tuple(bits(v) for v in values)
+    return float(values).hex()
+
+
+# --- the property -------------------------------------------------------------
+
+# small pools, so that draws both share and differ in (omega, phase)
+_omega = st.sampled_from([1.0, 2.0, 3.0])
+_phase = st.one_of(st.sampled_from([0.0, -0.0, 1.25]), st.floats(-4.0, 4.0))
+# zero means and amplitudes, where a dropped "0.0 +" would flip a signed zero
+_mean = st.one_of(st.just(0.0), st.floats(-2.0, 2.0))
+_amplitude = st.one_of(st.just(0.0), st.floats(0.0, 2.0))
+_coefficient = st.one_of(
+    st.builds(PeriodicCoefficient.constant, _mean),
+    st.builds(PeriodicCoefficient.sinusoid, _mean, _amplitude, _omega, _phase),
+    st.builds(PeriodicCoefficient.fourier, _mean,
+              st.lists(st.tuples(st.floats(-1.0, 1.0), st.floats(-1.0, 1.0)),
+                       max_size=3),
+              _omega),
+)
+_params = st.builds(ModelParams, r1=_coefficient, r2=_coefficient,
+                    beta1=_coefficient, beta2=_coefficient,
+                    k1=st.floats(0.1, 10.0), k2=st.floats(0.1, 10.0),
+                    w1=st.floats(0.0, 5.0), w2=st.floats(0.0, 5.0),
+                    period=st.just(TWO_PI))
+_time = st.one_of(st.just(0.0), st.floats(-50.0, 50.0))
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(params=_params, t=_time,
+       z=st.tuples(st.floats(-20.0, 5.0), st.floats(-20.0, 5.0)),
+       x=st.tuples(st.floats(0.0, 10.0), st.floats(0.0, 10.0)))
+def test_kernels_match_the_model_equations_bit_for_bit(params, t, z, x):
+    assert bits(rhs_log(params, t, z)) == bits(ref_rhs_log(params, t, z))
+    assert bits(jac_log(params, t, z)) == bits(ref_jac_log(params, t, z))
+    assert bits(rhs_original(params, t, x)) == bits(ref_rhs_original(params, t, x))
+    assert bits(jac_original(params, t, x)) == bits(ref_jac_original(params, t, x))
+    for bad in ((800.0, 0.0), (0.0, math.nan)):
+        with pytest.raises(DomainOverflowError):
+            rhs_log(params, t, bad)
+        with pytest.raises(DomainOverflowError):
+            jac_log(params, t, bad)
+
+
+def test_one_sin_per_distinct_argument(ex1_params):
+    calls = []
+
+    def counting(name, fn):
+        def wrapped(arg):
+            calls.append(name)
+            return fn(arg)
+        return wrapped
+
+    def count(coefficients):
+        rates = _rate_kernel(coefficients)
+        for name in ("sin", "cos"):
+            rates.__globals__[name] = counting(name, rates.__globals__[name])
+        calls.clear()
+        values = rates(0.9)
+        assert bits(values) == bits(tuple(c(0.9) for c in coefficients))
+        return calls.count("sin"), calls.count("cos")
+
+    # example1: four sinusoids with one (omega, phase)
+    assert count(tuple(ex1_params.coefficients().values())) == (1, 0)
+    # a forced-orbits mix: sinusoid, constant, two harmonics, constant
+    sine = PeriodicCoefficient.sinusoid(1.0, 0.3, phase=0.5)
+    fourier = PeriodicCoefficient.fourier(0.05, [(0.01, -0.02), (0.0, 0.01)])
+    const = PeriodicCoefficient.constant(1.0)
+    assert count((sine, const, fourier, const)) == (3, 2)
+    # two Fourier rates on the same frequencies share their terms
+    assert count((fourier, fourier, sine, sine)) == (3, 2)
+    # same omega, different phase: one sin each
+    assert count((sine, PeriodicCoefficient.sinusoid(1.0, 0.3), const, const)) == (2, 0)
+
+
+# --- cache safety ---------------------------------------------------------------
+
+def test_replace_binds_the_new_constants(ex1_params):
+    z = (1.5, -2.0)
+    before = rhs_log(ex1_params, 0.3, z)
+    other = dataclasses.replace(ex1_params, k1=4.0)
+    assert bits(rhs_log(other, 0.3, z)) == bits(ref_rhs_log(other, 0.3, z))
+    assert rhs_log(other, 0.3, z)[0] != before[0]
+    assert bits(rhs_log(ex1_params, 0.3, z)) == bits(before)
+
+
+def test_built_kernels_leave_identity_alone(ex1_params):
+    fresh = dataclasses.replace(ex1_params)
+    snapshot = (repr(fresh), hash(fresh))
+    jac_original(fresh, 0.1, (1.0, 1.0))
+    assert (repr(fresh), hash(fresh)) == snapshot
+    assert fresh == ex1_params == dataclasses.replace(ex1_params)
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        fresh.k1 = 3.0
+
+
+def test_pickle_and_copy_after_kernels_are_built(ex1_params):
+    rhs_log(ex1_params, 0.0, (0.0, 0.0))
+    for other in (pickle.loads(pickle.dumps(ex1_params)), copy.copy(ex1_params),
+                  copy.deepcopy(ex1_params)):
+        assert other == ex1_params
+        assert bits(rhs_log(other, 0.4, (0.2, 0.1))) == bits(
+            rhs_log(ex1_params, 0.4, (0.2, 0.1)))
+
+
+def test_condition_checks_build_no_kernels(ex1_params):
+    fresh = dataclasses.replace(ex1_params)
+    compute_bounds(fresh)
+    assert "_kernels" not in vars(fresh)

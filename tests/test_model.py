@@ -133,15 +133,24 @@ def test_averaged_jacobian_matches_finite_differences(ex1_params):
 
 # --- parameter validation ------------------------------------------------
 
+_C = PeriodicCoefficient.constant
+GOOD_PARAMS = dict(r1=_C(1.0), r2=_C(1.0), beta1=_C(0.1), beta2=_C(0.1),
+                   k1=1.0, k2=1.0, w1=0.0, w2=0.0, period=1.0)
+
+
 def test_params_validation():
-    C = PeriodicCoefficient.constant
-    good = dict(r1=C(1.0), r2=C(1.0), beta1=C(0.1), beta2=C(0.1),
-                k1=1.0, k2=1.0, w1=0.0, w2=0.0, period=1.0)
-    ModelParams(**good)
+    ModelParams(**GOOD_PARAMS)
     for bad in ({"k1": 0.0}, {"k2": -1.0}, {"w1": -0.1}, {"w2": -2.0},
                 {"period": 0.0}):
         with pytest.raises(ValueError):
-            ModelParams(**{**good, **bad})
+            ModelParams(**{**GOOD_PARAMS, **bad})
+
+
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+@pytest.mark.parametrize("name", ["k1", "k2", "w1", "w2", "period"])
+def test_params_reject_nonfinite(name, value):
+    with pytest.raises(ValueError, match=f"{name} must be finite"):
+        ModelParams(**{**GOOD_PARAMS, name: value})
 
 
 def test_params_period_compatibility():
