@@ -4,7 +4,8 @@ The model is a smooth, mildly nonlinear planar system, so an embedded
 explicit Runge-Kutta pair with per-step error control is entirely
 adequate and keeps the runtime dependency-free.  The same stepping core
 drives plain integration, the period-T flow map and the variational
-(monodromy) equations.
+(monodromy) equations; sampled output comes from each method's continuous
+extension, so sampling never changes the steps.
 """
 
 from __future__ import annotations
@@ -52,6 +53,20 @@ _E4 = _B4 - 393 / 640
 _E5 = _B5 - -92097 / 339200
 _E6 = _B6 - 187 / 2100
 _E7 = -1 / 40
+# Order-4 continuous extension (Shampine 1986; the coefficients of
+# Hairer's dopri5): over a step of size h from y with stages k1..k7,
+#   y(t + theta h) = y + h (k1 theta + X2 theta^2 + X3 theta^3 + X4 theta^4),
+# where Xj is a weighted sum of k1, k3, k4, k5, k6, k7 (k2 has weight 0).
+# At theta = 1 the weights sum to the 5th-order solution.
+_X2 = (-8048581381 / 2820520608, 131558114200 / 32700410799,
+       -1754552775 / 470086768, 127303824393 / 49829197408,
+       -282668133 / 205662961, 40617522 / 29380423)
+_X3 = (8663915743 / 2820520608, -68118460800 / 10900136933,
+       14199869525 / 1410260304, -318862633887 / 49829197408,
+       2019193451 / 616988883, -110615467 / 29380423)
+_X4 = (-12715105075 / 11282082432, 87487479700 / 32700410799,
+       -10690763975 / 1880347072, 701980252875 / 199316789632,
+       -1453857185 / 822651844, 69997945 / 29380423)
 
 _MIN_STEP_FACTOR = 1e-14  # underflow guard relative to the span
 
@@ -129,11 +144,15 @@ def integrate(field, t0: float, y0, t1: float, cfg: IntegratorConfig,
     """Integrate y' = field(t, y) from t0 to t1.
 
     ``field(t, y)`` receives the state as a tuple of floats and may return
-    any sequence of floats.  The final state lands exactly on t1 (steps
-    are clipped).  If ``t_eval`` is given, the stepper additionally lands
-    on each of those times and the returned trajectory contains exactly
-    t0, the t_eval points and t1.  With ``cfg.dense_output`` every
-    accepted internal step is recorded as well.
+    any sequence of floats.  Only the last step is clipped, so the final
+    state lands exactly on t1.  If ``t_eval`` is given, the returned
+    trajectory contains exactly t0, the distinct t_eval points strictly
+    inside (t0, t1) and t1.  Those points do not constrain the steps:
+    each is evaluated from the continuous extension of the accepted step
+    that contains it (order 4 for rk45-adaptive, order 3 for rk4-fixed),
+    so a run takes the same steps, and ends in the same state, with or
+    without ``t_eval``.  With ``cfg.dense_output`` and no ``t_eval``
+    every accepted step is recorded instead.
     """
     if not t1 > t0:
         raise ValueError(f"need t1 > t0, got [{t0}, {t1}]")
@@ -141,96 +160,123 @@ def integrate(field, t0: float, y0, t1: float, cfg: IntegratorConfig,
     if not np.all(np.isfinite(y0)):
         raise ValueError("initial state must be finite")
 
-    stops = [t1]
+    pts = []
     if t_eval is not None:
-        pts = sorted(float(t) for t in t_eval)
+        pts = [float(p) for p in t_eval]
+        if not all(map(math.isfinite, pts)):
+            raise ValueError("t_eval points must be finite")
+        pts = sorted(set(pts))
         if pts and (pts[0] < t0 or pts[-1] > t1):
             raise ValueError("t_eval points must lie within [t0, t1]")
-        stops = sorted(set(pts) | {t1})
-        stops = [s for s in stops if s > t0]
+        pts = [p for p in pts if t0 < p < t1]
+    pts.append(math.inf)        # sentinel, beyond every step
+    i = 0
 
     t, y = t0, tuple(y0.tolist())
     times = [t]
     states = [y]
-    record_all = cfg.dense_output and t_eval is None
+    record_steps = cfg.dense_output and t_eval is None
     rk4 = cfg.method == METHOD_RK4
+    extension = _rk4_extension if rk4 else _dp_extension
     abs_tol, rel_tol, max_step = cfg.abs_tol, cfg.rel_tol, cfg.max_step
     h_floor = _MIN_STEP_FACTOR * (t1 - t0)
     h_adaptive = (t1 - t0) * 1e-3
     if max_step:
         h_adaptive = min(h_adaptive, max_step)
-    k1 = None                   # field(t, y), kept across steps (FSAL)
-    for stop in stops:
-        while t < stop:
-            if rk4:
-                h = min(cfg.step, stop - t)
-                clipped = h >= stop - t
-                y = _rk4_step(field, t, y, h)
-                t = stop if clipped else t + h
-                accepted = True
+    k1 = None if rk4 else field(t, y)   # field(t, y), kept across steps (FSAL)
+    while t < t1:
+        if rk4:
+            h = min(cfg.step, t1 - t)
+            y_new, stages = _rk4_step(field, t, y, h)
+            accepted = True
+        else:
+            h = min(h_adaptive, t1 - t)
+            y_new, err, stages = _dp_step(field, t, y, h, k1)
+            # max-norm of err / (abs_tol + rel_tol max(|y|, |y_new|));
+            # a NaN ratio is kept, so it rejects the step below
+            enorm = 0.0
+            for e, a, b in zip(err, y, y_new):
+                r = abs(e) / (abs_tol + rel_tol * max(abs(a), abs(b)))
+                if not r <= enorm:
+                    enorm = r
+                    if r != r:
+                        break
+            accepted = enorm <= 1.0
+        if accepted:
+            t_new = t1 if h >= t1 - t else t + h
+            if pts[i] <= t_new:
+                # one polynomial per step, evaluated by Horner per point
+                poly = extension(y, h, *stages)
+                while pts[i] <= t_new:
+                    p = pts[i]
+                    th = (p - t) / h
+                    times.append(p)
+                    states.append(tuple(
+                        c0 + th * (c1 + th * (c2 + th * (c3 + th * c4)))
+                        for c0, c1, c2, c3, c4 in poly))
+                    i += 1
+            t, y = t_new, y_new
+            k1 = stages[-1]     # DP5's k7 is the next step's k1 (FSAL)
+        if not rk4:
+            # standard I-controller with safety factor and clamps; a
+            # non-finite error estimate (NaN stages) forces a hard shrink
+            if enorm > 0.0 and math.isfinite(enorm):
+                factor = 0.9 * enorm ** -0.2
+            elif enorm == 0.0:
+                factor = 5.0
             else:
-                h = min(h_adaptive, stop - t)
-                clipped = h >= stop - t
-                if k1 is None:
-                    k1 = field(t, y)
-                y_new, err, k7 = _dp_step(field, t, y, h, k1)
-                # max-norm of err / (abs_tol + rel_tol max(|y|, |y_new|));
-                # a NaN ratio is kept, so it rejects the step below
-                enorm = 0.0
-                for e, a, b in zip(err, y, y_new):
-                    r = abs(e) / (abs_tol + rel_tol * max(abs(a), abs(b)))
-                    if not r <= enorm:
-                        enorm = r
-                        if r != r:
-                            break
-                accepted = enorm <= 1.0
-                if accepted:
-                    t_new = stop if clipped else t + h
-                    # k7 was evaluated at t + h: reuse it only there
-                    k1 = k7 if t_new == t + h else None
-                    t, y = t_new, y_new
-                # standard I-controller with safety factor and clamps; a
-                # non-finite error estimate (NaN stages) forces a hard shrink
-                if enorm > 0.0 and math.isfinite(enorm):
-                    factor = 0.9 * enorm ** -0.2
-                elif enorm == 0.0:
-                    factor = 5.0
-                else:
-                    factor = 0.2
-                h_adaptive = h * min(5.0, max(0.2, factor))
-                if max_step:
-                    h_adaptive = min(h_adaptive, max_step)
-                if h_adaptive < h_floor:
-                    raise StepUnderflowError(
-                        f"adaptive step underflow at t = {t}", t=t)
-            if not all(map(math.isfinite, y)):
-                raise NonFiniteStateError(
-                    f"state became non-finite at t = {t}", t=t)
-            if accepted and record_all and t < stop:
-                times.append(t)
-                states.append(y)
-        times.append(t)
-        states.append(y)
+                factor = 0.2
+            h_adaptive = h * min(5.0, max(0.2, factor))
+            if max_step:
+                h_adaptive = min(h_adaptive, max_step)
+            if h_adaptive < h_floor:
+                raise StepUnderflowError(
+                    f"adaptive step underflow at t = {t}", t=t)
+        if not all(map(math.isfinite, y)):
+            raise NonFiniteStateError(
+                f"state became non-finite at t = {t}", t=t)
+        if accepted and record_steps and t < t1:
+            times.append(t)
+            states.append(y)
+    times.append(t)
+    states.append(y)
 
     return Trajectory(frame, np.array(times), np.array(states))
 
 
 def _rk4_step(field, t, y, h):
+    """One classical RK4 step; returns (y_new, (k1, k2, k3, k4))."""
     hh = 0.5 * h
     k1 = field(t, y)
     k2 = field(t + hh, tuple(yi + hh * p for yi, p in zip(y, k1)))
     k3 = field(t + hh, tuple(yi + hh * q for yi, q in zip(y, k2)))
     k4 = field(t + h, tuple(yi + h * r for yi, r in zip(y, k3)))
     h6 = h / 6.0
-    return tuple(yi + h6 * (p + 2.0 * q + 2.0 * r + s)
-                 for yi, p, q, r, s in zip(y, k1, k2, k3, k4))
+    y_new = tuple(yi + h6 * (p + 2.0 * q + 2.0 * r + s)
+                  for yi, p, q, r, s in zip(y, k1, k2, k3, k4))
+    return y_new, (k1, k2, k3, k4)
+
+
+def _rk4_extension(y, h, k1, k2, k3, k4):
+    """Order-3 continuous extension of one RK4 step (Hairer-Norsett-Wanner,
+    Solving ODEs I, II.6): weights theta - 3 theta^2/2 + 2 theta^3/3 for k1,
+    theta^2 - 2 theta^3/3 for k2 and k3, -theta^2/2 + 2 theta^3/3 for k4.
+
+    Returns per component the power-basis coefficients (c0, ..., c4) of
+    y(t + theta h); c4 is 0.
+    """
+    h23 = h * (2.0 / 3.0)
+    return [(yi, h * p, h * (q + r - 1.5 * p - 0.5 * s),
+             h23 * (p - q - r + s), 0.0)
+            for yi, p, q, r, s in zip(y, k1, k2, k3, k4)]
 
 
 def _dp_step(field, t, y, h, k1):
     """One Dormand-Prince step from (t, y), given k1 = field(t, y).
 
-    Returns (y_new, err, k7) with k7 = field(t + h, y_new).  Each stage
-    sum runs left to right over plain floats.
+    Returns (y_new, err, stages) with stages = (k1, k3, k4, k5, k6, k7),
+    the stages the continuous extension uses, and k7 = field(t + h, y_new).
+    Each stage sum runs left to right over plain floats.
     """
     a = h * _A21
     k2 = field(t + _C2 * h, tuple(yi + a * p for yi, p in zip(y, k1)))
@@ -254,7 +300,23 @@ def _dp_step(field, t, y, h, k1):
                               h * _E7)
     err = tuple(e1 * p + e3 * r + e4 * s + e5 * u + e6 * v + e7 * w
                 for p, r, s, u, v, w in zip(k1, k3, k4, k5, k6, k7))
-    return y_new, err, k7
+    return y_new, err, (k1, k3, k4, k5, k6, k7)
+
+
+def _dp_extension(y, h, k1, k3, k4, k5, k6, k7):
+    """Order-4 continuous extension of one Dormand-Prince step.
+
+    Returns per component the power-basis coefficients (c0, ..., c4) of
+    y(t + theta h), theta in [0, 1].
+    """
+    a1, a3, a4, a5, a6, a7 = _X2
+    b1, b3, b4, b5, b6, b7 = _X3
+    d1, d3, d4, d5, d6, d7 = _X4
+    return [(yi, h * p,
+             h * (a1 * p + a3 * r + a4 * s + a5 * u + a6 * v + a7 * w),
+             h * (b1 * p + b3 * r + b4 * s + b5 * u + b6 * v + b7 * w),
+             h * (d1 * p + d3 * r + d4 * s + d5 * u + d6 * v + d7 * w))
+            for yi, p, r, s, u, v, w in zip(y, k1, k3, k4, k5, k6, k7)]
 
 
 def flow_map(params: ModelParams, z0, cfg: IntegratorConfig) -> np.ndarray:

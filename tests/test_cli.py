@@ -189,6 +189,18 @@ def test_reproduce_bundles_pass(tmp_path, which):
         assert (tmp_path / which / name).exists(), f"missing output {name}"
 
 
+@pytest.mark.parametrize("which", ["example1", "remark-constant"])
+def test_tail_metrics_end_on_the_trajectory(tmp_path, which):
+    """The tail diagnostics integrate the horizon with sample points, the
+    trajectory without: both take the same steps, so they end in the same
+    state, bit for bit."""
+    cmd_reproduce(which, tmp_path)
+    manifest = json.loads((tmp_path / which / "manifest.json").read_text())
+    last = (tmp_path / which / "trajectory.csv").read_text().split()[-1]
+    assert ([float(v) for v in last.split(",")[1:]]
+            == manifest["tail_metrics"]["final_state"])
+
+
 def test_reproduce_unknown_bundle(tmp_path):
     with pytest.raises(ConfigError):
         cmd_reproduce("nonsense", tmp_path)

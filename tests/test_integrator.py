@@ -4,13 +4,20 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from phytoperiod import (IntegrationError, IntegratorConfig, Trajectory,
-                         flow_and_monodromy, flow_map, integrate, jac_log,
-                         rhs_log, rhs_original, variational_flow,
-                         write_trajectory_csv)
+from phytoperiod import (IntegrationError, IntegratorConfig, ModelParams,
+                         PeriodicCoefficient, Trajectory, flow_and_monodromy,
+                         flow_map, integrate, jac_log, rhs_log, rhs_original,
+                         variational_flow, write_trajectory_csv)
 
 TWO_PI = 2.0 * math.pi
+
+# (params fixture, z0): near the forced orbit, and near example1's
+# boundary state x1 = k1 where species 2 decays
+PERIOD_CASES = [("forced_params", (0.64, -0.18)),
+                ("ex1_params", (math.log(8.0), math.log(1e-3)))]
 
 
 def exp_decay(t, y):
@@ -87,8 +94,9 @@ def test_dense_output_records_internal_steps():
 
 def test_adaptive_stepper_reuses_last_stage():
     """Dormand-Prince is FSAL: after an accepted step its 7th stage is the
-    next step's 1st, so each step costs 6 field calls plus 1 at the start.
-    At the default tolerances y' = -y on [0, 10] rejects no step."""
+    next step's 1st, so each step costs 6 field calls plus 1 at the start,
+    with or without sample points.  At the default tolerances y' = -y on
+    [0, 10] rejects no step."""
     calls = 0
 
     def field(t, y):
@@ -96,26 +104,120 @@ def test_adaptive_stepper_reuses_last_stage():
         calls += 1
         return (-y[0],)
 
-    traj = integrate(field, 0.0, np.array([1.0]), 10.0,
-                     IntegratorConfig(dense_output=True))
-    assert calls == 6 * (len(traj.times) - 1) + 1
+    steps = integrate(field, 0.0, np.array([1.0]), 10.0,
+                      IntegratorConfig(dense_output=True))
+    assert calls == 6 * (len(steps.times) - 1) + 1
+    calls = 0
+    integrate(field, 0.0, np.array([1.0]), 10.0, IntegratorConfig(),
+              t_eval=np.linspace(0.0, 10.0, 1001))
+    assert calls == 6 * (len(steps.times) - 1) + 1
 
 
-def test_clipped_step_restarts_at_its_landing_time():
-    """A step clipped to a t_eval point ends exactly there, which can
-    differ from t + h in the last bit: 0.3 + (0.9 - 0.3) != 0.9.  The
-    next step's first stage is then evaluated at 0.9, not at t + h."""
-    seen = []
+def _sampled_and_plain(field, y0, t1, cfg, t_eval):
+    """(sampled trajectory, its field calls, plain trajectory, its calls)."""
+    out = []
+    for grid in (t_eval, None):
+        calls = 0
 
-    def field(t, y):
-        seen.append(t)
-        return (0.0,)
+        def counted(t, y):
+            nonlocal calls
+            calls += 1
+            return field(t, y)
+        out += [integrate(counted, 0.0, y0, t1, cfg, t_eval=grid, frame="log"),
+                calls]
+    return out
 
-    traj = integrate(field, 0.0, np.array([1.0]), 1.0, IntegratorConfig(),
-                     t_eval=[0.3, 0.9])
-    assert 0.3 + (0.9 - 0.3) != 0.9
-    assert list(traj.times) == [0.0, 0.3, 0.9, 1.0]
-    assert 0.9 in seen and 0.3 + (0.9 - 0.3) in seen
+
+@pytest.mark.parametrize("method", ["rk45-adaptive", "rk4-fixed"])
+def test_sampling_leaves_the_steps_unchanged(forced_params, method):
+    """Sample points are read off the steps, never landed on: a run makes
+    the same field calls and ends in the same state, bit for bit, with or
+    without t_eval.  The period includes rejected steps for rk45."""
+    field = lambda t, z: rhs_log(forced_params, t, z)
+    marks = np.linspace(0.0, TWO_PI, 257)[1:-1]
+    cfg = IntegratorConfig(method=method, step=0.05)
+    sampled, n_sampled, plain, n_plain = _sampled_and_plain(
+        field, (0.64, -0.18), TWO_PI, cfg, marks)
+    assert n_sampled == n_plain
+    assert sampled.final_state.tobytes() == plain.final_state.tobytes()
+    np.testing.assert_array_equal(sampled.times[1:-1], marks)
+
+
+@pytest.mark.parametrize("method, power", [("rk45-adaptive", 4),
+                                           ("rk4-fixed", 3)])
+def test_continuous_extension_is_exact_on_polynomials(method, power):
+    """DP5's order-4 extension reproduces y = t^4 from y' = 4 t^3, RK4's
+    order-3 extension y = t^3 from y' = 3 t^2, at every sample point."""
+    field = lambda t, y: (power * t ** (power - 1),)
+    marks = np.linspace(0.0, 2.0, 201)[1:-1]
+    traj = integrate(field, 0.0, [0.0], 2.0,
+                     IntegratorConfig(method=method, step=0.3), t_eval=marks)
+    np.testing.assert_allclose(traj.states[1:, 0], traj.times[1:] ** power,
+                               rtol=1e-14, atol=0.0)
+
+
+def _landed(field, y0, marks, t1):
+    """Reference that lands on every mark: one tight integration per
+    interval, each ending exactly on its mark (no interpolation)."""
+    tight = IntegratorConfig(abs_tol=1e-13, rel_tol=1e-13)
+    y = np.asarray(y0, dtype=float)
+    out = [y]
+    for a, b in zip([0.0, *marks], [*marks, t1]):
+        y = integrate(field, a, y, b, tight, frame="log").final_state
+        out.append(y)
+    return np.array(out)
+
+
+@pytest.mark.parametrize("params_name, z0", PERIOD_CASES)
+def test_samples_match_a_landed_reference(request, params_name, z0):
+    params = request.getfixturevalue(params_name)
+    field = lambda t, z: rhs_log(params, t, z)
+    marks = np.linspace(0.0, params.period, 257)[1:-1]
+    traj = integrate(field, 0.0, z0, params.period, IntegratorConfig(),
+                     t_eval=marks, frame="log")
+    err = np.max(np.abs(traj.states - _landed(field, z0, marks, params.period)))
+    print(f"\n  sample error against the landed reference: {err:.3e}")
+    assert err < 1e-8
+
+
+_rate = st.tuples(st.floats(0.2, 2.0), st.floats(0.0, 0.9),
+                  st.floats(0.0, TWO_PI))
+
+
+@settings(max_examples=30, deadline=None, derandomize=True, database=None)
+@given(rates=st.tuples(_rate, _rate, _rate, _rate),
+       consts=st.tuples(*[st.floats(0.5, 5.0)] * 2, *[st.floats(0.0, 5.0)] * 2),
+       z0=st.tuples(st.floats(-2.0, 2.0), st.floats(-2.0, 2.0)),
+       grid=st.lists(st.floats(0.0, TWO_PI, allow_subnormal=False),
+                     min_size=1, max_size=20))
+def test_sampling_is_invariant_and_accurate_over_random_forcing(rates, consts,
+                                                                z0, grid):
+    """Random sinusoidal rates (relative amplitude < 0.9, so positive) and
+    random sample grids, duplicates and the end points included: the grid
+    changes neither the steps nor the end state, the returned times are
+    t0, the distinct interior points and t1, and every sample lies within
+    100 times the local error tolerance of a landed reference."""
+    beta_scale = (1.0, 1.0, 0.3, 0.15)
+    coeffs = [PeriodicCoefficient.sinusoid(m * s, m * s * a, phase=ph)
+              for (m, a, ph), s in zip(rates, beta_scale)]
+    k1, k2, w1, w2 = consts
+    params = ModelParams(*coeffs, k1=k1, k2=k2, w1=w1, w2=w2, period=TWO_PI)
+    field = lambda t, z: rhs_log(params, t, z)
+    sampled, n_sampled, plain, n_plain = _sampled_and_plain(
+        field, z0, TWO_PI, IntegratorConfig(), grid)
+    assert n_sampled == n_plain
+    assert sampled.final_state.tobytes() == plain.final_state.tobytes()
+    inner = sorted({p for p in grid if 0.0 < p < TWO_PI})
+    assert list(sampled.times) == [0.0, *inner, TWO_PI]
+    ref = _landed(field, z0, inner, TWO_PI)
+    assert np.all(np.abs(sampled.states - ref) <= 1e-8 * (1.0 + np.abs(ref)))
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_nonfinite_t_eval_rejected(bad):
+    with pytest.raises(ValueError, match="finite"):
+        integrate(exp_decay, 0.0, np.array([1.0]), 1.0, IntegratorConfig(),
+                  t_eval=[bad, 0.5])
 
 
 def test_invalid_time_span():
@@ -244,13 +346,7 @@ def _augmented_oracle(params):
     return rhs
 
 
-# (params fixture, z0): near the forced orbit, and near example1's
-# boundary state x1 = k1 where species 2 decays
-MONODROMY_CASES = [("forced_params", (0.64, -0.18)),
-                   ("ex1_params", (math.log(8.0), math.log(1e-3)))]
-
-
-@pytest.mark.parametrize("params_name, z0", MONODROMY_CASES)
+@pytest.mark.parametrize("params_name, z0", PERIOD_CASES)
 def test_monodromy_matches_scipy_dop853(request, params_name, z0):
     from scipy.integrate import solve_ivp
 
@@ -266,7 +362,7 @@ def test_monodromy_matches_scipy_dop853(request, params_name, z0):
     assert np.max(np.abs(M - w[2:].reshape(2, 2))) < 1e-9
 
 
-@pytest.mark.parametrize("params_name, z0", MONODROMY_CASES)
+@pytest.mark.parametrize("params_name, z0", PERIOD_CASES)
 def test_monodromy_satisfies_liouville(request, params_name, z0):
     """ln det M(T) = integral of tr J(t, z(t)) over one period."""
     params = request.getfixturevalue(params_name)

@@ -63,6 +63,14 @@ def test_forced_orbit_converges(forced_orbit):
     assert len(forced_orbit.orbit_samples.times) >= 256
 
 
+def test_orbit_samples_end_where_the_period_map_ends(forced_params,
+                                                    forced_orbit):
+    """Sampling the period does not move its steps: the last sample is the
+    period map of z0, bit for bit."""
+    zT = flow_map(forced_params, forced_orbit.z0, IntegratorConfig())
+    assert forced_orbit.orbit_samples.final_state.tobytes() == zT.tobytes()
+
+
 def test_forced_orbit_is_stable(forced_orbit):
     mults = forced_orbit.floquet_multipliers
     assert all(abs(m) < 1.0 for m in mults)
