@@ -34,8 +34,8 @@ from .averaged import (AveragedSolveError, closed_form_mu0, grid_scan,
 from .coefficients import PeriodicCoefficient
 from .conditions import (BoundReport, M0_CANONICAL, M0_VARIANT_K2,
                          compute_bounds)
-from .integrator import (IntegrationError, IntegratorConfig, integrate,
-                         write_trajectory_csv)
+from .integrator import (IntegrationError, IntegratorConfig, Trajectory,
+                         integrate, write_trajectory_csv)
 from .model import DomainOverflowError, ModelParams, rhs_original
 from .orbit import (OrbitSearchError, PeriodicOrbit, detect_steady_state,
                     find_periodic_orbit, seed_by_transient, verify_bounds)
@@ -58,6 +58,9 @@ EXIT_USAGE = 2
 
 _BUNDLED = {"example1": "example1.json", "remark-constant": "remark_constant.json"}
 _INTEGRATOR_FIELDS = {f.name for f in dataclasses.fields(IntegratorConfig)}
+_TOP_FIELDS = ("model", "integrator", "extremum_interval", "m0_denominator",
+               "initial_state", "horizon", "seed_periods", "tolerances")
+_MODEL_FIELDS = ("r1", "r2", "beta1", "beta2", "k1", "k2", "w1", "w2", "period")
 
 
 class ConfigError(ValueError):
@@ -94,10 +97,17 @@ def _real(value, path):
     return float(value)
 
 
-def _section(data, key, required=False):
+def _known(obj, fields, path):
+    for key in obj:
+        if key not in fields:
+            raise ConfigError(f"{path}.{key}: unknown field")
+
+
+def _section(data, key, fields, required=False):
     value = _get(data, key, "config", required=required, default={})
     if not isinstance(value, dict):
         raise ConfigError(f"config.{key}: expected an object")
+    _known(value, fields, f"config.{key}")
     return value
 
 
@@ -107,8 +117,10 @@ def parse_coefficient(obj, path) -> PeriodicCoefficient:
     kind = _get(obj, "kind", path)
     try:
         if kind == "constant":
+            _known(obj, ("kind", "value"), path)
             return PeriodicCoefficient.constant(_real(_get(obj, "value", path), f"{path}.value"))
         if kind == "sinusoid":
+            _known(obj, ("kind", "mean", "amplitude", "omega", "phase"), path)
             return PeriodicCoefficient.sinusoid(
                 mean=_real(_get(obj, "mean", path), f"{path}.mean"),
                 amplitude=_real(_get(obj, "amplitude", path), f"{path}.amplitude"),
@@ -116,6 +128,7 @@ def parse_coefficient(obj, path) -> PeriodicCoefficient:
                 phase=_real(_get(obj, "phase", path, required=False, default=0.0),
                             f"{path}.phase"))
         if kind == "fourier":
+            _known(obj, ("kind", "mean", "harmonics", "omega"), path)
             harmonics = _get(obj, "harmonics", path)
             if not isinstance(harmonics, list):
                 raise ConfigError(f"{path}.harmonics: expected a list of [cos, sin] pairs")
@@ -139,7 +152,8 @@ def parse_coefficient(obj, path) -> PeriodicCoefficient:
 def parse_config(data: dict) -> ExperimentConfig:
     if not isinstance(data, dict):
         raise ConfigError("config: top level must be an object")
-    mdl = _section(data, "model", required=True)
+    _known(data, _TOP_FIELDS, "config")
+    mdl = _section(data, "model", _MODEL_FIELDS, required=True)
     coeffs = {name: parse_coefficient(_get(mdl, name, "config.model"),
                                       f"config.model.{name}")
               for name in ("r1", "r2", "beta1", "beta2")}
@@ -158,15 +172,13 @@ def parse_config(data: dict) -> ExperimentConfig:
         raise ConfigError(f"config.model: {exc}") from exc
 
     knobs = {}
-    for key, value in _section(data, "integrator").items():
+    for key, value in _section(data, "integrator", _INTEGRATOR_FIELDS).items():
         path = f"config.integrator.{key}"
-        if key not in _INTEGRATOR_FIELDS:
-            raise ConfigError(f"{path}: unknown field")
         if key in ("step", "abs_tol", "rel_tol") or (key == "max_step"
                                                     and value is not None):
             value = _real(value, path)
-        elif key == "dense_output":
-            value = bool(value)
+        elif key == "dense_output" and not isinstance(value, bool):
+            raise ConfigError(f"{path}: expected true or false")
         knobs[key] = value
     try:
         integrator = IntegratorConfig(**knobs)
@@ -207,7 +219,7 @@ def parse_config(data: dict) -> ExperimentConfig:
             or seed_periods < 1:
         raise ConfigError("config.seed_periods: expected a positive integer")
 
-    tols = _section(data, "tolerances")
+    tols = _section(data, "tolerances", ("orbit_tol", "newton_max_iter"))
     orbit_tol = _real(tols.get("orbit_tol", 1e-12), "config.tolerances.orbit_tol")
     if orbit_tol <= 0:
         raise ConfigError("config.tolerances.orbit_tol: must be positive")
@@ -346,11 +358,16 @@ def cmd_check(cfg: ExperimentConfig, out_dir: Path) -> int:
     return EXIT_OK if _check(cfg, out_dir).all_conditions_hold() else EXIT_CHECK_FAILED
 
 
+def _integrate_horizon(cfg: ExperimentConfig, t_eval=None) -> Trajectory:
+    """The configured run: x(0) = initial_state, over [0, horizon]."""
+    return integrate(lambda t, x: rhs_original(cfg.model, t, x), 0.0,
+                     np.array(cfg.initial_state), cfg.horizon, cfg.integrator,
+                     t_eval=t_eval, frame="original")
+
+
 def cmd_simulate(cfg: ExperimentConfig, out_dir: Path) -> int:
-    field = lambda t, x: rhs_original(cfg.model, t, x)
     try:
-        traj = integrate(field, 0.0, np.array(cfg.initial_state), cfg.horizon,
-                         cfg.integrator, frame="original")
+        traj = _integrate_horizon(cfg)
     except IntegrationError as exc:
         print(f"integration failed: {exc} (last good time {exc.t})",
               file=sys.stderr)
@@ -374,30 +391,29 @@ def load_bundled_config(name: str) -> ExperimentConfig:
     return parse_config(json.loads(text))
 
 
-def _tail_metrics(cfg: ExperimentConfig) -> dict:
-    """Late-time diagnostics of the configured trajectory.
+def _simulate_with_tail(cfg: ExperimentConfig, out_dir: Path) -> dict:
+    """Write trajectory.csv, as ``simulate`` does, and return late-time
+    diagnostics from samples of the same run over its last two periods:
 
     * derivative norm of the state at the end of the horizon;
     * sup-norm mismatch between the last period and the one before it
       (small value = the tail repeats itself period over period);
     * oscillation amplitude over the last period.
     """
-    model = cfg.model
-    T = model.period
-    field = lambda t, x: rhs_original(model, t, x)
+    T = cfg.model.period
     n = 128
     t_end = cfg.horizon
     if t_end <= 2.0 * T:
         raise ConfigError("config.horizon: need more than two periods "
                           "for tail diagnostics")
-    t_marks = [t_end - 2.0 * T + i * (T / n) for i in range(2 * n)] + [t_end]
-    traj = integrate(field, 0.0, np.array(cfg.initial_state), t_end,
-                     cfg.integrator, t_eval=t_marks[:-1], frame="original")
+    traj = _integrate_horizon(
+        cfg, [t_end - 2.0 * T + i * (T / n) for i in range(2 * n)])
+    write_trajectory_csv(traj.steps, out_dir / "trajectory.csv")
     states = traj.states[-(2 * n + 1):]
     prev, last = states[:n], states[n:2 * n]
     period_defect = float(np.max(np.abs(last - prev)))
     amplitude = float(np.max(np.ptp(states[n:], axis=0)))
-    deriv = rhs_original(model, t_end, traj.final_state)
+    deriv = rhs_original(cfg.model, t_end, traj.final_state)
     return {
         "derivative_norm_at_end": float(np.max(np.abs(deriv))),
         "tail_period_defect": period_defect,
@@ -424,8 +440,7 @@ def cmd_reproduce(which: str, out_dir: Path) -> int:
     bundle_dir.mkdir(parents=True, exist_ok=True)
 
     bounds = _check(cfg, bundle_dir)
-    cmd_simulate(cfg, bundle_dir)
-    tail = _tail_metrics(cfg)
+    tail = _simulate_with_tail(cfg, bundle_dir)
     orbit_doc, orbit = _find_orbit(cfg, bounds, bundle_dir)
     files = ["check_report.json", "trajectory.csv", "orbit_report.json"]
     if orbit is not None:

@@ -116,13 +116,6 @@ class PeriodicCoefficient:
         """Exact period average (oscillatory parts integrate to zero)."""
         return self.mean
 
-    def is_constant(self) -> bool:
-        if self.kind == "constant":
-            return True
-        if self.kind == "sinusoid":
-            return self.amplitude == 0.0
-        return all(a == 0.0 and b == 0.0 for a, b in self.harmonics)
-
 
 def extrema(coeff: PeriodicCoefficient, a: float, b: float) -> tuple[float, float]:
     """Minimum and maximum of ``coeff`` over the closed interval [a, b].

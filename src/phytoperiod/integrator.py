@@ -116,6 +116,7 @@ class Trajectory:
     frame: str                  # "original" or "log"
     times: np.ndarray
     states: np.ndarray          # shape (n, dim), aligned with times
+    steps: Trajectory | None = None   # a sampled run's own rows
 
     def __post_init__(self):
         if self.frame not in ("original", "log"):
@@ -151,8 +152,9 @@ def integrate(field, t0: float, y0, t1: float, cfg: IntegratorConfig,
     each is evaluated from the continuous extension of the accepted step
     that contains it (order 4 for rk45-adaptive, order 3 for rk4-fixed),
     so a run takes the same steps, and ends in the same state, with or
-    without ``t_eval``.  With ``cfg.dense_output`` and no ``t_eval``
-    every accepted step is recorded instead.
+    without ``t_eval``.  The run's own rows are t0, every accepted step
+    if ``cfg.dense_output`` is set, and t1; they are the result without
+    ``t_eval`` and the result's ``steps`` with it.
     """
     if not t1 > t0:
         raise ValueError(f"need t1 > t0, got [{t0}, {t1}]")
@@ -173,9 +175,8 @@ def integrate(field, t0: float, y0, t1: float, cfg: IntegratorConfig,
     i = 0
 
     t, y = t0, tuple(y0.tolist())
-    times = [t]
-    states = [y]
-    record_steps = cfg.dense_output and t_eval is None
+    times, states = [t], [y]            # samples
+    step_times, step_states = [t], [y]  # the run's own rows
     rk4 = cfg.method == METHOD_RK4
     extension = _rk4_extension if rk4 else _dp_extension
     abs_tol, rel_tol, max_step = cfg.abs_tol, cfg.rel_tol, cfg.max_step
@@ -183,6 +184,8 @@ def integrate(field, t0: float, y0, t1: float, cfg: IntegratorConfig,
     h_adaptive = (t1 - t0) * 1e-3
     if max_step:
         h_adaptive = min(h_adaptive, max_step)
+    if not (rk4 or h_adaptive > 0.0):
+        raise StepUnderflowError(f"first step underflows at t = {t0}", t=t0)
     k1 = None if rk4 else field(t, y)   # field(t, y), kept across steps (FSAL)
     while t < t1:
         if rk4:
@@ -235,13 +238,15 @@ def integrate(field, t0: float, y0, t1: float, cfg: IntegratorConfig,
         if not all(map(math.isfinite, y)):
             raise NonFiniteStateError(
                 f"state became non-finite at t = {t}", t=t)
-        if accepted and record_steps and t < t1:
-            times.append(t)
-            states.append(y)
-    times.append(t)
-    states.append(y)
-
-    return Trajectory(frame, np.array(times), np.array(states))
+        if accepted and cfg.dense_output and t < t1:
+            step_times.append(t)
+            step_states.append(y)
+    steps = Trajectory(frame, np.array(step_times + [t]),
+                       np.array(step_states + [y]))
+    if t_eval is None:
+        return steps
+    return Trajectory(frame, np.array(times + [t]), np.array(states + [y]),
+                      steps)
 
 
 def _rk4_step(field, t, y, h):

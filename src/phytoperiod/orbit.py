@@ -52,6 +52,7 @@ _SINGULAR_DET_TOL = 1e-12
 _MAX_HALVINGS = 20
 _MAX_NEWTON_STEP = 5.0        # trust region, in log-density units
 _ORBIT_SAMPLES = 256          # sampling resolution over one period
+_STEADY_VARIANCE_TOL = 1e-12  # sample variance of a steady state
 _BOUND_SLACK = 1e-9
 
 
@@ -225,12 +226,12 @@ def _finalize(params, z, rnorm, M, iterations, cfg, history):
     )
 
 
-def detect_steady_state(params: ModelParams, z, cfg: IntegratorConfig,
-                        variance_tol: float = 1e-12) -> PeriodicOrbit | None:
+def detect_steady_state(params: ModelParams, z,
+                        cfg: IntegratorConfig) -> PeriodicOrbit | None:
     """Recognise an (near-)equilibrium posing as a periodic solution.
 
     Integrates one period in the original frame from x = exp(z) and, if
-    every component's sample variance is below ``variance_tol``, returns
+    every component's sample variance is below 1e-12, returns
     the constant trajectory as a degenerate orbit.  The linearisation is
     done in the original frame, which stays regular when a species sits
     on (or exponentially close to) its extinction axis, where the log
@@ -242,7 +243,7 @@ def detect_steady_state(params: ModelParams, z, cfg: IntegratorConfig,
                      0.0, x0, params.period, cfg, t_eval=ts[1:-1],
                      frame="original")
     variances = np.var(traj.states, axis=0)
-    if np.max(variances) >= variance_tol:
+    if np.max(variances) >= _STEADY_VARIANCE_TOL:
         return None
     _, M = variational_flow(lambda t, x: rhs_original(params, t, x),
                             lambda t, x: jac_original(params, t, x),

@@ -3,15 +3,20 @@
 import hashlib
 import json
 import math
+import os
+import subprocess
+import sys
 from importlib import resources
 from pathlib import Path
 
 import pytest
 
+from phytoperiod import cli
 from phytoperiod.cli import (ConfigError, EXIT_CHECK_FAILED, EXIT_OK,
                              EXIT_USAGE, cmd_check, cmd_find_orbit,
                              cmd_reproduce, cmd_simulate, load_bundled_config,
                              load_config, main, parse_config)
+from phytoperiod.integrator import integrate
 
 TWO_PI = 2.0 * math.pi
 
@@ -51,7 +56,7 @@ def test_bundled_configs_parse():
     assert ex1.extremum_interval == (0.0, math.pi)
     assert ex1.m0_denominator == "k2-paper-variant"
     rem = load_bundled_config("remark-constant")
-    assert rem.model.r1.is_constant()
+    assert rem.model.r1.kind == "constant"
 
 
 @pytest.mark.parametrize("mutate,fragment", [
@@ -72,6 +77,17 @@ def test_bundled_configs_parse():
     (lambda d: d.__setitem__("initial_state", [math.nan, 0.1]), "initial_state[0]"),
     (lambda d: d.__setitem__("integrator", {"abs_tol": math.nan}), "abs_tol"),
     (lambda d: d.__setitem__("integrator", {"abstol": 1e-8}), "abstol"),
+    (lambda d: d.__setitem__("integrator", {"dense_output": "false"}),
+     "config.integrator.dense_output"),
+    (lambda d: d.__setitem__("seed_period", 3), "config.seed_period"),
+    (lambda d: d["model"].__setitem__("k3", 1.0), "config.model.k3"),
+    (lambda d: d.__setitem__("tolerances", {"orbit_tolerance": 1e-3}),
+     "config.tolerances.orbit_tolerance"),
+    (lambda d: d["model"]["r2"].__setitem__("mean", 1.0), "config.model.r2.mean"),
+    (lambda d: d["model"]["r1"].__setitem__("value", 1.0), "config.model.r1.value"),
+    (lambda d: d["model"].__setitem__(
+        "beta1", {"kind": "fourier", "mean": 0.05, "harmonics": [[0.01, 0.0]],
+                  "omega": 1.0, "phase": 0.5}), "config.model.beta1.phase"),
 ])
 def test_parse_errors_carry_field_path(mutate, fragment):
     data = minimal_config()
@@ -110,6 +126,26 @@ def test_cmd_simulate_writes_csv(tmp_path):
     assert float(first[0]) == 0.0 and float(first[1]) == 1.0
     last = lines[-1].split(",")
     assert float(last[0]) == 5.0
+
+
+def test_simulate_fails_cleanly_when_the_first_step_underflows(tmp_path):
+    """A horizon of 1e-322 is finite and positive, so it parses, but the
+    first adaptive step, horizon * 1e-3, underflows to 0: ``simulate``
+    reports an integration failure with exit 1.  Run in a subprocess with
+    a timeout, so that a regression to the endless loop fails the test
+    instead of hanging the suite."""
+    config = tmp_path / "tiny.json"
+    config.write_text(json.dumps(minimal_config(horizon=1e-322)))
+    src = str(Path(cli.__file__).parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+    proc = subprocess.run(
+        [sys.executable, "-m", "phytoperiod.cli", "simulate",
+         "--config", str(config), "--out", str(tmp_path)],
+        capture_output=True, text=True, env=env, timeout=30)
+    assert proc.returncode == EXIT_CHECK_FAILED
+    assert "integration failed" in proc.stderr
+    assert not (tmp_path / "trajectory.csv").exists()
 
 
 def test_cmd_find_orbit_converges_for_forced_system(tmp_path):
@@ -191,14 +227,28 @@ def test_reproduce_bundles_pass(tmp_path, which):
 
 @pytest.mark.parametrize("which", ["example1", "remark-constant"])
 def test_tail_metrics_end_on_the_trajectory(tmp_path, which):
-    """The tail diagnostics integrate the horizon with sample points, the
-    trajectory without: both take the same steps, so they end in the same
-    state, bit for bit."""
+    """The tail diagnostics and the trajectory come from one run, so they
+    end in the same state, bit for bit."""
     cmd_reproduce(which, tmp_path)
     manifest = json.loads((tmp_path / which / "manifest.json").read_text())
     last = (tmp_path / which / "trajectory.csv").read_text().split()[-1]
     assert ([float(v) for v in last.split(",")[1:]]
             == manifest["tail_metrics"]["final_state"])
+
+
+@pytest.mark.parametrize("which", ["example1", "remark-constant"])
+def test_reproduce_integrates_the_horizon_once(tmp_path, monkeypatch, which):
+    """trajectory.csv and the tail metrics come from one integration of
+    [0, horizon]."""
+    horizon = load_bundled_config(which).horizon
+    spans = []
+
+    def counted(field, t0, y0, t1, *args, **kwargs):
+        spans.append((t0, t1))
+        return integrate(field, t0, y0, t1, *args, **kwargs)
+    monkeypatch.setattr(cli, "integrate", counted)
+    cmd_reproduce(which, tmp_path)
+    assert spans.count((0.0, horizon)) == 1
 
 
 def test_reproduce_unknown_bundle(tmp_path):

@@ -132,15 +132,22 @@ def _sampled_and_plain(field, y0, t1, cfg, t_eval):
 def test_sampling_leaves_the_steps_unchanged(forced_params, method):
     """Sample points are read off the steps, never landed on: a run makes
     the same field calls and ends in the same state, bit for bit, with or
-    without t_eval.  The period includes rejected steps for rk45."""
+    without t_eval, and a sampled run's ``steps`` are the plain run's rows
+    (t0, the accepted steps under dense_output, t1), bit for bit.  The
+    period includes rejected steps for rk45."""
     field = lambda t, z: rhs_log(forced_params, t, z)
     marks = np.linspace(0.0, TWO_PI, 257)[1:-1]
-    cfg = IntegratorConfig(method=method, step=0.05)
-    sampled, n_sampled, plain, n_plain = _sampled_and_plain(
-        field, (0.64, -0.18), TWO_PI, cfg, marks)
-    assert n_sampled == n_plain
-    assert sampled.final_state.tobytes() == plain.final_state.tobytes()
-    np.testing.assert_array_equal(sampled.times[1:-1], marks)
+    for dense in (False, True):
+        cfg = IntegratorConfig(method=method, step=0.05, dense_output=dense)
+        sampled, n_sampled, plain, n_plain = _sampled_and_plain(
+            field, (0.64, -0.18), TWO_PI, cfg, marks)
+        assert n_sampled == n_plain
+        assert sampled.final_state.tobytes() == plain.final_state.tobytes()
+        np.testing.assert_array_equal(sampled.times[1:-1], marks)
+        assert plain.steps is None and sampled.steps.frame == plain.frame
+        assert sampled.steps.times.tobytes() == plain.times.tobytes()
+        assert sampled.steps.states.tobytes() == plain.states.tobytes()
+        assert (len(plain.times) > 3) == dense
 
 
 @pytest.mark.parametrize("method, power", [("rk45-adaptive", 4),
@@ -242,6 +249,20 @@ def test_step_underflow_on_nan_producing_field():
     with pytest.raises(StepUnderflowError) as exc_info:
         integrate(field, 0.0, np.array([1.0]), 5.0, IntegratorConfig())
     assert exc_info.value.t is not None
+
+
+def test_first_step_underflow_is_an_integration_failure():
+    """Over a span of 5e-324 the first adaptive step, span * 1e-3,
+    underflows to 0: that is a step underflow, not an endless loop.  The
+    fixed-step method takes the whole span as one step."""
+    from phytoperiod import StepUnderflowError
+
+    with pytest.raises(StepUnderflowError) as exc_info:
+        integrate(exp_decay, 0.0, [1.0], 5e-324, IntegratorConfig())
+    assert exc_info.value.t == 0.0
+    traj = integrate(exp_decay, 0.0, [1.0], 5e-324,
+                     IntegratorConfig(method="rk4-fixed"))
+    assert list(traj.times) == [0.0, 5e-324]
 
 
 def test_model_overflow_propagates(ex1_params):
