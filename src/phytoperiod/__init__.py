@@ -19,8 +19,8 @@ from .integrator import (IntegratorConfig, IntegrationError,
                          flow_and_monodromy, flow_map, integrate,
                          variational_flow, write_trajectory_csv)
 from .model import (DomainOverflowError, ModelParams, averaged_jacobian,
-                    averaged_residual, jac_log, jac_original, rhs_log,
-                    rhs_original)
+                    averaged_rates, averaged_residual, jac_log, jac_original,
+                    rhs_log, rhs_original)
 from .orbit import (BoundCheck, ExtinctionDiagnosis, NearDegenerateOrbitError,
                     NonConvergenceError, OrbitSearchError, PeriodicOrbit,
                     SeedResult, detect_steady_state, diagnose_extinction,

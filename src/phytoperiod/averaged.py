@@ -21,7 +21,7 @@ from dataclasses import asdict, dataclass
 import numpy as np
 
 from .model import (DomainOverflowError, ModelParams, averaged_jacobian,
-                    averaged_residual)
+                    averaged_rates, averaged_residual)
 
 __all__ = [
     "ClosedFormResult",
@@ -33,6 +33,10 @@ __all__ = [
 ]
 
 _MAX_HALVINGS = 20
+_SOLVE_TOL = 1e-13            # max-norm of the averaged residual at a root
+_SOLVE_MAX_ITER = 60
+_GRID_RANGE = (-25.0, 3.0)    # log densities scanned by grid_scan, both axes
+_GRID_POINTS = 200            # per axis
 
 
 class AveragedSolveError(RuntimeError):
@@ -46,9 +50,9 @@ class NoPositiveSolutionError(AveragedSolveError):
     """The averaged system has no root with positive densities."""
 
 
-def solve_averaged(params: ModelParams, guess,
-                   tol: float = 1e-13, max_iter: int = 60) -> np.ndarray:
-    """Damped Newton on the averaged residual; returns the root.
+def solve_averaged(params: ModelParams, guess) -> np.ndarray:
+    """Damped Newton on the averaged residual; returns the root, where the
+    residual's max-norm is below 1e-13.
 
     The step is halved (up to 20 times) until the residual norm
     decreases, which tames overshoot caused by the exp nonlinearity.
@@ -57,8 +61,6 @@ def solve_averaged(params: ModelParams, guess,
     is raised up front; a stall with a negative second component is
     reported the same way.
     """
-    if tol <= 0:
-        raise ValueError("tol must be positive")
     _, r2b, _, b2b = params.means()
     # the terms of res2 have the signs of r2b, -r2b, -b2b and -w2
     if r2b == 0.0 and b2b >= 0.0 and (b2b > 0.0 or params.w2 > 0.0):
@@ -69,8 +71,8 @@ def solve_averaged(params: ModelParams, guess,
     z = np.asarray(guess, dtype=float)
     res = averaged_residual(params, z)
     rnorm = float(np.max(np.abs(res)))
-    for _ in range(max_iter):
-        if rnorm < tol:
+    for _ in range(_SOLVE_MAX_ITER):
+        if rnorm < _SOLVE_TOL:
             return z
         J = averaged_jacobian(params, z)
         try:
@@ -100,10 +102,10 @@ def solve_averaged(params: ModelParams, guess,
                 f"damped Newton stalled at residual {rnorm:.3e}",
                 z_last=z, residual=rnorm)
         z, res, rnorm = z_try, res_try, r_try
-    if rnorm < tol:
+    if rnorm < _SOLVE_TOL:
         return z
     raise AveragedSolveError(
-        f"no convergence in {max_iter} iterations (residual {rnorm:.3e})",
+        f"no convergence in {_SOLVE_MAX_ITER} iterations (residual {rnorm:.3e})",
         z_last=z, residual=rnorm)
 
 
@@ -148,25 +150,17 @@ def closed_form_mu0(params: ModelParams) -> ClosedFormResult:
                             valid=arg1 > 0 and arg2 > 0)
 
 
-def grid_scan(params: ModelParams,
-              z1_range: tuple[float, float] = (-25.0, 3.0),
-              z2_range: tuple[float, float] = (-25.0, 3.0),
-              n: int = 200):
+def grid_scan(params: ModelParams):
     """Brute-force bracket of the averaged system over a log-space grid.
 
     Returns (z_best, residual_norm_best, cell_size).  Deliberately dumb:
-    direct evaluation on an n x n grid, no solver involved, so it serves
-    as an independent check on (and diagnosis for) the Newton path.
+    direct evaluation on a 200 x 200 grid over [-25, 3]^2, no solver
+    involved, so it serves as an independent check on (and diagnosis
+    for) the Newton path.
     """
-    z1s = np.linspace(*z1_range, n)
-    z2s = np.linspace(*z2_range, n)
-    Z1, Z2 = np.meshgrid(z1s, z2s, indexing="ij")
-    U, V = np.exp(Z1), np.exp(Z2)
-    r1b, r2b, b1b, b2b = params.means()
-    R1 = r1b - r1b * U / params.k1 - b1b * V
-    R2 = (-r2b * V / params.k2 - b2b * U - params.w2 * U * V
-          + r2b / (1.0 + params.w1 * U))
+    zs = np.linspace(*_GRID_RANGE, _GRID_POINTS)
+    Z1, Z2 = np.meshgrid(zs, zs, indexing="ij")
+    R1, R2 = averaged_rates(params, np.exp(Z1), np.exp(Z2))
     norms = np.maximum(np.abs(R1), np.abs(R2))
     i, j = np.unravel_index(int(np.argmin(norms)), norms.shape)
-    cell = max(z1s[1] - z1s[0], z2s[1] - z2s[0])
-    return np.array([z1s[i], z2s[j]]), float(norms[i, j]), float(cell)
+    return np.array([zs[i], zs[j]]), float(norms[i, j]), float(zs[1] - zs[0])

@@ -97,6 +97,26 @@ def _real(value, path):
     return float(value)
 
 
+def _pair(value, path, shape):
+    if not isinstance(value, (list, tuple)) or len(value) != 2:
+        raise ConfigError(f"{path}: expected {shape}")
+    return _real(value[0], f"{path}[0]"), _real(value[1], f"{path}[1]")
+
+
+def _interval(value, path):
+    """The extremum interval [a, b] of the config or of ``--interval``."""
+    a, b = _pair(value, path, "[a, b]")
+    if not a < b:
+        raise ConfigError(f"{path}: need a < b")
+    return a, b
+
+
+def _count(value, path):
+    if not isinstance(value, int) or isinstance(value, bool) or value < 1:
+        raise ConfigError(f"{path}: expected a positive integer")
+    return value
+
+
 def _known(obj, fields, path):
     for key in obj:
         if key not in fields:
@@ -132,12 +152,8 @@ def parse_coefficient(obj, path) -> PeriodicCoefficient:
             harmonics = _get(obj, "harmonics", path)
             if not isinstance(harmonics, list):
                 raise ConfigError(f"{path}.harmonics: expected a list of [cos, sin] pairs")
-            pairs = []
-            for i, pair in enumerate(harmonics):
-                if not isinstance(pair, (list, tuple)) or len(pair) != 2:
-                    raise ConfigError(f"{path}.harmonics[{i}]: expected a [cos, sin] pair")
-                pairs.append((_real(pair[0], f"{path}.harmonics[{i}][0]"),
-                              _real(pair[1], f"{path}.harmonics[{i}][1]")))
+            pairs = [_pair(pair, f"{path}.harmonics[{i}]", "a [cos, sin] pair")
+                     for i, pair in enumerate(harmonics)]
             return PeriodicCoefficient.fourier(
                 mean=_real(_get(obj, "mean", path), f"{path}.mean"),
                 harmonics=pairs,
@@ -161,11 +177,8 @@ def parse_config(data: dict) -> ExperimentConfig:
         model = ModelParams(
             r1=coeffs["r1"], r2=coeffs["r2"],
             beta1=coeffs["beta1"], beta2=coeffs["beta2"],
-            k1=_real(_get(mdl, "k1", "config.model"), "config.model.k1"),
-            k2=_real(_get(mdl, "k2", "config.model"), "config.model.k2"),
-            w1=_real(_get(mdl, "w1", "config.model"), "config.model.w1"),
-            w2=_real(_get(mdl, "w2", "config.model"), "config.model.w2"),
-            period=_real(_get(mdl, "period", "config.model"), "config.model.period"))
+            **{name: _real(_get(mdl, name, "config.model"), f"config.model.{name}")
+               for name in _MODEL_FIELDS[4:]})
     except ValueError as exc:
         if isinstance(exc, ConfigError):
             raise
@@ -187,13 +200,7 @@ def parse_config(data: dict) -> ExperimentConfig:
 
     interval = _get(data, "extremum_interval", "config", required=False)
     if interval is not None:
-        if (not isinstance(interval, (list, tuple)) or len(interval) != 2):
-            raise ConfigError("config.extremum_interval: expected [a, b]")
-        a = _real(interval[0], "config.extremum_interval[0]")
-        b = _real(interval[1], "config.extremum_interval[1]")
-        if not a < b:
-            raise ConfigError("config.extremum_interval: need a < b")
-        interval = (a, b)
+        interval = _interval(interval, "config.extremum_interval")
 
     m0_denom = _get(data, "m0_denominator", "config", required=False,
                     default=M0_CANONICAL)
@@ -202,11 +209,8 @@ def parse_config(data: dict) -> ExperimentConfig:
             f"config.m0_denominator: expected '{M0_CANONICAL}' or "
             f"'{M0_VARIANT_K2}', got {m0_denom!r}")
 
-    state = _get(data, "initial_state", "config")
-    if not isinstance(state, (list, tuple)) or len(state) != 2:
-        raise ConfigError("config.initial_state: expected [x1, x2]")
-    x1 = _real(state[0], "config.initial_state[0]")
-    x2 = _real(state[1], "config.initial_state[1]")
+    x1, x2 = _pair(_get(data, "initial_state", "config"),
+                   "config.initial_state", "[x1, x2]")
     if x1 <= 0 or x2 <= 0:
         raise ConfigError("config.initial_state: densities must be positive")
 
@@ -214,18 +218,15 @@ def parse_config(data: dict) -> ExperimentConfig:
     if horizon <= 0:
         raise ConfigError("config.horizon: must be positive")
 
-    seed_periods = _get(data, "seed_periods", "config", required=False, default=30)
-    if not isinstance(seed_periods, int) or isinstance(seed_periods, bool) \
-            or seed_periods < 1:
-        raise ConfigError("config.seed_periods: expected a positive integer")
+    seed_periods = _count(_get(data, "seed_periods", "config", required=False,
+                               default=30), "config.seed_periods")
 
     tols = _section(data, "tolerances", ("orbit_tol", "newton_max_iter"))
     orbit_tol = _real(tols.get("orbit_tol", 1e-12), "config.tolerances.orbit_tol")
     if orbit_tol <= 0:
         raise ConfigError("config.tolerances.orbit_tol: must be positive")
-    max_iter = tols.get("newton_max_iter", 25)
-    if not isinstance(max_iter, int) or isinstance(max_iter, bool) or max_iter < 1:
-        raise ConfigError("config.tolerances.newton_max_iter: expected a positive integer")
+    max_iter = _count(tols.get("newton_max_iter", 25),
+                      "config.tolerances.newton_max_iter")
 
     return ExperimentConfig(
         model=model, integrator=integrator, extremum_interval=interval,
@@ -520,10 +521,7 @@ def cmd_reproduce(which: str, out_dir: Path) -> int:
 def _apply_overrides(cfg: ExperimentConfig, args) -> ExperimentConfig:
     updates = {}
     if getattr(args, "interval", None) is not None:
-        a, b = args.interval
-        if not a < b:
-            raise ConfigError("--interval: need a < b")
-        updates["extremum_interval"] = (a, b)
+        updates["extremum_interval"] = _interval(args.interval, "--interval")
     if getattr(args, "m0_variant", None) is not None:
         updates["m0_denominator"] = (M0_VARIANT_K2 if args.m0_variant == "k2"
                                      else M0_CANONICAL)
@@ -537,9 +535,8 @@ def _build_parser() -> argparse.ArgumentParser:
                     "competition model with fear and toxin effects")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_common(p, needs_config=True):
-        if needs_config:
-            p.add_argument("--config", required=True, help="JSON experiment config")
+    def add_common(p):
+        p.add_argument("--config", required=True, help="JSON experiment config")
         p.add_argument("--out", default=".", help="output directory")
         p.add_argument("--interval", nargs=2, type=float, metavar=("A", "B"),
                        help="override the extremum interval")

@@ -16,7 +16,7 @@ import numpy as np
 
 __all__ = ["PeriodicCoefficient", "extrema", "mean_by_quadrature"]
 
-# Dense-sampling resolution used for Fourier extrema (points per period).
+# Sampling cells used for Fourier extrema, over at most one period.
 _FOURIER_SAMPLES = 4096
 # Width of the refined bracket, relative to the sampling cell.
 _REFINE_REL_TOL = 1e-10
@@ -120,12 +120,16 @@ class PeriodicCoefficient:
 def extrema(coeff: PeriodicCoefficient, a: float, b: float) -> tuple[float, float]:
     """Minimum and maximum of ``coeff`` over the closed interval [a, b].
 
-    Constants and single sinusoids are handled in closed form.  Fourier
-    series are sampled densely (>= 4096 points per period) and the best
-    cells are then refined by golden-section search.
+    An interval longer than the period holds every value of the function,
+    so it is evaluated over [0, period], where t is exact however far out
+    a lies.  Constants and single sinusoids are handled in closed form.
+    Fourier series are sampled at 4097 points and the best cells are then
+    refined by golden-section search.
     """
     if not a < b:
         raise ValueError(f"invalid interval [{a}, {b}]: need a < b")
+    if b - a > coeff.period:
+        a, b = 0.0, coeff.period
     if coeff.kind == "constant":
         return coeff.mean, coeff.mean
     if coeff.kind == "sinusoid":
@@ -143,9 +147,7 @@ def extrema(coeff: PeriodicCoefficient, a: float, b: float) -> tuple[float, floa
 
 
 def _fourier_extrema(coeff, a, b):
-    n = max(_FOURIER_SAMPLES + 1,
-            int(math.ceil(_FOURIER_SAMPLES * (b - a) / coeff.period)) + 1)
-    ts = np.linspace(a, b, n)
+    ts = np.linspace(a, b, _FOURIER_SAMPLES + 1)
     vals = np.asarray(coeff(ts))
     f_min = _refine(coeff, ts, int(np.argmin(vals)), sign=+1.0)
     f_max = -_refine(coeff, ts, int(np.argmax(vals)), sign=-1.0)

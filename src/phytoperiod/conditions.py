@@ -112,8 +112,6 @@ def compute_bounds(params: ModelParams,
     if extremum_interval is None:
         extremum_interval = (0.0, params.period)
     a, b = extremum_interval
-    if not a < b:
-        raise ValueError(f"invalid extremum interval [{a}, {b}]")
 
     r1L, r1M = extrema(params.r1, a, b)
     r2L, r2M = extrema(params.r2, a, b)

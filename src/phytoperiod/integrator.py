@@ -101,6 +101,10 @@ class IntegratorConfig:
     def __post_init__(self):
         if self.method not in (METHOD_RK4, METHOD_RK45):
             raise ValueError(f"unknown integration method {self.method!r}")
+        for name in ("step", "abs_tol", "rel_tol", "max_step"):
+            value = getattr(self, name)
+            if value is not None and not math.isfinite(value):
+                raise ValueError(f"{name} must be finite")
         if self.step <= 0:
             raise ValueError("fixed step must be positive")
         if self.abs_tol <= 0 or self.rel_tol <= 0:
@@ -179,15 +183,12 @@ def integrate(field, t0: float, y0, t1: float, cfg: IntegratorConfig,
     step_times, step_states = [t], [y]  # the run's own rows
     rk4 = cfg.method == METHOD_RK4
     extension = _rk4_extension if rk4 else _dp_extension
-    abs_tol, rel_tol, max_step = cfg.abs_tol, cfg.rel_tol, cfg.max_step
+    abs_tol, rel_tol, max_step = cfg.abs_tol, cfg.rel_tol, cfg.max_step or math.inf
     h_floor = _MIN_STEP_FACTOR * (t1 - t0)
-    h_adaptive = (t1 - t0) * 1e-3
-    if max_step:
-        h_adaptive = min(h_adaptive, max_step)
-    if not (rk4 or h_adaptive > 0.0):
-        raise StepUnderflowError(f"first step underflows at t = {t0}", t=t0)
+    h_adaptive = min((t1 - t0) * 1e-3, max_step)
     k1 = None if rk4 else field(t, y)   # field(t, y), kept across steps (FSAL)
     while t < t1:
+        stalled = False
         if rk4:
             h = min(cfg.step, t1 - t)
             y_new, stages = _rk4_step(field, t, y, h)
@@ -207,6 +208,7 @@ def integrate(field, t0: float, y0, t1: float, cfg: IntegratorConfig,
             accepted = enorm <= 1.0
         if accepted:
             t_new = t1 if h >= t1 - t else t + h
+            stalled = t_new == t
             if pts[i] <= t_new:
                 # one polynomial per step, evaluated by Horner per point
                 poly = extension(y, h, *stages)
@@ -229,12 +231,14 @@ def integrate(field, t0: float, y0, t1: float, cfg: IntegratorConfig,
                 factor = 5.0
             else:
                 factor = 0.2
-            h_adaptive = h * min(5.0, max(0.2, factor))
-            if max_step:
-                h_adaptive = min(h_adaptive, max_step)
+            h_adaptive = min(h * min(5.0, max(0.2, factor)), max_step)
             if h_adaptive < h_floor:
                 raise StepUnderflowError(
                     f"adaptive step underflow at t = {t}", t=t)
+        # a step below half the spacing of floats at t leaves t unchanged;
+        # unless the controller grows the next one, t stays there for good
+        if stalled and (rk4 or not h_adaptive > h):
+            raise StepUnderflowError(f"step {h!r} does not advance t = {t}", t=t)
         if not all(map(math.isfinite, y)):
             raise NonFiniteStateError(
                 f"state became non-finite at t = {t}", t=t)

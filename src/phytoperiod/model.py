@@ -36,6 +36,7 @@ __all__ = [
     "rhs_log",
     "jac_original",
     "jac_log",
+    "averaged_rates",
     "averaged_residual",
     "averaged_jacobian",
 ]
@@ -233,21 +234,28 @@ def _rate_kernel(coefficients):
     return namespace.pop("rates")  # no cycle through its own globals
 
 
-def averaged_residual(params: ModelParams, z) -> np.ndarray:
-    """Residual of the period-averaged algebraic system at log state z.
+def averaged_rates(params: ModelParams, u, v):
+    """Period-averaged log-frame rates (g1, g2) at densities u = x1, v = x2.
 
-    With the period averages r1_bar, r2_bar, beta1_bar, beta2_bar and
-    u = e^{z1}, v = e^{z2}:
+    With the period averages r1_bar, r2_bar, beta1_bar, beta2_bar:
 
-        res1 = r1_bar - r1_bar u / k1 - beta1_bar v
-        res2 = r2_bar / (1 + w1 u) - r2_bar v / k2 - beta2_bar u - w2 u v
+        g1 = r1_bar - r1_bar u / k1 - beta1_bar v
+        g2 = r2_bar / (1 + w1 u) - r2_bar v / k2 - beta2_bar u - w2 u v
+
+    u and v may be floats or numpy arrays.  The roots of (g1, g2) are the
+    equilibria of the averaged system; on a boundary state they are the
+    invasion rates of the absent species.
     """
-    u, v = _exp_state(z)
     r1b, r2b, b1b, b2b = params.means()
-    res1 = r1b - r1b * u / params.k1 - b1b * v
-    res2 = (-r2b * v / params.k2 - b2b * u - params.w2 * u * v
+    return (r1b - r1b * u / params.k1 - b1b * v,
+            -r2b * v / params.k2 - b2b * u - params.w2 * u * v
             + r2b / (1.0 + params.w1 * u))
-    return np.array([res1, res2])
+
+
+def averaged_residual(params: ModelParams, z) -> np.ndarray:
+    """Residual of the period-averaged algebraic system at log state z:
+    :func:`averaged_rates` at u = e^{z1}, v = e^{z2}."""
+    return np.array(averaged_rates(params, *_exp_state(z)))
 
 
 def averaged_jacobian(params: ModelParams, z) -> np.ndarray:

@@ -30,8 +30,8 @@ from .conditions import BoundReport
 from .integrator import (IntegrationError, IntegratorConfig, Trajectory,
                          flow_and_monodromy, flow_map, integrate,
                          variational_flow)
-from .model import (DomainOverflowError, ModelParams, jac_original, rhs_log,
-                    rhs_original)
+from .model import (DomainOverflowError, ModelParams, averaged_rates,
+                    jac_original, rhs_log, rhs_original)
 
 __all__ = [
     "PeriodicOrbit",
@@ -129,17 +129,34 @@ def seed_by_transient(params: ModelParams, z_start, n_periods: int,
     if n_periods < 1:
         raise ValueError("n_periods must be >= 1")
     z = np.asarray(z_start, dtype=float)
-    prev = z
     for _ in range(n_periods):
         prev = z
         z = flow_map(params, z, cfg)
     return SeedResult(z=z, contraction=float(np.max(np.abs(z - prev))))
 
 
-def _sample_orbit(params: ModelParams, z0, cfg: IntegratorConfig) -> Trajectory:
+def _sample_period(params: ModelParams, rhs, y0, cfg: IntegratorConfig,
+                   frame: str) -> Trajectory:
+    """One period of y' = rhs(params, t, y) from y0, sampled at
+    _ORBIT_SAMPLES equal intervals."""
     ts = np.linspace(0.0, params.period, _ORBIT_SAMPLES + 1)
-    return integrate(lambda t, s: rhs_log(params, t, s),
-                     0.0, z0, params.period, cfg, t_eval=ts[1:-1], frame="log")
+    return integrate(lambda t, y: rhs(params, t, y), 0.0, y0, params.period,
+                     cfg, t_eval=ts[1:-1], frame=frame)
+
+
+def _orbit(z0, residual, M, samples: Trajectory, **extra) -> PeriodicOrbit:
+    """The orbit with its Floquet multipliers and stability read off the
+    monodromy M."""
+    mults = np.linalg.eigvals(M)
+    return PeriodicOrbit(
+        z0=z0,
+        residual_norm=residual,
+        monodromy=M,
+        floquet_multipliers=(complex(mults[0]), complex(mults[1])),
+        stable=bool(np.all(np.abs(mults) < 1.0)),
+        orbit_samples=samples,
+        **extra,
+    )
 
 
 def find_periodic_orbit(params: ModelParams, guess, tol: float = 1e-12,
@@ -152,8 +169,8 @@ def find_periodic_orbit(params: ModelParams, guess, tol: float = 1e-12,
     or the line search is exhausted; both carry the last iterate,
     residual and (when one is detectable) an extinction diagnosis.
     """
-    if tol <= 0:
-        raise ValueError("tol must be positive")
+    if not (tol > 0 and max_iter >= 0):
+        raise ValueError("need tol > 0 and max_iter >= 0")
     if cfg is None:
         cfg = IntegratorConfig()
     z = np.array(guess, dtype=float)
@@ -163,14 +180,18 @@ def find_periodic_orbit(params: ModelParams, guess, tol: float = 1e-12,
         raise exc_type(message, z_last=z, residual=rnorm, iterations=it,
                        diagnosis=diagnose_extinction(params))
 
-    zT, M = flow_and_monodromy(params, z, cfg)
-    G = zT - z
-    rnorm = float(np.max(np.abs(G)))
-    history.append(rnorm)
-
-    for it in range(max_iter):
+    for it in range(max_iter + 1):
+        zT, M = flow_and_monodromy(params, z, cfg)
+        G = zT - z
+        rnorm = float(np.max(np.abs(G)))
+        history.append(rnorm)
         if rnorm < tol:
-            return _finalize(params, z, rnorm, M, it, cfg, tuple(history))
+            samples = _sample_period(params, rhs_log, z, cfg, "log")
+            return _orbit(z, rnorm, M, samples, newton_iterations=it,
+                          residual_history=tuple(history))
+        if it == max_iter:
+            fail(NonConvergenceError, f"no convergence in {max_iter} "
+                 f"iterations (last defect {rnorm:.3e})", it)
         A = M - np.eye(2)
         det = A[0, 0] * A[1, 1] - A[0, 1] * A[1, 0]
         if abs(det) < _SINGULAR_DET_TOL:
@@ -198,32 +219,7 @@ def find_periodic_orbit(params: ModelParams, guess, tol: float = 1e-12,
         else:
             fail(NonConvergenceError,
                  f"line search stalled at defect {rnorm:.3e}", it)
-
         z = z_try
-        zT, M = flow_and_monodromy(params, z, cfg)
-        G = zT - z
-        rnorm = float(np.max(np.abs(G)))
-        history.append(rnorm)
-
-    if rnorm < tol:
-        return _finalize(params, z, rnorm, M, max_iter, cfg, tuple(history))
-    fail(NonConvergenceError,
-         f"no convergence in {max_iter} iterations (last defect {rnorm:.3e})",
-         max_iter)
-
-
-def _finalize(params, z, rnorm, M, iterations, cfg, history):
-    mults = np.linalg.eigvals(M)
-    return PeriodicOrbit(
-        z0=z,
-        residual_norm=rnorm,
-        monodromy=M,
-        floquet_multipliers=(complex(mults[0]), complex(mults[1])),
-        stable=bool(np.all(np.abs(mults) < 1.0)),
-        newton_iterations=iterations,
-        orbit_samples=_sample_orbit(params, z, cfg),
-        residual_history=history,
-    )
 
 
 def detect_steady_state(params: ModelParams, z,
@@ -238,32 +234,20 @@ def detect_steady_state(params: ModelParams, z,
     frame has no finite fixed point.
     """
     x0 = np.exp(np.asarray(z, dtype=float))
-    ts = np.linspace(0.0, params.period, _ORBIT_SAMPLES + 1)
-    traj = integrate(lambda t, x: rhs_original(params, t, x),
-                     0.0, x0, params.period, cfg, t_eval=ts[1:-1],
-                     frame="original")
+    traj = _sample_period(params, rhs_original, x0, cfg, "original")
     variances = np.var(traj.states, axis=0)
     if np.max(variances) >= _STEADY_VARIANCE_TOL:
         return None
     _, M = variational_flow(lambda t, x: rhs_original(params, t, x),
                             lambda t, x: jac_original(params, t, x),
                             0.0, x0, params.period, cfg)
-    mults = np.linalg.eigvals(M)
     residual = float(np.max(np.abs(traj.final_state - x0)))
     with np.errstate(divide="ignore"):
         z0 = np.log(x0)
     log_traj = Trajectory("log", traj.times,
                           np.log(np.maximum(traj.states, np.finfo(float).tiny)))
-    return PeriodicOrbit(
-        z0=z0,
-        residual_norm=residual,
-        monodromy=M,
-        floquet_multipliers=(complex(mults[0]), complex(mults[1])),
-        stable=bool(np.all(np.abs(mults) < 1.0)),
-        newton_iterations=0,
-        orbit_samples=log_traj,
-        degenerate_steady_state=True,
-    )
+    return _orbit(z0, residual, M, log_traj, newton_iterations=0,
+                  degenerate_steady_state=True)
 
 
 def diagnose_extinction(params: ModelParams) -> ExtinctionDiagnosis | None:
@@ -272,7 +256,8 @@ def diagnose_extinction(params: ModelParams) -> ExtinctionDiagnosis | None:
     With species i absent, species j follows the periodic logistic
     equation x' = r_j(t) x (1 - x/k_j), whose attractor is the constant
     x_j* = k_j when r_j has a positive mean and 0 otherwise.  Along it
-    ln x_i grows by T times the mean of its log-frame rate per period:
+    ln x_i grows per period by T times the averaged rate g_i of
+    :func:`~phytoperiod.model.averaged_rates` at that boundary state:
 
         lambda1 = T (r1_bar - beta1_bar x2*)
         lambda2 = T (r2_bar / (1 + w1 x1*) - beta2_bar x1*)
@@ -280,12 +265,11 @@ def diagnose_extinction(params: ModelParams) -> ExtinctionDiagnosis | None:
     (the invasion exponents of Cushing 1980).  Returns the species with
     the more negative exponent when that exponent is negative, else None.
     """
-    r1b, r2b, b1b, b2b = params.means()
-    x1 = params.k1 if r1b > 0.0 else 0.0
-    x2 = params.k2 if r2b > 0.0 else 0.0
+    x1 = params.k1 if params.r1.mean_value() > 0.0 else 0.0
+    x2 = params.k2 if params.r2.mean_value() > 0.0 else 0.0
     T = params.period
-    exponents = (T * (r1b - b1b * x2),
-                 T * (r2b / (1.0 + params.w1 * x1) - b2b * x1))
+    exponents = (T * averaged_rates(params, 0.0, x2)[0],
+                 T * averaged_rates(params, x1, 0.0)[1])
     i = 0 if exponents[0] < exponents[1] else 1
     if exponents[i] >= 0.0:
         return None

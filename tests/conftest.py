@@ -1,6 +1,12 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
+import phytoperiod
 from phytoperiod import IntegratorConfig, ModelParams, PeriodicCoefficient
 
 TWO_PI = 2.0 * np.pi
@@ -77,3 +83,14 @@ def newton_equilibrium(params, guess, tol=1e-13, max_iter=60):
                        - np.asarray(rhs_original(params, 0.0, x - dx))) / (2 * h)
         x = x + np.linalg.solve(J, -f)
     raise AssertionError("equilibrium oracle did not converge")
+
+
+def run_python(*args, timeout=30):
+    """Run ``python args...`` with this package importable, in a subprocess
+    with a timeout, so that an endless loop fails the calling test instead
+    of hanging the suite."""
+    src = str(Path(phytoperiod.__file__).parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+    return subprocess.run([sys.executable, *args], capture_output=True,
+                          text=True, env=env, timeout=timeout)

@@ -224,7 +224,7 @@ def test_criterion_6_numerical_integrity(ex1_params, coexist_params):
 
     # averaged-system Newton root versus a 200 x 200 grid-scan bracket
     root = solve_averaged(coexist_params, np.array([0.0, -1.0]))
-    z_grid, _, cell = grid_scan(coexist_params, n=200)
+    z_grid, _, cell = grid_scan(coexist_params)
     grid_gap = float(np.max(np.abs(root - z_grid)))
     ok_grid = grid_gap <= cell
     details.append(f"grid gap {grid_gap:.3f} (cell {cell:.3f})")

@@ -36,7 +36,7 @@ def test_root_matches_grid_scan_bracket(coexist_params):
     """Independent brute-force bracket: the minimal-residual cell of a
     200 x 200 grid lies within one cell of the Newton root."""
     z = solve_averaged(coexist_params, np.array([0.0, -1.0]))
-    z_grid, res_grid, cell = grid_scan(coexist_params, n=200)
+    z_grid, res_grid, cell = grid_scan(coexist_params)
     print(f"\n  newton root {z}, grid cell {z_grid}, spacing {cell:.4f}")
     assert np.max(np.abs(z - z_grid)) <= cell
 
@@ -81,7 +81,7 @@ def test_demo_means_have_no_positive_root(ex1_params):
 
 
 def test_demo_grid_scan_confirms_infeasibility(ex1_params):
-    _, res_best, _ = grid_scan(ex1_params, n=200)
+    _, res_best, _ = grid_scan(ex1_params)
     print(f"\n  demo grid minimum residual: {res_best:.4e}")
     assert res_best > 1e-2
 
@@ -99,11 +99,6 @@ def test_line_search_lets_programming_errors_through(coexist_params,
     monkeypatch.setattr("phytoperiod.averaged.averaged_residual", residual)
     with pytest.raises(TypeError):
         solve_averaged(coexist_params, np.array([0.0, -1.0]))
-
-
-def test_tol_validation(coexist_params):
-    with pytest.raises(ValueError):
-        solve_averaged(coexist_params, np.zeros(2), tol=0.0)
 
 
 # --- closed form ---------------------------------------------------------
@@ -169,7 +164,7 @@ def test_closed_form_jointly_real_requires_sign_flip():
 
 
 def test_grid_scan_shapes_and_determinism(coexist_params):
-    z1, r1, c1 = grid_scan(coexist_params, n=150)
-    z2, r2, c2 = grid_scan(coexist_params, n=150)
+    z1, r1, c1 = grid_scan(coexist_params)
+    z2, r2, c2 = grid_scan(coexist_params)
     np.testing.assert_array_equal(z1, z2)
     assert r1 == r2 and c1 == c2

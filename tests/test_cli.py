@@ -3,9 +3,6 @@
 import hashlib
 import json
 import math
-import os
-import subprocess
-import sys
 from importlib import resources
 from pathlib import Path
 
@@ -17,6 +14,8 @@ from phytoperiod.cli import (ConfigError, EXIT_CHECK_FAILED, EXIT_OK,
                              cmd_reproduce, cmd_simulate, load_bundled_config,
                              load_config, main, parse_config)
 from phytoperiod.integrator import integrate
+
+from conftest import run_python
 
 TWO_PI = 2.0 * math.pi
 
@@ -136,13 +135,8 @@ def test_simulate_fails_cleanly_when_the_first_step_underflows(tmp_path):
     instead of hanging the suite."""
     config = tmp_path / "tiny.json"
     config.write_text(json.dumps(minimal_config(horizon=1e-322)))
-    src = str(Path(cli.__file__).parents[1])
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-        filter(None, [src, os.environ.get("PYTHONPATH")])))
-    proc = subprocess.run(
-        [sys.executable, "-m", "phytoperiod.cli", "simulate",
-         "--config", str(config), "--out", str(tmp_path)],
-        capture_output=True, text=True, env=env, timeout=30)
+    proc = run_python("-m", "phytoperiod.cli", "simulate",
+                      "--config", str(config), "--out", str(tmp_path))
     assert proc.returncode == EXIT_CHECK_FAILED
     assert "integration failed" in proc.stderr
     assert not (tmp_path / "trajectory.csv").exists()
@@ -200,6 +194,34 @@ def test_main_usage_error_on_bad_config(tmp_path):
     bad.write_text("{")
     code = main(["check", "--config", str(bad), "--out", str(tmp_path)])
     assert code == EXIT_USAGE
+
+
+def test_main_rejects_a_non_finite_interval_override(tmp_path, capsys):
+    """``--interval`` follows the rules of ``extremum_interval``: an
+    infinite end is a usage error that names the interval."""
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps(minimal_config()))
+    code = main(["check", "--config", str(cfg_path), "--out", str(tmp_path),
+                 "--interval", "0", "inf"])
+    assert code == EXIT_USAGE
+    assert "--interval[1]: expected a finite number" in capsys.readouterr().err
+    assert not (tmp_path / "check_report.json").exists()
+
+
+def test_check_over_a_very_long_interval_finishes(tmp_path):
+    """Extrema over [0, 1e15] are taken over one period, so ``check``
+    returns at once instead of visiting every critical point."""
+    data = json.loads(resources.files("phytoperiod.configs")
+                      .joinpath("example1.json").read_text())
+    data["extremum_interval"] = [0, 1e15]
+    config = tmp_path / "long.json"
+    config.write_text(json.dumps(data))
+    proc = run_python("-m", "phytoperiod.cli", "check",
+                      "--config", str(config), "--out", str(tmp_path))
+    assert proc.returncode in (EXIT_OK, EXIT_CHECK_FAILED), proc.stderr
+    doc = json.loads((tmp_path / "check_report.json").read_text())
+    assert doc["bounds"]["extremum_interval"] == [0.0, 1e15]
+    assert doc["bounds"]["r2L"] == pytest.approx(-0.8999, abs=1e-12)
 
 
 def test_main_interval_and_variant_overrides(tmp_path):

@@ -121,6 +121,21 @@ def test_extrema_invalid_interval():
         extrema(f, 2.0, 1.0)
 
 
+@pytest.mark.parametrize("coeff", [
+    PeriodicCoefficient.sinusoid(0.0001, 0.9, phase=0.3),
+    PeriodicCoefficient.fourier(0.5, [(0.4, -0.25), (0.0, 0.3)], omega=1.5),
+], ids=["sinusoid", "fourier"])
+@pytest.mark.parametrize("a,b", [(0.5, 20.0), (1e17, 1e17 + 1000.0),
+                                 (-math.inf, math.inf)])
+def test_extrema_over_more_than_a_period_take_one_period(coeff, a, b):
+    """Any window of one period holds the same extrema.  At a = 1e17 the
+    floats are 16 apart, so [a, a + period] would be a single point."""
+    lo, hi = extrema(coeff, a, b)
+    assert (lo, hi) == extrema(coeff, 0.0, coeff.period)
+    assert (lo, hi) == pytest.approx(extrema(coeff, 0.5, 0.5 + coeff.period),
+                                     abs=1e-12)
+
+
 def test_extrema_interval_without_critical_point():
     # strictly increasing branch of sin: extrema at the endpoints
     f = PeriodicCoefficient.sinusoid(0.0, 1.0)

@@ -1,8 +1,9 @@
-"""Every import in the package modules and the tests is used.
+"""Every import in the package modules and the tests is used, and every
+module-level private name of the package is read somewhere in it.
 
 No linter is configured for the project, so this scans the source with
-the standard-library ``ast`` module.  ``__init__.py`` is skipped: its
-imports are the package's re-exports.
+the standard-library ``ast`` module.  ``__init__.py`` is skipped by the
+import scan: its imports are the package's re-exports.
 """
 
 import ast
@@ -11,9 +12,9 @@ from pathlib import Path
 import pytest
 
 ROOT = Path(__file__).resolve().parent.parent
-SOURCES = sorted(p for p in (ROOT / "src" / "phytoperiod").glob("*.py")
-                 if p.name != "__init__.py") + sorted(
-                     (ROOT / "tests").glob("*.py"))
+PACKAGE = sorted((ROOT / "src" / "phytoperiod").glob("*.py"))
+SOURCES = [p for p in PACKAGE if p.name != "__init__.py"] + sorted(
+    (ROOT / "tests").glob("*.py"))
 
 
 def unused_imports(source: str) -> list[str]:
@@ -46,3 +47,50 @@ def test_scanner_flags_unused_and_keeps_used():
 @pytest.mark.parametrize("path", SOURCES, ids=lambda p: p.name)
 def test_no_unused_imports(path):
     assert unused_imports(path.read_text()) == []
+
+
+def private_names(source: str) -> list[str]:
+    """Names bound at module level that start with one underscore."""
+    names = []
+    for node in ast.parse(source).body:
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            names.append(node.name)
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            names += [n.id for t in targets for n in ast.walk(t)
+                      if isinstance(n, ast.Name)]
+    return [n for n in names if n.startswith("_") and not n.startswith("__")]
+
+
+def read_names(source: str) -> set[str]:
+    """Names the source reads, as a variable, an attribute or an import."""
+    used = set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+            used.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            used.add(node.attr)
+        elif isinstance(node, ast.ImportFrom):
+            used |= {alias.name for alias in node.names}
+    return used
+
+
+def unreferenced_private_names(sources: dict[str, str]) -> list[str]:
+    used = set().union(*map(read_names, sources.values()))
+    return [f"{name}: {n}" for name, source in sorted(sources.items())
+            for n in private_names(source) if n not in used]
+
+
+def test_private_name_scanner_flags_leftovers():
+    sources = {"a.py": ("_LIMIT = 3\n_A, _B = 1, 2\n__all__ = []\n"
+                        "def _sample_orbit():\n    return _A\n"
+                        "def _finalize():\n    return _sample_orbit()\n"
+                        "class _Box:\n    pass\n"),
+               "b.py": "from a import _B\nx = obj._LIMIT\n"}
+    assert unreferenced_private_names(sources) == ["a.py: _finalize", "a.py: _Box"]
+
+
+def test_no_unreferenced_private_names():
+    sources = {p.name: p.read_text() for p in PACKAGE}
+    assert sum(len(private_names(s)) for s in sources.values()) > 50
+    assert unreferenced_private_names(sources) == []

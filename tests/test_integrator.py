@@ -274,6 +274,31 @@ def test_model_overflow_propagates(ex1_params):
                   frame="log")
 
 
+@pytest.mark.parametrize("cfg", ['IntegratorConfig(method="rk4-fixed")',
+                                 "IntegratorConfig(max_step=100.0)"])
+def test_a_step_that_does_not_advance_t_is_an_underflow(cfg):
+    """At t = 1e20 half an ulp is 8192, so t + h rounds back to t for the
+    fixed step 0.01 and for the capped adaptive step: a step underflow,
+    not an endless loop.  Run in a subprocess with a timeout."""
+    from conftest import run_python
+
+    proc = run_python("-c", f"""
+from phytoperiod import IntegratorConfig, StepUnderflowError, integrate
+try:
+    integrate(lambda t, y: (-y[0],), 1e20, [1.0], 1e20 + 1e5, {cfg})
+except StepUnderflowError as exc:
+    print(exc.t)
+""")
+    assert (proc.returncode, proc.stdout) == (0, "1e+20\n"), proc.stderr
+
+
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+@pytest.mark.parametrize("name", ["step", "abs_tol", "rel_tol", "max_step"])
+def test_config_rejects_nonfinite(name, value):
+    with pytest.raises(ValueError, match=f"{name} must be finite"):
+        IntegratorConfig(**{name: value})
+
+
 def test_config_validation():
     with pytest.raises(ValueError):
         IntegratorConfig(method="euler")

@@ -158,6 +158,8 @@ def test_demo_orbit_search_detects_extinction(ex1_params, cfg):
 def test_tol_validation(forced_params, cfg):
     with pytest.raises(ValueError):
         find_periodic_orbit(forced_params, np.zeros(2), tol=0.0, cfg=cfg)
+    with pytest.raises(ValueError):
+        find_periodic_orbit(forced_params, np.zeros(2), max_iter=-1, cfg=cfg)
 
 
 def _raiser(exc):
