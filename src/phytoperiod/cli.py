@@ -20,6 +20,7 @@ files.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import dataclasses
 import json
 import math
@@ -131,11 +132,23 @@ def _section(data, key, fields, required=False):
     return value
 
 
+@contextlib.contextmanager
+def _config_errors(path):
+    """Re-raise a ValueError of the block as a ConfigError at ``path``; a
+    ConfigError keeps its own, more specific path."""
+    try:
+        yield
+    except ConfigError:
+        raise
+    except ValueError as exc:
+        raise ConfigError(f"{path}: {exc}") from exc
+
+
 def parse_coefficient(obj, path) -> PeriodicCoefficient:
     if not isinstance(obj, dict):
         raise ConfigError(f"{path}: expected a tagged object")
     kind = _get(obj, "kind", path)
-    try:
+    with _config_errors(path):
         if kind == "constant":
             _known(obj, ("kind", "value"), path)
             return PeriodicCoefficient.constant(_real(_get(obj, "value", path), f"{path}.value"))
@@ -158,10 +171,6 @@ def parse_coefficient(obj, path) -> PeriodicCoefficient:
                 mean=_real(_get(obj, "mean", path), f"{path}.mean"),
                 harmonics=pairs,
                 omega=_real(_get(obj, "omega", path), f"{path}.omega"))
-    except ValueError as exc:
-        if isinstance(exc, ConfigError):
-            raise
-        raise ConfigError(f"{path}: {exc}") from exc
     raise ConfigError(f"{path}.kind: unknown coefficient kind {kind!r}")
 
 
@@ -173,16 +182,12 @@ def parse_config(data: dict) -> ExperimentConfig:
     coeffs = {name: parse_coefficient(_get(mdl, name, "config.model"),
                                       f"config.model.{name}")
               for name in ("r1", "r2", "beta1", "beta2")}
-    try:
+    with _config_errors("config.model"):
         model = ModelParams(
             r1=coeffs["r1"], r2=coeffs["r2"],
             beta1=coeffs["beta1"], beta2=coeffs["beta2"],
             **{name: _real(_get(mdl, name, "config.model"), f"config.model.{name}")
                for name in _MODEL_FIELDS[4:]})
-    except ValueError as exc:
-        if isinstance(exc, ConfigError):
-            raise
-        raise ConfigError(f"config.model: {exc}") from exc
 
     knobs = {}
     for key, value in _section(data, "integrator", _INTEGRATOR_FIELDS).items():
@@ -193,10 +198,8 @@ def parse_config(data: dict) -> ExperimentConfig:
         elif key == "dense_output" and not isinstance(value, bool):
             raise ConfigError(f"{path}: expected true or false")
         knobs[key] = value
-    try:
+    with _config_errors("config.integrator"):
         integrator = IntegratorConfig(**knobs)
-    except ValueError as exc:
-        raise ConfigError(f"config.integrator: {exc}") from exc
 
     interval = _get(data, "extremum_interval", "config", required=False)
     if interval is not None:
@@ -388,8 +391,12 @@ def load_bundled_config(name: str) -> ExperimentConfig:
     if name not in _BUNDLED:
         raise ConfigError(f"unknown reproduction bundle {name!r}; "
                           f"choose one of {sorted(_BUNDLED)}")
-    text = resources.files("phytoperiod.configs").joinpath(_BUNDLED[name]).read_text()
-    return parse_config(json.loads(text))
+    return parse_config(_bundled_json(_BUNDLED[name]))
+
+
+def _bundled_json(filename: str):
+    return json.loads(resources.files("phytoperiod.configs")
+                      .joinpath(filename).read_text())
 
 
 def _simulate_with_tail(cfg: ExperimentConfig, out_dir: Path) -> dict:
@@ -451,15 +458,14 @@ def cmd_reproduce(which: str, out_dir: Path) -> int:
     notes = []
     if which == "example1":
         canonical = _bounds(cfg, M0_CANONICAL)
+        # each golden bound value is read off the bounds of the config's
+        # m0 denominator ("config") or of the canonical one
+        reports = {"config": bounds, "canonical": canonical}
         regressions += [
-            _regress("k2_r2M", bounds.a1_lhs, 5.4006, 1e-4),
-            _regress("one_plus_w1_k1", bounds.a1_rhs, 161.0, 1e-4),
-            _regress("m0_variant", bounds.m0, 0.0446, 1e-4),
-            _regress("beta1M_m0", bounds.a2_lhs, 0.0223, 1e-4),
-            _regress("r1L", bounds.a2_rhs, 0.03, 1e-4),
-            _regress("r2L_k2", bounds.a3_lhs, 0.0006, 1e-4),
-            _regress("a3_rhs", bounds.a3_rhs, 15600.9161, 1e-4),
-            _regress("m0_canonical", canonical.m0, 0.033544, 1e-5),
+            _regress(row["name"], getattr(reports[row["bounds"]], row["attr"]),
+                     row["expected"], row["tol"])
+            for row in _bundled_json("example1_golden.json")]
+        regressions += [
             _regress("conditions_all_true", bounds.all_conditions_hold(),
                      True, None),
             _regress("conditions_all_true_canonical",

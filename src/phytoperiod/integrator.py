@@ -148,8 +148,8 @@ def integrate(field, t0: float, y0, t1: float, cfg: IntegratorConfig,
               t_eval=None, frame: str = "original") -> Trajectory:
     """Integrate y' = field(t, y) from t0 to t1.
 
-    ``field(t, y)`` receives the state as a tuple of floats and may return
-    any sequence of floats.  Only the last step is clipped, so the final
+    ``field(t, y)`` receives the state as a tuple of floats and returns a
+    sequence of len(y0) floats.  Only the last step is clipped, so the final
     state lands exactly on t1.  If ``t_eval`` is given, the returned
     trajectory contains exactly t0, the distinct t_eval points strictly
     inside (t0, t1) and t1.  Those points do not constrain the steps:
@@ -163,6 +163,8 @@ def integrate(field, t0: float, y0, t1: float, cfg: IntegratorConfig,
     if not t1 > t0:
         raise ValueError(f"need t1 > t0, got [{t0}, {t1}]")
     y0 = np.asarray(y0, dtype=float)
+    if y0.ndim != 1 or not y0.size:
+        raise ValueError("initial state must be a non-empty vector")
     if not np.all(np.isfinite(y0)):
         raise ValueError("initial state must be finite")
 
@@ -183,10 +185,14 @@ def integrate(field, t0: float, y0, t1: float, cfg: IntegratorConfig,
     step_times, step_states = [t], [y]  # the run's own rows
     rk4 = cfg.method == METHOD_RK4
     extension = _rk4_extension if rk4 else _dp_extension
+    dp_step = None if rk4 else _dp_stepper(len(y))
     abs_tol, rel_tol, max_step = cfg.abs_tol, cfg.rel_tol, cfg.max_step or math.inf
     h_floor = _MIN_STEP_FACTOR * (t1 - t0)
     h_adaptive = min((t1 - t0) * 1e-3, max_step)
     k1 = None if rk4 else field(t, y)   # field(t, y), kept across steps (FSAL)
+    if k1 is not None and len(k1) != len(y):
+        raise ValueError(f"field returned {len(k1)} components for a state "
+                         f"of dimension {len(y)}")
     while t < t1:
         stalled = False
         if rk4:
@@ -195,7 +201,7 @@ def integrate(field, t0: float, y0, t1: float, cfg: IntegratorConfig,
             accepted = True
         else:
             h = min(h_adaptive, t1 - t)
-            y_new, err, stages = _dp_step(field, t, y, h, k1)
+            y_new, err, stages = dp_step(field, t, y, h, k1)
             # max-norm of err / (abs_tol + rel_tol max(|y|, |y_new|));
             # a NaN ratio is kept, so it rejects the step below
             enorm = 0.0
@@ -280,36 +286,71 @@ def _rk4_extension(y, h, k1, k2, k3, k4):
             for yi, p, q, r, s in zip(y, k1, k2, k3, k4)]
 
 
-def _dp_step(field, t, y, h, k1):
-    """One Dormand-Prince step from (t, y), given k1 = field(t, y).
+# The stages k2..k7 of one Dormand-Prince step: (node, weights), where
+# k_j = field(t + node h, y + h sum_i weights[i] k_(i+1)), node None means
+# 1 and a weight None is 0.  k7's argument is the 5th-order solution.
+_DP_STAGES = (("C2", ("A21",)),
+              ("C3", ("A31", "A32")),
+              ("C4", ("A41", "A42", "A43")),
+              ("C5", ("A51", "A52", "A53", "A54")),
+              (None, ("A61", "A62", "A63", "A64", "A65")),
+              (None, ("B1", None, "B3", "B4", "B5", "B6")))
+_DP_ERROR = ("E1", None, "E3", "E4", "E5", "E6", "E7")
+_DP_STEPPERS = {}   # state dimension -> its compiled step
 
-    Returns (y_new, err, stages) with stages = (k1, k3, k4, k5, k6, k7),
-    the stages the continuous extension uses, and k7 = field(t + h, y_new).
-    Each stage sum runs left to right over plain floats.
+
+def _dp_stepper(n: int):
+    """The Dormand-Prince step for an n-component state, compiled on first
+    use and kept for the process.
+
+    ``step(field, t, y, h, k1)``, given k1 = field(t, y), returns
+    (y_new, err, stages) with stages = (k1, k3, k4, k5, k6, k7), the
+    field's own return values, which the continuous extension uses, and
+    k7 = field(t + h, y_new).  Every stage sum is written out per
+    component and runs left to right over plain floats.  Unpacking each
+    stage into exactly n components rejects a field that returns another
+    length.  The tableau reaches the step through its namespace, never
+    through its source text.
     """
-    a = h * _A21
-    k2 = field(t + _C2 * h, tuple(yi + a * p for yi, p in zip(y, k1)))
-    a1, a2 = h * _A31, h * _A32
-    k3 = field(t + _C3 * h, tuple(yi + a1 * p + a2 * q
-                                  for yi, p, q in zip(y, k1, k2)))
-    a1, a2, a3 = h * _A41, h * _A42, h * _A43
-    k4 = field(t + _C4 * h, tuple(yi + a1 * p + a2 * q + a3 * r
-                                  for yi, p, q, r in zip(y, k1, k2, k3)))
-    a1, a2, a3, a4 = h * _A51, h * _A52, h * _A53, h * _A54
-    k5 = field(t + _C5 * h, tuple(yi + a1 * p + a2 * q + a3 * r + a4 * s
-                                  for yi, p, q, r, s in zip(y, k1, k2, k3, k4)))
-    a1, a2, a3, a4, a5 = h * _A61, h * _A62, h * _A63, h * _A64, h * _A65
-    k6 = field(t + h, tuple(yi + a1 * p + a2 * q + a3 * r + a4 * s + a5 * u
-                            for yi, p, q, r, s, u in zip(y, k1, k2, k3, k4, k5)))
-    b1, b3, b4, b5, b6 = h * _B1, h * _B3, h * _B4, h * _B5, h * _B6
-    y_new = tuple(yi + b1 * p + b3 * r + b4 * s + b5 * u + b6 * v
-                  for yi, p, r, s, u, v in zip(y, k1, k3, k4, k5, k6))
-    k7 = field(t + h, y_new)
-    e1, e3, e4, e5, e6, e7 = (h * _E1, h * _E3, h * _E4, h * _E5, h * _E6,
-                              h * _E7)
-    err = tuple(e1 * p + e3 * r + e4 * s + e5 * u + e6 * v + e7 * w
-                for p, r, s, u, v, w in zip(k1, k3, k4, k5, k6, k7))
-    return y_new, err, (k1, k3, k4, k5, k6, k7)
+    step = _DP_STEPPERS.get(n)
+    if step is not None:
+        return step
+    namespace = {"C2": _C2, "C3": _C3, "C4": _C4, "C5": _C5,
+                 "A21": _A21, "A31": _A31, "A32": _A32,
+                 "A41": _A41, "A42": _A42, "A43": _A43,
+                 "A51": _A51, "A52": _A52, "A53": _A53, "A54": _A54,
+                 "A61": _A61, "A62": _A62, "A63": _A63, "A64": _A64,
+                 "A65": _A65, "B1": _B1, "B3": _B3, "B4": _B4, "B5": _B5,
+                 "B6": _B6, "E1": _E1, "E3": _E3, "E4": _E4, "E5": _E5,
+                 "E6": _E6, "E7": _E7}
+    letters = "pqrsuvw"     # the components of k1..k7: p0, p1, ...
+    lines = ["def step(field, t, y, h, k1):"]
+
+    def unpack(stage, letter):
+        lines.append(f"    {''.join(f'{letter}{i}, ' for i in range(n))}= {stage}")
+
+    def stage_sum(weights, from_y):
+        # bind h * weight once, then per component y_i + w1 * p_i + ...
+        used = [(w, x) for w, x in zip(weights, letters) if w]
+        lines.extend(f"    {w.lower()} = h * {w}" for w, _ in used)
+        sums = (" + ".join(([f"y{i}"] if from_y else [])
+                           + [f"{w.lower()} * {x}{i}" for w, x in used])
+                for i in range(n))
+        return f"({', '.join(sums)},)"
+
+    unpack("y", "y")
+    unpack("k1", "p")
+    for j, (node, weights) in enumerate(_DP_STAGES, start=2):
+        lines.append(f"    x{j} = {stage_sum(weights, True)}")
+        at = f"t + {node} * h" if node else "t + h"
+        lines.append(f"    k{j} = field({at}, x{j})")
+        unpack(f"k{j}", letters[j - 1])
+    lines.append(f"    err = {stage_sum(_DP_ERROR, False)}")
+    lines.append("    return x7, err, (k1, k3, k4, k5, k6, k7)")
+    exec(compile("\n".join(lines), f"<phytoperiod dp step, n = {n}>", "exec"),
+         namespace)
+    step = _DP_STEPPERS[n] = namespace.pop("step")  # no cycle through its globals
+    return step
 
 
 def _dp_extension(y, h, k1, k3, k4, k5, k6, k7):

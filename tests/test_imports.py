@@ -1,5 +1,6 @@
-"""Every import in the package modules and the tests is used, and every
-module-level private name of the package is read somewhere in it.
+"""Every import in the package modules, the tests and the benchmark is
+used, and every module-level private name of the package is read
+somewhere in it.
 
 No linter is configured for the project, so this scans the source with
 the standard-library ``ast`` module.  ``__init__.py`` is skipped by the
@@ -14,7 +15,7 @@ import pytest
 ROOT = Path(__file__).resolve().parent.parent
 PACKAGE = sorted((ROOT / "src" / "phytoperiod").glob("*.py"))
 SOURCES = [p for p in PACKAGE if p.name != "__init__.py"] + sorted(
-    (ROOT / "tests").glob("*.py"))
+    (ROOT / "tests").glob("*.py")) + sorted((ROOT / "bench").glob("**/*.py"))
 
 
 def unused_imports(source: str) -> list[str]:

@@ -1,6 +1,7 @@
 """Integration accuracy, order verification, flow map and monodromy."""
 
 import math
+from importlib import resources
 
 import numpy as np
 import pytest
@@ -11,6 +12,7 @@ from phytoperiod import (IntegrationError, IntegratorConfig, ModelParams,
                          PeriodicCoefficient, Trajectory, flow_and_monodromy,
                          flow_map, integrate, jac_log, rhs_log, rhs_original,
                          variational_flow, write_trajectory_csv)
+from phytoperiod import integrator as itg
 
 TWO_PI = 2.0 * math.pi
 
@@ -111,6 +113,137 @@ def test_adaptive_stepper_reuses_last_stage():
     integrate(field, 0.0, np.array([1.0]), 10.0, IntegratorConfig(),
               t_eval=np.linspace(0.0, 10.0, 1001))
     assert calls == 6 * (len(steps.times) - 1) + 1
+
+
+def _reference_dp_step(field, t, y, h, k1):
+    """Oracle: the generic Dormand-Prince step, every stage sum a generator
+    over the components, in the operation order the generated step keeps."""
+    a = h * itg._A21
+    k2 = field(t + itg._C2 * h, tuple(yi + a * p for yi, p in zip(y, k1)))
+    a1, a2 = h * itg._A31, h * itg._A32
+    k3 = field(t + itg._C3 * h, tuple(yi + a1 * p + a2 * q
+                                      for yi, p, q in zip(y, k1, k2)))
+    a1, a2, a3 = h * itg._A41, h * itg._A42, h * itg._A43
+    k4 = field(t + itg._C4 * h, tuple(yi + a1 * p + a2 * q + a3 * r
+                                      for yi, p, q, r in zip(y, k1, k2, k3)))
+    a1, a2, a3, a4 = h * itg._A51, h * itg._A52, h * itg._A53, h * itg._A54
+    k5 = field(t + itg._C5 * h, tuple(yi + a1 * p + a2 * q + a3 * r + a4 * s
+                                      for yi, p, q, r, s in zip(y, k1, k2, k3, k4)))
+    a1, a2, a3, a4, a5 = (h * itg._A61, h * itg._A62, h * itg._A63,
+                          h * itg._A64, h * itg._A65)
+    k6 = field(t + h, tuple(yi + a1 * p + a2 * q + a3 * r + a4 * s + a5 * u
+                            for yi, p, q, r, s, u in zip(y, k1, k2, k3, k4, k5)))
+    b1, b3, b4, b5, b6 = (h * itg._B1, h * itg._B3, h * itg._B4, h * itg._B5,
+                          h * itg._B6)
+    y_new = tuple(yi + b1 * p + b3 * r + b4 * s + b5 * u + b6 * v
+                  for yi, p, r, s, u, v in zip(y, k1, k3, k4, k5, k6))
+    k7 = field(t + h, y_new)
+    e1, e3, e4, e5, e6, e7 = (h * itg._E1, h * itg._E3, h * itg._E4,
+                              h * itg._E5, h * itg._E6, h * itg._E7)
+    err = tuple(e1 * p + e3 * r + e4 * s + e5 * u + e6 * v + e7 * w
+                for p, r, s, u, v, w in zip(k1, k3, k4, k5, k6, k7))
+    return y_new, err, (k1, k3, k4, k5, k6, k7)
+
+
+def _hex(values):
+    return [float(v).hex() for v in values]
+
+
+_term = st.floats(-3.0, 3.0, allow_subnormal=False)
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(case=st.sampled_from([1, 2, 6]).flatmap(lambda n: st.tuples(
+           st.lists(st.tuples(_term, _term, _term), min_size=n, max_size=n),
+           st.lists(_term, min_size=n, max_size=n))),
+       t=st.floats(-10.0, 10.0, allow_subnormal=False),
+       h=st.floats(1e-6, 1.0))
+def test_generated_step_is_bit_identical_to_the_generic_step(case, t, h):
+    """Random fields y_i' = a_i sin(b_i t + y_i) + c_i y_i y_(i+1 mod n) in
+    dimensions 1, 2 and 6: the generated step returns the oracle's y_new,
+    err and stages to the last bit, and its stages are the field's own
+    return values."""
+    coef, y = case
+    y = tuple(y)
+    returned = []
+
+    def field(t, y):
+        n = len(y)
+        k = tuple(a * math.sin(b * t + y[i]) + c * y[i] * y[(i + 1) % n]
+                  for i, (a, b, c) in enumerate(coef))
+        returned.append(k)
+        return k
+
+    k1 = field(t, y)
+    y_new, err, stages = itg._dp_stepper(len(y))(field, t, y, h, k1)
+    assert stages[0] is k1 and all(
+        s is k for s, k in zip(stages[1:], returned[2:]))
+    ref_y, ref_err, ref_stages = _reference_dp_step(field, t, y, h, k1)
+    assert _hex(y_new) == _hex(ref_y) and _hex(err) == _hex(ref_err)
+    for stage, ref in zip(stages, ref_stages, strict=True):
+        assert _hex(stage) == _hex(ref)
+
+
+def test_the_step_is_built_once_per_dimension(monkeypatch):
+    built = {}
+    monkeypatch.setattr(itg, "_DP_STEPPERS", built)
+    integrate(exp_decay, 0.0, [1.0], 1.0, IntegratorConfig())
+    step = built[1]
+    integrate(exp_decay, 0.0, [2.0], 3.0, IntegratorConfig())
+    integrate(lambda t, y: (-y[1], y[0]), 0.0, [1.0, 0.0], 1.0,
+              IntegratorConfig())
+    integrate(lambda t, y: (-y[0], -y[1]), 0.0, [1.0, 0.0], 1.0,
+              IntegratorConfig(method="rk4-fixed"))
+    assert sorted(built) == [1, 2] and built[1] is step
+    assert itg._dp_stepper(1) is step
+
+
+def test_check_builds_no_step(tmp_path):
+    """The step is built on first use, not at import, and ``check``
+    integrates nothing, so it builds none."""
+    from conftest import run_python
+
+    config = tmp_path / "example1.json"
+    config.write_text(resources.files("phytoperiod.configs")
+                      .joinpath("example1.json").read_text())
+    proc = run_python("-c", f"""
+from phytoperiod import cli, integrator
+cli.main(["check", "--config", {str(config)!r}, "--out", {str(tmp_path)!r}])
+print(sorted(integrator._DP_STEPPERS))
+""")
+    assert proc.stdout.splitlines()[-1:] == ["[]"], proc.stderr
+
+
+@pytest.mark.parametrize("method", ["rk45-adaptive", "rk4-fixed"])
+def test_numpy_array_fields_step_like_tuples(method):
+    cfg = IntegratorConfig(method=method, step=0.1)
+    rotate = lambda t, y: (-y[1], y[0])
+    ref = integrate(rotate, 0.0, [1.0, 0.0], 2.0, cfg)
+    traj = integrate(lambda t, y: np.array(rotate(t, y)), 0.0, [1.0, 0.0],
+                     2.0, cfg)
+    assert traj.states.tobytes() == ref.states.tobytes()
+
+
+@pytest.mark.parametrize("field, returned", [
+    (lambda t, y: (-y[0], 0.0, 5.0), 3),
+    (lambda t, y: (-y[0],), 1),
+    (lambda t, y: np.zeros(3), 3)])
+def test_a_field_of_the_wrong_length_is_rejected(field, returned):
+    with pytest.raises(ValueError, match=f"field returned {returned} "
+                       "components for a state of dimension 2"):
+        integrate(field, 0.0, [1.0, 2.0], 1.0, IntegratorConfig())
+
+
+def test_a_later_stage_of_the_wrong_length_is_rejected():
+    field = lambda t, y: (-y[0], -y[1]) if t == 0.0 else (-y[0], -y[1], 0.0)
+    with pytest.raises(ValueError, match="too many values to unpack"):
+        integrate(field, 0.0, [1.0, 2.0], 1.0, IntegratorConfig())
+
+
+@pytest.mark.parametrize("y0", [[], [[1.0, 2.0]]])
+def test_an_initial_state_that_is_not_a_vector_is_rejected(y0):
+    with pytest.raises(ValueError, match="non-empty vector"):
+        integrate(lambda t, y: y, 0.0, y0, 1.0, IntegratorConfig())
 
 
 def _sampled_and_plain(field, y0, t1, cfg, t_eval):
