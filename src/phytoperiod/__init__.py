@@ -8,9 +8,9 @@ shooting solver for periodic solutions with Floquet stability analysis,
 the period-averaged algebraic system, and a config-driven CLI.
 """
 
-from .averaged import (AveragedSolveError, ClosedFormResult,
-                       NoPositiveSolutionError, closed_form_mu0, grid_scan,
-                       solve_averaged)
+from .averaged import (AveragedRoot, ClosedFormResult,
+                       DegenerateAveragedSystemError, averaged_equilibria,
+                       closed_form_mu0)
 from .coefficients import PeriodicCoefficient, extrema, mean_by_quadrature
 from .conditions import (BoundReport, DegenerateParameterError, M0_CANONICAL,
                          M0_VARIANT_K2, compute_bounds)
@@ -19,8 +19,8 @@ from .integrator import (IntegratorConfig, IntegrationError,
                          flow_and_monodromy, flow_map, integrate,
                          variational_flow, write_trajectory_csv)
 from .model import (DomainOverflowError, ModelParams, averaged_jacobian,
-                    averaged_rates, averaged_residual, jac_log, jac_original,
-                    rhs_log, rhs_original)
+                    averaged_rates, jac_log, jac_original, rhs_log,
+                    rhs_original)
 from .orbit import (BoundCheck, ExtinctionDiagnosis, NearDegenerateOrbitError,
                     NonConvergenceError, OrbitSearchError, PeriodicOrbit,
                     SeedResult, detect_steady_state, diagnose_extinction,

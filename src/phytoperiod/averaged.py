@@ -1,112 +1,216 @@
-"""Roots of the period-averaged algebraic system.
+"""Equilibria of the period-averaged algebraic system.
 
 Replacing every periodic rate by its period average turns the search
-for periodic solutions into a two-equation algebraic problem in the log
-densities.  This module solves it with a damped Newton iteration and
-also evaluates a pair of closed-form candidate expressions for the
-"mu = 0" reduction of the system, which drops the fear-driven growth
-term r2_bar / (1 + w1 u) of the second equation.
+for periodic solutions into the algebraic system (g1, g2) = 0 of
+:func:`~phytoperiod.model.averaged_rates`.  Its first equation is linear:
+g1 = 0 is the line v = a (1 - u / k1), a = r1_bar / beta1_bar.
+Substituting the line into g2 and multiplying by 1 + w1 u > 0 leaves a
+polynomial of degree at most three in u, so every positive equilibrium
+is a real root of one cubic; :func:`averaged_equilibria` returns all of
+them, each classified by the averaged Jacobian.
 
-That reduction deserves a warning: its second equation is a sum of
-strictly negative terms whenever the averaged rates are positive, so it
-has no real root at all.  The closed-form expressions are therefore
-evaluated and validity-checked, but never asserted to solve it.
+The module also evaluates a pair of closed-form candidate expressions
+for the "mu = 0" reduction of the system, which drops the fear-driven
+growth term r2_bar / (1 + w1 u) of the second equation.  That reduction
+deserves a warning: its second equation is a sum of strictly negative
+terms whenever the averaged rates are positive, so it has no real root
+at all.  The closed-form expressions are therefore evaluated and
+validity-checked, but never asserted to solve it.
 """
 
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import asdict, dataclass
 
-import numpy as np
-
-from .model import (DomainOverflowError, ModelParams, averaged_jacobian,
-                    averaged_rates, averaged_residual)
+from .model import ModelParams, averaged_jacobian, averaged_rates
 
 __all__ = [
+    "AveragedRoot",
     "ClosedFormResult",
-    "AveragedSolveError",
-    "NoPositiveSolutionError",
-    "solve_averaged",
+    "DegenerateAveragedSystemError",
+    "averaged_equilibria",
     "closed_form_mu0",
-    "grid_scan",
 ]
 
-_MAX_HALVINGS = 20
-_SOLVE_TOL = 1e-13            # max-norm of the averaged residual at a root
-_SOLVE_MAX_ITER = 60
-_GRID_RANGE = (-25.0, 3.0)    # log densities scanned by grid_scan, both axes
-_GRID_POINTS = 200            # per axis
+_POLISH_STEPS = 2
+# a root passes when its residual max-norm is below
+# _ROOT_TOL + _ROUNDING_ULPS * eps * (largest term of g1 and g2)
+_ROOT_TOL = 1e-13
+_ROUNDING_ULPS = 16
 
 
-class AveragedSolveError(RuntimeError):
-    def __init__(self, message: str, z_last=None, residual=None):
-        super().__init__(message)
-        self.z_last = None if z_last is None else np.asarray(z_last, dtype=float)
-        self.residual = residual
+class DegenerateAveragedSystemError(ValueError):
+    """The averaged system's equilibria are not isolated: they fill a line."""
 
 
-class NoPositiveSolutionError(AveragedSolveError):
-    """The averaged system has no root with positive densities."""
+@dataclass(frozen=True)
+class AveragedRoot:
+    """One positive equilibrium of the averaged system.
 
-
-def solve_averaged(params: ModelParams, guess) -> np.ndarray:
-    """Damped Newton on the averaged residual; returns the root, where the
-    residual's max-norm is below 1e-13.
-
-    The step is halved (up to 20 times) until the residual norm
-    decreases, which tames overshoot caused by the exp nonlinearity.
-    When no term of the second residual component can be positive and
-    one is negative, no root exists, and :class:`NoPositiveSolutionError`
-    is raised up front; a stall with a negative second component is
-    reported the same way.
+    ``x`` = (u, v) are the densities and ``z`` their logs.  ``det`` and
+    ``trace`` are those of :func:`~phytoperiod.model.averaged_jacobian` at
+    ``z``; it is similar to the Jacobian in the original frame, so both
+    have the same eigenvalues.  ``kind`` is "saddle" when det < 0, else
+    "stable" when trace < 0, else "unstable".
     """
-    _, r2b, _, b2b = params.means()
-    # the terms of res2 have the signs of r2b, -r2b, -b2b and -w2
-    if r2b == 0.0 and b2b >= 0.0 and (b2b > 0.0 or params.w2 > 0.0):
-        raise NoPositiveSolutionError(
-            "second averaged equation is a sum of strictly negative terms; "
-            "no real root exists", z_last=guess, residual=None)
 
-    z = np.asarray(guess, dtype=float)
-    res = averaged_residual(params, z)
-    rnorm = float(np.max(np.abs(res)))
-    for _ in range(_SOLVE_MAX_ITER):
-        if rnorm < _SOLVE_TOL:
-            return z
-        J = averaged_jacobian(params, z)
-        try:
-            dz = np.linalg.solve(J, -res)
-        except np.linalg.LinAlgError:
-            raise AveragedSolveError("singular Jacobian in averaged solve",
-                                     z_last=z, residual=rnorm)
-        s = 1.0
-        for _ in range(_MAX_HALVINGS):
-            z_try = z + s * dz
-            try:
-                res_try = averaged_residual(params, z_try)
-            except DomainOverflowError:
-                s *= 0.5
-                continue
-            r_try = float(np.max(np.abs(res_try)))
-            if r_try < rnorm:
+    x: tuple[float, float]
+    z: tuple[float, float]
+    det: float
+    trace: float
+    kind: str
+
+    def to_dict(self) -> dict:
+        return asdict(self)
+
+
+def averaged_equilibria(params: ModelParams) -> list[AveragedRoot]:
+    """Every equilibrium of the averaged system with u > 0 and v > 0,
+    sorted by ascending u.
+
+    The candidates are the sign changes of the cubic
+    (1 + w1 u) g2(u, a (1 - u / k1)) on the part of the line g1 = 0 where
+    v > 0, found by bisection between its critical points; a zero beta1
+    mean fixes u = k1 instead, where g2 is linear in v.  Each positive
+    candidate is polished by Newton steps on (g1, g2) themselves, because
+    expanding the cubic cancels terms, and must then pass a residual check
+    against :func:`~phytoperiod.model.averaged_rates`.  Raises
+    :class:`DegenerateAveragedSystemError` when the equilibria fill a
+    line, and ArithmeticError when a root fails its residual check.
+    """
+    return [_classify(params, *_polish(params, u, v))
+            for u, v in _line_roots(params) if u > 0.0 and v > 0.0]
+
+
+def _line_roots(params: ModelParams) -> list[tuple[float, float]]:
+    """The roots (u, v) of the averaged system by ascending u, found on
+    the part of the line g1 = 0 where v > 0 (the check on v is left to the
+    caller)."""
+    r1b, r2b, b1b, b2b = params.means()
+    k1, k2, w1, w2 = params.k1, params.k2, params.w1, params.w2
+    if b1b == 0.0:
+        if r1b == 0.0:
+            raise DegenerateAveragedSystemError(
+                "degenerate averaged system: r1 and beta1 both average to 0, "
+                "so g1 vanishes identically")
+        # g1 = r1b (1 - u / k1) fixes u = k1, where g2 is linear in v
+        slope = r2b / k2 + w2 * k1
+        offset = r2b / (1.0 + w1 * k1) - b2b * k1
+        if slope == 0.0:
+            if offset == 0.0:
+                raise DegenerateAveragedSystemError(
+                    "degenerate averaged system: g2 vanishes on the whole "
+                    "line u = k1")
+            return []
+        return [(k1, offset / slope)]
+    if r1b == 0.0:
+        return []       # g1 = -b1b v vanishes only on the boundary v = 0
+    a = r1b / b1b
+    c = a / k1
+    # (1 + w1 u) g2 = r2b - (1 + w1 u)(q0 + q1 u + q2 u^2) on v = a - c u
+    q0 = r2b * a / k2
+    q1 = b2b + w2 * a - r2b * c / k2
+    q2 = -w2 * c
+    coeffs = [-w1 * q2, -(q2 + w1 * q1), -(q1 + w1 * q0), r2b - q0]
+    while coeffs and coeffs[0] == 0.0:
+        coeffs.pop(0)       # w1 = 0 or w2 = 0 lowers the degree
+    if not coeffs:
+        raise DegenerateAveragedSystemError(
+            "degenerate averaged system: g2 vanishes on the whole line g1 = 0")
+    # v > 0 on the line where 1 - u / k1 has the sign of a
+    lo, hi = (0.0, k1) if a > 0.0 else (k1, math.inf)
+    return [(u, a * (1.0 - u / k1)) for u in _sign_changes(coeffs, lo, hi)]
+
+
+def _sign_changes(coeffs: list, lo: float, hi: float) -> list[float]:
+    """Where the polynomial ``coeffs`` (highest first, of degree at most
+    three) changes sign in (lo, hi), by bisection to adjacent floats.
+
+    The critical points cut (lo, hi) into pieces on which the polynomial
+    is monotone, so each piece holds at most one sign change.  A tangent
+    root, which changes no sign, is not found.
+    """
+    cuts = [x for x in _critical_points(coeffs) if lo < x < hi]
+    points = [lo, *sorted(cuts), hi]
+    # as u grows without bound the polynomial takes the leading sign
+    values = [_horner(coeffs, x) if x < math.inf
+              else math.copysign(math.inf, coeffs[0]) for x in points]
+    roots = []
+    for x0, x1, f0, f1 in zip(points, points[1:], values, values[1:]):
+        if not (f0 < 0.0 < f1 or f1 < 0.0 < f0):
+            continue
+        if x1 == math.inf:
+            x1 = max(2.0 * x0, 1.0)
+            while (_horner(coeffs, x1) < 0.0) == (f0 < 0.0):
+                x1 *= 2.0
+        mid = 0.5 * (x0 + x1)
+        while x0 < mid < x1:
+            f_mid = _horner(coeffs, mid)
+            if f_mid == 0.0:
                 break
-            s *= 0.5
-        else:
-            if res[1] < 0.0:
-                raise NoPositiveSolutionError(
-                    f"residual stalled at {rnorm:.3e} with negative second "
-                    "component; no positive root along this path",
-                    z_last=z, residual=rnorm)
-            raise AveragedSolveError(
-                f"damped Newton stalled at residual {rnorm:.3e}",
-                z_last=z, residual=rnorm)
-        z, res, rnorm = z_try, res_try, r_try
-    if rnorm < _SOLVE_TOL:
-        return z
-    raise AveragedSolveError(
-        f"no convergence in {_SOLVE_MAX_ITER} iterations (residual {rnorm:.3e})",
-        z_last=z, residual=rnorm)
+            if (f_mid < 0.0) == (f0 < 0.0):
+                x0 = mid
+            else:
+                x1 = mid
+            mid = 0.5 * (x0 + x1)
+        roots.append(mid)
+    return roots
+
+
+def _critical_points(coeffs: list) -> list[float]:
+    """The real roots of the derivative of a polynomial of degree <= 3."""
+    if len(coeffs) < 3:
+        return []
+    if len(coeffs) == 3:
+        return [-coeffs[1] / (2.0 * coeffs[0])]
+    a, b, c = 3.0 * coeffs[0], 2.0 * coeffs[1], coeffs[2]
+    disc = b * b - 4.0 * a * c
+    if disc <= 0.0:
+        return []
+    q = -0.5 * (b + math.copysign(math.sqrt(disc), b))
+    return [q / a, c / q]
+
+
+def _horner(coeffs: list, u: float) -> float:
+    p = 0.0
+    for c in coeffs:
+        p = p * u + c
+    return p
+
+
+def _polish(params: ModelParams, u: float, v: float) -> tuple[float, float]:
+    """Newton steps on (g1, g2) from (u, v), then the residual check."""
+    for _ in range(_POLISH_STEPS):
+        g1, g2 = averaged_rates(params, u, v)
+        (j11, j12), (j21, j22) = averaged_jacobian(
+            params, (math.log(u), math.log(v))).tolist()
+        det = j11 * j22 - j12 * j21
+        # the log-frame step dz gives du = u dz1, dv = v dz2
+        u *= 1.0 - (j22 * g1 - j12 * g2) / det
+        v *= 1.0 - (j11 * g2 - j21 * g1) / det
+    r1b, r2b, b1b, b2b = params.means()
+    g1, g2 = averaged_rates(params, u, v)
+    scale = max(abs(r1b), abs(r1b * u / params.k1), abs(b1b * v),
+                abs(r2b * v / params.k2), abs(b2b * u), params.w2 * u * v,
+                abs(r2b) / (1.0 + params.w1 * u))
+    allowed = _ROOT_TOL + _ROUNDING_ULPS * sys.float_info.epsilon * scale
+    residual = max(abs(g1), abs(g2))
+    if not residual < allowed:
+        raise ArithmeticError(
+            f"averaged root x = ({u!r}, {v!r}) has residual {residual:.3e} "
+            f"above {allowed:.3e}")
+    return u, v
+
+
+def _classify(params: ModelParams, u: float, v: float) -> AveragedRoot:
+    z = (math.log(u), math.log(v))
+    (j11, j12), (j21, j22) = averaged_jacobian(params, z).tolist()
+    det = j11 * j22 - j12 * j21
+    trace = j11 + j22
+    kind = "saddle" if det < 0.0 else "stable" if trace < 0.0 else "unstable"
+    return AveragedRoot(x=(u, v), z=z, det=det, trace=trace, kind=kind)
 
 
 @dataclass(frozen=True)
@@ -148,19 +252,3 @@ def closed_form_mu0(params: ModelParams) -> ClosedFormResult:
     z2 = math.log(arg2) if arg2 > 0 else math.nan
     return ClosedFormResult(z1=z1, z2=z2, arg1=arg1, arg2=arg2,
                             valid=arg1 > 0 and arg2 > 0)
-
-
-def grid_scan(params: ModelParams):
-    """Brute-force bracket of the averaged system over a log-space grid.
-
-    Returns (z_best, residual_norm_best, cell_size).  Deliberately dumb:
-    direct evaluation on a 200 x 200 grid over [-25, 3]^2, no solver
-    involved, so it serves as an independent check on (and diagnosis
-    for) the Newton path.
-    """
-    zs = np.linspace(*_GRID_RANGE, _GRID_POINTS)
-    Z1, Z2 = np.meshgrid(zs, zs, indexing="ij")
-    R1, R2 = averaged_rates(params, np.exp(Z1), np.exp(Z2))
-    norms = np.maximum(np.abs(R1), np.abs(R2))
-    i, j = np.unravel_index(int(np.argmin(norms)), norms.shape)
-    return np.array([zs[i], zs[j]]), float(norms[i, j]), float(zs[1] - zs[0])

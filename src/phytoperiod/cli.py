@@ -30,8 +30,8 @@ from pathlib import Path
 
 import numpy as np
 
-from .averaged import (AveragedSolveError, closed_form_mu0, grid_scan,
-                       solve_averaged)
+from .averaged import (DegenerateAveragedSystemError, averaged_equilibria,
+                       closed_form_mu0)
 from .coefficients import PeriodicCoefficient
 from .conditions import (BoundReport, M0_CANONICAL, M0_VARIANT_K2,
                          compute_bounds)
@@ -276,16 +276,18 @@ def _averaged_diagnostics(model: ModelParams) -> dict:
         out["closed_form_mu0"] = closed_form_mu0(model).to_dict()
     except ZeroDivisionError as exc:
         out["closed_form_mu0"] = {"error": str(exc)}
-    z_best, res_best, cell = grid_scan(model)
-    out["grid_scan"] = {"z": [float(z_best[0]), float(z_best[1])],
-                        "min_residual_norm": res_best, "cell": cell}
     try:
-        root = solve_averaged(model, z_best)
-        out["newton"] = {"converged": True,
-                         "z": [float(root[0]), float(root[1])],
-                         "x": [float(math.exp(root[0])), float(math.exp(root[1]))]}
-    except AveragedSolveError as exc:
+        roots = averaged_equilibria(model)
+    except DegenerateAveragedSystemError as exc:
+        out["roots"] = None
         out["newton"] = {"converged": False, "reason": str(exc)}
+        return out
+    out["roots"] = [root.to_dict() for root in roots]
+    # deprecated alias of roots[0], kept for readers of the old report
+    out["newton"] = ({"converged": True, "z": roots[0].z, "x": roots[0].x}
+                     if roots else
+                     {"converged": False,
+                      "reason": "no root with x1 > 0 and x2 > 0"})
     return out
 
 

@@ -37,7 +37,6 @@ __all__ = [
     "jac_original",
     "jac_log",
     "averaged_rates",
-    "averaged_residual",
     "averaged_jacobian",
 ]
 
@@ -252,14 +251,9 @@ def averaged_rates(params: ModelParams, u, v):
             + r2b / (1.0 + params.w1 * u))
 
 
-def averaged_residual(params: ModelParams, z) -> np.ndarray:
-    """Residual of the period-averaged algebraic system at log state z:
-    :func:`averaged_rates` at u = e^{z1}, v = e^{z2}."""
-    return np.array(averaged_rates(params, *_exp_state(z)))
-
-
 def averaged_jacobian(params: ModelParams, z) -> np.ndarray:
-    """Analytic Jacobian of averaged_residual with respect to (z1, z2)."""
+    """Analytic Jacobian of :func:`averaged_rates` at u = e^{z1}, v = e^{z2}
+    with respect to (z1, z2)."""
     u, v = _exp_state(z)
     r1b, r2b, b1b, b2b = params.means()
     fear = 1.0 / (1.0 + params.w1 * u)

@@ -85,6 +85,23 @@ def newton_equilibrium(params, guess, tol=1e-13, max_iter=60):
     raise AssertionError("equilibrium oracle did not converge")
 
 
+def grid_scan(params):
+    """Brute-force bracket of the averaged system over a log-space grid.
+
+    Returns (z_best, residual_norm_best, cell_size).  Deliberately dumb:
+    direct evaluation on a 200 x 200 grid over [-25, 3]^2, no solver
+    involved, so it serves as an independent check on the averaged roots.
+    """
+    from phytoperiod import averaged_rates
+
+    zs = np.linspace(-25.0, 3.0, 200)
+    Z1, Z2 = np.meshgrid(zs, zs, indexing="ij")
+    R1, R2 = averaged_rates(params, np.exp(Z1), np.exp(Z2))
+    norms = np.maximum(np.abs(R1), np.abs(R2))
+    i, j = np.unravel_index(int(np.argmin(norms)), norms.shape)
+    return np.array([zs[i], zs[j]]), float(norms[i, j]), float(zs[1] - zs[0])
+
+
 def run_python(*args, timeout=30):
     """Run ``python args...`` with this package importable, in a subprocess
     with a timeout, so that an endless loop fails the calling test instead

@@ -19,11 +19,13 @@ import time
 import numpy as np
 import pytest
 
+from conftest import grid_scan
+
 from phytoperiod import (IntegratorConfig, M0_CANONICAL, M0_VARIANT_K2,
-                         OrbitSearchError, compute_bounds, detect_steady_state,
+                         OrbitSearchError, averaged_equilibria,
+                         compute_bounds, detect_steady_state,
                          find_periodic_orbit, flow_and_monodromy, flow_map,
-                         grid_scan, integrate, rhs_log, rhs_original,
-                         seed_by_transient, solve_averaged)
+                         integrate, rhs_log, rhs_original, seed_by_transient)
 
 TWO_PI = 2.0 * math.pi
 HALF = (0.0, math.pi)
@@ -222,10 +224,10 @@ def test_criterion_6_numerical_integrity(ex1_params, coexist_params):
     ok_comp = comp < 1e-7
     details.append(f"composition error {comp:.2e}")
 
-    # averaged-system Newton root versus a 200 x 200 grid-scan bracket
-    root = solve_averaged(coexist_params, np.array([0.0, -1.0]))
+    # averaged-system root versus a 200 x 200 grid-scan bracket
+    (root,) = averaged_equilibria(coexist_params)
     z_grid, _, cell = grid_scan(coexist_params)
-    grid_gap = float(np.max(np.abs(root - z_grid)))
+    grid_gap = float(np.max(np.abs(np.array(root.z) - z_grid)))
     ok_grid = grid_gap <= cell
     details.append(f"grid gap {grid_gap:.3f} (cell {cell:.3f})")
 

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from phytoperiod import (DomainOverflowError, ModelParams, PeriodicCoefficient,
-                         averaged_jacobian, averaged_residual, jac_log,
+                         averaged_jacobian, averaged_rates, jac_log,
                          jac_original, rhs_log, rhs_original)
 
 # direct substitution at t=0, x=(1,1): r1=0.03, r2=0.0001, b1=0.0004, b2=0.006
@@ -105,6 +105,11 @@ def test_jac_original_matches_finite_differences(ex1_params):
 
 
 # --- averaged residual ---------------------------------------------------
+
+def averaged_residual(params, z):
+    """The averaged system's residual at log state z."""
+    return np.array(averaged_rates(params, *np.exp(z)))
+
 
 def test_averaged_residual_direct_substitution(ex1_params):
     res = averaged_residual(ex1_params, (0.0, 0.0))
