@@ -33,8 +33,8 @@ import numpy as np
 from .averaged import (DegenerateAveragedSystemError, averaged_equilibria,
                        closed_form_mu0)
 from .coefficients import PeriodicCoefficient
-from .conditions import (BoundReport, M0_CANONICAL, M0_VARIANT_K2,
-                         compute_bounds)
+from .conditions import (BoundReport, DegenerateParameterError, M0_CANONICAL,
+                         M0_VARIANT_K2, compute_bounds)
 from .integrator import (IntegrationError, IntegratorConfig, Trajectory,
                          integrate, write_trajectory_csv)
 from .model import DomainOverflowError, ModelParams, rhs_original
@@ -58,7 +58,10 @@ EXIT_CHECK_FAILED = 1
 EXIT_USAGE = 2
 
 _BUNDLED = {"example1": "example1.json", "remark-constant": "remark_constant.json"}
-_INTEGRATOR_FIELDS = {f.name for f in dataclasses.fields(IntegratorConfig)}
+# the one integration method, which a config may still name
+_METHOD = "rk45-adaptive"
+_INTEGRATOR_FIELDS = {"method",
+                      *(f.name for f in dataclasses.fields(IntegratorConfig))}
 _TOP_FIELDS = ("model", "integrator", "extremum_interval", "m0_denominator",
                "initial_state", "horizon", "seed_periods", "tolerances")
 _MODEL_FIELDS = ("r1", "r2", "beta1", "beta2", "k1", "k2", "w1", "w2", "period")
@@ -192,8 +195,13 @@ def parse_config(data: dict) -> ExperimentConfig:
     knobs = {}
     for key, value in _section(data, "integrator", _INTEGRATOR_FIELDS).items():
         path = f"config.integrator.{key}"
-        if key in ("step", "abs_tol", "rel_tol") or (key == "max_step"
-                                                    and value is not None):
+        if key == "method":
+            if value != _METHOD:
+                raise ConfigError(f"{path}: unknown integration method "
+                                  f"{value!r}; the only method is {_METHOD!r}")
+            continue
+        if key in ("abs_tol", "rel_tol") or (key == "max_step"
+                                            and value is not None):
             value = _real(value, path)
         elif key == "dense_output" and not isinstance(value, bool):
             raise ConfigError(f"{path}: expected true or false")
@@ -292,8 +300,11 @@ def _averaged_diagnostics(model: ModelParams) -> dict:
 
 
 def _bounds(cfg: ExperimentConfig, m0_denominator: str | None = None) -> BoundReport:
-    return compute_bounds(cfg.model, extremum_interval=cfg.extremum_interval,
-                          m0_denominator=m0_denominator or cfg.m0_denominator)
+    try:
+        return compute_bounds(cfg.model, extremum_interval=cfg.extremum_interval,
+                              m0_denominator=m0_denominator or cfg.m0_denominator)
+    except DegenerateParameterError as exc:
+        raise ConfigError(f"config.model: {exc}") from exc
 
 
 def _check(cfg: ExperimentConfig, out_dir: Path) -> BoundReport:

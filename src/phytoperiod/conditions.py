@@ -120,6 +120,9 @@ def compute_bounds(params: ModelParams,
 
     if r1L == 0.0:
         raise DegenerateParameterError("r1 minimum is zero: g0 undefined")
+    if r2M + params.w2 * params.k2 * params.k1 == 0.0:
+        raise DegenerateParameterError(
+            "r2 maximum + w2 k2 k1 is zero: h0 undefined")
 
     denom_k = params.k2 if m0_denominator == M0_VARIANT_K2 else params.k1
     m0 = params.k2 * r2M / (1.0 + params.w1 * denom_k)

@@ -1,10 +1,10 @@
-"""Time integration: fixed-step RK4 and adaptive Dormand-Prince 5(4).
+"""Time integration: adaptive Dormand-Prince 5(4).
 
 The model is a smooth, mildly nonlinear planar system, so an embedded
 explicit Runge-Kutta pair with per-step error control is entirely
 adequate and keeps the runtime dependency-free.  The same stepping core
 drives plain integration, the period-T flow map and the variational
-(monodromy) equations; sampled output comes from each method's continuous
+(monodromy) equations; sampled output comes from the pair's continuous
 extension, so sampling never changes the steps.
 """
 
@@ -29,9 +29,6 @@ __all__ = [
     "variational_flow",
     "write_trajectory_csv",
 ]
-
-METHOD_RK4 = "rk4-fixed"
-METHOD_RK45 = "rk45-adaptive"
 
 # Dormand-Prince 5(4) tableau.  The 5th-order weights equal the last row
 # of A, so the 7th stage is evaluated at the new solution and doubles as
@@ -89,24 +86,18 @@ class NonFiniteStateError(IntegrationError):
 
 @dataclass(frozen=True)
 class IntegratorConfig:
-    """Stepper selection and accuracy knobs."""
+    """Accuracy knobs of the Dormand-Prince stepper."""
 
-    method: str = METHOD_RK45
-    step: float = 1e-2          # fixed-step size (rk4-fixed only)
     abs_tol: float = 1e-10
     rel_tol: float = 1e-10
     max_step: float | None = None
     dense_output: bool = False
 
     def __post_init__(self):
-        if self.method not in (METHOD_RK4, METHOD_RK45):
-            raise ValueError(f"unknown integration method {self.method!r}")
-        for name in ("step", "abs_tol", "rel_tol", "max_step"):
+        for name in ("abs_tol", "rel_tol", "max_step"):
             value = getattr(self, name)
             if value is not None and not math.isfinite(value):
                 raise ValueError(f"{name} must be finite")
-        if self.step <= 0:
-            raise ValueError("fixed step must be positive")
         if self.abs_tol <= 0 or self.rel_tol <= 0:
             raise ValueError("tolerances must be positive")
         if self.max_step is not None and self.max_step <= 0:
@@ -153,12 +144,12 @@ def integrate(field, t0: float, y0, t1: float, cfg: IntegratorConfig,
     state lands exactly on t1.  If ``t_eval`` is given, the returned
     trajectory contains exactly t0, the distinct t_eval points strictly
     inside (t0, t1) and t1.  Those points do not constrain the steps:
-    each is evaluated from the continuous extension of the accepted step
-    that contains it (order 4 for rk45-adaptive, order 3 for rk4-fixed),
-    so a run takes the same steps, and ends in the same state, with or
-    without ``t_eval``.  The run's own rows are t0, every accepted step
-    if ``cfg.dense_output`` is set, and t1; they are the result without
-    ``t_eval`` and the result's ``steps`` with it.
+    each is evaluated from the order-4 continuous extension of the
+    accepted step that contains it, so a run takes the same steps, and
+    ends in the same state, with or without ``t_eval``.  The run's own
+    rows are t0, every accepted step if ``cfg.dense_output`` is set, and
+    t1; they are the result without ``t_eval`` and the result's ``steps``
+    with it.
     """
     if not t1 > t0:
         raise ValueError(f"need t1 > t0, got [{t0}, {t1}]")
@@ -183,41 +174,34 @@ def integrate(field, t0: float, y0, t1: float, cfg: IntegratorConfig,
     t, y = t0, tuple(y0.tolist())
     times, states = [t], [y]            # samples
     step_times, step_states = [t], [y]  # the run's own rows
-    rk4 = cfg.method == METHOD_RK4
-    extension = _rk4_extension if rk4 else _dp_extension
-    dp_step = None if rk4 else _dp_stepper(len(y))
+    dp_step = _dp_stepper(len(y))
     abs_tol, rel_tol, max_step = cfg.abs_tol, cfg.rel_tol, cfg.max_step or math.inf
     h_floor = _MIN_STEP_FACTOR * (t1 - t0)
     h_adaptive = min((t1 - t0) * 1e-3, max_step)
-    k1 = None if rk4 else field(t, y)   # field(t, y), kept across steps (FSAL)
-    if k1 is not None and len(k1) != len(y):
+    k1 = field(t, y)    # field(t, y), kept across steps (FSAL)
+    if len(k1) != len(y):
         raise ValueError(f"field returned {len(k1)} components for a state "
                          f"of dimension {len(y)}")
     while t < t1:
         stalled = False
-        if rk4:
-            h = min(cfg.step, t1 - t)
-            y_new, stages = _rk4_step(field, t, y, h)
-            accepted = True
-        else:
-            h = min(h_adaptive, t1 - t)
-            y_new, err, stages = dp_step(field, t, y, h, k1)
-            # max-norm of err / (abs_tol + rel_tol max(|y|, |y_new|));
-            # a NaN ratio is kept, so it rejects the step below
-            enorm = 0.0
-            for e, a, b in zip(err, y, y_new):
-                r = abs(e) / (abs_tol + rel_tol * max(abs(a), abs(b)))
-                if not r <= enorm:
-                    enorm = r
-                    if r != r:
-                        break
-            accepted = enorm <= 1.0
+        h = min(h_adaptive, t1 - t)
+        y_new, err, stages = dp_step(field, t, y, h, k1)
+        # max-norm of err / (abs_tol + rel_tol max(|y|, |y_new|));
+        # a NaN ratio is kept, so it rejects the step below
+        enorm = 0.0
+        for e, a, b in zip(err, y, y_new):
+            r = abs(e) / (abs_tol + rel_tol * max(abs(a), abs(b)))
+            if not r <= enorm:
+                enorm = r
+                if r != r:
+                    break
+        accepted = enorm <= 1.0
         if accepted:
             t_new = t1 if h >= t1 - t else t + h
             stalled = t_new == t
             if pts[i] <= t_new:
                 # one polynomial per step, evaluated by Horner per point
-                poly = extension(y, h, *stages)
+                poly = _dp_extension(y, h, *stages)
                 while pts[i] <= t_new:
                     p = pts[i]
                     th = (p - t) / h
@@ -228,22 +212,21 @@ def integrate(field, t0: float, y0, t1: float, cfg: IntegratorConfig,
                     i += 1
             t, y = t_new, y_new
             k1 = stages[-1]     # DP5's k7 is the next step's k1 (FSAL)
-        if not rk4:
-            # standard I-controller with safety factor and clamps; a
-            # non-finite error estimate (NaN stages) forces a hard shrink
-            if enorm > 0.0 and math.isfinite(enorm):
-                factor = 0.9 * enorm ** -0.2
-            elif enorm == 0.0:
-                factor = 5.0
-            else:
-                factor = 0.2
-            h_adaptive = min(h * min(5.0, max(0.2, factor)), max_step)
-            if h_adaptive < h_floor:
-                raise StepUnderflowError(
-                    f"adaptive step underflow at t = {t}", t=t)
+        # standard I-controller with safety factor and clamps; a
+        # non-finite error estimate (NaN stages) forces a hard shrink
+        if enorm > 0.0 and math.isfinite(enorm):
+            factor = 0.9 * enorm ** -0.2
+        elif enorm == 0.0:
+            factor = 5.0
+        else:
+            factor = 0.2
+        h_adaptive = min(h * min(5.0, max(0.2, factor)), max_step)
+        if h_adaptive < h_floor:
+            raise StepUnderflowError(
+                f"adaptive step underflow at t = {t}", t=t)
         # a step below half the spacing of floats at t leaves t unchanged;
         # unless the controller grows the next one, t stays there for good
-        if stalled and (rk4 or not h_adaptive > h):
+        if stalled and not h_adaptive > h:
             raise StepUnderflowError(f"step {h!r} does not advance t = {t}", t=t)
         if not all(map(math.isfinite, y)):
             raise NonFiniteStateError(
@@ -257,33 +240,6 @@ def integrate(field, t0: float, y0, t1: float, cfg: IntegratorConfig,
         return steps
     return Trajectory(frame, np.array(times + [t]), np.array(states + [y]),
                       steps)
-
-
-def _rk4_step(field, t, y, h):
-    """One classical RK4 step; returns (y_new, (k1, k2, k3, k4))."""
-    hh = 0.5 * h
-    k1 = field(t, y)
-    k2 = field(t + hh, tuple(yi + hh * p for yi, p in zip(y, k1)))
-    k3 = field(t + hh, tuple(yi + hh * q for yi, q in zip(y, k2)))
-    k4 = field(t + h, tuple(yi + h * r for yi, r in zip(y, k3)))
-    h6 = h / 6.0
-    y_new = tuple(yi + h6 * (p + 2.0 * q + 2.0 * r + s)
-                  for yi, p, q, r, s in zip(y, k1, k2, k3, k4))
-    return y_new, (k1, k2, k3, k4)
-
-
-def _rk4_extension(y, h, k1, k2, k3, k4):
-    """Order-3 continuous extension of one RK4 step (Hairer-Norsett-Wanner,
-    Solving ODEs I, II.6): weights theta - 3 theta^2/2 + 2 theta^3/3 for k1,
-    theta^2 - 2 theta^3/3 for k2 and k3, -theta^2/2 + 2 theta^3/3 for k4.
-
-    Returns per component the power-basis coefficients (c0, ..., c4) of
-    y(t + theta h); c4 is 0.
-    """
-    h23 = h * (2.0 / 3.0)
-    return [(yi, h * p, h * (q + r - 1.5 * p - 0.5 * s),
-             h23 * (p - q - r + s), 0.0)
-            for yi, p, q, r, s in zip(y, k1, k2, k3, k4)]
 
 
 # The stages k2..k7 of one Dormand-Prince step: (node, weights), where

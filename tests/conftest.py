@@ -1,3 +1,4 @@
+import math
 import os
 import subprocess
 import sys
@@ -100,6 +101,27 @@ def grid_scan(params):
     norms = np.maximum(np.abs(R1), np.abs(R2))
     i, j = np.unravel_index(int(np.argmin(norms)), norms.shape)
     return np.array([zs[i], zs[j]]), float(norms[i, j]), float(zs[1] - zs[0])
+
+
+def dp5_order_fit():
+    """Fixed-step order of the Dormand-Prince step: drive it with each h
+    of 0.2, 0.1, 0.05 and 0.025 over [0, 1] on y' = -y, y(0) = 1, handing
+    k7 on as the next k1, and fit log(global error) against log(h).
+    Returns (slope, errors)."""
+    from phytoperiod.integrator import _dp_stepper
+
+    steps = (0.2, 0.1, 0.05, 0.025)
+    field = lambda t, y: (-y[0],)
+    step = _dp_stepper(1)
+    errors = []
+    for h in steps:
+        t, y = 0.0, (1.0,)
+        k1 = field(t, y)
+        for _ in range(round(1.0 / h)):
+            y, _err, stages = step(field, t, y, h, k1)
+            t, k1 = t + h, stages[-1]
+        errors.append(abs(y[0] - math.exp(-1.0)))
+    return float(np.polyfit(np.log(steps), np.log(errors), 1)[0]), errors
 
 
 def run_python(*args, timeout=30):

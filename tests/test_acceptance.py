@@ -19,7 +19,7 @@ import time
 import numpy as np
 import pytest
 
-from conftest import grid_scan
+from conftest import dp5_order_fit, grid_scan
 
 from phytoperiod import (IntegratorConfig, M0_CANONICAL, M0_VARIANT_K2,
                          OrbitSearchError, averaged_equilibria,
@@ -191,16 +191,10 @@ def test_criterion_5_constant_coefficient_steady_state(remark_params):
 def test_criterion_6_numerical_integrity(ex1_params, coexist_params):
     details = []
 
-    # RK4 order on the exponential test
-    steps = [0.2, 0.1, 0.05, 0.025]
-    errors = []
-    for h in steps:
-        cfg = IntegratorConfig(method="rk4-fixed", step=h)
-        traj = integrate(lambda t, y: (-y[0],), 0.0, np.array([1.0]), 1.0, cfg)
-        errors.append(abs(traj.final_state[0] - math.exp(-1.0)))
-    slope = float(np.polyfit(np.log(steps), np.log(errors), 1)[0])
-    ok_order = 3.8 <= slope <= 4.2
-    details.append(f"rk4 slope {slope:.3f}")
+    # fixed-step Dormand-Prince order on the exponential test
+    slope, _errors = dp5_order_fit()
+    ok_order = 4.8 <= slope <= 5.2
+    details.append(f"dp5 slope {slope:.3f}")
 
     # log/original frame equivalence over one period from positive data
     cfg = IntegratorConfig()

@@ -13,7 +13,7 @@ from phytoperiod.cli import (ConfigError, EXIT_CHECK_FAILED, EXIT_OK,
                              EXIT_USAGE, cmd_check, cmd_find_orbit,
                              cmd_reproduce, cmd_simulate, load_bundled_config,
                              load_config, main, parse_config)
-from phytoperiod.integrator import integrate
+from phytoperiod.integrator import IntegratorConfig, integrate
 
 from conftest import run_python
 
@@ -44,7 +44,6 @@ def minimal_config(**overrides):
 def test_parse_minimal_config():
     cfg = parse_config(minimal_config())
     assert cfg.model.k1 == 2.0
-    assert cfg.integrator.method == "rk45-adaptive"
     assert cfg.m0_denominator == "k1"
     assert cfg.orbit_tol == 1e-12
 
@@ -94,6 +93,29 @@ def test_parse_errors_carry_field_path(mutate, fragment):
     with pytest.raises(ConfigError) as exc_info:
         parse_config(data)
     assert fragment in str(exc_info.value)
+
+
+def test_the_one_method_may_still_be_named():
+    cfg = parse_config(minimal_config(integrator={"method": "rk45-adaptive"}))
+    assert cfg.integrator == IntegratorConfig()
+
+
+@pytest.mark.parametrize("integrator, message", [
+    ({"method": "rk4-fixed"},
+     "config.integrator.method: unknown integration method 'rk4-fixed'; "
+     "the only method is 'rk45-adaptive'"),
+    ({"method": None},
+     "config.integrator.method: unknown integration method None; "
+     "the only method is 'rk45-adaptive'"),
+    ({"step": 0.01}, "config.integrator.step: unknown field")],
+    ids=["rk4-fixed", "null-method", "step"])
+def test_removed_integrator_settings_are_usage_errors(tmp_path, capsys,
+                                                      integrator, message):
+    config = tmp_path / "cfg.json"
+    config.write_text(json.dumps(minimal_config(integrator=integrator)))
+    code = main(["simulate", "--config", str(config), "--out", str(tmp_path)])
+    assert code == EXIT_USAGE
+    assert capsys.readouterr().err == f"config error: {message}\n"
 
 
 def test_load_config_reports_json_position(tmp_path):
@@ -206,6 +228,21 @@ def test_main_rejects_a_non_finite_interval_override(tmp_path, capsys):
     assert code == EXIT_USAGE
     assert "--interval[1]: expected a finite number" in capsys.readouterr().err
     assert not (tmp_path / "check_report.json").exists()
+
+
+@pytest.mark.parametrize("command", ["check", "find-orbit"])
+def test_a_zero_r1_minimum_is_a_usage_error(tmp_path, capsys, command):
+    """g0 divides by the minimum of r1: a zero minimum is reported as a
+    config error with exit 2, before any report is written."""
+    data = minimal_config()
+    data["model"]["r1"] = {"kind": "constant", "value": 0.0}
+    config = tmp_path / "cfg.json"
+    config.write_text(json.dumps(data))
+    code = main([command, "--config", str(config), "--out", str(tmp_path)])
+    assert code == EXIT_USAGE
+    assert capsys.readouterr().err == (
+        "config error: config.model: r1 minimum is zero: g0 undefined\n")
+    assert not list(tmp_path.glob("*_report.json"))
 
 
 def test_check_over_a_very_long_interval_finishes(tmp_path):

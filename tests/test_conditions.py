@@ -100,6 +100,14 @@ def test_zero_r1_minimum_is_degenerate():
         compute_bounds(p)
 
 
+def test_zero_h0_denominator_is_degenerate():
+    C = PeriodicCoefficient.constant
+    p = ModelParams(r1=C(1.0), r2=C(0.0), beta1=C(0.1), beta2=C(0.1),
+                    k1=2.0, k2=1.0, w1=0.0, w2=0.0, period=1.0)
+    with pytest.raises(DegenerateParameterError, match="h0 undefined"):
+        compute_bounds(p)
+
+
 def test_invalid_interval_rejected(ex1_params):
     with pytest.raises(ValueError):
         compute_bounds(ex1_params, (2.0, 1.0))

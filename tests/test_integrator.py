@@ -48,22 +48,18 @@ def test_logistic_closed_form():
 def test_zero_field_identity():
     field = lambda t, y: np.zeros_like(y)
     y0 = np.array([1.3, -0.7])
-    for method in ("rk4-fixed", "rk45-adaptive"):
-        traj = integrate(field, 0.0, y0, 3.0, IntegratorConfig(method=method))
-        np.testing.assert_array_equal(traj.final_state, y0)
+    traj = integrate(field, 0.0, y0, 3.0, IntegratorConfig())
+    np.testing.assert_array_equal(traj.final_state, y0)
 
 
-def test_rk4_order_fit():
-    """Global error on y' = -y scales like h^4: fitted slope in [3.8, 4.2]."""
-    steps = [0.2, 0.1, 0.05, 0.025]
-    errors = []
-    for h in steps:
-        cfg = IntegratorConfig(method="rk4-fixed", step=h)
-        traj = integrate(exp_decay, 0.0, np.array([1.0]), 1.0, cfg)
-        errors.append(abs(traj.final_state[0] - math.exp(-1.0)))
-    slope = np.polyfit(np.log(steps), np.log(errors), 1)[0]
-    print(f"\n  RK4 order fit: slope = {slope:.3f}, errors = {errors}")
-    assert 3.8 <= slope <= 4.2
+def test_dp5_order_fit():
+    """Global error of the fixed-step Dormand-Prince step on y' = -y
+    scales like h^5: fitted slope in [4.8, 5.2]."""
+    from conftest import dp5_order_fit
+
+    slope, errors = dp5_order_fit()
+    print(f"\n  DP5 order fit: slope = {slope:.3f}, errors = {errors}")
+    assert 4.8 <= slope <= 5.2
 
 
 def test_adaptive_tolerance_monotonicity():
@@ -192,8 +188,6 @@ def test_the_step_is_built_once_per_dimension(monkeypatch):
     integrate(exp_decay, 0.0, [2.0], 3.0, IntegratorConfig())
     integrate(lambda t, y: (-y[1], y[0]), 0.0, [1.0, 0.0], 1.0,
               IntegratorConfig())
-    integrate(lambda t, y: (-y[0], -y[1]), 0.0, [1.0, 0.0], 1.0,
-              IntegratorConfig(method="rk4-fixed"))
     assert sorted(built) == [1, 2] and built[1] is step
     assert itg._dp_stepper(1) is step
 
@@ -214,9 +208,8 @@ print(sorted(integrator._DP_STEPPERS))
     assert proc.stdout.splitlines()[-1:] == ["[]"], proc.stderr
 
 
-@pytest.mark.parametrize("method", ["rk45-adaptive", "rk4-fixed"])
-def test_numpy_array_fields_step_like_tuples(method):
-    cfg = IntegratorConfig(method=method, step=0.1)
+def test_numpy_array_fields_step_like_tuples():
+    cfg = IntegratorConfig()
     rotate = lambda t, y: (-y[1], y[0])
     ref = integrate(rotate, 0.0, [1.0, 0.0], 2.0, cfg)
     traj = integrate(lambda t, y: np.array(rotate(t, y)), 0.0, [1.0, 0.0],
@@ -261,17 +254,16 @@ def _sampled_and_plain(field, y0, t1, cfg, t_eval):
     return out
 
 
-@pytest.mark.parametrize("method", ["rk45-adaptive", "rk4-fixed"])
-def test_sampling_leaves_the_steps_unchanged(forced_params, method):
+def test_sampling_leaves_the_steps_unchanged(forced_params):
     """Sample points are read off the steps, never landed on: a run makes
     the same field calls and ends in the same state, bit for bit, with or
     without t_eval, and a sampled run's ``steps`` are the plain run's rows
     (t0, the accepted steps under dense_output, t1), bit for bit.  The
-    period includes rejected steps for rk45."""
+    period includes rejected steps."""
     field = lambda t, z: rhs_log(forced_params, t, z)
     marks = np.linspace(0.0, TWO_PI, 257)[1:-1]
     for dense in (False, True):
-        cfg = IntegratorConfig(method=method, step=0.05, dense_output=dense)
+        cfg = IntegratorConfig(dense_output=dense)
         sampled, n_sampled, plain, n_plain = _sampled_and_plain(
             field, (0.64, -0.18), TWO_PI, cfg, marks)
         assert n_sampled == n_plain
@@ -283,16 +275,13 @@ def test_sampling_leaves_the_steps_unchanged(forced_params, method):
         assert (len(plain.times) > 3) == dense
 
 
-@pytest.mark.parametrize("method, power", [("rk45-adaptive", 4),
-                                           ("rk4-fixed", 3)])
-def test_continuous_extension_is_exact_on_polynomials(method, power):
-    """DP5's order-4 extension reproduces y = t^4 from y' = 4 t^3, RK4's
-    order-3 extension y = t^3 from y' = 3 t^2, at every sample point."""
-    field = lambda t, y: (power * t ** (power - 1),)
+def test_continuous_extension_is_exact_on_polynomials():
+    """DP5's order-4 extension reproduces y = t^4 from y' = 4 t^3 at every
+    sample point."""
+    field = lambda t, y: (4.0 * t ** 3,)
     marks = np.linspace(0.0, 2.0, 201)[1:-1]
-    traj = integrate(field, 0.0, [0.0], 2.0,
-                     IntegratorConfig(method=method, step=0.3), t_eval=marks)
-    np.testing.assert_allclose(traj.states[1:, 0], traj.times[1:] ** power,
+    traj = integrate(field, 0.0, [0.0], 2.0, IntegratorConfig(), t_eval=marks)
+    np.testing.assert_allclose(traj.states[1:, 0], traj.times[1:] ** 4,
                                rtol=1e-14, atol=0.0)
 
 
@@ -385,17 +374,13 @@ def test_step_underflow_on_nan_producing_field():
 
 
 def test_first_step_underflow_is_an_integration_failure():
-    """Over a span of 5e-324 the first adaptive step, span * 1e-3,
-    underflows to 0: that is a step underflow, not an endless loop.  The
-    fixed-step method takes the whole span as one step."""
+    """Over a span of 5e-324 the first step, span * 1e-3, underflows to
+    0: that is a step underflow, not an endless loop."""
     from phytoperiod import StepUnderflowError
 
     with pytest.raises(StepUnderflowError) as exc_info:
         integrate(exp_decay, 0.0, [1.0], 5e-324, IntegratorConfig())
     assert exc_info.value.t == 0.0
-    traj = integrate(exp_decay, 0.0, [1.0], 5e-324,
-                     IntegratorConfig(method="rk4-fixed"))
-    assert list(traj.times) == [0.0, 5e-324]
 
 
 def test_model_overflow_propagates(ex1_params):
@@ -407,18 +392,17 @@ def test_model_overflow_propagates(ex1_params):
                   frame="log")
 
 
-@pytest.mark.parametrize("cfg", ['IntegratorConfig(method="rk4-fixed")',
-                                 "IntegratorConfig(max_step=100.0)"])
-def test_a_step_that_does_not_advance_t_is_an_underflow(cfg):
-    """At t = 1e20 half an ulp is 8192, so t + h rounds back to t for the
-    fixed step 0.01 and for the capped adaptive step: a step underflow,
-    not an endless loop.  Run in a subprocess with a timeout."""
+def test_a_step_that_does_not_advance_t_is_an_underflow():
+    """At t = 1e20 half an ulp is 8192, so t + h rounds back to t for a
+    step capped at 100: a step underflow, not an endless loop.  Run in a
+    subprocess with a timeout."""
     from conftest import run_python
 
-    proc = run_python("-c", f"""
+    proc = run_python("-c", """
 from phytoperiod import IntegratorConfig, StepUnderflowError, integrate
 try:
-    integrate(lambda t, y: (-y[0],), 1e20, [1.0], 1e20 + 1e5, {cfg})
+    integrate(lambda t, y: (-y[0],), 1e20, [1.0], 1e20 + 1e5,
+              IntegratorConfig(max_step=100.0))
 except StepUnderflowError as exc:
     print(exc.t)
 """)
@@ -426,17 +410,13 @@ except StepUnderflowError as exc:
 
 
 @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
-@pytest.mark.parametrize("name", ["step", "abs_tol", "rel_tol", "max_step"])
+@pytest.mark.parametrize("name", ["abs_tol", "rel_tol", "max_step"])
 def test_config_rejects_nonfinite(name, value):
     with pytest.raises(ValueError, match=f"{name} must be finite"):
         IntegratorConfig(**{name: value})
 
 
 def test_config_validation():
-    with pytest.raises(ValueError):
-        IntegratorConfig(method="euler")
-    with pytest.raises(ValueError):
-        IntegratorConfig(step=0.0)
     with pytest.raises(ValueError):
         IntegratorConfig(abs_tol=-1.0)
 

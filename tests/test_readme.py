@@ -1,11 +1,13 @@
 """The README's config and library examples, run as written."""
 
 import contextlib
+import dataclasses
 import io
 import json
 import re
 from pathlib import Path
 
+from phytoperiod import IntegratorConfig
 from phytoperiod.cli import parse_config
 
 README = (Path(__file__).parents[1] / "README.md").read_text()
@@ -20,6 +22,21 @@ def test_readme_config_parses():
     cfg = parse_config(json.loads(block))
     assert cfg.model.beta1.kind == "fourier"
     assert cfg.orbit_tol == 1e-10
+
+
+def test_readme_integrator_table_lists_exactly_the_parsed_keys():
+    """The README's `integrator` table names every key the parser accepts
+    and no other, and its defaults parse to the default settings."""
+    table = re.split(r"`integrator` is optional and accepts\s+these keys:",
+                     README)[1]
+    rows = re.findall(r"^\| `(\w+)` +\| `([^`]+)`", table.split("\n\n")[1],
+                      re.M)
+    keys = {key for key, _ in rows}
+    assert keys == {"method",
+                    *(f.name for f in dataclasses.fields(IntegratorConfig))}
+    data = json.loads(_blocks("json")[0])
+    data["integrator"] = {key: json.loads(default) for key, default in rows}
+    assert parse_config(data).integrator == IntegratorConfig()
 
 
 def test_readme_library_example_finds_a_stable_orbit():
