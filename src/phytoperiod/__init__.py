@@ -11,7 +11,7 @@ the period-averaged algebraic system, and a config-driven CLI.
 from .averaged import (AveragedRoot, ClosedFormResult,
                        DegenerateAveragedSystemError, averaged_equilibria,
                        closed_form_mu0)
-from .coefficients import PeriodicCoefficient, extrema, mean_by_quadrature
+from .coefficients import PeriodicCoefficient, extrema
 from .conditions import (BoundReport, DegenerateParameterError, M0_CANONICAL,
                          M0_VARIANT_K2, compute_bounds)
 from .integrator import (IntegratorConfig, IntegrationError,

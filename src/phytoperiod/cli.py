@@ -107,14 +107,6 @@ def _pair(value, path, shape):
     return _real(value[0], f"{path}[0]"), _real(value[1], f"{path}[1]")
 
 
-def _interval(value, path):
-    """The extremum interval [a, b] of the config or of ``--interval``."""
-    a, b = _pair(value, path, "[a, b]")
-    if not a < b:
-        raise ConfigError(f"{path}: need a < b")
-    return a, b
-
-
 def _count(value, path):
     if not isinstance(value, int) or isinstance(value, bool) or value < 1:
         raise ConfigError(f"{path}: expected a positive integer")
@@ -200,18 +192,16 @@ def parse_config(data: dict) -> ExperimentConfig:
                 raise ConfigError(f"{path}: unknown integration method "
                                   f"{value!r}; the only method is {_METHOD!r}")
             continue
-        if key in ("abs_tol", "rel_tol") or (key == "max_step"
-                                            and value is not None):
-            value = _real(value, path)
-        elif key == "dense_output" and not isinstance(value, bool):
-            raise ConfigError(f"{path}: expected true or false")
-        knobs[key] = value
+        knobs[key] = (None if key == "max_step" and value is None
+                      else _real(value, path))
     with _config_errors("config.integrator"):
         integrator = IntegratorConfig(**knobs)
 
     interval = _get(data, "extremum_interval", "config", required=False)
     if interval is not None:
-        interval = _interval(interval, "config.extremum_interval")
+        interval = _pair(interval, "config.extremum_interval", "[a, b]")
+        if not interval[0] < interval[1]:
+            raise ConfigError("config.extremum_interval: need a < b")
 
     m0_denom = _get(data, "m0_denominator", "config", required=False,
                     default=M0_CANONICAL)
@@ -537,16 +527,6 @@ def cmd_reproduce(which: str, out_dir: Path) -> int:
 
 # --- entry point ---------------------------------------------------------
 
-def _apply_overrides(cfg: ExperimentConfig, args) -> ExperimentConfig:
-    updates = {}
-    if getattr(args, "interval", None) is not None:
-        updates["extremum_interval"] = _interval(args.interval, "--interval")
-    if getattr(args, "m0_variant", None) is not None:
-        updates["m0_denominator"] = (M0_VARIANT_K2 if args.m0_variant == "k2"
-                                     else M0_CANONICAL)
-    return dataclasses.replace(cfg, **updates) if updates else cfg
-
-
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="phytoperiod",
@@ -557,10 +537,6 @@ def _build_parser() -> argparse.ArgumentParser:
     def add_common(p):
         p.add_argument("--config", required=True, help="JSON experiment config")
         p.add_argument("--out", default=".", help="output directory")
-        p.add_argument("--interval", nargs=2, type=float, metavar=("A", "B"),
-                       help="override the extremum interval")
-        p.add_argument("--m0-variant", choices=("k1", "k2"), dest="m0_variant",
-                       help="m0 denominator: canonical k1 or the k2 variant")
 
     add_common(sub.add_parser("check", help="condition and bound report"))
     add_common(sub.add_parser("simulate", help="trajectory CSV"))
@@ -575,11 +551,18 @@ def main(argv=None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
     out_dir = Path(args.out)
-    out_dir.mkdir(parents=True, exist_ok=True)
+    # reproduce writes into a directory of its bundle's name
+    target = out_dir / args.which if args.command == "reproduce" else out_dir
+    try:
+        target.mkdir(parents=True, exist_ok=True)
+    except OSError as exc:
+        print(f"cannot create output directory {target}: {exc.strerror}",
+              file=sys.stderr)
+        return EXIT_USAGE
     try:
         if args.command == "reproduce":
             return cmd_reproduce(args.which, out_dir)
-        cfg = _apply_overrides(load_config(args.config), args)
+        cfg = load_config(args.config)
         if args.command == "check":
             return cmd_check(cfg, out_dir)
         if args.command == "simulate":

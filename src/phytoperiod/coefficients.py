@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-__all__ = ["PeriodicCoefficient", "extrema", "mean_by_quadrature"]
+__all__ = ["PeriodicCoefficient", "extrema"]
 
 # Sampling cells used for Fourier extrema, over at most one period.
 _FOURIER_SAMPLES = 4096
@@ -174,24 +174,3 @@ def _refine(coeff, ts, i, sign):
             x2 = lo + g * (hi - lo)
             f2 = sign * coeff(x2)
     return min(f1, f2, best)
-
-
-def mean_by_quadrature(coeff: PeriodicCoefficient, period: float | None = None,
-                       n: int = 4096) -> float:
-    """Period average via composite Simpson quadrature (cross-check path).
-
-    Deliberately independent of :meth:`PeriodicCoefficient.mean_value`;
-    the two must agree to ~1e-10 for any well-formed coefficient.
-    """
-    if period is None:
-        period = coeff.period
-    if not math.isfinite(period):
-        period = 1.0  # constants average to themselves over any window
-    if n % 2:
-        n += 1
-    ts = np.linspace(0.0, period, n + 1)
-    vals = np.asarray(coeff(ts), dtype=float)
-    h = period / n
-    integral = (h / 3.0) * (vals[0] + vals[-1]
-                            + 4.0 * vals[1:-1:2].sum() + 2.0 * vals[2:-1:2].sum())
-    return integral / period

@@ -86,12 +86,12 @@ class NonFiniteStateError(IntegrationError):
 
 @dataclass(frozen=True)
 class IntegratorConfig:
-    """Accuracy knobs of the Dormand-Prince stepper."""
+    """Accuracy knobs of the Dormand-Prince stepper: its error tolerances
+    and an optional cap on the step size."""
 
     abs_tol: float = 1e-10
     rel_tol: float = 1e-10
     max_step: float | None = None
-    dense_output: bool = False
 
     def __post_init__(self):
         for name in ("abs_tol", "rel_tol", "max_step"):
@@ -147,9 +147,8 @@ def integrate(field, t0: float, y0, t1: float, cfg: IntegratorConfig,
     each is evaluated from the order-4 continuous extension of the
     accepted step that contains it, so a run takes the same steps, and
     ends in the same state, with or without ``t_eval``.  The run's own
-    rows are t0, every accepted step if ``cfg.dense_output`` is set, and
-    t1; they are the result without ``t_eval`` and the result's ``steps``
-    with it.
+    rows are t0, every accepted step that moves t, and t1; they are the
+    result without ``t_eval`` and the result's ``steps`` with it.
     """
     if not t1 > t0:
         raise ValueError(f"need t1 > t0, got [{t0}, {t1}]")
@@ -231,7 +230,7 @@ def integrate(field, t0: float, y0, t1: float, cfg: IntegratorConfig,
         if not all(map(math.isfinite, y)):
             raise NonFiniteStateError(
                 f"state became non-finite at t = {t}", t=t)
-        if accepted and cfg.dense_output and t < t1:
+        if accepted and not stalled and t < t1:
             step_times.append(t)
             step_states.append(y)
     steps = Trajectory(frame, np.array(step_times + [t]),

@@ -80,7 +80,8 @@ class ModelParams:
             if math.isinf(p):
                 continue
             ratio = self.period / p
-            if abs(ratio - round(ratio)) > _PERIOD_REL_TOL * max(1.0, ratio):
+            if (round(ratio) < 1 or abs(ratio - round(ratio))
+                    > _PERIOD_REL_TOL * max(1.0, ratio)):
                 raise ValueError(
                     f"coefficient {name} has period {p} which does not divide "
                     f"the common period {self.period}")

@@ -65,6 +65,18 @@ def cfg_tight():
     return IntegratorConfig(abs_tol=1e-12, rel_tol=1e-12)
 
 
+def mean_by_quadrature(coeff, n=4096):
+    """Oracle for ``PeriodicCoefficient.mean_value``: the average over one
+    fundamental period (a constant's over [0, 1]) by composite Simpson
+    quadrature on n cells of the array path of ``coeff``."""
+    period = coeff.period if math.isfinite(coeff.period) else 1.0
+    ts = np.linspace(0.0, period, n + 1)
+    vals = np.asarray(coeff(ts), dtype=float)
+    integral = (period / n / 3.0) * (vals[0] + vals[-1] + 4.0 * vals[1:-1:2].sum()
+                                     + 2.0 * vals[2:-1:2].sum())
+    return integral / period
+
+
 def newton_equilibrium(params, guess, tol=1e-13, max_iter=60):
     """Independent equilibrium oracle: 2-D Newton on the autonomous
     original-frame field with a central finite-difference Jacobian."""

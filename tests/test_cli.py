@@ -65,6 +65,8 @@ def test_bundled_configs_parse():
     (lambda d: d.__setitem__("horizon", 0.0), "horizon"),
     (lambda d: d.__setitem__("initial_state", [0.0, 1.0]), "initial_state"),
     (lambda d: d.__setitem__("extremum_interval", [2.0, 1.0]), "extremum_interval"),
+    (lambda d: d.__setitem__("extremum_interval", [0.0, math.inf]),
+     "config.extremum_interval[1]: expected a finite number"),
     (lambda d: d.__setitem__("seed_periods", -3), "seed_periods"),
     (lambda d: d.__setitem__("m0_denominator", "k9"), "m0_denominator"),
     (lambda d: d.__setitem__("integrator", []), "config.integrator"),
@@ -75,7 +77,7 @@ def test_bundled_configs_parse():
     (lambda d: d.__setitem__("initial_state", [math.nan, 0.1]), "initial_state[0]"),
     (lambda d: d.__setitem__("integrator", {"abs_tol": math.nan}), "abs_tol"),
     (lambda d: d.__setitem__("integrator", {"abstol": 1e-8}), "abstol"),
-    (lambda d: d.__setitem__("integrator", {"dense_output": "false"}),
+    (lambda d: d.__setitem__("integrator", {"dense_output": True}),
      "config.integrator.dense_output"),
     (lambda d: d.__setitem__("seed_period", 3), "config.seed_period"),
     (lambda d: d["model"].__setitem__("k3", 1.0), "config.model.k3"),
@@ -107,8 +109,9 @@ def test_the_one_method_may_still_be_named():
     ({"method": None},
      "config.integrator.method: unknown integration method None; "
      "the only method is 'rk45-adaptive'"),
-    ({"step": 0.01}, "config.integrator.step: unknown field")],
-    ids=["rk4-fixed", "null-method", "step"])
+    ({"step": 0.01}, "config.integrator.step: unknown field"),
+    ({"dense_output": True}, "config.integrator.dense_output: unknown field")],
+    ids=["rk4-fixed", "null-method", "step", "dense_output"])
 def test_removed_integrator_settings_are_usage_errors(tmp_path, capsys,
                                                       integrator, message):
     config = tmp_path / "cfg.json"
@@ -138,11 +141,12 @@ def test_cmd_check_exit_codes(tmp_path):
 
 
 def test_cmd_simulate_writes_csv(tmp_path):
-    cfg = parse_config(minimal_config(horizon=5.0,
-                                      integrator={"dense_output": True}))
+    """``simulate`` writes the header, t0, every accepted step and t1."""
+    cfg = parse_config(minimal_config(horizon=5.0))
     assert cmd_simulate(cfg, tmp_path) == EXIT_OK
     lines = (tmp_path / "trajectory.csv").read_text().strip().split("\n")
     assert lines[0] == "t,x1,x2"
+    assert len(lines) > 4
     first = lines[1].split(",")
     assert float(first[0]) == 0.0 and float(first[1]) == 1.0
     last = lines[-1].split(",")
@@ -218,16 +222,22 @@ def test_main_usage_error_on_bad_config(tmp_path):
     assert code == EXIT_USAGE
 
 
-def test_main_rejects_a_non_finite_interval_override(tmp_path, capsys):
-    """``--interval`` follows the rules of ``extremum_interval``: an
-    infinite end is a usage error that names the interval."""
-    cfg_path = tmp_path / "cfg.json"
-    cfg_path.write_text(json.dumps(minimal_config()))
-    code = main(["check", "--config", str(cfg_path), "--out", str(tmp_path),
-                 "--interval", "0", "inf"])
-    assert code == EXIT_USAGE
-    assert "--interval[1]: expected a finite number" in capsys.readouterr().err
-    assert not (tmp_path / "check_report.json").exists()
+@pytest.mark.parametrize("argv, blocked", [
+    (["check", "--config", "cfg.json", "--out", "example1"], "example1"),
+    (["check", "--config", "cfg.json", "--out", "example1/sub"], "example1/sub"),
+    (["reproduce", "example1", "--out", "."], "example1")],
+    ids=["a-file", "below-a-file", "reproduce-bundle"])
+def test_an_out_that_is_not_a_directory_is_a_usage_error(
+        tmp_path, monkeypatch, capsys, argv, blocked):
+    """An output directory that names a file, or a path below one, is
+    reported in one line naming it, with exit 2, not a traceback."""
+    monkeypatch.chdir(tmp_path)
+    Path("example1").write_text("")
+    Path("cfg.json").write_text(json.dumps(minimal_config()))
+    assert main(argv) == EXIT_USAGE
+    err = capsys.readouterr().err
+    assert err.startswith(f"cannot create output directory {blocked}: ")
+    assert err.count("\n") == 1
 
 
 @pytest.mark.parametrize("command", ["check", "find-orbit"])
@@ -243,6 +253,23 @@ def test_a_zero_r1_minimum_is_a_usage_error(tmp_path, capsys, command):
     assert capsys.readouterr().err == (
         "config error: config.model: r1 minimum is zero: g0 undefined\n")
     assert not list(tmp_path.glob("*_report.json"))
+
+
+def test_a_coefficient_period_longer_than_the_common_one_is_a_usage_error(
+        tmp_path, capsys):
+    """omega = 1e-12 gives r1 a period of 6.3e12, which does not divide
+    T = 2 pi: ``check`` exits 2 naming the model, before any report."""
+    data = minimal_config()
+    data["model"]["r1"] = {"kind": "sinusoid", "mean": 1.0, "amplitude": 0.5,
+                           "omega": 1e-12}
+    config = tmp_path / "cfg.json"
+    config.write_text(json.dumps(data))
+    code = main(["check", "--config", str(config), "--out", str(tmp_path)])
+    assert code == EXIT_USAGE
+    err = capsys.readouterr().err
+    assert err.startswith("config error: config.model: coefficient r1 has period ")
+    assert "does not divide the common period" in err
+    assert not (tmp_path / "check_report.json").exists()
 
 
 def test_check_over_a_very_long_interval_finishes(tmp_path):
@@ -261,12 +288,30 @@ def test_check_over_a_very_long_interval_finishes(tmp_path):
     assert doc["bounds"]["r2L"] == pytest.approx(-0.8999, abs=1e-12)
 
 
-def test_main_interval_and_variant_overrides(tmp_path):
+@pytest.mark.parametrize("command", ["check", "simulate", "find-orbit"])
+@pytest.mark.parametrize("flag", [["--interval", "0", "1"],
+                                  ["--m0-variant", "k1"]],
+                         ids=["interval", "m0-variant"])
+def test_removed_override_flags_are_usage_errors(tmp_path, capsys, command,
+                                                 flag):
+    """The extremum interval and the m0 denominator are set in the config
+    only: the old flags are unknown arguments (exit 2)."""
+    config = tmp_path / "cfg.json"
+    config.write_text(json.dumps(minimal_config()))
+    with pytest.raises(SystemExit) as exc_info:
+        main([command, "--config", str(config), "--out", str(tmp_path), *flag])
+    assert exc_info.value.code == EXIT_USAGE
+    assert f"unrecognized arguments: {' '.join(flag)}" in capsys.readouterr().err
+
+
+def test_config_sets_the_interval_and_the_m0_denominator(tmp_path):
+    data = json.loads(resources.files("phytoperiod.configs")
+                      .joinpath("example1.json").read_text())
+    data["extremum_interval"] = [0, TWO_PI]
+    data["m0_denominator"] = "k1"
     cfg_path = tmp_path / "cfg.json"
-    cfg_path.write_text(resources.files("phytoperiod.configs")
-                        .joinpath("example1.json").read_text())
-    code = main(["check", "--config", str(cfg_path), "--out", str(tmp_path),
-                 "--interval", "0", str(TWO_PI), "--m0-variant", "k1"])
+    cfg_path.write_text(json.dumps(data))
+    code = main(["check", "--config", str(cfg_path), "--out", str(tmp_path)])
     assert code == EXIT_CHECK_FAILED  # full-period extrema break A2
     doc = json.loads((tmp_path / "check_report.json").read_text())
     assert doc["bounds"]["r2L"] == pytest.approx(-0.8999, abs=1e-12)

@@ -5,7 +5,8 @@ import math
 import numpy as np
 import pytest
 
-from phytoperiod import PeriodicCoefficient, extrema, mean_by_quadrature
+from conftest import mean_by_quadrature
+from phytoperiod import PeriodicCoefficient, extrema
 
 TWO_PI = 2.0 * math.pi
 

@@ -83,8 +83,8 @@ def test_t_eval_matches_separate_integrations():
 
 
 def test_dense_output_records_internal_steps():
-    cfg = IntegratorConfig(dense_output=True)
-    traj = integrate(exp_decay, 0.0, np.array([1.0]), 1.0, cfg)
+    """A plain run returns t0, every accepted step and t1."""
+    traj = integrate(exp_decay, 0.0, np.array([1.0]), 1.0, IntegratorConfig())
     assert len(traj.times) > 3
     for t, s in zip(traj.times, traj.states):
         assert s[0] == pytest.approx(math.exp(-t), abs=1e-8)
@@ -102,8 +102,7 @@ def test_adaptive_stepper_reuses_last_stage():
         calls += 1
         return (-y[0],)
 
-    steps = integrate(field, 0.0, np.array([1.0]), 10.0,
-                      IntegratorConfig(dense_output=True))
+    steps = integrate(field, 0.0, np.array([1.0]), 10.0, IntegratorConfig())
     assert calls == 6 * (len(steps.times) - 1) + 1
     calls = 0
     integrate(field, 0.0, np.array([1.0]), 10.0, IntegratorConfig(),
@@ -258,21 +257,19 @@ def test_sampling_leaves_the_steps_unchanged(forced_params):
     """Sample points are read off the steps, never landed on: a run makes
     the same field calls and ends in the same state, bit for bit, with or
     without t_eval, and a sampled run's ``steps`` are the plain run's rows
-    (t0, the accepted steps under dense_output, t1), bit for bit.  The
-    period includes rejected steps."""
+    (t0, the accepted steps, t1), bit for bit.  The period includes
+    rejected steps."""
     field = lambda t, z: rhs_log(forced_params, t, z)
     marks = np.linspace(0.0, TWO_PI, 257)[1:-1]
-    for dense in (False, True):
-        cfg = IntegratorConfig(dense_output=dense)
-        sampled, n_sampled, plain, n_plain = _sampled_and_plain(
-            field, (0.64, -0.18), TWO_PI, cfg, marks)
-        assert n_sampled == n_plain
-        assert sampled.final_state.tobytes() == plain.final_state.tobytes()
-        np.testing.assert_array_equal(sampled.times[1:-1], marks)
-        assert plain.steps is None and sampled.steps.frame == plain.frame
-        assert sampled.steps.times.tobytes() == plain.times.tobytes()
-        assert sampled.steps.states.tobytes() == plain.states.tobytes()
-        assert (len(plain.times) > 3) == dense
+    sampled, n_sampled, plain, n_plain = _sampled_and_plain(
+        field, (0.64, -0.18), TWO_PI, IntegratorConfig(), marks)
+    assert n_sampled == n_plain
+    assert sampled.final_state.tobytes() == plain.final_state.tobytes()
+    np.testing.assert_array_equal(sampled.times[1:-1], marks)
+    assert plain.steps is None and sampled.steps.frame == plain.frame
+    assert sampled.steps.times.tobytes() == plain.times.tobytes()
+    assert sampled.steps.states.tobytes() == plain.states.tobytes()
+    assert len(plain.times) > 3
 
 
 def test_continuous_extension_is_exact_on_polynomials():
@@ -407,6 +404,16 @@ except StepUnderflowError as exc:
     print(exc.t)
 """)
     assert (proc.returncode, proc.stdout) == (0, "1e+20\n"), proc.stderr
+
+
+def test_stalled_steps_are_not_rows():
+    """Over one ulp at t = 2 pi the first steps are below half an ulp and
+    leave t unchanged until the controller grows them; those steps are not
+    recorded, so the rows are exactly [t0, t1]."""
+    t0 = 6.283185307179585
+    t1 = math.nextafter(t0, 7.0)
+    traj = integrate(lambda t, y: (1e15,), t0, [0.0], t1, IntegratorConfig())
+    assert traj.times.tolist() == [t0, t1]
 
 
 @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])

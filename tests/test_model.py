@@ -166,3 +166,12 @@ def test_params_period_compatibility():
     with pytest.raises(ValueError):
         ModelParams(r1=s, r2=C(1.0), beta1=C(0.1), beta2=C(0.1),
                     k1=1.0, k2=1.0, w1=0.0, w2=0.0, period=1.5 * math.pi)
+
+
+@pytest.mark.parametrize("omega", [1e-12, 1e-9])
+def test_params_reject_a_period_far_longer_than_the_common_one(omega):
+    """A coefficient period of 2 pi / omega cannot divide T = 2 pi when it
+    is longer than T, even when T / period is within the tolerance of 0."""
+    slow = PeriodicCoefficient.sinusoid(1.0, 0.5, omega=omega)
+    with pytest.raises(ValueError, match="does not divide the common period"):
+        ModelParams(**{**GOOD_PARAMS, "r1": slow, "period": 2.0 * math.pi})

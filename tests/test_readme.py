@@ -1,6 +1,7 @@
 """The README's config and library examples, run as written."""
 
 import contextlib
+import argparse
 import dataclasses
 import io
 import json
@@ -8,7 +9,7 @@ import re
 from pathlib import Path
 
 from phytoperiod import IntegratorConfig
-from phytoperiod.cli import parse_config
+from phytoperiod.cli import _build_parser, parse_config
 
 README = (Path(__file__).parents[1] / "README.md").read_text()
 
@@ -38,6 +39,21 @@ def test_readme_integrator_table_lists_exactly_the_parsed_keys():
     data["integrator"] = {key: json.loads(default) for key, default in rows}
     assert parse_config(data).integrator == IntegratorConfig()
 
+
+
+def test_readme_cli_section_names_exactly_the_parsed_options():
+    """The README's CLI section names every option the parser defines,
+    apart from -h/--help, and no other."""
+    section = README.split("\n## CLI\n")[1].split("\n## ")[0]
+    named = set(re.findall(r"(?<![\w-])--[a-z][\w-]*", section))
+    parsers = [_build_parser()]
+    defined = set()
+    while parsers:
+        for action in parsers.pop()._actions:
+            if isinstance(action, argparse._SubParsersAction):
+                parsers.extend(action.choices.values())
+            defined.update(action.option_strings)
+    assert named == defined - {"-h", "--help"}
 
 def test_readme_library_example_finds_a_stable_orbit():
     (block,) = _blocks("python")
