@@ -65,8 +65,6 @@ def test_bundled_configs_parse():
     (lambda d: d.__setitem__("horizon", 0.0), "horizon"),
     (lambda d: d.__setitem__("initial_state", [0.0, 1.0]), "initial_state"),
     (lambda d: d.__setitem__("extremum_interval", [2.0, 1.0]), "extremum_interval"),
-    (lambda d: d.__setitem__("extremum_interval", [0.0, math.inf]),
-     "config.extremum_interval[1]: expected a finite number"),
     (lambda d: d.__setitem__("seed_periods", -3), "seed_periods"),
     (lambda d: d.__setitem__("m0_denominator", "k9"), "m0_denominator"),
     (lambda d: d.__setitem__("integrator", []), "config.integrator"),
@@ -302,6 +300,18 @@ def test_removed_override_flags_are_usage_errors(tmp_path, capsys, command,
         main([command, "--config", str(config), "--out", str(tmp_path), *flag])
     assert exc_info.value.code == EXIT_USAGE
     assert f"unrecognized arguments: {' '.join(flag)}" in capsys.readouterr().err
+
+
+def test_main_rejects_a_non_finite_interval_override(tmp_path, capsys):
+    """An infinite end of the configured ``extremum_interval`` is a usage
+    error that names the interval, before any report is written."""
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps(minimal_config(extremum_interval=[0.0, math.inf])))
+    code = main(["check", "--config", str(cfg_path), "--out", str(tmp_path)])
+    assert code == EXIT_USAGE
+    assert ("config.extremum_interval[1]: expected a finite number"
+            in capsys.readouterr().err)
+    assert not (tmp_path / "check_report.json").exists()
 
 
 def test_config_sets_the_interval_and_the_m0_denominator(tmp_path):
