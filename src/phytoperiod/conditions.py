@@ -115,8 +115,8 @@ def compute_bounds(params: ModelParams,
 
     r1L, r1M = extrema(params.r1, a, b)
     r2L, r2M = extrema(params.r2, a, b)
-    _b1L, beta1M = extrema(params.beta1, a, b)
-    _b2L, beta2M = extrema(params.beta2, a, b)
+    b1L, beta1M = extrema(params.beta1, a, b)
+    b2L, beta2M = extrema(params.beta2, a, b)
 
     if r1L == 0.0:
         raise DegenerateParameterError("r1 minimum is zero: g0 undefined")
@@ -144,8 +144,14 @@ def compute_bounds(params: ModelParams,
     a3_lhs = r2L * params.k2
     a3_rhs = (1.0 + params.w1 * params.k1) * (r2M + params.w2 * params.k2 * params.k1)
 
-    audit = {name: bool(extrema(coeff, 0.0, params.period)[0] > 0.0)
-             for name, coeff in params.coefficients().items()}
+    if (a, b) == (0.0, params.period):
+        # the window is the audit's cycle: its minima are the audit's
+        minima = (r1L, r2L, b1L, b2L)
+    else:
+        minima = [extrema(coeff, 0.0, params.period)[0]
+                  for coeff in params.coefficients().values()]
+    audit = {name: bool(low > 0.0)
+             for name, low in zip(params.coefficients(), minima)}
 
     return BoundReport(
         r1L=r1L, r1M=r1M, r2L=r2L, r2M=r2M, beta1M=beta1M, beta2M=beta2M,

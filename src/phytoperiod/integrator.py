@@ -184,16 +184,8 @@ def integrate(field, t0: float, y0, t1: float, cfg: IntegratorConfig,
     while t < t1:
         stalled = False
         h = min(h_adaptive, t1 - t)
-        y_new, err, stages = dp_step(field, t, y, h, k1)
-        # max-norm of err / (abs_tol + rel_tol max(|y|, |y_new|));
-        # a NaN ratio is kept, so it rejects the step below
-        enorm = 0.0
-        for e, a, b in zip(err, y, y_new):
-            r = abs(e) / (abs_tol + rel_tol * max(abs(a), abs(b)))
-            if not r <= enorm:
-                enorm = r
-                if r != r:
-                    break
+        y_new, _err, stages, enorm = dp_step(field, t, y, h, k1,
+                                             abs_tol, rel_tol)
         accepted = enorm <= 1.0
         if accepted:
             t_new = t1 if h >= t1 - t else t + h
@@ -258,14 +250,16 @@ def _dp_stepper(n: int):
     """The Dormand-Prince step for an n-component state, compiled on first
     use and kept for the process.
 
-    ``step(field, t, y, h, k1)``, given k1 = field(t, y), returns
-    (y_new, err, stages) with stages = (k1, k3, k4, k5, k6, k7), the
-    field's own return values, which the continuous extension uses, and
-    k7 = field(t + h, y_new).  Every stage sum is written out per
-    component and runs left to right over plain floats.  Unpacking each
-    stage into exactly n components rejects a field that returns another
-    length.  The tableau reaches the step through its namespace, never
-    through its source text.
+    ``step(field, t, y, h, k1, abs_tol, rel_tol)``, given k1 = field(t, y),
+    returns (y_new, err, stages, enorm) with stages = (k1, k3, k4, k5, k6,
+    k7), the field's own return values, which the continuous extension
+    uses, and k7 = field(t + h, y_new).  enorm is the max-norm of
+    err / (abs_tol + rel_tol max(|y|, |y_new|)) taken left to right; it is
+    NaN from the first NaN ratio on, so such a step is rejected.  Every
+    stage sum is written out per component and runs left to right over
+    plain floats.  Unpacking each stage into exactly n components rejects
+    a field that returns another length.  The tableau reaches the step
+    through its namespace, never through its source text.
     """
     step = _DP_STEPPERS.get(n)
     if step is not None:
@@ -279,29 +273,49 @@ def _dp_stepper(n: int):
                  "B6": _B6, "E1": _E1, "E3": _E3, "E4": _E4, "E5": _E5,
                  "E6": _E6, "E7": _E7}
     letters = "pqrsuvw"     # the components of k1..k7: p0, p1, ...
-    lines = ["def step(field, t, y, h, k1):"]
+    lines = ["def step(field, t, y, h, k1, abs_tol, rel_tol):"]
 
     def unpack(stage, letter):
         lines.append(f"    {''.join(f'{letter}{i}, ' for i in range(n))}= {stage}")
 
-    def stage_sum(weights, from_y):
+    def stage_sums(weights, from_y):
         # bind h * weight once, then per component y_i + w1 * p_i + ...
         used = [(w, x) for w, x in zip(weights, letters) if w]
         lines.extend(f"    {w.lower()} = h * {w}" for w, _ in used)
-        sums = (" + ".join(([f"y{i}"] if from_y else [])
+        return [" + ".join(([f"y{i}"] if from_y else [])
                            + [f"{w.lower()} * {x}{i}" for w, x in used])
-                for i in range(n))
-        return f"({', '.join(sums)},)"
+                for i in range(n)]
+
+    def components(letter, sums):
+        # one local per component, then their tuple
+        lines.extend(f"    {letter}{i} = {s}" for i, s in enumerate(sums))
+        return f"({''.join(f'{letter}{i}, ' for i in range(n))})"
 
     unpack("y", "y")
     unpack("k1", "p")
     for j, (node, weights) in enumerate(_DP_STAGES, start=2):
-        lines.append(f"    x{j} = {stage_sum(weights, True)}")
+        sums = stage_sums(weights, True)
+        # y_new = x7, kept per component (o0, o1, ...) for the error norm
+        x = (components("o", sums) if j == 7
+             else f"({', '.join(sums)},)")
+        lines.append(f"    x{j} = {x}")
         at = f"t + {node} * h" if node else "t + h"
         lines.append(f"    k{j} = field({at}, x{j})")
         unpack(f"k{j}", letters[j - 1])
-    lines.append(f"    err = {stage_sum(_DP_ERROR, False)}")
-    lines.append("    return x7, err, (k1, k3, k4, k5, k6, k7)")
+    lines.append(f"    err = {components('d', stage_sums(_DP_ERROR, False))}")
+    # max-norm of err / (abs_tol + rel_tol max(|y|, |y_new|)), left to
+    # right; the first NaN ratio ends it, so that it rejects the step
+    lines.append("    enorm = 0.0")
+    for i in range(n):
+        pad = "    " * (i + 1)
+        if i:
+            lines.append(f"{pad[4:]}if enorm == enorm:")
+        lines += [f"{pad}a = abs(y{i})",
+                  f"{pad}b = abs(o{i})",
+                  f"{pad}r = abs(d{i}) / (abs_tol + rel_tol * (b if b > a else a))",
+                  f"{pad}if not r <= enorm:",
+                  f"{pad}    enorm = r"]
+    lines.append("    return x7, err, (k1, k3, k4, k5, k6, k7), enorm")
     exec(compile("\n".join(lines), f"<phytoperiod dp step, n = {n}>", "exec"),
          namespace)
     step = _DP_STEPPERS[n] = namespace.pop("step")  # no cycle through its globals

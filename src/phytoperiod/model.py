@@ -23,7 +23,8 @@ from __future__ import annotations
 import math
 from collections import namedtuple
 from dataclasses import dataclass, fields
-from functools import cached_property
+from functools import cached_property, lru_cache
+from itertools import count
 
 import numpy as np
 
@@ -99,8 +100,7 @@ class ModelParams:
     def _kernels(self) -> _Kernels:
         """The field kernels, built on first use.  The instance is frozen,
         so they never go stale; ``dataclasses.replace`` builds new ones."""
-        rates = _rate_kernel((self.r1, self.r2, self.beta1, self.beta2))
-        return _field_kernels(rates, self.k1, self.k2, self.w1, self.w2)
+        return _field_kernels(self)
 
     def __getstate__(self):
         # pickle and copy the fields only; the kernels are rebuilt on use
@@ -147,91 +147,117 @@ def _exp_state(z):
 
 _Kernels = namedtuple("_Kernels", "rhs_log jac_log rhs_original jac_original")
 
+# The four fields, with the rates as the locals r1, r2, b1, b2 and the
+# constants as the globals k1, k2, w1, w2.  Every expression keeps the
+# operation order of the model equations; the log frame inlines
+# _exp_state, its guard included.
+_LOG_STATE = f"""\
+    z1, z2 = float(z[0]), float(z[1])
+    if z1 > {_EXP_OVERFLOW!r} or z2 > {_EXP_OVERFLOW!r} or not (
+            isfinite(z1) and isfinite(z2)):
+        raise DomainOverflowError(f"log state {{z1, z2}} overflows exp()")
+    u, v = exp(z1), exp(z2)"""
 
-def _field_kernels(rates, k1, k2, w1, w2) -> _Kernels:
-    """The four fields with the constants bound, on top of the rate kernel
-    ``rates(t) -> (r1, r2, beta1, beta2)``.  Every expression keeps the
-    operation order of the model equations."""
+_FIELDS = """\
+def rhs_log(t, z):
+{log_state}
+{rates}
+    return (r1 * (1.0 - u / k1) - b1 * v,
+            r2 * (1.0 / (1.0 + w1 * u) - v / k2) - b2 * u - w2 * u * v)
 
-    def rhs_log(t, z):
-        u, v = _exp_state(z)
-        r1, r2, b1, b2 = rates(t)
-        return (r1 * (1.0 - u / k1) - b1 * v,
-                r2 * (1.0 / (1.0 + w1 * u) - v / k2) - b2 * u - w2 * u * v)
+def jac_log(t, z):
+{log_state}
+{rates}
+    fear = 1.0 / (1.0 + w1 * u)
+    return (
+        (-r1 * u / k1, -b1 * v),
+        (-r2 * w1 * u * fear * fear - b2 * u - w2 * u * v,
+         -r2 * v / k2 - w2 * u * v),
+    )
 
-    def jac_log(t, z):
-        u, v = _exp_state(z)
-        r1, r2, b1, b2 = rates(t)
-        fear = 1.0 / (1.0 + w1 * u)
-        return (
-            (-r1 * u / k1, -b1 * v),
-            (-r2 * w1 * u * fear * fear - b2 * u - w2 * u * v,
-             -r2 * v / k2 - w2 * u * v),
-        )
+def rhs_original(t, x):
+    x1, x2 = x
+{rates}
+    return (r1 * x1 * (1.0 - x1 / k1) - b1 * x1 * x2,
+            r2 * x2 * (1.0 / (1.0 + w1 * x1) - x2 / k2)
+            - b2 * x1 * x2 - w2 * x1 * x2 * x2)
 
-    def rhs_original(t, x):
-        x1, x2 = x
-        r1, r2, b1, b2 = rates(t)
-        return (r1 * x1 * (1.0 - x1 / k1) - b1 * x1 * x2,
-                r2 * x2 * (1.0 / (1.0 + w1 * x1) - x2 / k2)
-                - b2 * x1 * x2 - w2 * x1 * x2 * x2)
-
-    def jac_original(t, x):
-        x1, x2 = x
-        r1, r2, b1, b2 = rates(t)
-        fear = 1.0 / (1.0 + w1 * x1)
-        return (
-            (r1 * (1.0 - 2.0 * x1 / k1) - b1 * x2, -b1 * x1),
-            (-r2 * x2 * w1 * fear * fear - b2 * x2 - w2 * x2 * x2,
-             r2 * (fear - 2.0 * x2 / k2) - b2 * x1 - 2.0 * w2 * x1 * x2),
-        )
-
-    return _Kernels(rhs_log, jac_log, rhs_original, jac_original)
+def jac_original(t, x):
+    x1, x2 = x
+{rates}
+    fear = 1.0 / (1.0 + w1 * x1)
+    return (
+        (r1 * (1.0 - 2.0 * x1 / k1) - b1 * x2, -b1 * x1),
+        (-r2 * x2 * w1 * fear * fear - b2 * x2 - w2 * x2 * x2,
+         r2 * (fear - 2.0 * x2 / k2) - b2 * x1 - 2.0 * w2 * x1 * x2),
+    )
+"""
 
 
-def _rate_kernel(coefficients):
-    """Compile ``t -> tuple(c(t) for c in coefficients)`` into one function.
+@lru_cache(maxsize=256)
+def _field_code(source: str):
+    """The compiled field source.  The text depends on the kinds of the
+    rates, their numbers of harmonics and which arguments they share,
+    never on a value, so parameter sets of one shape share one entry."""
+    return compile(source, "<phytoperiod field kernels>", "exec")
 
-    Constants become bound floats, and each distinct sinusoid argument
-    (omega, phase) and Fourier frequency k*omega is evaluated once per
-    call, however many coefficients share it.  Every expression keeps the
-    operation order of :meth:`PeriodicCoefficient.__call__`, so the values
-    are the same to the last bit.  Floats reach the function through its
-    namespace, never through its source text.
+
+def _field_kernels(params: ModelParams) -> _Kernels:
+    """Generate the four fields of ``params`` as straight-line functions.
+
+    Each body evaluates the rates r1, r2, beta1, beta2 inline: constants
+    are bound floats, and each distinct sinusoid argument (omega, phase)
+    and Fourier frequency k*omega is evaluated once per call, however
+    many rates share it.  The rate expressions keep the operation order
+    of :meth:`PeriodicCoefficient.__call__`, so the values are the same
+    to the last bit.  Every float reaches the functions through their
+    namespace, never through the source text, so the code is compiled
+    once per distinct text and each instance costs one ``exec``.
     """
-    namespace = {"sin": math.sin, "cos": math.cos}
-    names = {}          # float.hex() of a bound value -> its name
-    lines = ["def rates(t):"]
-    shared = {}         # subexpression -> local name
+    namespace = {"sin": math.sin, "cos": math.cos, "exp": math.exp,
+                 "isfinite": math.isfinite,
+                 "DomainOverflowError": DomainOverflowError,
+                 "k1": params.k1, "k2": params.k2,
+                 "w1": params.w1, "w2": params.w2}
+    lines = []
+    shared = {}     # (function, bit patterns of its argument) -> local name
+    counter = count()
 
     def bind(value: float) -> str:
-        name = names.setdefault(value.hex(), f"c{len(names)}")
+        name = f"c{next(counter)}"
         namespace[name] = value
         return name
 
-    def once(expression: str) -> str:
-        if expression not in shared:
-            shared[expression] = f"s{len(shared)}"
-            lines.append(f"    {shared[expression]} = {expression}")
-        return shared[expression]
+    def once(key, expression) -> str:
+        # expression() writes the subexpression the first time key is seen
+        if key not in shared:
+            shared[key] = f"s{len(shared)}"
+            lines.append(f"    {shared[key]} = {expression()}")
+        return shared[key]
 
     def rate(c: PeriodicCoefficient) -> str:
         if c.kind == "constant":
             return bind(c.mean)
         if c.kind == "sinusoid":
-            s = once(f"sin({bind(c.omega)} * t + {bind(c.phase)})")
+            s = once(("sin", c.omega.hex(), c.phase.hex()),
+                     lambda: f"sin({bind(c.omega)} * t + {bind(c.phase)})")
             return f"{bind(c.mean)} + {bind(c.amplitude)} * {s}"
         terms = [bind(c.mean)]
         for k, (a, b) in enumerate(c.harmonics, start=1):
-            kwt = once(f"{bind(k * c.omega)} * t")
-            terms.append(f"{bind(a)} * {once(f'cos({kwt})')}")
-            terms.append(f"{bind(b)} * {once(f'sin({kwt})')}")
+            kw = k * c.omega
+            kwt = once(("*", kw.hex()), lambda: f"{bind(kw)} * t")
+            cos_kwt = once(("cos", kw.hex()), lambda: f"cos({kwt})")
+            sin_kwt = once(("sin", kw.hex()), lambda: f"sin({kwt})")
+            terms += [f"{bind(a)} * {cos_kwt}", f"{bind(b)} * {sin_kwt}"]
         return " + ".join(terms)
 
-    values = [rate(c) for c in coefficients]
-    lines.append(f"    return ({', '.join(values)},)")
-    exec(compile("\n".join(lines), "<phytoperiod rate kernel>", "exec"), namespace)
-    return namespace.pop("rates")  # no cycle through its own globals
+    values = [rate(c) for c in params.coefficients().values()]
+    lines.extend(f"    {name} = {value}"
+                 for name, value in zip(("r1", "r2", "b1", "b2"), values))
+    source = _FIELDS.format(log_state=_LOG_STATE, rates="\n".join(lines))
+    exec(_field_code(source), namespace)
+    # no cycle from the functions through their own globals
+    return _Kernels(*(namespace.pop(name) for name in _Kernels._fields))
 
 
 def averaged_rates(params: ModelParams, u, v):

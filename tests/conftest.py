@@ -130,7 +130,7 @@ def dp5_order_fit():
         t, y = 0.0, (1.0,)
         k1 = field(t, y)
         for _ in range(round(1.0 / h)):
-            y, _err, stages = step(field, t, y, h, k1)
+            y, _err, stages, _enorm = step(field, t, y, h, k1, 1e-10, 1e-10)
             t, k1 = t + h, stages[-1]
         errors.append(abs(y[0] - math.exp(-1.0)))
     return float(np.polyfit(np.log(steps), np.log(errors), 1)[0]), errors

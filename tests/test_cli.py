@@ -365,6 +365,37 @@ def test_reproduce_integrates_the_horizon_once(tmp_path, monkeypatch, which):
     assert spans.count((0.0, horizon)) == 1
 
 
+# calls per ``reproduce example1``; a fused or bypassed field changes them
+EXAMPLE1_CALLS = {"rhs_log": 25_501, "jac_log": 4_067, "rhs_original": 5_955,
+                  "jac_original": 0, "integrate": 81}
+
+
+def test_reproduce_example1_calls_the_public_fields_by_name(tmp_path,
+                                                             monkeypatch):
+    """Every evaluation goes through the public model fields and
+    ``integrate``, looked up by name in the module that calls them, so
+    that wrapping those names (as the benchmark's tracer does) sees each
+    call."""
+    from phytoperiod import integrator, model, orbit
+
+    counts = dict.fromkeys(EXAMPLE1_CALLS, 0)
+    public = {name: getattr(integrator if name == "integrate" else model, name)
+              for name in EXAMPLE1_CALLS}
+
+    def counting(name):
+        def wrapped(*args, **kwargs):
+            counts[name] += 1
+            return public[name](*args, **kwargs)
+        return wrapped
+
+    for module in (integrator, orbit, cli):
+        for name, fn in public.items():
+            if getattr(module, name, None) is fn:
+                monkeypatch.setattr(module, name, counting(name))
+    assert cmd_reproduce("example1", tmp_path) == EXIT_OK
+    assert counts == EXAMPLE1_CALLS
+
+
 def test_reproduce_unknown_bundle(tmp_path):
     with pytest.raises(ConfigError):
         cmd_reproduce("nonsense", tmp_path)

@@ -7,7 +7,7 @@ import pytest
 
 from phytoperiod import (DegenerateParameterError, M0_CANONICAL,
                          M0_VARIANT_K2, ModelParams, PeriodicCoefficient,
-                         compute_bounds)
+                         compute_bounds, conditions)
 
 TWO_PI = 2.0 * math.pi
 HALF = (0.0, math.pi)
@@ -48,6 +48,30 @@ def test_demo_full_period_extrema_and_audit(ex1_params):
 def test_audit_is_full_period_even_with_half_period_extrema(ex1_params):
     rep = compute_bounds(ex1_params, HALF)
     assert all(v is False for v in rep.positivity_audit.values())
+
+
+@pytest.mark.parametrize("window, calls", [((0.0, TWO_PI), 4), (HALF, 8)])
+def test_a_full_period_window_is_audited_from_its_own_extrema(
+        ex1_params, monkeypatch, window, calls):
+    """Over [0, T] the audit reads the window's minima; over another
+    window it takes its own extrema over [0, T].  Either way each verdict
+    is the sign of the rate's minimum over the cycle."""
+    S = PeriodicCoefficient.sinusoid
+    mixed = ModelParams(
+        r1=S(1.0, 0.3), r2=PeriodicCoefficient.fourier(0.1, [(0.05, 0.2)]),
+        beta1=S(0.05, 0.01), beta2=PeriodicCoefficient.constant(0.002),
+        k1=2.0, k2=1.0, w1=0.1, w2=0.002, period=TWO_PI)
+    extrema = conditions.extrema
+    for params in (ex1_params, mixed):
+        seen = []
+        monkeypatch.setattr(conditions, "extrema",
+                            lambda c, a, b: seen.append((a, b)) or extrema(c, a, b))
+        audit = compute_bounds(params, window).positivity_audit
+        monkeypatch.undo()
+        assert len(seen) == calls
+        assert audit == {name: extrema(c, 0.0, TWO_PI)[0] > 0.0
+                         for name, c in params.coefficients().items()}
+    assert audit == {"r1": True, "r2": False, "beta1": True, "beta2": True}
 
 
 def test_constant_coefficients_extrema_collapse(remark_params):

@@ -140,6 +140,19 @@ def _reference_dp_step(field, t, y, h, k1):
     return y_new, err, (k1, k3, k4, k5, k6, k7)
 
 
+def _reference_norm(err, y, y_new, abs_tol, rel_tol):
+    """Oracle: max-norm of err / (abs_tol + rel_tol max(|y|, |y_new|)),
+    left to right, ended by the first NaN ratio."""
+    enorm = 0.0
+    for e, a, b in zip(err, y, y_new):
+        r = abs(e) / (abs_tol + rel_tol * max(abs(a), abs(b)))
+        if not r <= enorm:
+            enorm = r
+            if r != r:
+                break
+    return enorm
+
+
 def _hex(values):
     return [float(v).hex() for v in values]
 
@@ -152,12 +165,13 @@ _term = st.floats(-3.0, 3.0, allow_subnormal=False)
            st.lists(st.tuples(_term, _term, _term), min_size=n, max_size=n),
            st.lists(_term, min_size=n, max_size=n))),
        t=st.floats(-10.0, 10.0, allow_subnormal=False),
-       h=st.floats(1e-6, 1.0))
-def test_generated_step_is_bit_identical_to_the_generic_step(case, t, h):
+       h=st.floats(1e-6, 1.0),
+       tols=st.sampled_from([(1e-10, 1e-10), (1e-12, 1e-6), (1.0, 0.0)]))
+def test_generated_step_is_bit_identical_to_the_generic_step(case, t, h, tols):
     """Random fields y_i' = a_i sin(b_i t + y_i) + c_i y_i y_(i+1 mod n) in
     dimensions 1, 2 and 6: the generated step returns the oracle's y_new,
-    err and stages to the last bit, and its stages are the field's own
-    return values."""
+    err and stages to the last bit, its stages are the field's own
+    return values, and its error norm is the oracle's norm of err."""
     coef, y = case
     y = tuple(y)
     returned = []
@@ -170,13 +184,41 @@ def test_generated_step_is_bit_identical_to_the_generic_step(case, t, h):
         return k
 
     k1 = field(t, y)
-    y_new, err, stages = itg._dp_stepper(len(y))(field, t, y, h, k1)
+    y_new, err, stages, enorm = itg._dp_stepper(len(y))(field, t, y, h, k1,
+                                                          *tols)
     assert stages[0] is k1 and all(
         s is k for s, k in zip(stages[1:], returned[2:]))
     ref_y, ref_err, ref_stages = _reference_dp_step(field, t, y, h, k1)
     assert _hex(y_new) == _hex(ref_y) and _hex(err) == _hex(ref_err)
     for stage, ref in zip(stages, ref_stages, strict=True):
         assert _hex(stage) == _hex(ref)
+    assert _hex([enorm]) == _hex([_reference_norm(ref_err, y, ref_y, *tols)])
+
+
+@pytest.mark.parametrize("n, component", [(1, 0), (2, 0), (2, 1), (6, 0),
+                                          (6, 3), (6, 5)])
+@pytest.mark.parametrize("stage", [2, 7])
+def test_the_error_norm_stops_at_the_first_nan(n, component, stage):
+    """A NaN in one component of stage k2 or k7 makes that component's
+    error NaN; the norm is NaN, however large the ratios after it."""
+    calls = []
+
+    def field(t, y):
+        calls.append(t)
+        k = [-(i + 1.0) * 1e3 * yi for i, yi in enumerate(y)]
+        if len(calls) == stage:
+            k[component] = math.nan
+        return tuple(k)
+
+    y, h = tuple(1.0 + i for i in range(n)), 0.1
+    k1 = field(0.0, y)
+    _y, err, _stages, enorm = itg._dp_stepper(n)(field, 0.0, y, h, k1,
+                                                 1e-10, 1e-10)
+    calls[1:] = []
+    ref_y, ref_err, _ref = _reference_dp_step(field, 0.0, y, h, k1)
+    assert _hex(err) == _hex(ref_err) and math.isnan(err[component])
+    ref_norm = _reference_norm(ref_err, y, ref_y, 1e-10, 1e-10)
+    assert math.isnan(ref_norm) and math.isnan(enorm)
 
 
 def test_the_step_is_built_once_per_dimension(monkeypatch):

@@ -5,6 +5,8 @@ import copy
 import dataclasses
 import math
 import pickle
+import sys
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -13,7 +15,12 @@ from hypothesis import strategies as st
 from phytoperiod import (DomainOverflowError, ModelParams, PeriodicCoefficient,
                          compute_bounds, jac_log, jac_original, rhs_log,
                          rhs_original)
-from phytoperiod.model import _rate_kernel
+from phytoperiod.cli import parse_config
+from phytoperiod.model import _exp_state, _field_code
+
+ROOT = Path(__file__).resolve().parents[1]
+sys.path.insert(0, str(ROOT / "bench"))
+import workloads  # noqa: E402
 
 TWO_PI = 2.0 * math.pi
 
@@ -122,12 +129,17 @@ def test_one_sin_per_distinct_argument(ex1_params):
         return wrapped
 
     def count(coefficients):
-        rates = _rate_kernel(coefficients)
+        # a fresh instance: its fields share one namespace of their own
+        params = dataclasses.replace(ex1_params, **dict(zip(
+            ("r1", "r2", "beta1", "beta2"), coefficients)))
+        namespace = params._kernels.rhs_log.__globals__
+        assert all(getattr(params._kernels, name).__globals__ is namespace
+                   for name in params._kernels._fields)
         for name in ("sin", "cos"):
-            rates.__globals__[name] = counting(name, rates.__globals__[name])
+            namespace[name] = counting(name, namespace[name])
         calls.clear()
-        values = rates(0.9)
-        assert bits(values) == bits(tuple(c(0.9) for c in coefficients))
+        z = (0.4, -1.5)
+        assert bits(rhs_log(params, 0.9, z)) == bits(ref_rhs_log(params, 0.9, z))
         return calls.count("sin"), calls.count("cos")
 
     # example1: four sinusoids with one (omega, phase)
@@ -141,6 +153,63 @@ def test_one_sin_per_distinct_argument(ex1_params):
     assert count((fourier, fourier, sine, sine)) == (3, 2)
     # same omega, different phase: one sin each
     assert count((sine, PeriodicCoefficient.sinusoid(1.0, 0.3), const, const)) == (2, 0)
+
+
+@pytest.mark.parametrize("component", [0, 1])
+@pytest.mark.parametrize("value", [709.0, math.nextafter(709.0, math.inf),
+                                   math.inf, -math.inf, math.nan])
+def test_the_fused_guard_is_the_guard_of_exp_state(ex1_params, component, value):
+    """The log-frame fields accept exactly the states that _exp_state
+    accepts, and reject the others with the same message."""
+    z = [0.5, -0.5]
+    z[component] = value
+    z = tuple(z)
+    fields = (lambda: rhs_log(ex1_params, 0.3, z),
+              lambda: jac_log(ex1_params, 0.3, z))
+    if value == 709.0:
+        _exp_state(z)
+        assert bits(fields[0]()) == bits(ref_rhs_log(ex1_params, 0.3, z))
+        assert bits(fields[1]()) == bits(ref_jac_log(ex1_params, 0.3, z))
+        return
+    with pytest.raises(DomainOverflowError) as expected:
+        _exp_state(z)
+    for field in fields:
+        with pytest.raises(DomainOverflowError) as raised:
+            field()
+        assert str(raised.value) == str(expected.value)
+
+
+# --- code cache -------------------------------------------------------------------
+
+def test_params_of_the_same_kinds_share_one_code_object(ex1_params):
+    S = PeriodicCoefficient.sinusoid
+    other = ModelParams(r1=S(1.5, 0.25), r2=S(0.7, 0.125), beta1=S(0.05, 0.01),
+                        beta2=S(0.002, 0.001), k1=3.0, k2=1.5, w1=0.5,
+                        w2=0.25, period=TWO_PI)
+    for name in ex1_params._kernels._fields:
+        assert (getattr(other._kernels, name).__code__
+                is getattr(ex1_params._kernels, name).__code__)
+    z, x = (0.3, -0.2), (1.25, 0.5)
+    for params in (ex1_params, other):
+        assert bits(rhs_log(params, 0.7, z)) == bits(ref_rhs_log(params, 0.7, z))
+        assert bits(jac_log(params, 0.7, z)) == bits(ref_jac_log(params, 0.7, z))
+        assert bits(rhs_original(params, 0.7, x)) == bits(
+            ref_rhs_original(params, 0.7, x))
+        assert bits(jac_original(params, 0.7, x)) == bits(
+            ref_jac_original(params, 0.7, x))
+
+
+def test_the_forced_orbits_configs_compile_one_source():
+    """The benchmark's 24 forced-orbits configs differ only in values,
+    so their fields come from one compiled source."""
+    before = _field_code.cache_info()
+    for doc in workloads.generate_configs("forced-orbits", 11):
+        params = parse_config(doc).model
+        assert bits(rhs_log(params, 0.7, (0.3, -0.2))) == bits(
+            ref_rhs_log(params, 0.7, (0.3, -0.2)))
+    after = _field_code.cache_info()
+    assert after.hits + after.misses - before.hits - before.misses == 24
+    assert after.misses - before.misses <= 1
 
 
 # --- cache safety ---------------------------------------------------------------
