@@ -5,7 +5,11 @@ explicit Runge-Kutta pair with per-step error control is entirely
 adequate and keeps the runtime dependency-free.  The same stepping core
 drives plain integration, the period-T flow map and the variational
 (monodromy) equations; sampled output comes from the pair's continuous
-extension, so sampling never changes the steps.
+extension, so sampling never changes the steps.  The whole adaptive loop
+for an n-component state (stages, error norm, step-size controller,
+failure checks, row recording and sampling) is one generated
+straight-line function, compiled on first use per dimension;
+``integrate`` checks its arguments, runs it once and wraps its rows.
 """
 
 from __future__ import annotations
@@ -120,6 +124,8 @@ class Trajectory:
         s = np.asarray(self.states, dtype=float)
         if t.ndim != 1 or s.shape[0] != t.shape[0]:
             raise ValueError("times and states must have matching lengths")
+        if not np.all(np.isfinite(t)):
+            raise ValueError("times must be finite")
         if np.any(np.diff(t) <= 0):
             raise ValueError("times must be strictly increasing")
         object.__setattr__(self, "times", t)
@@ -135,6 +141,20 @@ class Trajectory:
         return Trajectory("original", self.times, np.exp(self.states))
 
 
+def _from_march(frame, times, flat_states, n, steps=None) -> Trajectory:
+    """The Trajectory of rows or samples a march made, whose times are
+    finite and strictly increasing by construction, so the public
+    constructor's checks are skipped; ``flat_states`` holds the n
+    components of each row in turn."""
+    traj = object.__new__(Trajectory)
+    object.__setattr__(traj, "frame", frame)
+    object.__setattr__(traj, "times", np.array(times, dtype=float))
+    object.__setattr__(traj, "states",
+                       np.array(flat_states, dtype=float).reshape(-1, n))
+    object.__setattr__(traj, "steps", steps)
+    return traj
+
+
 def integrate(field, t0: float, y0, t1: float, cfg: IntegratorConfig,
               t_eval=None, frame: str = "original") -> Trajectory:
     """Integrate y' = field(t, y) from t0 to t1.
@@ -148,14 +168,18 @@ def integrate(field, t0: float, y0, t1: float, cfg: IntegratorConfig,
     accepted step that contains it, so a run takes the same steps, and
     ends in the same state, with or without ``t_eval``.  The run's own
     rows are t0, every accepted step that moves t, and t1; they are the
-    result without ``t_eval`` and the result's ``steps`` with it.
+    result without ``t_eval`` and the result's ``steps`` with it.  The
+    span t1 - t0 must be positive and finite.
     """
     if not t1 > t0:
         raise ValueError(f"need t1 > t0, got [{t0}, {t1}]")
-    y0 = np.asarray(y0, dtype=float)
-    if y0.ndim != 1 or not y0.size:
+    if not math.isfinite(t1 - t0):
+        raise ValueError(f"need a finite time span, got [{t0}, {t1}]")
+    y = np.asarray(y0, dtype=float)
+    if y.ndim != 1 or not y.size:
         raise ValueError("initial state must be a non-empty vector")
-    if not np.all(np.isfinite(y0)):
+    y = tuple(y.tolist())
+    if not all(map(math.isfinite, y)):
         raise ValueError("initial state must be finite")
 
     pts = []
@@ -168,69 +192,16 @@ def integrate(field, t0: float, y0, t1: float, cfg: IntegratorConfig,
             raise ValueError("t_eval points must lie within [t0, t1]")
         pts = [p for p in pts if t0 < p < t1]
     pts.append(math.inf)        # sentinel, beyond every step
-    i = 0
 
-    t, y = t0, tuple(y0.tolist())
-    times, states = [t], [y]            # samples
-    step_times, step_states = [t], [y]  # the run's own rows
-    dp_step = _dp_stepper(len(y))
-    abs_tol, rel_tol, max_step = cfg.abs_tol, cfg.rel_tol, cfg.max_step or math.inf
-    h_floor = _MIN_STEP_FACTOR * (t1 - t0)
-    h_adaptive = min((t1 - t0) * 1e-3, max_step)
-    k1 = field(t, y)    # field(t, y), kept across steps (FSAL)
-    if len(k1) != len(y):
-        raise ValueError(f"field returned {len(k1)} components for a state "
-                         f"of dimension {len(y)}")
-    while t < t1:
-        stalled = False
-        h = min(h_adaptive, t1 - t)
-        y_new, _err, stages, enorm = dp_step(field, t, y, h, k1,
-                                             abs_tol, rel_tol)
-        accepted = enorm <= 1.0
-        if accepted:
-            t_new = t1 if h >= t1 - t else t + h
-            stalled = t_new == t
-            if pts[i] <= t_new:
-                # one polynomial per step, evaluated by Horner per point
-                poly = _dp_extension(y, h, *stages)
-                while pts[i] <= t_new:
-                    p = pts[i]
-                    th = (p - t) / h
-                    times.append(p)
-                    states.append(tuple(
-                        c0 + th * (c1 + th * (c2 + th * (c3 + th * c4)))
-                        for c0, c1, c2, c3, c4 in poly))
-                    i += 1
-            t, y = t_new, y_new
-            k1 = stages[-1]     # DP5's k7 is the next step's k1 (FSAL)
-        # standard I-controller with safety factor and clamps; a
-        # non-finite error estimate (NaN stages) forces a hard shrink
-        if enorm > 0.0 and math.isfinite(enorm):
-            factor = 0.9 * enorm ** -0.2
-        elif enorm == 0.0:
-            factor = 5.0
-        else:
-            factor = 0.2
-        h_adaptive = min(h * min(5.0, max(0.2, factor)), max_step)
-        if h_adaptive < h_floor:
-            raise StepUnderflowError(
-                f"adaptive step underflow at t = {t}", t=t)
-        # a step below half the spacing of floats at t leaves t unchanged;
-        # unless the controller grows the next one, t stays there for good
-        if stalled and not h_adaptive > h:
-            raise StepUnderflowError(f"step {h!r} does not advance t = {t}", t=t)
-        if not all(map(math.isfinite, y)):
-            raise NonFiniteStateError(
-                f"state became non-finite at t = {t}", t=t)
-        if accepted and not stalled and t < t1:
-            step_times.append(t)
-            step_states.append(y)
-    steps = Trajectory(frame, np.array(step_times + [t]),
-                       np.array(step_states + [y]))
+    n = len(y)
+    max_step = cfg.max_step or math.inf
+    row_times, row_states, times, states = _dp_march(n)(
+        field, t0, y, t1, min((t1 - t0) * 1e-3, max_step), max_step,
+        cfg.abs_tol, cfg.rel_tol, _MIN_STEP_FACTOR * (t1 - t0), pts)
+    steps = _from_march(frame, row_times, row_states, n)
     if t_eval is None:
         return steps
-    return Trajectory(frame, np.array(times + [t]), np.array(states + [y]),
-                      steps)
+    return _from_march(frame, times, states, n, steps)
 
 
 # The stages k2..k7 of one Dormand-Prince step: (node, weights), where
@@ -243,27 +214,34 @@ _DP_STAGES = (("C2", ("A21",)),
               (None, ("A61", "A62", "A63", "A64", "A65")),
               (None, ("B1", None, "B3", "B4", "B5", "B6")))
 _DP_ERROR = ("E1", None, "E3", "E4", "E5", "E6", "E7")
-_DP_STEPPERS = {}   # state dimension -> its compiled step
+_DP_MARCHES = {}    # state dimension -> its compiled march
 
 
-def _dp_stepper(n: int):
-    """The Dormand-Prince step for an n-component state, compiled on first
-    use and kept for the process.
+def _dp_march(n: int):
+    """The adaptive Dormand-Prince integration of an n-component state,
+    compiled on first use and kept for the process.
 
-    ``step(field, t, y, h, k1, abs_tol, rel_tol)``, given k1 = field(t, y),
-    returns (y_new, err, stages, enorm) with stages = (k1, k3, k4, k5, k6,
-    k7), the field's own return values, which the continuous extension
-    uses, and k7 = field(t + h, y_new).  enorm is the max-norm of
-    err / (abs_tol + rel_tol max(|y|, |y_new|)) taken left to right; it is
-    NaN from the first NaN ratio on, so such a step is rejected.  Every
-    stage sum is written out per component and runs left to right over
-    plain floats.  Unpacking each stage into exactly n components rejects
-    a field that returns another length.  The tableau reaches the step
-    through its namespace, never through its source text.
+    ``march(field, t, y, t1, h, max_step, abs_tol, rel_tol, h_floor, pts)``
+    integrates y' = field(t, y) from (t, y) to t1 with first step h and
+    returns the run's rows and its samples as four lists: the row times,
+    the row states flattened, the sample times and the sample states
+    flattened.  ``pts`` holds the sample times inside (t, t1), ascending,
+    then the sentinel inf.  The whole loop is one straight-line function:
+    every stage sum is written out per component and runs left to right
+    over plain floats, the FSAL stage k7 is handed on as the next k1, and
+    the error norm, the controller and the failure checks are inline.
+    The error norm is the max-norm of err / (abs_tol + rel_tol
+    max(|y|, |y_new|)) taken left to right; it is NaN from the first NaN
+    ratio on, so such a step is rejected.  Every ``min`` and ``max`` of
+    the generic loop is written as the comparison the builtin makes, so
+    the results are those of that loop to the last bit.  Unpacking each
+    stage into exactly n components rejects a field that returns another
+    length.  The tableau reaches the march through its namespace, never
+    through its source text.
     """
-    step = _DP_STEPPERS.get(n)
-    if step is not None:
-        return step
+    march = _DP_MARCHES.get(n)
+    if march is not None:
+        return march
     namespace = {"C2": _C2, "C3": _C3, "C4": _C4, "C5": _C5,
                  "A21": _A21, "A31": _A31, "A32": _A32,
                  "A41": _A41, "A42": _A42, "A43": _A43,
@@ -271,43 +249,59 @@ def _dp_stepper(n: int):
                  "A61": _A61, "A62": _A62, "A63": _A63, "A64": _A64,
                  "A65": _A65, "B1": _B1, "B3": _B3, "B4": _B4, "B5": _B5,
                  "B6": _B6, "E1": _E1, "E3": _E3, "E4": _E4, "E5": _E5,
-                 "E6": _E6, "E7": _E7}
+                 "E6": _E6, "E7": _E7, "inf": math.inf,
+                 "isfinite": math.isfinite, "extension": _dp_extension,
+                 "StepUnderflowError": StepUnderflowError,
+                 "NonFiniteStateError": NonFiniteStateError}
     letters = "pqrsuvw"     # the components of k1..k7: p0, p1, ...
-    lines = ["def step(field, t, y, h, k1, abs_tol, rel_tol):"]
+    lines = ["def march(field, t, y, t1, h_adaptive, max_step, abs_tol, "
+             "rel_tol, h_floor, pts):",
+             "    times, states = [t], list(y)      # samples",
+             "    row_times, row_states = [t], list(y)",
+             "    k1 = field(t, y)",
+             f"    if len(k1) != {n}:",
+             "        raise ValueError(f'field returned {len(k1)} components '",
+             f"                         'for a state of dimension {n}')",
+             "    i = 0"]
 
-    def unpack(stage, letter):
-        lines.append(f"    {''.join(f'{letter}{i}, ' for i in range(n))}= {stage}")
+    def tup(letter):
+        return f"({''.join(f'{letter}{i}, ' for i in range(n))})"
+
+    def unpack(stage, letter, indent=4):
+        lines.append(f"{' ' * indent}{tup(letter)[1:-1]}= {stage}")
 
     def stage_sums(weights, from_y):
         # bind h * weight once, then per component y_i + w1 * p_i + ...
         used = [(w, x) for w, x in zip(weights, letters) if w]
-        lines.extend(f"    {w.lower()} = h * {w}" for w, _ in used)
+        lines.extend(f"        {w.lower()} = h * {w}" for w, _ in used)
         return [" + ".join(([f"y{i}"] if from_y else [])
                            + [f"{w.lower()} * {x}{i}" for w, x in used])
                 for i in range(n)]
 
-    def components(letter, sums):
-        # one local per component, then their tuple
-        lines.extend(f"    {letter}{i} = {s}" for i, s in enumerate(sums))
-        return f"({''.join(f'{letter}{i}, ' for i in range(n))})"
-
     unpack("y", "y")
     unpack("k1", "p")
+    lines += ["    while t < t1:",
+              "        h = t1 - t",
+              "        if not h < h_adaptive:",
+              "            h = h_adaptive"]
     for j, (node, weights) in enumerate(_DP_STAGES, start=2):
         sums = stage_sums(weights, True)
-        # y_new = x7, kept per component (o0, o1, ...) for the error norm
-        x = (components("o", sums) if j == 7
-             else f"({', '.join(sums)},)")
-        lines.append(f"    x{j} = {x}")
+        if j == 7:
+            # y_new = x7, kept per component (o0, o1, ...) for the error norm
+            lines.extend(f"        o{i} = {s}" for i, s in enumerate(sums))
+            lines.append(f"        x7 = {tup('o')}")
+        else:
+            lines.append(f"        x{j} = ({', '.join(sums)},)")
         at = f"t + {node} * h" if node else "t + h"
-        lines.append(f"    k{j} = field({at}, x{j})")
-        unpack(f"k{j}", letters[j - 1])
-    lines.append(f"    err = {components('d', stage_sums(_DP_ERROR, False))}")
+        lines.append(f"        k{j} = field({at}, x{j})")
+        unpack(f"k{j}", letters[j - 1], 8)
+    lines.extend(f"        d{i} = {s}"
+                 for i, s in enumerate(stage_sums(_DP_ERROR, False)))
     # max-norm of err / (abs_tol + rel_tol max(|y|, |y_new|)), left to
     # right; the first NaN ratio ends it, so that it rejects the step
-    lines.append("    enorm = 0.0")
+    lines.append("        enorm = 0.0")
     for i in range(n):
-        pad = "    " * (i + 1)
+        pad = "    " * (i + 2)
         if i:
             lines.append(f"{pad[4:]}if enorm == enorm:")
         lines += [f"{pad}a = abs(y{i})",
@@ -315,11 +309,69 @@ def _dp_stepper(n: int):
                   f"{pad}r = abs(d{i}) / (abs_tol + rel_tol * (b if b > a else a))",
                   f"{pad}if not r <= enorm:",
                   f"{pad}    enorm = r"]
-    lines.append("    return x7, err, (k1, k3, k4, k5, k6, k7), enorm")
-    exec(compile("\n".join(lines), f"<phytoperiod dp step, n = {n}>", "exec"),
+    # standard I-controller with safety factor and clamps; a non-finite
+    # error estimate (NaN stages) forces a hard shrink:
+    # h_adaptive = min(h * min(5.0, max(0.2, factor)), max_step), and
+    # min(h_adaptive, t1 - t) above, as the builtins compare
+    lines += ["        if enorm > 0.0 and enorm < inf:",
+              "            factor = 0.9 * enorm ** -0.2",
+              "            if not factor > 0.2:",
+              "                factor = 0.2",
+              "            elif not factor < 5.0:",
+              "                factor = 5.0",
+              "        elif enorm == 0.0:",
+              "            factor = 5.0",
+              "        else:",
+              "            factor = 0.2",
+              "        h_adaptive = h * factor",
+              "        if max_step < h_adaptive:",
+              "            h_adaptive = max_step",
+              "        if enorm <= 1.0:",
+              "            t_new = t1 if h >= t1 - t else t + h",
+              "            if pts[i] <= t_new:",
+              # one polynomial per step, evaluated by Horner per point
+              "                "
+              + ", ".join(f"(c{i}0, c{i}1, c{i}2, c{i}3, c{i}4)" for i in range(n))
+              + ", = extension(y, h, k1, k3, k4, k5, k6, k7)",
+              "                while pts[i] <= t_new:",
+              "                    th = (pts[i] - t) / h",
+              "                    times.append(pts[i])",
+              "                    states += ("
+              + ", ".join(f"c{i}0 + th * (c{i}1 + th * (c{i}2 + th * "
+                          f"(c{i}3 + th * c{i}4)))" for i in range(n)) + ",)",
+              "                    i += 1",
+              "            stalled = t_new == t",
+              # DP5's k7 is the next step's k1 (FSAL)
+              "            t, y, k1 = t_new, x7, k7",
+              f"            {tup('y')[1:-1]}= {tup('o')[1:-1]}",
+              f"            {tup('p')[1:-1]}= {tup('w')[1:-1]}",
+              "        if h_adaptive < h_floor:",
+              "            raise StepUnderflowError(",
+              "                f'adaptive step underflow at t = {t}', t=t)",
+              "        if enorm <= 1.0:",
+              # a step below half the spacing of floats at t leaves t
+              # unchanged; unless the controller grows the next one, t
+              # stays there for good.  A rejected step leaves y as it
+              # was, so only an accepted one can make it non-finite.
+              "            if stalled and not h_adaptive > h:",
+              "                raise StepUnderflowError(",
+              "                    f'step {h!r} does not advance t = {t}', t=t)",
+              "            if not ("
+              + " and ".join(f"isfinite(y{i})" for i in range(n)) + "):",
+              "                raise NonFiniteStateError(",
+              "                    f'state became non-finite at t = {t}', t=t)",
+              "            if not stalled and t < t1:",
+              "                row_times.append(t)",
+              "                row_states += y",
+              "    row_times.append(t)",
+              "    row_states += y",
+              "    times.append(t)",
+              "    states += y",
+              "    return row_times, row_states, times, states"]
+    exec(compile("\n".join(lines), f"<phytoperiod dp march, n = {n}>", "exec"),
          namespace)
-    step = _DP_STEPPERS[n] = namespace.pop("step")  # no cycle through its globals
-    return step
+    march = _DP_MARCHES[n] = namespace.pop("march")  # no cycle through its globals
+    return march
 
 
 def _dp_extension(y, h, k1, k3, k4, k5, k6, k7):

@@ -115,23 +115,34 @@ def grid_scan(params):
     return np.array([zs[i], zs[j]]), float(norms[i, j]), float(zs[1] - zs[0])
 
 
-def dp5_order_fit():
-    """Fixed-step order of the Dormand-Prince step: drive it with each h
-    of 0.2, 0.1, 0.05 and 0.025 over [0, 1] on y' = -y, y(0) = 1, handing
-    k7 on as the next k1, and fit log(global error) against log(h).
-    Returns (slope, errors)."""
-    from phytoperiod.integrator import _dp_stepper
+def march(field, t, y, t1, h, abs_tol=1e-10, rel_tol=1e-10):
+    """Run the compiled Dormand-Prince march for len(y) components from
+    (t, y) to t1 with first step h, no step cap and no sample points, as
+    ``integrate`` does.  Returns (row times, row states as tuples)."""
+    from phytoperiod.integrator import _MIN_STEP_FACTOR, _dp_march
 
+    n = len(y)
+    times, flat, _, _ = _dp_march(n)(field, t, tuple(y), t1, h, math.inf,
+                                     abs_tol, rel_tol,
+                                     _MIN_STEP_FACTOR * (t1 - t), [math.inf])
+    return times, [tuple(flat[i:i + n]) for i in range(0, len(flat), n)]
+
+
+def dp5_order_fit():
+    """Fixed-step order of the Dormand-Prince step: with each h of 0.2,
+    0.1, 0.05 and 0.025, cross [0, 1] on y' = -y, y(0) = 1, by one march
+    per step, from t to t + h with a first step of h and a tolerance no
+    step fails, and fit log(global error) against log(h).
+    Returns (slope, errors)."""
     steps = (0.2, 0.1, 0.05, 0.025)
     field = lambda t, y: (-y[0],)
-    step = _dp_stepper(1)
     errors = []
     for h in steps:
         t, y = 0.0, (1.0,)
-        k1 = field(t, y)
         for _ in range(round(1.0 / h)):
-            y, _err, stages, _enorm = step(field, t, y, h, k1, 1e-10, 1e-10)
-            t, k1 = t + h, stages[-1]
+            times, states = march(field, t, y, t + h, h, 1.0, 0.0)
+            assert len(times) == 2      # one accepted step
+            t, y = times[-1], states[-1]
         errors.append(abs(y[0] - math.exp(-1.0)))
     return float(np.polyfit(np.log(steps), np.log(errors), 1)[0]), errors
 

@@ -365,26 +365,47 @@ def test_reproduce_integrates_the_horizon_once(tmp_path, monkeypatch, which):
     assert spans.count((0.0, horizon)) == 1
 
 
-# calls per ``reproduce example1``; a fused or bypassed field changes them
-EXAMPLE1_CALLS = {"rhs_log": 25_501, "jac_log": 4_067, "rhs_original": 5_955,
-                  "jac_original": 0, "integrate": 81}
+# calls per ``reproduce``; a fused or bypassed field changes them
+BUNDLE_CALLS = {
+    "example1": {"rhs_log": 25_501, "jac_log": 4_067, "rhs_original": 5_955,
+                 "jac_original": 0, "integrate": 81},
+    "remark-constant": {"rhs_log": 8_600, "jac_log": 0, "rhs_original": 4_636,
+                        "jac_original": 61, "integrate": 203}}
 
 
-def test_reproduce_example1_calls_the_public_fields_by_name(tmp_path,
-                                                             monkeypatch):
+@pytest.mark.parametrize("which", sorted(BUNDLE_CALLS))
+def test_reproduce_calls_the_public_fields_by_name(tmp_path, monkeypatch,
+                                                   which):
     """Every evaluation goes through the public model fields and
     ``integrate``, looked up by name in the module that calls them, so
     that wrapping those names (as the benchmark's tracer does) sees each
-    call."""
+    call.  Every ``rhs_log`` and ``rhs_original`` call but one is made
+    while ``integrate`` runs, since the benchmark's evaluations per period
+    count the calls inside it; the one outside is the derivative at the
+    horizon's end in ``cli._simulate_with_tail``."""
+    import sys
+
     from phytoperiod import integrator, model, orbit
 
-    counts = dict.fromkeys(EXAMPLE1_CALLS, 0)
+    expected = BUNDLE_CALLS[which]
+    counts = dict.fromkeys(expected, 0)
+    outside = []        # callers of the fields outside ``integrate``
+    depth = 0
     public = {name: getattr(integrator if name == "integrate" else model, name)
-              for name in EXAMPLE1_CALLS}
+              for name in expected}
 
     def counting(name):
         def wrapped(*args, **kwargs):
+            nonlocal depth
             counts[name] += 1
+            if name == "integrate":
+                depth += 1
+                try:
+                    return public[name](*args, **kwargs)
+                finally:
+                    depth -= 1
+            if not depth and name.startswith("rhs_"):
+                outside.append(sys._getframe(1).f_code.co_name)
             return public[name](*args, **kwargs)
         return wrapped
 
@@ -392,8 +413,9 @@ def test_reproduce_example1_calls_the_public_fields_by_name(tmp_path,
         for name, fn in public.items():
             if getattr(module, name, None) is fn:
                 monkeypatch.setattr(module, name, counting(name))
-    assert cmd_reproduce("example1", tmp_path) == EXIT_OK
-    assert counts == EXAMPLE1_CALLS
+    assert cmd_reproduce(which, tmp_path) == EXIT_OK
+    assert counts == expected
+    assert outside == ["_simulate_with_tail"]
 
 
 def test_reproduce_unknown_bundle(tmp_path):

@@ -5,7 +5,7 @@ from importlib import resources
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import Phase, given, settings
 from hypothesis import strategies as st
 
 from phytoperiod import (IntegrationError, IntegratorConfig, ModelParams,
@@ -13,6 +13,8 @@ from phytoperiod import (IntegrationError, IntegratorConfig, ModelParams,
                          flow_map, integrate, jac_log, rhs_log, rhs_original,
                          variational_flow, write_trajectory_csv)
 from phytoperiod import integrator as itg
+
+from conftest import march
 
 TWO_PI = 2.0 * math.pi
 
@@ -153,46 +155,154 @@ def _reference_norm(err, y, y_new, abs_tol, rel_tol):
     return enorm
 
 
+def _reference_factor(enorm):
+    """Oracle: the I-controller's step factor, clamped with the builtins."""
+    if enorm > 0.0 and math.isfinite(enorm):
+        factor = 0.9 * enorm ** -0.2
+    elif enorm == 0.0:
+        factor = 5.0
+    else:
+        factor = 0.2
+    return min(5.0, max(0.2, factor))
+
+
+def _reference_integrate(field, t0, y0, t1, cfg, t_eval=None):
+    """Oracle: the adaptive loop written as a Python loop around the
+    generic step, with ``min`` and ``max`` as builtins, samples from a
+    generator per point and the result from the public constructor."""
+    pts = sorted({float(p) for p in t_eval or ()})
+    pts = [p for p in pts if t0 < p < t1] + [math.inf]
+    i = 0
+    t, y = t0, tuple(np.asarray(y0, dtype=float).tolist())
+    times, states = [t], [y]
+    step_times, step_states = [t], [y]
+    max_step = cfg.max_step or math.inf
+    h_floor = itg._MIN_STEP_FACTOR * (t1 - t0)
+    h_adaptive = min((t1 - t0) * 1e-3, max_step)
+    k1 = field(t, y)
+    while t < t1:
+        stalled = False
+        h = min(h_adaptive, t1 - t)
+        y_new, err, stages = _reference_dp_step(field, t, y, h, k1)
+        enorm = _reference_norm(err, y, y_new, cfg.abs_tol, cfg.rel_tol)
+        accepted = enorm <= 1.0
+        if accepted:
+            t_new = t1 if h >= t1 - t else t + h
+            stalled = t_new == t
+            if pts[i] <= t_new:
+                poly = itg._dp_extension(y, h, *stages)
+                while pts[i] <= t_new:
+                    th = (pts[i] - t) / h
+                    times.append(pts[i])
+                    states.append(tuple(
+                        c0 + th * (c1 + th * (c2 + th * (c3 + th * c4)))
+                        for c0, c1, c2, c3, c4 in poly))
+                    i += 1
+            t, y = t_new, y_new
+            k1 = stages[-1]
+        h_adaptive = min(h * _reference_factor(enorm), max_step)
+        if h_adaptive < h_floor:
+            raise itg.StepUnderflowError(
+                f"adaptive step underflow at t = {t}", t=t)
+        if stalled and not h_adaptive > h:
+            raise itg.StepUnderflowError(f"step {h!r} does not advance t = {t}", t=t)
+        if not all(map(math.isfinite, y)):
+            raise itg.NonFiniteStateError(
+                f"state became non-finite at t = {t}", t=t)
+        if accepted and not stalled and t < t1:
+            step_times.append(t)
+            step_states.append(y)
+    steps = Trajectory("original", np.array(step_times + [t]),
+                       np.array(step_states + [y]))
+    if t_eval is None:
+        return steps
+    return Trajectory("original", np.array(times + [t]),
+                      np.array(states + [y]), steps)
+
+
 def _hex(values):
     return [float(v).hex() for v in values]
 
 
+def _outcome(run):
+    """A run's result as hex rows, or its failure: type, message and t."""
+    try:
+        traj = run()
+    except Exception as exc:    # compared, not handled
+        return type(exc), str(exc), getattr(exc, "t", None)
+    out = []
+    while traj is not None:
+        out += [_hex(traj.times), [_hex(s) for s in traj.states]]
+        traj = traj.steps
+    return out
+
+
+class _Enough(Exception):
+    pass
+
+
+class _Recorder:
+    """y_i' = a_i sin(b_i t + y_i) + c_i y_i y_(i+1 mod n); keeps every
+    call's arguments, and ends the run with ``_Enough`` after ``limit``
+    calls."""
+
+    def __init__(self, coef, limit=math.inf):
+        self.coef, self.times, self.states, self.limit = coef, [], [], limit
+
+    def __call__(self, t, y):
+        if len(self.times) == self.limit:
+            raise _Enough
+        self.times.append(t)
+        self.states.append(y)
+        n = len(y)
+        return tuple(a * math.sin(b * t + y[i]) + c * y[i] * y[(i + 1) % n]
+                     for i, (a, b, c) in enumerate(self.coef))
+
+
+def _same_calls(field, ref, n=None):
+    """Whether the first n calls of two recorders had the same arguments,
+    bit for bit."""
+    return all(np.array(a[:n]).tobytes() == np.array(b[:n]).tobytes()
+               for a, b in ((field.times, ref.times), (field.states, ref.states)))
+
+
 _term = st.floats(-3.0, 3.0, allow_subnormal=False)
+_fields = st.sampled_from([1, 2, 6]).flatmap(lambda n: st.tuples(
+    st.lists(st.tuples(_term, _term, _term), min_size=n, max_size=n),
+    st.lists(_term, min_size=n, max_size=n)))
 
 
 @settings(max_examples=60, deadline=None, derandomize=True, database=None)
-@given(case=st.sampled_from([1, 2, 6]).flatmap(lambda n: st.tuples(
-           st.lists(st.tuples(_term, _term, _term), min_size=n, max_size=n),
-           st.lists(_term, min_size=n, max_size=n))),
+@given(case=_fields,
        t=st.floats(-10.0, 10.0, allow_subnormal=False),
        h=st.floats(1e-6, 1.0),
        tols=st.sampled_from([(1e-10, 1e-10), (1e-12, 1e-6), (1.0, 0.0)]))
 def test_generated_step_is_bit_identical_to_the_generic_step(case, t, h, tols):
     """Random fields y_i' = a_i sin(b_i t + y_i) + c_i y_i y_(i+1 mod n) in
-    dimensions 1, 2 and 6: the generated step returns the oracle's y_new,
-    err and stages to the last bit, its stages are the field's own
-    return values, and its error norm is the oracle's norm of err."""
+    dimensions 1, 2 and 6, one step as a march from t to t + h with a
+    first step of h: the march calls the field with the oracle's stage
+    arguments to the last bit.  If the oracle's error norm accepts the
+    step, the march ends in the oracle's y_new; if not, it retries with
+    the step the controller makes of that norm."""
     coef, y = case
     y = tuple(y)
-    returned = []
-
-    def field(t, y):
-        n = len(y)
-        k = tuple(a * math.sin(b * t + y[i]) + c * y[i] * y[(i + 1) % n]
-                  for i, (a, b, c) in enumerate(coef))
-        returned.append(k)
-        return k
-
-    k1 = field(t, y)
-    y_new, err, stages, enorm = itg._dp_stepper(len(y))(field, t, y, h, k1,
-                                                          *tols)
-    assert stages[0] is k1 and all(
-        s is k for s, k in zip(stages[1:], returned[2:]))
-    ref_y, ref_err, ref_stages = _reference_dp_step(field, t, y, h, k1)
-    assert _hex(y_new) == _hex(ref_y) and _hex(err) == _hex(ref_err)
-    for stage, ref in zip(stages, ref_stages, strict=True):
-        assert _hex(stage) == _hex(ref)
-    assert _hex([enorm]) == _hex([_reference_norm(ref_err, y, ref_y, *tols)])
+    t1 = t + h
+    field, ref_field = _Recorder(coef, limit=8), _Recorder(coef)
+    try:
+        times, states = march(field, t, y, t1, h, *tols)
+    except _Enough:     # the retry's first stage is all this test needs
+        times = states = None
+    h = min(h, t1 - t)      # the march's first step
+    ref_y, ref_err, _ref = _reference_dp_step(ref_field, t, y, h,
+                                              ref_field(t, y))
+    assert _same_calls(field, ref_field, 7) and len(ref_field.times) == 7
+    enorm = _reference_norm(ref_err, y, ref_y, *tols)
+    if enorm <= 1.0:
+        assert len(field.times) == 7 and _hex(times) == _hex([t, t1])
+        assert _hex(states[-1]) == _hex(ref_y)
+    else:
+        retry = min(h * _reference_factor(enorm), t1 - t)
+        assert field.times[7].hex() == (t + itg._C2 * retry).hex()
 
 
 @pytest.mark.parametrize("n, component", [(1, 0), (2, 0), (2, 1), (6, 0),
@@ -200,41 +310,92 @@ def test_generated_step_is_bit_identical_to_the_generic_step(case, t, h, tols):
 @pytest.mark.parametrize("stage", [2, 7])
 def test_the_error_norm_stops_at_the_first_nan(n, component, stage):
     """A NaN in one component of stage k2 or k7 makes that component's
-    error NaN; the norm is NaN, however large the ratios after it."""
+    error NaN, and the norm NaN whatever the other ratios are: the step
+    is rejected and retried at a fifth of its size.  The tolerance puts
+    the largest other ratio at about 10, so a norm that dropped the NaN
+    would have retried at 0.57 of the size instead."""
     calls = []
 
     def field(t, y):
         calls.append(t)
-        k = [-(i + 1.0) * 1e3 * yi for i, yi in enumerate(y)]
+        k = [-(i + 1.0) * yi for i, yi in enumerate(y)]
         if len(calls) == stage:
             k[component] = math.nan
         return tuple(k)
 
     y, h = tuple(1.0 + i for i in range(n)), 0.1
-    k1 = field(0.0, y)
-    _y, err, _stages, enorm = itg._dp_stepper(n)(field, 0.0, y, h, k1,
-                                                 1e-10, 1e-10)
-    calls[1:] = []
-    ref_y, ref_err, _ref = _reference_dp_step(field, 0.0, y, h, k1)
-    assert _hex(err) == _hex(ref_err) and math.isnan(err[component])
-    ref_norm = _reference_norm(ref_err, y, ref_y, 1e-10, 1e-10)
-    assert math.isnan(ref_norm) and math.isnan(enorm)
+    ref_y, ref_err, _ref = _reference_dp_step(field, 0.0, y, h, field(0.0, y))
+    assert math.isnan(ref_err[component])
+    others = [abs(e) for e in ref_err if not math.isnan(e)]
+    abs_tol = max(others) / 10.0 if others else 1e-10
+    assert math.isnan(_reference_norm(ref_err, y, ref_y, abs_tol, 0.0))
+    if others:
+        assert _reference_factor(max(others) / abs_tol) > 0.5
+    calls[:] = []
+    march(field, 0.0, y, h, h, abs_tol, 0.0)
+    assert calls[7] == itg._C2 * (h * 0.2)
+
+
+# no shrinking: a failing draw is reported as drawn, because shrinking it
+# would rerun both integrations thousands of times
+@settings(max_examples=80, deadline=None, derandomize=True, database=None,
+          phases=[Phase.generate])
+@given(case=_fields,
+       t0=st.floats(-10.0, 10.0, allow_subnormal=False),
+       span=st.floats(1e-3, 2.0),
+       tols=st.sampled_from([(1e-10, 1e-10), (1e-12, 1e-6), (1e-4, 1e-4),
+                             (1e-3, 1e-12)]),
+       max_step=st.one_of(st.none(), st.floats(1e-2, 5.0)),
+       grid=st.one_of(st.none(), st.lists(st.floats(0.0, 1.0), max_size=12)))
+def test_integrate_is_the_generic_loop_to_the_last_bit(case, t0, span, tols,
+                                                       max_step, grid):
+    """Random fields in dimensions 1, 2 and 6, tolerances, step caps and
+    sample sets: ``integrate`` returns the times, states and rows of the
+    generic loop hex for hex, or fails as it does, with the same type,
+    message and t.  Many of these fields blow up in finite time; both
+    runs are cut at the 3,000th field call."""
+    coef, y0 = case
+    t1 = t0 + span
+    cfg = IntegratorConfig(*tols, max_step=max_step)
+    t_eval = None if grid is None else [t0 + g * span for g in grid]
+    # a run that needs more calls ends on the same call in both
+    field, ref_field = _Recorder(coef, 3000), _Recorder(coef, 3000)
+    got = _outcome(lambda: integrate(field, t0, y0, t1, cfg, t_eval=t_eval))
+    assert got == _outcome(lambda: _reference_integrate(ref_field, t0, y0, t1,
+                                                        cfg, t_eval))
+    assert _same_calls(field, ref_field)
+
+
+@pytest.mark.filterwarnings("ignore:invalid value")
+@pytest.mark.parametrize("field, t0, y0, t1, cfg", [
+    (lambda t, y: (y[0] * y[0],), 0.0, [2.0], 1.0, IntegratorConfig(1e-6, 1e-6)),
+    (lambda t, y: (1e308,), 0.0, [1e308], 1.0, IntegratorConfig()),
+    (lambda t, y: -np.sqrt(y), 0.0, [1.0], 5.0, IntegratorConfig()),
+    (lambda t, y: (-y[0],), 1e20, [1.0], 1e20 + 1e5,
+     IntegratorConfig(max_step=100.0)),
+    (lambda t, y: (-y[0],), 0.0, [1.0], 5e-324, IntegratorConfig())],
+    ids=["blow-up", "overflow", "nan", "stall", "first-step"])
+def test_integrate_fails_as_the_generic_loop_does(field, t0, y0, t1, cfg):
+    got = _outcome(lambda: integrate(field, t0, y0, t1, cfg))
+    assert issubclass(got[0], IntegrationError)
+    assert got == _outcome(lambda: _reference_integrate(field, t0, y0, t1, cfg))
 
 
 def test_the_step_is_built_once_per_dimension(monkeypatch):
+    """The march is compiled once per state dimension and kept."""
     built = {}
-    monkeypatch.setattr(itg, "_DP_STEPPERS", built)
+    monkeypatch.setattr(itg, "_DP_MARCHES", built)
     integrate(exp_decay, 0.0, [1.0], 1.0, IntegratorConfig())
-    step = built[1]
+    march_1 = built[1]
     integrate(exp_decay, 0.0, [2.0], 3.0, IntegratorConfig())
     integrate(lambda t, y: (-y[1], y[0]), 0.0, [1.0, 0.0], 1.0,
               IntegratorConfig())
-    assert sorted(built) == [1, 2] and built[1] is step
-    assert itg._dp_stepper(1) is step
+    assert sorted(built) == [1, 2] and built[1] is march_1
+    assert itg._dp_march(1) is march_1
 
 
 def test_check_builds_no_step(tmp_path):
-    """The step is built on first use, not at import, and ``check``
+    """The march is built on first use, not at import, and ``check``
     integrates nothing, so it builds none."""
     from conftest import run_python
 
@@ -244,7 +405,7 @@ def test_check_builds_no_step(tmp_path):
     proc = run_python("-c", f"""
 from phytoperiod import cli, integrator
 cli.main(["check", "--config", {str(config)!r}, "--out", {str(tmp_path)!r}])
-print(sorted(integrator._DP_STEPPERS))
+print(sorted(integrator._DP_MARCHES))
 """)
     assert proc.stdout.splitlines()[-1:] == ["[]"], proc.stderr
 
@@ -393,6 +554,34 @@ def test_invalid_time_span():
         integrate(exp_decay, 1.0, np.array([1.0]), 1.0, IntegratorConfig())
 
 
+def test_an_infinite_time_span_is_rejected():
+    """An infinite t0 or t1, or a span that overflows, is a ValueError
+    before the first field call; with h = inf every step would be NaN and
+    rejected, and the run would never end.  Run in a subprocess with a
+    timeout."""
+    from conftest import run_python
+
+    proc = run_python("-c", """
+import math
+from phytoperiod import IntegratorConfig, integrate
+calls = []
+for t0, t1 in [(0.0, math.inf), (-math.inf, 0.0), (-math.inf, math.inf),
+               (-1e308, 1e308)]:
+    try:
+        integrate(lambda t, y: calls.append(t) or (-y[0],), t0, [1.0], t1,
+                  IntegratorConfig())
+    except ValueError as exc:
+        print(exc)
+print(len(calls))
+""", timeout=20)
+    assert proc.stdout.splitlines() == [
+        "need a finite time span, got [0.0, inf]",
+        "need a finite time span, got [-inf, 0.0]",
+        "need a finite time span, got [-inf, inf]",
+        "need a finite time span, got [-1e+308, 1e+308]",
+        "0"], proc.stderr
+
+
 def test_nonfinite_state_detected():
     blow_up = lambda t, y: (y[0] * y[0],)  # finite-time blow-up from y0 = 2: t* = 0.5
     with pytest.raises(IntegrationError):
@@ -477,6 +666,13 @@ def test_trajectory_invariants():
         Trajectory("log", np.array([0.0, 1.0]), np.zeros((3, 2)))
     with pytest.raises(ValueError):
         Trajectory("polar", np.array([0.0, 1.0]), np.zeros((2, 2)))
+
+
+@pytest.mark.parametrize("times", [[0.0, math.nan, 1.0], [0.0, math.inf],
+                                   [-math.inf, 0.0], [math.nan]])
+def test_trajectory_times_must_be_finite(times):
+    with pytest.raises(ValueError, match="times must be finite"):
+        Trajectory("log", np.array(times), np.zeros((len(times), 2)))
 
 
 # --- model-bound operations ----------------------------------------------
