@@ -8,9 +8,8 @@ shooting solver for periodic solutions with Floquet stability analysis,
 the period-averaged algebraic system, and a config-driven CLI.
 """
 
-from .averaged import (AveragedRoot, ClosedFormResult,
-                       DegenerateAveragedSystemError, averaged_equilibria,
-                       closed_form_mu0)
+from .averaged import (AveragedRoot, DegenerateAveragedSystemError,
+                       averaged_equilibria)
 from .coefficients import PeriodicCoefficient, extrema
 from .conditions import (BoundReport, DegenerateParameterError, M0_CANONICAL,
                          M0_VARIANT_K2, compute_bounds)

@@ -8,14 +8,6 @@ Substituting the line into g2 and multiplying by 1 + w1 u > 0 leaves a
 polynomial of degree at most three in u, so every positive equilibrium
 is a real root of one cubic; :func:`averaged_equilibria` returns all of
 them, each classified by the averaged Jacobian.
-
-The module also evaluates a pair of closed-form candidate expressions
-for the "mu = 0" reduction of the system, which drops the fear-driven
-growth term r2_bar / (1 + w1 u) of the second equation.  That reduction
-deserves a warning: its second equation is a sum of strictly negative
-terms whenever the averaged rates are positive, so it has no real root
-at all.  The closed-form expressions are therefore evaluated and
-validity-checked, but never asserted to solve it.
 """
 
 from __future__ import annotations
@@ -28,10 +20,8 @@ from .model import ModelParams, averaged_jacobian, averaged_rates
 
 __all__ = [
     "AveragedRoot",
-    "ClosedFormResult",
     "DegenerateAveragedSystemError",
     "averaged_equilibria",
-    "closed_form_mu0",
 ]
 
 _POLISH_STEPS = 2
@@ -78,7 +68,8 @@ def averaged_equilibria(params: ModelParams) -> list[AveragedRoot]:
     expanding the cubic cancels terms, and must then pass a residual check
     against :func:`~phytoperiod.model.averaged_rates`.  Raises
     :class:`DegenerateAveragedSystemError` when the equilibria fill a
-    line, and ArithmeticError when a root fails its residual check.
+    line, and ArithmeticError when a root leaves u > 0, v > 0 while it is
+    polished or fails its residual check.
     """
     return [_classify(params, *_polish(params, u, v))
             for u, v in _line_roots(params) if u > 0.0 and v > 0.0]
@@ -181,7 +172,10 @@ def _horner(coeffs: list, u: float) -> float:
 
 
 def _polish(params: ModelParams, u: float, v: float) -> tuple[float, float]:
-    """Newton steps on (g1, g2) from (u, v), then the residual check."""
+    """Newton steps on (g1, g2) from (u, v), then the residual check.
+    Raises ArithmeticError when a step leaves u > 0, v > 0 or the result
+    fails the check."""
+    u0, v0 = u, v
     for _ in range(_POLISH_STEPS):
         g1, g2 = averaged_rates(params, u, v)
         (j11, j12), (j21, j22) = averaged_jacobian(
@@ -190,6 +184,10 @@ def _polish(params: ModelParams, u: float, v: float) -> tuple[float, float]:
         # the log-frame step dz gives du = u dz1, dv = v dz2
         u *= 1.0 - (j22 * g1 - j12 * g2) / det
         v *= 1.0 - (j11 * g2 - j21 * g1) / det
+        if not (u > 0.0 and v > 0.0):
+            raise ArithmeticError(
+                f"averaged root x = ({u0!r}, {v0!r}) leaves u > 0, v > 0 "
+                f"under Newton polishing, at ({u!r}, {v!r})")
     r1b, r2b, b1b, b2b = params.means()
     g1, g2 = averaged_rates(params, u, v)
     scale = max(abs(r1b), abs(r1b * u / params.k1), abs(b1b * v),
@@ -211,44 +209,3 @@ def _classify(params: ModelParams, u: float, v: float) -> AveragedRoot:
     trace = j11 + j22
     kind = "saddle" if det < 0.0 else "stable" if trace < 0.0 else "unstable"
     return AveragedRoot(x=(u, v), z=z, det=det, trace=trace, kind=kind)
-
-
-@dataclass(frozen=True)
-class ClosedFormResult:
-    """Evaluation of the closed-form mu=0 candidate expressions.
-
-    ``arg1``/``arg2`` are the logarithm arguments; ``z1``/``z2`` are
-    their logs where defined (NaN otherwise); ``valid`` means both
-    arguments were positive.
-    """
-
-    z1: float
-    z2: float
-    arg1: float
-    arg2: float
-    valid: bool
-
-    def to_dict(self) -> dict:
-        return asdict(self)
-
-
-def closed_form_mu0(params: ModelParams) -> ClosedFormResult:
-    """Evaluate the printed closed-form candidate root of the reduction.
-
-        z1* = ln( (k1/r1b) (r1b - k1 k2 r1b b1b b2b / D) )
-        z2* = ln( k1 k2 r1b b2b / D ),   D = b1b b2b k1 k2 - r1b r2b
-
-    Raises ZeroDivisionError when D = 0.  The expressions are recorded
-    artifacts: they are evaluated and validity-checked, not trusted.
-    """
-    r1b, r2b, b1b, b2b = params.means()
-    denom = b1b * b2b * params.k1 * params.k2 - r1b * r2b
-    if denom == 0.0:
-        raise ZeroDivisionError(
-            "closed-form denominator b1b*b2b*k1*k2 - r1b*r2b is zero")
-    arg1 = (params.k1 / r1b) * (r1b - params.k1 * params.k2 * r1b * b1b * b2b / denom)
-    arg2 = params.k1 * params.k2 * r1b * b2b / denom
-    z1 = math.log(arg1) if arg1 > 0 else math.nan
-    z2 = math.log(arg2) if arg2 > 0 else math.nan
-    return ClosedFormResult(z1=z1, z2=z2, arg1=arg1, arg2=arg2,
-                            valid=arg1 > 0 and arg2 > 0)

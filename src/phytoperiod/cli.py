@@ -30,8 +30,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .averaged import (DegenerateAveragedSystemError, averaged_equilibria,
-                       closed_form_mu0)
+from .averaged import DegenerateAveragedSystemError, averaged_equilibria
 from .coefficients import PeriodicCoefficient
 from .conditions import (BoundReport, DegenerateParameterError, M0_CANONICAL,
                          M0_VARIANT_K2, compute_bounds)
@@ -95,10 +94,12 @@ def _get(d, key, path, required=True, default=None):
 
 
 def _real(value, path):
-    if (isinstance(value, bool) or not isinstance(value, (int, float))
-            or not math.isfinite(value)):
-        raise ConfigError(f"{path}: expected a finite number, got {value!r}")
-    return float(value)
+    if not isinstance(value, bool) and isinstance(value, (int, float)):
+        # an int too big for a float makes isfinite raise OverflowError
+        with contextlib.suppress(OverflowError):
+            if math.isfinite(value):
+                return float(value)
+    raise ConfigError(f"{path}: expected a finite number, got {value!r}")
 
 
 def _pair(value, path, shape):
@@ -241,6 +242,9 @@ def load_config(path) -> ExperimentConfig:
             data = json.load(fh)
     except OSError as exc:
         raise ConfigError(f"cannot read config {path}: {exc}") from exc
+    except UnicodeDecodeError as exc:
+        raise ConfigError(f"config {path} is not UTF-8 text: byte "
+                          f"{exc.start}: {exc.reason}") from exc
     except json.JSONDecodeError as exc:
         raise ConfigError(
             f"config {path} is not valid JSON: line {exc.lineno}, "
@@ -271,12 +275,8 @@ def _averaged_diagnostics(model: ModelParams) -> dict:
     r1b, r2b, b1b, b2b = model.means()
     out: dict = {"means": {"r1": r1b, "r2": r2b, "beta1": b1b, "beta2": b2b}}
     try:
-        out["closed_form_mu0"] = closed_form_mu0(model).to_dict()
-    except ZeroDivisionError as exc:
-        out["closed_form_mu0"] = {"error": str(exc)}
-    try:
         roots = averaged_equilibria(model)
-    except DegenerateAveragedSystemError as exc:
+    except (DegenerateAveragedSystemError, ArithmeticError) as exc:
         out["roots"] = None
         out["newton"] = {"converged": False, "reason": str(exc)}
         return out
@@ -355,7 +355,9 @@ def _find_orbit(cfg: ExperimentConfig, bounds: BoundReport,
     doc["orbit"] = orbit.to_dict()
     doc["bound_checks"] = [c.to_dict() for c in verify_bounds(orbit, bounds)]
     _write_json(out_dir / "orbit_report.json", doc)
-    write_trajectory_csv(orbit.orbit_samples.to_original(), out_dir / "orbit.csv")
+    samples = orbit.orbit_samples
+    write_trajectory_csv(Trajectory(samples.times, np.exp(samples.states)),
+                         out_dir / "orbit.csv")
     return doc, orbit
 
 
@@ -369,7 +371,7 @@ def _integrate_horizon(cfg: ExperimentConfig, t_eval=None) -> Trajectory:
     """The configured run: x(0) = initial_state, over [0, horizon]."""
     return integrate(lambda t, x: rhs_original(cfg.model, t, x), 0.0,
                      np.array(cfg.initial_state), cfg.horizon, cfg.integrator,
-                     t_eval=t_eval, frame="original")
+                     t_eval=t_eval)
 
 
 def cmd_simulate(cfg: ExperimentConfig, out_dir: Path) -> int:
@@ -507,7 +509,7 @@ def cmd_reproduce(which: str, out_dir: Path) -> int:
                      True, None),
         ]
         if orbit is not None:
-            samples = orbit.orbit_samples.to_original().states
+            samples = np.exp(orbit.orbit_samples.states)
             variance = float(np.max(np.var(samples, axis=0)))
             regressions.append(_regress("orbit_sample_variance_below_1e-12",
                                         variance < 1e-12, True, None))

@@ -110,20 +110,18 @@ class IntegratorConfig:
 
 @dataclass(frozen=True)
 class Trajectory:
-    """Time-stamped state sequence in a declared coordinate frame."""
+    """Time-stamped states of one run, in the frame of its field."""
 
-    frame: str                  # "original" or "log"
     times: np.ndarray
     states: np.ndarray          # shape (n, dim), aligned with times
     steps: Trajectory | None = None   # a sampled run's own rows
 
     def __post_init__(self):
-        if self.frame not in ("original", "log"):
-            raise ValueError(f"unknown frame {self.frame!r}")
         t = np.asarray(self.times, dtype=float)
         s = np.asarray(self.states, dtype=float)
-        if t.ndim != 1 or s.shape[0] != t.shape[0]:
-            raise ValueError("times and states must have matching lengths")
+        if t.ndim != 1 or s.ndim != 2 or s.shape[0] != t.shape[0]:
+            raise ValueError("need a vector of times and one row of states "
+                             "per time")
         if not np.all(np.isfinite(t)):
             raise ValueError("times must be finite")
         if np.any(np.diff(t) <= 0):
@@ -135,19 +133,13 @@ class Trajectory:
     def final_state(self) -> np.ndarray:
         return self.states[-1]
 
-    def to_original(self) -> "Trajectory":
-        if self.frame == "original":
-            return self
-        return Trajectory("original", self.times, np.exp(self.states))
 
-
-def _from_march(frame, times, flat_states, n, steps=None) -> Trajectory:
+def _from_march(times, flat_states, n, steps=None) -> Trajectory:
     """The Trajectory of rows or samples a march made, whose times are
     finite and strictly increasing by construction, so the public
     constructor's checks are skipped; ``flat_states`` holds the n
     components of each row in turn."""
     traj = object.__new__(Trajectory)
-    object.__setattr__(traj, "frame", frame)
     object.__setattr__(traj, "times", np.array(times, dtype=float))
     object.__setattr__(traj, "states",
                        np.array(flat_states, dtype=float).reshape(-1, n))
@@ -156,7 +148,7 @@ def _from_march(frame, times, flat_states, n, steps=None) -> Trajectory:
 
 
 def integrate(field, t0: float, y0, t1: float, cfg: IntegratorConfig,
-              t_eval=None, frame: str = "original") -> Trajectory:
+              t_eval=None) -> Trajectory:
     """Integrate y' = field(t, y) from t0 to t1.
 
     ``field(t, y)`` receives the state as a tuple of floats and returns a
@@ -198,10 +190,10 @@ def integrate(field, t0: float, y0, t1: float, cfg: IntegratorConfig,
     row_times, row_states, times, states = _dp_march(n)(
         field, t0, y, t1, min((t1 - t0) * 1e-3, max_step), max_step,
         cfg.abs_tol, cfg.rel_tol, _MIN_STEP_FACTOR * (t1 - t0), pts)
-    steps = _from_march(frame, row_times, row_states, n)
+    steps = _from_march(row_times, row_states, n)
     if t_eval is None:
         return steps
-    return _from_march(frame, times, states, n, steps)
+    return _from_march(times, states, n, steps)
 
 
 # The stages k2..k7 of one Dormand-Prince step: (node, weights), where
@@ -393,7 +385,7 @@ def _dp_extension(y, h, k1, k3, k4, k5, k6, k7):
 def flow_map(params: ModelParams, z0, cfg: IntegratorConfig) -> np.ndarray:
     """State after one period: z(T) of the log-frame flow with z(0) = z0."""
     traj = integrate(lambda t, z: rhs_log(params, t, z),
-                     0.0, z0, params.period, cfg, frame="log")
+                     0.0, z0, params.period, cfg)
     return traj.final_state
 
 
@@ -414,8 +406,7 @@ def variational_flow(field, jac, t0: float, y0, t1: float,
                 j21 * y11 + j22 * y21, j21 * y12 + j22 * y22)
 
     y1, y2 = y0
-    traj = integrate(augmented, t0, (y1, y2, 1.0, 0.0, 0.0, 1.0), t1, cfg,
-                     frame="log")
+    traj = integrate(augmented, t0, (y1, y2, 1.0, 0.0, 0.0, 1.0), t1, cfg)
     wT = traj.final_state
     return wT[:2], wT[2:].reshape(2, 2)
 
@@ -429,9 +420,9 @@ def flow_and_monodromy(params: ModelParams, z0, cfg: IntegratorConfig):
 
 
 def write_trajectory_csv(traj: Trajectory, path) -> None:
-    """CSV export: header t,x1,x2 (or t,z1,z2), 17 significant digits."""
-    names = ("x1", "x2") if traj.frame == "original" else ("z1", "z2")
+    """CSV export of a trajectory of densities: header t,x1,x2, 17
+    significant digits."""
     with open(path, "w", encoding="utf-8") as fh:
-        fh.write(f"t,{names[0]},{names[1]}\n")
+        fh.write("t,x1,x2\n")
         for t, s in zip(traj.times, traj.states):
             fh.write(f"{t:.17g},{s[0]:.17g},{s[1]:.17g}\n")

@@ -77,7 +77,10 @@ class ExtinctionDiagnosis:
 
 @dataclass(frozen=True)
 class PeriodicOrbit:
-    """A converged fixed point of the period map, with its linearisation."""
+    """A converged fixed point of the period map, with its linearisation.
+
+    ``orbit_samples`` holds the log states z(t) over one period, at
+    equal time intervals."""
 
     z0: np.ndarray
     residual_norm: float
@@ -135,13 +138,13 @@ def seed_by_transient(params: ModelParams, z_start, n_periods: int,
     return SeedResult(z=z, contraction=float(np.max(np.abs(z - prev))))
 
 
-def _sample_period(params: ModelParams, rhs, y0, cfg: IntegratorConfig,
-                   frame: str) -> Trajectory:
+def _sample_period(params: ModelParams, rhs, y0,
+                   cfg: IntegratorConfig) -> Trajectory:
     """One period of y' = rhs(params, t, y) from y0, sampled at
     _ORBIT_SAMPLES equal intervals."""
     ts = np.linspace(0.0, params.period, _ORBIT_SAMPLES + 1)
     return integrate(lambda t, y: rhs(params, t, y), 0.0, y0, params.period,
-                     cfg, t_eval=ts[1:-1], frame=frame)
+                     cfg, t_eval=ts[1:-1])
 
 
 def _orbit(z0, residual, M, samples: Trajectory, **extra) -> PeriodicOrbit:
@@ -186,7 +189,7 @@ def find_periodic_orbit(params: ModelParams, guess, tol: float = 1e-12,
         rnorm = float(np.max(np.abs(G)))
         history.append(rnorm)
         if rnorm < tol:
-            samples = _sample_period(params, rhs_log, z, cfg, "log")
+            samples = _sample_period(params, rhs_log, z, cfg)
             return _orbit(z, rnorm, M, samples, newton_iterations=it,
                           residual_history=tuple(history))
         if it == max_iter:
@@ -234,7 +237,7 @@ def detect_steady_state(params: ModelParams, z,
     frame has no finite fixed point.
     """
     x0 = np.exp(np.asarray(z, dtype=float))
-    traj = _sample_period(params, rhs_original, x0, cfg, "original")
+    traj = _sample_period(params, rhs_original, x0, cfg)
     variances = np.var(traj.states, axis=0)
     if np.max(variances) >= _STEADY_VARIANCE_TOL:
         return None
@@ -244,7 +247,7 @@ def detect_steady_state(params: ModelParams, z,
     residual = float(np.max(np.abs(traj.final_state - x0)))
     with np.errstate(divide="ignore"):
         z0 = np.log(x0)
-    log_traj = Trajectory("log", traj.times,
+    log_traj = Trajectory(traj.times,
                           np.log(np.maximum(traj.states, np.finfo(float).tiny)))
     return _orbit(z0, residual, M, log_traj, newton_iterations=0,
                   degenerate_steady_state=True)

@@ -200,11 +200,9 @@ def test_criterion_6_numerical_integrity(ex1_params, coexist_params):
     cfg = IntegratorConfig()
     marks = np.linspace(0.0, TWO_PI, 65)[1:-1]
     in_x = integrate(lambda t, x: rhs_original(ex1_params, t, x),
-                     0.0, np.array([0.002, 0.002]), TWO_PI, cfg,
-                     t_eval=marks, frame="original")
+                     0.0, np.array([0.002, 0.002]), TWO_PI, cfg, t_eval=marks)
     in_z = integrate(lambda t, z: rhs_log(ex1_params, t, z),
-                     0.0, np.log([0.002, 0.002]), TWO_PI, cfg,
-                     t_eval=marks, frame="log")
+                     0.0, np.log([0.002, 0.002]), TWO_PI, cfg, t_eval=marks)
     sup = float(np.max(np.abs(np.exp(in_z.states) - in_x.states)))
     ok_frames = sup < 1e-6
     details.append(f"frame sup-error {sup:.2e}")
@@ -213,7 +211,7 @@ def test_criterion_6_numerical_integrity(ex1_params, coexist_params):
     z0 = np.log([0.002, 0.002])
     two_legs = flow_map(ex1_params, flow_map(ex1_params, z0, cfg), cfg)
     direct = integrate(lambda t, z: rhs_log(ex1_params, t, z),
-                       0.0, z0, 2.0 * TWO_PI, cfg, frame="log").final_state
+                       0.0, z0, 2.0 * TWO_PI, cfg).final_state
     comp = float(np.max(np.abs(two_legs - direct)))
     ok_comp = comp < 1e-7
     details.append(f"composition error {comp:.2e}")

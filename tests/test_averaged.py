@@ -1,5 +1,5 @@
-"""Averaged algebraic system: equilibria from the cubic, closed form,
-and oracles that share no code with the cubic."""
+"""Averaged algebraic system: equilibria from the cubic, and oracles
+that share no code with the cubic."""
 
 import json
 import math
@@ -15,7 +15,7 @@ from scipy.optimize import brentq
 
 from phytoperiod import (DegenerateAveragedSystemError, ModelParams,
                          PeriodicCoefficient, averaged_equilibria,
-                         averaged_rates, closed_form_mu0)
+                         averaged_rates)
 from phytoperiod.cli import cmd_check, parse_config
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -144,6 +144,32 @@ def test_degenerate_system_is_reported_by_check(tmp_path):
                   "so g1 vanishes identically"}
 
 
+def test_a_root_polished_out_of_the_quadrant_is_reported_by_check(tmp_path):
+    """A Newton polishing step that takes a cubic root to u <= 0 or
+    v <= 0 is a typed ArithmeticError naming the root; check records it
+    as it records a degenerate system, writes its report and exits on
+    (A1)-(A3) alone."""
+    model = {"r1": 70.67092675669025, "r2": -6.341533288285136e-05,
+             "beta1": 2.556619705352028e-08, "beta2": 0.0001578577046116636}
+    doc = {"model": {**{name: {"kind": "constant", "value": value}
+                        for name, value in model.items()},
+                     "k1": 666.9889727099905, "k2": 0.03295794793057333,
+                     "w1": 0.0, "w2": 9517.314711515983, "period": TWO_PI},
+           "initial_state": [1.0, 1.0], "horizon": 4.0 * TWO_PI}
+    cfg = parse_config(doc)
+    with pytest.raises(ArithmeticError, match=r"x = \(666\.98.* leaves u > 0"):
+        averaged_equilibria(cfg.model)
+    status = cmd_check(cfg, tmp_path)
+    report = json.loads((tmp_path / "check_report.json").read_text())
+    assert status == (0 if report["all_conditions_hold"] else 1)
+    averaged = report["averaged_system"]
+    assert averaged["roots"] is None
+    assert averaged["newton"]["converged"] is False
+    assert averaged["newton"]["reason"].startswith(
+        "averaged root x = (666.98")
+    assert "leaves u > 0, v > 0" in averaged["newton"]["reason"]
+
+
 @pytest.mark.parametrize("w1, w2", [(0.0, 0.3), (0.0, 0.0)])
 def test_zero_fear_or_toxin_lowers_the_degree(w1, w2):
     """w1 = 0 leaves a quadratic and w1 = w2 = 0 a linear equation; the
@@ -267,65 +293,3 @@ def test_check_output_passes_the_benchmark_oracle(case, tmp_path):
     averaged = report["averaged_system"]
     assert averaged["newton"] == {"converged": True, "z": averaged["roots"][0]["z"],
                                   "x": averaged["roots"][0]["x"]}
-
-
-# --- closed form ---------------------------------------------------------
-
-def test_closed_form_demo_values(ex1_params):
-    """Direct arithmetic: b1b*b2b*k1*k2 = 1.152e-4, r1b*r2b = 3e-6,
-    denominator 1.122e-4 > 0; the first log argument is negative, so
-    only the second expression defines a real value."""
-    out = closed_form_mu0(ex1_params)
-    denom = 0.0004 * 0.006 * 8.0 * 6.0 - 0.03 * 0.0001
-    assert denom == pytest.approx(1.122e-4, rel=1e-12)
-    expected_arg1 = (8.0 / 0.03) * (0.03 - 8.0 * 6.0 * 0.03 * 0.0004 * 0.006 / denom)
-    expected_arg2 = 8.0 * 6.0 * 0.03 * 0.006 / denom
-    assert out.arg1 == pytest.approx(expected_arg1, rel=1e-12)
-    assert out.arg2 == pytest.approx(expected_arg2, rel=1e-12)
-    assert out.arg1 < 0 and not out.valid
-    assert math.isnan(out.z1)
-    assert out.z2 == pytest.approx(math.log(expected_arg2), rel=1e-12)
-
-
-def test_closed_form_singular_denominator():
-    p = ModelParams(r1=C(1.0), r2=C(1.0), beta1=C(1.0), beta2=C(1.0),
-                    k1=1.0, k2=1.0, w1=0.0, w2=0.0, period=1.0)
-    with pytest.raises(ZeroDivisionError):
-        closed_form_mu0(p)
-
-
-def test_closed_form_satisfies_first_averaged_equation():
-    """Algebraic identity: arg1 simplifies to -k1 r1b r2b / D, and the
-    pair (u, v) = (arg1, arg2) then satisfies
-    r1b - r1b u / k1 - b1b v = 0 exactly, whatever the parameters."""
-    rng = np.random.default_rng(31)
-    for _ in range(20):
-        p = ModelParams(
-            r1=C(rng.uniform(0.1, 2.0)), r2=C(rng.uniform(0.1, 2.0)),
-            beta1=C(rng.uniform(0.05, 1.0)), beta2=C(rng.uniform(0.05, 1.0)),
-            k1=rng.uniform(0.5, 5.0), k2=rng.uniform(0.5, 5.0),
-            w1=0.0, w2=0.0, period=1.0)
-        out = closed_form_mu0(p)
-        r1b = p.r1.mean_value()
-        res1 = r1b - r1b * out.arg1 / p.k1 - p.beta1.mean_value() * out.arg2
-        assert abs(res1) < 1e-10
-        assert out.arg1 == pytest.approx(
-            -p.k1 * r1b * p.r2.mean_value()
-            / (p.beta1.mean_value() * p.beta2.mean_value() * p.k1 * p.k2
-               - r1b * p.r2.mean_value()), rel=1e-10)
-
-
-def test_closed_form_jointly_real_requires_sign_flip():
-    """arg1 * arg2 < 0 whenever all rate means are positive, so the pair
-    is never jointly real there; a negative r2 mean makes both logs
-    defined."""
-    p_pos = ModelParams(r1=C(1.0), r2=C(0.2), beta1=C(0.3), beta2=C(0.4),
-                        k1=2.0, k2=3.0, w1=0.0, w2=0.0, period=1.0)
-    out = closed_form_mu0(p_pos)
-    assert not out.valid and out.arg1 * out.arg2 < 0
-    p_neg = ModelParams(r1=C(1.0), r2=C(-0.2), beta1=C(0.3), beta2=C(0.4),
-                        k1=2.0, k2=3.0, w1=0.0, w2=0.0, period=1.0)
-    out_neg = closed_form_mu0(p_neg)
-    assert out_neg.valid
-    assert out_neg.z1 == pytest.approx(math.log(out_neg.arg1), rel=1e-14)
-    assert out_neg.z2 == pytest.approx(math.log(out_neg.arg2), rel=1e-14)

@@ -86,6 +86,11 @@ def test_bundled_configs_parse():
     (lambda d: d["model"].__setitem__(
         "beta1", {"kind": "fourier", "mean": 0.05, "harmonics": [[0.01, 0.0]],
                   "omega": 1.0, "phase": 0.5}), "config.model.beta1.phase"),
+    # an integer too big for a float
+    (lambda d: d["model"].__setitem__("k1", 10 ** 400),
+     "config.model.k1: expected a finite number"),
+    (lambda d: d.__setitem__("extremum_interval", [0.0, 10 ** 400]),
+     "config.extremum_interval[1]: expected a finite number"),
 ])
 def test_parse_errors_carry_field_path(mutate, fragment):
     data = minimal_config()
@@ -125,6 +130,16 @@ def test_load_config_reports_json_position(tmp_path):
     with pytest.raises(ConfigError) as exc_info:
         load_config(path)
     assert "line 1" in str(exc_info.value)
+
+
+def test_a_config_that_is_not_utf8_is_a_usage_error(tmp_path, capsys):
+    path = tmp_path / "utf16.json"
+    path.write_bytes(b"\xff\xfe{}")
+    with pytest.raises(ConfigError, match="is not UTF-8 text: byte 0"):
+        load_config(path)
+    code = main(["check", "--config", str(path), "--out", str(tmp_path)])
+    assert code == EXIT_USAGE
+    assert capsys.readouterr().err.startswith("config error: ")
 
 
 # --- subcommands ---------------------------------------------------------
@@ -504,3 +519,14 @@ def test_reports_are_strict_json(tmp_path):
     text = (tmp_path / "check_report.json").read_text()
     assert "NaN" not in text and "Infinity" not in text
     json.loads(text)
+
+
+def test_sanitize_nulls_the_non_finite_floats_at_any_depth():
+    report = {"a": math.nan, "b": [1.5, math.inf, (-math.inf, 2)],
+              "c": {"d": (math.nan, {"e": -math.inf}), "f": -0.0,
+                    "g": 1e308, "h": 5e-324, "i": "NaN", "j": None,
+                    "k": True, "l": 7}}
+    assert cli._sanitize(report) == {
+        "a": None, "b": [1.5, None, [None, 2]],
+        "c": {"d": [None, {"e": None}], "f": -0.0, "g": 1e308, "h": 5e-324,
+              "i": "NaN", "j": None, "k": True, "l": 7}}

@@ -212,11 +212,11 @@ def _reference_integrate(field, t0, y0, t1, cfg, t_eval=None):
         if accepted and not stalled and t < t1:
             step_times.append(t)
             step_states.append(y)
-    steps = Trajectory("original", np.array(step_times + [t]),
+    steps = Trajectory(np.array(step_times + [t]),
                        np.array(step_states + [y]))
     if t_eval is None:
         return steps
-    return Trajectory("original", np.array(times + [t]),
+    return Trajectory(np.array(times + [t]),
                       np.array(states + [y]), steps)
 
 
@@ -451,8 +451,7 @@ def _sampled_and_plain(field, y0, t1, cfg, t_eval):
             nonlocal calls
             calls += 1
             return field(t, y)
-        out += [integrate(counted, 0.0, y0, t1, cfg, t_eval=grid, frame="log"),
-                calls]
+        out += [integrate(counted, 0.0, y0, t1, cfg, t_eval=grid), calls]
     return out
 
 
@@ -469,7 +468,7 @@ def test_sampling_leaves_the_steps_unchanged(forced_params):
     assert n_sampled == n_plain
     assert sampled.final_state.tobytes() == plain.final_state.tobytes()
     np.testing.assert_array_equal(sampled.times[1:-1], marks)
-    assert plain.steps is None and sampled.steps.frame == plain.frame
+    assert plain.steps is None
     assert sampled.steps.times.tobytes() == plain.times.tobytes()
     assert sampled.steps.states.tobytes() == plain.states.tobytes()
     assert len(plain.times) > 3
@@ -492,7 +491,7 @@ def _landed(field, y0, marks, t1):
     y = np.asarray(y0, dtype=float)
     out = [y]
     for a, b in zip([0.0, *marks], [*marks, t1]):
-        y = integrate(field, a, y, b, tight, frame="log").final_state
+        y = integrate(field, a, y, b, tight).final_state
         out.append(y)
     return np.array(out)
 
@@ -503,7 +502,7 @@ def test_samples_match_a_landed_reference(request, params_name, z0):
     field = lambda t, z: rhs_log(params, t, z)
     marks = np.linspace(0.0, params.period, 257)[1:-1]
     traj = integrate(field, 0.0, z0, params.period, IntegratorConfig(),
-                     t_eval=marks, frame="log")
+                     t_eval=marks)
     err = np.max(np.abs(traj.states - _landed(field, z0, marks, params.period)))
     print(f"\n  sample error against the landed reference: {err:.3e}")
     assert err < 1e-8
@@ -616,8 +615,7 @@ def test_model_overflow_propagates(ex1_params):
 
     field = lambda t, z: rhs_log(ex1_params, t, z)
     with pytest.raises(DomainOverflowError):
-        integrate(field, 0.0, np.array([709.5, 0.0]), 1.0, IntegratorConfig(),
-                  frame="log")
+        integrate(field, 0.0, np.array([709.5, 0.0]), 1.0, IntegratorConfig())
 
 
 def test_a_step_that_does_not_advance_t_is_an_underflow():
@@ -661,18 +659,18 @@ def test_config_validation():
 
 def test_trajectory_invariants():
     with pytest.raises(ValueError):
-        Trajectory("log", np.array([0.0, 0.0]), np.zeros((2, 2)))
+        Trajectory(np.array([0.0, 0.0]), np.zeros((2, 2)))
     with pytest.raises(ValueError):
-        Trajectory("log", np.array([0.0, 1.0]), np.zeros((3, 2)))
+        Trajectory(np.array([0.0, 1.0]), np.zeros((3, 2)))
     with pytest.raises(ValueError):
-        Trajectory("polar", np.array([0.0, 1.0]), np.zeros((2, 2)))
+        Trajectory(np.array([0.0, 1.0]), np.array([5.0, 6.0]))
 
 
 @pytest.mark.parametrize("times", [[0.0, math.nan, 1.0], [0.0, math.inf],
                                    [-math.inf, 0.0], [math.nan]])
 def test_trajectory_times_must_be_finite(times):
     with pytest.raises(ValueError, match="times must be finite"):
-        Trajectory("log", np.array(times), np.zeros((len(times), 2)))
+        Trajectory(np.array(times), np.zeros((len(times), 2)))
 
 
 # --- model-bound operations ----------------------------------------------
@@ -689,7 +687,7 @@ def test_flow_composition(ex1_params, cfg):
     one = flow_map(ex1_params, z0, cfg)
     two_legs = flow_map(ex1_params, one, cfg)
     direct = integrate(lambda t, z: rhs_log(ex1_params, t, z),
-                       0.0, z0, 2.0 * TWO_PI, cfg, frame="log").final_state
+                       0.0, z0, 2.0 * TWO_PI, cfg).final_state
     assert np.max(np.abs(two_legs - direct)) < 1e-7
 
 
@@ -705,9 +703,9 @@ def test_log_original_frame_equivalence(ex1_params, cfg):
     x0 = np.array([0.002, 0.002])
     marks = np.linspace(0.0, TWO_PI, 65)[1:-1]
     in_x = integrate(lambda t, x: rhs_original(ex1_params, t, x),
-                     0.0, x0, TWO_PI, cfg, t_eval=marks, frame="original")
+                     0.0, x0, TWO_PI, cfg, t_eval=marks)
     in_z = integrate(lambda t, z: rhs_log(ex1_params, t, z),
-                     0.0, np.log(x0), TWO_PI, cfg, t_eval=marks, frame="log")
+                     0.0, np.log(x0), TWO_PI, cfg, t_eval=marks)
     sup = np.max(np.abs(np.exp(in_z.states) - in_x.states))
     print(f"\n  frame equivalence sup-error: {sup:.3e}")
     assert sup < 1e-6
@@ -717,7 +715,7 @@ def test_positivity_preservation(ex1_params, cfg):
     x0 = np.array([0.002, 0.002])
     marks = np.linspace(0.0, TWO_PI, 65)[1:-1]
     traj = integrate(lambda t, x: rhs_original(ex1_params, t, x),
-                     0.0, x0, TWO_PI, cfg, t_eval=marks, frame="original")
+                     0.0, x0, TWO_PI, cfg, t_eval=marks)
     assert np.all(traj.states > 0.0)
 
 
@@ -775,7 +773,7 @@ def test_monodromy_satisfies_liouville(request, params_name, z0):
     n = 2048
     ts = np.linspace(0.0, params.period, n + 1)
     traj = integrate(lambda t, z: rhs_log(params, t, z), 0.0, np.array(z0),
-                     params.period, cfg, t_eval=ts[1:-1], frame="log")
+                     params.period, cfg, t_eval=ts[1:-1])
     traces = np.array([np.trace(jac_log(params, t, z))
                        for t, z in zip(traj.times, traj.states)])
     integral = (params.period / n) * (traces.sum()
@@ -786,7 +784,7 @@ def test_monodromy_satisfies_liouville(request, params_name, z0):
 # --- CSV export ----------------------------------------------------------
 
 def test_csv_roundtrip(tmp_path):
-    traj = Trajectory("original", np.array([0.0, 0.5, 1.0]),
+    traj = Trajectory(np.array([0.0, 0.5, 1.0]),
                       np.array([[1.0, 2.0], [0.1234567890123456, 3.0],
                                 [1e-30, 7.0]]))
     path = tmp_path / "out.csv"
@@ -796,10 +794,3 @@ def test_csv_roundtrip(tmp_path):
     assert len(lines) == 4
     t, a, b = lines[2].split(",")
     assert float(t) == 0.5 and float(a) == 0.1234567890123456 and float(b) == 3.0
-
-
-def test_csv_log_frame_header(tmp_path):
-    traj = Trajectory("log", np.array([0.0, 1.0]), np.zeros((2, 2)))
-    path = tmp_path / "out.csv"
-    write_trajectory_csv(traj, path)
-    assert path.read_text().startswith("t,z1,z2\n")

@@ -87,10 +87,10 @@ def test_floquet_det_trace_consistency(forced_orbit):
 
 
 def test_forced_orbit_frame_invariance(forced_params, forced_orbit, cfg_tight):
-    x_traj = forced_orbit.orbit_samples.to_original()
-    x0, xT = x_traj.states[0], x_traj.states[-1]
+    x = np.exp(forced_orbit.orbit_samples.states)
+    x0, xT = x[0], x[-1]
     assert np.max(np.abs(xT - x0) / np.abs(x0)) < 1e-8
-    assert np.all(x_traj.states > 0.0)
+    assert np.all(x > 0.0)
 
 
 def test_forced_orbit_persistence(forced_params, forced_orbit, cfg):
@@ -329,7 +329,7 @@ def test_bound_violation_has_negative_margin(coexist_params):
     fake = PeriodicOrbit(
         z0=states[0], residual_norm=0.0, monodromy=np.eye(2),
         floquet_multipliers=(0j, 0j), stable=False, newton_iterations=0,
-        orbit_samples=Trajectory("log", times, states))
+        orbit_samples=Trajectory(times, states))
     checks = {c.name: c for c in verify_bounds(fake, report)}
     assert checks["z1_upper"].satisfied is False
     assert checks["z1_upper"].worst_margin == pytest.approx(-0.5, abs=1e-12)
@@ -350,6 +350,5 @@ def test_demo_orbitless_bound_content(ex1_params, cfg):
     settled trajectory (the survivor tracks its carrying capacity)."""
     seed = seed_by_transient(ex1_params, np.log([0.002, 0.002]), 30, cfg)
     traj = integrate(lambda t, z: rhs_log(ex1_params, t, z), 0.0, seed.z,
-                     TWO_PI, cfg, t_eval=np.linspace(0, TWO_PI, 257)[1:-1],
-                     frame="log")
+                     TWO_PI, cfg, t_eval=np.linspace(0, TWO_PI, 257)[1:-1])
     assert np.max(traj.states[:, 0]) <= math.log(ex1_params.k1) + 1e-9
