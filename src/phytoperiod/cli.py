@@ -22,6 +22,7 @@ from __future__ import annotations
 import argparse
 import contextlib
 import dataclasses
+import functools
 import json
 import math
 import sys
@@ -267,8 +268,7 @@ def _sanitize(obj):
 
 def _write_json(path, obj) -> None:
     with open(path, "w", encoding="utf-8") as fh:
-        json.dump(_sanitize(obj), fh, indent=2, sort_keys=True)
-        fh.write("\n")
+        fh.write(json.dumps(_sanitize(obj), indent=2, sort_keys=True) + "\n")
 
 
 def _averaged_diagnostics(model: ModelParams) -> dict:
@@ -369,7 +369,7 @@ def cmd_check(cfg: ExperimentConfig, out_dir: Path) -> int:
 
 def _integrate_horizon(cfg: ExperimentConfig, t_eval=None) -> Trajectory:
     """The configured run: x(0) = initial_state, over [0, horizon]."""
-    return integrate(lambda t, x: rhs_original(cfg.model, t, x), 0.0,
+    return integrate(functools.partial(rhs_original, cfg.model), 0.0,
                      np.array(cfg.initial_state), cfg.horizon, cfg.integrator,
                      t_eval=t_eval)
 
@@ -529,7 +529,10 @@ def cmd_reproduce(which: str, out_dir: Path) -> int:
 
 # --- entry point ---------------------------------------------------------
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
+    """The command-line parser, built on first use and reused by every
+    later ``main`` call of the process; parsing leaves it unchanged."""
     parser = argparse.ArgumentParser(
         prog="phytoperiod",
         description="Periodic-solution toolkit for the two-species "

@@ -155,10 +155,12 @@ def _fourier_extrema(coeff, a, b):
 
 
 def _refine(coeff, ts, i, sign):
-    # golden-section minimisation of sign*coeff on the cells bracketing ts[i]
-    lo = ts[max(i - 1, 0)]
-    hi = ts[min(i + 1, len(ts) - 1)]
-    best = sign * coeff(ts[i])
+    # golden-section minimisation of sign*coeff on the cells bracketing
+    # ts[i], on Python floats: numpy scalars would give the same values,
+    # slower
+    lo = float(ts[max(i - 1, 0)])
+    hi = float(ts[min(i + 1, len(ts) - 1)])
+    best = sign * coeff(float(ts[i]))
     g = (math.sqrt(5.0) - 1.0) / 2.0
     x1 = hi - g * (hi - lo)
     x2 = lo + g * (hi - lo)

@@ -26,7 +26,7 @@ report is always produced.
 from __future__ import annotations
 
 import math
-from dataclasses import asdict, dataclass, field
+from dataclasses import dataclass, field, fields
 
 from .coefficients import extrema
 from .model import ModelParams
@@ -87,8 +87,12 @@ class BoundReport:
         return self.A1 and self.A2 and self.A3
 
     def to_dict(self) -> dict:
-        d = asdict(self)
+        """The fields by name, with the margins keyed by condition and a
+        copy of the audit; the other values are immutable, so they are
+        not copied."""
+        d = {f.name: getattr(self, f.name) for f in fields(self)}
         d["margins"] = dict(zip(("A1", "A2", "A3"), self.margins))
+        d["positivity_audit"] = dict(self.positivity_audit)
         return d
 
 

@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 
@@ -70,6 +71,7 @@ _X4 = (-12715105075 / 11282082432, 87487479700 / 32700410799,
        -1453857185 / 822651844, 69997945 / 29380423)
 
 _MIN_STEP_FACTOR = 1e-14  # underflow guard relative to the span
+_CSV_BLOCK_ROWS = 1024    # rows formatted per write of the CSV export
 
 
 class IntegrationError(RuntimeError):
@@ -384,8 +386,7 @@ def _dp_extension(y, h, k1, k3, k4, k5, k6, k7):
 
 def flow_map(params: ModelParams, z0, cfg: IntegratorConfig) -> np.ndarray:
     """State after one period: z(T) of the log-frame flow with z(0) = z0."""
-    traj = integrate(lambda t, z: rhs_log(params, t, z),
-                     0.0, z0, params.period, cfg)
+    traj = integrate(partial(rhs_log, params), 0.0, z0, params.period, cfg)
     return traj.final_state
 
 
@@ -397,10 +398,10 @@ def variational_flow(field, jac, t0: float, y0, t1: float,
     returns (y(t1), Y(t1)).  ``jac(t, y)`` returns the rows of J.
     """
     def augmented(t, w):
-        y = w[:2]
+        y1, y2, y11, y12, y21, y22 = w
+        y = (y1, y2)
         dy1, dy2 = field(t, y)
         (j11, j12), (j21, j22) = jac(t, y)
-        y11, y12, y21, y22 = w[2:]
         return (dy1, dy2,
                 j11 * y11 + j12 * y21, j11 * y12 + j12 * y22,
                 j21 * y11 + j22 * y21, j21 * y12 + j22 * y22)
@@ -414,15 +415,23 @@ def variational_flow(field, jac, t0: float, y0, t1: float,
 def flow_and_monodromy(params: ModelParams, z0, cfg: IntegratorConfig):
     """State and fundamental matrix after one period of the log-frame
     flow: (z(T), M) from one augmented integration with z(0) = z0."""
-    return variational_flow(lambda t, z: rhs_log(params, t, z),
-                            lambda t, z: jac_log(params, t, z),
+    return variational_flow(partial(rhs_log, params), partial(jac_log, params),
                             0.0, z0, params.period, cfg)
 
 
 def write_trajectory_csv(traj: Trajectory, path) -> None:
     """CSV export of a trajectory of densities: header t,x1,x2, 17
-    significant digits."""
+    significant digits.  The states must have two columns.  Rows are
+    formatted by one ``%`` format per block of at most _CSV_BLOCK_ROWS, so
+    the text held in memory stays bounded however long the run."""
+    times, states = traj.times, traj.states
+    if states.shape[1] != 2:
+        raise ValueError(f"need states with two columns (x1, x2), got "
+                         f"shape {states.shape}")
     with open(path, "w", encoding="utf-8") as fh:
         fh.write("t,x1,x2\n")
-        for t, s in zip(traj.times, traj.states):
-            fh.write(f"{t:.17g},{s[0]:.17g},{s[1]:.17g}\n")
+        for i in range(0, len(times), _CSV_BLOCK_ROWS):
+            rows = np.column_stack((times[i:i + _CSV_BLOCK_ROWS],
+                                    states[i:i + _CSV_BLOCK_ROWS]))
+            fh.write(("%.17g,%.17g,%.17g\n" * len(rows))
+                     % tuple(rows.ravel().tolist()))

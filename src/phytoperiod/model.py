@@ -150,12 +150,17 @@ _Kernels = namedtuple("_Kernels", "rhs_log jac_log rhs_original jac_original")
 # The four fields, with the rates as the locals r1, r2, b1, b2 and the
 # constants as the globals k1, k2, w1, w2.  Every expression keeps the
 # operation order of the model equations; the log frame inlines
-# _exp_state, its guard included.
+# _exp_state, its guard included: one chained comparison per component
+# rejects NaN, -inf and everything above the overflow limit, +inf
+# included.  The literal 1e309 is past the float range, so it compiles
+# to the constant inf.  The message converts each component, since
+# numpy 2 reprs its scalars as np.float64(...).
 _LOG_STATE = f"""\
-    z1, z2 = float(z[0]), float(z[1])
-    if z1 > {_EXP_OVERFLOW!r} or z2 > {_EXP_OVERFLOW!r} or not (
-            isfinite(z1) and isfinite(z2)):
-        raise DomainOverflowError(f"log state {{z1, z2}} overflows exp()")
+    z1, z2 = z
+    if not (-1e309 < z1 <= {_EXP_OVERFLOW!r}
+            and -1e309 < z2 <= {_EXP_OVERFLOW!r}):
+        raise DomainOverflowError(
+            f"log state {{float(z1), float(z2)}} overflows exp()")
     u, v = exp(z1), exp(z2)"""
 
 _FIELDS = """\
@@ -215,7 +220,6 @@ def _field_kernels(params: ModelParams) -> _Kernels:
     once per distinct text and each instance costs one ``exec``.
     """
     namespace = {"sin": math.sin, "cos": math.cos, "exp": math.exp,
-                 "isfinite": math.isfinite,
                  "DomainOverflowError": DomainOverflowError,
                  "k1": params.k1, "k2": params.k2,
                  "w1": params.w1, "w2": params.w2}

@@ -23,6 +23,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import asdict, dataclass
+from functools import partial
 
 import numpy as np
 
@@ -143,8 +144,8 @@ def _sample_period(params: ModelParams, rhs, y0,
     """One period of y' = rhs(params, t, y) from y0, sampled at
     _ORBIT_SAMPLES equal intervals."""
     ts = np.linspace(0.0, params.period, _ORBIT_SAMPLES + 1)
-    return integrate(lambda t, y: rhs(params, t, y), 0.0, y0, params.period,
-                     cfg, t_eval=ts[1:-1])
+    return integrate(partial(rhs, params), 0.0, y0, params.period, cfg,
+                     t_eval=ts[1:-1])
 
 
 def _orbit(z0, residual, M, samples: Trajectory, **extra) -> PeriodicOrbit:
@@ -241,8 +242,8 @@ def detect_steady_state(params: ModelParams, z,
     variances = np.var(traj.states, axis=0)
     if np.max(variances) >= _STEADY_VARIANCE_TOL:
         return None
-    _, M = variational_flow(lambda t, x: rhs_original(params, t, x),
-                            lambda t, x: jac_original(params, t, x),
+    _, M = variational_flow(partial(rhs_original, params),
+                            partial(jac_original, params),
                             0.0, x0, params.period, cfg)
     residual = float(np.max(np.abs(traj.final_state - x0)))
     with np.errstate(divide="ignore"):

@@ -147,6 +147,15 @@ def dp5_order_fit():
     return float(np.polyfit(np.log(steps), np.log(errors), 1)[0]), errors
 
 
+def write_trajectory_csv_per_row(traj, path):
+    """Oracle for ``write_trajectory_csv``'s bytes: the writer it replaced,
+    one f-string per row on the numpy scalars."""
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.write("t,x1,x2\n")
+        for t, s in zip(traj.times, traj.states):
+            fh.write(f"{t:.17g},{s[0]:.17g},{s[1]:.17g}\n")
+
+
 def run_python(*args, timeout=30):
     """Run ``python args...`` with this package importable, in a subprocess
     with a timeout, so that an endless loop fails the calling test instead

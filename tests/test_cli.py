@@ -3,6 +3,7 @@
 import hashlib
 import json
 import math
+from collections import Counter
 from importlib import resources
 from pathlib import Path
 
@@ -433,6 +434,55 @@ def test_reproduce_calls_the_public_fields_by_name(tmp_path, monkeypatch,
     assert outside == ["_simulate_with_tail"]
 
 
+def test_a_bound_field_is_built_per_call(monkeypatch, forced_params, cfg):
+    """``flow_map``, ``flow_and_monodromy`` and ``_integrate_horizon`` bind
+    the public field by name on every call, never across calls: counters
+    installed after a first call see every evaluation of the next one."""
+    from phytoperiod import integrator
+
+    config = parse_config(minimal_config(horizon=3.0))
+    z0 = (0.6, -0.2)
+    runs = {"flow_map": lambda: integrator.flow_map(forced_params, z0, cfg),
+            "flow_and_monodromy":
+                lambda: integrator.flow_and_monodromy(forced_params, z0, cfg),
+            "_integrate_horizon": lambda: cli._integrate_horizon(config)}
+    for run in runs.values():
+        run()
+    counts = Counter()
+
+    def count(module, name):
+        public = getattr(module, name)
+
+        def counted(*args):
+            counts[name] += 1
+            return public(*args)
+        monkeypatch.setattr(module, name, counted)
+
+    def count_field_calls(module):
+        # every evaluation ``integrate`` makes, whatever field it is given
+        def counting_integrate(field, *args, **kwargs):
+            def counted(t, y):
+                counts["field"] += 1
+                return field(t, y)
+            return integrate(counted, *args, **kwargs)
+        monkeypatch.setattr(module, "integrate", counting_integrate)
+
+    count(integrator, "rhs_log")
+    count(integrator, "jac_log")
+    count(cli, "rhs_original")
+    count_field_calls(integrator)
+    count_field_calls(cli)
+    expected = {"flow_map": ("rhs_log",),
+                "flow_and_monodromy": ("rhs_log", "jac_log"),
+                "_integrate_horizon": ("rhs_original",)}
+    for name, run in runs.items():
+        counts.clear()
+        run()
+        assert counts["field"] > 0, name
+        assert counts == dict.fromkeys(("field", *expected[name]),
+                                       counts["field"]), name
+
+
 def test_reproduce_unknown_bundle(tmp_path):
     with pytest.raises(ConfigError):
         cmd_reproduce("nonsense", tmp_path)
@@ -476,6 +526,46 @@ def test_find_orbit_bytes_match_golden_hashes(tmp_path):
         out = tmp_path / name
         assert main(["find-orbit", "--config", str(config), "--out", str(out)]) == EXIT_OK
         _assert_golden(out, pinned, name)
+
+
+def test_check_bytes_match_golden_hashes(tmp_path):
+    """check on committed configs whose extrema are taken over a
+    half-period window: Fourier extrema refined on the window, then again
+    over the full period for the positivity audit, byte for byte."""
+    for name, pinned in GOLDEN_BYTES["check"].items():
+        config = Path(__file__).parent / name
+        out = tmp_path / name
+        assert main(["check", "--config", str(config), "--out", str(out)]) == EXIT_OK
+        _assert_golden(out, pinned, name)
+
+
+def test_the_parser_is_built_once_and_reused(tmp_path, capsys):
+    """``main`` reuses one parser: two calls in one process, and a call
+    after a usage error, write what a fresh process writes."""
+    assert cli._build_parser() is cli._build_parser()
+    config = str(Path(__file__).parent / "forced_mixed.json")
+    commands = (("check", "check_report.json"),
+                ("find-orbit", "orbit_report.json", "orbit.csv"))
+    fresh = {}
+    for command, *files in commands:
+        out = tmp_path / "fresh" / command
+        proc = run_python("-m", "phytoperiod.cli", command, "--config", config,
+                          "--out", str(out))
+        fresh[command] = proc.returncode, {f: (out / f).read_bytes() for f in files}
+
+    def in_process(command, files, label):
+        out = tmp_path / label / command
+        code = main([command, "--config", config, "--out", str(out)])
+        return code, {f: (out / f).read_bytes() for f in files}
+
+    for command, *files in commands:
+        assert in_process(command, files, "first") == fresh[command], command
+    with pytest.raises(SystemExit) as exc_info:
+        main(["check", "--out", str(tmp_path)])
+    assert exc_info.value.code == EXIT_USAGE
+    assert "--config" in capsys.readouterr().err
+    for command, *files in commands:
+        assert in_process(command, files, "after") == fresh[command], command
 
 
 def test_reproduce_example1_golden_content(tmp_path):

@@ -5,8 +5,9 @@ from importlib import resources
 
 import numpy as np
 import pytest
-from hypothesis import Phase, given, settings
+from hypothesis import Phase, assume, given, settings
 from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from phytoperiod import (IntegrationError, IntegratorConfig, ModelParams,
                          PeriodicCoefficient, Trajectory, flow_and_monodromy,
@@ -14,7 +15,7 @@ from phytoperiod import (IntegrationError, IntegratorConfig, ModelParams,
                          variational_flow, write_trajectory_csv)
 from phytoperiod import integrator as itg
 
-from conftest import march
+from conftest import march, write_trajectory_csv_per_row
 
 TWO_PI = 2.0 * math.pi
 
@@ -794,3 +795,49 @@ def test_csv_roundtrip(tmp_path):
     assert len(lines) == 4
     t, a, b = lines[2].split(",")
     assert float(t) == 0.5 and float(a) == 0.1234567890123456 and float(b) == 3.0
+
+
+# the values whose formatting the block writer must reproduce
+_CSV_SPECIALS = (-0.0, 0.0, 5e-324, -5e-324, 2.2250738585072014e-308,
+                 1e-310, 1e308, -1e308, 1.7976931348623157e308, math.nan,
+                 math.inf, -math.inf, 0.1, 1.0 / 3.0)
+_csv_value = st.one_of(st.sampled_from(_CSV_SPECIALS), st.floats())
+_BLOCK = itg._CSV_BLOCK_ROWS
+
+
+@st.composite
+def _csv_trajectories(draw):
+    n = draw(st.one_of(st.sampled_from((1, _BLOCK - 1, _BLOCK, _BLOCK + 1,
+                                        2 * _BLOCK, 2 * _BLOCK + 1)),
+                       st.integers(1, 2 * _BLOCK + 2)))
+    # equally spaced times, from 0 or -0.0, a subnormal or a huge start
+    start = draw(st.sampled_from((0.0, -0.0, 5e-324, -1e308, 0.1)))
+    spacing = draw(st.sampled_from((5e-324, 1e-300, 0.1, 1.0, 1e304)))
+    times = start + spacing * np.arange(n)
+    times[0] = start
+    assume(np.all(np.isfinite(times)) and np.all(np.diff(times) > 0))
+    states = draw(arrays(np.float64, (n, 2), elements=_csv_value,
+                         fill=_csv_value))
+    return Trajectory(times, states)
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(traj=_csv_trajectories())
+def test_csv_bytes_equal_the_per_row_writer(tmp_path_factory, traj):
+    """The block writer writes the bytes of the per-row f-string writer,
+    for one row, row counts on both sides of a block boundary, signed
+    zeros, subnormals, +-1e308, infinities and NaN."""
+    directory = tmp_path_factory.mktemp("csv")
+    write_trajectory_csv(traj, directory / "blocks.csv")
+    write_trajectory_csv_per_row(traj, directory / "rows.csv")
+    assert ((directory / "blocks.csv").read_bytes()
+            == (directory / "rows.csv").read_bytes())
+
+
+@pytest.mark.parametrize("columns", [1, 3])
+def test_csv_rejects_states_without_two_columns(tmp_path, columns):
+    """A state of another width is an error naming its shape: the header
+    is t,x1,x2, and the writer formats three values per row."""
+    traj = Trajectory(np.array([0.0, 1.0]), np.ones((2, columns)))
+    with pytest.raises(ValueError, match=rf"shape \(2, {columns}\)"):
+        write_trajectory_csv(traj, tmp_path / "out.csv")

@@ -8,6 +8,7 @@ import pickle
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -177,6 +178,24 @@ def test_the_fused_guard_is_the_guard_of_exp_state(ex1_params, component, value)
         with pytest.raises(DomainOverflowError) as raised:
             field()
         assert str(raised.value) == str(expected.value)
+
+
+@pytest.mark.parametrize("value", [800.0, math.inf, -math.inf, math.nan])
+def test_the_guard_message_prints_plain_floats_for_numpy_input(ex1_params,
+                                                              value):
+    """A numpy state is rejected with the message a tuple of floats gets,
+    never with numpy 2's np.float64(...) reprs; a valid one gives the
+    tuple's values."""
+    z = (value, -0.5)
+    for field in (rhs_log, jac_log):
+        with pytest.raises(DomainOverflowError) as expected:
+            field(ex1_params, 0.3, z)
+        with pytest.raises(DomainOverflowError) as raised:
+            field(ex1_params, 0.3, np.array(z))
+        assert str(raised.value) == str(expected.value)
+        assert "np." not in str(raised.value)
+        assert bits(field(ex1_params, 0.3, np.array([0.5, -0.5]))) == bits(
+            field(ex1_params, 0.3, (0.5, -0.5)))
 
 
 # --- code cache -------------------------------------------------------------------

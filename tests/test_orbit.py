@@ -121,6 +121,23 @@ def test_newton_quadratic_convergence(forced_params, cfg_tight):
         assert r_next <= 100.0 * r_k * r_k
 
 
+@pytest.mark.xfail(strict=True, raises=NonConvergenceError,
+                   reason="ROADMAP item 3: tol=1e-12 sits below the noise "
+                          "floor of the period map at the integrator's 1e-10 "
+                          "tolerances")
+def test_a_seed_some_ulps_off_converges(forced_params):
+    """Newton from a seed 10 and 8 ulps away from the 20-period seed of
+    ``test_cmd_find_orbit_converges_for_forced_system``, which converges.
+    From this one, after one iteration, the line search finds no point
+    with a defect below 9.554e-12, which is still above tol=1e-12, so it
+    stalls; at tol=1e-11 it converges.  Tying Newton's stop to the
+    integrator's tolerance mends it."""
+    orbit = find_periodic_orbit(forced_params,
+                                (0.6427560031692795, -0.18257327158846426),
+                                tol=1e-12)
+    assert orbit.residual_norm < 1e-12
+
+
 def test_constant_coefficients_orbit_is_equilibrium(coexist_params, cfg):
     """Autonomous case: the periodic solution is the interior equilibrium."""
     xeq = newton_equilibrium(coexist_params, np.array([1.9, 0.8]))
