@@ -55,6 +55,7 @@ _MAX_NEWTON_STEP = 5.0        # trust region, in log-density units
 _ORBIT_SAMPLES = 256          # sampling resolution over one period
 _STEADY_VARIANCE_TOL = 1e-12  # sample variance of a steady state
 _BOUND_SLACK = 1e-9
+_SEED_RUN_PERIODS = 256       # most periods one seeding run integrates
 
 
 @dataclass(frozen=True)
@@ -81,7 +82,12 @@ class PeriodicOrbit:
     """A converged fixed point of the period map, with its linearisation.
 
     ``orbit_samples`` holds the log states z(t) over one period, at
-    equal time intervals."""
+    equal time intervals.  ``noise_floor`` and ``stop_rule`` are derived
+    from the search, not independent state: the floor is
+    abs_tol + rel_tol max |z0| of the integrator the search used, and
+    the rule is "tol" when the defect fell below ``tol`` and
+    "noise_floor" when a stalled line search stopped it (both None when
+    no Newton search ran)."""
 
     z0: np.ndarray
     residual_norm: float
@@ -92,6 +98,8 @@ class PeriodicOrbit:
     orbit_samples: Trajectory
     residual_history: tuple[float, ...] = ()
     degenerate_steady_state: bool = False
+    noise_floor: float | None = None
+    stop_rule: str | None = None
 
     def to_dict(self) -> dict:
         mults = self.floquet_multipliers
@@ -105,6 +113,8 @@ class PeriodicOrbit:
             "stable": self.stable,
             "newton_iterations": self.newton_iterations,
             "degenerate_steady_state": self.degenerate_steady_state,
+            "noise_floor": self.noise_floor,
+            "stop_rule": self.stop_rule,
         }
 
 
@@ -129,13 +139,27 @@ class NearDegenerateOrbitError(OrbitSearchError):
 
 def seed_by_transient(params: ModelParams, z_start, n_periods: int,
                       cfg: IntegratorConfig) -> SeedResult:
-    """Integrate n_periods * T and report the endpoint and its drift."""
+    """Integrate n_periods * T and report the endpoint and its drift.
+
+    The first n_periods - 1 periods are adaptive runs over [0, k T] of at
+    most ``_SEED_RUN_PERIODS`` = 256 periods each, so the step-size
+    controller restarts once per run instead of at every period
+    boundary.  The field is T-periodic, so every run starts at t = 0;
+    that keeps the rows a run holds, its step floor and its phase error
+    bounded however long the seed.  The last period is one
+    :func:`flow_map` from the state z((n-1)T) the runs reached.
+    ``contraction`` is the period-map defect there,
+    max |phi_T(z((n-1)T)) - z((n-1)T)|.  A seed of one or two periods
+    takes the same runs as n_periods calls of ``flow_map``.
+    """
     if n_periods < 1:
         raise ValueError("n_periods must be >= 1")
-    z = np.asarray(z_start, dtype=float)
-    for _ in range(n_periods):
-        prev = z
-        z = flow_map(params, z, cfg)
+    prev = np.asarray(z_start, dtype=float)
+    field = partial(rhs_log, params)
+    for done in range(0, n_periods - 1, _SEED_RUN_PERIODS):
+        k = min(_SEED_RUN_PERIODS, n_periods - 1 - done)
+        prev = integrate(field, 0.0, prev, k * params.period, cfg).final_state
+    z = flow_map(params, prev, cfg)
     return SeedResult(z=z, contraction=float(np.max(np.abs(z - prev))))
 
 
@@ -168,10 +192,21 @@ def find_periodic_orbit(params: ModelParams, guess, tol: float = 1e-12,
                         cfg: IntegratorConfig | None = None) -> PeriodicOrbit:
     """Newton shooting on G(z) = phi_T(z) - z from the given guess.
 
+    The search stops when the defect max |G(z)| falls below ``tol``.  The
+    period map is only as exact as the integration, so a line search
+    that finds no point with a smaller defect also stops, with the
+    current iterate, when that defect is at or below the noise floor
+    abs_tol + rel_tol max |z| of ``cfg``.  The orbit reports the floor and
+    the rule that stopped it (``stop_rule`` "tol" or "noise_floor").
+    ``tol`` therefore bounds the returned ``residual_norm`` only when
+    ``stop_rule`` is "tol"; a stop by the floor returns a defect that
+    may lie anywhere up to the floor, above ``tol``.
+
     Raises :class:`NearDegenerateOrbitError` when M - I is numerically
     singular and :class:`NonConvergenceError` when the iteration budget
-    or the line search is exhausted; both carry the last iterate,
-    residual and (when one is detectable) an extinction diagnosis.
+    is exhausted or the line search stalls above the noise floor; both
+    carry the last iterate, residual and (when one is detectable) an
+    extinction diagnosis.
     """
     if not (tol > 0 and max_iter >= 0):
         raise ValueError("need tol > 0 and max_iter >= 0")
@@ -184,15 +219,20 @@ def find_periodic_orbit(params: ModelParams, guess, tol: float = 1e-12,
         raise exc_type(message, z_last=z, residual=rnorm, iterations=it,
                        diagnosis=diagnose_extinction(params))
 
+    def converged(stop_rule, it):
+        samples = _sample_period(params, rhs_log, z, cfg)
+        return _orbit(z, rnorm, M, samples, newton_iterations=it,
+                      residual_history=tuple(history), noise_floor=floor,
+                      stop_rule=stop_rule)
+
     for it in range(max_iter + 1):
         zT, M = flow_and_monodromy(params, z, cfg)
         G = zT - z
         rnorm = float(np.max(np.abs(G)))
+        floor = cfg.abs_tol + cfg.rel_tol * float(np.max(np.abs(z)))
         history.append(rnorm)
         if rnorm < tol:
-            samples = _sample_period(params, rhs_log, z, cfg)
-            return _orbit(z, rnorm, M, samples, newton_iterations=it,
-                          residual_history=tuple(history))
+            return converged("tol", it)
         if it == max_iter:
             fail(NonConvergenceError, f"no convergence in {max_iter} "
                  f"iterations (last defect {rnorm:.3e})", it)
@@ -221,8 +261,11 @@ def find_periodic_orbit(params: ModelParams, guess, tol: float = 1e-12,
                 break
             s *= 0.5
         else:
+            if rnorm <= floor:
+                return converged("noise_floor", it)
             fail(NonConvergenceError,
-                 f"line search stalled at defect {rnorm:.3e}", it)
+                 f"line search stalled at defect {rnorm:.3e}, above the "
+                 f"noise floor {floor:.3e}", it)
         z = z_try
 
 

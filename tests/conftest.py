@@ -147,6 +147,19 @@ def dp5_order_fit():
     return float(np.polyfit(np.log(steps), np.log(errors), 1)[0]), errors
 
 
+def seed_period_by_period(params, z_start, n_periods, cfg):
+    """Oracle for ``seed_by_transient``: the seed it replaced, one
+    ``flow_map`` per period, so the step-size controller restarts at
+    every period boundary.  Returns (z(nT), max |z(nT) - z((n-1)T)|)."""
+    from phytoperiod import flow_map
+
+    z = np.asarray(z_start, dtype=float)
+    for _ in range(n_periods):
+        prev = z
+        z = flow_map(params, z, cfg)
+    return z, float(np.max(np.abs(z - prev)))
+
+
 def write_trajectory_csv_per_row(traj, path):
     """Oracle for ``write_trajectory_csv``'s bytes: the writer it replaced,
     one f-string per row on the numpy scalars."""

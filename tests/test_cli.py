@@ -189,6 +189,12 @@ def test_cmd_find_orbit_converges_for_forced_system(tmp_path):
     assert doc["converged"] is True
     assert doc["orbit"]["stable"] is True
     assert doc["orbit"]["residual_norm"] < 1e-10
+    # the 20-period seed stalls Newton at a defect of 9.554e-12, above the
+    # orbit_tol of 1e-12 and below the integrator's noise floor: the report
+    # says converged, by the floor, with a residual above orbit_tol
+    assert doc["orbit"]["stop_rule"] == "noise_floor"
+    assert (cfg.orbit_tol < doc["orbit"]["residual_norm"]
+            <= doc["orbit"]["noise_floor"] < 1.7e-10)
     assert len(doc["bound_checks"]) == 4
     csv_lines = (tmp_path / "orbit.csv").read_text().strip().split("\n")
     assert len(csv_lines) == 258  # header + 257 samples
@@ -383,10 +389,10 @@ def test_reproduce_integrates_the_horizon_once(tmp_path, monkeypatch, which):
 
 # calls per ``reproduce``; a fused or bypassed field changes them
 BUNDLE_CALLS = {
-    "example1": {"rhs_log": 25_501, "jac_log": 4_067, "rhs_original": 5_955,
-                 "jac_original": 0, "integrate": 81},
-    "remark-constant": {"rhs_log": 8_600, "jac_log": 0, "rhs_original": 4_636,
-                        "jac_original": 61, "integrate": 203}}
+    "example1": {"rhs_log": 25_005, "jac_log": 4_067, "rhs_original": 5_955,
+                 "jac_original": 0, "integrate": 53},
+    "remark-constant": {"rhs_log": 3_800, "jac_log": 0, "rhs_original": 4_636,
+                        "jac_original": 61, "integrate": 5}}
 
 
 @pytest.mark.parametrize("which", sorted(BUNDLE_CALLS))
@@ -601,6 +607,13 @@ def test_reproduce_remark_constant_steady(tmp_path):
     x0 = orbit_doc["orbit"]["x0"]
     assert x0[0] == pytest.approx(8.0, abs=1e-6)
     assert x0[1] < 1e-12
+    # the multipliers of (k1, 0) in closed form, e^{-T r1} and e^{lambda2}
+    mults = sorted(m["re"] for m in orbit_doc["orbit"]["floquet_multipliers"])
+    assert mults[0] == pytest.approx(0.7396420010974705, abs=1e-11)
+    assert mults[1] == pytest.approx(0.82820418130686, abs=1e-12)
+    # no Newton search ran, so there is no floor and no stop rule
+    assert orbit_doc["orbit"]["noise_floor"] is None
+    assert orbit_doc["orbit"]["stop_rule"] is None
 
 
 def test_reports_are_strict_json(tmp_path):

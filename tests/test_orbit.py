@@ -4,10 +4,11 @@ import math
 
 import numpy as np
 import pytest
-from conftest import newton_equilibrium
+from conftest import newton_equilibrium, seed_period_by_period
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from phytoperiod import orbit as orbit_mod
 from phytoperiod import (IntegratorConfig, ModelParams, NonConvergenceError,
                          OrbitSearchError, PeriodicCoefficient, PeriodicOrbit,
                          StepUnderflowError, Trajectory,
@@ -47,6 +48,54 @@ def test_seed_validates_period_count(ex1_params, cfg):
         seed_by_transient(ex1_params, np.zeros(2), 0, cfg)
 
 
+@pytest.mark.parametrize("params, start, n_periods, max_step", [
+    ("ex1_params", (0.002, 0.002), 30, None),
+    ("remark_params", (0.002, 0.002), 200, 2.0),
+    ("forced_params", (1.0, 0.5), 1, None),
+    ("forced_params", (1.0, 0.5), 2, None),
+    ("forced_params", (1.0, 0.5), 20, None)])
+def test_seed_matches_the_period_by_period_seed(request, params, start,
+                                                n_periods, max_step):
+    """One run over n - 1 periods and one period map land within 1e-8 of
+    n period maps, each of which restarts the step-size controller.  With
+    one or two periods the runs are the same ones, so the seed and its
+    contraction, max |phi_T(prev) - prev|, are equal bit for bit."""
+    params = request.getfixturevalue(params)
+    cfg = IntegratorConfig(max_step=max_step)
+    res = seed_by_transient(params, np.log(start), n_periods, cfg)
+    z, contraction = seed_period_by_period(params, np.log(start), n_periods,
+                                           cfg)
+    assert np.max(np.abs(res.z - z)) < 1e-8
+    assert abs(res.contraction - contraction) < 1e-8
+    if n_periods <= 2:
+        assert res.z.tobytes() == z.tobytes()
+        assert res.contraction == contraction
+
+
+def test_a_long_seed_runs_in_bounded_pieces(forced_params, cfg,
+                                           monkeypatch):
+    """Past ``_SEED_RUN_PERIODS`` periods the seed splits its run, each
+    piece starting at t = 0 on the T-periodic field; with pieces of 7
+    periods a 20-period seed makes runs of 7, 7 and 5 periods and still
+    lands within 1e-8 of the period-by-period seed."""
+    spans = []
+    real_integrate = orbit_mod.integrate
+
+    def recording(field, t0, y0, t1, cfg):
+        spans.append((t0, t1))
+        return real_integrate(field, t0, y0, t1, cfg)
+
+    monkeypatch.setattr(orbit_mod, "_SEED_RUN_PERIODS", 7)
+    monkeypatch.setattr(orbit_mod, "integrate", recording)
+    start = np.log([1.0, 0.5])
+    res = seed_by_transient(forced_params, start, 20, cfg)
+    T = forced_params.period
+    assert spans == [(0.0, 7 * T), (0.0, 7 * T), (0.0, 5 * T)]
+    z, contraction = seed_period_by_period(forced_params, start, 20, cfg)
+    assert np.max(np.abs(res.z - z)) < 1e-8
+    assert abs(res.contraction - contraction) < 1e-8
+
+
 # --- positive path: genuine periodic orbit -------------------------------
 
 @pytest.fixture(scope="module")
@@ -59,6 +108,7 @@ def forced_orbit(forced_params):
 
 def test_forced_orbit_converges(forced_orbit):
     assert forced_orbit.residual_norm < 1e-11
+    assert forced_orbit.stop_rule == "tol"
     assert forced_orbit.newton_iterations <= 10
     assert len(forced_orbit.orbit_samples.times) >= 256
 
@@ -121,21 +171,20 @@ def test_newton_quadratic_convergence(forced_params, cfg_tight):
         assert r_next <= 100.0 * r_k * r_k
 
 
-@pytest.mark.xfail(strict=True, raises=NonConvergenceError,
-                   reason="ROADMAP item 3: tol=1e-12 sits below the noise "
-                          "floor of the period map at the integrator's 1e-10 "
-                          "tolerances")
 def test_a_seed_some_ulps_off_converges(forced_params):
-    """Newton from a seed 10 and 8 ulps away from the 20-period seed of
-    ``test_cmd_find_orbit_converges_for_forced_system``, which converges.
-    From this one, after one iteration, the line search finds no point
-    with a defect below 9.554e-12, which is still above tol=1e-12, so it
-    stalls; at tol=1e-11 it converges.  Tying Newton's stop to the
-    integrator's tolerance mends it."""
+    """Newton from a seed 10 and 8 ulps away from the period-by-period
+    20-period seed of ``test_cmd_find_orbit_converges_for_forced_system``.
+    After one iteration the line search finds no point with a defect
+    below 9.554e-12, still above tol=1e-12 but below the noise floor
+    1e-10 + 1e-10 max |z| of the default integrator, so the search stops
+    there, by the floor."""
     orbit = find_periodic_orbit(forced_params,
                                 (0.6427560031692795, -0.18257327158846426),
                                 tol=1e-12)
-    assert orbit.residual_norm < 1e-12
+    assert orbit.stop_rule == "noise_floor"
+    assert orbit.newton_iterations == 1
+    assert orbit.noise_floor == pytest.approx(1.642756e-10, rel=1e-6)
+    assert 1e-12 < orbit.residual_norm <= orbit.noise_floor
 
 
 def test_constant_coefficients_orbit_is_equilibrium(coexist_params, cfg):
@@ -192,6 +241,37 @@ def test_integration_failures_stall_the_line_search(forced_params, cfg,
     with pytest.raises(NonConvergenceError, match="line search stalled") as exc_info:
         find_periodic_orbit(forced_params, np.array([0.0, -0.5]), cfg=cfg)
     assert exc_info.value.diagnosis is None
+
+
+def test_a_stall_at_or_below_the_noise_floor_stops_there(
+        forced_params, forced_orbit, cfg, monkeypatch):
+    """Every line-search probe fails, so the search stalls at its first
+    iterate, the orbit, whose defect lies between tol=1e-15 and the noise
+    floor: it stops there, by the floor."""
+    monkeypatch.setattr("phytoperiod.orbit.flow_map",
+                        _raiser(StepUnderflowError("underflow", t=1.0)))
+    orbit = find_periodic_orbit(forced_params, forced_orbit.z0, tol=1e-15,
+                                cfg=cfg)
+    floor = cfg.abs_tol + cfg.rel_tol * float(np.max(np.abs(orbit.z0)))
+    assert (orbit.stop_rule, orbit.newton_iterations) == ("noise_floor", 0)
+    assert orbit.noise_floor == floor
+    assert 1e-15 <= orbit.residual_norm <= floor
+
+
+def test_a_stall_above_the_noise_floor_raises(forced_params, forced_orbit,
+                                              cfg, monkeypatch):
+    """Stalled 1e-8 off the orbit, above the noise floor, the search
+    raises, naming the defect and the floor."""
+    monkeypatch.setattr("phytoperiod.orbit.flow_map",
+                        _raiser(StepUnderflowError("underflow", t=1.0)))
+    guess = forced_orbit.z0 + 1e-8
+    floor = cfg.abs_tol + cfg.rel_tol * float(np.max(np.abs(guess)))
+    with pytest.raises(NonConvergenceError) as exc_info:
+        find_periodic_orbit(forced_params, guess, tol=1e-15, cfg=cfg)
+    err = exc_info.value
+    assert err.iterations == 0 and err.residual > floor
+    assert str(err) == (f"line search stalled at defect {err.residual:.3e}, "
+                        f"above the noise floor {floor:.3e}")
 
 
 def test_line_search_lets_programming_errors_through(forced_params, cfg,
