@@ -341,6 +341,7 @@ def _find_orbit(cfg: ExperimentConfig, bounds: BoundReport,
                 "z": [float(v) for v in exc.z_last] if exc.z_last is not None else None,
                 "residual_norm": exc.residual,
                 "iterations": exc.iterations,
+                "defects": list(exc.residual_history),
             }
             if exc.diagnosis is not None:
                 doc["extinction"] = {

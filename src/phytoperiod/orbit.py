@@ -16,7 +16,9 @@ as bare non-convergence:
 * extinction: one species cannot invade the state where it is absent,
   so it decays geometrically near that boundary and the Newton defect
   stalls at the decay rate.  The diagnosis names the species and gives
-  its invasion exponent, in closed form from the period means.
+  its invasion exponent, in closed form from the period means.  A
+  search whose steps keep driving that species' log density down while
+  the defect barely falls stops early, with the diagnosis attached.
 """
 
 from __future__ import annotations
@@ -56,6 +58,8 @@ _ORBIT_SAMPLES = 256          # sampling resolution over one period
 _STEADY_VARIANCE_TOL = 1e-12  # sample variance of a steady state
 _BOUND_SLACK = 1e-9
 _SEED_RUN_PERIODS = 256       # most periods one seeding run integrates
+_BOUNDARY_PROGRESS = 0.99     # a boundary step must cut the defect below this
+_BOUNDARY_STEPS = 3           # slow boundary steps in a row that end a search
 
 
 @dataclass(frozen=True)
@@ -119,14 +123,20 @@ class PeriodicOrbit:
 
 
 class OrbitSearchError(RuntimeError):
+    """A failed search, with its last iterate and defect and the defects
+    of every iteration (``residual_history``, as on a
+    :class:`PeriodicOrbit`)."""
+
     def __init__(self, message: str, z_last=None, residual: float | None = None,
                  iterations: int = 0,
-                 diagnosis: ExtinctionDiagnosis | None = None):
+                 diagnosis: ExtinctionDiagnosis | None = None,
+                 residual_history: tuple[float, ...] = ()):
         super().__init__(message)
         self.z_last = None if z_last is None else np.asarray(z_last, dtype=float)
         self.residual = residual
         self.iterations = iterations
         self.diagnosis = diagnosis
+        self.residual_history = tuple(residual_history)
 
 
 class NonConvergenceError(OrbitSearchError):
@@ -202,11 +212,20 @@ def find_periodic_orbit(params: ModelParams, guess, tol: float = 1e-12,
     ``stop_rule`` is "tol"; a stop by the floor returns a defect that
     may lie anywhere up to the floor, above ``tol``.
 
+    When :func:`diagnose_extinction` names a species i that cannot
+    invade, a search heading to the state without it also stops: 3
+    accepted steps in a row whose largest component moves ln x_i down
+    and that cut the defect by less than 1% raise
+    :class:`NonConvergenceError`.  Steps that move another component
+    most, or that move ln x_i up, never count, so a slow search that
+    climbs away from the boundary runs on.
+
     Raises :class:`NearDegenerateOrbitError` when M - I is numerically
     singular and :class:`NonConvergenceError` when the iteration budget
-    is exhausted or the line search stalls above the noise floor; both
-    carry the last iterate, residual and (when one is detectable) an
-    extinction diagnosis.
+    is exhausted, the line search stalls above the noise floor or the
+    search heads to the boundary state; both carry the last iterate,
+    residual, the defects of every iteration and (when one is
+    detectable) an extinction diagnosis.
     """
     if not (tol > 0 and max_iter >= 0):
         raise ValueError("need tol > 0 and max_iter >= 0")
@@ -214,10 +233,13 @@ def find_periodic_orbit(params: ModelParams, guess, tol: float = 1e-12,
         cfg = IntegratorConfig()
     z = np.array(guess, dtype=float)
     history: list[float] = []
+    diagnosis = diagnose_extinction(params)
+    boundary_steps = 0      # slow steps in a row toward the boundary state
+    toward_boundary = False  # the last accepted step moved ln x_i down most
 
     def fail(exc_type, message, it):
         raise exc_type(message, z_last=z, residual=rnorm, iterations=it,
-                       diagnosis=diagnose_extinction(params))
+                       diagnosis=diagnosis, residual_history=tuple(history))
 
     def converged(stop_rule, it):
         samples = _sample_period(params, rhs_log, z, cfg)
@@ -233,6 +255,18 @@ def find_periodic_orbit(params: ModelParams, guess, tol: float = 1e-12,
         history.append(rnorm)
         if rnorm < tol:
             return converged("tol", it)
+        if toward_boundary and rnorm > _BOUNDARY_PROGRESS * history[-2]:
+            boundary_steps += 1
+        else:
+            boundary_steps = 0
+        if boundary_steps == _BOUNDARY_STEPS:
+            i = diagnosis.species
+            fail(NonConvergenceError,
+                 f"heading to the boundary state without species {i}: "
+                 f"{_BOUNDARY_STEPS} Newton steps in a row moved ln x{i} "
+                 f"down most and cut the defect by less than "
+                 f"{1.0 - _BOUNDARY_PROGRESS:.0%} (last defect {rnorm:.3e})",
+                 it)
         if it == max_iter:
             fail(NonConvergenceError, f"no convergence in {max_iter} "
                  f"iterations (last defect {rnorm:.3e})", it)
@@ -266,6 +300,10 @@ def find_periodic_orbit(params: ModelParams, guess, tol: float = 1e-12,
             fail(NonConvergenceError,
                  f"line search stalled at defect {rnorm:.3e}, above the "
                  f"noise floor {floor:.3e}", it)
+        # the accepted step s dz, s > 0, moves most what dz moves most
+        k = int(np.argmax(np.abs(dz)))
+        toward_boundary = (diagnosis is not None
+                           and k == diagnosis.species - 1 and dz[k] < 0.0)
         z = z_try
 
 

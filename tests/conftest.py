@@ -1,5 +1,6 @@
 import math
 import os
+import random
 import subprocess
 import sys
 from pathlib import Path
@@ -63,6 +64,31 @@ def cfg():
 @pytest.fixture(scope="session")
 def cfg_tight():
     return IntegratorConfig(abs_tol=1e-12, rel_tol=1e-12)
+
+
+# (lo, hi) of the means of r1, r2, beta1, beta2, then of k1, k2, w1, w2
+_DRAW_MEANS = ((0.2, 2.0), (0.2, 2.0), (0.01, 0.6), (0.001, 0.3))
+_DRAW_CONSTANTS = ((0.5, 4.0), (0.5, 4.0), (0.0, 2.0), (0.0, 0.5))
+
+
+def random_draw(i):
+    """Draw i (from 0) of the random parameter sets of the ROADMAP, from
+    one ``random.Random(7)`` stream.  Each of r1, r2, beta1, beta2 in turn
+    draws its mean, then its amplitude relative to the mean (below 0.9),
+    then its phase, for a sinusoid with T = 2 pi and omega = 1; then come
+    k1, k2, w1 and w2."""
+    rng = random.Random(7)
+    for _ in range(i + 1):
+        coeffs = []
+        for lo, hi in _DRAW_MEANS:
+            mean = rng.uniform(lo, hi)
+            amplitude = mean * rng.uniform(0.0, 0.9)
+            coeffs.append((mean, amplitude, 1.0, rng.uniform(0.0, TWO_PI)))
+        constants = [rng.uniform(lo, hi) for lo, hi in _DRAW_CONSTANTS]
+    r1, r2, beta1, beta2 = (PeriodicCoefficient.sinusoid(*c) for c in coeffs)
+    k1, k2, w1, w2 = constants
+    return ModelParams(r1=r1, r2=r2, beta1=beta1, beta2=beta2,
+                       k1=k1, k2=k2, w1=w1, w2=w2, period=TWO_PI)
 
 
 def mean_by_quadrature(coeff, n=4096):

@@ -196,6 +196,7 @@ def test_cmd_find_orbit_converges_for_forced_system(tmp_path):
     assert (cfg.orbit_tol < doc["orbit"]["residual_norm"]
             <= doc["orbit"]["noise_floor"] < 1.7e-10)
     assert len(doc["bound_checks"]) == 4
+    assert "last_iterate" not in doc
     csv_lines = (tmp_path / "orbit.csv").read_text().strip().split("\n")
     assert len(csv_lines) == 258  # header + 257 samples
 
@@ -389,8 +390,8 @@ def test_reproduce_integrates_the_horizon_once(tmp_path, monkeypatch, which):
 
 # calls per ``reproduce``; a fused or bypassed field changes them
 BUNDLE_CALLS = {
-    "example1": {"rhs_log": 25_005, "jac_log": 4_067, "rhs_original": 5_955,
-                 "jac_original": 0, "integrate": 53},
+    "example1": {"rhs_log": 14_925, "jac_log": 1_829, "rhs_original": 5_955,
+                 "jac_original": 0, "integrate": 23},
     "remark-constant": {"rhs_log": 3_800, "jac_log": 0, "rhs_original": 4_636,
                         "jac_original": 61, "integrate": 5}}
 
@@ -589,6 +590,13 @@ def test_reproduce_example1_golden_content(tmp_path):
     assert by_name["orbit_converged"]["actual"] is False
     orbit_doc = json.loads((tmp_path / "example1" / "orbit_report.json").read_text())
     assert orbit_doc["extinction"]["species"] == 2
+    # the search stops heading to (k1, 0); the report keeps its defects
+    assert orbit_doc["error"].startswith(
+        "heading to the boundary state without species 2: ")
+    last = orbit_doc["last_iterate"]
+    assert last["iterations"] == 4
+    assert len(last["defects"]) == 5
+    assert last["defects"][-1] == last["residual_norm"]
 
 
 def test_reproduce_remark_constant_steady(tmp_path):

@@ -4,14 +4,14 @@ import math
 
 import numpy as np
 import pytest
-from conftest import newton_equilibrium, seed_period_by_period
+from conftest import newton_equilibrium, random_draw, seed_period_by_period
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from phytoperiod import orbit as orbit_mod
 from phytoperiod import (IntegratorConfig, ModelParams, NonConvergenceError,
-                         OrbitSearchError, PeriodicCoefficient, PeriodicOrbit,
-                         StepUnderflowError, Trajectory,
+                         PeriodicCoefficient, PeriodicOrbit,
+                         StepUnderflowError, Trajectory, averaged_equilibria,
                          compute_bounds, detect_steady_state,
                          diagnose_extinction, find_periodic_orbit, flow_map,
                          integrate, rhs_log, seed_by_transient, verify_bounds)
@@ -208,17 +208,111 @@ def test_nonconvergence_reports_last_residual(forced_params, cfg):
     assert err.z_last is not None
 
 
-def test_demo_orbit_search_detects_extinction(ex1_params, cfg):
+def _counting(monkeypatch, *names):
+    """Count the calls ``orbit`` makes to each of its module-level names."""
+    counts = dict.fromkeys(names, 0)
+
+    def counting(name, fn):
+        def counted(*args, **kwargs):
+            counts[name] += 1
+            return fn(*args, **kwargs)
+        return counted
+
+    for name in names:
+        monkeypatch.setattr(orbit_mod, name,
+                            counting(name, getattr(orbit_mod, name)))
+    return counts
+
+
+def test_demo_orbit_search_detects_extinction(ex1_params, cfg, monkeypatch):
     """The oscillating demo has no interior fixed point of the period
     map: the second species dies out at rate ~0.30 per period (its
     growth is crushed by the fear denominator 1 + w1*k1 = 161 while the
-    toxin terms drain it), so the search must fail with that diagnosis."""
+    toxin terms drain it), so the search must fail with that diagnosis.
+    From iteration 1 on every step moves ln x2 down most and cuts the
+    defect by less than 1%, so the search stops at iteration 4, after 5
+    monodromies and 14 line-search probes, having diagnosed once."""
     seed = seed_by_transient(ex1_params, np.log([0.002, 0.002]), 30, cfg)
-    with pytest.raises(OrbitSearchError) as exc_info:
+    counts = _counting(monkeypatch, "flow_and_monodromy", "flow_map",
+                       "diagnose_extinction")
+    with pytest.raises(NonConvergenceError) as exc_info:
         find_periodic_orbit(ex1_params, seed.z, tol=1e-10, max_iter=10, cfg=cfg)
-    diag = exc_info.value.diagnosis
+    err = exc_info.value
+    diag = err.diagnosis
     assert diag is not None and diag.species == 2
     assert diag.rate_per_period == pytest.approx(-0.301589, abs=1e-6)
+    assert str(err) == (
+        "heading to the boundary state without species 2: 3 Newton steps "
+        "in a row moved ln x2 down most and cut the defect by less than 1% "
+        f"(last defect {err.residual:.3e})")
+    assert err.iterations == 4
+    assert counts == {"flow_and_monodromy": 5, "flow_map": 14,
+                      "diagnose_extinction": 1}
+    hist = err.residual_history
+    assert len(hist) == 5 and hist[-1] == err.residual
+    assert all(b > 0.99 * a for a, b in zip(hist[1:], hist[2:]))
+
+
+def test_a_search_without_a_diagnosis_never_heads_to_the_boundary(
+        ex1_params, cfg, monkeypatch):
+    """With no species diagnosed, the demo search walks on as it did
+    before the boundary rule: to its iteration budget."""
+    seed = seed_by_transient(ex1_params, np.log([0.002, 0.002]), 30, cfg)
+    monkeypatch.setattr(orbit_mod, "diagnose_extinction", lambda params: None)
+    with pytest.raises(NonConvergenceError,
+                       match="no convergence in 10 iterations") as exc_info:
+        find_periodic_orbit(ex1_params, seed.z, tol=1e-10, max_iter=10, cfg=cfg)
+    err = exc_info.value
+    assert err.iterations == 10 and err.diagnosis is None
+    assert len(err.residual_history) == 11
+
+
+# draw 333 of the random draws, as its coefficients print
+_S = PeriodicCoefficient.sinusoid
+DRAW_333 = ModelParams(
+    r1=_S(0.2366812008838051, 0.14364353907170518, 1.0, 3.8389469874731352),
+    r2=_S(0.7288286088182614, 0.1313139050744629, 1.0, 5.374228841668394),
+    beta1=_S(0.5464696415663739, 0.11476204946093861, 1.0, 3.6819162158141934),
+    beta2=_S(0.17281929737131588, 0.05008329045881987, 1.0,
+             0.22868394267142367),
+    k1=1.6386710130132454, k2=2.7553914187581587, w1=1.2039103074372866,
+    w2=0.2550163174428757, period=TWO_PI)
+
+
+def test_a_slow_search_climbing_away_from_the_boundary_converges(cfg):
+    """Draw 333 diagnoses species 1 as unable to invade.  From its
+    30-period seed at (3, 0.1) the first 4 steps each cut the defect by
+    less than 1%, yet they do not move ln x1 down most, so the search
+    runs on and converges to an unstable orbit."""
+    assert diagnose_extinction(DRAW_333).species == 1
+    seed = seed_by_transient(DRAW_333, np.log([3.0, 0.1]), 30, cfg)
+    orbit = find_periodic_orbit(DRAW_333, seed.z, cfg=cfg)
+    hist = orbit.residual_history
+    assert all(b > 0.99 * a for a, b in zip(hist[:4], hist[1:5]))
+    assert (orbit.newton_iterations, orbit.stop_rule) == (11, "noise_floor")
+    assert orbit.z0 == pytest.approx([0.30353386, -2.54150291], abs=1e-8)
+    mults = sorted(abs(m) for m in orbit.floquet_multipliers)
+    assert mults == pytest.approx([0.1778, 1.2365], abs=1e-4)
+    assert not orbit.stable
+
+
+def test_random_draw_follows_the_recipe():
+    """``random_draw`` regenerates the ROADMAP's draws: draw 333 has the
+    coefficients it prints, (A1)-(A3) hold in 159 of the 400, and draw
+    5 has two averaged roots, from which Newton reaches an unstable orbit
+    through x = (0.9723, 1.5137) and a stable one through
+    (3.1668, 0.1683)."""
+    assert random_draw(333) == DRAW_333
+    draws = [random_draw(i) for i in range(400)]
+    assert sum(compute_bounds(p).all_conditions_hold() for p in draws) == 159
+    roots = averaged_equilibria(draws[5])
+    assert [r.x for r in roots] == [pytest.approx((0.8145, 1.5829), abs=1e-4),
+                                    pytest.approx((3.1506, 0.1344), abs=1e-4)]
+    orbits = [find_periodic_orbit(draws[5], r.z) for r in roots]
+    assert [tuple(np.exp(o.z0)) for o in orbits] == [
+        pytest.approx((0.9723, 1.5137), abs=1e-4),
+        pytest.approx((3.1668, 0.1683), abs=1e-4)]
+    assert [o.stable for o in orbits] == [False, True]
 
 
 def test_tol_validation(forced_params, cfg):
