@@ -29,6 +29,7 @@ _POLISH_STEPS = 2
 # _ROOT_TOL + _ROUNDING_ULPS * eps * (largest term of g1 and g2)
 _ROOT_TOL = 1e-13
 _ROUNDING_ULPS = 16
+_FLOAT_MAX = sys.float_info.max
 
 
 class DegenerateAveragedSystemError(ValueError):
@@ -41,9 +42,9 @@ class AveragedRoot:
 
     ``x`` = (u, v) are the densities and ``z`` their logs.  ``det`` and
     ``trace`` are those of :func:`~phytoperiod.model.averaged_jacobian` at
-    ``z``; it is similar to the Jacobian in the original frame, so both
-    have the same eigenvalues.  ``kind`` is "saddle" when det < 0, else
-    "stable" when trace < 0, else "unstable".
+    the densities ``x``; it is similar to the Jacobian in the original
+    frame, so both have the same eigenvalues.  ``kind`` is "saddle" when
+    det < 0, else "stable" when trace < 0, else "unstable".
     """
 
     x: tuple[float, float]
@@ -133,10 +134,17 @@ def _sign_changes(coeffs: list, lo: float, hi: float) -> list[float]:
         if not (f0 < 0.0 < f1 or f1 < 0.0 < f0):
             continue
         if x1 == math.inf:
-            x1 = max(2.0 * x0, 1.0)
-            while (_horner(coeffs, x1) < 0.0) == (f0 < 0.0):
-                x1 *= 2.0
-        mid = 0.5 * (x0 + x1)
+            # double up to the largest float: a piece whose sign has not
+            # changed there holds no representable root
+            x1 = min(max(2.0 * x0, 1.0), _FLOAT_MAX)
+            f1 = _horner(coeffs, x1)
+            while (f1 < 0.0) == (f0 < 0.0) and x1 < _FLOAT_MAX:
+                x1 = min(2.0 * x1, _FLOAT_MAX)
+                f1 = _horner(coeffs, x1)
+            if (f1 < 0.0) == (f0 < 0.0):
+                continue
+        # halves first, so that the sum cannot overflow
+        mid = 0.5 * x0 + 0.5 * x1
         while x0 < mid < x1:
             f_mid = _horner(coeffs, mid)
             if f_mid == 0.0:
@@ -145,7 +153,7 @@ def _sign_changes(coeffs: list, lo: float, hi: float) -> list[float]:
                 x0 = mid
             else:
                 x1 = mid
-            mid = 0.5 * (x0 + x1)
+            mid = 0.5 * x0 + 0.5 * x1
         roots.append(mid)
     return roots
 
@@ -178,8 +186,7 @@ def _polish(params: ModelParams, u: float, v: float) -> tuple[float, float]:
     u0, v0 = u, v
     for _ in range(_POLISH_STEPS):
         g1, g2 = averaged_rates(params, u, v)
-        (j11, j12), (j21, j22) = averaged_jacobian(
-            params, (math.log(u), math.log(v))).tolist()
+        (j11, j12), (j21, j22) = averaged_jacobian(params, u, v)
         det = j11 * j22 - j12 * j21
         # the log-frame step dz gives du = u dz1, dv = v dz2
         u *= 1.0 - (j22 * g1 - j12 * g2) / det
@@ -203,9 +210,9 @@ def _polish(params: ModelParams, u: float, v: float) -> tuple[float, float]:
 
 
 def _classify(params: ModelParams, u: float, v: float) -> AveragedRoot:
-    z = (math.log(u), math.log(v))
-    (j11, j12), (j21, j22) = averaged_jacobian(params, z).tolist()
+    (j11, j12), (j21, j22) = averaged_jacobian(params, u, v)
     det = j11 * j22 - j12 * j21
     trace = j11 + j22
     kind = "saddle" if det < 0.0 else "stable" if trace < 0.0 else "unstable"
-    return AveragedRoot(x=(u, v), z=z, det=det, trace=trace, kind=kind)
+    return AveragedRoot(x=(u, v), z=(math.log(u), math.log(v)), det=det,
+                        trace=trace, kind=kind)

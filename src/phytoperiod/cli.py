@@ -64,7 +64,7 @@ _INTEGRATOR_FIELDS = {"method",
                       *(f.name for f in dataclasses.fields(IntegratorConfig))}
 _TOP_FIELDS = ("model", "integrator", "extremum_interval", "m0_denominator",
                "initial_state", "horizon", "seed_periods", "tolerances")
-_MODEL_FIELDS = ("r1", "r2", "beta1", "beta2", "k1", "k2", "w1", "w2", "period")
+_MODEL_FIELDS = tuple(f.name for f in dataclasses.fields(ModelParams))
 
 
 class ConfigError(ValueError):

@@ -84,37 +84,26 @@ class PeriodicCoefficient:
         return 2.0 * math.pi / self.omega
 
     def __call__(self, t):
-        """Evaluate f(t).  Accepts scalars or numpy arrays.
+        """Evaluate f(t) at a float or int t, with ``math``, as a float, or
+        elementwise at a numpy array t, with numpy, as an array of its
+        shape.  Both take the same operations in the same order.
 
-        A float or int t takes a ``math`` path and gives a float.  It
-        serves ``extrema``, ``_refine`` and the tests; the integrator
-        evaluates all four rates through the kernels that
-        ``ModelParams`` compiles, which keep this path's operation order.
+        The float path serves ``extrema``, ``_refine`` and the tests; the
+        integrator evaluates all four rates through the kernels that
+        ``ModelParams`` compiles, which keep this operation order.
         """
         if isinstance(t, (float, int)):
-            if self.kind == "constant":
-                return self.mean
-            if self.kind == "sinusoid":
-                return self.mean + self.amplitude * math.sin(
-                    self.omega * t + self.phase)
-            out = self.mean
+            sin, cos, out = math.sin, math.cos, self.mean
+        else:
+            t = np.asarray(t, dtype=float)
+            sin, cos, out = np.sin, np.cos, np.full_like(t, self.mean)
+        if self.kind == "sinusoid":
+            return out + self.amplitude * sin(self.omega * t + self.phase)
+        if self.kind == "fourier":
             for k, (a, b) in enumerate(self.harmonics, start=1):
                 kwt = k * self.omega * t
-                out = out + a * math.cos(kwt) + b * math.sin(kwt)
-            return out
-        if self.kind == "constant":
-            return self.mean if np.isscalar(t) else np.full_like(
-                np.asarray(t, dtype=float), self.mean)
-        if self.kind == "sinusoid":
-            return self.mean + self.amplitude * np.sin(self.omega * t + self.phase)
-        out = self.mean + np.zeros_like(np.asarray(t, dtype=float))
-        for k, (a, b) in enumerate(self.harmonics, start=1):
-            out = out + a * np.cos(k * self.omega * t) + b * np.sin(k * self.omega * t)
-        return out if not np.isscalar(t) else float(out)
-
-    def mean_value(self) -> float:
-        """Exact period average (oscillatory parts integrate to zero)."""
-        return self.mean
+                out = out + a * cos(kwt) + b * sin(kwt)
+        return out
 
 
 def extrema(coeff: PeriodicCoefficient, a: float, b: float) -> tuple[float, float]:

@@ -26,7 +26,7 @@ report is always produced.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, fields
 
 from .coefficients import extrema
 from .model import ModelParams
@@ -79,9 +79,9 @@ class BoundReport:
     a2_rhs: float
     a3_lhs: float
     a3_rhs: float
-    positivity_audit: dict[str, bool] = field(default_factory=dict)
-    extremum_interval: tuple[float, float] = (0.0, 0.0)
-    m0_denominator: str = M0_CANONICAL
+    positivity_audit: dict[str, bool]
+    extremum_interval: tuple[float, float]
+    m0_denominator: str
 
     def all_conditions_hold(self) -> bool:
         return self.A1 and self.A2 and self.A3

@@ -35,26 +35,30 @@ __all__ = [
     "write_trajectory_csv",
 ]
 
-# Dormand-Prince 5(4) tableau.  The 5th-order weights equal the last row
-# of A, so the 7th stage is evaluated at the new solution and doubles as
-# the next step's 1st stage (FSAL, "first same as last").
-_C2, _C3, _C4, _C5 = 1 / 5, 3 / 10, 4 / 5, 8 / 9
-_A21 = 1 / 5
-_A31, _A32 = 3 / 40, 9 / 40
-_A41, _A42, _A43 = 44 / 45, -56 / 15, 32 / 9
-_A51, _A52, _A53, _A54 = (19372 / 6561, -25360 / 2187, 64448 / 6561,
-                          -212 / 729)
-_A61, _A62, _A63, _A64, _A65 = (9017 / 3168, -355 / 33, 46732 / 5247,
-                                49 / 176, -5103 / 18656)
-_B1, _B3, _B4, _B5, _B6 = (35 / 384, 500 / 1113, 125 / 192, -2187 / 6784,
-                           11 / 84)
-# error weights: 5th- minus 4th-order weights of the embedded pair
-_E1 = _B1 - 5179 / 57600
-_E3 = _B3 - 7571 / 16695
-_E4 = _B4 - 393 / 640
-_E5 = _B5 - -92097 / 339200
-_E6 = _B6 - 187 / 2100
-_E7 = -1 / 40
+# Dormand-Prince 5(4) tableau, by the names that _DP_STAGES and _DP_ERROR
+# read; it is the namespace the compiled march sees them in.  The
+# 5th-order weights B equal the last row of A, so the 7th stage is
+# evaluated at the new solution and doubles as the next step's 1st stage
+# (FSAL, "first same as last").
+_TABLEAU = {
+    "C2": 1 / 5, "C3": 3 / 10, "C4": 4 / 5, "C5": 8 / 9,
+    "A21": 1 / 5,
+    "A31": 3 / 40, "A32": 9 / 40,
+    "A41": 44 / 45, "A42": -56 / 15, "A43": 32 / 9,
+    "A51": 19372 / 6561, "A52": -25360 / 2187, "A53": 64448 / 6561,
+    "A54": -212 / 729,
+    "A61": 9017 / 3168, "A62": -355 / 33, "A63": 46732 / 5247,
+    "A64": 49 / 176, "A65": -5103 / 18656,
+    "B1": 35 / 384, "B3": 500 / 1113, "B4": 125 / 192, "B5": -2187 / 6784,
+    "B6": 11 / 84,
+}
+# error weights E: 5th- minus 4th-order weights of the embedded pair
+# (B2 = B7 = 0)
+_TABLEAU |= {f"E{i}": _TABLEAU.get(f"B{i}", 0.0) - b
+             for i, b in ((1, 5179 / 57600), (3, 7571 / 16695),
+                          (4, 393 / 640), (5, -92097 / 339200),
+                          (6, 187 / 2100), (7, 1 / 40))}
+
 # Order-4 continuous extension (Shampine 1986; the coefficients of
 # Hairer's dopri5): over a step of size h from y with stages k1..k7,
 #   y(t + theta h) = y + h (k1 theta + X2 theta^2 + X3 theta^3 + X4 theta^4),
@@ -236,14 +240,7 @@ def _dp_march(n: int):
     march = _DP_MARCHES.get(n)
     if march is not None:
         return march
-    namespace = {"C2": _C2, "C3": _C3, "C4": _C4, "C5": _C5,
-                 "A21": _A21, "A31": _A31, "A32": _A32,
-                 "A41": _A41, "A42": _A42, "A43": _A43,
-                 "A51": _A51, "A52": _A52, "A53": _A53, "A54": _A54,
-                 "A61": _A61, "A62": _A62, "A63": _A63, "A64": _A64,
-                 "A65": _A65, "B1": _B1, "B3": _B3, "B4": _B4, "B5": _B5,
-                 "B6": _B6, "E1": _E1, "E3": _E3, "E4": _E4, "E5": _E5,
-                 "E6": _E6, "E7": _E7, "inf": math.inf,
+    namespace = {**_TABLEAU, "inf": math.inf,
                  "isfinite": math.isfinite, "extension": _dp_extension,
                  "StepUnderflowError": StepUnderflowError,
                  "NonFiniteStateError": NonFiniteStateError}

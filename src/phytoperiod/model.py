@@ -26,8 +26,6 @@ from dataclasses import dataclass, fields
 from functools import cached_property, lru_cache
 from itertools import count
 
-import numpy as np
-
 from .coefficients import PeriodicCoefficient
 
 __all__ = [
@@ -93,8 +91,7 @@ class ModelParams:
 
     def means(self) -> tuple[float, float, float, float]:
         """(r1_bar, r2_bar, beta1_bar, beta2_bar) period averages."""
-        return (self.r1.mean_value(), self.r2.mean_value(),
-                self.beta1.mean_value(), self.beta2.mean_value())
+        return self.r1.mean, self.r2.mean, self.beta1.mean, self.beta2.mean
 
     @cached_property
     def _kernels(self) -> _Kernels:
@@ -137,24 +134,16 @@ def jac_log(params: ModelParams, t: float, z):
     return params._kernels.jac_log(t, z)
 
 
-def _exp_state(z):
-    z1, z2 = float(z[0]), float(z[1])
-    if z1 > _EXP_OVERFLOW or z2 > _EXP_OVERFLOW or not (
-            math.isfinite(z1) and math.isfinite(z2)):
-        raise DomainOverflowError(f"log state {z1, z2} overflows exp()")
-    return math.exp(z1), math.exp(z2)
-
-
 _Kernels = namedtuple("_Kernels", "rhs_log jac_log rhs_original jac_original")
 
 # The four fields, with the rates as the locals r1, r2, b1, b2 and the
 # constants as the globals k1, k2, w1, w2.  Every expression keeps the
-# operation order of the model equations; the log frame inlines
-# _exp_state, its guard included: one chained comparison per component
-# rejects NaN, -inf and everything above the overflow limit, +inf
-# included.  The literal 1e309 is past the float range, so it compiles
-# to the constant inf.  The message converts each component, since
-# numpy 2 reprs its scalars as np.float64(...).
+# operation order of the model equations.  The log frame maps z to
+# densities behind the one exp guard of the package: one chained
+# comparison per component rejects NaN, -inf and everything above the
+# overflow limit, +inf included.  The literal 1e309 is past the float
+# range, so it compiles to the constant inf.  The message converts each
+# component, since numpy 2 reprs its scalars as np.float64(...).
 _LOG_STATE = f"""\
     z1, z2 = z
     if not (-1e309 < z1 <= {_EXP_OVERFLOW!r}
@@ -282,14 +271,13 @@ def averaged_rates(params: ModelParams, u, v):
             + r2b / (1.0 + params.w1 * u))
 
 
-def averaged_jacobian(params: ModelParams, z) -> np.ndarray:
-    """Analytic Jacobian of :func:`averaged_rates` at u = e^{z1}, v = e^{z2}
-    with respect to (z1, z2)."""
-    u, v = _exp_state(z)
+def averaged_jacobian(params: ModelParams, u: float, v: float):
+    """Analytic Jacobian of :func:`averaged_rates` with respect to
+    (ln u, ln v) at densities u = x1, v = x2, as row tuples."""
     r1b, r2b, b1b, b2b = params.means()
     fear = 1.0 / (1.0 + params.w1 * u)
-    return np.array([
-        [-r1b * u / params.k1, -b1b * v],
-        [-b2b * u - params.w2 * u * v - r2b * params.w1 * u * fear * fear,
-         -r2b * v / params.k2 - params.w2 * u * v],
-    ])
+    return (
+        (-r1b * u / params.k1, -b1b * v),
+        (-b2b * u - params.w2 * u * v - r2b * params.w1 * u * fear * fear,
+         -r2b * v / params.k2 - params.w2 * u * v),
+    )

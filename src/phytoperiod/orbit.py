@@ -350,8 +350,8 @@ def diagnose_extinction(params: ModelParams) -> ExtinctionDiagnosis | None:
     (the invasion exponents of Cushing 1980).  Returns the species with
     the more negative exponent when that exponent is negative, else None.
     """
-    x1 = params.k1 if params.r1.mean_value() > 0.0 else 0.0
-    x2 = params.k2 if params.r2.mean_value() > 0.0 else 0.0
+    x1 = params.k1 if params.r1.mean > 0.0 else 0.0
+    x2 = params.k2 if params.r2.mean > 0.0 else 0.0
     T = params.period
     exponents = (T * averaged_rates(params, 0.0, x2)[0],
                  T * averaged_rates(params, x1, 0.0)[1])

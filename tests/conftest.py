@@ -92,9 +92,10 @@ def random_draw(i):
 
 
 def mean_by_quadrature(coeff, n=4096):
-    """Oracle for ``PeriodicCoefficient.mean_value``: the average over one
-    fundamental period (a constant's over [0, 1]) by composite Simpson
-    quadrature on n cells of the array path of ``coeff``."""
+    """Oracle for the period average that a coefficient's ``mean`` stands
+    for: the average over one fundamental period (a constant's over
+    [0, 1]) by composite Simpson quadrature on n cells of the array path
+    of ``coeff``."""
     period = coeff.period if math.isfinite(coeff.period) else 1.0
     ts = np.linspace(0.0, period, n + 1)
     vals = np.asarray(coeff(ts), dtype=float)

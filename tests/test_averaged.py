@@ -8,7 +8,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from conftest import grid_scan, newton_equilibrium
+from conftest import grid_scan, newton_equilibrium, run_python
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.optimize import brentq
@@ -168,6 +168,33 @@ def test_a_root_polished_out_of_the_quadrant_is_reported_by_check(tmp_path):
     assert averaged["newton"]["reason"].startswith(
         "averaged root x = (666.98")
     assert "leaves u > 0, v > 0" in averaged["newton"]["reason"]
+
+
+def test_check_reports_a_root_near_the_largest_float(tmp_path):
+    """The sign change of g2 on the line g1 = 0 lies at u = 1.5e308,
+    above 2^1023, so the bracket that doubles toward it stops at the
+    largest float instead of overflowing to inf, and the root, whose
+    ln u is above the exp guard's 709, is polished and classified at its
+    densities.  Run in a subprocess: an endless bracket fails the test
+    instead of hanging the suite."""
+    rates = {"r1": -1.0, "r2": 1.0, "beta1": 1.0,
+             "beta2": 3.3333333333333e-309}
+    doc = {"model": {**{name: {"kind": "constant", "value": value}
+                        for name, value in rates.items()},
+                     "k1": 1e308, "k2": 1.0, "w1": 0.0, "w2": 0.0,
+                     "period": TWO_PI},
+           "initial_state": [1.0, 1.0], "horizon": 4.0 * TWO_PI}
+    config = tmp_path / "huge_root.json"
+    config.write_text(json.dumps(doc))
+    proc = run_python("-m", "phytoperiod.cli", "check", "--config",
+                      str(config), "--out", str(tmp_path), timeout=30)
+    assert proc.returncode == 1, proc.stderr
+    report = json.loads((tmp_path / "check_report.json").read_text())
+    (root,) = report["averaged_system"]["roots"]
+    assert root["kind"] == "saddle"
+    assert root["x"][0] == pytest.approx(1.5e308, rel=1e-12)
+    assert root["x"][1] == pytest.approx(0.5, rel=1e-12)
+    assert root["z"][0] > 709.0
 
 
 @pytest.mark.parametrize("w1, w2", [(0.0, 0.3), (0.0, 0.0)])

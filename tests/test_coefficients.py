@@ -37,12 +37,15 @@ def test_fourier_eval_matches_series():
 
 
 def test_eval_accepts_arrays():
-    # the array (numpy) and scalar (math) paths agree for every kind
+    # the array (numpy) and scalar (math) paths agree for every kind, and
+    # an array gives an array of its shape, for a constant f too
     ts = np.linspace(0, 5, 11)
     for f in (PeriodicCoefficient.sinusoid(1.0, 0.5, omega=3.0, phase=0.2),
               PeriodicCoefficient.fourier(0.5, [(0.2, -0.3), (0.05, 0.0)],
                                           omega=2.0),
+              PeriodicCoefficient.fourier(0.5, []),
               PeriodicCoefficient.constant(3.0)):
+        assert f(ts).shape == ts.shape
         np.testing.assert_allclose(f(ts), [f(float(t)) for t in ts],
                                    atol=1e-14)
 
@@ -170,17 +173,17 @@ def test_extrema_dominate_random_samples():
 # --- averages ------------------------------------------------------------
 
 def test_mean_sinusoid_is_mean_field():
-    assert PeriodicCoefficient.sinusoid(0.03, 0.5).mean_value() == 0.03
+    assert PeriodicCoefficient.sinusoid(0.03, 0.5).mean == 0.03
 
 
 def test_mean_constant():
-    assert PeriodicCoefficient.constant(1.3).mean_value() == 1.3
+    assert PeriodicCoefficient.constant(1.3).mean == 1.3
 
 
 def test_mean_fourier_against_simpson_quadrature():
     f = PeriodicCoefficient.fourier(1.0, [(0.2, -0.3)])
     assert mean_by_quadrature(f) == pytest.approx(1.0, abs=1e-10)
-    assert f.mean_value() == 1.0
+    assert f.mean == 1.0
 
 
 @pytest.mark.parametrize("coeff", [
@@ -190,4 +193,4 @@ def test_mean_fourier_against_simpson_quadrature():
     PeriodicCoefficient.constant(0.125),
 ])
 def test_mean_equals_quadrature(coeff):
-    assert coeff.mean_value() == pytest.approx(mean_by_quadrature(coeff), abs=1e-10)
+    assert coeff.mean == pytest.approx(mean_by_quadrature(coeff), abs=1e-10)

@@ -95,3 +95,15 @@ def test_no_unreferenced_private_names():
     sources = {p.name: p.read_text() for p in PACKAGE}
     assert sum(len(private_names(s)) for s in sources.values()) > 50
     assert unreferenced_private_names(sources) == []
+
+
+def test_every_tableau_coefficient_is_read():
+    """The Dormand-Prince coefficients are the keys of one dict, which the
+    private-name scan does not see into; the stages and the error weights
+    of the march read exactly those keys, so an unused or a missing
+    coefficient fails here."""
+    from phytoperiod import integrator
+
+    read = {name for node, weights in integrator._DP_STAGES
+            for name in (node, *weights)} | set(integrator._DP_ERROR)
+    assert set(integrator._TABLEAU) == read - {None}

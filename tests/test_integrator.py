@@ -116,28 +116,29 @@ def test_adaptive_stepper_reuses_last_stage():
 def _reference_dp_step(field, t, y, h, k1):
     """Oracle: the generic Dormand-Prince step, every stage sum a generator
     over the components, in the operation order the generated step keeps."""
-    a = h * itg._A21
-    k2 = field(t + itg._C2 * h, tuple(yi + a * p for yi, p in zip(y, k1)))
-    a1, a2 = h * itg._A31, h * itg._A32
-    k3 = field(t + itg._C3 * h, tuple(yi + a1 * p + a2 * q
+    T = itg._TABLEAU
+    a = h * T["A21"]
+    k2 = field(t + T["C2"] * h, tuple(yi + a * p for yi, p in zip(y, k1)))
+    a1, a2 = h * T["A31"], h * T["A32"]
+    k3 = field(t + T["C3"] * h, tuple(yi + a1 * p + a2 * q
                                       for yi, p, q in zip(y, k1, k2)))
-    a1, a2, a3 = h * itg._A41, h * itg._A42, h * itg._A43
-    k4 = field(t + itg._C4 * h, tuple(yi + a1 * p + a2 * q + a3 * r
+    a1, a2, a3 = h * T["A41"], h * T["A42"], h * T["A43"]
+    k4 = field(t + T["C4"] * h, tuple(yi + a1 * p + a2 * q + a3 * r
                                       for yi, p, q, r in zip(y, k1, k2, k3)))
-    a1, a2, a3, a4 = h * itg._A51, h * itg._A52, h * itg._A53, h * itg._A54
-    k5 = field(t + itg._C5 * h, tuple(yi + a1 * p + a2 * q + a3 * r + a4 * s
+    a1, a2, a3, a4 = h * T["A51"], h * T["A52"], h * T["A53"], h * T["A54"]
+    k5 = field(t + T["C5"] * h, tuple(yi + a1 * p + a2 * q + a3 * r + a4 * s
                                       for yi, p, q, r, s in zip(y, k1, k2, k3, k4)))
-    a1, a2, a3, a4, a5 = (h * itg._A61, h * itg._A62, h * itg._A63,
-                          h * itg._A64, h * itg._A65)
+    a1, a2, a3, a4, a5 = (h * T["A61"], h * T["A62"], h * T["A63"],
+                          h * T["A64"], h * T["A65"])
     k6 = field(t + h, tuple(yi + a1 * p + a2 * q + a3 * r + a4 * s + a5 * u
                             for yi, p, q, r, s, u in zip(y, k1, k2, k3, k4, k5)))
-    b1, b3, b4, b5, b6 = (h * itg._B1, h * itg._B3, h * itg._B4, h * itg._B5,
-                          h * itg._B6)
+    b1, b3, b4, b5, b6 = (h * T["B1"], h * T["B3"], h * T["B4"], h * T["B5"],
+                          h * T["B6"])
     y_new = tuple(yi + b1 * p + b3 * r + b4 * s + b5 * u + b6 * v
                   for yi, p, r, s, u, v in zip(y, k1, k3, k4, k5, k6))
     k7 = field(t + h, y_new)
-    e1, e3, e4, e5, e6, e7 = (h * itg._E1, h * itg._E3, h * itg._E4,
-                              h * itg._E5, h * itg._E6, h * itg._E7)
+    e1, e3, e4, e5, e6, e7 = (h * T["E1"], h * T["E3"], h * T["E4"],
+                              h * T["E5"], h * T["E6"], h * T["E7"])
     err = tuple(e1 * p + e3 * r + e4 * s + e5 * u + e6 * v + e7 * w
                 for p, r, s, u, v, w in zip(k1, k3, k4, k5, k6, k7))
     return y_new, err, (k1, k3, k4, k5, k6, k7)
@@ -303,7 +304,7 @@ def test_generated_step_is_bit_identical_to_the_generic_step(case, t, h, tols):
         assert _hex(states[-1]) == _hex(ref_y)
     else:
         retry = min(h * _reference_factor(enorm), t1 - t)
-        assert field.times[7].hex() == (t + itg._C2 * retry).hex()
+        assert field.times[7].hex() == (t + itg._TABLEAU["C2"] * retry).hex()
 
 
 @pytest.mark.parametrize("n, component", [(1, 0), (2, 0), (2, 1), (6, 0),
@@ -334,7 +335,7 @@ def test_the_error_norm_stops_at_the_first_nan(n, component, stage):
         assert _reference_factor(max(others) / abs_tol) > 0.5
     calls[:] = []
     march(field, 0.0, y, h, h, abs_tol, 0.0)
-    assert calls[7] == itg._C2 * (h * 0.2)
+    assert calls[7] == itg._TABLEAU["C2"] * (h * 0.2)
 
 
 # no shrinking: a failing draw is reported as drawn, because shrinking it

@@ -131,7 +131,7 @@ def test_averaged_jacobian_matches_finite_differences(ex1_params):
     rng = np.random.default_rng(29)
     for _ in range(3):
         z = rng.uniform(-3, 1, size=2)
-        J = averaged_jacobian(ex1_params, z)
+        J = averaged_jacobian(ex1_params, *np.exp(z))
         J_fd = _fd_jacobian(lambda v: averaged_residual(ex1_params, v), z)
         np.testing.assert_allclose(J, J_fd, rtol=1e-6, atol=1e-9)
 
