@@ -356,9 +356,7 @@ def _find_orbit(cfg: ExperimentConfig, bounds: BoundReport,
     doc["orbit"] = orbit.to_dict()
     doc["bound_checks"] = [c.to_dict() for c in verify_bounds(orbit, bounds)]
     _write_json(out_dir / "orbit_report.json", doc)
-    samples = orbit.orbit_samples
-    write_trajectory_csv(Trajectory(samples.times, np.exp(samples.states)),
-                         out_dir / "orbit.csv")
+    write_trajectory_csv(orbit.densities, out_dir / "orbit.csv")
     return doc, orbit
 
 
@@ -504,16 +502,11 @@ def cmd_reproduce(which: str, out_dir: Path) -> int:
                      tail["tail_oscillation_amplitude"] < 1e-7, True, None),
             _regress("orbit_found", orbit is not None, True, None),
             _regress("orbit_is_steady_state",
-                     orbit is not None and orbit.degenerate_steady_state,
+                     orbit is not None and orbit.stop_rule == "steady_state",
                      True, None),
             _regress("conditions_all_true", bounds.all_conditions_hold(),
                      True, None),
         ]
-        if orbit is not None:
-            samples = np.exp(orbit.orbit_samples.states)
-            variance = float(np.max(np.var(samples, axis=0)))
-            regressions.append(_regress("orbit_sample_variance_below_1e-12",
-                                        variance < 1e-12, True, None))
 
     ok = all(r["pass"] for r in regressions)
     manifest = {

@@ -85,13 +85,16 @@ class ExtinctionDiagnosis:
 class PeriodicOrbit:
     """A converged fixed point of the period map, with its linearisation.
 
-    ``orbit_samples`` holds the log states z(t) over one period, at
-    equal time intervals.  ``noise_floor`` and ``stop_rule`` are derived
-    from the search, not independent state: the floor is
-    abs_tol + rel_tol max |z0| of the integrator the search used, and
-    the rule is "tol" when the defect fell below ``tol`` and
-    "noise_floor" when a stalled line search stopped it (both None when
-    no Newton search ran)."""
+    ``densities`` holds the densities x(t) over one period, at equal
+    time intervals.  ``stop_rule`` says what ended the search: "tol"
+    when the defect fell below ``tol``, "noise_floor" when a stalled
+    line search stopped it, and "steady_state" for the constant
+    trajectory of :func:`detect_steady_state`, which runs no Newton
+    search.  ``noise_floor`` is derived from the search, not independent
+    state: abs_tol + rel_tol max |z0| of the integrator the search used
+    (None for a steady state).  ``monodromy`` is the log-frame
+    linearisation for a shooting orbit and the original-frame one for a
+    steady state."""
 
     z0: np.ndarray
     residual_norm: float
@@ -99,9 +102,8 @@ class PeriodicOrbit:
     floquet_multipliers: tuple[complex, complex]
     stable: bool
     newton_iterations: int
-    orbit_samples: Trajectory
+    densities: Trajectory
     residual_history: tuple[float, ...] = ()
-    degenerate_steady_state: bool = False
     noise_floor: float | None = None
     stop_rule: str | None = None
 
@@ -116,7 +118,6 @@ class PeriodicOrbit:
                 {"re": float(m.real), "im": float(m.imag)} for m in mults],
             "stable": self.stable,
             "newton_iterations": self.newton_iterations,
-            "degenerate_steady_state": self.degenerate_steady_state,
             "noise_floor": self.noise_floor,
             "stop_rule": self.stop_rule,
         }
@@ -182,7 +183,7 @@ def _sample_period(params: ModelParams, rhs, y0,
                      t_eval=ts[1:-1])
 
 
-def _orbit(z0, residual, M, samples: Trajectory, **extra) -> PeriodicOrbit:
+def _orbit(z0, residual, M, densities: Trajectory, **extra) -> PeriodicOrbit:
     """The orbit with its Floquet multipliers and stability read off the
     monodromy M."""
     mults = np.linalg.eigvals(M)
@@ -192,7 +193,7 @@ def _orbit(z0, residual, M, samples: Trajectory, **extra) -> PeriodicOrbit:
         monodromy=M,
         floquet_multipliers=(complex(mults[0]), complex(mults[1])),
         stable=bool(np.all(np.abs(mults) < 1.0)),
-        orbit_samples=samples,
+        densities=densities,
         **extra,
     )
 
@@ -243,7 +244,8 @@ def find_periodic_orbit(params: ModelParams, guess, tol: float = 1e-12,
 
     def converged(stop_rule, it):
         samples = _sample_period(params, rhs_log, z, cfg)
-        return _orbit(z, rnorm, M, samples, newton_iterations=it,
+        densities = Trajectory(samples.times, np.exp(samples.states))
+        return _orbit(z, rnorm, M, densities, newton_iterations=it,
                       residual_history=tuple(history), noise_floor=floor,
                       stop_rule=stop_rule)
 
@@ -312,13 +314,15 @@ def detect_steady_state(params: ModelParams, z,
     """Recognise an (near-)equilibrium posing as a periodic solution.
 
     Integrates one period in the original frame from x = exp(z) and, if
-    every component's sample variance is below 1e-12, returns
-    the constant trajectory as a degenerate orbit.  The linearisation is
-    done in the original frame, which stays regular when a species sits
-    on (or exponentially close to) its extinction axis, where the log
-    frame has no finite fixed point.
+    every component's sample variance is below 1e-12, returns the
+    densities it integrated as an orbit from z with ``stop_rule``
+    "steady_state".  The linearisation is done in the original frame,
+    which stays regular when a species sits on (or exponentially close
+    to) its extinction axis, where the log frame has no finite fixed
+    point.
     """
-    x0 = np.exp(np.asarray(z, dtype=float))
+    z = np.array(z, dtype=float)
+    x0 = np.exp(z)
     traj = _sample_period(params, rhs_original, x0, cfg)
     variances = np.var(traj.states, axis=0)
     if np.max(variances) >= _STEADY_VARIANCE_TOL:
@@ -327,12 +331,8 @@ def detect_steady_state(params: ModelParams, z,
                             partial(jac_original, params),
                             0.0, x0, params.period, cfg)
     residual = float(np.max(np.abs(traj.final_state - x0)))
-    with np.errstate(divide="ignore"):
-        z0 = np.log(x0)
-    log_traj = Trajectory(traj.times,
-                          np.log(np.maximum(traj.states, np.finfo(float).tiny)))
-    return _orbit(z0, residual, M, log_traj, newton_iterations=0,
-                  degenerate_steady_state=True)
+    return _orbit(z, residual, M, traj, newton_iterations=0,
+                  stop_rule="steady_state")
 
 
 def diagnose_extinction(params: ModelParams) -> ExtinctionDiagnosis | None:
@@ -378,12 +378,12 @@ class BoundCheck:
 def verify_bounds(orbit: PeriodicOrbit, report: BoundReport) -> list[BoundCheck]:
     """Check L2 <= z1 <= L1 and L4 <= z2 <= L3 on all orbit samples.
 
-    Margins are the worst (most violated) slack over the samples, signed
-    so that negatives mean violation.  Bounds whose defining quantity
-    was non-positive (undefined logarithm) come back not-applicable.
+    Margins are the worst (most violated) slack over the logs of the
+    sampled densities, signed so that negatives mean violation.  Bounds
+    whose defining quantity was non-positive (undefined logarithm) come
+    back not-applicable.
     """
-    z1 = orbit.orbit_samples.states[:, 0]
-    z2 = orbit.orbit_samples.states[:, 1]
+    z1, z2 = np.log(orbit.densities.states).T
     checks = []
     for name, lo, hi, vals in (("z1", report.L2, report.L1, z1),
                                ("z2", report.L4, report.L3, z2)):

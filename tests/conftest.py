@@ -104,6 +104,28 @@ def mean_by_quadrature(coeff, n=4096):
     return integral / period
 
 
+def exact_extrema(coeff, a, b):
+    """Oracle for ``extrema`` of a Fourier coefficient over [a, b], with no
+    sampling.  With z = exp(i w t), z^K f'(t) is a polynomial of degree 2K
+    in z, so the critical points of f are among the arguments of its
+    roots; every t in [a, b] with such an argument is a candidate, and so
+    are a and b.  Returns (min, max) of f over the candidates."""
+    w, K = coeff.omega, len(coeff.harmonics)
+    poly = np.zeros(2 * K + 1, dtype=complex)   # highest power first
+    for k, (ak, bk) in enumerate(coeff.harmonics, start=1):
+        poly[K - k] = 0.5 * k * w * (bk + 1j * ak)    # z^(K + k)
+        poly[K + k] = 0.5 * k * w * (bk - 1j * ak)    # z^(K - k)
+    candidates = [coeff(float(a)), coeff(float(b))]
+    step = TWO_PI / w
+    for theta in np.angle(np.roots(poly)):
+        t = float(theta) / w
+        t += math.ceil((a - t) / step) * step
+        while t <= b:
+            candidates.append(coeff(t))
+            t += step
+    return min(candidates), max(candidates)
+
+
 def newton_equilibrium(params, guess, tol=1e-13, max_iter=60):
     """Independent equilibrium oracle: 2-D Newton on the autonomous
     original-frame field with a central finite-difference Jacobian."""

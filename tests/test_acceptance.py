@@ -104,8 +104,8 @@ def test_criterion_3_periodic_solution_shooting(demo_orbit_search, ex1_params):
         pytest.fail(
             "no positive periodic solution exists for these parameters: "
             + detail)
-    xs = np.exp(orbit.orbit_samples.states)
-    z1_max = float(np.max(orbit.orbit_samples.states[:, 0]))
+    xs = orbit.densities.states
+    z1_max = float(np.max(np.log(xs[:, 0])))
     ok = (orbit.residual_norm < 1e-10
           and orbit.newton_iterations <= 10
           and bool(np.all(xs > 0.0))
@@ -172,7 +172,7 @@ def test_criterion_5_constant_coefficient_steady_state(remark_params):
     seed = seed_by_transient(remark_params, np.log([0.002, 0.002]), 200, cfg)
     orbit = detect_steady_state(remark_params, seed.z, cfg)
     assert orbit is not None, "steady state must be recognised"
-    xs = np.exp(orbit.orbit_samples.states)
+    xs = orbit.densities.states
     variance = float(np.max(np.var(xs, axis=0)))
     ok_var = variance < 1e-12
 

@@ -1,5 +1,6 @@
 """Config parsing, subcommand behaviour, exit codes, determinism."""
 
+import functools
 import hashlib
 import json
 import math
@@ -7,6 +8,7 @@ from collections import Counter
 from importlib import resources
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from phytoperiod import cli
@@ -15,6 +17,8 @@ from phytoperiod.cli import (ConfigError, EXIT_CHECK_FAILED, EXIT_OK,
                              cmd_reproduce, cmd_simulate, load_bundled_config,
                              load_config, main, parse_config)
 from phytoperiod.integrator import IntegratorConfig, integrate
+from phytoperiod.model import rhs_original
+from phytoperiod.orbit import seed_by_transient
 
 from conftest import run_python
 
@@ -608,7 +612,6 @@ def test_reproduce_remark_constant_steady(tmp_path):
     assert tail["tail_oscillation_amplitude"] < 1e-7
     by_name = {r["name"]: r for r in manifest["regressions"]}
     assert by_name["orbit_is_steady_state"]["actual"] is True
-    assert by_name["orbit_sample_variance_below_1e-12"]["actual"] is True
     # the settled state sits on the extinction boundary: x1 at capacity
     orbit_doc = json.loads(
         (tmp_path / "remark-constant" / "orbit_report.json").read_text())
@@ -619,9 +622,28 @@ def test_reproduce_remark_constant_steady(tmp_path):
     mults = sorted(m["re"] for m in orbit_doc["orbit"]["floquet_multipliers"])
     assert mults[0] == pytest.approx(0.7396420010974705, abs=1e-11)
     assert mults[1] == pytest.approx(0.82820418130686, abs=1e-12)
-    # no Newton search ran, so there is no floor and no stop rule
+    # no Newton search ran, so there is no floor; the stop rule says why
     assert orbit_doc["orbit"]["noise_floor"] is None
-    assert orbit_doc["orbit"]["stop_rule"] is None
+    assert orbit_doc["orbit"]["stop_rule"] == "steady_state"
+    assert "degenerate_steady_state" not in orbit_doc["orbit"]
+
+
+def test_remark_constant_orbit_csv_holds_the_integrated_densities(tmp_path):
+    """orbit.csv holds, value for value, one original-frame period from
+    exp of the 200-period seed, sampled at the 255 interior points."""
+    assert cmd_reproduce("remark-constant", tmp_path) == EXIT_OK
+    rows = np.loadtxt(tmp_path / "remark-constant" / "orbit.csv",
+                      delimiter=",", skiprows=1)
+    cfg = load_bundled_config("remark-constant")
+    model, T = cfg.model, cfg.model.period
+    seed = seed_by_transient(model, np.log(np.array(cfg.initial_state)),
+                             cfg.seed_periods, cfg.integrator)
+    ts = np.linspace(0.0, T, 257)
+    traj = integrate(functools.partial(rhs_original, model), 0.0,
+                     np.exp(seed.z), T, cfg.integrator, t_eval=ts[1:-1])
+    assert rows.shape == (257, 3)
+    assert rows[:, 0].tobytes() == traj.times.tobytes()
+    assert rows[:, 1:].tobytes() == traj.states.tobytes()
 
 
 def test_reports_are_strict_json(tmp_path):

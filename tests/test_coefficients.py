@@ -4,8 +4,10 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from conftest import mean_by_quadrature
+from conftest import exact_extrema, mean_by_quadrature
 from phytoperiod import PeriodicCoefficient, extrema
 
 TWO_PI = 2.0 * math.pi
@@ -168,6 +170,50 @@ def test_extrema_dominate_random_samples():
     vals = np.asarray(f(ts))
     assert np.all(vals >= lo - 1e-10)
     assert np.all(vals <= hi + 1e-10)
+
+
+def test_fourier_extrema_of_two_near_equal_minima():
+    """cos 3t - 4e-7 cos t has its minimum -1.0000002000000068 at t = pi
+    and a minimum 4e-7 higher at t = pi/3.  Sampling may pick the cell of
+    the higher one, which its sampling error C h^2 / 8 allows."""
+    f = PeriodicCoefficient.fourier(0.0, [(-4e-7, 0.0), (0.0, 0.0), (1.0, 0.0)])
+    exact_lo = exact_extrema(f, 0.0, TWO_PI)[0]
+    assert exact_lo == -1.0000002000000068
+    h = TWO_PI / 4096
+    C = 9.0 + 4e-7
+    assert exact_lo <= extrema(f, 0.0, TWO_PI)[0] <= exact_lo + C * h * h / 8
+
+
+def _milli(lo, hi):
+    # multiples of 1e-3, so no draw brings subnormal or tiny harmonics
+    # into the roots of the oracle
+    return st.integers(round(lo * 1000), round(hi * 1000)).map(lambda n: n / 1000)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(mean=_milli(-1.0, 1.0), omega=_milli(0.2, 5.0),
+       harmonics=st.lists(st.tuples(_milli(-1.0, 1.0), _milli(-1.0, 1.0)),
+                          min_size=1, max_size=5),
+       start=st.one_of(st.just(0.0), _milli(0.0, 0.99)),
+       width=st.one_of(st.just(1.0), _milli(0.001, 1.0)))
+def test_fourier_extrema_within_the_sampling_error(mean, omega, harmonics,
+                                                   start, width):
+    """Over a full period or part of one, ``extrema`` of a Fourier series
+    lies within C h^2 / 8 of the exact extrema, plus rounding, with
+    C = sum (k w)^2 (|a_k| + |b_k|) bounding |f''| and h the window over
+    4096, and never outside the exact range."""
+    f = PeriodicCoefficient.fourier(mean, harmonics, omega=omega)
+    a = start * f.period
+    b = a + width * (f.period - a)
+    lo, hi = extrema(f, a, b)
+    exact_lo, exact_hi = exact_extrema(f, a, b)
+    C = sum((k * omega) ** 2 * (abs(ak) + abs(bk))
+            for k, (ak, bk) in enumerate(harmonics, start=1))
+    h = (b - a) / 4096
+    scale = abs(mean) + sum(abs(ak) + abs(bk) for ak, bk in harmonics)
+    rounding = 64 * np.finfo(float).eps * scale
+    assert exact_lo - rounding <= lo <= exact_lo + C * h * h / 8 + rounding
+    assert exact_hi - C * h * h / 8 - rounding <= hi <= exact_hi + rounding
 
 
 # --- averages ------------------------------------------------------------

@@ -110,15 +110,15 @@ def test_forced_orbit_converges(forced_orbit):
     assert forced_orbit.residual_norm < 1e-11
     assert forced_orbit.stop_rule == "tol"
     assert forced_orbit.newton_iterations <= 10
-    assert len(forced_orbit.orbit_samples.times) >= 256
+    assert len(forced_orbit.densities.times) >= 256
 
 
 def test_orbit_samples_end_where_the_period_map_ends(forced_params,
                                                     forced_orbit):
-    """Sampling the period does not move its steps: the last sample is the
-    period map of z0, bit for bit."""
+    """Sampling the period does not move its steps: the last density is
+    exp of the period map of z0, bit for bit."""
     zT = flow_map(forced_params, forced_orbit.z0, IntegratorConfig())
-    assert forced_orbit.orbit_samples.final_state.tobytes() == zT.tobytes()
+    assert forced_orbit.densities.final_state.tobytes() == np.exp(zT).tobytes()
 
 
 def test_forced_orbit_is_stable(forced_orbit):
@@ -137,7 +137,7 @@ def test_floquet_det_trace_consistency(forced_orbit):
 
 
 def test_forced_orbit_frame_invariance(forced_params, forced_orbit, cfg_tight):
-    x = np.exp(forced_orbit.orbit_samples.states)
+    x = forced_orbit.densities.states
     x0, xT = x[0], x[-1]
     assert np.max(np.abs(xT - x0) / np.abs(x0)) < 1e-8
     assert np.all(x > 0.0)
@@ -193,7 +193,7 @@ def test_constant_coefficients_orbit_is_equilibrium(coexist_params, cfg):
     orbit = find_periodic_orbit(coexist_params, np.log(xeq) + 0.3,
                                 tol=1e-12, cfg=cfg)
     assert np.max(np.abs(np.exp(orbit.z0) - xeq)) < 1e-9
-    spread = np.ptp(orbit.orbit_samples.states, axis=0)
+    spread = np.ptp(orbit.densities.states, axis=0) / xeq
     assert np.max(spread) < 1e-9
 
 
@@ -382,7 +382,8 @@ def test_steady_state_detected_for_settled_constant_system(remark_params):
     seed = seed_by_transient(remark_params, np.log([0.002, 0.002]), 200, cfg)
     orbit = detect_steady_state(remark_params, seed.z, cfg)
     assert orbit is not None
-    assert orbit.degenerate_steady_state
+    assert orbit.stop_rule == "steady_state"
+    assert orbit.noise_floor is None
     assert orbit.stable
     # original-frame multipliers of the boundary equilibrium (k1, 0):
     # exp(-r1 T) and exp((r2/(1+w1 k1) - beta2 k1) T)
@@ -390,7 +391,7 @@ def test_steady_state_detected_for_settled_constant_system(remark_params):
                        math.exp((0.0001 / 161.0 - 0.048) * TWO_PI)])
     got = sorted(abs(m) for m in orbit.floquet_multipliers)
     np.testing.assert_allclose(got, expected, rtol=1e-8)
-    xs = np.exp(orbit.orbit_samples.states)
+    xs = orbit.densities.states
     assert np.max(np.var(xs, axis=0)) < 1e-12
 
 
@@ -520,7 +521,7 @@ def test_bound_violation_has_negative_margin(coexist_params):
     fake = PeriodicOrbit(
         z0=states[0], residual_norm=0.0, monodromy=np.eye(2),
         floquet_multipliers=(0j, 0j), stable=False, newton_iterations=0,
-        orbit_samples=Trajectory(times, states))
+        densities=Trajectory(times, np.exp(states)))
     checks = {c.name: c for c in verify_bounds(fake, report)}
     assert checks["z1_upper"].satisfied is False
     assert checks["z1_upper"].worst_margin == pytest.approx(-0.5, abs=1e-12)

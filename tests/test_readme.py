@@ -63,5 +63,5 @@ def test_readme_library_example_finds_a_stable_orbit():
         exec(compile(block, "README.md", "exec"), namespace)
     orbit = namespace["orbit"]
     assert orbit.residual_norm < 1e-11
-    assert orbit.stable and not orbit.degenerate_steady_state
+    assert orbit.stable and orbit.stop_rule != "steady_state"
     assert out.getvalue().rstrip().endswith("True")
