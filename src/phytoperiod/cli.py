@@ -37,7 +37,7 @@ from .conditions import (BoundReport, DegenerateParameterError, M0_CANONICAL,
                          M0_VARIANT_K2, compute_bounds)
 from .integrator import (IntegrationError, IntegratorConfig, Trajectory,
                          integrate, write_trajectory_csv)
-from .model import DomainOverflowError, ModelParams, rhs_original
+from .model import DomainOverflowError, ModelParams, rhs_log
 from .orbit import (OrbitSearchError, PeriodicOrbit, detect_steady_state,
                     find_periodic_orbit, seed_by_transient, verify_bounds)
 
@@ -307,17 +307,23 @@ def _check(cfg: ExperimentConfig, out_dir: Path) -> BoundReport:
     return bounds
 
 
-def _find_orbit(cfg: ExperimentConfig, bounds: BoundReport,
-                out_dir: Path) -> tuple[dict, PeriodicOrbit | None]:
+def _find_orbit(cfg: ExperimentConfig, bounds: BoundReport, out_dir: Path,
+                start: tuple[np.ndarray, int] | None = None
+                ) -> tuple[dict, PeriodicOrbit | None]:
     """Seed, shoot and write orbit_report.json (plus orbit.csv on success).
 
-    Returns the report and the orbit, or None when the search failed.
+    The seed integrates ``seed_periods`` periods from initial_state.
+    ``start`` = (z(mT), m) hands it the log state the configured run
+    reached after m < seed_periods whole periods, so that it integrates
+    only the remaining seed_periods - m.  Returns the report and the
+    orbit, or None when the search failed.
     """
     model = cfg.model
     doc: dict = {"conditions": bounds.to_dict()}
+    z_start, done = start or (_initial_log_state(cfg), 0)
     try:
-        seed = seed_by_transient(model, np.log(np.array(cfg.initial_state)),
-                                 cfg.seed_periods, cfg.integrator)
+        seed = seed_by_transient(model, z_start, cfg.seed_periods - done,
+                                 cfg.integrator)
         orbit = detect_steady_state(model, seed.z, cfg.integrator)
     except (IntegrationError, DomainOverflowError) as exc:
         doc["converged"] = False
@@ -366,21 +372,37 @@ def cmd_check(cfg: ExperimentConfig, out_dir: Path) -> int:
     return EXIT_OK if _check(cfg, out_dir).all_conditions_hold() else EXIT_CHECK_FAILED
 
 
+def _initial_log_state(cfg: ExperimentConfig) -> np.ndarray:
+    return np.log(np.array(cfg.initial_state))
+
+
 def _integrate_horizon(cfg: ExperimentConfig, t_eval=None) -> Trajectory:
-    """The configured run: x(0) = initial_state, over [0, horizon]."""
-    return integrate(functools.partial(rhs_original, cfg.model), 0.0,
-                     np.array(cfg.initial_state), cfg.horizon, cfg.integrator,
+    """The configured run in the log frame: z(0) = ln(initial_state), over
+    [0, horizon]."""
+    return integrate(functools.partial(rhs_log, cfg.model), 0.0,
+                     _initial_log_state(cfg), cfg.horizon, cfg.integrator,
                      t_eval=t_eval)
+
+
+def _densities(traj: Trajectory) -> Trajectory:
+    """The densities x = exp(z) of a log-frame run, at its times."""
+    return Trajectory(traj.times, np.exp(traj.states))
+
+
+def _horizon_failure(exc: IntegrationError | DomainOverflowError) -> str:
+    # a DomainOverflowError comes from the field and carries no time
+    where = (f" (last good time {exc.t})"
+             if isinstance(exc, IntegrationError) else "")
+    return f"integration failed: {exc}{where}"
 
 
 def cmd_simulate(cfg: ExperimentConfig, out_dir: Path) -> int:
     try:
         traj = _integrate_horizon(cfg)
-    except IntegrationError as exc:
-        print(f"integration failed: {exc} (last good time {exc.t})",
-              file=sys.stderr)
+    except (IntegrationError, DomainOverflowError) as exc:
+        print(_horizon_failure(exc), file=sys.stderr)
         return EXIT_CHECK_FAILED
-    write_trajectory_csv(traj, out_dir / "trajectory.csv")
+    write_trajectory_csv(_densities(traj), out_dir / "trajectory.csv")
     return EXIT_OK
 
 
@@ -403,7 +425,8 @@ def _bundled_json(filename: str):
                       .joinpath(filename).read_text())
 
 
-def _simulate_with_tail(cfg: ExperimentConfig, out_dir: Path) -> dict:
+def _simulate_with_tail(cfg: ExperimentConfig,
+                        out_dir: Path) -> tuple[dict, tuple[np.ndarray, int]]:
     """Write trajectory.csv, as ``simulate`` does, and return late-time
     diagnostics from samples of the same run over its last two periods:
 
@@ -411,6 +434,11 @@ def _simulate_with_tail(cfg: ExperimentConfig, out_dir: Path) -> dict:
     * sup-norm mismatch between the last period and the one before it
       (small value = the tail repeats itself period over period);
     * oscillation amplitude over the last period.
+
+    Also returns the start (z(mT), m) of the seed of :func:`_find_orbit`,
+    with m = min(seed_periods - 1, floor(horizon / T)) whole periods:
+    z(mT) is one more sample of the same run, or its final state when
+    mT is the horizon.
     """
     T = cfg.model.period
     n = 128
@@ -418,21 +446,28 @@ def _simulate_with_tail(cfg: ExperimentConfig, out_dir: Path) -> dict:
     if t_end <= 2.0 * T:
         raise ConfigError("config.horizon: need more than two periods "
                           "for tail diagnostics")
-    traj = _integrate_horizon(
-        cfg, [t_end - 2.0 * T + i * (T / n) for i in range(2 * n)])
-    write_trajectory_csv(traj.steps, out_dir / "trajectory.csv")
-    states = traj.states[-(2 * n + 1):]
+    tail = [t_end - 2.0 * T + i * (T / n) for i in range(2 * n)] + [t_end]
+    m = min(cfg.seed_periods - 1, math.floor(t_end / T))
+    t_seed = min(m * T, t_end)     # m T rounds above t_end at most by ulps
+    traj = _integrate_horizon(cfg, [*tail, t_seed])
+    densities = _densities(traj.steps)
+    write_trajectory_csv(densities, out_dir / "trajectory.csv")
+    # each sample is found by its time, so the seed's point, wherever it
+    # falls, shifts none of the tail's
+    states = np.exp(traj.states[np.searchsorted(traj.times, tail)])
     prev, last = states[:n], states[n:2 * n]
     period_defect = float(np.max(np.abs(last - prev)))
     amplitude = float(np.max(np.ptp(states[n:], axis=0)))
-    deriv = rhs_original(cfg.model, t_end, traj.final_state)
-    return {
+    x_end = densities.final_state
+    deriv = x_end * rhs_log(cfg.model, t_end, traj.final_state)
+    metrics = {
         "derivative_norm_at_end": float(np.max(np.abs(deriv))),
         "tail_period_defect": period_defect,
         "tail_oscillation_amplitude": amplitude,
-        "final_state": [float(v) for v in traj.final_state],
+        "final_state": [float(v) for v in x_end],
         "horizon": t_end,
     }
+    return metrics, (traj.states[np.searchsorted(traj.times, t_seed)], m)
 
 
 def _regress(name, actual, expected, tol) -> dict:
@@ -452,8 +487,12 @@ def cmd_reproduce(which: str, out_dir: Path) -> int:
     bundle_dir.mkdir(parents=True, exist_ok=True)
 
     bounds = _check(cfg, bundle_dir)
-    tail = _simulate_with_tail(cfg, bundle_dir)
-    orbit_doc, orbit = _find_orbit(cfg, bounds, bundle_dir)
+    try:
+        tail, start = _simulate_with_tail(cfg, bundle_dir)
+    except (IntegrationError, DomainOverflowError) as exc:
+        print(_horizon_failure(exc), file=sys.stderr)
+        return EXIT_CHECK_FAILED
+    orbit_doc, orbit = _find_orbit(cfg, bounds, bundle_dir, start)
     files = ["check_report.json", "trajectory.csv", "orbit_report.json"]
     if orbit is not None:
         files.append("orbit.csv")

@@ -19,8 +19,9 @@ and L1 = ln k1, L2 = ln g0, L3 = ln m0, L4 = ln h0.
 The extremum interval is an explicit argument because the choice is
 consequential: coefficients built from sin(t) have different extrema on
 a half period than on a full one.  A logarithm of a non-positive
-quantity is reported as an undefined bound (None), never raised, so a
-report is always produced.
+quantity is reported as an undefined bound (None), never raised.  A
+quantity that overflows the float range raises, so that None always
+means an undefined logarithm.
 """
 
 from __future__ import annotations
@@ -47,7 +48,8 @@ M0_VARIANT_K2 = "k2-paper-variant"
 
 
 class DegenerateParameterError(ValueError):
-    """Parameters make a bound quantity undefined (division by zero)."""
+    """Parameters make a bound quantity undefined (division by zero) or
+    overflow it."""
 
 
 @dataclass(frozen=True)
@@ -147,6 +149,18 @@ def compute_bounds(params: ModelParams,
     a2_rhs = r1L
     a3_lhs = r2L * params.k2
     a3_rhs = (1.0 + params.w1 * params.k1) * (r2M + params.w2 * params.k2 * params.k1)
+    margins = (a1_rhs - a1_lhs, a2_rhs - a2_lhs, a3_rhs - a3_lhs)
+    # every float of the report follows from these; one that is not finite
+    # would read as an undefined bound (None) once the report is written
+    quantities = dict(r1L=r1L, r1M=r1M, r2L=r2L, r2M=r2M, beta1M=beta1M,
+                      beta2M=beta2M, m0=m0, g0=g0, h0=h0, a1_lhs=a1_lhs,
+                      a1_rhs=a1_rhs, a2_lhs=a2_lhs, a3_lhs=a3_lhs,
+                      a3_rhs=a3_rhs)
+    quantities |= {f"{c} margin": v for c, v in zip(("A1", "A2", "A3"), margins)}
+    for name, value in quantities.items():
+        if not math.isfinite(value):
+            raise DegenerateParameterError(
+                f"{name} is {value}: the parameters overflow the float range")
 
     if (a, b) == (0.0, params.period):
         # the window is the audit's cycle: its minima are the audit's
@@ -162,7 +176,7 @@ def compute_bounds(params: ModelParams,
         m0=m0, g0=g0, h0=h0,
         L1=L1, L2=L2, L3=L3, L4=L4, Lambda1=Lambda1, Lambda2=Lambda2,
         A1=a1_lhs < a1_rhs, A2=a2_lhs < a2_rhs, A3=a3_lhs < a3_rhs,
-        margins=(a1_rhs - a1_lhs, a2_rhs - a2_lhs, a3_rhs - a3_lhs),
+        margins=margins,
         a1_lhs=a1_lhs, a1_rhs=a1_rhs, a2_lhs=a2_lhs, a2_rhs=a2_rhs,
         a3_lhs=a3_lhs, a3_rhs=a3_rhs,
         positivity_audit=audit,

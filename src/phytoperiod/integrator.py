@@ -20,7 +20,7 @@ from functools import partial
 
 import numpy as np
 
-from .model import ModelParams, jac_log, rhs_log
+from .model import DomainOverflowError, ModelParams, jac_log, rhs_log
 
 __all__ = [
     "IntegratorConfig",
@@ -230,18 +230,22 @@ def _dp_march(n: int):
     the error norm, the controller and the failure checks are inline.
     The error norm is the max-norm of err / (abs_tol + rel_tol
     max(|y|, |y_new|)) taken left to right; it is NaN from the first NaN
-    ratio on, so such a step is rejected.  Every ``min`` and ``max`` of
-    the generic loop is written as the comparison the builtin makes, so
-    the results are those of that loop to the last bit.  Unpacking each
-    stage into exactly n components rejects a field that returns another
-    length.  The tableau reaches the march through its namespace, never
-    through its source text.
+    ratio on, so such a step is rejected.  A trial stage outside the
+    field's domain (the field raises :class:`DomainOverflowError`) makes
+    the error norm NaN as well, so an overshooting trial step shrinks
+    instead of ending the run; a start outside the domain still raises.
+    Every ``min`` and ``max`` of the generic loop is written as the
+    comparison the builtin makes, so the results are those of that loop
+    to the last bit.  Unpacking each stage into exactly n components
+    rejects a field that returns another length.  The tableau reaches the
+    march through its namespace, never through its source text.
     """
     march = _DP_MARCHES.get(n)
     if march is not None:
         return march
-    namespace = {**_TABLEAU, "inf": math.inf,
+    namespace = {**_TABLEAU, "inf": math.inf, "nan": math.nan,
                  "isfinite": math.isfinite, "extension": _dp_extension,
+                 "DomainOverflowError": DomainOverflowError,
                  "StepUnderflowError": StepUnderflowError,
                  "NonFiniteStateError": NonFiniteStateError}
     letters = "pqrsuvw"     # the components of k1..k7: p0, p1, ...
@@ -275,6 +279,7 @@ def _dp_march(n: int):
               "        h = t1 - t",
               "        if not h < h_adaptive:",
               "            h = h_adaptive"]
+    trial = len(lines)      # the stages and the error norm of a trial step
     for j, (node, weights) in enumerate(_DP_STAGES, start=2):
         sums = stage_sums(weights, True)
         if j == 7:
@@ -300,6 +305,10 @@ def _dp_march(n: int):
                   f"{pad}r = abs(d{i}) / (abs_tol + rel_tol * (b if b > a else a))",
                   f"{pad}if not r <= enorm:",
                   f"{pad}    enorm = r"]
+    lines[trial:] = ["        try:",
+                     *(f"    {line}" for line in lines[trial:]),
+                     "        except DomainOverflowError:",
+                     "            enorm = nan"]
     # standard I-controller with safety factor and clamps; a non-finite
     # error estimate (NaN stages) forces a hard shrink:
     # h_adaptive = min(h * min(5.0, max(0.2, factor)), max_step), and

@@ -171,13 +171,14 @@ def test_a_root_polished_out_of_the_quadrant_is_reported_by_check(tmp_path):
 
 
 def test_check_reports_a_root_near_the_largest_float(tmp_path):
-    """The sign change of g2 on the line g1 = 0 lies at u = 1.5e308,
+    """The sign change of g2 on the line g1 = 0 lies at u = 9/7 1e308,
     above 2^1023, so the bracket that doubles toward it stops at the
     largest float instead of overflowing to inf, and the root, whose
     ln u is above the exp guard's 709, is polished and classified at its
-    densities.  Run in a subprocess: an endless bracket fails the test
-    instead of hanging the suite."""
-    rates = {"r1": -1.0, "r2": 1.0, "beta1": 1.0,
+    densities.  beta1 = 0.5 keeps g0 = k1 (1 + beta1) = 1.5e308 finite,
+    so the bounds are defined.  Run in a subprocess: an endless bracket
+    fails the test instead of hanging the suite."""
+    rates = {"r1": -1.0, "r2": 1.0, "beta1": 0.5,
              "beta2": 3.3333333333333e-309}
     doc = {"model": {**{name: {"kind": "constant", "value": value}
                         for name, value in rates.items()},
@@ -192,8 +193,8 @@ def test_check_reports_a_root_near_the_largest_float(tmp_path):
     report = json.loads((tmp_path / "check_report.json").read_text())
     (root,) = report["averaged_system"]["roots"]
     assert root["kind"] == "saddle"
-    assert root["x"][0] == pytest.approx(1.5e308, rel=1e-12)
-    assert root["x"][1] == pytest.approx(0.5, rel=1e-12)
+    assert root["x"][0] == pytest.approx(9.0 / 7.0 * 1e308, rel=1e-12)
+    assert root["x"][1] == pytest.approx(4.0 / 7.0, rel=1e-12)
     assert root["z"][0] > 709.0
 
 

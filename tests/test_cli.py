@@ -17,7 +17,7 @@ from phytoperiod.cli import (ConfigError, EXIT_CHECK_FAILED, EXIT_OK,
                              cmd_reproduce, cmd_simulate, load_bundled_config,
                              load_config, main, parse_config)
 from phytoperiod.integrator import IntegratorConfig, integrate
-from phytoperiod.model import rhs_original
+from phytoperiod.model import rhs_log, rhs_original
 from phytoperiod.orbit import seed_by_transient
 
 from conftest import run_python
@@ -186,6 +186,55 @@ def test_simulate_fails_cleanly_when_the_first_step_underflows(tmp_path):
     assert not (tmp_path / "trajectory.csv").exists()
 
 
+def blowup_config():
+    """r1 = -50 with x1(0) = 2 > k1 = 1: x1 blows up in finite time, near
+    t = 0.0139, so the steps shrink until they underflow.  Its trial
+    stages leave the exp guard's range long before that and are rejected,
+    as in the original frame, where they overflow to inf."""
+    data = minimal_config(initial_state=[2.0, 0.5], horizon=50.0)
+    data["model"]["r1"] = {"kind": "constant", "value": -50.0}
+    data["model"]["k1"] = 1.0
+    return data
+
+
+def unbounded_start_config():
+    """x1(0) = 1e308 lies above e^709, outside the exp guard's range."""
+    return {**blowup_config(), "initial_state": [1e308, 0.5]}
+
+
+HORIZON_FAILURES = [
+    (blowup_config, "integration failed: adaptive step underflow at "
+     "t = 0.013866016908251842 (last good time 0.013866016908251842)\n"),
+    (unbounded_start_config, "integration failed: log state "
+     "(709.1962086421661, -0.6931471805599453) overflows exp()\n"),
+]
+
+
+@pytest.mark.parametrize("config, message", HORIZON_FAILURES)
+def test_simulate_fails_cleanly_when_the_horizon_run_fails(
+        tmp_path, capsys, config, message):
+    """A run whose steps underflow, or that starts at a density above the
+    float range of the log frame, ends ``simulate`` with exit 1 and one
+    line naming the failure, not a traceback."""
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(config()))
+    code = main(["simulate", "--config", str(path), "--out", str(tmp_path)])
+    assert code == EXIT_CHECK_FAILED
+    assert capsys.readouterr().err == message
+    assert not (tmp_path / "trajectory.csv").exists()
+
+
+@pytest.mark.parametrize("config, message", HORIZON_FAILURES)
+def test_reproduce_fails_cleanly_when_the_horizon_run_fails(
+        tmp_path, capsys, monkeypatch, config, message):
+    """``reproduce`` ends a failed horizon run as ``simulate`` does."""
+    cfg = parse_config(config())
+    monkeypatch.setattr(cli, "load_bundled_config", lambda which: cfg)
+    assert cmd_reproduce("example1", tmp_path) == EXIT_CHECK_FAILED
+    assert capsys.readouterr().err == message
+    assert not (tmp_path / "example1" / "manifest.json").exists()
+
+
 def test_cmd_find_orbit_converges_for_forced_system(tmp_path):
     cfg = parse_config(minimal_config())
     assert cmd_find_orbit(cfg, tmp_path) == EXIT_OK
@@ -278,6 +327,27 @@ def test_a_zero_r1_minimum_is_a_usage_error(tmp_path, capsys, command):
     assert capsys.readouterr().err == (
         "config error: config.model: r1 minimum is zero: g0 undefined\n")
     assert not list(tmp_path.glob("*_report.json"))
+
+
+def test_an_overflowed_bound_quantity_is_a_usage_error(tmp_path, capsys):
+    """k1 = 1e308 makes g0 = k1 (1 - beta1 m0 / r1) = 2e308 overflow:
+    ``check`` exits 2 naming g0, before any report, instead of writing it
+    as the null of an undefined bound."""
+    rates = {"r1": -1.0, "r2": 1.0, "beta1": 1.0,
+             "beta2": 3.3333333333333e-309}
+    data = minimal_config()
+    data["model"] = {**{name: {"kind": "constant", "value": value}
+                        for name, value in rates.items()},
+                     "k1": 1e308, "k2": 1.0, "w1": 0.0, "w2": 0.0,
+                     "period": TWO_PI}
+    config = tmp_path / "cfg.json"
+    config.write_text(json.dumps(data))
+    code = main(["check", "--config", str(config), "--out", str(tmp_path)])
+    assert code == EXIT_USAGE
+    assert capsys.readouterr().err == (
+        "config error: config.model: g0 is inf: the parameters overflow "
+        "the float range\n")
+    assert not (tmp_path / "check_report.json").exists()
 
 
 def test_a_coefficient_period_longer_than_the_common_one_is_a_usage_error(
@@ -394,10 +464,10 @@ def test_reproduce_integrates_the_horizon_once(tmp_path, monkeypatch, which):
 
 # calls per ``reproduce``; a fused or bypassed field changes them
 BUNDLE_CALLS = {
-    "example1": {"rhs_log": 14_925, "jac_log": 1_829, "rhs_original": 5_955,
+    "example1": {"rhs_log": 14_951, "jac_log": 1_829, "rhs_original": 415,
                  "jac_original": 0, "integrate": 23},
-    "remark-constant": {"rhs_log": 3_800, "jac_log": 0, "rhs_original": 4_636,
-                        "jac_original": 61, "integrate": 5}}
+    "remark-constant": {"rhs_log": 4_551, "jac_log": 0, "rhs_original": 104,
+                        "jac_original": 61, "integrate": 4}}
 
 
 @pytest.mark.parametrize("which", sorted(BUNDLE_CALLS))
@@ -480,12 +550,12 @@ def test_a_bound_field_is_built_per_call(monkeypatch, forced_params, cfg):
 
     count(integrator, "rhs_log")
     count(integrator, "jac_log")
-    count(cli, "rhs_original")
+    count(cli, "rhs_log")
     count_field_calls(integrator)
     count_field_calls(cli)
     expected = {"flow_map": ("rhs_log",),
                 "flow_and_monodromy": ("rhs_log", "jac_log"),
-                "_integrate_horizon": ("rhs_original",)}
+                "_integrate_horizon": ("rhs_log",)}
     for name, run in runs.items():
         counts.clear()
         run()
@@ -628,16 +698,123 @@ def test_reproduce_remark_constant_steady(tmp_path):
     assert "degenerate_steady_state" not in orbit_doc["orbit"]
 
 
+def horizon_log_state(cfg, m):
+    """z(mT) of the configured run: the log-frame flow from
+    ln(initial_state) over [0, horizon], sampled at mT (its final state
+    when mT is the horizon)."""
+    t = min(m * cfg.model.period, cfg.horizon)
+    traj = integrate(functools.partial(rhs_log, cfg.model), 0.0,
+                     np.log(np.array(cfg.initial_state)), cfg.horizon,
+                     cfg.integrator, t_eval=[t])
+    return traj.states[traj.times.tolist().index(t)]
+
+
+@pytest.mark.parametrize("which, m", [("example1", 20),
+                                      ("remark-constant", 199)])
+def test_the_reproduce_seed_continues_the_horizon_run(tmp_path, which, m):
+    """``reproduce`` seeds from the horizon run's z(mT), with
+    m = min(n - 1, floor(horizon / T)) for n = seed_periods: example1's
+    horizon is 20 periods and remark-constant's 200-period seed lies
+    inside its 238.7.  The reported seed is, bit for bit,
+    ``seed_by_transient`` from there for the n - m remaining periods, and
+    within 1e-8 of the seed integrated from initial_state."""
+    assert cmd_reproduce(which, tmp_path) == EXIT_OK
+    doc = json.loads((tmp_path / which / "orbit_report.json").read_text())
+    cfg = load_bundled_config(which)
+    n = cfg.seed_periods
+    shared = seed_by_transient(cfg.model, horizon_log_state(cfg, m), n - m,
+                               cfg.integrator)
+    assert doc["seed"]["z"] == shared.z.tolist()
+    assert doc["seed"]["contraction"] == shared.contraction
+    assert doc["seed"]["periods"] == n
+    scratch = seed_by_transient(cfg.model, np.log(np.array(cfg.initial_state)),
+                                n, cfg.integrator)
+    assert np.max(np.abs(shared.z - scratch.z)) < 1e-8
+
+
+@pytest.mark.parametrize("periods, seed_periods, m", [
+    (8.0, 20, 8),       # mT is the horizon: the run's final state
+    (8.3, 8, 7),        # mT = (n - 1)T, inside the tail's last two periods
+    (8.0, 8, 7),        # the same, on one of the tail's samples
+    (8.3, 20, 8),       # (n - 1)T lies past the horizon: the seed runs on
+])
+def test_the_seed_starts_where_the_horizon_run_is_after_m_periods(
+        tmp_path, periods, seed_periods, m):
+    """``_simulate_with_tail`` hands the seed z(mT) of its own run.  The
+    seed's sample shifts none of the tail's: trajectory.csv and the tail
+    metrics are those of a 2-period seed, whose point T lies before the
+    tail.  ``_find_orbit`` then seeds with ``seed_by_transient`` from
+    z(mT) for the n - m remaining periods, within 1e-8 of the seed from
+    initial_state, and still reports n periods."""
+    def simulate(n, out):
+        cfg = parse_config(minimal_config(horizon=periods * TWO_PI,
+                                          seed_periods=n))
+        out.mkdir()
+        tail, start = cli._simulate_with_tail(cfg, out)
+        return cfg, tail, start, (out / "trajectory.csv").read_bytes()
+
+    cfg, tail, start, csv = simulate(seed_periods, tmp_path / "shared")
+    _, ref_tail, (_, one), ref_csv = simulate(2, tmp_path / "reference")
+    assert (start[1], one) == (m, 1)
+    assert tail == ref_tail
+    assert csv == ref_csv
+    assert start[0].tobytes() == horizon_log_state(cfg, m).tobytes()
+    doc, _ = cli._find_orbit(cfg, cli._bounds(cfg), tmp_path / "shared", start)
+    shared = seed_by_transient(cfg.model, start[0], seed_periods - m,
+                               cfg.integrator)
+    assert doc["seed"]["z"] == shared.z.tolist()
+    assert doc["seed"]["periods"] == seed_periods
+    scratch = seed_by_transient(cfg.model, np.log(np.array(cfg.initial_state)),
+                                seed_periods, cfg.integrator)
+    assert np.max(np.abs(shared.z - scratch.z)) < 1e-8
+
+
+def log_field_oracle(params):
+    """The log-frame field written out from the model equations on the
+    coefficients' own evaluation, sharing no code with the generated
+    field kernels."""
+    def field(t, z):
+        u, v = np.exp(z)
+        r1, r2, b1, b2 = (c(t) for c in params.coefficients().values())
+        return [r1 * (1.0 - u / params.k1) - b1 * v,
+                r2 * (1.0 / (1.0 + params.w1 * u) - v / params.k2)
+                - b2 * u - params.w2 * u * v]
+    return field
+
+
+@pytest.mark.parametrize("which", ["example1", "remark-constant"])
+def test_trajectory_csv_matches_an_independent_integration(tmp_path, which):
+    """Every density of trajectory.csv lies within 1e-8 relative of
+    scipy's DOP853 at rtol = atol = 1e-13 with the same step cap, taken
+    in the log frame and evaluated at the CSV times.  remark-constant's
+    x2 falls to 4e-29, far below abs_tol, so only a relative gate sees
+    its error."""
+    from scipy.integrate import solve_ivp
+
+    assert cmd_reproduce(which, tmp_path) == EXIT_OK
+    rows = np.loadtxt(tmp_path / which / "trajectory.csv", delimiter=",",
+                      skiprows=1)
+    cfg = load_bundled_config(which)
+    ref = solve_ivp(log_field_oracle(cfg.model), (0.0, cfg.horizon),
+                    np.log(cfg.initial_state), method="DOP853", rtol=1e-13,
+                    atol=1e-13, max_step=cfg.integrator.max_step or np.inf,
+                    t_eval=rows[:, 0])
+    assert ref.success
+    x_ref = np.exp(ref.y.T)
+    assert np.max(np.abs(rows[:, 1:] - x_ref) / x_ref) < 1e-8
+
+
 def test_remark_constant_orbit_csv_holds_the_integrated_densities(tmp_path):
     """orbit.csv holds, value for value, one original-frame period from
-    exp of the 200-period seed, sampled at the 255 interior points."""
+    exp of the 200-period seed, sampled at the 255 interior points.  The
+    seed is the one period from z(199 T) of the horizon run."""
     assert cmd_reproduce("remark-constant", tmp_path) == EXIT_OK
     rows = np.loadtxt(tmp_path / "remark-constant" / "orbit.csv",
                       delimiter=",", skiprows=1)
     cfg = load_bundled_config("remark-constant")
     model, T = cfg.model, cfg.model.period
-    seed = seed_by_transient(model, np.log(np.array(cfg.initial_state)),
-                             cfg.seed_periods, cfg.integrator)
+    seed = seed_by_transient(model, horizon_log_state(cfg, 199), 1,
+                             cfg.integrator)
     ts = np.linspace(0.0, T, 257)
     traj = integrate(functools.partial(rhs_original, model), 0.0,
                      np.exp(seed.z), T, cfg.integrator, t_eval=ts[1:-1])

@@ -132,6 +132,24 @@ def test_zero_h0_denominator_is_degenerate():
         compute_bounds(p)
 
 
+@pytest.mark.parametrize("k1, w1, name", [
+    # g0 = k1 (1 + beta1 m0 / 1) = 2e308
+    (1e308, 0.0, "g0"),
+    # 1 + w1 k1 = inf, which would leave m0 = h0 = 0 behind it
+    (1e308, 2.0, "a1_rhs"),
+])
+def test_an_overflowed_bound_quantity_is_degenerate(k1, w1, name):
+    """A quantity that overflows raises, naming it, instead of reading as
+    an undefined bound (None) in the written report."""
+    C = PeriodicCoefficient.constant
+    p = ModelParams(r1=C(-1.0), r2=C(1.0), beta1=C(1.0),
+                    beta2=C(3.3333333333333e-309),
+                    k1=k1, k2=1.0, w1=w1, w2=0.0, period=1.0)
+    with pytest.raises(DegenerateParameterError,
+                       match=f"^{name} is inf: the parameters overflow"):
+        compute_bounds(p)
+
+
 def test_invalid_interval_rejected(ex1_params):
     with pytest.raises(ValueError):
         compute_bounds(ex1_params, (2.0, 1.0))

@@ -613,11 +613,41 @@ def test_first_step_underflow_is_an_integration_failure():
 
 
 def test_model_overflow_propagates(ex1_params):
+    """A start outside the exp guard's range ends the run."""
     from phytoperiod import DomainOverflowError
 
     field = lambda t, z: rhs_log(ex1_params, t, z)
     with pytest.raises(DomainOverflowError):
         integrate(field, 0.0, np.array([709.5, 0.0]), 1.0, IntegratorConfig())
+
+
+def test_a_trial_stage_outside_the_domain_is_rejected_as_a_nan_stage():
+    """y' = -y on the domain |y| <= 3, over [0, 1e4]: the first trial step,
+    10, puts its 4th stage at -135.  A field that raises
+    DomainOverflowError there takes the same steps, bit for bit, as one
+    that returns NaN there: the step is rejected and shrinks, and the
+    run ends as e^-t does."""
+    from phytoperiod import DomainOverflowError
+
+    raised = 0
+
+    def raising(t, y):
+        nonlocal raised
+        if abs(y[0]) > 3.0:
+            raised += 1
+            raise DomainOverflowError("off the domain")
+        return (-y[0],)
+
+    def nan(t, y):
+        return (math.nan,) if abs(y[0]) > 3.0 else (-y[0],)
+
+    runs = [integrate(field, 0.0, [1.0], 1e4, IntegratorConfig(),
+                      t_eval=[1.0]) for field in (raising, nan)]
+    assert raised > 0
+    assert runs[0].steps.times.tobytes() == runs[1].steps.times.tobytes()
+    assert runs[0].steps.states.tobytes() == runs[1].steps.states.tobytes()
+    assert runs[0].times[1] == 1.0
+    assert abs(runs[0].states[1, 0] - math.exp(-1.0)) < 1e-9
 
 
 def test_a_step_that_does_not_advance_t_is_an_underflow():
