@@ -37,7 +37,7 @@ from .conditions import (BoundReport, DegenerateParameterError, M0_CANONICAL,
                          M0_VARIANT_K2, compute_bounds)
 from .integrator import (IntegrationError, IntegratorConfig, Trajectory,
                          integrate, write_trajectory_csv)
-from .model import DomainOverflowError, ModelParams, rhs_log
+from .model import _EXP_OVERFLOW, DomainOverflowError, ModelParams, rhs_log
 from .orbit import (OrbitSearchError, PeriodicOrbit, detect_steady_state,
                     find_periodic_orbit, seed_by_transient, verify_bounds)
 
@@ -216,6 +216,11 @@ def parse_config(data: dict) -> ExperimentConfig:
                    "config.initial_state", "[x1, x2]")
     if x1 <= 0 or x2 <= 0:
         raise ConfigError("config.initial_state: densities must be positive")
+    if max(x1, x2) > math.exp(_EXP_OVERFLOW):
+        raise ConfigError(
+            f"config.initial_state: densities must be at most "
+            f"e^{_EXP_OVERFLOW:g} = {math.exp(_EXP_OVERFLOW):.6g}, the largest "
+            f"the log frame represents")
 
     horizon = _real(_get(data, "horizon", "config"), "config.horizon")
     if horizon <= 0:

@@ -55,7 +55,7 @@ _SINGULAR_DET_TOL = 1e-12
 _MAX_HALVINGS = 20
 _MAX_NEWTON_STEP = 5.0        # trust region, in log-density units
 _ORBIT_SAMPLES = 256          # sampling resolution over one period
-_STEADY_VARIANCE_TOL = 1e-12  # sample variance of a steady state
+_STEADY_VARIANCE_TOL = 1e-12  # sample variance of a steady state / (max x)^2
 _BOUND_SLACK = 1e-9
 _SEED_RUN_PERIODS = 256       # most periods one seeding run integrates
 _BOUNDARY_PROGRESS = 0.99     # a boundary step must cut the defect below this
@@ -94,18 +94,33 @@ class PeriodicOrbit:
     state: abs_tol + rel_tol max |z0| of the integrator the search used
     (None for a steady state).  ``monodromy`` is the log-frame
     linearisation for a shooting orbit and the original-frame one for a
-    steady state."""
+    steady state; the Floquet multipliers and ``stable`` are read off it."""
 
     z0: np.ndarray
     residual_norm: float
     monodromy: np.ndarray
-    floquet_multipliers: tuple[complex, complex]
-    stable: bool
     newton_iterations: int
     densities: Trajectory
     residual_history: tuple[float, ...] = ()
     noise_floor: float | None = None
     stop_rule: str | None = None
+
+    @property
+    def floquet_multipliers(self) -> tuple[complex, complex]:
+        """The roots of m^2 - tr(M) m + det(M), larger modulus first, the
+        smaller as det / the larger.  M is first scaled, exactly, by the power
+        of two above its largest entry, so no square or product overflows."""
+        s = math.ldexp(1.0, math.frexp(float(np.max(np.abs(self.monodromy))))[1])
+        (a, b), (c, d) = (self.monodromy / s).tolist()
+        h, disc = 0.5 * (a + d), (0.5 * (a - d)) ** 2 + b * c
+        if disc < 0.0:      # a conjugate pair
+            return s * complex(h, math.sqrt(-disc)), s * complex(h, -math.sqrt(-disc))
+        big = h + math.copysign(math.sqrt(disc), h)
+        return complex(s * big), complex(s * ((a * d - b * c) / big) if big else 0.0)
+
+    @property
+    def stable(self) -> bool:
+        return all(abs(m) < 1.0 for m in self.floquet_multipliers)
 
     def to_dict(self) -> dict:
         mults = self.floquet_multipliers
@@ -183,21 +198,6 @@ def _sample_period(params: ModelParams, rhs, y0,
                      t_eval=ts[1:-1])
 
 
-def _orbit(z0, residual, M, densities: Trajectory, **extra) -> PeriodicOrbit:
-    """The orbit with its Floquet multipliers and stability read off the
-    monodromy M."""
-    mults = np.linalg.eigvals(M)
-    return PeriodicOrbit(
-        z0=z0,
-        residual_norm=residual,
-        monodromy=M,
-        floquet_multipliers=(complex(mults[0]), complex(mults[1])),
-        stable=bool(np.all(np.abs(mults) < 1.0)),
-        densities=densities,
-        **extra,
-    )
-
-
 def find_periodic_orbit(params: ModelParams, guess, tol: float = 1e-12,
                         max_iter: int = 25,
                         cfg: IntegratorConfig | None = None) -> PeriodicOrbit:
@@ -245,9 +245,8 @@ def find_periodic_orbit(params: ModelParams, guess, tol: float = 1e-12,
     def converged(stop_rule, it):
         samples = _sample_period(params, rhs_log, z, cfg)
         densities = Trajectory(samples.times, np.exp(samples.states))
-        return _orbit(z, rnorm, M, densities, newton_iterations=it,
-                      residual_history=tuple(history), noise_floor=floor,
-                      stop_rule=stop_rule)
+        return PeriodicOrbit(z, rnorm, M, it, densities, tuple(history),
+                             noise_floor=floor, stop_rule=stop_rule)
 
     for it in range(max_iter + 1):
         zT, M = flow_and_monodromy(params, z, cfg)
@@ -272,13 +271,14 @@ def find_periodic_orbit(params: ModelParams, guess, tol: float = 1e-12,
         if it == max_iter:
             fail(NonConvergenceError, f"no convergence in {max_iter} "
                  f"iterations (last defect {rnorm:.3e})", it)
-        A = M - np.eye(2)
-        det = A[0, 0] * A[1, 1] - A[0, 1] * A[1, 0]
+        (a, b), (c, d) = M - np.eye(2)
+        det = a * d - b * c
         if abs(det) < _SINGULAR_DET_TOL:
             fail(NearDegenerateOrbitError,
                  f"period-map Jacobian is singular (|det(M - I)| = {abs(det):.3e})",
                  it)
-        dz = np.linalg.solve(A, -G)
+        # (M - I) dz = -G by Cramer's rule
+        dz = np.array([b * G[1] - d * G[0], c * G[0] - a * G[1]]) / det
         step_norm = float(np.max(np.abs(dz)))
         if step_norm > _MAX_NEWTON_STEP:
             dz *= _MAX_NEWTON_STEP / step_norm
@@ -314,9 +314,11 @@ def detect_steady_state(params: ModelParams, z,
     """Recognise an (near-)equilibrium posing as a periodic solution.
 
     Integrates one period in the original frame from x = exp(z) and, if
-    every component's sample variance is below 1e-12, returns the
-    densities it integrated as an orbit from z with ``stop_rule``
-    "steady_state".  The linearisation is done in the original frame,
+    every component's sample variance is below 1e-12 times the square of
+    the largest sampled density, returns the densities it integrated as
+    an orbit from z with ``stop_rule`` "steady_state".  Relative to that
+    density, the test does not depend on the units the densities are
+    measured in.  The linearisation is done in the original frame,
     which stays regular when a species sits on (or exponentially close
     to) its extinction axis, where the log frame has no finite fixed
     point.
@@ -324,15 +326,15 @@ def detect_steady_state(params: ModelParams, z,
     z = np.array(z, dtype=float)
     x0 = np.exp(z)
     traj = _sample_period(params, rhs_original, x0, cfg)
-    variances = np.var(traj.states, axis=0)
-    if np.max(variances) >= _STEADY_VARIANCE_TOL:
+    scale = float(np.max(traj.states))
+    if (scale > 0.0 and np.max(np.var(traj.states / scale, axis=0))
+            >= _STEADY_VARIANCE_TOL):
         return None
     _, M = variational_flow(partial(rhs_original, params),
                             partial(jac_original, params),
                             0.0, x0, params.period, cfg)
     residual = float(np.max(np.abs(traj.final_state - x0)))
-    return _orbit(z, residual, M, traj, newton_iterations=0,
-                  stop_rule="steady_state")
+    return PeriodicOrbit(z, residual, M, 0, traj, stop_rule="steady_state")
 
 
 def diagnose_extinction(params: ModelParams) -> ExtinctionDiagnosis | None:

@@ -147,6 +147,61 @@ def newton_equilibrium(params, guess, tol=1e-13, max_iter=60):
     raise AssertionError("equilibrium oracle did not converge")
 
 
+def _log_field(params, t, z1, z2):
+    """The log-frame field and its Jacobian at the times t, written with
+    numpy on the coefficients' array path: (F1, F2, J11, J12, J21, J22)."""
+    r1, r2, b1, b2 = (c(t) for c in (params.r1, params.r2, params.beta1,
+                                     params.beta2))
+    u, v = np.exp(z1), np.exp(z2)
+    k1, k2, w1, w2 = params.k1, params.k2, params.w1, params.w2
+    fear = 1.0 + w1 * u
+    return (r1 * (1.0 - u / k1) - b1 * v,
+            r2 * (1.0 / fear - v / k2) - b2 * u - w2 * u * v,
+            -r1 * u / k1, -b1 * v,
+            -r2 * w1 * u / fear ** 2 - b2 * u - w2 * u * v,
+            -r2 * v / k2 - w2 * u * v)
+
+
+def fourier_collocation(params, z_guess, n=63, tol=1e-12, max_iter=20):
+    """Oracle for a T-periodic orbit of the log-frame system and its
+    Floquet multipliers, with no integrator code.
+
+    The orbit is its values at the n equispaced nodes t_j = j T / n.
+    Newton solves D z = F(t, z), where D is the periodic spectral
+    differentiation matrix (Trefethen, *Spectral Methods in MATLAB*,
+    SIAM 2000, ch. 3): D_ij = (1/2) (-1)^(i-j) csc((i - j) pi / n) 2 pi / T
+    for odd n.  Even n would give D a Nyquist mode with eigenvalue 0 and
+    a spurious exponent.  The multipliers come by Hill's method (Deconinck
+    & Kutz, *J. Comput. Phys.* 219, 2006): the eigenvalues of
+    diag(J(t_j)) - D are the Floquet exponents plus i k omega, those of
+    the smoothest eigenvectors lie nearest the real axis, and the two
+    nearest give the multipliers exp(mu T).  That pick assumes the
+    multipliers are not both negative.
+    Returns (z at t = 0, multipliers by descending modulus, iterations).
+    """
+    T = params.period
+    t = np.arange(n) * T / n
+    m = np.arange(1, n)
+    col = np.concatenate([[0.0], 0.5 * (-1.0) ** m / np.sin(m * np.pi / n)])
+    idx = np.arange(n)
+    D = col[(idx[:, None] - idx[None, :]) % n] * (TWO_PI / T)
+    D2 = np.kron(np.eye(2), D)          # on y = (z1 at the nodes, z2 at the nodes)
+    y = np.repeat(np.asarray(z_guess, dtype=float), n)
+    for it in range(max_iter + 1):
+        F1, F2, J11, J12, J21, J22 = _log_field(params, t, y[:n], y[n:])
+        J = np.block([[np.diag(J11), np.diag(J12)], [np.diag(J21), np.diag(J22)]])
+        residual = D2 @ y - np.concatenate([F1, F2])
+        if np.max(np.abs(residual)) < tol:
+            break
+        if it == max_iter:
+            raise AssertionError("collocation oracle did not converge")
+        y = y - np.linalg.solve(D2 - J, residual)
+    exponents = np.linalg.eigvals(J - D2)
+    smooth = exponents[np.argsort(np.abs(exponents.imag))[:2]]
+    mults = sorted(np.exp(smooth * T), key=abs, reverse=True)
+    return y[[0, n]], tuple(complex(mu) for mu in mults), it
+
+
 def grid_scan(params):
     """Brute-force bracket of the averaged system over a log-space grid.
 

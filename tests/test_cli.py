@@ -205,16 +205,13 @@ def unbounded_start_config():
 HORIZON_FAILURES = [
     (blowup_config, "integration failed: adaptive step underflow at "
      "t = 0.013866016908251842 (last good time 0.013866016908251842)\n"),
-    (unbounded_start_config, "integration failed: log state "
-     "(709.1962086421661, -0.6931471805599453) overflows exp()\n"),
 ]
 
 
 @pytest.mark.parametrize("config, message", HORIZON_FAILURES)
 def test_simulate_fails_cleanly_when_the_horizon_run_fails(
         tmp_path, capsys, config, message):
-    """A run whose steps underflow, or that starts at a density above the
-    float range of the log frame, ends ``simulate`` with exit 1 and one
+    """A run whose steps underflow ends ``simulate`` with exit 1 and one
     line naming the failure, not a traceback."""
     path = tmp_path / "cfg.json"
     path.write_text(json.dumps(config()))
@@ -233,6 +230,37 @@ def test_reproduce_fails_cleanly_when_the_horizon_run_fails(
     assert cmd_reproduce("example1", tmp_path) == EXIT_CHECK_FAILED
     assert capsys.readouterr().err == message
     assert not (tmp_path / "example1" / "manifest.json").exists()
+
+
+@pytest.mark.parametrize("command, written", [
+    ("simulate", "trajectory.csv"), ("find-orbit", "orbit_report.json")])
+def test_a_start_above_the_exp_guard_is_a_usage_error(tmp_path, capsys,
+                                                      command, written):
+    """A density above e^709, which the log frame cannot represent, is
+    rejected with the config: exit 2, naming ``config.initial_state``,
+    before anything runs or is written."""
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(unbounded_start_config()))
+    code = main([command, "--config", str(path), "--out", str(tmp_path)])
+    assert code == EXIT_USAGE
+    assert capsys.readouterr().err == (
+        "config error: config.initial_state: densities must be at most "
+        "e^709 = 8.21841e+307, the largest the log frame represents\n")
+    assert not (tmp_path / written).exists()
+
+
+def test_the_start_limit_is_the_exp_guard():
+    """The largest start ``parse_config`` admits is e^709, whose log the
+    exp guard of the field still accepts; the next float up is rejected."""
+    top = math.exp(709.0)
+    cfg = parse_config(minimal_config(initial_state=[0.5, top]))
+    z0 = cli._initial_log_state(cfg)
+    assert z0[1] == 709.0
+    assert np.all(np.isfinite(rhs_log(cfg.model, 0.0, z0)))
+    for data in (minimal_config(initial_state=[0.5, math.nextafter(top, math.inf)]),
+                 unbounded_start_config()):
+        with pytest.raises(ConfigError, match="config.initial_state"):
+            parse_config(data)
 
 
 def test_cmd_find_orbit_converges_for_forced_system(tmp_path):

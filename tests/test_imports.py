@@ -1,6 +1,7 @@
 """Every import in the package modules, the tests and the benchmark is
-used, and every module-level private name of the package is read
-somewhere in it.
+used, every module-level private name of the package is read somewhere
+in it, and no package module names ``linalg``: its 2x2 algebra is
+written in closed form.
 
 No linter is configured for the project, so this scans the source with
 the standard-library ``ast`` module.  ``__init__.py`` is skipped by the
@@ -48,6 +49,35 @@ def test_scanner_flags_unused_and_keeps_used():
 @pytest.mark.parametrize("path", SOURCES, ids=lambda p: p.name)
 def test_no_unused_imports(path):
     assert unused_imports(path.read_text()) == []
+
+
+def linalg_names(source: str) -> list[str]:
+    """The lines where the source names ``linalg``: as a name, an
+    attribute, an imported module or an imported name."""
+    lines = set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Import):
+            names = [part for alias in node.names for part in alias.name.split(".")]
+        elif isinstance(node, ast.ImportFrom):
+            names = [*(node.module or "").split("."),
+                     *(alias.name for alias in node.names)]
+        else:
+            names = [getattr(node, "id", None), getattr(node, "attr", None)]
+        if "linalg" in names:
+            lines.add(node.lineno)
+    return [f"line {n}" for n in sorted(lines)]
+
+
+def test_linalg_scanner_flags_every_spelling():
+    source = ("import numpy as np\nimport numpy.linalg\n"
+              "from numpy import linalg\nfrom numpy.linalg import solve\n"
+              "x = np.linalg.solve\ny = linalg\n# linalg\n")
+    assert linalg_names(source) == [f"line {i}" for i in range(2, 7)]
+
+
+@pytest.mark.parametrize("path", PACKAGE, ids=lambda p: p.name)
+def test_no_package_module_names_linalg(path):
+    assert linalg_names(path.read_text()) == []
 
 
 def private_names(source: str) -> list[str]:

@@ -1,10 +1,13 @@
 """Shooting solver, degenerate-case handling and bound verification."""
 
 import math
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
-from conftest import newton_equilibrium, random_draw, seed_period_by_period
+from conftest import (fourier_collocation, newton_equilibrium, random_draw,
+                      seed_period_by_period)
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
@@ -15,6 +18,10 @@ from phytoperiod import (IntegratorConfig, ModelParams, NonConvergenceError,
                          compute_bounds, detect_steady_state,
                          diagnose_extinction, find_periodic_orbit, flow_map,
                          integrate, rhs_log, seed_by_transient, verify_bounds)
+from phytoperiod.cli import parse_config
+
+sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "bench"))
+import workloads  # noqa: E402
 
 TWO_PI = 2.0 * math.pi
 
@@ -125,15 +132,6 @@ def test_forced_orbit_is_stable(forced_orbit):
     mults = forced_orbit.floquet_multipliers
     assert all(abs(m) < 1.0 for m in mults)
     assert forced_orbit.stable
-
-
-def test_floquet_det_trace_consistency(forced_orbit):
-    M = forced_orbit.monodromy
-    m1, m2 = forced_orbit.floquet_multipliers
-    det = M[0, 0] * M[1, 1] - M[0, 1] * M[1, 0]
-    tr = M[0, 0] + M[1, 1]
-    assert abs(m1 * m2 - det) < 1e-10
-    assert abs((m1 + m2) - tr) < 1e-10
 
 
 def test_forced_orbit_frame_invariance(forced_params, forced_orbit, cfg_tight):
@@ -279,14 +277,29 @@ DRAW_333 = ModelParams(
     w2=0.2550163174428757, period=TWO_PI)
 
 
-def test_a_slow_search_climbing_away_from_the_boundary_converges(cfg):
+@pytest.fixture(scope="module")
+def draw333_orbit():
+    """The orbit shooting reaches from draw 333's 30-period seed at
+    (3, 0.1)."""
+    cfg = IntegratorConfig()
+    seed = seed_by_transient(DRAW_333, np.log([3.0, 0.1]), 30, cfg)
+    return find_periodic_orbit(DRAW_333, seed.z, cfg=cfg)
+
+
+@pytest.fixture(scope="module")
+def draw5_orbits():
+    """The orbits shooting reaches from the averaged roots of draw 5."""
+    params = random_draw(5)
+    return [find_periodic_orbit(params, r.z) for r in averaged_equilibria(params)]
+
+
+def test_a_slow_search_climbing_away_from_the_boundary_converges(draw333_orbit):
     """Draw 333 diagnoses species 1 as unable to invade.  From its
     30-period seed at (3, 0.1) the first 4 steps each cut the defect by
     less than 1%, yet they do not move ln x1 down most, so the search
     runs on and converges to an unstable orbit."""
     assert diagnose_extinction(DRAW_333).species == 1
-    seed = seed_by_transient(DRAW_333, np.log([3.0, 0.1]), 30, cfg)
-    orbit = find_periodic_orbit(DRAW_333, seed.z, cfg=cfg)
+    orbit = draw333_orbit
     hist = orbit.residual_history
     assert all(b > 0.99 * a for a, b in zip(hist[:4], hist[1:5]))
     assert (orbit.newton_iterations, orbit.stop_rule) == (11, "noise_floor")
@@ -296,7 +309,7 @@ def test_a_slow_search_climbing_away_from_the_boundary_converges(cfg):
     assert not orbit.stable
 
 
-def test_random_draw_follows_the_recipe():
+def test_random_draw_follows_the_recipe(draw5_orbits):
     """``random_draw`` regenerates the ROADMAP's draws: draw 333 has the
     coefficients it prints, (A1)-(A3) hold in 159 of the 400, and draw
     5 has two averaged roots, from which Newton reaches an unstable orbit
@@ -308,11 +321,211 @@ def test_random_draw_follows_the_recipe():
     roots = averaged_equilibria(draws[5])
     assert [r.x for r in roots] == [pytest.approx((0.8145, 1.5829), abs=1e-4),
                                     pytest.approx((3.1506, 0.1344), abs=1e-4)]
-    orbits = [find_periodic_orbit(draws[5], r.z) for r in roots]
+    orbits = draw5_orbits
     assert [tuple(np.exp(o.z0)) for o in orbits] == [
         pytest.approx((0.9723, 1.5137), abs=1e-4),
         pytest.approx((3.1668, 0.1683), abs=1e-4)]
     assert [o.stable for o in orbits] == [False, True]
+
+
+# --- closed-form 2x2 algebra against LAPACK ----------------------------------
+
+def _orbit_with(M):
+    return PeriodicOrbit(z0=np.zeros(2), residual_norm=0.0,
+                         monodromy=np.asarray(M, dtype=float), newton_iterations=0,
+                         densities=Trajectory(np.zeros(1), np.ones((1, 2))))
+
+
+def _assert_same_multipliers(orbit):
+    """The closed-form multipliers equal LAPACK's eigenvalues as a set,
+    within 1e-13 max |M_ij|, larger modulus first; ``stable`` agrees."""
+    M = orbit.monodromy
+    got, want = orbit.floquet_multipliers, np.linalg.eigvals(M)
+    error = min(max(abs(got[0] - want[0]), abs(got[1] - want[1])),
+                max(abs(got[0] - want[1]), abs(got[1] - want[0])))
+    assert error <= 1e-13 * np.max(np.abs(M))
+    assert abs(got[0]) >= abs(got[1])
+    assert orbit.stable == bool(np.all(np.abs(want) < 1.0))
+
+
+class _Probed(Exception):
+    """Ends a search at the first probe of its line search."""
+
+
+def _newton_step(params, M, G):
+    """The first Newton step of ``find_periodic_orbit`` from z = 0 on a
+    period map z + G with monodromy M: the first probe of the line search
+    is at z + dz = dz."""
+    probes = []
+
+    def probe(params, z, cfg):
+        probes.append(z)
+        raise _Probed
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(orbit_mod, "flow_and_monodromy",
+                   lambda params, z, cfg: (z + G, M))
+        mp.setattr(orbit_mod, "flow_map", probe)
+        with pytest.raises(_Probed):
+            find_periodic_orbit(params, np.zeros(2))
+    return probes[0]
+
+
+def _assert_cramer_step(params, M, G):
+    dz = _newton_step(params, M, G)
+    want = np.linalg.solve(M - np.eye(2), -np.asarray(G))
+    assert np.max(np.abs(dz - want)) <= 1e-13 * np.max(np.abs(want))
+
+
+@pytest.mark.parametrize("M, want", [
+    (np.zeros((2, 2)), (0j, 0j)),
+    (np.eye(2), (1 + 0j, 1 + 0j)),
+    ([[0.0, 1.0], [0.0, 0.0]], (0j, 0j)),
+    ([[2.0, 0.0], [0.0, -3.0]], (-3 + 0j, 2 + 0j)),
+    ([[0.0, -1.0], [1.0, 0.0]], (1j, -1j)),
+    ([[1e300, 0.0], [0.0, 5e299]], (1e300 + 0j, 5e299 + 0j)),
+])
+def test_multipliers_of_exact_cases(M, want):
+    """Double, zero, diagonal and rotation cases come out exactly."""
+    assert _orbit_with(M).floquet_multipliers == want
+
+
+@pytest.mark.parametrize("M, stable", [
+    (np.diag([1.0 - 1e-9, -0.5]), True),
+    (np.diag([0.5, -1.0 - 1e-9]), False),
+    (np.diag([1.0, 0.5]), False),
+    ((1.0 - 1e-9) * np.array([[0.6, -0.8], [0.8, 0.6]]), True),
+    ((1.0 + 1e-9) * np.array([[0.6, -0.8], [0.8, 0.6]]), False),
+])
+def test_stable_needs_both_moduli_below_one(M, stable):
+    assert _orbit_with(M).stable is stable
+
+
+@pytest.mark.parametrize("M", [
+    [[3e-300, 1e-300], [1e-300, 3e-300]],
+    [[1e300, -2e300], [2e300, 1e300]],
+    [[1e300, 3e299], [-2e299, 5e299]],
+])
+def test_multipliers_match_lapack_near_the_float_limits(M):
+    """Unscaled, the squares and products of these entries would underflow
+    to 0 or overflow to inf."""
+    _assert_same_multipliers(_orbit_with(M))
+
+
+_pair_entry = st.floats(-0.7, 0.7)
+
+
+@st.composite
+def monodromies(draw):
+    """P B P^-1 times 10^e, with P = [[1, p], [q, 1]] well conditioned,
+    e = 0 or e in [-150, 150], and B diagonal with real eigenvalues apart
+    by 5% of the larger, or [[a, -b], [b, a]] for the pair a +- i b."""
+    e = draw(st.one_of(st.just(0), st.integers(-150, 150)))
+    x, y = draw(st.floats(-4.0, 4.0)), draw(st.floats(-4.0, 4.0))
+    if draw(st.booleans()):
+        assume(abs(x - y) > 0.05 * max(abs(x), abs(y)))
+        B = np.diag([x, y])
+    else:
+        assume(abs(y) > 0.05 * abs(x))
+        B = np.array([[x, -y], [y, x]])
+    P = np.array([[1.0, draw(_pair_entry)], [draw(_pair_entry), 1.0]])
+    return P @ B @ np.linalg.inv(P) * 10.0 ** e
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(M=monodromies())
+def test_multipliers_match_lapack(M):
+    want = np.linalg.eigvals(M)
+    assume(np.all(np.abs(np.abs(want) - 1.0) > 1e-9))
+    _assert_same_multipliers(_orbit_with(M))
+
+
+_angle = st.floats(0.0, 2.0 * math.pi)
+_singular_value = st.floats(0.5, 2.0)
+
+
+@settings(max_examples=100, deadline=None, derandomize=True, database=None)
+@given(theta=_angle, phi=_angle, s1=_singular_value, s2=_singular_value,
+       flip=st.booleans(), G=st.tuples(st.floats(-1.0, 1.0), st.floats(-1.0, 1.0)))
+def test_the_newton_step_matches_lapack(forced_params, theta, phi, s1, s2,
+                                        flip, G):
+    """Cramer's rule solves (M - I) dz = -G as LAPACK does when M - I =
+    R(theta) diag(s1, +-s2) R(phi) has singular values in [0.5, 2]."""
+    assume(max(abs(g) for g in G) > 1e-3)
+
+    def rotation(a):
+        return np.array([[math.cos(a), -math.sin(a)], [math.sin(a), math.cos(a)]])
+
+    A = rotation(theta) @ np.diag([s1, -s2 if flip else s2]) @ rotation(phi)
+    _assert_cramer_step(forced_params, A + np.eye(2), G)
+
+
+@pytest.fixture(scope="module")
+def named_orbits(forced_params, forced_orbit, draw5_orbits, draw333_orbit):
+    """Shooting orbits by name, each with its model."""
+    return {"forced": (forced_params, forced_orbit),
+            "draw5-unstable": (random_draw(5), draw5_orbits[0]),
+            "draw5-stable": (random_draw(5), draw5_orbits[1]),
+            "draw333": (DRAW_333, draw333_orbit)}
+
+
+ORBIT_NAMES = ("forced", "draw5-unstable", "draw5-stable", "draw333")
+
+
+@pytest.mark.parametrize("name", ORBIT_NAMES)
+def test_found_orbits_match_lapack(named_orbits, name):
+    params, orbit = named_orbits[name]
+    _assert_same_multipliers(orbit)
+    _assert_cramer_step(params, orbit.monodromy, (1e-3, -2e-3))
+
+
+# --- shooting against Fourier collocation ------------------------------------
+
+def _assert_matches_collocation(params, orbit, guess=None):
+    """z0 within 1e-9 and the multipliers within 1e-7 relative of the
+    collocation orbit seeded at ``guess``, by default at the averaged
+    root nearest z0."""
+    if guess is None:
+        guess = min((r.z for r in averaged_equilibria(params)),
+                    key=lambda z: np.max(np.abs(np.subtract(z, orbit.z0))))
+    z0, mults, _ = fourier_collocation(params, guess)
+    assert np.max(np.abs(z0 - orbit.z0)) <= 1e-9
+    for got, want in zip(orbit.floquet_multipliers, mults):
+        assert abs(got - want) <= 1e-7 * abs(want)
+
+
+@pytest.mark.parametrize("name", ORBIT_NAMES)
+def test_named_orbits_match_fourier_collocation(named_orbits, name):
+    _assert_matches_collocation(*named_orbits[name])
+
+
+def test_forced_orbits_configs_match_fourier_collocation():
+    """The 24 forced-orbits configs of bench seed 11, shot as ``find-orbit``
+    shoots them: seeded from ``initial_state``, at their tolerances."""
+    for doc in workloads.generate_configs("forced-orbits", 11):
+        cfg = parse_config(doc)
+        seed = seed_by_transient(cfg.model, np.log(cfg.initial_state),
+                                 cfg.seed_periods, cfg.integrator)
+        orbit = find_periodic_orbit(cfg.model, seed.z, tol=cfg.orbit_tol,
+                                    max_iter=cfg.newton_max_iter,
+                                    cfg=cfg.integrator)
+        _assert_matches_collocation(cfg.model, orbit)
+
+
+@settings(max_examples=15, deadline=None, derandomize=True, database=None)
+@given(i=st.integers(0, 399))
+def test_random_draw_orbits_match_fourier_collocation(cfg_tight, i):
+    """Every orbit that shooting at 1e-12 tolerances reaches from an
+    averaged root of a random draw matches collocation from that root.
+    (At the default 1e-10 the smaller multiplier of some draws, such as
+    81, is off by up to 1.8e-6 relative.)"""
+    params = random_draw(i)
+    for root in averaged_equilibria(params):
+        try:
+            orbit = find_periodic_orbit(params, root.z, cfg=cfg_tight)
+        except NonConvergenceError:
+            continue
+        _assert_matches_collocation(params, orbit, root.z)
 
 
 def test_tol_validation(forced_params, cfg):
@@ -398,6 +611,36 @@ def test_steady_state_detected_for_settled_constant_system(remark_params):
 def test_steady_state_not_detected_mid_transient(remark_params, cfg):
     seed = seed_by_transient(remark_params, np.log([0.002, 0.002]), 5, cfg)
     assert detect_steady_state(remark_params, seed.z, cfg) is None
+
+
+def _in_units(s):
+    """r1 = 1 + 0.4 sin t with the coexistence constants, with densities
+    measured in units 1/s times as large: k times s, beta1, beta2 and w1
+    over s, w2 over s^2.  The flow of x / s is the same for every s."""
+    C = PeriodicCoefficient.constant
+    return ModelParams(r1=PeriodicCoefficient.sinusoid(1.0, 0.4), r2=C(1.0),
+                       beta1=C(0.05 / s), beta2=C(0.002 / s), k1=2.0 * s,
+                       k2=1.0 * s, w1=0.1 / s, w2=0.002 / s / s, period=TWO_PI)
+
+
+def test_the_steady_state_test_does_not_depend_on_units(cfg):
+    """x1 varies by 2.5% over the period in any units.  At s = 1e-6 the
+    absolute sample variance falls below 1e-12, yet the variance relative
+    to the largest density does not, so both systems are shot from their
+    30-period seeds at x0 = (1, 0.5) s, to the same orbit."""
+    orbits = []
+    for s in (1.0, 1e-6):
+        params = _in_units(s)
+        seed = seed_by_transient(params, np.log([1.0 * s, 0.5 * s]), 30, cfg)
+        assert detect_steady_state(params, seed.z, cfg) is None
+        orbits.append(find_periodic_orbit(params, seed.z, cfg=cfg))
+    unit, micro = orbits
+    assert np.max(np.var(micro.densities.states, axis=0)) < 1e-12
+    assert unit.stop_rule == micro.stop_rule == "noise_floor"
+    assert [abs(m) for m in unit.floquet_multipliers] == pytest.approx(
+        [0.0067107, 0.0018968], abs=1e-7)
+    for a, b in zip(unit.floquet_multipliers, micro.floquet_multipliers):
+        assert abs(a - b) <= 1e-8 * abs(a)
 
 
 def test_extinction_diagnosis_asymptotic_rate(ex1_params):
@@ -520,8 +763,7 @@ def test_bound_violation_has_negative_margin(coexist_params):
     states = np.column_stack([np.full(5, report.L1 + 0.5), np.full(5, -0.5)])
     fake = PeriodicOrbit(
         z0=states[0], residual_norm=0.0, monodromy=np.eye(2),
-        floquet_multipliers=(0j, 0j), stable=False, newton_iterations=0,
-        densities=Trajectory(times, np.exp(states)))
+        newton_iterations=0, densities=Trajectory(times, np.exp(states)))
     checks = {c.name: c for c in verify_bounds(fake, report)}
     assert checks["z1_upper"].satisfied is False
     assert checks["z1_upper"].worst_margin == pytest.approx(-0.5, abs=1e-12)
