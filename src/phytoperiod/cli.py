@@ -326,48 +326,44 @@ def _find_orbit(cfg: ExperimentConfig, bounds: BoundReport, out_dir: Path,
     model = cfg.model
     doc: dict = {"conditions": bounds.to_dict()}
     z_start, done = start or (_initial_log_state(cfg), 0)
+    orbit = None
     try:
         seed = seed_by_transient(model, z_start, cfg.seed_periods - done,
                                  cfg.integrator)
         orbit = detect_steady_state(model, seed.z, cfg.integrator)
     except (IntegrationError, DomainOverflowError) as exc:
-        doc["converged"] = False
         doc["error"] = f"seeding failed: {exc}"
-        _write_json(out_dir / "orbit_report.json", doc)
-        return doc, None
-    doc["seed"] = {"z": [float(v) for v in seed.z],
-                   "x": [float(math.exp(v)) for v in seed.z],
-                   "periods": cfg.seed_periods,
-                   "contraction": seed.contraction}
-
-    if orbit is None:
-        try:
-            orbit = find_periodic_orbit(model, seed.z, tol=cfg.orbit_tol,
-                                        max_iter=cfg.newton_max_iter,
-                                        cfg=cfg.integrator)
-        except OrbitSearchError as exc:
-            doc["converged"] = False
-            doc["error"] = str(exc)
-            doc["last_iterate"] = {
-                "z": [float(v) for v in exc.z_last] if exc.z_last is not None else None,
-                "residual_norm": exc.residual,
-                "iterations": exc.iterations,
-                "defects": list(exc.residual_history),
-            }
-            if exc.diagnosis is not None:
-                doc["extinction"] = {
-                    "species": exc.diagnosis.species,
-                    "rate_per_period": exc.diagnosis.rate_per_period,
-                    "description": exc.diagnosis.describe(),
+    else:
+        doc["seed"] = {"z": [float(v) for v in seed.z],
+                       "x": [float(math.exp(v)) for v in seed.z],
+                       "periods": cfg.seed_periods,
+                       "contraction": seed.contraction}
+        if orbit is None:
+            try:
+                orbit = find_periodic_orbit(model, seed.z, tol=cfg.orbit_tol,
+                                            max_iter=cfg.newton_max_iter,
+                                            cfg=cfg.integrator)
+            except OrbitSearchError as exc:
+                doc["error"] = str(exc)
+                doc["last_iterate"] = {
+                    "z": None if exc.z_last is None else exc.z_last.tolist(),
+                    "residual_norm": exc.residual,
+                    "iterations": exc.iterations,
+                    "defects": list(exc.residual_history),
                 }
-            _write_json(out_dir / "orbit_report.json", doc)
-            return doc, None
+                if exc.diagnosis is not None:
+                    doc["extinction"] = {
+                        "species": exc.diagnosis.species,
+                        "rate_per_period": exc.diagnosis.rate_per_period,
+                        "description": exc.diagnosis.describe(),
+                    }
 
-    doc["converged"] = True
-    doc["orbit"] = orbit.to_dict()
-    doc["bound_checks"] = [c.to_dict() for c in verify_bounds(orbit, bounds)]
+    doc["converged"] = orbit is not None
+    if orbit is not None:
+        doc["orbit"] = orbit.to_dict()
+        doc["bound_checks"] = [c.to_dict() for c in verify_bounds(orbit, bounds)]
+        write_trajectory_csv(orbit.densities, out_dir / "orbit.csv")
     _write_json(out_dir / "orbit_report.json", doc)
-    write_trajectory_csv(orbit.densities, out_dir / "orbit.csv")
     return doc, orbit
 
 
@@ -381,34 +377,30 @@ def _initial_log_state(cfg: ExperimentConfig) -> np.ndarray:
     return np.log(np.array(cfg.initial_state))
 
 
-def _integrate_horizon(cfg: ExperimentConfig, t_eval=None) -> Trajectory:
-    """The configured run in the log frame: z(0) = ln(initial_state), over
-    [0, horizon]."""
-    return integrate(functools.partial(rhs_log, cfg.model), 0.0,
-                     _initial_log_state(cfg), cfg.horizon, cfg.integrator,
-                     t_eval=t_eval)
-
-
-def _densities(traj: Trajectory) -> Trajectory:
-    """The densities x = exp(z) of a log-frame run, at its times."""
-    return Trajectory(traj.times, np.exp(traj.states))
-
-
-def _horizon_failure(exc: IntegrationError | DomainOverflowError) -> str:
-    # a DomainOverflowError comes from the field and carries no time
-    where = (f" (last good time {exc.t})"
-             if isinstance(exc, IntegrationError) else "")
-    return f"integration failed: {exc}{where}"
+def _run_horizon(cfg: ExperimentConfig, out_dir: Path,
+                 t_eval=None) -> Trajectory | None:
+    """The configured run in the log frame, z(0) = ln(initial_state) over
+    [0, horizon]: writes trajectory.csv, the densities x = exp(z) of the
+    run's own rows, and returns the run.  A failed run writes nothing,
+    prints one line naming the failure and returns None."""
+    try:
+        traj = integrate(functools.partial(rhs_log, cfg.model), 0.0,
+                         _initial_log_state(cfg), cfg.horizon, cfg.integrator,
+                         t_eval=t_eval)
+    except (IntegrationError, DomainOverflowError) as exc:
+        # a DomainOverflowError comes from the field and carries no time
+        where = (f" (last good time {exc.t})"
+                 if isinstance(exc, IntegrationError) else "")
+        print(f"integration failed: {exc}{where}", file=sys.stderr)
+        return None
+    rows = traj.steps or traj
+    write_trajectory_csv(Trajectory(rows.times, np.exp(rows.states)),
+                         out_dir / "trajectory.csv")
+    return traj
 
 
 def cmd_simulate(cfg: ExperimentConfig, out_dir: Path) -> int:
-    try:
-        traj = _integrate_horizon(cfg)
-    except (IntegrationError, DomainOverflowError) as exc:
-        print(_horizon_failure(exc), file=sys.stderr)
-        return EXIT_CHECK_FAILED
-    write_trajectory_csv(_densities(traj), out_dir / "trajectory.csv")
-    return EXIT_OK
+    return EXIT_CHECK_FAILED if _run_horizon(cfg, out_dir) is None else EXIT_OK
 
 
 def cmd_find_orbit(cfg: ExperimentConfig, out_dir: Path) -> int:
@@ -430,9 +422,9 @@ def _bundled_json(filename: str):
                       .joinpath(filename).read_text())
 
 
-def _simulate_with_tail(cfg: ExperimentConfig,
-                        out_dir: Path) -> tuple[dict, tuple[np.ndarray, int]]:
-    """Write trajectory.csv, as ``simulate`` does, and return late-time
+def _simulate_with_tail(cfg: ExperimentConfig, out_dir: Path
+                        ) -> tuple[dict, tuple[np.ndarray, int]] | None:
+    """Run the horizon as ``simulate`` does and return late-time
     diagnostics from samples of the same run over its last two periods:
 
     * derivative norm of the state at the end of the horizon;
@@ -443,7 +435,7 @@ def _simulate_with_tail(cfg: ExperimentConfig,
     Also returns the start (z(mT), m) of the seed of :func:`_find_orbit`,
     with m = min(seed_periods - 1, floor(horizon / T)) whole periods:
     z(mT) is one more sample of the same run, or its final state when
-    mT is the horizon.
+    mT is the horizon.  Returns None when the run fails.
     """
     T = cfg.model.period
     n = 128
@@ -454,16 +446,16 @@ def _simulate_with_tail(cfg: ExperimentConfig,
     tail = [t_end - 2.0 * T + i * (T / n) for i in range(2 * n)] + [t_end]
     m = min(cfg.seed_periods - 1, math.floor(t_end / T))
     t_seed = min(m * T, t_end)     # m T rounds above t_end at most by ulps
-    traj = _integrate_horizon(cfg, [*tail, t_seed])
-    densities = _densities(traj.steps)
-    write_trajectory_csv(densities, out_dir / "trajectory.csv")
+    traj = _run_horizon(cfg, out_dir, [*tail, t_seed])
+    if traj is None:
+        return None
     # each sample is found by its time, so the seed's point, wherever it
     # falls, shifts none of the tail's
     states = np.exp(traj.states[np.searchsorted(traj.times, tail)])
     prev, last = states[:n], states[n:2 * n]
     period_defect = float(np.max(np.abs(last - prev)))
     amplitude = float(np.max(np.ptp(states[n:], axis=0)))
-    x_end = densities.final_state
+    x_end = np.exp(traj.final_state)
     deriv = x_end * rhs_log(cfg.model, t_end, traj.final_state)
     metrics = {
         "derivative_norm_at_end": float(np.max(np.abs(deriv))),
@@ -492,11 +484,10 @@ def cmd_reproduce(which: str, out_dir: Path) -> int:
     bundle_dir.mkdir(parents=True, exist_ok=True)
 
     bounds = _check(cfg, bundle_dir)
-    try:
-        tail, start = _simulate_with_tail(cfg, bundle_dir)
-    except (IntegrationError, DomainOverflowError) as exc:
-        print(_horizon_failure(exc), file=sys.stderr)
+    run = _simulate_with_tail(cfg, bundle_dir)
+    if run is None:
         return EXIT_CHECK_FAILED
+    tail, start = run
     orbit_doc, orbit = _find_orbit(cfg, bounds, bundle_dir, start)
     files = ["check_report.json", "trajectory.csv", "orbit_report.json"]
     if orbit is not None:
@@ -567,6 +558,14 @@ def cmd_reproduce(which: str, out_dir: Path) -> int:
 
 # --- entry point ---------------------------------------------------------
 
+# the subcommands that run one config: name -> (help, command)
+_CONFIG_COMMANDS = {
+    "check": ("condition and bound report", cmd_check),
+    "simulate": ("trajectory CSV", cmd_simulate),
+    "find-orbit": ("periodic-orbit search", cmd_find_orbit),
+}
+
+
 @functools.cache
 def _build_parser() -> argparse.ArgumentParser:
     """The command-line parser, built on first use and reused by every
@@ -576,14 +575,10 @@ def _build_parser() -> argparse.ArgumentParser:
         description="Periodic-solution toolkit for the two-species "
                     "competition model with fear and toxin effects")
     sub = parser.add_subparsers(dest="command", required=True)
-
-    def add_common(p):
+    for name, (help_text, _command) in _CONFIG_COMMANDS.items():
+        p = sub.add_parser(name, help=help_text)
         p.add_argument("--config", required=True, help="JSON experiment config")
         p.add_argument("--out", default=".", help="output directory")
-
-    add_common(sub.add_parser("check", help="condition and bound report"))
-    add_common(sub.add_parser("simulate", help="trajectory CSV"))
-    add_common(sub.add_parser("find-orbit", help="periodic-orbit search"))
     rep = sub.add_parser("reproduce", help="run a bundled demo end to end")
     rep.add_argument("which", choices=sorted(_BUNDLED))
     rep.add_argument("--out", default=".", help="output directory")
@@ -605,17 +600,11 @@ def main(argv=None) -> int:
     try:
         if args.command == "reproduce":
             return cmd_reproduce(args.which, out_dir)
-        cfg = load_config(args.config)
-        if args.command == "check":
-            return cmd_check(cfg, out_dir)
-        if args.command == "simulate":
-            return cmd_simulate(cfg, out_dir)
-        if args.command == "find-orbit":
-            return cmd_find_orbit(cfg, out_dir)
+        _help, command = _CONFIG_COMMANDS[args.command]
+        return command(load_config(args.config), out_dir)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    raise AssertionError(f"unhandled command {args.command!r}")
 
 
 if __name__ == "__main__":

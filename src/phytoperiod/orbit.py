@@ -94,7 +94,11 @@ class PeriodicOrbit:
     state: abs_tol + rel_tol max |z0| of the integrator the search used
     (None for a steady state).  ``monodromy`` is the log-frame
     linearisation for a shooting orbit and the original-frame one for a
-    steady state; the Floquet multipliers and ``stable`` are read off it."""
+    steady state; the Floquet multipliers and ``stable`` are read off it.
+    ``monodromy`` is integrated at the search's own tolerances, so the
+    multipliers carry that integration error: at the default 1e-10 a
+    small multiplier of a strongly contracting orbit may be off by about
+    1e-6 relative, far above what its 17 printed digits suggest."""
 
     z0: np.ndarray
     residual_norm: float

@@ -308,13 +308,19 @@ def test_cmd_find_orbit_reports_extinction(tmp_path):
 
 def test_cmd_find_orbit_reports_seeding_failure(tmp_path):
     """A blow-up while seeding is a failed search (exit 1 with a report
-    that names the error), not a traceback."""
+    that names the error), not a traceback.  The report holds the
+    conditions, as ``check`` reports them, and the error, nothing else,
+    and no orbit.csv is written."""
     cfg = parse_config(minimal_config(initial_state=[1e300, 1e300]))
-    assert cmd_find_orbit(cfg, tmp_path) == EXIT_CHECK_FAILED
-    doc = json.loads((tmp_path / "orbit_report.json").read_text())
-    assert doc["converged"] is False
-    assert doc["error"].startswith("seeding failed: ")
-    assert "seed" not in doc and "conditions" in doc
+    for name in ("orbit", "check"):
+        (tmp_path / name).mkdir()
+    assert cmd_find_orbit(cfg, tmp_path / "orbit") == EXIT_CHECK_FAILED
+    cmd_check(cfg, tmp_path / "check")
+    bounds = json.loads((tmp_path / "check" / "check_report.json").read_text())
+    doc = json.loads((tmp_path / "orbit" / "orbit_report.json").read_text())
+    assert doc == {"conditions": bounds["bounds"], "converged": False,
+                   "error": "seeding failed: adaptive step underflow at t = 0.0"}
+    assert not (tmp_path / "orbit" / "orbit.csv").exists()
 
 
 def test_main_usage_error_on_bad_config(tmp_path):
@@ -465,6 +471,19 @@ def test_reproduce_bundles_pass(tmp_path, which):
 
 
 @pytest.mark.parametrize("which", ["example1", "remark-constant"])
+def test_simulate_writes_the_trajectory_of_reproduce(tmp_path, which):
+    """``simulate`` on a bundled config and ``reproduce`` of the bundle
+    write the same trajectory.csv, byte for byte: the tail and seed
+    samples ``reproduce`` takes from the run add no row to it."""
+    out = tmp_path / "simulate"
+    out.mkdir()
+    assert cmd_simulate(load_bundled_config(which), out) == EXIT_OK
+    assert cmd_reproduce(which, tmp_path) == EXIT_OK
+    assert ((out / "trajectory.csv").read_bytes()
+            == (tmp_path / which / "trajectory.csv").read_bytes())
+
+
+@pytest.mark.parametrize("which", ["example1", "remark-constant"])
 def test_tail_metrics_end_on_the_trajectory(tmp_path, which):
     """The tail diagnostics and the trajectory come from one run, so they
     end in the same state, bit for bit."""
@@ -543,9 +562,10 @@ def test_reproduce_calls_the_public_fields_by_name(tmp_path, monkeypatch,
     assert outside == ["_simulate_with_tail"]
 
 
-def test_a_bound_field_is_built_per_call(monkeypatch, forced_params, cfg):
-    """``flow_map``, ``flow_and_monodromy`` and ``_integrate_horizon`` bind
-    the public field by name on every call, never across calls: counters
+def test_a_bound_field_is_built_per_call(monkeypatch, tmp_path,
+                                        forced_params, cfg):
+    """``flow_map``, ``flow_and_monodromy`` and ``_run_horizon`` bind the
+    public field by name on every call, never across calls: counters
     installed after a first call see every evaluation of the next one."""
     from phytoperiod import integrator
 
@@ -554,7 +574,7 @@ def test_a_bound_field_is_built_per_call(monkeypatch, forced_params, cfg):
     runs = {"flow_map": lambda: integrator.flow_map(forced_params, z0, cfg),
             "flow_and_monodromy":
                 lambda: integrator.flow_and_monodromy(forced_params, z0, cfg),
-            "_integrate_horizon": lambda: cli._integrate_horizon(config)}
+            "_run_horizon": lambda: cli._run_horizon(config, tmp_path)}
     for run in runs.values():
         run()
     counts = Counter()
@@ -583,7 +603,7 @@ def test_a_bound_field_is_built_per_call(monkeypatch, forced_params, cfg):
     count_field_calls(cli)
     expected = {"flow_map": ("rhs_log",),
                 "flow_and_monodromy": ("rhs_log", "jac_log"),
-                "_integrate_horizon": ("rhs_log",)}
+                "_run_horizon": ("rhs_log",)}
     for name, run in runs.items():
         counts.clear()
         run()
