@@ -4,7 +4,9 @@ A T-periodic solution of the log-frame system is a fixed point of the
 period map z -> phi_T(z).  Newton iteration on G(z) = phi_T(z) - z uses
 the monodromy matrix M(z) (from the variational equations) for its
 Jacobian M - I, with a step-halving line search to tame the exponential
-nonlinearity far from the root.
+nonlinearity far from the root.  Near the root the full step is
+accepted, so the full-step probe is itself a monodromy run and, once
+accepted, the next iteration's: one augmented integration per step.
 
 Two degenerate outcomes are recognised explicitly rather than reported
 as bare non-convergence:
@@ -217,6 +219,13 @@ def find_periodic_orbit(params: ModelParams, guess, tol: float = 1e-12,
     ``stop_rule`` is "tol"; a stop by the floor returns a defect that
     may lie anywhere up to the floor, above ``tol``.
 
+    The line search halves the step until the defect falls.  Its s = 1
+    probe is a :func:`flow_and_monodromy` run when the previous step was
+    accepted in full, or, on the first step, when
+    :func:`diagnose_extinction` names no species; an accepted one hands
+    its (z(T), M) to the next iteration, whose defect is then the
+    probe's exactly.  Other probes are plain :func:`flow_map` runs.
+
     When :func:`diagnose_extinction` names a species i that cannot
     invade, a search heading to the state without it also stops: 3
     accepted steps in a row whose largest component moves ln x_i down
@@ -241,6 +250,8 @@ def find_periodic_orbit(params: ModelParams, guess, tol: float = 1e-12,
     diagnosis = diagnose_extinction(params)
     boundary_steps = 0      # slow steps in a row toward the boundary state
     toward_boundary = False  # the last accepted step moved ln x_i down most
+    full_step = diagnosis is None  # probe s = 1 with the monodromy run
+    handed = None           # (z(T), M) of the accepted s = 1 probe, at z
 
     def fail(exc_type, message, it):
         raise exc_type(message, z_last=z, residual=rnorm, iterations=it,
@@ -253,7 +264,7 @@ def find_periodic_orbit(params: ModelParams, guess, tol: float = 1e-12,
                              noise_floor=floor, stop_rule=stop_rule)
 
     for it in range(max_iter + 1):
-        zT, M = flow_and_monodromy(params, z, cfg)
+        zT, M = flow_and_monodromy(params, z, cfg) if handed is None else handed
         G = zT - z
         rnorm = float(np.max(np.abs(G)))
         floor = cfg.abs_tol + cfg.rel_tol * float(np.max(np.abs(z)))
@@ -287,13 +298,19 @@ def find_periodic_orbit(params: ModelParams, guess, tol: float = 1e-12,
         if step_norm > _MAX_NEWTON_STEP:
             dz *= _MAX_NEWTON_STEP / step_norm
 
-        # step-halving line search on the defect norm; probes use the
-        # plain flow, the monodromy is recomputed only at the accepted point
-        s = 1.0
+        # step-halving line search on the defect norm; with full_step the
+        # s = 1 probe is the monodromy run the next iteration takes if it is
+        # accepted, and every other probe uses the plain flow
+        s, handed = 1.0, None
         for _ in range(_MAX_HALVINGS):
             z_try = z + s * dz
             try:
-                r_try = float(np.max(np.abs(flow_map(params, z_try, cfg) - z_try)))
+                if s == 1.0 and full_step:
+                    handed = flow_and_monodromy(params, z_try, cfg)
+                    zT_try = handed[0]
+                else:
+                    zT_try = flow_map(params, z_try, cfg)
+                r_try = float(np.max(np.abs(zT_try - z_try)))
             except (IntegrationError, DomainOverflowError):
                 s *= 0.5
                 continue
@@ -311,6 +328,8 @@ def find_periodic_orbit(params: ModelParams, guess, tol: float = 1e-12,
         toward_boundary = (diagnosis is not None
                            and k == diagnosis.species - 1 and dz[k] < 0.0)
         z = z_try
+        full_step = s == 1.0
+        handed = handed if full_step else None
 
 
 def detect_steady_state(params: ModelParams, z,

@@ -273,6 +273,43 @@ def write_trajectory_csv_per_row(traj, path):
             fh.write(f"{t:.17g},{s[0]:.17g},{s[1]:.17g}\n")
 
 
+def count_public_calls(monkeypatch, names):
+    """Count the calls to each of ``names``, public names of ``model`` (the
+    fields) or of ``integrator`` (``integrate`` and the period runs), by
+    wrapping each name where ``integrator``, ``orbit`` and ``cli`` look it
+    up, as the benchmark's tracer does.  Returns (counts, outside), both
+    filled as the calls are made: ``outside`` holds the caller of each
+    ``rhs_*`` call made while no ``integrate`` runs."""
+    from phytoperiod import cli, integrator, model, orbit
+
+    counts = dict.fromkeys(names, 0)
+    outside = []
+    depth = 0
+    public = {name: getattr(model, name, None) or getattr(integrator, name)
+              for name in names}
+
+    def counting(name):
+        def wrapped(*args, **kwargs):
+            nonlocal depth
+            counts[name] += 1
+            if name == "integrate":
+                depth += 1
+                try:
+                    return public[name](*args, **kwargs)
+                finally:
+                    depth -= 1
+            if not depth and name.startswith("rhs_"):
+                outside.append(sys._getframe(1).f_code.co_name)
+            return public[name](*args, **kwargs)
+        return wrapped
+
+    for module in (integrator, orbit, cli):
+        for name, fn in public.items():
+            if getattr(module, name, None) is fn:
+                monkeypatch.setattr(module, name, counting(name))
+    return counts, outside
+
+
 def run_python(*args, timeout=30):
     """Run ``python args...`` with this package importable, in a subprocess
     with a timeout, so that an endless loop fails the calling test instead

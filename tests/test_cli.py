@@ -20,7 +20,7 @@ from phytoperiod.integrator import IntegratorConfig, integrate
 from phytoperiod.model import rhs_log, rhs_original
 from phytoperiod.orbit import seed_by_transient
 
-from conftest import run_python
+from conftest import count_public_calls, run_python
 
 TWO_PI = 2.0 * math.pi
 
@@ -270,12 +270,13 @@ def test_cmd_find_orbit_converges_for_forced_system(tmp_path):
     assert doc["converged"] is True
     assert doc["orbit"]["stable"] is True
     assert doc["orbit"]["residual_norm"] < 1e-10
-    # the 20-period seed stalls Newton at a defect of 9.554e-12, above the
-    # orbit_tol of 1e-12 and below the integrator's noise floor: the report
-    # says converged, by the floor, with a residual above orbit_tol
-    assert doc["orbit"]["stop_rule"] == "noise_floor"
-    assert (cfg.orbit_tol < doc["orbit"]["residual_norm"]
-            <= doc["orbit"]["noise_floor"] < 1.7e-10)
+    # from the 20-period seed the full Newton step is accepted, and its
+    # probe, the next iteration's monodromy run, has a defect of 2.2e-16,
+    # below the orbit_tol of 1e-12: the search stops by tol
+    assert doc["orbit"]["stop_rule"] == "tol"
+    assert doc["orbit"]["newton_iterations"] == 1
+    assert doc["orbit"]["residual_norm"] < cfg.orbit_tol
+    assert doc["orbit"]["noise_floor"] < 1.7e-10
     assert len(doc["bound_checks"]) == 4
     assert "last_iterate" not in doc
     csv_lines = (tmp_path / "orbit.csv").read_text().strip().split("\n")
@@ -527,39 +528,26 @@ def test_reproduce_calls_the_public_fields_by_name(tmp_path, monkeypatch,
     while ``integrate`` runs, since the benchmark's evaluations per period
     count the calls inside it; the one outside is the derivative at the
     horizon's end in ``cli._simulate_with_tail``."""
-    import sys
-
-    from phytoperiod import integrator, model, orbit
-
     expected = BUNDLE_CALLS[which]
-    counts = dict.fromkeys(expected, 0)
-    outside = []        # callers of the fields outside ``integrate``
-    depth = 0
-    public = {name: getattr(integrator if name == "integrate" else model, name)
-              for name in expected}
-
-    def counting(name):
-        def wrapped(*args, **kwargs):
-            nonlocal depth
-            counts[name] += 1
-            if name == "integrate":
-                depth += 1
-                try:
-                    return public[name](*args, **kwargs)
-                finally:
-                    depth -= 1
-            if not depth and name.startswith("rhs_"):
-                outside.append(sys._getframe(1).f_code.co_name)
-            return public[name](*args, **kwargs)
-        return wrapped
-
-    for module in (integrator, orbit, cli):
-        for name, fn in public.items():
-            if getattr(module, name, None) is fn:
-                monkeypatch.setattr(module, name, counting(name))
+    counts, outside = count_public_calls(monkeypatch, expected)
     assert cmd_reproduce(which, tmp_path) == EXIT_OK
     assert counts == expected
     assert outside == ["_simulate_with_tail"]
+
+
+def test_find_orbit_calls_per_period_run(tmp_path, monkeypatch):
+    """``find-orbit`` on forced_mixed.json seeds by one ``flow_map``
+    period, then takes 2 full Newton steps.  Each step's probe is the
+    monodromy run that the next iteration uses, so the search makes no
+    plain run and 3 ``flow_and_monodromy`` runs in all."""
+    counts, _ = count_public_calls(
+        monkeypatch, ("rhs_log", "jac_log", "flow_map", "flow_and_monodromy"))
+    config = str(Path(__file__).parent / "forced_mixed.json")
+    assert main(["find-orbit", "--config", config, "--out", str(tmp_path)]) == EXIT_OK
+    assert counts == {"rhs_log": 2_777, "jac_log": 1_821, "flow_map": 1,
+                      "flow_and_monodromy": 3}
+    doc = json.loads((tmp_path / "orbit_report.json").read_text())
+    assert (doc["orbit"]["newton_iterations"], doc["orbit"]["stop_rule"]) == (2, "tol")
 
 
 def test_a_bound_field_is_built_per_call(monkeypatch, tmp_path,

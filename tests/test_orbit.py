@@ -16,8 +16,9 @@ from phytoperiod import (IntegratorConfig, ModelParams, NonConvergenceError,
                          PeriodicCoefficient, PeriodicOrbit,
                          StepUnderflowError, Trajectory, averaged_equilibria,
                          compute_bounds, detect_steady_state,
-                         diagnose_extinction, find_periodic_orbit, flow_map,
-                         integrate, rhs_log, seed_by_transient, verify_bounds)
+                         diagnose_extinction, find_periodic_orbit,
+                         flow_and_monodromy, flow_map, integrate, rhs_log,
+                         seed_by_transient, verify_bounds)
 from phytoperiod.cli import parse_config
 
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "bench"))
@@ -171,18 +172,117 @@ def test_newton_quadratic_convergence(forced_params, cfg_tight):
 
 def test_a_seed_some_ulps_off_converges(forced_params):
     """Newton from a seed 10 and 8 ulps away from the period-by-period
-    20-period seed of ``test_cmd_find_orbit_converges_for_forced_system``.
-    After one iteration the line search finds no point with a defect
-    below 9.554e-12, still above tol=1e-12 but below the noise floor
-    1e-10 + 1e-10 max |z| of the default integrator, so the search stops
-    there, by the floor."""
+    20-period seed of ``test_cmd_find_orbit_converges_for_forced_system``,
+    at a defect of 1.911e-11, below the noise floor 1e-10 + 1e-10 max |z|
+    of the default integrator.  The full step's probe is the monodromy
+    run of the next iteration, and its defect, 2.2e-16, is below tol=1e-12,
+    so the search stops there by tol.  (A plain-flow run from that point
+    takes other steps and reads a defect of at least 1.911e-11.)"""
     orbit = find_periodic_orbit(forced_params,
                                 (0.6427560031692795, -0.18257327158846426),
                                 tol=1e-12)
-    assert orbit.stop_rule == "noise_floor"
+    assert orbit.stop_rule == "tol"
     assert orbit.newton_iterations == 1
     assert orbit.noise_floor == pytest.approx(1.642756e-10, rel=1e-6)
-    assert 1e-12 < orbit.residual_norm <= orbit.noise_floor
+    assert orbit.residual_history == (
+        pytest.approx(1.910805e-11, rel=1e-6), orbit.residual_norm)
+    assert orbit.residual_norm < 1e-12
+
+
+# --- the accepted full-step probe is the next iteration's monodromy run -----
+
+def _recorded_search(params, guess):
+    """A search at the default tolerances with its period runs recorded in
+    order: (z, z(T), M) of each, M None for a plain ``flow_map`` run."""
+    runs = []
+    monodromy, plain = orbit_mod.flow_and_monodromy, orbit_mod.flow_map
+
+    def monodromy_run(params, z, cfg):
+        zT, M = monodromy(params, z, cfg)
+        runs.append((z, zT, M))
+        return zT, M
+
+    def plain_run(params, z, cfg):
+        zT = plain(params, z, cfg)
+        runs.append((z, zT, None))
+        return zT
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(orbit_mod, "flow_and_monodromy", monodromy_run)
+        mp.setattr(orbit_mod, "flow_map", plain_run)
+        orbit = find_periodic_orbit(params, guess)
+    return orbit, runs
+
+
+def _assert_exact_hand_over(params, guess):
+    """Replay the line search's rule (a probe is accepted when its defect
+    falls below the iterate's) over the recorded runs of a search.  An
+    accepted monodromy probe's (z(T), M) is the next iteration's, so its
+    defect is the next ``residual_history`` entry bit for bit; an
+    accepted plain probe is followed by a monodromy run from the same z.
+    Every (z(T), M) an iteration used equals a fresh
+    ``flow_and_monodromy`` from its z, and no monodromy run starts twice
+    from one z.  Returns the number of probes handed over."""
+    orbit, runs = _recorded_search(params, guess)
+
+    def defect(z, zT, _M=None):
+        return float(np.max(np.abs(zT - z)))
+
+    used, pending, handed = [runs[0]], False, 0
+    for run in runs[1:]:
+        z, zT, M = run
+        if pending:          # the fresh monodromy run at the accepted point
+            assert z.tobytes() == used[-1][0].tobytes() and M is not None
+            used[-1], pending = run, False
+        elif defect(*run) < defect(*used[-1]):
+            used.append(run)
+            pending, handed = M is None, handed + (M is not None)
+    assert not pending
+    assert orbit.residual_history == tuple(defect(*run) for run in used)
+    assert orbit.z0.tobytes() == used[-1][0].tobytes()
+    starts = [z.tobytes() for z, _, M in runs if M is not None]
+    assert len(set(starts)) == len(starts)
+    cfg = IntegratorConfig()
+    for z, zT, M in used:
+        fresh_zT, fresh_M = flow_and_monodromy(params, z, cfg)
+        assert (zT.tobytes(), M.tobytes()) == (fresh_zT.tobytes(),
+                                               fresh_M.tobytes())
+    return handed
+
+
+def test_the_full_step_probe_is_handed_over_exactly(forced_params):
+    """From 0.05 off the orbit both Newton steps are full, and each
+    step's probe is the next iteration's monodromy run."""
+    guess = np.array([0.642756, -0.18257327]) + 0.05
+    assert _assert_exact_hand_over(forced_params, guess) == 2
+
+
+def test_a_halved_step_hands_nothing_over():
+    """Draw 20 from x = (3, 0.1) rejects its first full-step monodromy
+    probe and accepts the halved step, so the next iteration runs its own
+    monodromy and probes its full step with the plain flow; the 2 full
+    steps after that hand their probes over."""
+    assert _assert_exact_hand_over(random_draw(20), np.log([3.0, 0.1])) == 2
+
+
+@settings(max_examples=12, deadline=None, derandomize=True, database=None)
+@given(i=st.integers(0, 399))
+def test_random_draw_searches_hand_over_exactly(i):
+    """The hand-over is exact on the searches from each averaged root of a
+    random draw, whether or not a species is diagnosed as unable to invade."""
+    params = random_draw(i)
+    for root in averaged_equilibria(params):
+        _assert_exact_hand_over(params, root.z)
+
+
+def test_root_seeded_searches_stop_by_tol():
+    """All 25 searches from the averaged roots of draws 0-39 stop by tol:
+    after a full step, a search stops by the floor only when that step's
+    monodromy run fails to cut the defect."""
+    rules = [find_periodic_orbit(params, root.z).stop_rule
+             for params in map(random_draw, range(40))
+             for root in averaged_equilibria(params)]
+    assert rules == ["tol"] * 25
 
 
 def test_constant_coefficients_orbit_is_equilibrium(coexist_params, cfg):
@@ -297,12 +397,13 @@ def test_a_slow_search_climbing_away_from_the_boundary_converges(draw333_orbit):
     """Draw 333 diagnoses species 1 as unable to invade.  From its
     30-period seed at (3, 0.1) the first 4 steps each cut the defect by
     less than 1%, yet they do not move ln x1 down most, so the search
-    runs on and converges to an unstable orbit."""
+    runs on and converges to an unstable orbit, by tol after 12
+    iterations."""
     assert diagnose_extinction(DRAW_333).species == 1
     orbit = draw333_orbit
     hist = orbit.residual_history
     assert all(b > 0.99 * a for a, b in zip(hist[:4], hist[1:5]))
-    assert (orbit.newton_iterations, orbit.stop_rule) == (11, "noise_floor")
+    assert (orbit.newton_iterations, orbit.stop_rule) == (12, "tol")
     assert orbit.z0 == pytest.approx([0.30353386, -2.54150291], abs=1e-8)
     mults = sorted(abs(m) for m in orbit.floquet_multipliers)
     assert mults == pytest.approx([0.1778, 1.2365], abs=1e-4)
@@ -348,6 +449,19 @@ def _assert_same_multipliers(orbit):
     assert orbit.stable == bool(np.all(np.abs(want) < 1.0))
 
 
+def _route_runs(mp, first, probe):
+    """Route the first period run of a search, the monodromy at its guess,
+    to ``first`` and every later run to ``probe``: each of those is a
+    line-search probe, plain or with the monodromy, until one is accepted."""
+    runs = []
+
+    def run(params, z, cfg):
+        runs.append(z)
+        return (first if len(runs) == 1 else probe)(params, z, cfg)
+    mp.setattr(orbit_mod, "flow_and_monodromy", run)
+    mp.setattr(orbit_mod, "flow_map", run)
+
+
 class _Probed(Exception):
     """Ends a search at the first probe of its line search."""
 
@@ -363,9 +477,7 @@ def _newton_step(params, M, G):
         raise _Probed
 
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(orbit_mod, "flow_and_monodromy",
-                   lambda params, z, cfg: (z + G, M))
-        mp.setattr(orbit_mod, "flow_map", probe)
+        _route_runs(mp, lambda params, z, cfg: (z + G, M), probe)
         with pytest.raises(_Probed):
             find_periodic_orbit(params, np.zeros(2))
     return probes[0]
@@ -535,16 +647,16 @@ def test_tol_validation(forced_params, cfg):
         find_periodic_orbit(forced_params, np.zeros(2), max_iter=-1, cfg=cfg)
 
 
-def _raiser(exc):
-    def flow_map(*args, **kwargs):
+def _probes_raise(monkeypatch, exc):
+    """Every line-search probe raises ``exc``, whichever run makes it."""
+    def raiser(*args, **kwargs):
         raise exc
-    return flow_map
+    _route_runs(monkeypatch, orbit_mod.flow_and_monodromy, raiser)
 
 
 def test_integration_failures_stall_the_line_search(forced_params, cfg,
                                                     monkeypatch):
-    monkeypatch.setattr("phytoperiod.orbit.flow_map",
-                        _raiser(StepUnderflowError("underflow", t=1.0)))
+    _probes_raise(monkeypatch, StepUnderflowError("underflow", t=1.0))
     with pytest.raises(NonConvergenceError, match="line search stalled") as exc_info:
         find_periodic_orbit(forced_params, np.array([0.0, -0.5]), cfg=cfg)
     assert exc_info.value.diagnosis is None
@@ -553,12 +665,11 @@ def test_integration_failures_stall_the_line_search(forced_params, cfg,
 def test_a_stall_at_or_below_the_noise_floor_stops_there(
         forced_params, forced_orbit, cfg, monkeypatch):
     """Every line-search probe fails, so the search stalls at its first
-    iterate, the orbit, whose defect lies between tol=1e-15 and the noise
-    floor: it stops there, by the floor."""
-    monkeypatch.setattr("phytoperiod.orbit.flow_map",
-                        _raiser(StepUnderflowError("underflow", t=1.0)))
-    orbit = find_periodic_orbit(forced_params, forced_orbit.z0, tol=1e-15,
-                                cfg=cfg)
+    iterate, 1e-11 off the orbit, whose defect lies between tol=1e-15 and
+    the noise floor: it stops there, by the floor."""
+    _probes_raise(monkeypatch, StepUnderflowError("underflow", t=1.0))
+    orbit = find_periodic_orbit(forced_params, forced_orbit.z0 + 1e-11,
+                                tol=1e-15, cfg=cfg)
     floor = cfg.abs_tol + cfg.rel_tol * float(np.max(np.abs(orbit.z0)))
     assert (orbit.stop_rule, orbit.newton_iterations) == ("noise_floor", 0)
     assert orbit.noise_floor == floor
@@ -569,8 +680,7 @@ def test_a_stall_above_the_noise_floor_raises(forced_params, forced_orbit,
                                               cfg, monkeypatch):
     """Stalled 1e-8 off the orbit, above the noise floor, the search
     raises, naming the defect and the floor."""
-    monkeypatch.setattr("phytoperiod.orbit.flow_map",
-                        _raiser(StepUnderflowError("underflow", t=1.0)))
+    _probes_raise(monkeypatch, StepUnderflowError("underflow", t=1.0))
     guess = forced_orbit.z0 + 1e-8
     floor = cfg.abs_tol + cfg.rel_tol * float(np.max(np.abs(guess)))
     with pytest.raises(NonConvergenceError) as exc_info:
@@ -583,7 +693,7 @@ def test_a_stall_above_the_noise_floor_raises(forced_params, forced_orbit,
 
 def test_line_search_lets_programming_errors_through(forced_params, cfg,
                                                      monkeypatch):
-    monkeypatch.setattr("phytoperiod.orbit.flow_map", _raiser(TypeError("bug")))
+    _probes_raise(monkeypatch, TypeError("bug"))
     with pytest.raises(TypeError):
         find_periodic_orbit(forced_params, np.array([0.0, -0.5]), cfg=cfg)
 
@@ -627,7 +737,9 @@ def test_the_steady_state_test_does_not_depend_on_units(cfg):
     """x1 varies by 2.5% over the period in any units.  At s = 1e-6 the
     absolute sample variance falls below 1e-12, yet the variance relative
     to the largest density does not, so both systems are shot from their
-    30-period seeds at x0 = (1, 0.5) s, to the same orbit."""
+    30-period seeds at x0 = (1, 0.5) s, to the same orbit.  Both take one
+    full step, and its probe, the next iteration's monodromy run, has a
+    defect below tol, so both stop by tol."""
     orbits = []
     for s in (1.0, 1e-6):
         params = _in_units(s)
@@ -636,7 +748,8 @@ def test_the_steady_state_test_does_not_depend_on_units(cfg):
         orbits.append(find_periodic_orbit(params, seed.z, cfg=cfg))
     unit, micro = orbits
     assert np.max(np.var(micro.densities.states, axis=0)) < 1e-12
-    assert unit.stop_rule == micro.stop_rule == "noise_floor"
+    assert unit.stop_rule == micro.stop_rule == "tol"
+    assert unit.newton_iterations == micro.newton_iterations == 1
     assert [abs(m) for m in unit.floquet_multipliers] == pytest.approx(
         [0.0067107, 0.0018968], abs=1e-7)
     for a, b in zip(unit.floquet_multipliers, micro.floquet_multipliers):
