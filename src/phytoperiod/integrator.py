@@ -1,15 +1,15 @@
 """Time integration: adaptive Dormand-Prince 5(4).
 
-The model is a smooth, mildly nonlinear planar system, so an embedded
-explicit Runge-Kutta pair with per-step error control is entirely
-adequate and keeps the runtime dependency-free.  The same stepping core
-drives plain integration, the period-T flow map and the variational
-(monodromy) equations; sampled output comes from the pair's continuous
-extension, so sampling never changes the steps.  The whole adaptive loop
-for an n-component state (stages, error norm, step-size controller,
-failure checks, row recording and sampling) is one generated
-straight-line function, compiled on first use per dimension;
-``integrate`` checks its arguments, runs it once and wraps its rows.
+An embedded explicit Runge-Kutta pair with per-step error control suits
+the smooth, mildly nonlinear planar model and needs no dependency.  One
+stepping core drives plain runs, the period-T flow map and the
+variational (monodromy) equations; sampled output comes from the pair's
+continuous extension, so sampling never changes the steps.  The whole
+adaptive loop (stages, error norm, controller, failure checks, rows and
+samples) is one generated straight-line function, compiled on first use
+per state dimension; the variational equations get their own, with the
+J Y products inline.  ``integrate`` checks its arguments, runs it once
+and wraps its rows.
 """
 
 from __future__ import annotations
@@ -35,11 +35,11 @@ __all__ = [
     "write_trajectory_csv",
 ]
 
-# Dormand-Prince 5(4) tableau, by the names that _DP_STAGES and _DP_ERROR
-# read; it is the namespace the compiled march sees them in.  The
-# 5th-order weights B equal the last row of A, so the 7th stage is
-# evaluated at the new solution and doubles as the next step's 1st stage
-# (FSAL, "first same as last").
+# Dormand-Prince 5(4) tableau, by the names that _DP_STAGES, _DP_ERROR and
+# _DP_EXTENSION read; it is the namespace the compiled march sees them
+# in.  The 5th-order weights B equal the last row of A, so the 7th stage
+# is evaluated at the new solution and doubles as the next step's 1st
+# stage (FSAL, "first same as last").
 _TABLEAU = {
     "C2": 1 / 5, "C3": 3 / 10, "C4": 4 / 5, "C5": 8 / 9,
     "A21": 1 / 5,
@@ -62,17 +62,18 @@ _TABLEAU |= {f"E{i}": _TABLEAU.get(f"B{i}", 0.0) - b
 # Order-4 continuous extension (Shampine 1986; the coefficients of
 # Hairer's dopri5): over a step of size h from y with stages k1..k7,
 #   y(t + theta h) = y + h (k1 theta + X2 theta^2 + X3 theta^3 + X4 theta^4),
-# where Xj is a weighted sum of k1, k3, k4, k5, k6, k7 (k2 has weight 0).
-# At theta = 1 the weights sum to the 5th-order solution.
-_X2 = (-8048581381 / 2820520608, 131558114200 / 32700410799,
-       -1754552775 / 470086768, 127303824393 / 49829197408,
-       -282668133 / 205662961, 40617522 / 29380423)
-_X3 = (8663915743 / 2820520608, -68118460800 / 10900136933,
-       14199869525 / 1410260304, -318862633887 / 49829197408,
-       2019193451 / 616988883, -110615467 / 29380423)
-_X4 = (-12715105075 / 11282082432, 87487479700 / 32700410799,
-       -10690763975 / 1880347072, 701980252875 / 199316789632,
-       -1453857185 / 822651844, 69997945 / 29380423)
+# where Xj = Xj1 k1 + Xj3 k3 + Xj4 k4 + Xj5 k5 + Xj6 k6 + Xj7 k7 (k2 has
+# weight 0).  At theta = 1 the weights sum to the 5th-order solution.
+_TABLEAU |= zip((f"X{j}{i}" for j in (2, 3, 4) for i in (1, 3, 4, 5, 6, 7)), (
+    -8048581381 / 2820520608, 131558114200 / 32700410799,
+    -1754552775 / 470086768, 127303824393 / 49829197408,
+    -282668133 / 205662961, 40617522 / 29380423,
+    8663915743 / 2820520608, -68118460800 / 10900136933,
+    14199869525 / 1410260304, -318862633887 / 49829197408,
+    2019193451 / 616988883, -110615467 / 29380423,
+    -12715105075 / 11282082432, 87487479700 / 32700410799,
+    -10690763975 / 1880347072, 701980252875 / 199316789632,
+    -1453857185 / 822651844, 69997945 / 29380423))
 
 _MIN_STEP_FACTOR = 1e-14  # underflow guard relative to the span
 _CSV_BLOCK_ROWS = 1024    # rows formatted per write of the CSV export
@@ -193,7 +194,7 @@ def integrate(field, t0: float, y0, t1: float, cfg: IntegratorConfig,
 
     n = len(y)
     max_step = cfg.max_step or math.inf
-    row_times, row_states, times, states = _dp_march(n)(
+    row_times, row_states, times, states = _dp_march(n, type(field) is _Augmented)(
         field, t0, y, t1, min((t1 - t0) * 1e-3, max_step), max_step,
         cfg.abs_tol, cfg.rel_tol, _MIN_STEP_FACTOR * (t1 - t0), pts)
     steps = _from_march(row_times, row_states, n)
@@ -212,43 +213,62 @@ _DP_STAGES = (("C2", ("A21",)),
               (None, ("A61", "A62", "A63", "A64", "A65")),
               (None, ("B1", None, "B3", "B4", "B5", "B6")))
 _DP_ERROR = ("E1", None, "E3", "E4", "E5", "E6", "E7")
-_DP_MARCHES = {}    # state dimension -> its compiled march
+_DP_EXTENSION = tuple((f"X{j}1", None, *(f"X{j}{i}" for i in range(3, 8)))
+                      for j in "234")
+_DP_MARCHES = {}    # (state dimension, variational) -> its compiled march
 
 
-def _dp_march(n: int):
+class _Augmented(tuple):
+    """The pair (field, jac), called as y' = field(t, y), Y' = J(t, y) Y
+    on (y1, y2, Y11, Y12, Y21, Y22); the variational march inlines it."""
+
+    def __call__(self, t, w):
+        field, jac = self
+        y1, y2, y11, y12, y21, y22 = w
+        y = (y1, y2)
+        dy1, dy2 = field(t, y)
+        (j11, j12), (j21, j22) = jac(t, y)
+        return (dy1, dy2,
+                j11 * y11 + j12 * y21, j11 * y12 + j12 * y22,
+                j21 * y11 + j22 * y21, j21 * y12 + j22 * y22)
+
+
+def _dp_march(n: int, variational: bool = False):
     """The adaptive Dormand-Prince integration of an n-component state,
     compiled on first use and kept for the process.
 
     ``march(field, t, y, t1, h, max_step, abs_tol, rel_tol, h_floor, pts)``
     integrates y' = field(t, y) from (t, y) to t1 with first step h and
-    returns the run's rows and its samples as four lists: the row times,
-    the row states flattened, the sample times and the sample states
-    flattened.  ``pts`` holds the sample times inside (t, t1), ascending,
-    then the sentinel inf.  The whole loop is one straight-line function:
-    every stage sum is written out per component and runs left to right
-    over plain floats, the FSAL stage k7 is handed on as the next k1, and
-    the error norm, the controller and the failure checks are inline.
-    The error norm is the max-norm of err / (abs_tol + rel_tol
-    max(|y|, |y_new|)) taken left to right; it is NaN from the first NaN
-    ratio on, so such a step is rejected.  A trial stage outside the
-    field's domain (the field raises :class:`DomainOverflowError`) makes
-    the error norm NaN as well, so an overshooting trial step shrinks
-    instead of ending the run; a start outside the domain still raises.
-    Every ``min`` and ``max`` of the generic loop is written as the
-    comparison the builtin makes, so the results are those of that loop
-    to the last bit.  Unpacking each stage into exactly n components
-    rejects a field that returns another length.  The tableau reaches the
-    march through its namespace, never through its source text.
+    returns four lists: the row times and states and the sample times and
+    states, the states flattened.  ``pts`` holds the sample times inside
+    (t, t1), ascending, then the sentinel inf.  The whole loop is one
+    straight-line function: every stage sum and every coefficient of the
+    continuous extension is written out per component and runs left to
+    right over plain floats, the FSAL stage k7 is handed on as the next k1,
+    and the error norm, the controller and the failure checks are inline.  A
+    trial stage outside the field's domain (the field raises
+    :class:`DomainOverflowError`) makes the error norm NaN, so an
+    overshooting trial step shrinks instead of ending the run; a start
+    outside the domain still raises.  Every ``min`` and ``max`` of the
+    generic loop is written as the comparison the builtin makes, so the
+    results are those of that loop to the last bit.  The tableau reaches the
+    march through its namespace, never through its source text.  The
+    variational march (n = 6) takes an :class:`_Augmented` pair and writes
+    each stage's calls and products of its ``__call__`` inline.
     """
-    march = _DP_MARCHES.get(n)
+    march = _DP_MARCHES.get((n, variational))
     if march is not None:
         return march
     namespace = {**_TABLEAU, "inf": math.inf, "nan": math.nan,
-                 "isfinite": math.isfinite, "extension": _dp_extension,
+                 "isfinite": math.isfinite,
                  "DomainOverflowError": DomainOverflowError,
                  "StepUnderflowError": StepUnderflowError,
                  "NonFiniteStateError": NonFiniteStateError}
     letters = "pqrsuvw"     # the components of k1..k7: p0, p1, ...
+
+    def tup(letter):
+        return f"({''.join(f'{letter}{i}, ' for i in range(n))})"
+
     lines = ["def march(field, t, y, t1, h_adaptive, max_step, abs_tol, "
              "rel_tol, h_floor, pts):",
              "    times, states = [t], list(y)      # samples",
@@ -257,13 +277,10 @@ def _dp_march(n: int):
              f"    if len(k1) != {n}:",
              "        raise ValueError(f'field returned {len(k1)} components '",
              f"                         'for a state of dimension {n}')",
-             "    i = 0"]
-
-    def tup(letter):
-        return f"({''.join(f'{letter}{i}, ' for i in range(n))})"
-
-    def unpack(stage, letter, indent=4):
-        lines.append(f"{' ' * indent}{tup(letter)[1:-1]}= {stage}")
+             "    i = 0",
+             f"    {tup('y')[1:-1]}= y",
+             f"    {tup('p')[1:-1]}= k1",
+             *(["    field, jac = field"] if variational else [])]
 
     def stage_sums(weights, from_y):
         # bind h * weight once, then per component y_i + w1 * p_i + ...
@@ -273,24 +290,27 @@ def _dp_march(n: int):
                            + [f"{w.lower()} * {x}{i}" for w, x in used])
                 for i in range(n)]
 
-    unpack("y", "y")
-    unpack("k1", "p")
     lines += ["    while t < t1:",
               "        h = t1 - t",
               "        if not h < h_adaptive:",
               "            h = h_adaptive"]
     trial = len(lines)      # the stages and the error norm of a trial step
     for j, (node, weights) in enumerate(_DP_STAGES, start=2):
-        sums = stage_sums(weights, True)
-        if j == 7:
-            # y_new = x7, kept per component (o0, o1, ...) for the error norm
-            lines.extend(f"        o{i} = {s}" for i, s in enumerate(sums))
-            lines.append(f"        x7 = {tup('o')}")
-        else:
-            lines.append(f"        x{j} = ({', '.join(sums)},)")
+        sums, k = stage_sums(weights, True), letters[j - 1]
         at = f"t + {node} * h" if node else "t + h"
-        lines.append(f"        k{j} = field({at}, x{j})")
-        unpack(f"k{j}", letters[j - 1], 8)
+        if j == 7 or variational:   # y_new (o0, ...), a variational argument (g0, ...)
+            x = "o" if j == 7 else "g"
+            lines.extend(f"        {x}{i} = {s}" for i, s in enumerate(sums))
+            sums = [f"{x}{i}" for i in range(n)]
+        if j == 7 or not variational:
+            lines.append(f"        x{j} = ({', '.join(sums)},)")
+        lines += [f"        {tup(k)[1:-1]}= field({at}, x{j})"] if not variational else [
+            # the calls and products of _Augmented.__call__
+            f"        ts, z = {at}, ({sums[0]}, {sums[1]})",
+            f"        {k}0, {k}1 = field(ts, z)",
+            "        (j11, j12), (j21, j22) = jac(ts, z)",
+            *(f"        {k}{m} = j{r}1 * {sums[c]} + j{r}2 * {sums[c + 2]}"
+              for m, r, c in ((2, 1, 2), (3, 1, 3), (4, 2, 2), (5, 2, 3)))]
     lines.extend(f"        d{i} = {s}"
                  for i, s in enumerate(stage_sums(_DP_ERROR, False)))
     # max-norm of err / (abs_tol + rel_tol max(|y|, |y_new|)), left to
@@ -328,21 +348,23 @@ def _dp_march(n: int):
               "            h_adaptive = max_step",
               "        if enorm <= 1.0:",
               "            t_new = t1 if h >= t1 - t else t + h",
-              "            if pts[i] <= t_new:",
-              # one polynomial per step, evaluated by Horner per point
-              "                "
-              + ", ".join(f"(c{i}0, c{i}1, c{i}2, c{i}3, c{i}4)" for i in range(n))
-              + ", = extension(y, h, k1, k3, k4, k5, k6, k7)",
-              "                while pts[i] <= t_new:",
+              "            if pts[i] <= t_new:"]
+    # one polynomial y_i + c_i1 th + ... + c_i4 th^4 per step, by Horner
+    for i in range(n):
+        lines.append(f"                c{i}1 = h * p{i}")
+        lines.extend(f"                c{i}{j} = h * (" + " + ".join(
+            f"{w} * {k}{i}" for w, k in zip(weights, letters) if w) + ")"
+            for j, weights in enumerate(_DP_EXTENSION, start=2))
+    lines += ["                while pts[i] <= t_new:",
               "                    th = (pts[i] - t) / h",
               "                    times.append(pts[i])",
               "                    states += ("
-              + ", ".join(f"c{i}0 + th * (c{i}1 + th * (c{i}2 + th * "
+              + ", ".join(f"y{i} + th * (c{i}1 + th * (c{i}2 + th * "
                           f"(c{i}3 + th * c{i}4)))" for i in range(n)) + ",)",
               "                    i += 1",
               "            stalled = t_new == t",
               # DP5's k7 is the next step's k1 (FSAL)
-              "            t, y, k1 = t_new, x7, k7",
+              "            t, y = t_new, x7",
               f"            {tup('y')[1:-1]}= {tup('o')[1:-1]}",
               f"            {tup('p')[1:-1]}= {tup('w')[1:-1]}",
               "        if h_adaptive < h_floor:",
@@ -368,26 +390,10 @@ def _dp_march(n: int):
               "    times.append(t)",
               "    states += y",
               "    return row_times, row_states, times, states"]
-    exec(compile("\n".join(lines), f"<phytoperiod dp march, n = {n}>", "exec"),
-         namespace)
-    march = _DP_MARCHES[n] = namespace.pop("march")  # no cycle through its globals
+    exec(compile("\n".join(lines), f"<phytoperiod dp march, n = {n}"
+                 f"{', variational' * variational}>", "exec"), namespace)
+    march = _DP_MARCHES[n, variational] = namespace.pop("march")  # no cycle through its globals
     return march
-
-
-def _dp_extension(y, h, k1, k3, k4, k5, k6, k7):
-    """Order-4 continuous extension of one Dormand-Prince step.
-
-    Returns per component the power-basis coefficients (c0, ..., c4) of
-    y(t + theta h), theta in [0, 1].
-    """
-    a1, a3, a4, a5, a6, a7 = _X2
-    b1, b3, b4, b5, b6, b7 = _X3
-    d1, d3, d4, d5, d6, d7 = _X4
-    return [(yi, h * p,
-             h * (a1 * p + a3 * r + a4 * s + a5 * u + a6 * v + a7 * w),
-             h * (b1 * p + b3 * r + b4 * s + b5 * u + b6 * v + b7 * w),
-             h * (d1 * p + d3 * r + d4 * s + d5 * u + d6 * v + d7 * w))
-            for yi, p, r, s, u, v, w in zip(y, k1, k3, k4, k5, k6, k7)]
 
 
 def flow_map(params: ModelParams, z0, cfg: IntegratorConfig) -> np.ndarray:
@@ -401,20 +407,14 @@ def variational_flow(field, jac, t0: float, y0, t1: float,
     """Flow and fundamental matrix of an arbitrary planar field.
 
     Integrates the state together with Y' = J(t, y(t)) Y, Y(t0) = I and
-    returns (y(t1), Y(t1)).  ``jac(t, y)`` returns the rows of J.
+    returns (y(t1), Y(t1)).  ``jac(t, y)`` returns the rows of J.  The
+    run is one ``integrate`` call whose every stage calls ``field`` and
+    ``jac`` once on the planar state; ``y0`` must be one.
     """
-    def augmented(t, w):
-        y1, y2, y11, y12, y21, y22 = w
-        y = (y1, y2)
-        dy1, dy2 = field(t, y)
-        (j11, j12), (j21, j22) = jac(t, y)
-        return (dy1, dy2,
-                j11 * y11 + j12 * y21, j11 * y12 + j12 * y22,
-                j21 * y11 + j22 * y21, j21 * y12 + j22 * y22)
-
-    y1, y2 = y0
-    traj = integrate(augmented, t0, (y1, y2, 1.0, 0.0, 0.0, 1.0), t1, cfg)
-    wT = traj.final_state
+    if np.shape(y0) != (2,):
+        raise ValueError(f"need a planar state (y1, y2), got shape {np.shape(y0)}")
+    wT = integrate(_Augmented((field, jac)), t0, (*y0, 1.0, 0.0, 0.0, 1.0), t1,
+                   cfg).final_state
     return wT[:2], wT[2:].reshape(2, 2)
 
 

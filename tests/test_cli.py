@@ -4,6 +4,7 @@ import functools
 import hashlib
 import json
 import math
+import sys
 from collections import Counter
 from importlib import resources
 from pathlib import Path
@@ -21,6 +22,10 @@ from phytoperiod.model import rhs_log, rhs_original
 from phytoperiod.orbit import seed_by_transient
 
 from conftest import count_public_calls, run_python
+
+ROOT = Path(__file__).resolve().parents[1]
+sys.path.insert(0, str(ROOT / "bench"))
+import workloads  # noqa: E402
 
 TWO_PI = 2.0 * math.pi
 
@@ -643,6 +648,29 @@ def test_find_orbit_bytes_match_golden_hashes(tmp_path):
         out = tmp_path / name
         assert main(["find-orbit", "--config", str(config), "--out", str(out)]) == EXIT_OK
         _assert_golden(out, pinned, name)
+
+
+def _outputs_digest(directory):
+    """One sha256 over every file a run wrote, in name order, each as its
+    name, a NUL byte and its bytes."""
+    digest = hashlib.sha256()
+    for path in sorted(directory.iterdir()):
+        digest.update(path.name.encode() + b"\0" + path.read_bytes())
+    return digest.hexdigest()
+
+
+def test_forced_orbits_bytes_match_golden_hashes(tmp_path):
+    """find-orbit on the benchmark's 24 seed-11 ``forced-orbits`` configs,
+    the success path with monodromy runs, line search and orbit
+    sampling: every output byte, one digest per config."""
+    pinned = GOLDEN_BYTES["forced-orbits"]["11"]
+    paths = workloads.write_configs(workloads.generate_configs("forced-orbits", 11),
+                                    tmp_path / "configs")
+    assert [path.name for path in paths] == sorted(pinned)
+    for path in paths:
+        out = tmp_path / path.stem
+        assert main(["find-orbit", "--config", str(path), "--out", str(out)]) == EXIT_OK
+        assert _outputs_digest(out) == pinned[path.name], path.name
 
 
 def test_check_bytes_match_golden_hashes(tmp_path):

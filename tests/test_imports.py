@@ -129,11 +129,12 @@ def test_no_unreferenced_private_names():
 
 def test_every_tableau_coefficient_is_read():
     """The Dormand-Prince coefficients are the keys of one dict, which the
-    private-name scan does not see into; the stages and the error weights
-    of the march read exactly those keys, so an unused or a missing
-    coefficient fails here."""
+    private-name scan does not see into; the stages, the error weights and
+    the continuous extension of the march read exactly those keys, so an
+    unused or a missing coefficient fails here."""
     from phytoperiod import integrator
 
     read = {name for node, weights in integrator._DP_STAGES
             for name in (node, *weights)} | set(integrator._DP_ERROR)
+    read.update(*integrator._DP_EXTENSION)
     assert set(integrator._TABLEAU) == read - {None}

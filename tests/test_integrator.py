@@ -1,6 +1,7 @@
 """Integration accuracy, order verification, flow map and monodromy."""
 
 import math
+from functools import partial
 from importlib import resources
 
 import numpy as np
@@ -9,13 +10,14 @@ from hypothesis import Phase, assume, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from phytoperiod import (IntegrationError, IntegratorConfig, ModelParams,
-                         PeriodicCoefficient, Trajectory, flow_and_monodromy,
-                         flow_map, integrate, jac_log, rhs_log, rhs_original,
-                         variational_flow, write_trajectory_csv)
+from phytoperiod import (DomainOverflowError, IntegrationError, IntegratorConfig,
+                         ModelParams, PeriodicCoefficient, Trajectory,
+                         flow_and_monodromy, flow_map, integrate, jac_log,
+                         jac_original, rhs_log, rhs_original, variational_flow,
+                         write_trajectory_csv)
 from phytoperiod import integrator as itg
 
-from conftest import march, write_trajectory_csv_per_row
+from conftest import march, random_draw, write_trajectory_csv_per_row
 
 TWO_PI = 2.0 * math.pi
 
@@ -144,6 +146,21 @@ def _reference_dp_step(field, t, y, h, k1):
     return y_new, err, (k1, k3, k4, k5, k6, k7)
 
 
+def _dp_extension(y, h, k1, k3, k4, k5, k6, k7):
+    """Oracle: the order-4 continuous extension of one Dormand-Prince
+    step, per component the power-basis coefficients (c0, ..., c4) of
+    y(t + theta h), theta in [0, 1], from a generator over the components."""
+    T = itg._TABLEAU
+    a1, a3, a4, a5, a6, a7 = (T[f"X2{i}"] for i in (1, 3, 4, 5, 6, 7))
+    b1, b3, b4, b5, b6, b7 = (T[f"X3{i}"] for i in (1, 3, 4, 5, 6, 7))
+    d1, d3, d4, d5, d6, d7 = (T[f"X4{i}"] for i in (1, 3, 4, 5, 6, 7))
+    return [(yi, h * p,
+             h * (a1 * p + a3 * r + a4 * s + a5 * u + a6 * v + a7 * w),
+             h * (b1 * p + b3 * r + b4 * s + b5 * u + b6 * v + b7 * w),
+             h * (d1 * p + d3 * r + d4 * s + d5 * u + d6 * v + d7 * w))
+            for yi, p, r, s, u, v, w in zip(y, k1, k3, k4, k5, k6, k7)]
+
+
 def _reference_norm(err, y, y_new, abs_tol, rel_tol):
     """Oracle: max-norm of err / (abs_tol + rel_tol max(|y|, |y_new|)),
     left to right, ended by the first NaN ratio."""
@@ -192,7 +209,7 @@ def _reference_integrate(field, t0, y0, t1, cfg, t_eval=None):
             t_new = t1 if h >= t1 - t else t + h
             stalled = t_new == t
             if pts[i] <= t_new:
-                poly = itg._dp_extension(y, h, *stages)
+                poly = _dp_extension(y, h, *stages)
                 while pts[i] <= t_new:
                     th = (pts[i] - t) / h
                     times.append(pts[i])
@@ -368,6 +385,22 @@ def test_integrate_is_the_generic_loop_to_the_last_bit(case, t0, span, tols,
     assert _same_calls(field, ref_field)
 
 
+@pytest.mark.parametrize("n", [1, 2, 6])
+def test_sampled_runs_match_the_extension_oracle(n):
+    """A run with 41 sample points in dimensions 1, 2 and 6: every sample,
+    from the extension written out per component in the march, equals
+    the oracle's polynomial per step, hex for hex."""
+    coef = [(0.8, 1.0 + 0.3 * i, 0.2 - 0.1 * i) for i in range(n)]
+    y0 = [0.3 - 0.1 * i for i in range(n)]
+    cfg = IntegratorConfig(1e-8, 1e-8)
+    t_eval = np.linspace(0.0, 3.0, 41).tolist()
+    got = _outcome(lambda: integrate(_Recorder(coef), 0.0, y0, 3.0, cfg,
+                                     t_eval=t_eval))
+    assert len(got[0]) == 41
+    assert got == _outcome(lambda: _reference_integrate(_Recorder(coef), 0.0, y0,
+                                                        3.0, cfg, t_eval))
+
+
 @pytest.mark.filterwarnings("ignore:invalid value")
 @pytest.mark.parametrize("field, t0, y0, t1, cfg", [
     (lambda t, y: (y[0] * y[0],), 0.0, [2.0], 1.0, IntegratorConfig(1e-6, 1e-6)),
@@ -384,21 +417,31 @@ def test_integrate_fails_as_the_generic_loop_does(field, t0, y0, t1, cfg):
 
 
 def test_the_step_is_built_once_per_dimension(monkeypatch):
-    """The march is compiled once per state dimension and kept."""
+    """The march is compiled once per state dimension and kept, and so is
+    the variational march, on the first ``variational_flow``; that one is
+    not the plain march of 6 components."""
     built = {}
     monkeypatch.setattr(itg, "_DP_MARCHES", built)
     integrate(exp_decay, 0.0, [1.0], 1.0, IntegratorConfig())
-    march_1 = built[1]
+    march_1 = built[1, False]
     integrate(exp_decay, 0.0, [2.0], 3.0, IntegratorConfig())
     integrate(lambda t, y: (-y[1], y[0]), 0.0, [1.0, 0.0], 1.0,
               IntegratorConfig())
-    assert sorted(built) == [1, 2] and built[1] is march_1
-    assert itg._dp_march(1) is march_1
+    assert sorted(built) == [(1, False), (2, False)]
+    assert built[1, False] is march_1 and itg._dp_march(1) is march_1
+    rotation = (lambda t, y: (-y[1], y[0]), lambda t, y: ((0.0, -1.0), (1.0, 0.0)))
+    variational_flow(*rotation, 0.0, [1.0, 0.0], 1.0, IntegratorConfig())
+    variational = built[6, True]
+    variational_flow(*rotation, 0.0, [0.0, 1.0], 2.0, IntegratorConfig())
+    assert sorted(built) == [(1, False), (2, False), (6, True)]
+    assert built[6, True] is variational
+    assert itg._dp_march(6, True) is variational
 
 
 def test_check_builds_no_step(tmp_path):
-    """The march is built on first use, not at import, and ``check``
-    integrates nothing, so it builds none."""
+    """The marches are built on first use, not at import, and ``check``
+    integrates nothing, so it builds none, neither a plain march nor the
+    variational one; ``find-orbit`` then builds both."""
     from conftest import run_python
 
     config = tmp_path / "example1.json"
@@ -408,8 +451,11 @@ def test_check_builds_no_step(tmp_path):
 from phytoperiod import cli, integrator
 cli.main(["check", "--config", {str(config)!r}, "--out", {str(tmp_path)!r}])
 print(sorted(integrator._DP_MARCHES))
+cli.main(["find-orbit", "--config", {str(config)!r}, "--out", {str(tmp_path)!r}])
+print(sorted(integrator._DP_MARCHES))
 """)
-    assert proc.stdout.splitlines()[-1:] == ["[]"], proc.stderr
+    assert proc.stdout.splitlines()[-2:] == ["[]", "[(2, False), (6, True)]"], \
+        proc.stderr
 
 
 def test_numpy_array_fields_step_like_tuples():
@@ -769,6 +815,162 @@ def test_monodromy_decoupled_linear_field():
                             IntegratorConfig())
     np.testing.assert_allclose(
         M, np.diag([math.exp(a * T), math.exp(b * T)]), atol=1e-8)
+
+
+@pytest.mark.parametrize("y0", [[1.0, 2.0, 3.0], [1.0], [[1.0, 2.0]], 1.0])
+def test_variational_flow_needs_a_planar_state(y0):
+    field = lambda t, y: (-y[0], -y[1])
+    jac = lambda t, y: ((-1.0, 0.0), (0.0, -1.0))
+    with pytest.raises(ValueError, match="need a planar state"):
+        variational_flow(field, jac, 0.0, y0, 1.0, IntegratorConfig())
+
+
+@pytest.mark.parametrize("t0, y0, t1, message", [
+    (1.0, [1.0, 2.0], 1.0, "need t1 > t0"),
+    (0.0, [1.0, 2.0], math.nan, "need t1 > t0"),
+    (-1e308, [1.0, 2.0], 1e308, "need a finite time span"),
+    (0.0, [math.nan, 2.0], 1.0, "initial state must be finite"),
+    (0.0, [1.0, math.inf], 1.0, "initial state must be finite")])
+def test_variational_flow_keeps_the_checks_of_integrate(t0, y0, t1, message):
+    field = lambda t, y: (-y[0], -y[1])
+    jac = lambda t, y: ((-1.0, 0.0), (0.0, -1.0))
+    with pytest.raises(ValueError, match=message):
+        variational_flow(field, jac, t0, y0, t1, IntegratorConfig())
+
+
+class _RecordedPair:
+    """A planar field and its Jacobian, every call's arguments kept in
+    order; the field ends the run with ``_Enough`` after ``limit`` calls
+    and counts the DomainOverflowError it raises."""
+
+    def __init__(self, field, jac, limit=4000):
+        self._field, self._jac, self.limit = field, jac, limit
+        self.calls, self.fields, self.overflows = [], 0, 0
+
+    def field(self, t, y):
+        if self.fields == self.limit:
+            raise _Enough
+        self.fields += 1
+        self.calls.append(("field", t.hex(), _hex(y)))
+        try:
+            return self._field(t, y)
+        except DomainOverflowError:
+            self.overflows += 1
+            raise
+
+    def jac(self, t, y):
+        self.calls.append(("jac", t.hex(), _hex(y)))
+        return self._jac(t, y)
+
+
+def _both_marches(make_pair, t0, w0, t1, cfg, t_eval=None):
+    """The outcome of the compiled variational march on the pair from
+    ``make_pair()`` and of the generic march on the pair's augmented
+    ``__call__`` (behind a lambda, so the variational march is not
+    chosen), with both pairs."""
+    runs = []
+    for wrap in (lambda aug: aug, lambda aug: lambda t, w: aug(t, w)):
+        pair = make_pair()
+        field = wrap(itg._Augmented((pair.field, pair.jac)))
+        runs.append((_outcome(lambda: integrate(field, t0, w0, t1, cfg,
+                                                t_eval=t_eval)), pair))
+    return runs
+
+
+def _planar_pair(case):
+    """y_i' = a_i sin(b_i t + y_i) + c_i y_i y_(1-i) and its Jacobian."""
+    (a1, b1, c1), (a2, b2, c2) = case
+
+    def field(t, y):
+        return (a1 * math.sin(b1 * t + y[0]) + c1 * y[0] * y[1],
+                a2 * math.sin(b2 * t + y[1]) + c2 * y[1] * y[0])
+
+    def jac(t, y):
+        return ((a1 * math.cos(b1 * t + y[0]) + c1 * y[1], c1 * y[0]),
+                (c2 * y[1], a2 * math.cos(b2 * t + y[1]) + c2 * y[0]))
+    return field, jac
+
+
+@settings(max_examples=80, deadline=None, derandomize=True, database=None,
+          phases=[Phase.generate])
+@given(source=st.sampled_from(["random field", "forced_params", "random draw"]),
+       frame=st.sampled_from(["log", "original"]),
+       case=st.lists(st.tuples(_term, _term, _term), min_size=2, max_size=2),
+       draw=st.integers(0, 399),
+       y=st.lists(st.floats(-2.0, 1.5, allow_subnormal=False), min_size=2,
+                  max_size=2),
+       Y=st.one_of(st.just([1.0, 0.0, 0.0, 1.0]),
+                   st.lists(st.floats(-2.0, 2.0, allow_subnormal=False),
+                            min_size=4, max_size=4)),
+       t0=st.floats(-10.0, 10.0, allow_subnormal=False),
+       span=st.floats(1e-2, 2.0 * TWO_PI),
+       tols=st.sampled_from([(1e-10, 1e-10), (1e-12, 1e-6), (1e-4, 1e-4)]),
+       max_step=st.one_of(st.none(), st.floats(1e-2, 5.0)),
+       sampled=st.booleans(),
+       grid=st.lists(st.floats(0.0, 1.0), max_size=12))
+def test_the_variational_march_is_the_augmented_call_to_the_last_bit(
+        forced_params, source, frame, case, draw, y, Y, t0, span, tols,
+        max_step, sampled, grid):
+    """Random planar fields with their Jacobians, and the model's fields
+    in both frames (``rhs_log``/``jac_log`` and the original-frame pair
+    that ``detect_steady_state`` runs) on ``forced_params`` and on the
+    random draws: the compiled variational march calls ``field`` and
+    ``jac`` with the arguments the augmented ``__call__`` gets from the
+    generic march, and returns its times, samples and rows hex for hex,
+    or fails as it does.  Runs are cut at the 4,000th field call."""
+    if source == "random field":
+        fields = _planar_pair(case)
+    else:
+        params = forced_params if source == "forced_params" else random_draw(draw)
+        if frame == "log":
+            fields = (partial(rhs_log, params), partial(jac_log, params))
+        else:
+            y = [math.exp(v) for v in y]
+            fields = (partial(rhs_original, params), partial(jac_original, params))
+    t1 = t0 + span
+    cfg = IntegratorConfig(*tols, max_step=max_step)
+    t_eval = [t0 + g * span for g in grid] if sampled else None
+    (got, pair), (ref, ref_pair) = _both_marches(
+        lambda: _RecordedPair(*fields), t0, [*y, *Y], t1, cfg, t_eval)
+    assert got == ref
+    assert pair.calls == ref_pair.calls
+
+
+def _blow_up(t, y):
+    return (y[0] * y[0], -y[1])
+
+
+@pytest.mark.parametrize("case", ["domain", "underflow", "non-finite"])
+def test_the_variational_march_fails_as_the_augmented_call_does(forced_params,
+                                                                case):
+    """A trial stage outside the exp guard of ``rhs_log``, whose step
+    shrinks and the run goes on; a step underflow at a blow-up; and a
+    state that overflows to inf: the compiled variational march and the
+    generic march on the augmented ``__call__`` end the same way, with
+    the same type, message and t, after the same calls."""
+    identity = [1.0, 0.0, 0.0, 1.0]
+    if case == "domain":
+        # a first step of 100 over [0, 1e5] puts stage 4 near z1 = 1e11
+        fields = (partial(rhs_log, forced_params), partial(jac_log, forced_params))
+        args = (0.0, [0.64, -0.18, *identity], 1e5, IntegratorConfig())
+        expected = _Enough
+    elif case == "underflow":
+        fields = (_blow_up, lambda t, y: ((2.0 * y[0], 0.0), (0.0, -1.0)))
+        args = (0.0, [2.0, 1.0, *identity], 1.0, IntegratorConfig(1e-6, 1e-6))
+        expected = itg.StepUnderflowError
+    else:
+        fields = (lambda t, y: (1e308, 0.0),
+                  lambda t, y: ((0.0, 0.0), (0.0, 0.0)))
+        args = (0.0, [1e308, 1.0, *identity], 1.0, IntegratorConfig())
+        expected = itg.NonFiniteStateError
+    (got, pair), (ref, ref_pair) = _both_marches(
+        lambda: _RecordedPair(*fields), *args)
+    assert got[0] is expected
+    assert got == ref and pair.calls == ref_pair.calls
+    if case == "domain":
+        assert pair.overflows > 0 and pair.overflows == ref_pair.overflows
+    else:
+        assert got[2] is not None
 
 
 def _augmented_oracle(params):
