@@ -28,6 +28,7 @@ import math
 import sys
 from importlib import resources
 from pathlib import Path
+from types import MethodType
 
 import numpy as np
 
@@ -384,7 +385,7 @@ def _run_horizon(cfg: ExperimentConfig, out_dir: Path,
     run's own rows, and returns the run.  A failed run writes nothing,
     prints one line naming the failure and returns None."""
     try:
-        traj = integrate(functools.partial(rhs_log, cfg.model), 0.0,
+        traj = integrate(MethodType(rhs_log, cfg.model), 0.0,
                          _initial_log_state(cfg), cfg.horizon, cfg.integrator,
                          t_eval=t_eval)
     except (IntegrationError, DomainOverflowError) as exc:

@@ -53,6 +53,9 @@ class PeriodicCoefficient:
         if self.kind != "constant":
             if self.omega <= 0.0:
                 raise ValueError("angular frequency must be positive")
+            if not math.isfinite(self.period):
+                raise ValueError(f"omega {self.omega!r} makes the period "
+                                 f"2 pi/omega overflow the float range")
         if self.kind == "sinusoid" and self.amplitude < 0.0:
             raise ValueError("sinusoid amplitude must be non-negative")
         if self.kind == "fourier":
@@ -60,6 +63,10 @@ class PeriodicCoefficient:
             if not all(math.isfinite(x) for pair in harmonics for x in pair):
                 raise ValueError("coefficient harmonics must be finite")
             object.__setattr__(self, "harmonics", harmonics)
+            if not math.isfinite(len(harmonics) * self.omega):
+                raise ValueError(f"omega {self.omega!r} makes the frequency "
+                                 f"{len(harmonics)} omega of the highest "
+                                 f"harmonic overflow the float range")
 
     @classmethod
     def constant(cls, value: float) -> "PeriodicCoefficient":

@@ -7,16 +7,16 @@ variational (monodromy) equations; sampled output comes from the pair's
 continuous extension, so sampling never changes the steps.  The whole
 adaptive loop (stages, error norm, controller, failure checks, rows and
 samples) is one generated straight-line function, compiled on first use
-per state dimension; the variational equations get their own, with the
-J Y products inline.  ``integrate`` checks its arguments, runs it once
-and wraps its rows.
+per state dimension; the variational equations get their own, with
+``jac`` called before ``field`` and the J Y products inline.
+``integrate`` checks its arguments, runs it once and wraps its rows.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import partial
+from types import MethodType
 
 import numpy as np
 
@@ -220,14 +220,15 @@ _DP_MARCHES = {}    # (state dimension, variational) -> its compiled march
 
 class _Augmented(tuple):
     """The pair (field, jac), called as y' = field(t, y), Y' = J(t, y) Y
-    on (y1, y2, Y11, Y12, Y21, Y22); the variational march inlines it."""
+    on (y1, y2, Y11, Y12, Y21, Y22), ``jac`` first so that ``jac_log``
+    hands its stage on to ``rhs_log``; the variational march inlines it."""
 
     def __call__(self, t, w):
         field, jac = self
         y1, y2, y11, y12, y21, y22 = w
         y = (y1, y2)
-        dy1, dy2 = field(t, y)
         (j11, j12), (j21, j22) = jac(t, y)
+        dy1, dy2 = field(t, y)
         return (dy1, dy2,
                 j11 * y11 + j12 * y21, j11 * y12 + j12 * y22,
                 j21 * y11 + j22 * y21, j21 * y12 + j22 * y22)
@@ -307,8 +308,8 @@ def _dp_march(n: int, variational: bool = False):
         lines += [f"        {tup(k)[1:-1]}= field({at}, x{j})"] if not variational else [
             # the calls and products of _Augmented.__call__
             f"        ts, z = {at}, ({sums[0]}, {sums[1]})",
-            f"        {k}0, {k}1 = field(ts, z)",
             "        (j11, j12), (j21, j22) = jac(ts, z)",
+            f"        {k}0, {k}1 = field(ts, z)",
             *(f"        {k}{m} = j{r}1 * {sums[c]} + j{r}2 * {sums[c + 2]}"
               for m, r, c in ((2, 1, 2), (3, 1, 3), (4, 2, 2), (5, 2, 3)))]
     lines.extend(f"        d{i} = {s}"
@@ -398,7 +399,7 @@ def _dp_march(n: int, variational: bool = False):
 
 def flow_map(params: ModelParams, z0, cfg: IntegratorConfig) -> np.ndarray:
     """State after one period: z(T) of the log-frame flow with z(0) = z0."""
-    traj = integrate(partial(rhs_log, params), 0.0, z0, params.period, cfg)
+    traj = integrate(MethodType(rhs_log, params), 0.0, z0, params.period, cfg)
     return traj.final_state
 
 
@@ -408,8 +409,8 @@ def variational_flow(field, jac, t0: float, y0, t1: float,
 
     Integrates the state together with Y' = J(t, y(t)) Y, Y(t0) = I and
     returns (y(t1), Y(t1)).  ``jac(t, y)`` returns the rows of J.  The
-    run is one ``integrate`` call whose every stage calls ``field`` and
-    ``jac`` once on the planar state; ``y0`` must be one.
+    run is one ``integrate`` call whose every stage calls ``jac``, then
+    ``field``, once on the planar state; ``y0`` must be one.
     """
     if np.shape(y0) != (2,):
         raise ValueError(f"need a planar state (y1, y2), got shape {np.shape(y0)}")
@@ -421,8 +422,8 @@ def variational_flow(field, jac, t0: float, y0, t1: float,
 def flow_and_monodromy(params: ModelParams, z0, cfg: IntegratorConfig):
     """State and fundamental matrix after one period of the log-frame
     flow: (z(T), M) from one augmented integration with z(0) = z0."""
-    return variational_flow(partial(rhs_log, params), partial(jac_log, params),
-                            0.0, z0, params.period, cfg)
+    field, jac = MethodType(rhs_log, params), MethodType(jac_log, params)
+    return variational_flow(field, jac, 0.0, z0, params.period, cfg)
 
 
 def write_trajectory_csv(traj: Trajectory, path) -> None:

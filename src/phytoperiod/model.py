@@ -113,7 +113,8 @@ def rhs_log(params: ModelParams, t: float, z) -> tuple[float, float]:
     """Time derivative (z1', z2') in the log frame.
 
     Equals rhs_original(t, x)/x componentwise at x = exp(z).  Raises
-    :class:`DomainOverflowError` when exp(z) is not representable.
+    :class:`DomainOverflowError` when exp(z) is not representable.  Reuses
+    the stage of a ``jac_log`` call at the same t object and an equal z.
     """
     return params._kernels.rhs_log(t, z)
 
@@ -143,9 +144,10 @@ _Kernels = namedtuple("_Kernels", "rhs_log jac_log rhs_original jac_original")
 # comparison per component rejects NaN, -inf and everything above the
 # overflow limit, +inf included.  The literal 1e309 is past the float
 # range, so it compiles to the constant inf.  The message converts each
-# component, since numpy 2 reprs its scalars as np.float64(...).
+# component, since numpy 2 reprs its scalars as np.float64(...).  One
+# tuple, ``stage``, is stored and read in one step (no two threads mix
+# stages); fear and uvw are rhs_log's own subexpressions, so reuse is exact.
 _LOG_STATE = f"""\
-    z1, z2 = z
     if not (-1e309 < z1 <= {_EXP_OVERFLOW!r}
             and -1e309 < z2 <= {_EXP_OVERFLOW!r}):
         raise DomainOverflowError(
@@ -154,19 +156,28 @@ _LOG_STATE = f"""\
 
 _FIELDS = """\
 def rhs_log(t, z):
+    z1, z2 = z
+    last = stage
+    if last[0] is t and last[1] == z1 and last[2] == z2:
+        _, _, _, u, v, r1, r2, b1, b2, fear, uvw = last
+        return (r1 * (1.0 - u / k1) - b1 * v,
+                r2 * (fear - v / k2) - b2 * u - uvw)
 {log_state}
 {rates}
     return (r1 * (1.0 - u / k1) - b1 * v,
             r2 * (1.0 / (1.0 + w1 * u) - v / k2) - b2 * u - w2 * u * v)
 
 def jac_log(t, z):
+    global stage
+    z1, z2 = z
 {log_state}
 {rates}
     fear = 1.0 / (1.0 + w1 * u)
+    uvw = w2 * u * v
+    stage = (t, z1, z2, u, v, r1, r2, b1, b2, fear, uvw)
     return (
         (-r1 * u / k1, -b1 * v),
-        (-r2 * w1 * u * fear * fear - b2 * u - w2 * u * v,
-         -r2 * v / k2 - w2 * u * v),
+        (-r2 * w1 * u * fear * fear - b2 * u - uvw, -r2 * v / k2 - uvw),
     )
 
 def rhs_original(t, x):
@@ -210,7 +221,7 @@ def _field_kernels(params: ModelParams) -> _Kernels:
     """
     namespace = {"sin": math.sin, "cos": math.cos, "exp": math.exp,
                  "DomainOverflowError": DomainOverflowError,
-                 "k1": params.k1, "k2": params.k2,
+                 "stage": (None,) * 11, "k1": params.k1, "k2": params.k2,
                  "w1": params.w1, "w2": params.w2}
     lines = []
     shared = {}     # (function, bit patterns of its argument) -> local name

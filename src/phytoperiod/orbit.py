@@ -27,7 +27,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import asdict, dataclass
-from functools import partial
+from types import MethodType
 
 import numpy as np
 
@@ -187,7 +187,7 @@ def seed_by_transient(params: ModelParams, z_start, n_periods: int,
     if n_periods < 1:
         raise ValueError("n_periods must be >= 1")
     prev = np.asarray(z_start, dtype=float)
-    field = partial(rhs_log, params)
+    field = MethodType(rhs_log, params)
     for done in range(0, n_periods - 1, _SEED_RUN_PERIODS):
         k = min(_SEED_RUN_PERIODS, n_periods - 1 - done)
         prev = integrate(field, 0.0, prev, k * params.period, cfg).final_state
@@ -200,7 +200,7 @@ def _sample_period(params: ModelParams, rhs, y0,
     """One period of y' = rhs(params, t, y) from y0, sampled at
     _ORBIT_SAMPLES equal intervals."""
     ts = np.linspace(0.0, params.period, _ORBIT_SAMPLES + 1)
-    return integrate(partial(rhs, params), 0.0, y0, params.period, cfg,
+    return integrate(MethodType(rhs, params), 0.0, y0, params.period, cfg,
                      t_eval=ts[1:-1])
 
 
@@ -353,8 +353,8 @@ def detect_steady_state(params: ModelParams, z,
     if (scale > 0.0 and np.max(np.var(traj.states / scale, axis=0))
             >= _STEADY_VARIANCE_TOL):
         return None
-    _, M = variational_flow(partial(rhs_original, params),
-                            partial(jac_original, params),
+    _, M = variational_flow(MethodType(rhs_original, params),
+                            MethodType(jac_original, params),
                             0.0, x0, params.period, cfg)
     residual = float(np.max(np.abs(traj.final_state - x0)))
     return PeriodicOrbit(z, residual, M, 0, traj, stop_rule="steady_state")

@@ -407,6 +407,32 @@ def test_a_coefficient_period_longer_than_the_common_one_is_a_usage_error(
     assert not (tmp_path / "check_report.json").exists()
 
 
+@pytest.mark.parametrize("command", ["check", "find-orbit"])
+@pytest.mark.parametrize("r1, message", [
+    ({"kind": "sinusoid", "mean": 1.0, "amplitude": 0.5, "omega": 1e-310,
+      "phase": math.pi / 2},
+     "omega 1e-310 makes the period 2 pi/omega overflow the float range"),
+    ({"kind": "fourier", "mean": 1.0, "harmonics": [[0.1, 0.0], [0.0, 0.1]],
+      "omega": 1e308},
+     "omega 1e+308 makes the frequency 2 omega of the highest harmonic "
+     "overflow the float range")], ids=["period", "harmonic"])
+def test_a_frequency_outside_the_float_range_is_a_usage_error(
+        tmp_path, capsys, command, r1, message):
+    """A period 2 pi/omega of inf (r1 = 1.5 over the whole model period,
+    which ``check`` averaged as 1.0) and a second harmonic at 2e308 (a
+    math domain error in the extrema) are config errors, exit 2, before
+    any report."""
+    data = minimal_config()
+    data["model"]["r1"] = r1
+    config = tmp_path / "cfg.json"
+    config.write_text(json.dumps(data))
+    code = main([command, "--config", str(config), "--out", str(tmp_path)])
+    assert code == EXIT_USAGE
+    assert capsys.readouterr().err == (
+        f"config error: config.model.r1: {message}\n")
+    assert not list(tmp_path.glob("*_report.json"))
+
+
 def test_check_over_a_very_long_interval_finishes(tmp_path):
     """Extrema over [0, 1e15] are taken over one period, so ``check``
     returns at once instead of visiting every critical point."""

@@ -78,6 +78,27 @@ def test_nonpositive_omega_rejected():
         PeriodicCoefficient.sinusoid(1.0, 0.1, omega=0.0)
 
 
+@pytest.mark.parametrize("make, message", [
+    (lambda: PeriodicCoefficient.sinusoid(1.0, 0.5, omega=1e-310,
+                                          phase=math.pi / 2),
+     "omega 1e-310 makes the period 2 pi/omega overflow the float range"),
+    (lambda: PeriodicCoefficient.fourier(1.0, [(0.1, 0.0), (0.0, 0.1)],
+                                         omega=1e308),
+     "omega 1e+308 makes the frequency 2 omega of the highest harmonic "
+     "overflow the float range")], ids=["period", "harmonic"])
+def test_a_frequency_outside_the_float_range_is_rejected(make, message):
+    """A period 2 pi/omega of inf would pass for a constant's, and a
+    harmonic frequency of inf makes sin and cos fail."""
+    with pytest.raises(ValueError) as raised:
+        make()
+    assert str(raised.value) == message
+
+
+def test_the_largest_representable_frequencies_are_accepted():
+    assert PeriodicCoefficient.fourier(1.0, [(0.1, 0.0)], omega=1e308).period > 0
+    assert math.isfinite(PeriodicCoefficient.sinusoid(1.0, 0.5, omega=4e-308).period)
+
+
 def test_unknown_kind_rejected():
     with pytest.raises(ValueError):
         PeriodicCoefficient(kind="spline")

@@ -840,27 +840,30 @@ def test_variational_flow_keeps_the_checks_of_integrate(t0, y0, t1, message):
 
 class _RecordedPair:
     """A planar field and its Jacobian, every call's arguments kept in
-    order; the field ends the run with ``_Enough`` after ``limit`` calls
-    and counts the DomainOverflowError it raises."""
+    order; the field ends the run with ``_Enough`` after ``limit`` calls,
+    and the DomainOverflowErrors that either one raises are counted."""
 
     def __init__(self, field, jac, limit=4000):
         self._field, self._jac, self.limit = field, jac, limit
         self.calls, self.fields, self.overflows = [], 0, 0
+
+    def _call(self, fn, t, y):
+        try:
+            return fn(t, y)
+        except DomainOverflowError:
+            self.overflows += 1
+            raise
 
     def field(self, t, y):
         if self.fields == self.limit:
             raise _Enough
         self.fields += 1
         self.calls.append(("field", t.hex(), _hex(y)))
-        try:
-            return self._field(t, y)
-        except DomainOverflowError:
-            self.overflows += 1
-            raise
+        return self._call(self._field, t, y)
 
     def jac(self, t, y):
         self.calls.append(("jac", t.hex(), _hex(y)))
-        return self._jac(t, y)
+        return self._call(self._jac, t, y)
 
 
 def _both_marches(make_pair, t0, w0, t1, cfg, t_eval=None):
@@ -914,10 +917,11 @@ def test_the_variational_march_is_the_augmented_call_to_the_last_bit(
     """Random planar fields with their Jacobians, and the model's fields
     in both frames (``rhs_log``/``jac_log`` and the original-frame pair
     that ``detect_steady_state`` runs) on ``forced_params`` and on the
-    random draws: the compiled variational march calls ``field`` and
-    ``jac`` with the arguments the augmented ``__call__`` gets from the
-    generic march, and returns its times, samples and rows hex for hex,
-    or fails as it does.  Runs are cut at the 4,000th field call."""
+    random draws: the compiled variational march calls ``jac``, then
+    ``field``, at each stage with the arguments the augmented
+    ``__call__`` gets from the generic march, and returns its times,
+    samples and rows hex for hex, or fails as it does.  Runs are cut at
+    the 4,000th field call."""
     if source == "random field":
         fields = _planar_pair(case)
     else:
@@ -943,8 +947,8 @@ def _blow_up(t, y):
 @pytest.mark.parametrize("case", ["domain", "underflow", "non-finite"])
 def test_the_variational_march_fails_as_the_augmented_call_does(forced_params,
                                                                 case):
-    """A trial stage outside the exp guard of ``rhs_log``, whose step
-    shrinks and the run goes on; a step underflow at a blow-up; and a
+    """A trial stage outside the exp guard of ``jac_log`` and ``rhs_log``,
+    whose step shrinks and the run goes on; a step underflow at a blow-up; and a
     state that overflows to inf: the compiled variational march and the
     generic march on the augmented ``__call__`` end the same way, with
     the same type, message and t, after the same calls."""

@@ -6,6 +6,7 @@ import dataclasses
 import math
 import pickle
 import sys
+import threading
 from pathlib import Path
 
 import numpy as np
@@ -13,11 +14,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from phytoperiod import (DomainOverflowError, ModelParams, PeriodicCoefficient,
-                         compute_bounds, jac_log, jac_original, rhs_log,
+from phytoperiod import (DomainOverflowError, IntegratorConfig, ModelParams,
+                         PeriodicCoefficient, compute_bounds,
+                         flow_and_monodromy, jac_log, jac_original, rhs_log,
                          rhs_original)
 from phytoperiod.cli import parse_config
 from phytoperiod.model import _field_code
+
+from conftest import count_public_calls
 
 ROOT = Path(__file__).resolve().parents[1]
 sys.path.insert(0, str(ROOT / "bench"))
@@ -263,3 +267,116 @@ def test_condition_checks_build_no_kernels(ex1_params):
     fresh = dataclasses.replace(ex1_params)
     compute_bounds(fresh)
     assert "_kernels" not in vars(fresh)
+
+
+# --- the stage hand-off -----------------------------------------------------------
+
+def _counting_exp(params):
+    """A fresh copy of ``params`` whose kernels count their ``exp`` calls
+    in the returned list."""
+    params = dataclasses.replace(params)
+    namespace = params._kernels.rhs_log.__globals__
+    calls, exp = [], namespace["exp"]
+
+    def counted(x):
+        calls.append(x)
+        return exp(x)
+    namespace["exp"] = counted
+    return params, calls
+
+
+@pytest.mark.parametrize("make", [list, np.array], ids=["list", "ndarray"])
+def test_a_state_changed_in_place_after_jac_log_is_read_afresh(ex1_params,
+                                                               make):
+    params, exps = _counting_exp(ex1_params)
+    t, z = 0.7, make([0.3, -0.2])
+    jac_log(params, t, z)
+    z[0] = 0.5
+    del exps[:]
+    assert bits(rhs_log(params, t, z)) == bits(
+        ref_rhs_log(params, 0.7, (0.5, -0.2)))
+    assert len(exps) == 2
+
+
+def test_an_equal_but_new_time_is_not_matched(ex1_params):
+    params, exps = _counting_exp(ex1_params)
+    t, z = 0.7, (0.3, -0.2)
+    fresh = float("0.7")
+    assert fresh == t and fresh is not t
+    jac_log(params, t, z)
+    del exps[:]
+    assert bits(rhs_log(params, fresh, z)) == bits(ref_rhs_log(params, t, z))
+    assert len(exps) == 2
+    # the same object with an equal state, in a list of its own, is matched
+    assert bits(rhs_log(params, t, [0.3, -0.2])) == bits(
+        ref_rhs_log(params, t, z))
+    assert len(exps) == 2
+
+
+def test_interleaved_params_each_read_their_own_stage(ex1_params):
+    (a, a_exps), (b, b_exps) = (_counting_exp(ex1_params), _counting_exp(
+        dataclasses.replace(ex1_params, k1=4.0, w2=0.5,
+                            r1=PeriodicCoefficient.sinusoid(0.2, 0.1))))
+    t, z = 0.7, (0.3, -0.2)
+    jac_log(a, t, z)
+    jac_log(b, t, z)
+    assert bits(rhs_log(a, t, z)) == bits(ref_rhs_log(a, t, z))
+    assert bits(rhs_log(b, t, z)) == bits(ref_rhs_log(b, t, z))
+    assert bits(rhs_log(a, t, z)) != bits(rhs_log(b, t, z))
+    assert len(a_exps) == len(b_exps) == 2     # both rhs_log calls matched
+
+
+def test_threads_sharing_one_params_reproduce_the_single_thread_bits(
+        ex1_params):
+    """Four threads in lockstep: each round, all four call jac_log, then
+    all four call rhs_log at their own stage.  Only the thread whose
+    stage was stored last is handed its values; the other three read
+    afresh, and every result has the single-thread bits."""
+    params, exps = _counting_exp(ex1_params)
+    rounds = 300
+    stages = [[(0.01 * (i + 97 * k), (0.002 * i - 0.5, 0.3 - 0.001 * k))
+               for i in range(rounds)] for k in range(4)]
+    expected = [[bits((ref_jac_log(params, t, z), ref_rhs_log(params, t, z)))
+                 for t, z in run] for run in stages]
+    got = [[] for _ in range(4)]
+    step = threading.Barrier(4)
+
+    def work(k):
+        for t, z in stages[k]:
+            jac = jac_log(params, t, z)
+            step.wait()
+            got[k].append(bits((jac, rhs_log(params, t, z))))
+            step.wait()
+
+    threads = [threading.Thread(target=work, args=(k,)) for k in range(4)]
+    for thread in threads:
+        thread.start()
+    for thread in threads:
+        thread.join()
+    assert got == expected
+    assert len(exps) == rounds * (4 * 2 + 3 * 2)
+
+
+def test_a_failed_jac_log_stores_no_stage(ex1_params):
+    params = dataclasses.replace(ex1_params)
+    namespace = params._kernels.jac_log.__globals__
+    t = 0.3
+    jac_log(params, t, (0.2, 0.1))
+    stored = namespace["stage"]
+    for bad in ((800.0, 0.1), (0.2, math.nan)):
+        with pytest.raises(DomainOverflowError):
+            jac_log(params, t, bad)
+        assert namespace["stage"] is stored
+        with pytest.raises(DomainOverflowError):
+            rhs_log(params, t, bad)
+
+
+def test_a_monodromy_run_evaluates_each_stage_once(forced_params, monkeypatch):
+    """jac_log hands its rates and densities to the rhs_log call of the
+    same stage: two exp calls per stage, where two full evaluations
+    would make four."""
+    params, exps = _counting_exp(forced_params)
+    counts, _ = count_public_calls(monkeypatch, ["rhs_log", "jac_log"])
+    flow_and_monodromy(params, (0.5, -0.2), IntegratorConfig())
+    assert counts["rhs_log"] == counts["jac_log"] > 100
+    assert len(exps) == 2 * counts["jac_log"]
