@@ -114,7 +114,7 @@ def rhs_log(params: ModelParams, t: float, z) -> tuple[float, float]:
 
     Equals rhs_original(t, x)/x componentwise at x = exp(z).  Raises
     :class:`DomainOverflowError` when exp(z) is not representable.  Reuses
-    the stage of a ``jac_log`` call at the same t object and an equal z.
+    the stage of a ``jac_log`` call at the same float t and an equal z.
     """
     return params._kernels.rhs_log(t, z)
 
@@ -147,6 +147,8 @@ _Kernels = namedtuple("_Kernels", "rhs_log jac_log rhs_original jac_original")
 # component, since numpy 2 reprs its scalars as np.float64(...).  One
 # tuple, ``stage``, is stored and read in one step (no two threads mix
 # stages); fear and uvw are rhs_log's own subexpressions, so reuse is exact.
+# Only a float t is stored: rhs_log matches t by identity, and a float,
+# unlike a 0-d array, cannot change between the two calls.
 _LOG_STATE = f"""\
     if not (-1e309 < z1 <= {_EXP_OVERFLOW!r}
             and -1e309 < z2 <= {_EXP_OVERFLOW!r}):
@@ -174,7 +176,8 @@ def jac_log(t, z):
 {rates}
     fear = 1.0 / (1.0 + w1 * u)
     uvw = w2 * u * v
-    stage = (t, z1, z2, u, v, r1, r2, b1, b2, fear, uvw)
+    if type(t) is float:
+        stage = (t, z1, z2, u, v, r1, r2, b1, b2, fear, uvw)
     return (
         (-r1 * u / k1, -b1 * v),
         (-r2 * w1 * u * fear * fear - b2 * u - uvw, -r2 * v / k2 - uvw),

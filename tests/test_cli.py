@@ -543,7 +543,7 @@ def test_reproduce_integrates_the_horizon_once(tmp_path, monkeypatch, which):
 
 # calls per ``reproduce``; a fused or bypassed field changes them
 BUNDLE_CALLS = {
-    "example1": {"rhs_log": 14_951, "jac_log": 1_829, "rhs_original": 415,
+    "example1": {"rhs_log": 11_855, "jac_log": 1_829, "rhs_original": 415,
                  "jac_original": 0, "integrate": 23},
     "remark-constant": {"rhs_log": 4_551, "jac_log": 0, "rhs_original": 104,
                         "jac_original": 61, "integrate": 4}}
@@ -564,6 +564,26 @@ def test_reproduce_calls_the_public_fields_by_name(tmp_path, monkeypatch,
     assert cmd_reproduce(which, tmp_path) == EXIT_OK
     assert counts == expected
     assert outside == ["_simulate_with_tail"]
+
+
+def test_example1_decides_every_plain_probe_loose(tmp_path, monkeypatch):
+    """``reproduce example1``'s search makes 14 plain line-search probes.
+    Each runs at loosened tolerances and decides there, so none is
+    settled by a run at the configured ones; the one plain run at those
+    is the seed's last period, which comes first."""
+    from phytoperiod import orbit
+
+    cfgs, plain = [], orbit.flow_map
+
+    def recording(params, z, cfg):
+        cfgs.append(cfg)
+        return plain(params, z, cfg)
+    monkeypatch.setattr(orbit, "flow_map", recording)
+    assert cmd_reproduce("example1", tmp_path) == EXIT_OK
+    configured = IntegratorConfig()
+    assert cfgs[0] == configured and len(cfgs) == 15
+    assert all(c.abs_tol > configured.abs_tol and c.rel_tol > configured.rel_tol
+               for c in cfgs[1:])
 
 
 def test_find_orbit_calls_per_period_run(tmp_path, monkeypatch):

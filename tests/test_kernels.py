@@ -298,6 +298,19 @@ def test_a_state_changed_in_place_after_jac_log_is_read_afresh(ex1_params,
     assert len(exps) == 2
 
 
+def test_a_time_changed_in_place_after_jac_log_is_read_afresh(ex1_params):
+    """jac_log stores no stage for a t that is not a float, so a 0-d array
+    t set to 2.0 between the calls gives the values at t = 2.0, as a
+    fresh ``ModelParams`` does, not those stored at 0.3."""
+    params = dataclasses.replace(ex1_params)
+    t, z = np.array(0.3), (0.3, -0.2)
+    jac_log(params, t, z)
+    t[()] = 2.0
+    fresh = rhs_log(dataclasses.replace(ex1_params), 2.0, z)
+    assert bits(rhs_log(params, t, z)) == bits(fresh)
+    assert bits(fresh) != bits(rhs_log(params, 0.3, z))
+
+
 def test_an_equal_but_new_time_is_not_matched(ex1_params):
     params, exps = _counting_exp(ex1_params)
     t, z = 0.7, (0.3, -0.2)

@@ -1,5 +1,6 @@
 """Shooting solver, degenerate-case handling and bound verification."""
 
+import hashlib
 import math
 import sys
 from pathlib import Path
@@ -8,12 +9,13 @@ import numpy as np
 import pytest
 from conftest import (fourier_collocation, newton_equilibrium, random_draw,
                       seed_period_by_period)
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from phytoperiod import orbit as orbit_mod
-from phytoperiod import (IntegratorConfig, ModelParams, NonConvergenceError,
-                         PeriodicCoefficient, PeriodicOrbit,
+from phytoperiod import (DomainOverflowError, IntegrationError,
+                         IntegratorConfig, ModelParams, NonConvergenceError,
+                         OrbitSearchError, PeriodicCoefficient, PeriodicOrbit,
                          StepUnderflowError, Trajectory, averaged_equilibria,
                          compute_bounds, detect_steady_state,
                          diagnose_extinction, find_periodic_orbit,
@@ -191,9 +193,14 @@ def test_a_seed_some_ulps_off_converges(forced_params):
 
 # --- the accepted full-step probe is the next iteration's monodromy run -----
 
+_LOOSE = object()   # marks a recorded plain run at loosened tolerances
+
+
 def _recorded_search(params, guess):
     """A search at the default tolerances with its period runs recorded in
-    order: (z, z(T), M) of each, M None for a plain ``flow_map`` run."""
+    order: (z, z(T), M) of each, M None for a plain ``flow_map`` run.  A
+    loose probe run that a run at the default tolerances settles is left
+    out, so each probe is recorded by the run that decided it."""
     runs = []
     monodromy, plain = orbit_mod.flow_and_monodromy, orbit_mod.flow_map
 
@@ -204,14 +211,16 @@ def _recorded_search(params, guess):
 
     def plain_run(params, z, cfg):
         zT = plain(params, z, cfg)
-        runs.append((z, zT, None))
+        if runs and runs[-1][2] is _LOOSE and runs[-1][0].tobytes() == z.tobytes():
+            runs.pop()      # the loose run that this one settles
+        runs.append((z, zT, None if cfg == IntegratorConfig() else _LOOSE))
         return zT
 
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(orbit_mod, "flow_and_monodromy", monodromy_run)
         mp.setattr(orbit_mod, "flow_map", plain_run)
         orbit = find_periodic_orbit(params, guess)
-    return orbit, runs
+    return orbit, [(z, zT, None if M is _LOOSE else M) for z, zT, M in runs]
 
 
 def _assert_exact_hand_over(params, guess):
@@ -263,6 +272,15 @@ def test_a_halved_step_hands_nothing_over():
     monodromy and probes its full step with the plain flow; the 2 full
     steps after that hand their probes over."""
     assert _assert_exact_hand_over(random_draw(20), np.log([3.0, 0.1])) == 2
+
+
+def test_a_settled_probe_hands_over_exactly():
+    """Draw 333's search from its 30-period seed at (3, 0.1) runs 19
+    plain probes loose and settles one of them at ``cfg``; the replay
+    takes that probe's decision from its ``cfg`` run."""
+    seed = seed_by_transient(DRAW_333, np.log([3.0, 0.1]), 30,
+                             IntegratorConfig())
+    assert _assert_exact_hand_over(DRAW_333, seed.z) == 5
 
 
 @settings(max_examples=12, deadline=None, derandomize=True, database=None)
@@ -696,6 +714,168 @@ def test_line_search_lets_programming_errors_through(forced_params, cfg,
     _probes_raise(monkeypatch, TypeError("bug"))
     with pytest.raises(TypeError):
         find_periodic_orbit(forced_params, np.array([0.0, -0.5]), cfg=cfg)
+
+
+# --- plain probes decide at loose tolerances when that suffices ---------------
+
+def _record_plain_runs(mp, run):
+    """Route ``orbit``'s plain period runs through ``run`` and record each
+    as (kind, z): kind "cfg" at the default tolerances, "loose" at any
+    other."""
+    runs = []
+
+    def plain(params, z, cfg):
+        runs.append(("cfg" if cfg == IntegratorConfig() else "loose",
+                     tuple(z.tolist())))
+        return run(params, z, cfg)
+    mp.setattr(orbit_mod, "flow_map", plain)
+    return runs
+
+
+def _plain_probes(params, script, G=(1.0, 0.5), raises=_Probed):
+    """A search from z = 0 on a period map whose monodromy runs all return
+    (z + G, I/2): its Newton step is dz = 2 G, every full-step monodromy
+    probe ties with the defect max |G| and is rejected, and every other
+    probe is a plain run.  The plain runs answer from ``script`` in turn,
+    with the defect d of zT = z + (d, 0) or by raising the exception
+    given, and end the search once it is spent.  Returns the (kind, z)
+    of every plain run, as ``_record_plain_runs`` records them."""
+    answers = iter(script)
+
+    def run(params, z, cfg):
+        answer = next(answers, _Probed())
+        if isinstance(answer, Exception):
+            raise answer
+        return z + np.array([answer, 0.0])
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(orbit_mod, "flow_and_monodromy",
+                   lambda params, z, cfg: (z + np.asarray(G), 0.5 * np.eye(2)))
+        runs = _record_plain_runs(mp, run)
+        with pytest.raises(raises):
+            find_periodic_orbit(params, np.zeros(2))
+    return runs
+
+
+# From z = 0 with defect 1 the first plain probe is at 0.5 dz = (1, 0.5),
+# so tau = 1e-6 and the margin is 10 tau (1 + 1) = 2e-5.  An accepted probe
+# is followed by the next iteration's full-step plain probe at (3, 1.5), a
+# rejected one by the probe at 0.25 dz = (0.5, 0.25).
+_ACCEPTED, _REJECTED = (3.0, 1.5), (0.5, 0.25)
+_UNDERFLOW = StepUnderflowError("underflow", t=1.0)
+
+
+@pytest.mark.parametrize("script, kinds, then", [
+    ((1.0 - 3e-5,), ["loose"], _ACCEPTED),
+    ((1.0 + 3e-5,), ["loose"], _REJECTED),
+    ((1.0 - 1e-5, 1.0), ["loose", "cfg"], _REJECTED),
+    ((1.0 + 1e-5, 0.5), ["loose", "cfg"], _ACCEPTED),
+    ((math.nan, 0.5), ["loose", "cfg"], _ACCEPTED),
+    ((math.inf, 0.5), ["loose", "cfg"], _ACCEPTED),
+    ((_UNDERFLOW, 0.5), ["loose", "cfg"], _ACCEPTED),
+    ((DomainOverflowError("overflow"), 0.5), ["loose", "cfg"], _ACCEPTED),
+    ((_UNDERFLOW, _UNDERFLOW), ["loose", "cfg"], _REJECTED),
+], ids=["decides-accept", "decides-reject", "tie-settled-reject",
+        "tie-settled-accept", "nan", "inf", "loose-fails", "loose-overflows",
+        "both-fail-halve"])
+def test_a_plain_probe_runs_loose_and_settles_only_when_undecided(
+        forced_params, script, kinds, then):
+    """A loose defect beyond the margin decides the probe alone.  One
+    inside it, a NaN or infinite one, or a loose run that fails is
+    settled by exactly one run at ``cfg``, which decides as a probe
+    always did: a failure there halves the step."""
+    runs = _plain_probes(forced_params, script)
+    assert runs == [(kind, (1.0, 0.5)) for kind in kinds] + [("loose", then)]
+
+
+def test_a_loose_probe_lets_programming_errors_through(forced_params):
+    runs = _plain_probes(forced_params, (TypeError("bug"),), raises=TypeError)
+    assert runs == [("loose", (1.0, 0.5))]
+
+
+def test_a_probe_near_the_noise_floor_runs_once_at_cfg(forced_params):
+    """At defect 1e-5, tau = 1e-11 is tighter than the default 1e-10, so
+    each plain probe is one run at ``cfg``."""
+    runs = _plain_probes(forced_params, (0.5e-5,), G=(1e-5, 0.0))
+    assert runs == [("cfg", (1e-5, 0.0)), ("cfg", (1e-5 + 2e-5, 0.0))]
+
+
+def _outcome(params, guess):
+    """What a search from ``guess`` reports, bit for bit: the orbit's z0,
+    monodromy, defects and stop rule, or the failure's class, message
+    and defects."""
+    try:
+        orbit = find_periodic_orbit(params, guess)
+    except OrbitSearchError as err:
+        return (type(err).__name__, str(err),
+                tuple(map(float.hex, err.residual_history)))
+    except (IntegrationError, DomainOverflowError) as err:
+        return type(err).__name__, str(err)
+    return (orbit.z0.tobytes(), orbit.monodromy.tobytes(),
+            tuple(map(float.hex, orbit.residual_history)), orbit.stop_rule)
+
+
+_STARTS = ((1.0, 1.0), (3.0, 0.1), (0.5, 2.0))
+
+
+def _traffic_guesses(params):
+    """The guesses of a draw's searches: the end of a 30-period seed from
+    each of _STARTS, then each averaged root."""
+    cfg = IntegratorConfig()
+    return ([seed_by_transient(params, np.log(x), 30, cfg).z for x in _STARTS]
+            + [root.z for root in averaged_equilibria(params)])
+
+
+def _outcomes(params, guesses, loose=True):
+    """The outcomes of the searches from ``guesses``, with every probe at
+    ``cfg`` (loose factor 0) unless ``loose``."""
+    with pytest.MonkeyPatch.context() as mp:
+        if not loose:
+            mp.setattr(orbit_mod, "_LOOSE_TOL_FACTOR", 0.0)
+        return [_outcome(params, g) for g in guesses]
+
+
+@settings(max_examples=12, deadline=None, derandomize=True, database=None)
+@given(i=st.integers(0, 399))
+@example(i=48)
+def test_loose_probes_leave_every_search_bit_for_bit(i):
+    """A search with loose probes reports what it reports with every probe
+    at ``cfg``, from 30-period seeds and from each averaged root of a
+    random draw: the loose runs only make decisions that the runs at
+    ``cfg`` make too.  Draw 48's searches run 305 probes loose and settle
+    53 of them at ``cfg``."""
+    params = random_draw(i)
+    guesses = _traffic_guesses(params)
+    assert _outcomes(params, guesses) == _outcomes(params, guesses,
+                                                   loose=False)
+
+
+@pytest.mark.slow
+def test_random_draw_traffic_is_unchanged_by_loose_probes(capsys):
+    """The traffic check: the searches from ``_traffic_guesses`` of all
+    400 random draws (1,461 in all) report the same, bit for bit, with loose probes as
+    with every probe at ``cfg``.  Prints how many probes ran loose and
+    how many of those a run at ``cfg`` settled."""
+    digests = [hashlib.sha256(), hashlib.sha256()]
+    searches = loose = settled = 0
+    for i in range(400):
+        params = random_draw(i)
+        guesses = _traffic_guesses(params)
+        with pytest.MonkeyPatch.context() as mp:
+            runs = _record_plain_runs(mp, orbit_mod.flow_map)
+            with_loose = _outcomes(params, guesses)
+        at_cfg = _outcomes(params, guesses, loose=False)
+        searches += len(guesses)
+        digests[0].update(repr(with_loose).encode())
+        digests[1].update(repr(at_cfg).encode())
+        loose += sum(kind == "loose" for kind, _ in runs)
+        settled += sum(b == ("cfg", z) for (kind, z), b in zip(runs, runs[1:])
+                       if kind == "loose")
+    with capsys.disabled():
+        print(f"\n{searches} searches: {loose} probes ran loose, "
+              f"{settled} settled at cfg")
+    assert searches == 1_461
+    assert digests[0].hexdigest() == digests[1].hexdigest()
 
 
 # --- steady-state detection ----------------------------------------------
