@@ -8,9 +8,15 @@ Subcommands:
   state and write the trajectory as CSV (t,x1,x2).
 * ``find-orbit`` -- transient seeding, periodic-orbit shooting, bound
   verification; JSON report plus orbit CSV.
-* ``reproduce``  -- run the bundled demo configs ("example1" with
+* ``reproduce``  -- run a bundled demo config ("example1" with
   oscillating rates, "remark-constant" with constant rates) end to end
-  and regression-check the results against stored golden values.
+  and regression-check the results against the rows of its golden file
+  (``configs/<config stem>_golden.json``).  A row names a value by a
+  dotted path into the bound report of the config's m0 denominator
+  ("config") or of the canonical one ("canonical"), the orbit report
+  ("orbit") or the tail metrics ("tail"); one evaluator serves every
+  bundle, so a bundle is a config, a golden file and a ``_BUNDLED``
+  entry.
 
 Exit statuses: 0 success, 1 a requested check failed, 2 usage error.
 All outputs are deterministic: identical configs produce bit-identical
@@ -25,6 +31,7 @@ import dataclasses
 import functools
 import json
 import math
+import operator
 import sys
 from importlib import resources
 from pathlib import Path
@@ -418,7 +425,10 @@ def load_bundled_config(name: str) -> ExperimentConfig:
     return parse_config(_bundled_json(_BUNDLED[name]))
 
 
+@functools.cache
 def _bundled_json(filename: str):
+    """A file of the package's configs, parsed; it cannot change within a
+    process, so each is read once.  Callers must not mutate the result."""
     return json.loads(resources.files("phytoperiod.configs")
                       .joinpath(filename).read_text())
 
@@ -468,15 +478,38 @@ def _simulate_with_tail(cfg: ExperimentConfig, out_dir: Path
     return metrics, (traj.states[np.searchsorted(traj.times, t_seed)], m)
 
 
-def _regress(name, actual, expected, tol) -> dict:
-    if isinstance(expected, bool):
-        ok = actual == expected
-        delta = None
-    else:
-        delta = abs(actual - expected)
-        ok = delta <= tol
-    return {"name": name, "actual": actual, "expected": expected,
+# a golden row with one of these keys checks ``value <op> row[key]``
+_COMPARATORS = {"below": operator.lt, "above": operator.gt, "equals": operator.eq}
+
+
+def _regression(row: dict, documents: dict) -> dict:
+    """One manifest row from a golden row: the value at its dotted path
+    into the documents (None when absent), through its comparator if it
+    has one, against ``expected``: by equality for a boolean, within
+    ``tol`` for a number.  An absent value fails."""
+    actual = documents
+    for key in row["value"].split("."):
+        actual = actual.get(key) if isinstance(actual, dict) else None
+    for key, compare in _COMPARATORS.items():
+        if key in row and actual is not None:
+            actual = compare(actual, row[key])
+    expected, tol = row["expected"], row.get("tol")
+    delta = (None if isinstance(expected, bool) or actual is None
+             else abs(actual - expected))
+    ok = actual == expected if delta is None else delta <= tol
+    return {"name": row["name"], "actual": actual, "expected": expected,
             "tol": tol, "delta": delta, "pass": bool(ok)}
+
+
+def _evaluate(golden: dict, documents: dict) -> tuple[list[dict], list[str]]:
+    """The regression rows and notes of a bundle's golden file.  A note
+    is a ``str.format_map`` template over the documents, left out when it
+    names an absent key."""
+    notes = []
+    for template in golden["notes"]:
+        with contextlib.suppress(KeyError):
+            notes.append(template.format_map(documents))
+    return [_regression(row, documents) for row in golden["regressions"]], notes
 
 
 def cmd_reproduce(which: str, out_dir: Path) -> int:
@@ -494,55 +527,14 @@ def cmd_reproduce(which: str, out_dir: Path) -> int:
     if orbit is not None:
         files.append("orbit.csv")
 
-    regressions = []
-    notes = []
-    if which == "example1":
-        canonical = _bounds(cfg, M0_CANONICAL)
-        # each golden bound value is read off the bounds of the config's
-        # m0 denominator ("config") or of the canonical one
-        reports = {"config": bounds, "canonical": canonical}
-        regressions += [
-            _regress(row["name"], getattr(reports[row["bounds"]], row["attr"]),
-                     row["expected"], row["tol"])
-            for row in _bundled_json("example1_golden.json")]
-        regressions += [
-            _regress("conditions_all_true", bounds.all_conditions_hold(),
-                     True, None),
-            _regress("conditions_all_true_canonical",
-                     canonical.all_conditions_hold(), True, None),
-            # Honest long-run outcome: the oscillation seen at short
-            # horizons is a transient; the non-toxic species decays
-            # geometrically and the period map has no interior fixed
-            # point, so the orbit search must report non-convergence.
-            _regress("orbit_converged", orbit is not None, False, None),
-        ]
-        if "extinction" in orbit_doc:
-            regressions.append(_regress(
-                "species2_decay_per_period",
-                orbit_doc["extinction"]["rate_per_period"], -0.30159, 5e-3))
-            notes.append(orbit_doc["extinction"]["description"])
-        else:
-            regressions.append(_regress("extinction_diagnosed", False, True, None))
-        regressions.append(_regress(
-            "tail_oscillation_visible", tail["tail_oscillation_amplitude"] > 0.1,
-            True, None))
-        notes.append(
-            "tail period defect %.3e: the trajectory is still drifting at "
-            "this horizon, sustained oscillation comes from the forcing"
-            % tail["tail_period_defect"])
-    else:
-        regressions += [
-            _regress("steady_state", tail["derivative_norm_at_end"] < 1e-7,
-                     True, None),
-            _regress("no_tail_oscillation",
-                     tail["tail_oscillation_amplitude"] < 1e-7, True, None),
-            _regress("orbit_found", orbit is not None, True, None),
-            _regress("orbit_is_steady_state",
-                     orbit is not None and orbit.stop_rule == "steady_state",
-                     True, None),
-            _regress("conditions_all_true", bounds.all_conditions_hold(),
-                     True, None),
-        ]
+    canonical = (bounds if cfg.m0_denominator == M0_CANONICAL
+                 else _bounds(cfg, M0_CANONICAL))
+    documents = {name: {**report.to_dict(),
+                        "all_conditions_hold": report.all_conditions_hold()}
+                 for name, report in (("config", bounds), ("canonical", canonical))}
+    documents.update(orbit=orbit_doc, tail=tail)
+    golden = _bundled_json(_BUNDLED[which].removesuffix(".json") + "_golden.json")
+    regressions, notes = _evaluate(golden, documents)
 
     ok = all(r["pass"] for r in regressions)
     manifest = {

@@ -168,8 +168,10 @@ def integrate(field, t0: float, y0, t1: float, cfg: IntegratorConfig,
     ends in the same state, with or without ``t_eval``.  The run's own
     rows are t0, every accepted step that moves t, and t1; they are the
     result without ``t_eval`` and the result's ``steps`` with it.  The
-    span t1 - t0 must be positive and finite.
+    span t1 - t0 must be positive and finite.  The times are taken as
+    floats, so a run from numpy-scalar times is the run from their values.
     """
+    t0, t1 = float(t0), float(t1)
     if not t1 > t0:
         raise ValueError(f"need t1 > t0, got [{t0}, {t1}]")
     if not math.isfinite(t1 - t0):

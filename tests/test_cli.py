@@ -808,6 +808,112 @@ def test_reproduce_remark_constant_steady(tmp_path):
     assert "degenerate_steady_state" not in orbit_doc["orbit"]
 
 
+
+# --- golden rows ----------------------------------------------------------
+
+def golden(which):
+    return cli._bundled_json(
+        cli._BUNDLED[which].removesuffix(".json") + "_golden.json")
+
+
+DOCUMENTS = {"config": {"m0": 0.0446, "all_conditions_hold": True},
+             "orbit": {"converged": False, "orbit": {"stop_rule": "steady_state"}},
+             "tail": {"amplitude": 0.2}}
+
+
+@pytest.mark.parametrize("row, actual, ok", [
+    ({"value": "tail.amplitude", "below": 0.1, "expected": True}, False, False),
+    ({"value": "tail.amplitude", "below": 0.3, "expected": True}, True, True),
+    ({"value": "tail.amplitude", "above": 0.1, "expected": True}, True, True),
+    ({"value": "tail.amplitude", "above": 0.3, "expected": True}, False, False),
+    ({"value": "orbit.orbit.stop_rule", "equals": "steady_state",
+      "expected": True}, True, True),
+    ({"value": "orbit.orbit.stop_rule", "equals": "max_iter",
+      "expected": True}, False, False),
+    ({"value": "orbit.converged", "expected": False}, False, True),
+    ({"value": "config.all_conditions_hold", "expected": False}, True, False),
+    ({"value": "tail.missing", "below": 0.1, "expected": True}, None, False),
+    ({"value": "orbit.orbit.stop_rule.deeper", "expected": True}, None, False),
+    ({"value": "canonical.m0", "expected": 0.0446, "tol": 1e-4}, None, False),
+], ids=["below-false", "below-true", "above-true", "above-false",
+        "equals-true", "equals-false", "bool-equal", "bool-unequal",
+        "absent-compared", "path-through-a-leaf", "absent-number"])
+def test_golden_row_comparators(row, actual, ok):
+    result = cli._regression({"name": "r", **row}, DOCUMENTS)
+    assert result == {"name": "r", "actual": actual, "expected": row["expected"],
+                      "tol": row.get("tol"), "delta": None, "pass": ok}
+
+
+@pytest.mark.parametrize("expected, ok", [(0.0447, True), (0.0448, False)])
+def test_golden_row_numbers_compare_within_tol(expected, ok):
+    result = cli._regression({"name": "m0", "value": "config.m0",
+                              "expected": expected, "tol": 1.5e-4}, DOCUMENTS)
+    assert result["actual"] == 0.0446
+    assert result["delta"] == pytest.approx(abs(expected - 0.0446))
+    assert result["tol"] == 1.5e-4
+    assert result["pass"] is ok
+
+
+def test_golden_notes_leave_out_templates_with_absent_keys():
+    rows, notes = cli._evaluate(
+        {"regressions": [], "notes": ["amplitude {tail[amplitude]:.1e}",
+                                      "{orbit[extinction][description]}",
+                                      "{nothing}"]}, DOCUMENTS)
+    assert rows == []
+    assert notes == ["amplitude 2.0e-01"]
+
+
+_ROW_KEYS = {"name", "value", "expected", "tol", *cli._COMPARATORS}
+
+
+@pytest.mark.parametrize("which", sorted(cli._BUNDLED))
+def test_golden_files_follow_the_row_schema(which):
+    doc = golden(which)
+    assert set(doc) == {"regressions", "notes"}
+    rows = doc["regressions"]
+    assert len({row["name"] for row in rows}) == len(rows)
+    for row in rows:
+        assert set(row) <= _ROW_KEYS, row
+        assert {"name", "value", "expected"} <= set(row), row
+        assert len(set(row) & set(cli._COMPARATORS)) <= 1, row
+        assert row["value"].split(".")[0] in {"config", "canonical", "orbit",
+                                              "tail"}, row
+        numeric = not isinstance(row["expected"], bool)
+        assert ("tol" in row) == numeric, row
+        if numeric:
+            assert isinstance(row["expected"], (int, float)), row
+    assert all(isinstance(note, str) for note in doc["notes"])
+
+
+@pytest.mark.parametrize("which", sorted(cli._BUNDLED))
+def test_golden_files_hold_the_rows_the_benchmark_requires(which):
+    names = {row["name"] for row in golden(which)["regressions"]}
+    assert workloads._REQUIRED_ROWS[which] <= names
+
+
+def test_reproduce_keeps_its_rows_when_the_search_fails_undiagnosed(
+        tmp_path, monkeypatch):
+    """A search that fails with no extinction diagnosis fails the decay
+    row at ``actual`` None and leaves its note out; the manifest keeps
+    every row of the golden file, in order."""
+    def fail(*args, **kwargs):
+        raise cli.OrbitSearchError("no diagnosis", residual=1.0, iterations=2)
+    monkeypatch.setattr(cli, "find_periodic_orbit", fail)
+    assert cmd_reproduce("example1", tmp_path) == EXIT_CHECK_FAILED
+    manifest = json.loads((tmp_path / "example1" / "manifest.json").read_text())
+    assert manifest["pass"] is False
+    rows = manifest["regressions"]
+    assert [r["name"] for r in rows] == [
+        r["name"] for r in golden("example1")["regressions"]]
+    by_name = {r["name"]: r for r in rows}
+    assert by_name["species2_decay_per_period"] == {
+        "name": "species2_decay_per_period", "actual": None,
+        "expected": -0.30159, "tol": 5e-3, "delta": None, "pass": False}
+    assert [r["name"] for r in rows if not r["pass"]] == [
+        "species2_decay_per_period"]
+    assert len(manifest["notes"]) == 1
+    assert manifest["notes"][0].startswith("tail period defect ")
+
 def horizon_log_state(cfg, m):
     """z(mT) of the configured run: the log-frame flow from
     ln(initial_state) over [0, horizon], sampled at mT (its final state

@@ -1,7 +1,8 @@
 """Every import in the package modules, the tests and the benchmark is
 used, every module-level private name of the package is read somewhere
-in it, and no package module names ``linalg``: its 2x2 algebra is
-written in closed form.
+in it, no package module names ``linalg``: its 2x2 algebra is written in
+closed form, and no package module compares a value with the name of a
+reproduction bundle: a bundle's checks are its golden file's rows.
 
 No linter is configured for the project, so this scans the source with
 the standard-library ``ast`` module.  ``__init__.py`` is skipped by the
@@ -78,6 +79,48 @@ def test_linalg_scanner_flags_every_spelling():
 @pytest.mark.parametrize("path", PACKAGE, ids=lambda p: p.name)
 def test_no_package_module_names_linalg(path):
     assert linalg_names(path.read_text()) == []
+
+
+def bundle_name_comparisons(source: str, bundles) -> list[str]:
+    """The lines where the source compares a value with a bundle name:
+    in a comparison, alone or in a literal tuple, list or set, or as a
+    ``case`` pattern."""
+    def names(node):
+        if isinstance(node, (ast.Tuple, ast.List, ast.Set)):
+            return [n for elt in node.elts for n in names(elt)]
+        return [node.value] if isinstance(node, ast.Constant) else []
+
+    lines = set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Compare):
+            operands = [node.left, *node.comparators]
+        elif isinstance(node, ast.MatchValue):
+            operands = [node.value]
+        else:
+            continue
+        if any(n in bundles for op in operands for n in names(op)):
+            lines.add(node.lineno)
+    return [f"line {n}" for n in sorted(lines)]
+
+
+def test_bundle_name_scanner_flags_every_comparison():
+    source = ("BUNDLES = {'a': 1, 'b': 2}\n"
+              "if which == 'a':\n    pass\n"
+              "x = 'b' != which\n"
+              "y = which in ('c', 'b')\n"
+              "match which:\n    case 'a':\n        pass\n"
+              "z = which == 'c' or BUNDLES['a']\n")
+    assert bundle_name_comparisons(source, {"a", "b"}) == [
+        "line 2", "line 4", "line 5", "line 7"]
+
+
+@pytest.mark.parametrize("path", PACKAGE, ids=lambda p: p.name)
+def test_no_package_module_branches_on_a_bundle_name(path):
+    """Each bundle's checks are the rows of its golden file, so no
+    package module tells the bundles apart by name."""
+    from phytoperiod import cli
+
+    assert bundle_name_comparisons(path.read_text(), set(cli._BUNDLED)) == []
 
 
 def private_names(source: str) -> list[str]:

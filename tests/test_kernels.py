@@ -8,6 +8,7 @@ import pickle
 import sys
 import threading
 from pathlib import Path
+from types import MethodType
 
 import numpy as np
 import pytest
@@ -17,7 +18,7 @@ from hypothesis import strategies as st
 from phytoperiod import (DomainOverflowError, IntegratorConfig, ModelParams,
                          PeriodicCoefficient, compute_bounds,
                          flow_and_monodromy, jac_log, jac_original, rhs_log,
-                         rhs_original)
+                         rhs_original, variational_flow)
 from phytoperiod.cli import parse_config
 from phytoperiod.model import _field_code
 
@@ -393,3 +394,26 @@ def test_a_monodromy_run_evaluates_each_stage_once(forced_params, monkeypatch):
     flow_and_monodromy(params, (0.5, -0.2), IntegratorConfig())
     assert counts["rhs_log"] == counts["jac_log"] > 100
     assert len(exps) == 2 * counts["jac_log"]
+
+
+def test_a_run_from_numpy_times_shares_its_stages(forced_params):
+    """``integrate`` takes numpy-scalar t0 and t1 as floats, so the
+    variational run from them shares every stage, two exp calls per
+    stage, and is bit for bit the run from float times."""
+    params, exps = _counting_exp(forced_params)
+    field = MethodType(rhs_log, params)
+    runs = []
+    for t0, t1 in ((0.0, params.period),
+                   (np.float64(0.0), np.float64(params.period))):
+        stages = []
+
+        def jac(t, z):
+            stages.append(t)
+            return jac_log(params, t, z)
+        del exps[:]
+        z, m = variational_flow(field, jac, t0, (0.5, -0.2), t1,
+                                IntegratorConfig())
+        assert len(stages) > 100
+        assert len(exps) == 2 * len(stages)
+        runs.append((bits([*z, *m.ravel()]), len(stages)))
+    assert runs[0] == runs[1]
