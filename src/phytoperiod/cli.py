@@ -66,7 +66,8 @@ EXIT_CHECK_FAILED = 1
 EXIT_USAGE = 2
 
 _BUNDLED = {"example1": "example1.json", "remark-constant": "remark_constant.json"}
-# the one integration method, which a config may still name
+# the one value of a config's integrator method: Dormand-Prince 5(4)
+# for plain runs and DOP853 for variational ones, as `integrator` picks
 _METHOD = "rk45-adaptive"
 _INTEGRATOR_FIELDS = {"method",
                       *(f.name for f in dataclasses.fields(IntegratorConfig))}

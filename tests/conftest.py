@@ -220,35 +220,41 @@ def grid_scan(params):
 
 
 def march(field, t, y, t1, h, abs_tol=1e-10, rel_tol=1e-10):
-    """Run the compiled Dormand-Prince march for len(y) components from
-    (t, y) to t1 with first step h, no step cap and no sample points, as
-    ``integrate`` does.  Returns (row times, row states as tuples)."""
-    from phytoperiod.integrator import _MIN_STEP_FACTOR, _dp_march
+    """Run the compiled march for len(y) components from (t, y) to t1 with
+    first step h, no step cap and no sample points, as ``integrate`` does:
+    the variational one for an augmented (field, jac) pair, else the plain
+    one.  Returns (row times, row states as tuples)."""
+    from phytoperiod.integrator import _MIN_STEP_FACTOR, _Augmented, _dp_march
 
     n = len(y)
-    times, flat, _, _ = _dp_march(n)(field, t, tuple(y), t1, h, math.inf,
-                                     abs_tol, rel_tol,
-                                     _MIN_STEP_FACTOR * (t1 - t), [math.inf])
+    times, flat, *_samples = _dp_march(n, type(field) is _Augmented)(
+        field, t, tuple(y), t1, h, math.inf, abs_tol, rel_tol,
+        _MIN_STEP_FACTOR * (t1 - t), [math.inf])
     return times, [tuple(flat[i:i + n]) for i in range(0, len(flat), n)]
 
 
-def dp5_order_fit():
-    """Fixed-step order of the Dormand-Prince step: with each h of 0.2,
-    0.1, 0.05 and 0.025, cross [0, 1] on y' = -y, y(0) = 1, by one march
-    per step, from t to t + h with a first step of h and a tolerance no
-    step fails, and fit log(global error) against log(h).
-    Returns (slope, errors)."""
-    steps = (0.2, 0.1, 0.05, 0.025)
-    field = lambda t, y: (-y[0],)
+def order_fit(field, y0, exact, steps):
+    """Fixed-step order of a march: with each h of ``steps``, cross
+    [0, 1] from y0 by one march per step, from t to t + h with a first
+    step of h and a tolerance no step fails, and fit log(global error),
+    the max over the components against ``exact`` at t = 1, against
+    log(h).  Returns (slope, errors)."""
     errors = []
     for h in steps:
-        t, y = 0.0, (1.0,)
+        t, y = 0.0, tuple(y0)
         for _ in range(round(1.0 / h)):
             times, states = march(field, t, y, t + h, h, 1.0, 0.0)
             assert len(times) == 2      # one accepted step
             t, y = times[-1], states[-1]
-        errors.append(abs(y[0] - math.exp(-1.0)))
+        errors.append(max(abs(a - b) for a, b in zip(y, exact)))
     return float(np.polyfit(np.log(steps), np.log(errors), 1)[0]), errors
+
+
+def dp5_order_fit():
+    """Fixed-step order of the Dormand-Prince step on y' = -y, y(0) = 1,
+    with h = 0.2, 0.1, 0.05 and 0.025.  Returns (slope, errors)."""
+    return order_fit(lambda t, y: (-y[0],), (1.0,), (math.exp(-1.0),),
+                     (0.2, 0.1, 0.05, 0.025))
 
 
 def seed_period_by_period(params, z_start, n_periods, cfg):

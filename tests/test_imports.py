@@ -171,13 +171,15 @@ def test_no_unreferenced_private_names():
 
 
 def test_every_tableau_coefficient_is_read():
-    """The Dormand-Prince coefficients are the keys of one dict, which the
-    private-name scan does not see into; the stages, the error weights and
-    the continuous extension of the march read exactly those keys, so an
-    unused or a missing coefficient fails here."""
+    """The coefficients of both tableaux, Dormand-Prince 5(4) and DOP853,
+    are the keys of one dict, which the private-name scan does not see
+    into; the stages, the error weights and the continuous extension of
+    the marches read exactly those keys, so an unused or a missing
+    coefficient fails here."""
     from phytoperiod import integrator
 
-    read = {name for node, weights in integrator._DP_STAGES
-            for name in (node, *weights)} | set(integrator._DP_ERROR)
-    read.update(*integrator._DP_EXTENSION)
+    read = set()
+    for tab in (integrator._DP5, integrator._DOP853):
+        read.update(*((node, *weights) for node, weights in tab.stages),
+                    *tab.errors, *(tab.extension or ()))
     assert set(integrator._TABLEAU) == read - {None}

@@ -115,10 +115,13 @@ def test_adaptive_stepper_reuses_last_stage():
     assert calls == 6 * (len(steps.times) - 1) + 1
 
 
-def _reference_dp_step(field, t, y, h, k1):
-    """Oracle: the generic Dormand-Prince step, every stage sum a generator
-    over the components, in the operation order the generated step keeps."""
+def _reference_dp_step(field, t, y, t_new, k1):
+    """Oracle: the generic Dormand-Prince step from t to t_new, by
+    h = t_new - t, every stage sum a generator over the components, in the
+    operation order the generated step keeps; the stages at node 1 are
+    evaluated at t_new."""
     T = itg._TABLEAU
+    h = t_new - t
     a = h * T["A21"]
     k2 = field(t + T["C2"] * h, tuple(yi + a * p for yi, p in zip(y, k1)))
     a1, a2 = h * T["A31"], h * T["A32"]
@@ -132,13 +135,13 @@ def _reference_dp_step(field, t, y, h, k1):
                                       for yi, p, q, r, s in zip(y, k1, k2, k3, k4)))
     a1, a2, a3, a4, a5 = (h * T["A61"], h * T["A62"], h * T["A63"],
                           h * T["A64"], h * T["A65"])
-    k6 = field(t + h, tuple(yi + a1 * p + a2 * q + a3 * r + a4 * s + a5 * u
+    k6 = field(t_new, tuple(yi + a1 * p + a2 * q + a3 * r + a4 * s + a5 * u
                             for yi, p, q, r, s, u in zip(y, k1, k2, k3, k4, k5)))
     b1, b3, b4, b5, b6 = (h * T["B1"], h * T["B3"], h * T["B4"], h * T["B5"],
                           h * T["B6"])
     y_new = tuple(yi + b1 * p + b3 * r + b4 * s + b5 * u + b6 * v
                   for yi, p, r, s, u, v in zip(y, k1, k3, k4, k5, k6))
-    k7 = field(t + h, y_new)
+    k7 = field(t_new, y_new)
     e1, e3, e4, e5, e6, e7 = (h * T["E1"], h * T["E3"], h * T["E4"],
                               h * T["E5"], h * T["E6"], h * T["E7"])
     err = tuple(e1 * p + e3 * r + e4 * s + e5 * u + e6 * v + e7 * w
@@ -201,12 +204,13 @@ def _reference_integrate(field, t0, y0, t1, cfg, t_eval=None):
     k1 = field(t, y)
     while t < t1:
         stalled = False
-        h = min(h_adaptive, t1 - t)
-        y_new, err, stages = _reference_dp_step(field, t, y, h, k1)
+        h_try = min(h_adaptive, t1 - t)
+        t_new = t1 if h_try >= t1 - t else t + h_try
+        h = t_new - t       # the step made
+        y_new, err, stages = _reference_dp_step(field, t, y, t_new, k1)
         enorm = _reference_norm(err, y, y_new, cfg.abs_tol, cfg.rel_tol)
         accepted = enorm <= 1.0
         if accepted:
-            t_new = t1 if h >= t1 - t else t + h
             stalled = t_new == t
             if pts[i] <= t_new:
                 poly = _dp_extension(y, h, *stages)
@@ -219,12 +223,13 @@ def _reference_integrate(field, t0, y0, t1, cfg, t_eval=None):
                     i += 1
             t, y = t_new, y_new
             k1 = stages[-1]
-        h_adaptive = min(h * _reference_factor(enorm), max_step)
+        h_adaptive = min(h_try * _reference_factor(enorm), max_step)
         if h_adaptive < h_floor:
             raise itg.StepUnderflowError(
                 f"adaptive step underflow at t = {t}", t=t)
-        if stalled and not h_adaptive > h:
-            raise itg.StepUnderflowError(f"step {h!r} does not advance t = {t}", t=t)
+        if stalled and not h_adaptive > h_try:
+            raise itg.StepUnderflowError(
+                f"step {h_try!r} does not advance t = {t}", t=t)
         if not all(map(math.isfinite, y)):
             raise itg.NonFiniteStateError(
                 f"state became non-finite at t = {t}", t=t)
@@ -311,8 +316,8 @@ def test_generated_step_is_bit_identical_to_the_generic_step(case, t, h, tols):
         times, states = march(field, t, y, t1, h, *tols)
     except _Enough:     # the retry's first stage is all this test needs
         times = states = None
-    h = min(h, t1 - t)      # the march's first step
-    ref_y, ref_err, _ref = _reference_dp_step(ref_field, t, y, h,
+    h = min(h, t1 - t)      # the march's first step, which reaches t1
+    ref_y, ref_err, _ref = _reference_dp_step(ref_field, t, y, t1,
                                               ref_field(t, y))
     assert _same_calls(field, ref_field, 7) and len(ref_field.times) == 7
     enorm = _reference_norm(ref_err, y, ref_y, *tols)
@@ -321,7 +326,8 @@ def test_generated_step_is_bit_identical_to_the_generic_step(case, t, h, tols):
         assert _hex(states[-1]) == _hex(ref_y)
     else:
         retry = min(h * _reference_factor(enorm), t1 - t)
-        assert field.times[7].hex() == (t + itg._TABLEAU["C2"] * retry).hex()
+        t_new = t1 if retry >= t1 - t else t + retry
+        assert field.times[7].hex() == (t + itg._TABLEAU["C2"] * (t_new - t)).hex()
 
 
 @pytest.mark.parametrize("n, component", [(1, 0), (2, 0), (2, 1), (6, 0),
@@ -698,19 +704,25 @@ def test_a_trial_stage_outside_the_domain_is_rejected_as_a_nan_stage():
 
 def test_a_step_that_does_not_advance_t_is_an_underflow():
     """At t = 1e20 half an ulp is 8192, so t + h rounds back to t for a
-    step capped at 100: a step underflow, not an endless loop.  Run in a
-    subprocess with a timeout."""
+    step capped at 100: a step underflow, not an endless loop, in the
+    plain march and in the variational one.  Run in a subprocess with a
+    timeout."""
     from conftest import run_python
 
     proc = run_python("-c", """
-from phytoperiod import IntegratorConfig, StepUnderflowError, integrate
-try:
-    integrate(lambda t, y: (-y[0],), 1e20, [1.0], 1e20 + 1e5,
-              IntegratorConfig(max_step=100.0))
-except StepUnderflowError as exc:
-    print(exc.t)
+from phytoperiod import (IntegratorConfig, StepUnderflowError, integrate,
+                         variational_flow)
+cfg = IntegratorConfig(max_step=100.0)
+for run in (lambda: integrate(lambda t, y: (-y[0],), 1e20, [1.0], 1e20 + 1e5, cfg),
+            lambda: variational_flow(lambda t, y: (-y[0], -y[1]),
+                                     lambda t, y: ((-1.0, 0.0), (0.0, -1.0)),
+                                     1e20, [1.0, 2.0], 1e20 + 1e5, cfg)):
+    try:
+        run()
+    except StepUnderflowError as exc:
+        print(exc.t)
 """)
-    assert (proc.returncode, proc.stdout) == (0, "1e+20\n"), proc.stderr
+    assert (proc.returncode, proc.stdout) == (0, "1e+20\n1e+20\n"), proc.stderr
 
 
 def test_stalled_steps_are_not_rows():
@@ -721,6 +733,25 @@ def test_stalled_steps_are_not_rows():
     t1 = math.nextafter(t0, 7.0)
     traj = integrate(lambda t, y: (1e15,), t0, [0.0], t1, IntegratorConfig())
     assert traj.times.tolist() == [t0, t1]
+
+
+@pytest.mark.parametrize("variational", [False, True])
+def test_a_step_of_one_ulp_moves_y_over_one_ulp(variational):
+    """y' = 1e15 over one ulp at t = 2 pi: both marches step y by the step
+    they make, t_new - t, so y(t1) is 1e15 (t1 - t0) = 0.8882 up to the
+    rounding of the weights' sum, not 0.6937 from steps that moved y
+    while t stayed."""
+    t0 = 6.283185307179585
+    t1 = math.nextafter(t0, 7.0)
+    if variational:
+        y, M = variational_flow(lambda t, y: (1e15, 0.0),
+                                lambda t, y: ((0.0, 0.0), (0.0, 0.0)),
+                                t0, [0.0, 0.0], t1, IntegratorConfig())
+        assert M.tolist() == [[1.0, 0.0], [0.0, 1.0]]
+    else:
+        y = integrate(lambda t, y: (1e15,), t0, [0.0], t1,
+                      IntegratorConfig()).final_state
+    assert y[0] == pytest.approx(1e15 * (t1 - t0), rel=1e-14)
 
 
 @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
@@ -866,17 +897,20 @@ class _RecordedPair:
         return self._call(self._jac, t, y)
 
 
-def _both_marches(make_pair, t0, w0, t1, cfg, t_eval=None):
+def _both_marches(make_pair, t0, w0, t1, cfg):
     """The outcome of the compiled variational march on the pair from
-    ``make_pair()`` and of the generic march on the pair's augmented
-    ``__call__`` (behind a lambda, so the variational march is not
-    chosen), with both pairs."""
+    ``make_pair()`` and of the plain march built by the same generator
+    from the DOP853 tableau on the pair's augmented ``__call__`` (behind
+    a lambda, so the variational march is not chosen), with both pairs."""
     runs = []
+    plain = itg._compile_march(6, itg._DOP853, False)
     for wrap in (lambda aug: aug, lambda aug: lambda t, w: aug(t, w)):
         pair = make_pair()
         field = wrap(itg._Augmented((pair.field, pair.jac)))
-        runs.append((_outcome(lambda: integrate(field, t0, w0, t1, cfg,
-                                                t_eval=t_eval)), pair))
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setitem(itg._DP_MARCHES, (6, False), plain)
+            runs.append((_outcome(lambda: integrate(field, t0, w0, t1, cfg)),
+                         pair))
     return runs
 
 
@@ -908,20 +942,18 @@ def _planar_pair(case):
        t0=st.floats(-10.0, 10.0, allow_subnormal=False),
        span=st.floats(1e-2, 2.0 * TWO_PI),
        tols=st.sampled_from([(1e-10, 1e-10), (1e-12, 1e-6), (1e-4, 1e-4)]),
-       max_step=st.one_of(st.none(), st.floats(1e-2, 5.0)),
-       sampled=st.booleans(),
-       grid=st.lists(st.floats(0.0, 1.0), max_size=12))
+       max_step=st.one_of(st.none(), st.floats(1e-2, 5.0)))
 def test_the_variational_march_is_the_augmented_call_to_the_last_bit(
         forced_params, source, frame, case, draw, y, Y, t0, span, tols,
-        max_step, sampled, grid):
+        max_step):
     """Random planar fields with their Jacobians, and the model's fields
     in both frames (``rhs_log``/``jac_log`` and the original-frame pair
     that ``detect_steady_state`` runs) on ``forced_params`` and on the
     random draws: the compiled variational march calls ``jac``, then
     ``field``, at each stage with the arguments the augmented
-    ``__call__`` gets from the generic march, and returns its times,
-    samples and rows hex for hex, or fails as it does.  Runs are cut at
-    the 4,000th field call."""
+    ``__call__`` gets from the plain DOP853 march, and returns its times
+    and rows hex for hex, or fails as it does.  Runs are cut at the
+    4,000th field call."""
     if source == "random field":
         fields = _planar_pair(case)
     else:
@@ -933,9 +965,8 @@ def test_the_variational_march_is_the_augmented_call_to_the_last_bit(
             fields = (partial(rhs_original, params), partial(jac_original, params))
     t1 = t0 + span
     cfg = IntegratorConfig(*tols, max_step=max_step)
-    t_eval = [t0 + g * span for g in grid] if sampled else None
     (got, pair), (ref, ref_pair) = _both_marches(
-        lambda: _RecordedPair(*fields), t0, [*y, *Y], t1, cfg, t_eval)
+        lambda: _RecordedPair(*fields), t0, [*y, *Y], t1, cfg)
     assert got == ref
     assert pair.calls == ref_pair.calls
 
@@ -950,8 +981,8 @@ def test_the_variational_march_fails_as_the_augmented_call_does(forced_params,
     """A trial stage outside the exp guard of ``jac_log`` and ``rhs_log``,
     whose step shrinks and the run goes on; a step underflow at a blow-up; and a
     state that overflows to inf: the compiled variational march and the
-    generic march on the augmented ``__call__`` end the same way, with
-    the same type, message and t, after the same calls."""
+    plain DOP853 march on the augmented ``__call__`` end the same way,
+    with the same type, message and t, after the same calls."""
     identity = [1.0, 0.0, 0.0, 1.0]
     if case == "domain":
         # a first step of 100 over [0, 1e5] puts stage 4 near z1 = 1e11
@@ -975,6 +1006,97 @@ def test_the_variational_march_fails_as_the_augmented_call_does(forced_params,
         assert pair.overflows > 0 and pair.overflows == ref_pair.overflows
     else:
         assert got[2] is not None
+
+
+def test_dop853_constants_are_scipys():
+    """Every DOP853 constant the variational march reads equals, bit for
+    bit, the one in scipy's installed ``dop853_coefficients``: the nodes,
+    the stage weights with the 8th-order weights as row 13, and both
+    error estimates, with every absent name a 0 and every absent node a 1."""
+    from scipy.integrate._ivp import dop853_coefficients as ref
+
+    T, tab = itg._TABLEAU, itg._DOP853
+    nodes, rows = [0.0], [[0.0] * 13]
+    for node, weights in tab.stages:
+        nodes.append(1.0 if node is None else T[node])
+        rows.append([T[w] if w else 0.0 for w in weights]
+                    + [0.0] * (13 - len(weights)))
+    assert nodes == ref.C[:13].tolist()
+    assert rows == ref.A[:13, :13].tolist()
+    assert rows[12][:12] == ref.B.tolist()
+    errors = [[T[w] if w else 0.0 for w in weights] + [0.0]
+              for weights in tab.errors]
+    assert errors == [ref.E5.tolist(), ref.E3.tolist()]
+
+
+def test_the_variational_march_reuses_last_stage():
+    """DOP853 is FSAL: its 13th stage is the next step's 1st, so each step
+    costs 12 ``jac`` calls plus 1 at the start.  At the default
+    tolerances the rotation on [0, 10] rejects no step."""
+    calls = 0
+
+    def jac(t, y):
+        nonlocal calls
+        calls += 1
+        return ((0.0, -1.0), (1.0, 0.0))
+
+    pair = itg._Augmented((lambda t, y: (-y[1], y[0]), jac))
+    steps = integrate(pair, 0.0, [1.0, 0.0, 1.0, 0.0, 0.0, 1.0], 10.0,
+                      IntegratorConfig())
+    assert calls == 12 * (len(steps.times) - 1) + 1
+
+
+def test_dop853_order_fit():
+    """Global error of the fixed-step variational march on the rotation
+    y' = (-y2, y1), Y' = J Y, whose flow and fundamental matrix at t = 1
+    are the rotation by 1: over h = 1, 1/2, 1/3, 1/4 and 1/5 the fitted
+    slope is in [7.6, 8.4]."""
+    from conftest import order_fit
+
+    rotation = itg._Augmented((lambda t, y: (-y[1], y[0]),
+                               lambda t, y: ((0.0, -1.0), (1.0, 0.0))))
+    c, s = math.cos(1.0), math.sin(1.0)
+    slope, errors = order_fit(rotation, (1.0, 0.0, 1.0, 0.0, 0.0, 1.0),
+                              (c, s, c, -s, s, c), (1.0, 0.5, 1 / 3, 0.25, 0.2))
+    print(f"\n  DOP853 order fit: slope = {slope:.3f}, errors = {errors}")
+    assert 7.6 <= slope <= 8.4
+
+
+@pytest.mark.parametrize("component", [0, 1])
+@pytest.mark.parametrize("stage", [2, 13])
+def test_the_variational_error_norm_keeps_a_nan(component, stage):
+    """A NaN in one component of the field at stage k2, which reaches
+    that component's two error estimates through the later stages while
+    the four Y components stay finite, or at k13, the FSAL stage that no
+    estimate weighs: the norm is NaN, so the step is rejected and retried
+    at a fifth of its size.  The tolerance puts the finite ratios far
+    below 1, so a norm that let a later finite ratio overwrite the NaN, or
+    that passed a NaN k13 on as the next k1, would accept the step."""
+    calls = []
+
+    def field(t, y):
+        calls.append(t)
+        k = [-y[0], -2.0 * y[1]]
+        if len(calls) == stage:
+            k[component] = math.nan
+        return tuple(k)
+
+    pair = itg._Augmented((field, lambda t, y: ((-1.0, 0.0), (0.0, -2.0))))
+    h = 0.1
+    march(pair, 0.0, (1.0, 2.0, 1.0, 0.0, 0.0, 1.0), h, h, 1e-6, 0.0)
+    assert calls[13] == itg._TABLEAU["D_C2"] * (h * 0.2)
+
+
+def test_a_variational_run_takes_no_samples():
+    """The variational march has no continuous extension, so a run of an
+    augmented pair with ``t_eval`` is a ValueError before any call."""
+    calls = []
+    pair = itg._Augmented((lambda t, y: calls.append(t) or (-y[0], -y[1]),
+                           lambda t, y: ((-1.0, 0.0), (0.0, -1.0))))
+    with pytest.raises(ValueError, match="a variational run takes no t_eval"):
+        integrate(pair, 0.0, [1.0, 2.0, 1.0, 0.0, 0.0, 1.0], 1.0,
+                  IntegratorConfig(), t_eval=[0.5])
+    assert calls == []
 
 
 def _augmented_oracle(params):

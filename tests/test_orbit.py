@@ -175,11 +175,11 @@ def test_newton_quadratic_convergence(forced_params, cfg_tight):
 def test_a_seed_some_ulps_off_converges(forced_params):
     """Newton from a seed 10 and 8 ulps away from the period-by-period
     20-period seed of ``test_cmd_find_orbit_converges_for_forced_system``,
-    at a defect of 1.911e-11, below the noise floor 1e-10 + 1e-10 max |z|
+    at a defect of 6.986e-12, below the noise floor 1e-10 + 1e-10 max |z|
     of the default integrator.  The full step's probe is the monodromy
-    run of the next iteration, and its defect, 2.2e-16, is below tol=1e-12,
+    run of the next iteration, and its defect, 2.5e-16, is below tol=1e-12,
     so the search stops there by tol.  (A plain-flow run from that point
-    takes other steps and reads a defect of at least 1.911e-11.)"""
+    takes other steps, by another method, and reads a defect of 6.987e-12.)"""
     orbit = find_periodic_orbit(forced_params,
                                 (0.6427560031692795, -0.18257327158846426),
                                 tol=1e-12)
@@ -187,7 +187,7 @@ def test_a_seed_some_ulps_off_converges(forced_params):
     assert orbit.newton_iterations == 1
     assert orbit.noise_floor == pytest.approx(1.642756e-10, rel=1e-6)
     assert orbit.residual_history == (
-        pytest.approx(1.910805e-11, rel=1e-6), orbit.residual_norm)
+        pytest.approx(6.985967e-12, rel=1e-6), orbit.residual_norm)
     assert orbit.residual_norm < 1e-12
 
 
