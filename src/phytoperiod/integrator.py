@@ -1,24 +1,30 @@
 """Time integration: adaptive embedded Runge-Kutta pairs.
 
 Embedded explicit Runge-Kutta pairs with per-step error control suit the
-smooth, mildly nonlinear planar model and need no dependency.  Plain runs
-and the period-T flow map step by Dormand-Prince 5(4); their sampled
-output comes from its continuous extension, so sampling never changes the
-steps.  The variational (monodromy) equations step by Hairer's DOP853,
-which takes about half the field evaluations per period at the same
-tolerances and is never sampled.  The two methods are kept apart because
-their runs need different things: a plain run is often capped by
-``max_step``, where a step of 12 evaluations costs twice one of 6, and
-sampled runs need DP5's continuous extension.  The whole adaptive loop
-(stages, error norm, controller, failure checks, rows and samples) is one
-generated straight-line function per method, compiled on first use per
-state dimension; the variational one calls ``jac`` before ``field`` and
-writes the J Y products inline.  ``integrate`` checks its arguments, runs
-it once and wraps its rows.
+smooth, mildly nonlinear planar model and need no dependency.  A
+trajectory run (``integrate`` on a plain field) steps by Dormand-Prince
+5(4) from a first step of a thousandth of its span; its sampled output
+comes from its continuous extension, so sampling never changes the
+steps.  Every run whose only product is a period map steps by Hairer's
+DOP853, which takes about half the field evaluations per period at the
+same tolerances, from Hairer's starting-step estimate: the variational
+(monodromy) equations, and the plain period runs of ``flow_map`` and
+the orbit seed whenever ``max_step`` does not bind.  A variational run
+keeps a record of its stages, from which DOP853's order-7 dense output
+gives the state between its steps at 3 more field evaluations per step
+(``_dense_states``).  Trajectory runs keep Dormand-Prince: their rows
+are what ``trajectory.csv`` holds, and ``max_step`` often caps them,
+where a step of 12 evaluations costs twice one of 6.  The whole adaptive
+loop (starting step, stages, error norm, controller, failure checks,
+rows and samples) is one generated straight-line function per method,
+compiled on first use per state dimension; the variational one calls
+``jac`` before ``field`` and writes the J Y products inline.
+``integrate`` checks its arguments, runs it once and wraps its rows.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from types import MethodType
@@ -141,6 +147,56 @@ _TABLEAU |= {f"D_E3_{i}": _TABLEAU[f"D_A13_{i}"] - {
     12: 0.220588235294117647058823529412e-1}.get(i, 0.0)
     for i in range(1, 13) if f"D_A13_{i}" in _TABLEAU}
 
+# DOP853's order-7 dense output (his contd8): three more stages per step,
+# k14..k16 at nodes D_C14..D_C16 from the weights D_Aj_i of k1..k(j-1), and
+# over one step from (t, y) to (t + h, y_new), with theta = (s - t) / h,
+#   y(s) = y + theta (F0 + (1 - theta) (F1 + theta (F2 + (1 - theta) (F3
+#          + theta (F4 + (1 - theta) (F5 + theta F6)))))),
+# where F0 = y_new - y, F1 = h k1 - F0, F2 = 2 F0 - h (k1 + k13) and
+# F(r-1) = h sum_i D_Dr_i k_i for r = 4..7.  No weight falls on k2..k5.
+_TABLEAU |= {"D_C14": 0.1, "D_C15": 0.2,
+             "D_C16": 0.777777777777777777777777777778}
+_TABLEAU |= {f"D_A{j}_{i}": a for j, row in enumerate((
+    {1: 5.61675022830479523392909219681e-2, 7: 2.53500210216624811088794765333e-1,
+     8: -2.46239037470802489917441475441e-1, 9: -1.24191423263816360469010140626e-1,
+     10: 1.5329179827876569731206322685e-1, 11: 8.20105229563468988491666602057e-3,
+     12: 7.56789766054569976138603589584e-3, 13: -8.298e-3},
+    {1: 3.18346481635021405060768473261e-2, 6: 2.83009096723667755288322961402e-2,
+     7: 5.35419883074385676223797384372e-2, 8: -5.49237485713909884646569340306e-2,
+     11: -1.08347328697249322858509316994e-4, 12: 3.82571090835658412954920192323e-4,
+     13: -3.40465008687404560802977114492e-4, 14: 1.41312443674632500278074618366e-1},
+    {1: -4.28896301583791923408573538692e-1, 6: -4.69762141536116384314449447206,
+     7: 7.68342119606259904184240953878, 8: 4.06898981839711007970213554331,
+     9: 3.56727187455281109270669543021e-1, 13: -1.39902416515901462129418009734e-3,
+     14: 2.9475147891527723389556272149, 15: -9.15095847217987001081870187138},
+), start=14) for i, a in row.items()}
+_TABLEAU |= {f"D_D{r}_{i}": d for r, row in enumerate((
+    (-0.84289382761090128651353491142e+1, 0.56671495351937776962531783590,
+     -0.30689499459498916912797304727e+1, 0.23846676565120698287728149680e+1,
+     0.21170345824450282767155149946e+1, -0.87139158377797299206789907490,
+     0.22404374302607882758541771650e+1, 0.63157877876946881815570249290,
+     -0.88990336451333310820698117400e-1, 0.18148505520854727256656404962e+2,
+     -0.91946323924783554000451984436e+1, -0.44360363875948939664310572000e+1),
+    (0.10427508642579134603413151009e+2, 0.24228349177525818288430175319e+3,
+     0.16520045171727028198505394887e+3, -0.37454675472269020279518312152e+3,
+     -0.22113666853125306036270938578e+2, 0.77334326684722638389603898808e+1,
+     -0.30674084731089398182061213626e+2, -0.93321305264302278729567221706e+1,
+     0.15697238121770843886131091075e+2, -0.31139403219565177677282850411e+2,
+     -0.93529243588444783865713862664e+1, 0.35816841486394083752465898540e+2),
+    (0.19985053242002433820987653617e+2, -0.38703730874935176555105901742e+3,
+     -0.18917813819516756882830838328e+3, 0.52780815920542364900561016686e+3,
+     -0.11573902539959630126141871134e+2, 0.68812326946963000169666922661e+1,
+     -0.10006050966910838403183860980e+1, 0.77771377980534432092869265740,
+     -0.27782057523535084065932004339e+1, -0.60196695231264120758267380846e+2,
+     0.84320405506677161018159903784e+2, 0.11992291136182789328035130030e+2),
+    (-0.25693933462703749003312586129e+2, -0.15418974869023643374053993627e+3,
+     -0.23152937917604549567536039109e+3, 0.35763911791061412378285349910e+3,
+     0.93405324183624310003907691704e+2, -0.37458323136451633156875139351e+2,
+     0.10409964950896230045147246184e+3, 0.29840293426660503123344363579e+2,
+     -0.43533456590011143754432175058e+2, 0.96324553959188282948394950600e+2,
+     -0.39177261675615439165231486172e+2, -0.14972683625798562581422125276e+3),
+), start=4) for i, d in zip((1, *range(6, 17)), row)}
+
 
 class _Tableau(NamedTuple):
     """An embedded explicit Runge-Kutta method, by the names of its
@@ -152,12 +208,16 @@ class _Tableau(NamedTuple):
     of two, the high- and low-order ones that DOP853 combines.  The step
     factor is 0.9 enorm^``exponent``.  ``extension`` holds the weights of
     the continuous extension's theta^2, theta^3, ... terms, or is None
-    for a method that samples nothing."""
+    for a method that samples nothing.  ``dense`` is DOP853's dense
+    output, evaluated after the run from its stage record: its extra
+    stages, as ``stages`` lists them, and the weights of its last four
+    coefficients over k1, ..., or None."""
 
     stages: tuple
     errors: tuple
     exponent: float
     extension: tuple | None
+    dense: tuple | None = None
 
 
 _DP5 = _Tableau(
@@ -184,7 +244,13 @@ _DOP853 = _Tableau(
     errors=tuple(_present(*(f"D_E{order}_{i}" for i in range(1, 13)))
                  for order in (5, 3)),
     exponent=-0.125,
-    extension=None)
+    extension=None,
+    dense=(tuple((f"D_C{j}", _present(*(f"D_A{j}_{i}" for i in range(1, j))))
+                 for j in (14, 15, 16)),
+           tuple(_present(*(f"D_D{r}_{i}" for i in range(1, 17)))
+                 for r in (4, 5, 6, 7))))
+# the stages of a step that the dense output weighs: no weight falls on k2..k5
+_DENSE_STAGES = (1, *range(6, 14))
 
 _MIN_STEP_FACTOR = 1e-14  # underflow guard relative to the span
 _CSV_BLOCK_ROWS = 1024    # rows formatted per write of the CSV export
@@ -209,8 +275,8 @@ class NonFiniteStateError(IntegrationError):
 @dataclass(frozen=True)
 class IntegratorConfig:
     """Accuracy knobs of the adaptive steppers, Dormand-Prince 5(4) for
-    plain runs and DOP853 for variational ones: their error tolerances and
-    an optional cap on the step size."""
+    trajectory runs and DOP853 for period maps and variational runs: their
+    error tolerances and an optional cap on the step size."""
 
     abs_tol: float = 1e-10
     rel_tol: float = 1e-10
@@ -234,6 +300,7 @@ class Trajectory:
     times: np.ndarray
     states: np.ndarray          # shape (n, dim), aligned with times
     steps: Trajectory | None = None   # a sampled run's own rows
+    record: list | None = None  # a variational run's stage record
 
     def __post_init__(self):
         t = np.asarray(self.times, dtype=float)
@@ -253,7 +320,7 @@ class Trajectory:
         return self.states[-1]
 
 
-def _from_march(times, flat_states, n, steps=None) -> Trajectory:
+def _from_march(times, flat_states, n, steps=None, record=None) -> Trajectory:
     """The Trajectory of rows or samples a march made, whose times are
     finite and strictly increasing by construction, so the public
     constructor's checks are skipped; ``flat_states`` holds the n
@@ -263,6 +330,7 @@ def _from_march(times, flat_states, n, steps=None) -> Trajectory:
     object.__setattr__(traj, "states",
                        np.array(flat_states, dtype=float).reshape(-1, n))
     object.__setattr__(traj, "steps", steps)
+    object.__setattr__(traj, "record", record)
     return traj
 
 
@@ -282,9 +350,14 @@ def integrate(field, t0: float, y0, t1: float, cfg: IntegratorConfig,
     result without ``t_eval`` and the result's ``steps`` with it.  The
     span t1 - t0 must be positive and finite.  The times are taken as
     floats, so a run from numpy-scalar times is the run from their values.
-    A variational run (``variational_flow``'s augmented pair) steps by
-    DOP853, which has no continuous extension here, so it takes no
-    ``t_eval``.
+    A plain field steps by Dormand-Prince 5(4) from a first step of
+    span / 1000.  Two private fields step by DOP853 from Hairer's
+    starting-step estimate instead: a variational run
+    (``variational_flow``'s augmented pair), which has no continuous
+    extension here and so takes no ``t_eval``, and whose rows carry the
+    stage record of its dense output; and an :class:`_Endpoint` field
+    when no ``t_eval`` is given and ``max_step`` is unset or at least the
+    span (else it is the Dormand-Prince run of the field it wraps).
     """
     t0, t1 = float(t0), float(t1)
     if not t1 > t0:
@@ -298,10 +371,17 @@ def integrate(field, t0: float, y0, t1: float, cfg: IntegratorConfig,
     if not all(map(math.isfinite, y)):
         raise ValueError("initial state must be finite")
 
-    variational = type(field) is _Augmented
+    max_step = cfg.max_step or math.inf
+    method = "dp5"
+    if type(field) is _Augmented:
+        method = "variational"
+    elif type(field) is _Endpoint:
+        field = field.field
+        if t_eval is None and max_step >= t1 - t0:
+            method = "dop853"
     pts = []
     if t_eval is not None:
-        if variational:
+        if method == "variational":
             raise ValueError("a variational run takes no t_eval")
         pts = [float(p) for p in t_eval]
         if not all(map(math.isfinite, pts)):
@@ -313,17 +393,19 @@ def integrate(field, t0: float, y0, t1: float, cfg: IntegratorConfig,
     pts.append(math.inf)        # sentinel, beyond every step
 
     n = len(y)
-    max_step = cfg.max_step or math.inf
-    row_times, row_states, *samples = _dp_march(n, variational)(
-        field, t0, y, t1, min((t1 - t0) * 1e-3, max_step), max_step,
-        cfg.abs_tol, cfg.rel_tol, _MIN_STEP_FACTOR * (t1 - t0), pts)
+    h = min((t1 - t0) * 1e-3, max_step) if method == "dp5" else None
+    row_times, row_states, *extra = _dp_march(n, method)(
+        field, t0, y, t1, h, max_step, cfg.abs_tol, cfg.rel_tol,
+        _MIN_STEP_FACTOR * (t1 - t0), pts)
+    if method == "variational":
+        return _from_march(row_times, row_states, n, record=extra[0])
     steps = _from_march(row_times, row_states, n)
     if t_eval is None:
         return steps
-    return _from_march(*samples, n, steps)
+    return _from_march(*extra, n, steps)
 
 
-_DP_MARCHES = {}    # (state dimension, variational) -> its compiled march
+_DP_MARCHES = {}    # (state dimension, method) -> its compiled march
 
 
 class _Augmented(tuple):
@@ -342,17 +424,74 @@ class _Augmented(tuple):
                 j21 * y11 + j22 * y21, j21 * y12 + j22 * y22)
 
 
-def _dp_march(n: int, variational: bool = False):
+class _Endpoint:
+    """A field whose run is read only for where it ends (a period map):
+    ``integrate`` steps it by DOP853 unless ``max_step`` binds."""
+
+    __slots__ = ("field",)
+
+    def __init__(self, field):
+        self.field = field
+
+    def __call__(self, t, y):
+        return self.field(t, y)
+
+
+def _dp_march(n: int, method: str = "dp5"):
     """The adaptive march of an n-component state, compiled on first use
-    and kept for the process: Dormand-Prince 5(4) for a plain field, and
-    DOP853 for the variational equations (n = 6, an :class:`_Augmented`
-    pair), whose runs are never sampled and take about half the field
-    evaluations per period at the same tolerances."""
-    march = _DP_MARCHES.get((n, variational))
+    and kept for the process.  ``method`` is "dp5", Dormand-Prince 5(4),
+    whose continuous extension samples a run; "dop853", Hairer's DOP853,
+    which takes about half the field evaluations per period at the same
+    tolerances and samples nothing; or "variational", DOP853 on the
+    variational equations (n = 6, an :class:`_Augmented` pair), which
+    also keeps the stage record of its dense output."""
+    march = _DP_MARCHES.get((n, method))
     if march is None:
-        march = _DP_MARCHES[n, variational] = _compile_march(
-            n, _DOP853 if variational else _DP5, variational)
+        march = _DP_MARCHES[n, method] = _compile_march(
+            n, _DP5 if method == "dp5" else _DOP853, method == "variational")
     return march
+
+
+def _max_norm(values, scale) -> float:
+    """max |v_i| / scale_i, or NaN if any of those ratios is NaN."""
+    norm = 0.0
+    for v, s in zip(values, scale):
+        r = abs(v) / s
+        if r > norm or r != r:
+            norm = r
+    return norm
+
+
+def _first_step(field, t, y, k1, t1, max_step, abs_tol, rel_tol, root):
+    """Hairer's starting step (Hairer, Norsett & Wanner, sec. II.4) for a
+    method of order 1/root from (t, y), where field(t, y) = k1.
+
+    With the scale s = abs_tol + rel_tol |y| and max-norms, d0 = |y / s|
+    and d1 = |k1 / s|, an Euler step of h0 = 0.01 d0 / d1 (1e-6 if either
+    is below 1e-5) costs one evaluation and gives
+    d2 = |(field(t + h0, y + h0 k1) - k1) / s| / h0; the step is
+    min(100 h0, (0.01 / max(d1, d2))^root, h_max), where the middle term
+    is max(1e-6, h0 / 1000) when max(d1, d2) <= 1e-15 and h_max =
+    min(t1 - t, max_step) bounds h0 too.  Should that evaluation raise
+    :class:`DomainOverflowError`, d1 or d2 not be finite or h0 not be
+    positive, the step is min((t1 - t) / 1000, max_step), the first step
+    of a Dormand-Prince run, so the estimate never changes how a run
+    fails."""
+    fallback = min((t1 - t) * 1e-3, max_step)
+    h_max = min(t1 - t, max_step)
+    scale = [abs_tol + rel_tol * abs(v) for v in y]
+    d0, d1 = _max_norm(y, scale), _max_norm(k1, scale)
+    h0 = min(1e-6 if d0 < 1e-5 or d1 < 1e-5 else 0.01 * d0 / d1, h_max)
+    if not (h0 > 0.0 and d1 < math.inf):
+        return fallback
+    try:
+        f1 = field(t + h0, tuple(v + h0 * k for v, k in zip(y, k1)))
+    except DomainOverflowError:
+        return fallback
+    d2 = _max_norm([a - b for a, b in zip(f1, k1)], scale) / h0
+    d = d1 if d2 < d1 else d2       # max(d1, d2), keeping a NaN d2
+    h1 = max(1e-6, h0 * 1e-3) if d <= 1e-15 else (0.01 / d) ** root
+    return min(100.0 * h0, h1, h_max) if 0.0 < h1 < math.inf else fallback
 
 
 def _compile_march(n: int, tab: _Tableau, variational: bool):
@@ -360,18 +499,22 @@ def _compile_march(n: int, tab: _Tableau, variational: bool):
     ``tab``, as one compiled straight-line function.
 
     ``march(field, t, y, t1, h, max_step, abs_tol, rel_tol, h_floor, pts)``
-    integrates y' = field(t, y) from (t, y) to t1 with first step h and
-    returns the row times and states, then, if ``tab`` has a continuous
-    extension, the sample times and states, the states flattened.  ``pts``
-    holds the sample times inside (t, t1), ascending, then the sentinel
-    inf; a march without an extension ignores it.  Every stage sum and
-    every coefficient of the continuous extension is written out per
-    component and runs left to right over plain floats, the FSAL stage is
-    handed on as the next k1, and the error norm, the controller and the
-    failure checks are inline.  A step runs from t to the time it reaches,
-    t_new, by h = t_new - t, the step actually made; the controller sizes
-    the next step from the step it tried.  The error norm is the max-norm
-    of err / (abs_tol + rel_tol max(|y|, |y_new|)); with two estimates
+    integrates y' = field(t, y) from (t, y) to t1 with first step h, or,
+    with h None, the one of :func:`_first_step`.  It returns the row
+    times and states, then, if ``tab`` has a continuous extension, the
+    sample times and states, the states flattened; a variational march
+    returns its stage record third instead: for every row after the
+    first, the first two components of each stage in _DENSE_STAGES of
+    the step that reached it.  ``pts`` holds the sample times inside
+    (t, t1), ascending, then the sentinel inf; a march without an
+    extension ignores it.  Every stage sum and every
+    coefficient of the continuous extension is written out per component
+    and runs left to right over plain floats, the FSAL stage is handed on
+    as the next k1, and the error norm, the controller and the failure
+    checks are inline.  A step runs from t to the time it reaches, t_new,
+    by h = t_new - t, the step actually made; the controller sizes the
+    next step from the step it tried.  The error norm is the max-norm of
+    err / (abs_tol + rel_tol max(|y|, |y_new|)); with two estimates
     (DOP853) it is e5^2 / sqrt(e5^2 + 0.01 e3^2) of their two max-norms.
     A trial stage outside the field's domain (the field raises
     :class:`DomainOverflowError`) makes the error norm NaN, so an
@@ -385,6 +528,7 @@ def _compile_march(n: int, tab: _Tableau, variational: bool):
     """
     namespace = {**_TABLEAU, "inf": math.inf, "nan": math.nan,
                  "isfinite": math.isfinite, "sqrt": math.sqrt,
+                 "first_step": _first_step,
                  "DomainOverflowError": DomainOverflowError,
                  "StepUnderflowError": StepUnderflowError,
                  "NonFiniteStateError": NonFiniteStateError}
@@ -399,12 +543,16 @@ def _compile_march(n: int, tab: _Tableau, variational: bool):
              *(["    times, states = [t], list(y)      # samples",
                 "    i = 0"] if sampled else []),
              "    row_times, row_states = [t], list(y)",
+             *(["    record = []"] if variational else []),
              "    k1 = field(t, y)",
              f"    if len(k1) != {n}:",
              "        raise ValueError(f'field returned {len(k1)} components '",
              f"                         'for a state of dimension {n}')",
              f"    {comps('y')} = y",
              f"    {comps('k1_')} = k1",
+             "    if h_adaptive is None:",
+             "        h_adaptive = first_step(field, t, y, k1, t1, max_step, "
+             f"abs_tol, rel_tol, {-tab.exponent!r})",
              *(["    field, jac = field"] if variational else [])]
 
     def stage_sums(weights, from_y):
@@ -507,8 +655,12 @@ def _compile_march(n: int, tab: _Tableau, variational: bool):
                   + ", ".join(f"y{i} + th * (c{i}1 + th * (c{i}2 + th * "
                               f"(c{i}3 + th * c{i}4)))" for i in range(n)) + ",)",
                   "                    i += 1"]
-    lines += ["            stalled = t_new == t",
-              f"            t, y = t_new, x{last}",
+    lines.append("            stalled = t_new == t")
+    if variational:
+        lines += ["            if not stalled:",
+                  "                record += (" + ", ".join(
+                      f"k{j}_{i}" for j in _DENSE_STAGES for i in (0, 1)) + ")"]
+    lines += [f"            t, y = t_new, x{last}",
               f"            {comps('y')} = {comps('o')}",
               f"            {comps('k1_')} = {comps(f'k{last}_')}",
               "        if h_adaptive < h_floor:",
@@ -535,6 +687,8 @@ def _compile_march(n: int, tab: _Tableau, variational: bool):
         lines += ["    times.append(t)",
                   "    states += y",
                   "    return row_times, row_states, times, states"]
+    elif variational:
+        lines.append("    return row_times, row_states, record")
     else:
         lines.append("    return row_times, row_states")
     exec(compile("\n".join(lines), f"<phytoperiod march, n = {n}"
@@ -543,9 +697,23 @@ def _compile_march(n: int, tab: _Tableau, variational: bool):
 
 
 def flow_map(params: ModelParams, z0, cfg: IntegratorConfig) -> np.ndarray:
-    """State after one period: z(T) of the log-frame flow with z(0) = z0."""
-    traj = integrate(MethodType(rhs_log, params), 0.0, z0, params.period, cfg)
+    """State after one period: z(T) of the log-frame flow with z(0) = z0,
+    stepped by DOP853 unless ``cfg.max_step`` is below the period."""
+    traj = integrate(_Endpoint(MethodType(rhs_log, params)), 0.0, z0,
+                     params.period, cfg)
     return traj.final_state
+
+
+class _Flow(tuple):
+    """The pair (y(t1), Y(t1)) of a variational run, with the run itself
+    as ``steps``: its rows and its stage record, from which
+    :func:`_dense_states` gives y between the rows."""
+
+    def __new__(cls, steps: Trajectory):
+        wT = steps.final_state
+        flow = super().__new__(cls, (wT[:2], wT[2:].reshape(2, 2)))
+        flow.steps = steps
+        return flow
 
 
 def variational_flow(field, jac, t0: float, y0, t1: float,
@@ -553,22 +721,82 @@ def variational_flow(field, jac, t0: float, y0, t1: float,
     """Flow and fundamental matrix of an arbitrary planar field.
 
     Integrates the state together with Y' = J(t, y(t)) Y, Y(t0) = I and
-    returns (y(t1), Y(t1)).  ``jac(t, y)`` returns the rows of J.  The
-    run is one ``integrate`` call whose every stage calls ``jac``, then
-    ``field``, once on the planar state; ``y0`` must be one.
+    returns the pair (y(t1), Y(t1)).  ``jac(t, y)`` returns the rows of
+    J.  The run is one ``integrate`` call by DOP853 whose every stage
+    calls ``jac``, then ``field``, once on the planar state; ``y0`` must
+    be one.
     """
     if np.shape(y0) != (2,):
         raise ValueError(f"need a planar state (y1, y2), got shape {np.shape(y0)}")
-    wT = integrate(_Augmented((field, jac)), t0, (*y0, 1.0, 0.0, 0.0, 1.0), t1,
-                   cfg).final_state
-    return wT[:2], wT[2:].reshape(2, 2)
+    return _Flow(integrate(_Augmented((field, jac)), t0,
+                           (*y0, 1.0, 0.0, 0.0, 1.0), t1, cfg))
 
 
 def flow_and_monodromy(params: ModelParams, z0, cfg: IntegratorConfig):
     """State and fundamental matrix after one period of the log-frame
-    flow: (z(T), M) from one augmented integration with z(0) = z0."""
+    flow: (z(T), M) from one augmented integration with z(0) = z0, a pair
+    that also carries that run (see :class:`_Flow`)."""
     field, jac = MethodType(rhs_log, params), MethodType(jac_log, params)
     return variational_flow(field, jac, 0.0, z0, params.period, cfg)
+
+
+@functools.cache
+def _dense_step():
+    """DOP853's dense output over one step of a planar run, as one
+    compiled straight-line function, built on first use.
+    ``dense(field, t, h, y0, y1, z0, z1, *stages)`` takes the step from
+    (t, (y0, y1)) to (t + h, (z0, z1)) and its record, the two components
+    of each stage in _DENSE_STAGES in turn; it evaluates k14..k16 and
+    returns the coefficients F0, ..., F6 of the interpolant (see
+    _TABLEAU), each as its two components in turn.  Every weighted sum
+    runs left to right over the stages."""
+    stages, rows = _DOP853.dense
+
+    def weighed(weights, i):
+        return " + ".join(f"{w} * k{m}_{i}"
+                          for m, w in enumerate(weights, start=1) if w)
+
+    lines = ["def dense(field, t, h, y0, y1, z0, z1, " + ", ".join(
+        f"k{j}_{i}" for j in _DENSE_STAGES for i in (0, 1)) + "):"]
+    for j, (node, weights) in enumerate(stages, start=len(_DOP853.stages) + 2):
+        lines.append(f"    k{j}_0, k{j}_1 = field(t + {node} * h, ("
+                     + ", ".join(f"y{i} + h * ({weighed(weights, i)})"
+                                 for i in (0, 1)) + "))")
+    lines += ["    d0 = z0 - y0",
+              "    d1 = z1 - y1",
+              "    return (d0, d1, h * k1_0 - d0, h * k1_1 - d1,",
+              "            2.0 * d0 - h * (k1_0 + k13_0), "
+              "2.0 * d1 - h * (k1_1 + k13_1),",
+              *(f"            h * ({weighed(weights, i)}),"
+                for weights in rows for i in (0, 1)),
+              "    )"]
+    namespace = dict(_TABLEAU)
+    exec(compile("\n".join(lines), "<phytoperiod dense output>", "exec"),
+         namespace)
+    return namespace.pop("dense")
+
+
+def _dense_states(steps: Trajectory, field, times) -> np.ndarray:
+    """The planar state y of the variational run ``steps`` at ``times``,
+    ascending and inside (t0, t1], one row per time, from DOP853's
+    order-7 dense output over the step that holds each time.  ``field``
+    is the run's planar field; it is called 3 times on each step that
+    holds a time, for the extra stages k14..k16 (:func:`_dense_step`)."""
+    t, times = steps.times, np.asarray(times, dtype=float)
+    step = np.searchsorted(t, times) - 1    # t[step] < time <= t[step + 1]
+    held = sorted(set(step.tolist()))
+    ts, ys = t.tolist(), steps.states[:, :2].tolist()
+    dense, width = _dense_step(), 2 * len(_DENSE_STAGES)
+    coeffs = np.array([dense(field, ts[i], ts[i + 1] - ts[i], *ys[i], *ys[i + 1],
+                             *steps.record[i * width:(i + 1) * width])
+                       for i in held]).reshape(-1, 7, 2)
+    c = coeffs[np.searchsorted(held, step)]
+    x = ((times - t[step]) / (t[step + 1] - t[step]))[:, None]
+    # y + x (F0 + (1 - x) (F1 + x (F2 + (1 - x) (F3 + ... + x F6))))
+    p = c[:, 6]
+    for r, w in zip(range(5, -1, -1), (x, 1.0 - x) * 3):
+        p = c[:, r] + w * p
+    return steps.states[step, :2] + x * p
 
 
 def write_trajectory_csv(traj: Trajectory, path) -> None:

@@ -12,6 +12,11 @@ current one, so it first runs at tolerances loosened in proportion to
 that defect and is re-run at the configured ones only when the loose
 defect lies too near the current one to decide.  The decisions, and so
 every output, are those of probes run at the configured tolerances.
+Every period map, the seed's, the probes' and the monodromy runs', steps
+by the same method, DOP853 (plain runs only while ``max_step`` does not
+bind), so a probe's defect and the current one are alike.  A converged
+orbit is sampled from the monodromy run that closed it, by that run's
+dense output, with no run of its own.
 
 Two degenerate outcomes are recognised explicitly rather than reported
 as bare non-convergence:
@@ -38,8 +43,8 @@ import numpy as np
 
 from .conditions import BoundReport
 from .integrator import (IntegrationError, IntegratorConfig, Trajectory,
-                         flow_and_monodromy, flow_map, integrate,
-                         variational_flow)
+                         _dense_states, _Endpoint, flow_and_monodromy,
+                         flow_map, integrate, variational_flow)
 from .model import (DomainOverflowError, ModelParams, averaged_rates,
                     jac_original, rhs_log, rhs_original)
 
@@ -94,8 +99,13 @@ class ExtinctionDiagnosis:
 class PeriodicOrbit:
     """A converged fixed point of the period map, with its linearisation.
 
-    ``densities`` holds the densities x(t) over one period, at equal
-    time intervals.  ``stop_rule`` says what ended the search: "tol"
+    ``densities`` holds the densities x(t) over one period, at 257
+    equally spaced times from 0 to T.  For a shooting orbit they are
+    exp(z0), the order-7 dense output of the monodromy run that closed
+    the orbit at the 255 times inside the period, and exp(z(T)) of that
+    run; for a steady state, the samples of its original-frame
+    Dormand-Prince run.
+    ``stop_rule`` says what ended the search: "tol"
     when the defect fell below ``tol``, "noise_floor" when a stalled
     line search stopped it, and "steady_state" for the constant
     trajectory of :func:`detect_steady_state`, which runs no Newton
@@ -181,7 +191,9 @@ def seed_by_transient(params: ModelParams, z_start, n_periods: int,
     """Integrate n_periods * T and report the endpoint and its drift.
 
     The first n_periods - 1 periods are adaptive runs over [0, k T] of at
-    most ``_SEED_RUN_PERIODS`` = 256 periods each, so the step-size
+    most ``_SEED_RUN_PERIODS`` = 256 periods each, stepped like
+    :func:`flow_map` (by DOP853 unless ``cfg.max_step`` is below the run's
+    span, and then by Dormand-Prince 5(4)), so the step-size
     controller restarts once per run instead of at every period
     boundary.  The field is T-periodic, so every run starts at t = 0;
     that keeps the rows a run holds, its step floor and its phase error
@@ -194,21 +206,12 @@ def seed_by_transient(params: ModelParams, z_start, n_periods: int,
     if n_periods < 1:
         raise ValueError("n_periods must be >= 1")
     prev = np.asarray(z_start, dtype=float)
-    field = MethodType(rhs_log, params)
+    field = _Endpoint(MethodType(rhs_log, params))
     for done in range(0, n_periods - 1, _SEED_RUN_PERIODS):
         k = min(_SEED_RUN_PERIODS, n_periods - 1 - done)
         prev = integrate(field, 0.0, prev, k * params.period, cfg).final_state
     z = flow_map(params, prev, cfg)
     return SeedResult(z=z, contraction=float(np.max(np.abs(z - prev))))
-
-
-def _sample_period(params: ModelParams, rhs, y0,
-                   cfg: IntegratorConfig) -> Trajectory:
-    """One period of y' = rhs(params, t, y) from y0, sampled at
-    _ORBIT_SAMPLES equal intervals."""
-    ts = np.linspace(0.0, params.period, _ORBIT_SAMPLES + 1)
-    return integrate(MethodType(rhs, params), 0.0, y0, params.period, cfg,
-                     t_eval=ts[1:-1])
 
 
 def find_periodic_orbit(params: ModelParams, guess, tol: float = 1e-12,
@@ -231,16 +234,20 @@ def find_periodic_orbit(params: ModelParams, guess, tol: float = 1e-12,
     accepted in full, or, on the first step, when
     :func:`diagnose_extinction` names no species; an accepted one hands
     its (z(T), M) to the next iteration, whose defect is then the
-    probe's exactly.  Other probes are plain :func:`flow_map` runs,
-    first at tau = 1e-6 times the current defect when that is looser
-    than ``cfg``.  The loose defect decides only when it lies farther
-    than 10 tau (1 + max |z_try|) from the current defect; a near tie, a
-    NaN or a failed loose run is settled by one run at ``cfg``
-    (:func:`_probe_defect`).  The margin is 5.5 times the largest loose
-    error measured over the 1,461 random-draw searches of the test
-    suite, so a probe is accepted or rejected as a run at ``cfg`` would
-    decide, and the search takes the same steps and reports the same
-    bits.
+    probe's exactly.  Other probes are plain :func:`flow_map` runs, by
+    DOP853 as the monodromy runs are, first at tau = 1e-6 times the
+    current defect when that is looser than ``cfg``.  The loose defect
+    decides only when it lies farther than 10 tau (1 + max |z_try|) from
+    the current defect; a near tie, a NaN or a failed loose run is
+    settled by one run at ``cfg`` (:func:`_probe_defect`).  The margin is
+    3.8 times the largest loose error measured over the 1,461
+    random-draw searches of the test suite, so a probe is accepted or
+    rejected as a run at ``cfg`` would decide, and the search takes the
+    same steps and reports the same bits.
+
+    The orbit's ``densities`` come from the monodromy run at the
+    returned z0: its dense output at the 255 sample times inside the
+    period, at 3 ``rhs_log`` calls per step of that run.
 
     When :func:`diagnose_extinction` names a species i that cannot
     invade, a search heading to the state without it also stops: 3
@@ -274,13 +281,16 @@ def find_periodic_orbit(params: ModelParams, guess, tol: float = 1e-12,
                        diagnosis=diagnosis, residual_history=tuple(history))
 
     def converged(stop_rule, it):
-        samples = _sample_period(params, rhs_log, z, cfg)
-        densities = Trajectory(samples.times, np.exp(samples.states))
+        # z(0), the dense output of the run that closed the orbit, z(T)
+        ts = np.linspace(0.0, params.period, _ORBIT_SAMPLES + 1)
+        inner = _dense_states(run.steps, MethodType(rhs_log, params), ts[1:-1])
+        densities = Trajectory(ts, np.exp(np.vstack((z, inner, zT))))
         return PeriodicOrbit(z, rnorm, M, it, densities, tuple(history),
                              noise_floor=floor, stop_rule=stop_rule)
 
     for it in range(max_iter + 1):
-        zT, M = flow_and_monodromy(params, z, cfg) if handed is None else handed
+        run = flow_and_monodromy(params, z, cfg) if handed is None else handed
+        zT, M = run
         G = zT - z
         rnorm = float(np.max(np.abs(G)))
         floor = cfg.abs_tol + cfg.rel_tol * float(np.max(np.abs(z)))
@@ -387,7 +397,9 @@ def detect_steady_state(params: ModelParams, z,
     """
     z = np.array(z, dtype=float)
     x0 = np.exp(z)
-    traj = _sample_period(params, rhs_original, x0, cfg)
+    ts = np.linspace(0.0, params.period, _ORBIT_SAMPLES + 1)
+    traj = integrate(MethodType(rhs_original, params), 0.0, x0, params.period,
+                     cfg, t_eval=ts[1:-1])
     scale = float(np.max(traj.states))
     if (scale > 0.0 and np.max(np.var(traj.states / scale, axis=0))
             >= _STEADY_VARIANCE_TOL):

@@ -219,18 +219,64 @@ def grid_scan(params):
     return np.array([zs[i], zs[j]]), float(norms[i, j]), float(zs[1] - zs[0])
 
 
-def march(field, t, y, t1, h, abs_tol=1e-10, rel_tol=1e-10):
+def march(field, t, y, t1, h, abs_tol=1e-10, rel_tol=1e-10, method=None):
     """Run the compiled march for len(y) components from (t, y) to t1 with
-    first step h, no step cap and no sample points, as ``integrate`` does:
-    the variational one for an augmented (field, jac) pair, else the plain
-    one.  Returns (row times, row states as tuples)."""
+    first step h (None: the march's estimate), no step cap and no sample
+    points, as ``integrate`` does: the variational one for an augmented
+    (field, jac) pair, else the plain one of ``method``, by default
+    Dormand-Prince 5(4).  Returns (row times, row states as tuples)."""
     from phytoperiod.integrator import _MIN_STEP_FACTOR, _Augmented, _dp_march
 
     n = len(y)
-    times, flat, *_samples = _dp_march(n, type(field) is _Augmented)(
+    if type(field) is _Augmented:
+        method = "variational"
+    times, flat, *_rest = _dp_march(n, method or "dp5")(
         field, t, tuple(y), t1, h, math.inf, abs_tol, rel_tol,
         _MIN_STEP_FACTOR * (t1 - t), [math.inf])
     return times, [tuple(flat[i:i + n]) for i in range(0, len(flat), n)]
+
+
+def first_step(field, t, y, t1, max_step, abs_tol, rel_tol, order):
+    """Oracle for the first step a march tries when it is given none:
+    Hairer's starting-step estimate (Hairer, Norsett & Wanner, *Solving
+    Ordinary Differential Equations I*, sec. II.4) for a method of the
+    given order, with max-norms over the components in the scale
+    s = abs_tol + rel_tol |y|, written as a loop over the components with
+    the builtins ``max`` and ``min``.  Calls ``field`` at (t, y), then at
+    the Euler point unless the estimate fails before it; a failure (a
+    ``DomainOverflowError`` there, or a quantity that is not finite)
+    gives min((t1 - t) / 1000, max_step).  ``max_step`` may be inf.
+    Returns the step."""
+    from phytoperiod import DomainOverflowError
+
+    def norm(values):       # the max-norm, NaN if any value is NaN
+        values = list(values)
+        return math.nan if any(v != v for v in values) else max(values)
+
+    fallback = min((t1 - t) * 1e-3, max_step)
+    h_max = min(t1 - t, max_step)
+    f0 = field(t, tuple(y))
+    s = [abs_tol + rel_tol * abs(v) for v in y]
+    d0 = norm(abs(v) / si for v, si in zip(y, s))
+    d1 = norm(abs(v) / si for v, si in zip(f0, s))
+    h0 = min(1e-6 if d0 < 1e-5 or d1 < 1e-5 else 0.01 * d0 / d1, h_max)
+    if not (h0 > 0.0 and d1 < math.inf):
+        return fallback
+    try:
+        f1 = field(t + h0, tuple(v + h0 * f for v, f in zip(y, f0)))
+    except DomainOverflowError:
+        return fallback
+    d2 = norm(abs(a - b) / si for a, b, si in zip(f1, f0, s)) / h0
+    if d2 != d2:
+        return fallback
+    d = max(d1, d2)
+    if d <= 1e-15:
+        h1 = max(1e-6, h0 * 1e-3)
+    else:
+        h1 = (0.01 / d) ** (1.0 / order)
+    if not 0.0 < h1 < math.inf:
+        return fallback
+    return min(100.0 * h0, h1, h_max)
 
 
 def order_fit(field, y0, exact, steps):

@@ -543,10 +543,10 @@ def test_reproduce_integrates_the_horizon_once(tmp_path, monkeypatch, which):
 
 # calls per ``reproduce``; a fused or bypassed field changes them
 BUNDLE_CALLS = {
-    "example1": {"rhs_log": 11_495, "jac_log": 1_469, "rhs_original": 415,
+    "example1": {"rhs_log": 10_184, "jac_log": 1_402, "rhs_original": 415,
                  "jac_original": 0, "integrate": 23},
-    "remark-constant": {"rhs_log": 4_551, "jac_log": 0, "rhs_original": 128,
-                        "jac_original": 85, "integrate": 4}}
+    "remark-constant": {"rhs_log": 4_551, "jac_log": 0, "rhs_original": 117,
+                        "jac_original": 74, "integrate": 4}}
 
 
 @pytest.mark.parametrize("which", sorted(BUNDLE_CALLS))
@@ -595,7 +595,7 @@ def test_find_orbit_calls_per_period_run(tmp_path, monkeypatch):
         monkeypatch, ("rhs_log", "jac_log", "flow_map", "flow_and_monodromy"))
     config = str(Path(__file__).parent / "forced_mixed.json")
     assert main(["find-orbit", "--config", config, "--out", str(tmp_path)]) == EXIT_OK
-    assert counts == {"rhs_log": 1_787, "jac_log": 831, "flow_map": 1,
+    assert counts == {"rhs_log": 1_181, "jac_log": 798, "flow_map": 1,
                       "flow_and_monodromy": 3}
     doc = json.loads((tmp_path / "orbit_report.json").read_text())
     assert (doc["orbit"]["newton_iterations"], doc["orbit"]["stop_rule"]) == (2, "tol")

@@ -1,8 +1,9 @@
 """Every import in the package modules, the tests and the benchmark is
 used, every module-level private name of the package is read somewhere
 in it, no package module names ``linalg``: its 2x2 algebra is written in
-closed form, and no package module compares a value with the name of a
-reproduction bundle: a bundle's checks are its golden file's rows.
+closed form, no package module imports scipy, which only the tests use,
+and no package module compares a value with the name of a reproduction
+bundle: a bundle's checks are its golden file's rows.
 
 No linter is configured for the project, so this scans the source with
 the standard-library ``ast`` module.  ``__init__.py`` is skipped by the
@@ -79,6 +80,45 @@ def test_linalg_scanner_flags_every_spelling():
 @pytest.mark.parametrize("path", PACKAGE, ids=lambda p: p.name)
 def test_no_package_module_names_linalg(path):
     assert linalg_names(path.read_text()) == []
+
+
+def scipy_imports(source: str) -> list[str]:
+    """The lines where the source imports scipy or one of its modules: by
+    an import statement, or by ``__import__`` or ``import_module`` of a
+    literal name."""
+    lines = set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Import):
+            names = [alias.name for alias in node.names]
+        elif isinstance(node, ast.ImportFrom):
+            names = [] if node.level else [node.module]
+        elif (isinstance(node, ast.Call) and node.args
+              and isinstance(node.args[0], ast.Constant)
+              and getattr(node.func, "id", getattr(node.func, "attr", None))
+              in ("__import__", "import_module")):
+            names = [node.args[0].value]
+        else:
+            continue
+        if any(str(name).split(".")[0] == "scipy" for name in names):
+            lines.add(node.lineno)
+    return [f"line {n}" for n in sorted(lines)]
+
+
+def test_scipy_scanner_flags_every_import():
+    source = ("import numpy as np\nimport scipy\nimport os, scipy.integrate\n"
+              "from scipy import linalg\n"
+              "from scipy.integrate._ivp import dop853_coefficients\n"
+              "m = importlib.import_module('scipy.special')\n"
+              "n = __import__('scipy')\n"
+              "from .scipy import x\nscipy = 1\nimport scipyx\n"
+              "o = importlib.import_module('numpy')\n")
+    assert scipy_imports(source) == [f"line {i}" for i in range(2, 8)]
+
+
+@pytest.mark.parametrize("path", PACKAGE, ids=lambda p: p.name)
+def test_no_package_module_imports_scipy(path):
+    """scipy stays a test dependency: the package needs only numpy."""
+    assert scipy_imports(path.read_text()) == []
 
 
 def bundle_name_comparisons(source: str, bundles) -> list[str]:
@@ -174,12 +214,14 @@ def test_every_tableau_coefficient_is_read():
     """The coefficients of both tableaux, Dormand-Prince 5(4) and DOP853,
     are the keys of one dict, which the private-name scan does not see
     into; the stages, the error weights and the continuous extension of
-    the marches read exactly those keys, so an unused or a missing
-    coefficient fails here."""
+    the marches and the extra stages and weights of DOP853's dense output
+    read exactly those keys, so an unused or a missing coefficient fails
+    here."""
     from phytoperiod import integrator
 
     read = set()
     for tab in (integrator._DP5, integrator._DOP853):
-        read.update(*((node, *weights) for node, weights in tab.stages),
-                    *tab.errors, *(tab.extension or ()))
+        stages, rows = tab.dense or ((), ())
+        read.update(*((node, *weights) for node, weights in tab.stages + stages),
+                    *tab.errors, *(tab.extension or ()), *rows)
     assert set(integrator._TABLEAU) == read - {None}

@@ -17,7 +17,8 @@ from phytoperiod import (DomainOverflowError, IntegrationError, IntegratorConfig
                          write_trajectory_csv)
 from phytoperiod import integrator as itg
 
-from conftest import march, random_draw, write_trajectory_csv_per_row
+from conftest import (first_step, march, random_draw,
+                      write_trajectory_csv_per_row)
 
 TWO_PI = 2.0 * math.pi
 
@@ -423,31 +424,43 @@ def test_integrate_fails_as_the_generic_loop_does(field, t0, y0, t1, cfg):
 
 
 def test_the_step_is_built_once_per_dimension(monkeypatch):
-    """The march is compiled once per state dimension and kept, and so is
-    the variational march, on the first ``variational_flow``; that one is
-    not the plain march of 6 components."""
+    """The march is compiled once per state dimension and method and kept:
+    Dormand-Prince for a plain field, DOP853 for an end-point run whose
+    step cap does not bind (a capped one is the Dormand-Prince run), and
+    the variational march, on the first ``variational_flow``, which is
+    neither plain march of 6 components."""
     built = {}
     monkeypatch.setattr(itg, "_DP_MARCHES", built)
     integrate(exp_decay, 0.0, [1.0], 1.0, IntegratorConfig())
-    march_1 = built[1, False]
+    march_1 = built[1, "dp5"]
     integrate(exp_decay, 0.0, [2.0], 3.0, IntegratorConfig())
     integrate(lambda t, y: (-y[1], y[0]), 0.0, [1.0, 0.0], 1.0,
               IntegratorConfig())
-    assert sorted(built) == [(1, False), (2, False)]
-    assert built[1, False] is march_1 and itg._dp_march(1) is march_1
+    integrate(itg._Endpoint(exp_decay), 0.0, [1.0], 1.0,
+              IntegratorConfig(max_step=0.5))
+    assert sorted(built) == [(1, "dp5"), (2, "dp5")]
+    assert built[1, "dp5"] is march_1 and itg._dp_march(1) is march_1
+    integrate(itg._Endpoint(exp_decay), 0.0, [1.0], 1.0,
+              IntegratorConfig(max_step=1.0))
+    endpoint = built[1, "dop853"]
+    integrate(itg._Endpoint(exp_decay), 0.0, [2.0], 3.0, IntegratorConfig())
+    assert built[1, "dop853"] is endpoint
     rotation = (lambda t, y: (-y[1], y[0]), lambda t, y: ((0.0, -1.0), (1.0, 0.0)))
     variational_flow(*rotation, 0.0, [1.0, 0.0], 1.0, IntegratorConfig())
-    variational = built[6, True]
+    variational = built[6, "variational"]
     variational_flow(*rotation, 0.0, [0.0, 1.0], 2.0, IntegratorConfig())
-    assert sorted(built) == [(1, False), (2, False), (6, True)]
-    assert built[6, True] is variational
-    assert itg._dp_march(6, True) is variational
+    assert sorted(built) == [(1, "dop853"), (1, "dp5"), (2, "dp5"),
+                             (6, "variational")]
+    assert built[6, "variational"] is variational
+    assert itg._dp_march(6, "variational") is variational
 
 
 def test_check_builds_no_step(tmp_path):
     """The marches are built on first use, not at import, and ``check``
     integrates nothing, so it builds none, neither a plain march nor the
-    variational one; ``find-orbit`` then builds both."""
+    variational one; ``find-orbit`` then builds the three it runs: DOP853
+    for the seed, Dormand-Prince for the steady-state test's samples and
+    the variational march for the search."""
     from conftest import run_python
 
     config = tmp_path / "example1.json"
@@ -460,8 +473,8 @@ print(sorted(integrator._DP_MARCHES))
 cli.main(["find-orbit", "--config", {str(config)!r}, "--out", {str(tmp_path)!r}])
 print(sorted(integrator._DP_MARCHES))
 """)
-    assert proc.stdout.splitlines()[-2:] == ["[]", "[(2, False), (6, True)]"], \
-        proc.stderr
+    assert proc.stdout.splitlines()[-2:] == [
+        "[]", "[(2, 'dop853'), (2, 'dp5'), (6, 'variational')]"], proc.stderr
 
 
 def test_numpy_array_fields_step_like_tuples():
@@ -897,20 +910,25 @@ class _RecordedPair:
         return self._call(self._jac, t, y)
 
 
+def _plain_dop853(field, t0, w0, t1, cfg):
+    """The plain DOP853 march on ``field`` with the arguments ``integrate``
+    gives a march that estimates its first step, and its rows."""
+    times, flat = itg._dp_march(len(w0), "dop853")(
+        field, t0, tuple(w0), t1, None, cfg.max_step or math.inf, cfg.abs_tol,
+        cfg.rel_tol, itg._MIN_STEP_FACTOR * (t1 - t0), [math.inf])
+    return Trajectory(np.array(times), np.reshape(flat, (-1, len(w0))))
+
+
 def _both_marches(make_pair, t0, w0, t1, cfg):
     """The outcome of the compiled variational march on the pair from
-    ``make_pair()`` and of the plain march built by the same generator
-    from the DOP853 tableau on the pair's augmented ``__call__`` (behind
-    a lambda, so the variational march is not chosen), with both pairs."""
+    ``make_pair()``, through ``integrate``, and of the plain DOP853 march
+    built by the same generator on the pair's augmented ``__call__``,
+    whatever the step cap, with both pairs."""
     runs = []
-    plain = itg._compile_march(6, itg._DOP853, False)
-    for wrap in (lambda aug: aug, lambda aug: lambda t, w: aug(t, w)):
+    for run in (integrate, _plain_dop853):
         pair = make_pair()
-        field = wrap(itg._Augmented((pair.field, pair.jac)))
-        with pytest.MonkeyPatch.context() as mp:
-            mp.setitem(itg._DP_MARCHES, (6, False), plain)
-            runs.append((_outcome(lambda: integrate(field, t0, w0, t1, cfg)),
-                         pair))
+        field = itg._Augmented((pair.field, pair.jac))
+        runs.append((_outcome(lambda: run(field, t0, w0, t1, cfg)), pair))
     return runs
 
 
@@ -979,16 +997,17 @@ def _blow_up(t, y):
 def test_the_variational_march_fails_as_the_augmented_call_does(forced_params,
                                                                 case):
     """A trial stage outside the exp guard of ``jac_log`` and ``rhs_log``,
-    whose step shrinks and the run goes on; a step underflow at a blow-up; and a
+    whose step shrinks and the run goes on to its end; a step underflow at a blow-up; and a
     state that overflows to inf: the compiled variational march and the
     plain DOP853 march on the augmented ``__call__`` end the same way,
     with the same type, message and t, after the same calls."""
     identity = [1.0, 0.0, 0.0, 1.0]
     if case == "domain":
-        # a first step of 100 over [0, 1e5] puts stage 4 near z1 = 1e11
+        # at tolerances of 1 the steps over [0, 1e5] grow fivefold until
+        # a trial stage leaves the exp guard's range
         fields = (partial(rhs_log, forced_params), partial(jac_log, forced_params))
-        args = (0.0, [0.64, -0.18, *identity], 1e5, IntegratorConfig())
-        expected = _Enough
+        args = (0.0, [0.64, -0.18, *identity], 1e5, IntegratorConfig(1.0, 1.0))
+        expected = list
     elif case == "underflow":
         fields = (_blow_up, lambda t, y: ((2.0 * y[0], 0.0), (0.0, -1.0)))
         args = (0.0, [2.0, 1.0, *identity], 1.0, IntegratorConfig(1e-6, 1e-6))
@@ -1000,9 +1019,10 @@ def test_the_variational_march_fails_as_the_augmented_call_does(forced_params,
         expected = itg.NonFiniteStateError
     (got, pair), (ref, ref_pair) = _both_marches(
         lambda: _RecordedPair(*fields), *args)
-    assert got[0] is expected
+    assert type(got) is expected if case == "domain" else got[0] is expected
     assert got == ref and pair.calls == ref_pair.calls
     if case == "domain":
+        assert got[0][-1] == (1e5).hex()
         assert pair.overflows > 0 and pair.overflows == ref_pair.overflows
     else:
         assert got[2] is not None
@@ -1027,12 +1047,177 @@ def test_dop853_constants_are_scipys():
     errors = [[T[w] if w else 0.0 for w in weights] + [0.0]
               for weights in tab.errors]
     assert errors == [ref.E5.tolist(), ref.E3.tolist()]
+    # the dense output: nodes and weights of k14..k16, and the weights of
+    # its last four coefficients over k1..k16
+    stages, coefficients = tab.dense
+    assert [T[node] for node, _ in stages] == ref.C[13:16].tolist()
+    assert [[T[w] if w else 0.0 for w in weights] + [0.0] * (16 - len(weights))
+            for _, weights in stages] == ref.A[13:16].tolist()
+    assert [[T[w] if w else 0.0 for w in weights]
+            for weights in coefficients] == ref.D.tolist()
+
+
+def _recorded_dop853_start(case, t0, span, tols, max_step, variational):
+    """The field calls of a DOP853 march given no first step, up to its
+    k2 call, and those of the estimate oracle ``first_step`` (order 8)
+    on the same field, with the time the march's k2 call must have if it
+    tries the oracle's step.  A plain march runs the random field of
+    ``case``; a variational one the planar pair of ``_planar_pair`` from
+    (y, I), whose calls are recorded as ``_RecordedPair`` does."""
+    (coef, y), t1 = case, t0 + span
+    max_step = max_step or math.inf
+    if variational:
+        fields = _planar_pair(coef)
+        y = [*y, 1.0, 0.0, 0.0, 1.0]
+
+        def make(limit=4000):
+            pair = _RecordedPair(*fields, limit=limit)
+            return itg._Augmented((pair.field, pair.jac)), pair.calls
+    else:
+        def make(limit=math.inf):
+            rec = _Recorder(coef, limit)
+            return rec, rec.times
+    ref_field, ref_calls = make()
+    h = first_step(ref_field, t0, y, t1, max_step, *tols, 8)
+    made = len(ref_calls) // 2 if variational else len(ref_calls)
+    field, calls = make(made + 1)   # up to the k2 call
+    with pytest.raises(_Enough):
+        itg._dp_march(len(y), "variational" if variational else "dop853")(
+            field, t0, tuple(y), t1, None, max_step, *tols,
+            itg._MIN_STEP_FACTOR * span, [math.inf])
+    t_new = t1 if h >= t1 - t0 else t0 + h
+    return calls, ref_calls, t0 + itg._TABLEAU["D_C2"] * (t_new - t0)
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None,
+          phases=[Phase.generate])
+@given(case=_fields,
+       pair=st.tuples(st.lists(st.tuples(_term, _term, _term), min_size=2,
+                               max_size=2),
+                      st.lists(_term, min_size=2, max_size=2)),
+       t0=st.floats(-10.0, 10.0, allow_subnormal=False),
+       span=st.floats(1e-3, 20.0),
+       tols=st.sampled_from([(1e-10, 1e-10), (1e-12, 1e-6), (1e-4, 1e-4),
+                             (1.0, 0.0), (1e-3, 1e-12)]),
+       max_step=st.one_of(st.none(), st.floats(1e-3, 5.0)),
+       variational=st.booleans())
+def test_a_dop853_march_starts_from_hairers_estimate(case, pair, t0, span,
+                                                     tols, max_step,
+                                                     variational):
+    """Random fields in dimensions 1, 2 and 6 for the plain DOP853 march,
+    and random planar pairs with their Jacobians for the variational one:
+    given no first step, a march evaluates the field where the oracle
+    ``first_step`` does, argument for argument, and its first trial step,
+    read off the time of its k2 call, is the oracle's to the last bit."""
+    calls, ref_calls, at = _recorded_dop853_start(
+        pair if variational else case, t0, span, tols, max_step, variational)
+    assert calls[:len(ref_calls)] == ref_calls
+    k2 = calls[len(ref_calls)]
+    assert (k2[1] if variational else k2.hex()) == at.hex()
+
+
+@pytest.mark.parametrize("variational", [False, True])
+@pytest.mark.parametrize("failure", ["raises", "nan"])
+def test_a_failed_estimate_starts_from_a_thousandth_of_the_span(variational,
+                                                                failure):
+    """The starting step never decides how a run ends: when the estimate's
+    one evaluation, at its Euler point, raises DomainOverflowError or
+    returns a NaN, each DOP853 march, the plain one of a period map and
+    the variational one, starts from span / 1000 as Dormand-Prince does,
+    and the run goes on to t1."""
+    calls = []
+
+    def field(t, y):
+        calls.append(t)
+        if len(calls) == 2:
+            if failure == "raises":
+                raise DomainOverflowError("off the domain")
+            return (math.nan, -2.0 * y[1])
+        return (-y[0], -2.0 * y[1])
+
+    cfg = IntegratorConfig()
+    if variational:
+        y, _M = variational_flow(field, lambda t, y: ((-1.0, 0.0), (0.0, -2.0)),
+                                 0.0, [1.0, 2.0], 2.0, cfg)
+    else:
+        y = integrate(itg._Endpoint(field), 0.0, [1.0, 2.0], 2.0, cfg).final_state
+    assert calls[2] == itg._TABLEAU["D_C2"] * (2.0 * 1e-3)
+    assert y == pytest.approx([math.exp(-2.0), 2.0 * math.exp(-4.0)], rel=1e-8)
+
+
+@pytest.mark.parametrize("params_name, z0", PERIOD_CASES)
+def test_dense_output_is_scipys_dop853_interpolant(request, params_name, z0):
+    """Over each step of a monodromy run, the dense output at 5 times
+    inside the step and at its end equals scipy's DOP853 interpolant
+    built from the same step: y, y_new and the stages the run recorded,
+    with the extra stages k14..k16 by scipy's own formula, and zeros for
+    k2..k5, which no weight of either reads.  It calls the field 3 times
+    per step."""
+    from scipy.integrate._ivp import dop853_coefficients as ref
+    from scipy.integrate._ivp.rk import Dop853DenseOutput
+
+    params = request.getfixturevalue(params_name)
+    steps = flow_and_monodromy(params, np.array(z0), IntegratorConfig()).steps
+    calls = []
+
+    def field(t, z):
+        calls.append(t)
+        return rhs_log(params, t, z)
+
+    t, y = steps.times, steps.states[:, :2]
+    record = np.reshape(steps.record, (len(t) - 1, -1, 2))
+    times = np.concatenate([np.linspace(a, b, 6)[1:] for a, b in zip(t, t[1:])])
+    got = itg._dense_states(steps, field, times).reshape(len(t) - 1, 5, 2)
+    assert len(calls) == 3 * (len(t) - 1)
+    worst = 0.0
+    for i, (a, b) in enumerate(zip(t, t[1:])):
+        h, K = b - a, np.zeros((16, 2))
+        K[[j - 1 for j in itg._DENSE_STAGES]] = record[i]
+        for s in range(13, 16):
+            K[s] = rhs_log(params, a + ref.C[s] * h, y[i] + h * (ref.A[s, :s] @ K[:s]))
+        dy = y[i + 1] - y[i]
+        F = np.vstack([dy, h * K[0] - dy, 2.0 * dy - h * (K[12] + K[0]),
+                       h * (ref.D @ K)])
+        want = Dop853DenseOutput(a, b, y[i], F)(np.linspace(a, b, 6)[1:]).T
+        worst = max(worst, float(np.max(np.abs(got[i] - want))))
+    assert worst <= 1e-15 * max(1.0, float(np.max(np.abs(y))))
+
+
+def test_a_period_map_steps_by_dop853_unless_its_cap_binds(forced_params):
+    """``flow_map`` is the DOP853 run of an end-point field while
+    ``max_step`` is unset or at least the period, and otherwise the
+    Dormand-Prince run of ``integrate``, bit for bit."""
+    z0, T = (0.64, -0.18), forced_params.period
+    field = partial(rhs_log, forced_params)
+    for max_step in (None, T, math.nextafter(T, 0.0)):
+        cfg = IntegratorConfig(max_step=max_step)
+        _times, flat = itg._dp_march(2, "dop853")(
+            field, 0.0, z0, T, None, max_step or math.inf, cfg.abs_tol,
+            cfg.rel_tol, itg._MIN_STEP_FACTOR * T, [math.inf])
+        dop853 = np.array(flat[-2:])
+        dp5 = integrate(field, 0.0, z0, T, cfg).final_state
+        assert dop853.tobytes() != dp5.tobytes()
+        want = dp5 if max_step and max_step < T else dop853
+        assert flow_map(forced_params, z0, cfg).tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("params_name, z0", PERIOD_CASES)
+def test_period_map_matches_scipy_dop853(request, params_name, z0):
+    from scipy.integrate import solve_ivp
+
+    params = request.getfixturevalue(params_name)
+    zT = flow_map(params, np.array(z0), IntegratorConfig(1e-12, 1e-12))
+    sol = solve_ivp(lambda t, z: rhs_log(params, t, z), (0.0, params.period),
+                    z0, method="DOP853", rtol=1e-13, atol=1e-13)
+    assert sol.success
+    assert np.max(np.abs(zT - sol.y[:, -1])) < 1e-9
 
 
 def test_the_variational_march_reuses_last_stage():
     """DOP853 is FSAL: its 13th stage is the next step's 1st, so each step
-    costs 12 ``jac`` calls plus 1 at the start.  At the default
-    tolerances the rotation on [0, 10] rejects no step."""
+    costs 12 ``jac`` calls, plus 1 at the start and 1 for the starting
+    step's estimate.  At the default tolerances the rotation on [0, 10]
+    rejects no step."""
     calls = 0
 
     def jac(t, y):
@@ -1043,7 +1228,7 @@ def test_the_variational_march_reuses_last_stage():
     pair = itg._Augmented((lambda t, y: (-y[1], y[0]), jac))
     steps = integrate(pair, 0.0, [1.0, 0.0, 1.0, 0.0, 0.0, 1.0], 10.0,
                       IntegratorConfig())
-    assert calls == 12 * (len(steps.times) - 1) + 1
+    assert calls == 12 * (len(steps.times) - 1) + 2
 
 
 def test_dop853_order_fit():

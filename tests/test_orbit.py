@@ -125,10 +125,16 @@ def test_forced_orbit_converges(forced_orbit):
 
 def test_orbit_samples_end_where_the_period_map_ends(forced_params,
                                                     forced_orbit):
-    """Sampling the period does not move its steps: the last density is
-    exp of the period map of z0, bit for bit."""
-    zT = flow_map(forced_params, forced_orbit.z0, IntegratorConfig())
-    assert forced_orbit.densities.final_state.tobytes() == np.exp(zT).tobytes()
+    """The samples are those of the monodromy run that closed the orbit:
+    the first density is exp(z0) and the last exp(z(T)) of that run, bit
+    for bit, and a fresh run from z0 is that run."""
+    zT, _M = flow_and_monodromy(forced_params, forced_orbit.z0,
+                                IntegratorConfig())
+    densities = forced_orbit.densities
+    assert densities.states[0].tobytes() == np.exp(forced_orbit.z0).tobytes()
+    assert densities.final_state.tobytes() == np.exp(zT).tobytes()
+    assert densities.times.tolist() == np.linspace(
+        0.0, forced_params.period, 257).tolist()
 
 
 def test_forced_orbit_is_stable(forced_orbit):
@@ -174,12 +180,14 @@ def test_newton_quadratic_convergence(forced_params, cfg_tight):
 
 def test_a_seed_some_ulps_off_converges(forced_params):
     """Newton from a seed 10 and 8 ulps away from the period-by-period
-    20-period seed of ``test_cmd_find_orbit_converges_for_forced_system``,
-    at a defect of 6.986e-12, below the noise floor 1e-10 + 1e-10 max |z|
-    of the default integrator.  The full step's probe is the monodromy
-    run of the next iteration, and its defect, 2.5e-16, is below tol=1e-12,
-    so the search stops there by tol.  (A plain-flow run from that point
-    takes other steps, by another method, and reads a defect of 6.987e-12.)"""
+    20-period seed that ``test_cmd_find_orbit_converges_for_forced_system``
+    took when plain runs stepped by Dormand-Prince 5(4), at a defect of
+    3.413e-12, below the noise floor 1e-10 + 1e-10 max |z| of the default
+    integrator.  The full step's probe is the monodromy run of the next
+    iteration, and its defect, 2.8e-16, is below tol=1e-12, so the search
+    stops there by tol.  (A plain-flow run from that point takes other
+    steps, since its starting step is estimated from z alone, and reads
+    a defect of 3.7e-11.)"""
     orbit = find_periodic_orbit(forced_params,
                                 (0.6427560031692795, -0.18257327158846426),
                                 tol=1e-12)
@@ -187,7 +195,7 @@ def test_a_seed_some_ulps_off_converges(forced_params):
     assert orbit.newton_iterations == 1
     assert orbit.noise_floor == pytest.approx(1.642756e-10, rel=1e-6)
     assert orbit.residual_history == (
-        pytest.approx(6.985967e-12, rel=1e-6), orbit.residual_norm)
+        pytest.approx(3.413048e-12, rel=1e-6), orbit.residual_norm)
     assert orbit.residual_norm < 1e-12
 
 
@@ -205,9 +213,9 @@ def _recorded_search(params, guess):
     monodromy, plain = orbit_mod.flow_and_monodromy, orbit_mod.flow_map
 
     def monodromy_run(params, z, cfg):
-        zT, M = monodromy(params, z, cfg)
-        runs.append((z, zT, M))
-        return zT, M
+        run = monodromy(params, z, cfg)
+        runs.append((z, *run))
+        return run
 
     def plain_run(params, z, cfg):
         zT = plain(params, z, cfg)
@@ -381,6 +389,27 @@ def test_a_search_without_a_diagnosis_never_heads_to_the_boundary(
     err = exc_info.value
     assert err.iterations == 10 and err.diagnosis is None
     assert len(err.residual_history) == 11
+
+
+def test_flat_searches_stall_instead_of_spending_the_budget():
+    """Draws 48 and 254 from their 30-period seeds at (3, 0.1) and
+    (0.5, 2) have no orbit to find, and their defects go flat.  Plain
+    probes and monodromy runs step by the same method, so a probe no
+    better than the current defect is rejected and each search stops as
+    a stalled line search, after 5, 18, 10 and 14 iterations, not at the
+    25-iteration budget, which a plain Dormand-Prince probe compared with
+    a DOP853 defect used to run out."""
+    cfg = IntegratorConfig()
+    errors = []
+    for i in (48, 254):
+        params = random_draw(i)
+        for x in ((3.0, 0.1), (0.5, 2.0)):
+            seed = seed_by_transient(params, np.log(x), 30, cfg)
+            with pytest.raises(NonConvergenceError,
+                               match="line search stalled") as exc_info:
+                find_periodic_orbit(params, seed.z, cfg=cfg)
+            errors.append(exc_info.value)
+    assert [err.iterations for err in errors] == [5, 18, 10, 14]
 
 
 # draw 333 of the random draws, as its coefficients print
@@ -640,6 +669,34 @@ def test_forced_orbits_configs_match_fourier_collocation():
                                     max_iter=cfg.newton_max_iter,
                                     cfg=cfg.integrator)
         _assert_matches_collocation(cfg.model, orbit)
+
+
+def test_orbit_samples_are_as_accurate_as_a_sampled_run():
+    """The samples of the 48 forced-orbits configs of bench seeds 11 and
+    12, shot as ``find-orbit`` shoots them: against a re-integration of
+    one period from z0 at 1e-13 tolerances, the largest error of ln x per
+    orbit has a median below 1e-9 and a maximum below 3e-9.  (Sampled by
+    a Dormand-Prince run from z0 they were 9.2e-10 and 2.4e-9; from the
+    closing monodromy run's dense output, 8.6e-10 and 2.5e-9.)"""
+    tight = IntegratorConfig(1e-13, 1e-13)
+    errors = []
+    for seed in (11, 12):
+        for doc in workloads.generate_configs("forced-orbits", seed):
+            cfg = parse_config(doc)
+            seed_z = seed_by_transient(cfg.model, np.log(cfg.initial_state),
+                                       cfg.seed_periods, cfg.integrator).z
+            orbit = find_periodic_orbit(cfg.model, seed_z, tol=cfg.orbit_tol,
+                                        max_iter=cfg.newton_max_iter,
+                                        cfg=cfg.integrator)
+            ts = orbit.densities.times
+            ref = integrate(lambda t, z: rhs_log(cfg.model, t, z), 0.0,
+                            orbit.z0, ts[-1], tight, t_eval=ts[1:-1])
+            errors.append(float(np.max(np.abs(np.log(orbit.densities.states)
+                                              - ref.states))))
+    print(f"\n  sample errors: median {np.median(errors):.3g}, "
+          f"max {max(errors):.3g}")
+    assert len(errors) == 48
+    assert np.median(errors) < 1e-9 and max(errors) < 3e-9
 
 
 @settings(max_examples=15, deadline=None, derandomize=True, database=None)
