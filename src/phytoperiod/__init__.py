@@ -3,9 +3,10 @@ competition model with a fear effect and toxin release.
 
 Provides periodic coefficient functions, the model vector fields in
 original and log coordinates, the sufficient-condition checker with its
-a priori bound ladder, adaptive Dormand-Prince 5(4) integration, a
-shooting solver for periodic solutions with Floquet stability analysis,
-the period-averaged algebraic system, and a config-driven CLI.
+a priori bound ladder, adaptive Runge-Kutta integration (Dormand-Prince
+5(4) and DOP853), a shooting solver for periodic solutions with Floquet
+stability analysis, the period-averaged algebraic system, and a
+config-driven CLI.
 """
 
 from .averaged import (AveragedRoot, DegenerateAveragedSystemError,

@@ -66,9 +66,8 @@ EXIT_CHECK_FAILED = 1
 EXIT_USAGE = 2
 
 _BUNDLED = {"example1": "example1.json", "remark-constant": "remark_constant.json"}
-# the one value of a config's integrator method: Dormand-Prince 5(4)
-# for trajectory runs and DOP853 for period maps and monodromy runs, as
-# `integrator` picks
+# the one value of a config's integrator method; `integrator` picks the
+# method of each run
 _METHOD = "rk45-adaptive"
 _INTEGRATOR_FIELDS = {"method",
                       *(f.name for f in dataclasses.fields(IntegratorConfig))}

@@ -1,24 +1,28 @@
 """Time integration: adaptive embedded Runge-Kutta pairs.
 
 Embedded explicit Runge-Kutta pairs with per-step error control suit the
-smooth, mildly nonlinear planar model and need no dependency.  A
-trajectory run (``integrate`` on a plain field) steps by Dormand-Prince
-5(4) from a first step of a thousandth of its span; its sampled output
-comes from its continuous extension, so sampling never changes the
-steps.  Every run whose only product is a period map steps by Hairer's
-DOP853, which takes about half the field evaluations per period at the
-same tolerances, from Hairer's starting-step estimate: the variational
-(monodromy) equations, and the plain period runs of ``flow_map`` and
-the orbit seed whenever ``max_step`` does not bind.  A variational run
-keeps a record of its stages, from which DOP853's order-7 dense output
-gives the state between its steps at 3 more field evaluations per step
-(``_dense_states``).  Trajectory runs keep Dormand-Prince: their rows
-are what ``trajectory.csv`` holds, and ``max_step`` often caps them,
-where a step of 12 evaluations costs twice one of 6.  The whole adaptive
-loop (starting step, stages, error norm, controller, failure checks,
-rows and samples) is one generated straight-line function per method,
-compiled on first use per state dimension; the variational one calls
-``jac`` before ``field`` and writes the J Y products inline.
+smooth, mildly nonlinear planar model and need no dependency.
+``integrate`` picks the method from the type of its field alone, and the
+step cap ``max_step`` applies to every method:
+
+* a plain field is a trajectory run, stepped by Dormand-Prince 5(4) from
+  a first step of a thousandth of its span.  Its sampled output comes
+  from its continuous extension, so sampling never changes the steps.
+  Its rows are what ``trajectory.csv`` holds, and ``max_step`` often caps
+  them, where a step of 12 evaluations costs twice one of 6.
+* a run read only for where it ends steps by Hairer's DOP853, which takes
+  about half the field evaluations per period at the same tolerances,
+  from Hairer's starting-step estimate, and takes no samples: an
+  :class:`_Endpoint` field (``flow_map`` and the orbit seed's runs) and
+  an :class:`_Augmented` pair (the variational, or monodromy, equations).
+  A variational run keeps a record of its stages, from which DOP853's
+  order-7 dense output gives the state between its steps at 3 more field
+  evaluations per step (:meth:`_Flow.states_at`).
+
+The whole adaptive loop (starting step, stages, error norm, controller,
+failure checks, rows and samples) is one generated straight-line function
+per method, compiled on first use per state dimension; the variational
+one calls ``jac`` before ``field`` and writes the J Y products inline.
 ``integrate`` checks its arguments, runs it once and wraps its rows.
 """
 
@@ -274,9 +278,8 @@ class NonFiniteStateError(IntegrationError):
 
 @dataclass(frozen=True)
 class IntegratorConfig:
-    """Accuracy knobs of the adaptive steppers, Dormand-Prince 5(4) for
-    trajectory runs and DOP853 for period maps and variational runs: their
-    error tolerances and an optional cap on the step size."""
+    """Accuracy knobs of the adaptive steppers: their error tolerances
+    and an optional cap on the step size."""
 
     abs_tol: float = 1e-10
     rel_tol: float = 1e-10
@@ -350,14 +353,9 @@ def integrate(field, t0: float, y0, t1: float, cfg: IntegratorConfig,
     result without ``t_eval`` and the result's ``steps`` with it.  The
     span t1 - t0 must be positive and finite.  The times are taken as
     floats, so a run from numpy-scalar times is the run from their values.
-    A plain field steps by Dormand-Prince 5(4) from a first step of
-    span / 1000.  Two private fields step by DOP853 from Hairer's
-    starting-step estimate instead: a variational run
-    (``variational_flow``'s augmented pair), which has no continuous
-    extension here and so takes no ``t_eval``, and whose rows carry the
-    stage record of its dense output; and an :class:`_Endpoint` field
-    when no ``t_eval`` is given and ``max_step`` is unset or at least the
-    span (else it is the Dormand-Prince run of the field it wraps).
+    The field's type picks the method (see the module docstring); the two
+    private fields step by DOP853, take no ``t_eval``, and a variational
+    run's result carries the stage record of its dense output.
     """
     t0, t1 = float(t0), float(t1)
     if not t1 > t0:
@@ -376,13 +374,11 @@ def integrate(field, t0: float, y0, t1: float, cfg: IntegratorConfig,
     if type(field) is _Augmented:
         method = "variational"
     elif type(field) is _Endpoint:
-        field = field.field
-        if t_eval is None and max_step >= t1 - t0:
-            method = "dop853"
+        field, method = field.field, "dop853"
     pts = []
     if t_eval is not None:
-        if method == "variational":
-            raise ValueError("a variational run takes no t_eval")
+        if method != "dp5":
+            raise ValueError("a DOP853 run takes no t_eval")
         pts = [float(p) for p in t_eval]
         if not all(map(math.isfinite, pts)):
             raise ValueError("t_eval points must be finite")
@@ -405,9 +401,6 @@ def integrate(field, t0: float, y0, t1: float, cfg: IntegratorConfig,
     return _from_march(*extra, n, steps)
 
 
-_DP_MARCHES = {}    # (state dimension, method) -> its compiled march
-
-
 class _Augmented(tuple):
     """The pair (field, jac), called as y' = field(t, y), Y' = J(t, y) Y
     on (y1, y2, Y11, Y12, Y21, Y22), ``jac`` first so that ``jac_log``
@@ -425,31 +418,23 @@ class _Augmented(tuple):
 
 
 class _Endpoint:
-    """A field whose run is read only for where it ends (a period map):
-    ``integrate`` steps it by DOP853 unless ``max_step`` binds."""
+    """The field of a run read only for where it ends (a period map)."""
 
     __slots__ = ("field",)
 
     def __init__(self, field):
         self.field = field
 
-    def __call__(self, t, y):
-        return self.field(t, y)
 
-
-def _dp_march(n: int, method: str = "dp5"):
+@functools.cache
+def _dp_march(n: int, method: str):
     """The adaptive march of an n-component state, compiled on first use
-    and kept for the process.  ``method`` is "dp5", Dormand-Prince 5(4),
-    whose continuous extension samples a run; "dop853", Hairer's DOP853,
-    which takes about half the field evaluations per period at the same
-    tolerances and samples nothing; or "variational", DOP853 on the
-    variational equations (n = 6, an :class:`_Augmented` pair), which
-    also keeps the stage record of its dense output."""
-    march = _DP_MARCHES.get((n, method))
-    if march is None:
-        march = _DP_MARCHES[n, method] = _compile_march(
-            n, _DP5 if method == "dp5" else _DOP853, method == "variational")
-    return march
+    and kept for the process.  ``method`` is "dp5" (Dormand-Prince 5(4)),
+    "dop853" (Hairer's DOP853) or "variational" (DOP853 on the variational
+    equations, n = 6, which also keeps the stage record of its dense
+    output)."""
+    return _compile_march(n, _DP5 if method == "dp5" else _DOP853,
+                          method == "variational")
 
 
 def _max_norm(values, scale) -> float:
@@ -697,8 +682,7 @@ def _compile_march(n: int, tab: _Tableau, variational: bool):
 
 
 def flow_map(params: ModelParams, z0, cfg: IntegratorConfig) -> np.ndarray:
-    """State after one period: z(T) of the log-frame flow with z(0) = z0,
-    stepped by DOP853 unless ``cfg.max_step`` is below the period."""
+    """State after one period: z(T) of the log-frame flow with z(0) = z0."""
     traj = integrate(_Endpoint(MethodType(rhs_log, params)), 0.0, z0,
                      params.period, cfg)
     return traj.final_state
@@ -706,14 +690,38 @@ def flow_map(params: ModelParams, z0, cfg: IntegratorConfig) -> np.ndarray:
 
 class _Flow(tuple):
     """The pair (y(t1), Y(t1)) of a variational run, with the run itself
-    as ``steps``: its rows and its stage record, from which
-    :func:`_dense_states` gives y between the rows."""
+    as ``steps`` (its rows and its stage record) and its planar
+    ``field``, from which :meth:`states_at` gives y between the rows."""
 
-    def __new__(cls, steps: Trajectory):
+    def __new__(cls, steps: Trajectory, field):
         wT = steps.final_state
         flow = super().__new__(cls, (wT[:2], wT[2:].reshape(2, 2)))
-        flow.steps = steps
+        flow.steps, flow.field = steps, field
         return flow
+
+    def states_at(self, times) -> np.ndarray:
+        """The planar state y at ``times``, ascending and inside (t0, t1],
+        one row per time, from DOP853's order-7 dense output over the step
+        that holds each time.  ``field`` is called 3 times on each step
+        that holds a time, for the extra stages k14..k16
+        (:func:`_dense_step`)."""
+        steps = self.steps
+        t, times = steps.times, np.asarray(times, dtype=float)
+        step = np.searchsorted(t, times) - 1    # t[step] < time <= t[step + 1]
+        held = sorted(set(step.tolist()))
+        ts, ys = t.tolist(), steps.states[:, :2].tolist()
+        dense, width = _dense_step(), 2 * len(_DENSE_STAGES)
+        coeffs = np.array([
+            dense(self.field, ts[i], ts[i + 1] - ts[i], *ys[i], *ys[i + 1],
+                  *steps.record[i * width:(i + 1) * width])
+            for i in held]).reshape(-1, 7, 2)
+        c = coeffs[np.searchsorted(held, step)]
+        x = ((times - t[step]) / (t[step + 1] - t[step]))[:, None]
+        # y + x (F0 + (1 - x) (F1 + x (F2 + (1 - x) (F3 + ... + x F6))))
+        p = c[:, 6]
+        for r, w in zip(range(5, -1, -1), (x, 1.0 - x) * 3):
+            p = c[:, r] + w * p
+        return steps.states[step, :2] + x * p
 
 
 def variational_flow(field, jac, t0: float, y0, t1: float,
@@ -729,7 +737,7 @@ def variational_flow(field, jac, t0: float, y0, t1: float,
     if np.shape(y0) != (2,):
         raise ValueError(f"need a planar state (y1, y2), got shape {np.shape(y0)}")
     return _Flow(integrate(_Augmented((field, jac)), t0,
-                           (*y0, 1.0, 0.0, 0.0, 1.0), t1, cfg))
+                           (*y0, 1.0, 0.0, 0.0, 1.0), t1, cfg), field)
 
 
 def flow_and_monodromy(params: ModelParams, z0, cfg: IntegratorConfig):
@@ -774,29 +782,6 @@ def _dense_step():
     exec(compile("\n".join(lines), "<phytoperiod dense output>", "exec"),
          namespace)
     return namespace.pop("dense")
-
-
-def _dense_states(steps: Trajectory, field, times) -> np.ndarray:
-    """The planar state y of the variational run ``steps`` at ``times``,
-    ascending and inside (t0, t1], one row per time, from DOP853's
-    order-7 dense output over the step that holds each time.  ``field``
-    is the run's planar field; it is called 3 times on each step that
-    holds a time, for the extra stages k14..k16 (:func:`_dense_step`)."""
-    t, times = steps.times, np.asarray(times, dtype=float)
-    step = np.searchsorted(t, times) - 1    # t[step] < time <= t[step + 1]
-    held = sorted(set(step.tolist()))
-    ts, ys = t.tolist(), steps.states[:, :2].tolist()
-    dense, width = _dense_step(), 2 * len(_DENSE_STAGES)
-    coeffs = np.array([dense(field, ts[i], ts[i + 1] - ts[i], *ys[i], *ys[i + 1],
-                             *steps.record[i * width:(i + 1) * width])
-                       for i in held]).reshape(-1, 7, 2)
-    c = coeffs[np.searchsorted(held, step)]
-    x = ((times - t[step]) / (t[step + 1] - t[step]))[:, None]
-    # y + x (F0 + (1 - x) (F1 + x (F2 + (1 - x) (F3 + ... + x F6))))
-    p = c[:, 6]
-    for r, w in zip(range(5, -1, -1), (x, 1.0 - x) * 3):
-        p = c[:, r] + w * p
-    return steps.states[step, :2] + x * p
 
 
 def write_trajectory_csv(traj: Trajectory, path) -> None:

@@ -11,12 +11,9 @@ Every other probe only decides whether its defect falls below the
 current one, so it first runs at tolerances loosened in proportion to
 that defect and is re-run at the configured ones only when the loose
 defect lies too near the current one to decide.  The decisions, and so
-every output, are those of probes run at the configured tolerances.
-Every period map, the seed's, the probes' and the monodromy runs', steps
-by the same method, DOP853 (plain runs only while ``max_step`` does not
-bind), so a probe's defect and the current one are alike.  A converged
-orbit is sampled from the monodromy run that closed it, by that run's
-dense output, with no run of its own.
+every output, are those of probes run at the configured tolerances.  A
+converged orbit is sampled from the monodromy run that closed it, by
+that run's dense output, with no run of its own.
 
 Two degenerate outcomes are recognised explicitly rather than reported
 as bare non-convergence:
@@ -43,8 +40,8 @@ import numpy as np
 
 from .conditions import BoundReport
 from .integrator import (IntegrationError, IntegratorConfig, Trajectory,
-                         _dense_states, _Endpoint, flow_and_monodromy,
-                         flow_map, integrate, variational_flow)
+                         _Endpoint, flow_and_monodromy, flow_map, integrate,
+                         variational_flow)
 from .model import (DomainOverflowError, ModelParams, averaged_rates,
                     jac_original, rhs_log, rhs_original)
 
@@ -192,12 +189,10 @@ def seed_by_transient(params: ModelParams, z_start, n_periods: int,
 
     The first n_periods - 1 periods are adaptive runs over [0, k T] of at
     most ``_SEED_RUN_PERIODS`` = 256 periods each, stepped like
-    :func:`flow_map` (by DOP853 unless ``cfg.max_step`` is below the run's
-    span, and then by Dormand-Prince 5(4)), so the step-size
-    controller restarts once per run instead of at every period
-    boundary.  The field is T-periodic, so every run starts at t = 0;
-    that keeps the rows a run holds, its step floor and its phase error
-    bounded however long the seed.  The last period is one
+    :func:`flow_map`, so the step-size controller restarts once per run
+    instead of at every period boundary.  The field is T-periodic, so
+    every run starts at t = 0; that keeps the rows a run holds, its step
+    floor and its phase error bounded however long the seed.  The last period is one
     :func:`flow_map` from the state z((n-1)T) the runs reached.
     ``contraction`` is the period-map defect there,
     max |phi_T(z((n-1)T)) - z((n-1)T)|.  A seed of one or two periods
@@ -234,13 +229,12 @@ def find_periodic_orbit(params: ModelParams, guess, tol: float = 1e-12,
     accepted in full, or, on the first step, when
     :func:`diagnose_extinction` names no species; an accepted one hands
     its (z(T), M) to the next iteration, whose defect is then the
-    probe's exactly.  Other probes are plain :func:`flow_map` runs, by
-    DOP853 as the monodromy runs are, first at tau = 1e-6 times the
-    current defect when that is looser than ``cfg``.  The loose defect
-    decides only when it lies farther than 10 tau (1 + max |z_try|) from
-    the current defect; a near tie, a NaN or a failed loose run is
-    settled by one run at ``cfg`` (:func:`_probe_defect`).  The margin is
-    3.8 times the largest loose error measured over the 1,461
+    probe's exactly.  Other probes are plain :func:`flow_map` runs, first
+    at tau = 1e-6 times the current defect when that is looser than
+    ``cfg``.  The loose defect decides only when it lies farther than
+    10 tau (1 + max |z_try|) from the current defect; a near tie, a NaN
+    or a failed loose run is settled by one run at ``cfg``
+    (:func:`_probe_defect`).  The margin is 3.8 times the largest loose error measured over the 1,461
     random-draw searches of the test suite, so a probe is accepted or
     rejected as a run at ``cfg`` would decide, and the search takes the
     same steps and reports the same bits.
@@ -283,8 +277,8 @@ def find_periodic_orbit(params: ModelParams, guess, tol: float = 1e-12,
     def converged(stop_rule, it):
         # z(0), the dense output of the run that closed the orbit, z(T)
         ts = np.linspace(0.0, params.period, _ORBIT_SAMPLES + 1)
-        inner = _dense_states(run.steps, MethodType(rhs_log, params), ts[1:-1])
-        densities = Trajectory(ts, np.exp(np.vstack((z, inner, zT))))
+        densities = Trajectory(ts, np.exp(np.vstack(
+            (z, run.states_at(ts[1:-1]), zT))))
         return PeriodicOrbit(z, rnorm, M, it, densities, tuple(history),
                              noise_floor=floor, stop_rule=stop_rule)
 

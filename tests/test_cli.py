@@ -545,7 +545,7 @@ def test_reproduce_integrates_the_horizon_once(tmp_path, monkeypatch, which):
 BUNDLE_CALLS = {
     "example1": {"rhs_log": 10_184, "jac_log": 1_402, "rhs_original": 415,
                  "jac_original": 0, "integrate": 23},
-    "remark-constant": {"rhs_log": 4_551, "jac_log": 0, "rhs_original": 117,
+    "remark-constant": {"rhs_log": 4_570, "jac_log": 0, "rhs_original": 117,
                         "jac_original": 74, "integrate": 4}}
 
 
@@ -605,17 +605,19 @@ def test_a_bound_field_is_built_per_call(monkeypatch, tmp_path,
                                         forced_params, cfg):
     """``flow_map``, ``flow_and_monodromy`` and ``_run_horizon`` bind the
     public field by name on every call, never across calls: counters
-    installed after a first call see every evaluation of the next one."""
+    installed after a first call see every evaluation of the next one.
+    The counted runs step as the package's own do, so each ends in the
+    state of its uncounted run, bit for bit."""
     from phytoperiod import integrator
 
     config = parse_config(minimal_config(horizon=3.0))
     z0 = (0.6, -0.2)
     runs = {"flow_map": lambda: integrator.flow_map(forced_params, z0, cfg),
-            "flow_and_monodromy":
-                lambda: integrator.flow_and_monodromy(forced_params, z0, cfg),
-            "_run_horizon": lambda: cli._run_horizon(config, tmp_path)}
-    for run in runs.values():
-        run()
+            "flow_and_monodromy": lambda: np.append(
+                *integrator.flow_and_monodromy(forced_params, z0, cfg)),
+            "_run_horizon":
+                lambda: cli._run_horizon(config, tmp_path).final_state}
+    finals = {name: run() for name, run in runs.items()}
     counts = Counter()
 
     def count(module, name):
@@ -626,13 +628,23 @@ def test_a_bound_field_is_built_per_call(monkeypatch, tmp_path,
             return public(*args)
         monkeypatch.setattr(module, name, counted)
 
+    def counting(field):
+        def counted(t, y):
+            counts["field"] += 1
+            return field(t, y)
+        return counted
+
     def count_field_calls(module):
-        # every evaluation ``integrate`` makes, whatever field it is given
+        # every evaluation of the planar field ``integrate`` is given,
+        # re-wrapped in its run kind so that the run steps as it would
         def counting_integrate(field, *args, **kwargs):
-            def counted(t, y):
-                counts["field"] += 1
-                return field(t, y)
-            return integrate(counted, *args, **kwargs)
+            if type(field) is integrator._Endpoint:
+                field = integrator._Endpoint(counting(field.field))
+            elif type(field) is integrator._Augmented:
+                field = integrator._Augmented((counting(field[0]), field[1]))
+            else:
+                field = counting(field)
+            return integrate(field, *args, **kwargs)
         monkeypatch.setattr(module, "integrate", counting_integrate)
 
     count(integrator, "rhs_log")
@@ -645,10 +657,11 @@ def test_a_bound_field_is_built_per_call(monkeypatch, tmp_path,
                 "_run_horizon": ("rhs_log",)}
     for name, run in runs.items():
         counts.clear()
-        run()
+        final = run()
         assert counts["field"] > 0, name
         assert counts == dict.fromkeys(("field", *expected[name]),
                                        counts["field"]), name
+        assert final.tobytes() == finals[name].tobytes(), name
 
 
 def test_reproduce_unknown_bundle(tmp_path):

@@ -2,8 +2,10 @@
 used, every module-level private name of the package is read somewhere
 in it, no package module names ``linalg``: its 2x2 algebra is written in
 closed form, no package module imports scipy, which only the tests use,
-and no package module compares a value with the name of a reproduction
-bundle: a bundle's checks are its golden file's rows.
+no package module compares a value with the name of a reproduction
+bundle: a bundle's checks are its golden file's rows, and no package
+module but ``integrator`` takes a private name of ``integrator`` except
+the one run kind that ``orbit`` hands it.
 
 No linter is configured for the project, so this scans the source with
 the standard-library ``ast`` module.  ``__init__.py`` is skipped by the
@@ -161,6 +163,44 @@ def test_no_package_module_branches_on_a_bundle_name(path):
     from phytoperiod import cli
 
     assert bundle_name_comparisons(path.read_text(), set(cli._BUNDLED)) == []
+
+
+def private_integrator_names(source: str) -> list[str]:
+    """The ``_``-prefixed names of ``integrator`` that the source takes:
+    by importing them from it, or as attributes of the module imported by
+    name."""
+    tree = ast.parse(source)
+    names, modules = set(), set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom):
+            if (node.module or "").split(".")[-1] == "integrator":
+                names |= {alias.name for alias in node.names}
+            modules |= {alias.asname or alias.name for alias in node.names
+                        if alias.name == "integrator"}
+    for node in ast.walk(tree):
+        if (isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name)
+                and node.value.id in modules):
+            names.add(node.attr)
+    return sorted(n for n in names if n.startswith("_"))
+
+
+def test_private_integrator_name_scanner_flags_every_spelling():
+    source = ("from .integrator import _Endpoint, flow_map\n"
+              "from phytoperiod.integrator import _dense_step\n"
+              "from . import integrator as itg\n"
+              "x = itg._dp_march(2, 'dp5'), itg.integrate\n"
+              "from .model import _private\n")
+    assert private_integrator_names(source) == [
+        "_Endpoint", "_dense_step", "_dp_march"]
+
+
+@pytest.mark.parametrize("path", PACKAGE, ids=lambda p: p.name)
+def test_only_the_integrator_reads_its_private_names(path):
+    """Which method steps a run is the integrator's decision alone, so no
+    other package module reaches into it; the one exception is
+    ``orbit``'s ``_Endpoint``, the run kind of the seed's runs."""
+    allowed = ["_Endpoint"] if path.name == "orbit.py" else []
+    assert private_integrator_names(path.read_text()) == allowed
 
 
 def private_names(source: str) -> list[str]:

@@ -1,5 +1,6 @@
 """Integration accuracy, order verification, flow map and monodromy."""
 
+import functools
 import math
 from functools import partial
 from importlib import resources
@@ -425,34 +426,26 @@ def test_integrate_fails_as_the_generic_loop_does(field, t0, y0, t1, cfg):
 
 def test_the_step_is_built_once_per_dimension(monkeypatch):
     """The march is compiled once per state dimension and method and kept:
-    Dormand-Prince for a plain field, DOP853 for an end-point run whose
-    step cap does not bind (a capped one is the Dormand-Prince run), and
-    the variational march, on the first ``variational_flow``, which is
-    neither plain march of 6 components."""
-    built = {}
-    monkeypatch.setattr(itg, "_DP_MARCHES", built)
+    Dormand-Prince for a plain field, DOP853 for an end-point field,
+    capped or not, and the variational march, on the first
+    ``variational_flow``, which is neither plain march of 6 components."""
+    built = functools.cache(itg._dp_march.__wrapped__)
+    monkeypatch.setattr(itg, "_dp_march", built)
+    rotate = lambda t, y: (-y[1], y[0])
     integrate(exp_decay, 0.0, [1.0], 1.0, IntegratorConfig())
-    march_1 = built[1, "dp5"]
     integrate(exp_decay, 0.0, [2.0], 3.0, IntegratorConfig())
-    integrate(lambda t, y: (-y[1], y[0]), 0.0, [1.0, 0.0], 1.0,
-              IntegratorConfig())
-    integrate(itg._Endpoint(exp_decay), 0.0, [1.0], 1.0,
-              IntegratorConfig(max_step=0.5))
-    assert sorted(built) == [(1, "dp5"), (2, "dp5")]
-    assert built[1, "dp5"] is march_1 and itg._dp_march(1) is march_1
-    integrate(itg._Endpoint(exp_decay), 0.0, [1.0], 1.0,
-              IntegratorConfig(max_step=1.0))
-    endpoint = built[1, "dop853"]
-    integrate(itg._Endpoint(exp_decay), 0.0, [2.0], 3.0, IntegratorConfig())
-    assert built[1, "dop853"] is endpoint
-    rotation = (lambda t, y: (-y[1], y[0]), lambda t, y: ((0.0, -1.0), (1.0, 0.0)))
+    integrate(rotate, 0.0, [1.0, 0.0], 1.0, IntegratorConfig())
+    assert built.cache_info().currsize == 2
+    for max_step in (0.5, None):
+        integrate(itg._Endpoint(exp_decay), 0.0, [1.0], 1.0,
+                  IntegratorConfig(max_step=max_step))
+    assert built.cache_info().currsize == 3
+    rotation = (rotate, lambda t, y: ((0.0, -1.0), (1.0, 0.0)))
     variational_flow(*rotation, 0.0, [1.0, 0.0], 1.0, IntegratorConfig())
-    variational = built[6, "variational"]
     variational_flow(*rotation, 0.0, [0.0, 1.0], 2.0, IntegratorConfig())
-    assert sorted(built) == [(1, "dop853"), (1, "dp5"), (2, "dp5"),
-                             (6, "variational")]
-    assert built[6, "variational"] is variational
-    assert itg._dp_march(6, "variational") is variational
+    for key in ((1, "dp5"), (2, "dp5"), (1, "dop853"), (6, "variational")):
+        built(*key)
+    assert built.cache_info().currsize == 4
 
 
 def test_check_builds_no_step(tmp_path):
@@ -469,12 +462,13 @@ def test_check_builds_no_step(tmp_path):
     proc = run_python("-c", f"""
 from phytoperiod import cli, integrator
 cli.main(["check", "--config", {str(config)!r}, "--out", {str(tmp_path)!r}])
-print(sorted(integrator._DP_MARCHES))
+print(integrator._dp_march.cache_info().currsize)
 cli.main(["find-orbit", "--config", {str(config)!r}, "--out", {str(tmp_path)!r}])
-print(sorted(integrator._DP_MARCHES))
+for key in ((2, "dop853"), (2, "dp5"), (6, "variational")):
+    integrator._dp_march(*key)
+print(integrator._dp_march.cache_info().currsize)
 """)
-    assert proc.stdout.splitlines()[-2:] == [
-        "[]", "[(2, 'dop853'), (2, 'dp5'), (6, 'variational')]"], proc.stderr
+    assert proc.stdout.splitlines()[-2:] == ["0", "3"], proc.stderr
 
 
 def test_numpy_array_fields_step_like_tuples():
@@ -1167,7 +1161,7 @@ def test_dense_output_is_scipys_dop853_interpolant(request, params_name, z0):
     t, y = steps.times, steps.states[:, :2]
     record = np.reshape(steps.record, (len(t) - 1, -1, 2))
     times = np.concatenate([np.linspace(a, b, 6)[1:] for a, b in zip(t, t[1:])])
-    got = itg._dense_states(steps, field, times).reshape(len(t) - 1, 5, 2)
+    got = itg._Flow(steps, field).states_at(times).reshape(len(t) - 1, 5, 2)
     assert len(calls) == 3 * (len(t) - 1)
     worst = 0.0
     for i, (a, b) in enumerate(zip(t, t[1:])):
@@ -1183,22 +1177,21 @@ def test_dense_output_is_scipys_dop853_interpolant(request, params_name, z0):
     assert worst <= 1e-15 * max(1.0, float(np.max(np.abs(y))))
 
 
-def test_a_period_map_steps_by_dop853_unless_its_cap_binds(forced_params):
-    """``flow_map`` is the DOP853 run of an end-point field while
-    ``max_step`` is unset or at least the period, and otherwise the
-    Dormand-Prince run of ``integrate``, bit for bit."""
+def test_a_period_map_steps_by_dop853_whatever_its_cap(forced_params):
+    """``flow_map`` is the DOP853 march of its field with the configured
+    cap, bit for bit, whether ``max_step`` is unset, the period, just
+    below it or well below it; under a cap of 0.25 no step between its
+    rows is longer than 0.25."""
     z0, T = (0.64, -0.18), forced_params.period
     field = partial(rhs_log, forced_params)
-    for max_step in (None, T, math.nextafter(T, 0.0)):
+    for max_step in (None, T, math.nextafter(T, 0.0), 0.25):
         cfg = IntegratorConfig(max_step=max_step)
-        _times, flat = itg._dp_march(2, "dop853")(
+        times, flat = itg._dp_march(2, "dop853")(
             field, 0.0, z0, T, None, max_step or math.inf, cfg.abs_tol,
             cfg.rel_tol, itg._MIN_STEP_FACTOR * T, [math.inf])
         dop853 = np.array(flat[-2:])
-        dp5 = integrate(field, 0.0, z0, T, cfg).final_state
-        assert dop853.tobytes() != dp5.tobytes()
-        want = dp5 if max_step and max_step < T else dop853
-        assert flow_map(forced_params, z0, cfg).tobytes() == want.tobytes()
+        assert flow_map(forced_params, z0, cfg).tobytes() == dop853.tobytes()
+    assert np.max(np.diff(times)) <= 0.25
 
 
 @pytest.mark.parametrize("params_name, z0", PERIOD_CASES)
@@ -1273,14 +1266,16 @@ def test_the_variational_error_norm_keeps_a_nan(component, stage):
 
 
 def test_a_variational_run_takes_no_samples():
-    """The variational march has no continuous extension, so a run of an
-    augmented pair with ``t_eval`` is a ValueError before any call."""
+    """DOP853 has no continuous extension here, so a run of an augmented
+    pair, or of an end-point field, with ``t_eval`` is a ValueError before
+    any call, with one message for both."""
     calls = []
-    pair = itg._Augmented((lambda t, y: calls.append(t) or (-y[0], -y[1]),
-                           lambda t, y: ((-1.0, 0.0), (0.0, -1.0))))
-    with pytest.raises(ValueError, match="a variational run takes no t_eval"):
-        integrate(pair, 0.0, [1.0, 2.0, 1.0, 0.0, 0.0, 1.0], 1.0,
-                  IntegratorConfig(), t_eval=[0.5])
+    field = lambda t, y: calls.append(t) or (-y[0], -y[1])
+    pair = itg._Augmented((field, lambda t, y: ((-1.0, 0.0), (0.0, -1.0))))
+    for run, y0 in ((pair, [1.0, 2.0, 1.0, 0.0, 0.0, 1.0]),
+                    (itg._Endpoint(field), [1.0, 2.0])):
+        with pytest.raises(ValueError, match="^a DOP853 run takes no t_eval$"):
+            integrate(run, 0.0, y0, 1.0, IntegratorConfig(), t_eval=[0.5])
     assert calls == []
 
 

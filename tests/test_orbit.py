@@ -391,15 +391,16 @@ def test_a_search_without_a_diagnosis_never_heads_to_the_boundary(
     assert len(err.residual_history) == 11
 
 
-def test_flat_searches_stall_instead_of_spending_the_budget():
+@pytest.mark.parametrize("max_step", [None, 0.25])
+def test_flat_searches_stall_instead_of_spending_the_budget(max_step):
     """Draws 48 and 254 from their 30-period seeds at (3, 0.1) and
     (0.5, 2) have no orbit to find, and their defects go flat.  Plain
-    probes and monodromy runs step by the same method, so a probe no
-    better than the current defect is rejected and each search stops as
-    a stalled line search, after 5, 18, 10 and 14 iterations, not at the
-    25-iteration budget, which a plain Dormand-Prince probe compared with
-    a DOP853 defect used to run out."""
-    cfg = IntegratorConfig()
+    probes and monodromy runs step by the same method, capped or not, so
+    a probe no better than the current defect is rejected and each search
+    stops as a stalled line search, after 5, 18, 10 and 14 iterations,
+    not at the 25-iteration budget, which a plain Dormand-Prince probe
+    compared with a DOP853 defect used to run out."""
+    cfg = IntegratorConfig(max_step=max_step)
     errors = []
     for i in (48, 254):
         params = random_draw(i)
