@@ -192,8 +192,9 @@ def seed_by_transient(params: ModelParams, z_start, n_periods: int,
     :func:`flow_map`, so the step-size controller restarts once per run
     instead of at every period boundary.  The field is T-periodic, so
     every run starts at t = 0; that keeps the rows a run holds, its step
-    floor and its phase error bounded however long the seed.  The last period is one
-    :func:`flow_map` from the state z((n-1)T) the runs reached.
+    floor and its phase error bounded however long the seed.  The last
+    period is one :func:`flow_map` from the state z((n-1)T) the runs
+    reached.
     ``contraction`` is the period-map defect there,
     max |phi_T(z((n-1)T)) - z((n-1)T)|.  A seed of one or two periods
     takes the same runs as n_periods calls of ``flow_map``.
@@ -234,10 +235,11 @@ def find_periodic_orbit(params: ModelParams, guess, tol: float = 1e-12,
     ``cfg``.  The loose defect decides only when it lies farther than
     10 tau (1 + max |z_try|) from the current defect; a near tie, a NaN
     or a failed loose run is settled by one run at ``cfg``
-    (:func:`_probe_defect`).  The margin is 3.8 times the largest loose error measured over the 1,461
-    random-draw searches of the test suite, so a probe is accepted or
-    rejected as a run at ``cfg`` would decide, and the search takes the
-    same steps and reports the same bits.
+    (:func:`_probe_defect`).  The margin is 3.8 times the largest loose
+    error measured over the 1,461 random-draw searches of the test
+    suite, so a probe is accepted or rejected as a run at ``cfg`` would
+    decide, and the search takes the same steps and reports the same
+    bits.
 
     The orbit's ``densities`` come from the monodromy run at the
     returned z0: its dense output at the 255 sample times inside the

@@ -178,7 +178,8 @@ def private_integrator_names(source: str) -> list[str]:
             modules |= {alias.asname or alias.name for alias in node.names
                         if alias.name == "integrator"}
     for node in ast.walk(tree):
-        if (isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name)
+        if (isinstance(node, ast.Attribute)
+                and isinstance(node.value, ast.Name)
                 and node.value.id in modules):
             names.add(node.attr)
     return sorted(n for n in names if n.startswith("_"))

@@ -464,11 +464,12 @@ from phytoperiod import cli, integrator
 cli.main(["check", "--config", {str(config)!r}, "--out", {str(tmp_path)!r}])
 print(integrator._dp_march.cache_info().currsize)
 cli.main(["find-orbit", "--config", {str(config)!r}, "--out", {str(tmp_path)!r}])
+print(integrator._dp_march.cache_info().currsize)
 for key in ((2, "dop853"), (2, "dp5"), (6, "variational")):
     integrator._dp_march(*key)
 print(integrator._dp_march.cache_info().currsize)
 """)
-    assert proc.stdout.splitlines()[-2:] == ["0", "3"], proc.stderr
+    assert proc.stdout.splitlines()[-3:] == ["0", "3", "3"], proc.stderr
 
 
 def test_numpy_array_fields_step_like_tuples():
