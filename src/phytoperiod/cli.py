@@ -203,8 +203,7 @@ def parse_config(data: dict) -> ExperimentConfig:
                 raise ConfigError(f"{path}: unknown integration method "
                                   f"{value!r}; the only method is {_METHOD!r}")
             continue
-        knobs[key] = (None if key == "max_step" and value is None
-                      else _real(value, path))
+        knobs[key] = _real(value, path)
     with _config_errors("config.integrator"):
         integrator = IntegratorConfig(**knobs)
 

@@ -119,10 +119,12 @@ def extrema(coeff: PeriodicCoefficient, a: float, b: float) -> tuple[float, floa
     An interval longer than the period holds every value of the function,
     so it is evaluated over [0, period], where t is exact however far out
     a lies.  Constants and single sinusoids are handled in closed form.
-    Fourier series are sampled at 4097 points and the best cells are then
-    refined by golden-section search, which leaves each within C h^2 / 8
-    of the exact extremum: h is the window over 4096 and
-    C = sum (k omega)^2 (|a_k| + |b_k|) bounds |f''|.
+    Fourier series are sampled at 4097 points: h is the window over 4096
+    and C = sum (k omega)^2 (|a_k| + |b_k|) bounds |f''|, so the sample
+    nearest an extremum lies within C h^2 / 8 of it.  The cells of the
+    best sample and of every other sampled local extremum within C h^2 / 8
+    of it are refined by golden-section search, and the best refined value
+    is returned.
     """
     if not a < b:
         raise ValueError(f"invalid interval [{a}, {b}]: need a < b")
@@ -147,9 +149,31 @@ def extrema(coeff: PeriodicCoefficient, a: float, b: float) -> tuple[float, floa
 def _fourier_extrema(coeff, a, b):
     ts = np.linspace(a, b, _FOURIER_SAMPLES + 1)
     vals = np.asarray(coeff(ts))
-    f_min = _refine(coeff, ts, int(np.argmin(vals)), sign=+1.0)
-    f_max = -_refine(coeff, ts, int(np.argmax(vals)), sign=-1.0)
+    h = (b - a) / _FOURIER_SAMPLES
+    band = h * h / 8.0 * sum((k * coeff.omega) ** 2 * (abs(ak) + abs(bk))
+                             for k, (ak, bk) in enumerate(coeff.harmonics, 1))
+    lo, hi = int(np.argmin(vals)), int(np.argmax(vals))
+    f_min = min(_refine(coeff, ts, i, sign=+1.0) for i in _contenders(
+        vals, lo, vals <= vals[lo] + band, +1.0))
+    f_max = -min(_refine(coeff, ts, i, sign=-1.0) for i in _contenders(
+        vals, hi, vals >= vals[hi] - band, -1.0))
     return f_min, f_max
+
+
+def _contenders(vals, best, near, sign):
+    """The index ``best`` of the smallest of sign * vals, then those of
+    the other local minima of sign * vals among the samples flagged
+    ``near``: no larger than the value on the left, smaller than the one
+    on the right (so a flat run counts once), and an end compared with
+    its one neighbour."""
+    near = np.flatnonzero(near)
+    if near[0] >= best - 1 and near[-1] <= best + 1:
+        return (best,)      # no other cell than best's and its neighbours'
+    s, last = sign * vals, len(vals) - 1
+    v = s[near]
+    local = near[(v <= s[np.maximum(near - 1, 0)])
+                 & ((v < s[np.minimum(near + 1, last)]) | (near == last))]
+    return (best, *(int(i) for i in local if i != best))
 
 
 def _refine(coeff, ts, i, sign):

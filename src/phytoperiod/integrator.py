@@ -2,14 +2,13 @@
 
 Embedded explicit Runge-Kutta pairs with per-step error control suit the
 smooth, mildly nonlinear planar model and need no dependency.
-``integrate`` picks the method from the type of its field alone, and the
-step cap ``max_step`` applies to every method:
+``integrate`` picks the method from the type of its field alone, and
+accuracy comes from the error tolerances alone: no method caps its step.
 
 * a plain field is a trajectory run, stepped by Dormand-Prince 5(4) from
   a first step of a thousandth of its span.  Its sampled output comes
   from its continuous extension, so sampling never changes the steps.
-  Its rows are what ``trajectory.csv`` holds, and ``max_step`` often caps
-  them, where a step of 12 evaluations costs twice one of 6.
+  Its rows are what ``trajectory.csv`` holds.
 * a run read only for where it ends steps by Hairer's DOP853, which takes
   about half the field evaluations per period at the same tolerances,
   from Hairer's starting-step estimate, and takes no samples: an
@@ -278,22 +277,18 @@ class NonFiniteStateError(IntegrationError):
 
 @dataclass(frozen=True)
 class IntegratorConfig:
-    """Accuracy knobs of the adaptive steppers: their error tolerances
-    and an optional cap on the step size."""
+    """Accuracy knobs of the adaptive steppers: their error tolerances,
+    the only bound on the step size."""
 
     abs_tol: float = 1e-10
     rel_tol: float = 1e-10
-    max_step: float | None = None
 
     def __post_init__(self):
-        for name in ("abs_tol", "rel_tol", "max_step"):
-            value = getattr(self, name)
-            if value is not None and not math.isfinite(value):
+        for name in ("abs_tol", "rel_tol"):
+            if not math.isfinite(getattr(self, name)):
                 raise ValueError(f"{name} must be finite")
         if self.abs_tol <= 0 or self.rel_tol <= 0:
             raise ValueError("tolerances must be positive")
-        if self.max_step is not None and self.max_step <= 0:
-            raise ValueError("max_step must be positive")
 
 
 @dataclass(frozen=True)
@@ -369,7 +364,6 @@ def integrate(field, t0: float, y0, t1: float, cfg: IntegratorConfig,
     if not all(map(math.isfinite, y)):
         raise ValueError("initial state must be finite")
 
-    max_step = cfg.max_step or math.inf
     method = "dp5"
     if type(field) is _Augmented:
         method = "variational"
@@ -389,9 +383,9 @@ def integrate(field, t0: float, y0, t1: float, cfg: IntegratorConfig,
     pts.append(math.inf)        # sentinel, beyond every step
 
     n = len(y)
-    h = min((t1 - t0) * 1e-3, max_step) if method == "dp5" else None
+    h = (t1 - t0) * 1e-3 if method == "dp5" else None
     row_times, row_states, *extra = _dp_march(n, method)(
-        field, t0, y, t1, h, max_step, cfg.abs_tol, cfg.rel_tol,
+        field, t0, y, t1, h, cfg.abs_tol, cfg.rel_tol,
         _MIN_STEP_FACTOR * (t1 - t0), pts)
     if method == "variational":
         return _from_march(row_times, row_states, n, record=extra[0])
@@ -447,7 +441,7 @@ def _max_norm(values, scale) -> float:
     return norm
 
 
-def _first_step(field, t, y, k1, t1, max_step, abs_tol, rel_tol, root):
+def _first_step(field, t, y, k1, t1, abs_tol, rel_tol, root):
     """Hairer's starting step (Hairer, Norsett & Wanner, sec. II.4) for a
     method of order 1/root from (t, y), where field(t, y) = k1.
 
@@ -455,15 +449,14 @@ def _first_step(field, t, y, k1, t1, max_step, abs_tol, rel_tol, root):
     and d1 = |k1 / s|, an Euler step of h0 = 0.01 d0 / d1 (1e-6 if either
     is below 1e-5) costs one evaluation and gives
     d2 = |(field(t + h0, y + h0 k1) - k1) / s| / h0; the step is
-    min(100 h0, (0.01 / max(d1, d2))^root, h_max), where the middle term
-    is max(1e-6, h0 / 1000) when max(d1, d2) <= 1e-15 and h_max =
-    min(t1 - t, max_step) bounds h0 too.  Should that evaluation raise
-    :class:`DomainOverflowError`, d1 or d2 not be finite or h0 not be
-    positive, the step is min((t1 - t) / 1000, max_step), the first step
-    of a Dormand-Prince run, so the estimate never changes how a run
-    fails."""
-    fallback = min((t1 - t) * 1e-3, max_step)
-    h_max = min(t1 - t, max_step)
+    min(100 h0, (0.01 / max(d1, d2))^root, t1 - t), where the middle term
+    is max(1e-6, h0 / 1000) when max(d1, d2) <= 1e-15, and t1 - t bounds
+    h0 too.  Should that evaluation raise :class:`DomainOverflowError`, d1
+    or d2 not be finite or h0 not be positive, the step is (t1 - t) / 1000,
+    the first step of a Dormand-Prince run, so the estimate never changes
+    how a run fails."""
+    fallback = (t1 - t) * 1e-3
+    h_max = t1 - t
     scale = [abs_tol + rel_tol * abs(v) for v in y]
     d0, d1 = _max_norm(y, scale), _max_norm(k1, scale)
     h0 = min(1e-6 if d0 < 1e-5 or d1 < 1e-5 else 0.01 * d0 / d1, h_max)
@@ -483,7 +476,7 @@ def _compile_march(n: int, tab: _Tableau, variational: bool):
     """The adaptive integration of an n-component state by the method
     ``tab``, as one compiled straight-line function.
 
-    ``march(field, t, y, t1, h, max_step, abs_tol, rel_tol, h_floor, pts)``
+    ``march(field, t, y, t1, h, abs_tol, rel_tol, h_floor, pts)``
     integrates y' = field(t, y) from (t, y) to t1 with first step h, or,
     with h None, the one of :func:`_first_step`.  It returns the row
     times and states, then, if ``tab`` has a continuous extension, the
@@ -504,9 +497,14 @@ def _compile_march(n: int, tab: _Tableau, variational: bool):
     A trial stage outside the field's domain (the field raises
     :class:`DomainOverflowError`) makes the error norm NaN, so an
     overshooting trial step shrinks instead of ending the run; a start
-    outside the domain still raises.  Every ``min`` and ``max`` of the
-    generic loop is written as the comparison the builtin makes, so the
-    results are those of that loop to the last bit.  The tableau reaches
+    outside the domain still raises.  A run ends in
+    :class:`StepUnderflowError` when its next step falls below
+    ``h_floor``, or when the step it would try next leaves t where it is:
+    after an accepted step that did not move t, unless the next step is
+    larger, and after a rejected step whose successor has t + h round
+    back to t.  Every ``min`` and ``max`` of the generic loop is written
+    as the comparison the builtin makes, so the results are those of that
+    loop to the last bit.  The tableau reaches
     the march through its namespace, never through its source text.  A
     variational march (n = 6) takes an :class:`_Augmented` pair and
     writes each stage's calls and products of its ``__call__`` inline.
@@ -523,8 +521,8 @@ def _compile_march(n: int, tab: _Tableau, variational: bool):
     def comps(name):
         return ", ".join(f"{name}{i}" for i in range(n)) + ","
 
-    lines = ["def march(field, t, y, t1, h_adaptive, max_step, abs_tol, "
-             "rel_tol, h_floor, pts):",
+    lines = ["def march(field, t, y, t1, h_adaptive, abs_tol, rel_tol, "
+             "h_floor, pts):",
              *(["    times, states = [t], list(y)      # samples",
                 "    i = 0"] if sampled else []),
              "    row_times, row_states = [t], list(y)",
@@ -536,8 +534,8 @@ def _compile_march(n: int, tab: _Tableau, variational: bool):
              f"    {comps('y')} = y",
              f"    {comps('k1_')} = k1",
              "    if h_adaptive is None:",
-             "        h_adaptive = first_step(field, t, y, k1, t1, max_step, "
-             f"abs_tol, rel_tol, {-tab.exponent!r})",
+             "        h_adaptive = first_step(field, t, y, k1, t1, abs_tol, "
+             f"rel_tol, {-tab.exponent!r})",
              *(["    field, jac = field"] if variational else [])]
 
     def stage_sums(weights, from_y):
@@ -609,8 +607,8 @@ def _compile_march(n: int, tab: _Tableau, variational: bool):
                      "            enorm = nan"]
     # standard I-controller with safety factor and clamps; a non-finite
     # error estimate (NaN stages) forces a hard shrink:
-    # h_adaptive = min(h_try * min(5.0, max(0.2, factor)), max_step), as
-    # the builtins compare
+    # h_adaptive = h_try * min(5.0, max(0.2, factor)), as the builtins
+    # compare
     lines += ["        if enorm > 0.0 and enorm < inf:",
               f"            factor = 0.9 * enorm ** {tab.exponent!r}",
               "            if not factor > 0.2:",
@@ -622,8 +620,6 @@ def _compile_march(n: int, tab: _Tableau, variational: bool):
               "        else:",
               "            factor = 0.2",
               "        h_adaptive = h_try * factor",
-              "        if max_step < h_adaptive:",
-              "            h_adaptive = max_step",
               "        if enorm <= 1.0:"]
     if sampled:
         # one polynomial y_i + c_i1 th + ... + c_i4 th^4 per step, by Horner
@@ -666,6 +662,11 @@ def _compile_march(n: int, tab: _Tableau, variational: bool):
               "            if not stalled and t < t1:",
               "                row_times.append(t)",
               "                row_states += y",
+              # a rejected step whose successor leaves t unchanged would be
+              # accepted with h = 0, grown, rejected again, for good
+              "        elif t + h_adaptive == t:",
+              "            raise StepUnderflowError(",
+              "                f'step {h_adaptive!r} does not advance t = {t}', t=t)",
               "    row_times.append(t)",
               "    row_states += y"]
     if sampled:

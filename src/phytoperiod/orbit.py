@@ -21,7 +21,9 @@ as bare non-convergence:
 * steady state: the one-period trajectory in the original frame is
   essentially constant (an equilibrium, possibly on a coordinate axis
   where the log frame has no finite fixed point).  Detected up front
-  and characterised with the original-frame variational equations.
+  and characterised with the original-frame variational equations; on
+  an axis, at the exact boundary state, with the multipliers in closed
+  form.
 * extinction: one species cannot invade the state where it is absent,
   so it decays geometrically near that boundary and the Newton defect
   stalls at the decay rate.  The diagnosis names the species and gives
@@ -67,6 +69,9 @@ _LOOSE_MARGIN = 10.0          # and decides beyond this * tau (1 + max|z|)
 _MAX_NEWTON_STEP = 5.0        # trust region, in log-density units
 _ORBIT_SAMPLES = 256          # sampling resolution over one period
 _STEADY_VARIANCE_TOL = 1e-12  # sample variance of a steady state / (max x)^2
+# a steady state lies on a boundary when a density stays below this times
+# the largest sampled density
+_BOUNDARY_DENSITY = math.sqrt(_STEADY_VARIANCE_TOL)
 _BOUND_SLACK = 1e-9
 _SEED_RUN_PERIODS = 256       # most periods one seeding run integrates
 _BOUNDARY_PROGRESS = 0.99     # a boundary step must cut the defect below this
@@ -101,7 +106,7 @@ class PeriodicOrbit:
     exp(z0), the order-7 dense output of the monodromy run that closed
     the orbit at the 255 times inside the period, and exp(z(T)) of that
     run; for a steady state, the samples of its original-frame
-    Dormand-Prince run.
+    Dormand-Prince run from exp(z0).
     ``stop_rule`` says what ended the search: "tol"
     when the defect fell below ``tol``, "noise_floor" when a stalled
     line search stopped it, and "steady_state" for the constant
@@ -111,10 +116,12 @@ class PeriodicOrbit:
     (None for a steady state).  ``monodromy`` is the log-frame
     linearisation for a shooting orbit and the original-frame one for a
     steady state; the Floquet multipliers and ``stable`` are read off it.
-    ``monodromy`` is integrated at the search's own tolerances, so the
-    multipliers carry that integration error: at the default 1e-10 a
-    small multiplier of a strongly contracting orbit may be off by about
-    1e-6 relative, far above what its 17 printed digits suggest."""
+    A shooting orbit's ``monodromy`` is integrated at the search's own
+    tolerances, so the multipliers carry that integration error: at the
+    default 1e-10 a small multiplier of a strongly contracting orbit may
+    be off by about 1e-6 relative, far above what its 17 printed digits
+    suggest.  A steady state on a boundary has its diagonal, and so its
+    multipliers, in closed form (:func:`detect_steady_state`)."""
 
     z0: np.ndarray
     residual_norm: float
@@ -359,7 +366,7 @@ def _probe_defect(params: ModelParams, z_try, rnorm: float,
     compare with the current defect rnorm.
 
     When tau = 1e-6 rnorm is looser than ``cfg``, the probe first runs
-    with both tolerances at tau (``max_step`` kept), and that defect is
+    with both tolerances at tau, and that defect is
     returned when it is finite and more than 10 tau (1 + max |z_try|)
     from rnorm.  Otherwise, a loose run's integration failure included,
     it is the defect of one run at ``cfg``, whose failures propagate.
@@ -390,6 +397,16 @@ def detect_steady_state(params: ModelParams, z,
     which stays regular when a species sits on (or exponentially close
     to) its extinction axis, where the log frame has no finite fixed
     point.
+
+    A steady state on a boundary, where species i never exceeds 1e-6
+    times the largest sampled density while the other species j has
+    r_j_bar > 0, is linearised at the exact boundary state of
+    :func:`diagnose_extinction`: x_i = 0, x_j = k_j.  There M is upper or
+    lower triangular.  Its diagonal is in closed form, e^{lambda_i} with
+    the invasion exponent lambda_i and e^{-T r_j_bar}, and M_ij is 0.
+    Only the coupling entry M_ji comes from the variational run, which
+    starts at that state, so x stays there exactly.  Any other steady
+    state is linearised along the run from x = exp(z).
     """
     z = np.array(z, dtype=float)
     x0 = np.exp(z)
@@ -400,9 +417,22 @@ def detect_steady_state(params: ModelParams, z,
     if (scale > 0.0 and np.max(np.var(traj.states / scale, axis=0))
             >= _STEADY_VARIANCE_TOL):
         return None
+    # at most one species, never the largest, lies below the boundary level
+    absent = np.flatnonzero(np.max(traj.states, axis=0)
+                            < _BOUNDARY_DENSITY * scale).tolist()
+    T, means = params.period, (params.r1.mean, params.r2.mean)
+    boundary = bool(absent) and means[1 - absent[0]] > 0.0
+    x = x0
+    if boundary:
+        i, j = absent[0], 1 - absent[0]
+        x = [0.0, 0.0]
+        x[j] = (params.k1, params.k2)[j]
     _, M = variational_flow(MethodType(rhs_original, params),
-                            MethodType(jac_original, params),
-                            0.0, x0, params.period, cfg)
+                            MethodType(jac_original, params), 0.0, x, T, cfg)
+    if boundary:
+        M = M.copy()
+        M[i, i] = math.exp(T * averaged_rates(params, *x)[i])
+        M[j, j] = math.exp(-T * means[j])
     residual = float(np.max(np.abs(traj.final_state - x0)))
     return PeriodicOrbit(z, residual, M, 0, traj, stop_rule="steady_state")
 

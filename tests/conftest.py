@@ -221,8 +221,7 @@ def grid_scan(params):
 
 def march(field, t, y, t1, h, abs_tol=1e-10, rel_tol=1e-10, method=None):
     """Run the compiled march for len(y) components from (t, y) to t1 with
-    first step h (None: the march's estimate), no step cap and no sample
-    points, as ``integrate`` does: the variational one for an augmented
+    first step h (None: the march's estimate) and no sample points, as ``integrate`` does: the variational one for an augmented
     (field, jac) pair, else the plain one of ``method``, by default
     Dormand-Prince 5(4).  Returns (row times, row states as tuples)."""
     from phytoperiod.integrator import _MIN_STEP_FACTOR, _Augmented, _dp_march
@@ -231,12 +230,12 @@ def march(field, t, y, t1, h, abs_tol=1e-10, rel_tol=1e-10, method=None):
     if type(field) is _Augmented:
         method = "variational"
     times, flat, *_rest = _dp_march(n, method or "dp5")(
-        field, t, tuple(y), t1, h, math.inf, abs_tol, rel_tol,
+        field, t, tuple(y), t1, h, abs_tol, rel_tol,
         _MIN_STEP_FACTOR * (t1 - t), [math.inf])
     return times, [tuple(flat[i:i + n]) for i in range(0, len(flat), n)]
 
 
-def first_step(field, t, y, t1, max_step, abs_tol, rel_tol, order):
+def first_step(field, t, y, t1, abs_tol, rel_tol, order):
     """Oracle for the first step a march tries when it is given none:
     Hairer's starting-step estimate (Hairer, Norsett & Wanner, *Solving
     Ordinary Differential Equations I*, sec. II.4) for a method of the
@@ -245,16 +244,15 @@ def first_step(field, t, y, t1, max_step, abs_tol, rel_tol, order):
     the builtins ``max`` and ``min``.  Calls ``field`` at (t, y), then at
     the Euler point unless the estimate fails before it; a failure (a
     ``DomainOverflowError`` there, or a quantity that is not finite)
-    gives min((t1 - t) / 1000, max_step).  ``max_step`` may be inf.
-    Returns the step."""
+    gives (t1 - t) / 1000.  Returns the step."""
     from phytoperiod import DomainOverflowError
 
     def norm(values):       # the max-norm, NaN if any value is NaN
         values = list(values)
         return math.nan if any(v != v for v in values) else max(values)
 
-    fallback = min((t1 - t) * 1e-3, max_step)
-    h_max = min(t1 - t, max_step)
+    fallback = (t1 - t) * 1e-3
+    h_max = t1 - t
     f0 = field(t, tuple(y))
     s = [abs_tol + rel_tol * abs(v) for v in y]
     d0 = norm(abs(v) / si for v, si in zip(y, s))

@@ -152,7 +152,7 @@ def test_criterion_4b_monodromy_vs_finite_differences(ex1_params):
 
 def test_criterion_5_constant_coefficient_steady_state(remark_params):
     t0 = time.perf_counter()
-    cfg = IntegratorConfig(max_step=2.0)
+    cfg = IntegratorConfig()
     field = lambda t, x: rhs_original(remark_params, t, x)
 
     # The criterion does not pin the trajectory's initial data.  From

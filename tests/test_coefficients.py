@@ -194,15 +194,18 @@ def test_extrema_dominate_random_samples():
 
 
 def test_fourier_extrema_of_two_near_equal_minima():
-    """cos 3t - 4e-7 cos t has its minimum -1.0000002000000068 at t = pi
-    and a minimum 4e-7 higher at t = pi/3.  Sampling may pick the cell of
-    the higher one, which its sampling error C h^2 / 8 allows."""
+    """cos 3t - 4e-7 cos t has its minimum -1.0000002000000068 at
+    t = pi/3 and 5 pi/3, and a minimum 6e-7 higher at t = pi, which is a
+    sample, so the best sample is there.  The samples nearest pi/3 and
+    5 pi/3 lie within C h^2 / 8 of it, so their cells are refined too, and
+    the minimum is found to rounding, not -0.9999996 from the cell of the
+    best sample alone."""
     f = PeriodicCoefficient.fourier(0.0, [(-4e-7, 0.0), (0.0, 0.0), (1.0, 0.0)])
     exact_lo = exact_extrema(f, 0.0, TWO_PI)[0]
     assert exact_lo == -1.0000002000000068
-    h = TWO_PI / 4096
-    C = 9.0 + 4e-7
-    assert exact_lo <= extrema(f, 0.0, TWO_PI)[0] <= exact_lo + C * h * h / 8
+    ts = np.linspace(0.0, TWO_PI, 4097)
+    assert ts[int(np.argmin(f(ts)))] == math.pi
+    assert extrema(f, 0.0, TWO_PI)[0] == pytest.approx(exact_lo, abs=1e-15)
 
 
 def _milli(lo, hi):

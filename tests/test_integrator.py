@@ -1,5 +1,6 @@
 """Integration accuracy, order verification, flow map and monodromy."""
 
+import dataclasses
 import functools
 import math
 from functools import partial
@@ -46,7 +47,7 @@ def test_logistic_closed_form():
     # uncoupled first species with constant rate is a plain logistic
     r, k, x0 = 0.03, 8.0, 0.002
     field = lambda t, y: np.array([r * y[0] * (1.0 - y[0] / k)])
-    cfg = IntegratorConfig(abs_tol=1e-12, rel_tol=1e-12, max_step=5.0)
+    cfg = IntegratorConfig(abs_tol=1e-12, rel_tol=1e-12)
     traj = integrate(field, 0.0, np.array([x0]), 100.0, cfg)
     expected = k / (1.0 + ((k - x0) / x0) * math.exp(-r * 100.0))
     assert traj.final_state[0] == pytest.approx(expected, rel=1e-9)
@@ -200,9 +201,8 @@ def _reference_integrate(field, t0, y0, t1, cfg, t_eval=None):
     t, y = t0, tuple(np.asarray(y0, dtype=float).tolist())
     times, states = [t], [y]
     step_times, step_states = [t], [y]
-    max_step = cfg.max_step or math.inf
     h_floor = itg._MIN_STEP_FACTOR * (t1 - t0)
-    h_adaptive = min((t1 - t0) * 1e-3, max_step)
+    h_adaptive = (t1 - t0) * 1e-3
     k1 = field(t, y)
     while t < t1:
         stalled = False
@@ -225,10 +225,13 @@ def _reference_integrate(field, t0, y0, t1, cfg, t_eval=None):
                     i += 1
             t, y = t_new, y_new
             k1 = stages[-1]
-        h_adaptive = min(h_try * _reference_factor(enorm), max_step)
+        h_adaptive = h_try * _reference_factor(enorm)
         if h_adaptive < h_floor:
             raise itg.StepUnderflowError(
                 f"adaptive step underflow at t = {t}", t=t)
+        if not accepted and t + h_adaptive == t:
+            raise itg.StepUnderflowError(
+                f"step {h_adaptive!r} does not advance t = {t}", t=t)
         if stalled and not h_adaptive > h_try:
             raise itg.StepUnderflowError(
                 f"step {h_try!r} does not advance t = {t}", t=t)
@@ -372,18 +375,17 @@ def test_the_error_norm_stops_at_the_first_nan(n, component, stage):
        span=st.floats(1e-3, 2.0),
        tols=st.sampled_from([(1e-10, 1e-10), (1e-12, 1e-6), (1e-4, 1e-4),
                              (1e-3, 1e-12)]),
-       max_step=st.one_of(st.none(), st.floats(1e-2, 5.0)),
        grid=st.one_of(st.none(), st.lists(st.floats(0.0, 1.0), max_size=12)))
 def test_integrate_is_the_generic_loop_to_the_last_bit(case, t0, span, tols,
-                                                       max_step, grid):
-    """Random fields in dimensions 1, 2 and 6, tolerances, step caps and
-    sample sets: ``integrate`` returns the times, states and rows of the
+                                                       grid):
+    """Random fields in dimensions 1, 2 and 6, tolerances and sample
+    sets: ``integrate`` returns the times, states and rows of the
     generic loop hex for hex, or fails as it does, with the same type,
     message and t.  Many of these fields blow up in finite time; both
     runs are cut at the 3,000th field call."""
     coef, y0 = case
     t1 = t0 + span
-    cfg = IntegratorConfig(*tols, max_step=max_step)
+    cfg = IntegratorConfig(*tols)
     t_eval = None if grid is None else [t0 + g * span for g in grid]
     # a run that needs more calls ends on the same call in both
     field, ref_field = _Recorder(coef, 3000), _Recorder(coef, 3000)
@@ -414,8 +416,7 @@ def test_sampled_runs_match_the_extension_oracle(n):
     (lambda t, y: (y[0] * y[0],), 0.0, [2.0], 1.0, IntegratorConfig(1e-6, 1e-6)),
     (lambda t, y: (1e308,), 0.0, [1e308], 1.0, IntegratorConfig()),
     (lambda t, y: -np.sqrt(y), 0.0, [1.0], 5.0, IntegratorConfig()),
-    (lambda t, y: (-y[0],), 1e20, [1.0], 1e20 + 1e5,
-     IntegratorConfig(max_step=100.0)),
+    (lambda t, y: (-y[0],), 1e20, [1.0], 1e20 + 1e5, IntegratorConfig()),
     (lambda t, y: (-y[0],), 0.0, [1.0], 5e-324, IntegratorConfig())],
     ids=["blow-up", "overflow", "nan", "stall", "first-step"])
 def test_integrate_fails_as_the_generic_loop_does(field, t0, y0, t1, cfg):
@@ -426,8 +427,8 @@ def test_integrate_fails_as_the_generic_loop_does(field, t0, y0, t1, cfg):
 
 def test_the_step_is_built_once_per_dimension(monkeypatch):
     """The march is compiled once per state dimension and method and kept:
-    Dormand-Prince for a plain field, DOP853 for an end-point field,
-    capped or not, and the variational march, on the first
+    Dormand-Prince for a plain field, DOP853 for an end-point field, and
+    the variational march, on the first
     ``variational_flow``, which is neither plain march of 6 components."""
     built = functools.cache(itg._dp_march.__wrapped__)
     monkeypatch.setattr(itg, "_dp_march", built)
@@ -436,9 +437,7 @@ def test_the_step_is_built_once_per_dimension(monkeypatch):
     integrate(exp_decay, 0.0, [2.0], 3.0, IntegratorConfig())
     integrate(rotate, 0.0, [1.0, 0.0], 1.0, IntegratorConfig())
     assert built.cache_info().currsize == 2
-    for max_step in (0.5, None):
-        integrate(itg._Endpoint(exp_decay), 0.0, [1.0], 1.0,
-                  IntegratorConfig(max_step=max_step))
+    integrate(itg._Endpoint(exp_decay), 0.0, [1.0], 1.0, IntegratorConfig())
     assert built.cache_info().currsize == 3
     rotation = (rotate, lambda t, y: ((0.0, -1.0), (1.0, 0.0)))
     variational_flow(*rotation, 0.0, [1.0, 0.0], 1.0, IntegratorConfig())
@@ -711,26 +710,31 @@ def test_a_trial_stage_outside_the_domain_is_rejected_as_a_nan_stage():
 
 
 def test_a_step_that_does_not_advance_t_is_an_underflow():
-    """At t = 1e20 half an ulp is 8192, so t + h rounds back to t for a
-    step capped at 100: a step underflow, not an endless loop, in the
-    plain march and in the variational one.  Run in a subprocess with a
-    timeout."""
+    """At t = 1e20 half an ulp is 8192, far above the step floor of
+    1e-14 times the span 1e5.  A step grown past an ulp is rejected, and
+    the shrunk step has t + h round back to t: a step underflow at
+    t = 1e20, not an endless loop of zero steps accepted and grown, in
+    the plain march, the end-point one and the variational one.  Run in
+    a subprocess with a timeout."""
     from conftest import run_python
 
     proc = run_python("-c", """
 from phytoperiod import (IntegratorConfig, StepUnderflowError, integrate,
                          variational_flow)
-cfg = IntegratorConfig(max_step=100.0)
-for run in (lambda: integrate(lambda t, y: (-y[0],), 1e20, [1.0], 1e20 + 1e5, cfg),
+from phytoperiod.integrator import _Endpoint
+cfg = IntegratorConfig()
+decay = lambda t, y: (-y[0],)
+for run in (lambda: integrate(decay, 1e20, [1.0], 1e20 + 1e5, cfg),
+            lambda: integrate(_Endpoint(decay), 1e20, [1.0], 1e20 + 1e5, cfg),
             lambda: variational_flow(lambda t, y: (-y[0], -y[1]),
                                      lambda t, y: ((-1.0, 0.0), (0.0, -1.0)),
                                      1e20, [1.0, 2.0], 1e20 + 1e5, cfg)):
     try:
         run()
     except StepUnderflowError as exc:
-        print(exc.t)
+        print(exc.t, "does not advance" in str(exc))
 """)
-    assert (proc.returncode, proc.stdout) == (0, "1e+20\n1e+20\n"), proc.stderr
+    assert (proc.returncode, proc.stdout) == (0, "1e+20 True\n" * 3), proc.stderr
 
 
 def test_stalled_steps_are_not_rows():
@@ -763,7 +767,7 @@ def test_a_step_of_one_ulp_moves_y_over_one_ulp(variational):
 
 
 @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
-@pytest.mark.parametrize("name", ["abs_tol", "rel_tol", "max_step"])
+@pytest.mark.parametrize("name", ["abs_tol", "rel_tol"])
 def test_config_rejects_nonfinite(name, value):
     with pytest.raises(ValueError, match=f"{name} must be finite"):
         IntegratorConfig(**{name: value})
@@ -772,6 +776,14 @@ def test_config_rejects_nonfinite(name, value):
 def test_config_validation():
     with pytest.raises(ValueError):
         IntegratorConfig(abs_tol=-1.0)
+
+
+def test_the_tolerances_are_the_only_knobs():
+    """No step cap: the error tolerances alone set a run's accuracy."""
+    assert [f.name for f in dataclasses.fields(IntegratorConfig)] == [
+        "abs_tol", "rel_tol"]
+    with pytest.raises(TypeError):
+        IntegratorConfig(max_step=2.0)
 
 
 def test_trajectory_invariants():
@@ -909,8 +921,8 @@ def _plain_dop853(field, t0, w0, t1, cfg):
     """The plain DOP853 march on ``field`` with the arguments ``integrate``
     gives a march that estimates its first step, and its rows."""
     times, flat = itg._dp_march(len(w0), "dop853")(
-        field, t0, tuple(w0), t1, None, cfg.max_step or math.inf, cfg.abs_tol,
-        cfg.rel_tol, itg._MIN_STEP_FACTOR * (t1 - t0), [math.inf])
+        field, t0, tuple(w0), t1, None, cfg.abs_tol, cfg.rel_tol,
+        itg._MIN_STEP_FACTOR * (t1 - t0), [math.inf])
     return Trajectory(np.array(times), np.reshape(flat, (-1, len(w0))))
 
 
@@ -918,7 +930,7 @@ def _both_marches(make_pair, t0, w0, t1, cfg):
     """The outcome of the compiled variational march on the pair from
     ``make_pair()``, through ``integrate``, and of the plain DOP853 march
     built by the same generator on the pair's augmented ``__call__``,
-    whatever the step cap, with both pairs."""
+    with both pairs."""
     runs = []
     for run in (integrate, _plain_dop853):
         pair = make_pair()
@@ -954,11 +966,9 @@ def _planar_pair(case):
                             min_size=4, max_size=4)),
        t0=st.floats(-10.0, 10.0, allow_subnormal=False),
        span=st.floats(1e-2, 2.0 * TWO_PI),
-       tols=st.sampled_from([(1e-10, 1e-10), (1e-12, 1e-6), (1e-4, 1e-4)]),
-       max_step=st.one_of(st.none(), st.floats(1e-2, 5.0)))
+       tols=st.sampled_from([(1e-10, 1e-10), (1e-12, 1e-6), (1e-4, 1e-4)]))
 def test_the_variational_march_is_the_augmented_call_to_the_last_bit(
-        forced_params, source, frame, case, draw, y, Y, t0, span, tols,
-        max_step):
+        forced_params, source, frame, case, draw, y, Y, t0, span, tols):
     """Random planar fields with their Jacobians, and the model's fields
     in both frames (``rhs_log``/``jac_log`` and the original-frame pair
     that ``detect_steady_state`` runs) on ``forced_params`` and on the
@@ -977,7 +987,7 @@ def test_the_variational_march_is_the_augmented_call_to_the_last_bit(
             y = [math.exp(v) for v in y]
             fields = (partial(rhs_original, params), partial(jac_original, params))
     t1 = t0 + span
-    cfg = IntegratorConfig(*tols, max_step=max_step)
+    cfg = IntegratorConfig(*tols)
     (got, pair), (ref, ref_pair) = _both_marches(
         lambda: _RecordedPair(*fields), t0, [*y, *Y], t1, cfg)
     assert got == ref
@@ -1052,7 +1062,7 @@ def test_dop853_constants_are_scipys():
             for weights in coefficients] == ref.D.tolist()
 
 
-def _recorded_dop853_start(case, t0, span, tols, max_step, variational):
+def _recorded_dop853_start(case, t0, span, tols, variational):
     """The field calls of a DOP853 march given no first step, up to its
     k2 call, and those of the estimate oracle ``first_step`` (order 8)
     on the same field, with the time the march's k2 call must have if it
@@ -1060,7 +1070,6 @@ def _recorded_dop853_start(case, t0, span, tols, max_step, variational):
     ``case``; a variational one the planar pair of ``_planar_pair`` from
     (y, I), whose calls are recorded as ``_RecordedPair`` does."""
     (coef, y), t1 = case, t0 + span
-    max_step = max_step or math.inf
     if variational:
         fields = _planar_pair(coef)
         y = [*y, 1.0, 0.0, 0.0, 1.0]
@@ -1073,12 +1082,12 @@ def _recorded_dop853_start(case, t0, span, tols, max_step, variational):
             rec = _Recorder(coef, limit)
             return rec, rec.times
     ref_field, ref_calls = make()
-    h = first_step(ref_field, t0, y, t1, max_step, *tols, 8)
+    h = first_step(ref_field, t0, y, t1, *tols, 8)
     made = len(ref_calls) // 2 if variational else len(ref_calls)
     field, calls = make(made + 1)   # up to the k2 call
     with pytest.raises(_Enough):
         itg._dp_march(len(y), "variational" if variational else "dop853")(
-            field, t0, tuple(y), t1, None, max_step, *tols,
+            field, t0, tuple(y), t1, None, *tols,
             itg._MIN_STEP_FACTOR * span, [math.inf])
     t_new = t1 if h >= t1 - t0 else t0 + h
     return calls, ref_calls, t0 + itg._TABLEAU["D_C2"] * (t_new - t0)
@@ -1094,18 +1103,16 @@ def _recorded_dop853_start(case, t0, span, tols, max_step, variational):
        span=st.floats(1e-3, 20.0),
        tols=st.sampled_from([(1e-10, 1e-10), (1e-12, 1e-6), (1e-4, 1e-4),
                              (1.0, 0.0), (1e-3, 1e-12)]),
-       max_step=st.one_of(st.none(), st.floats(1e-3, 5.0)),
        variational=st.booleans())
 def test_a_dop853_march_starts_from_hairers_estimate(case, pair, t0, span,
-                                                     tols, max_step,
-                                                     variational):
+                                                     tols, variational):
     """Random fields in dimensions 1, 2 and 6 for the plain DOP853 march,
     and random planar pairs with their Jacobians for the variational one:
     given no first step, a march evaluates the field where the oracle
     ``first_step`` does, argument for argument, and its first trial step,
     read off the time of its k2 call, is the oracle's to the last bit."""
     calls, ref_calls, at = _recorded_dop853_start(
-        pair if variational else case, t0, span, tols, max_step, variational)
+        pair if variational else case, t0, span, tols, variational)
     assert calls[:len(ref_calls)] == ref_calls
     k2 = calls[len(ref_calls)]
     assert (k2[1] if variational else k2.hex()) == at.hex()
@@ -1178,21 +1185,14 @@ def test_dense_output_is_scipys_dop853_interpolant(request, params_name, z0):
     assert worst <= 1e-15 * max(1.0, float(np.max(np.abs(y))))
 
 
-def test_a_period_map_steps_by_dop853_whatever_its_cap(forced_params):
-    """``flow_map`` is the DOP853 march of its field with the configured
-    cap, bit for bit, whether ``max_step`` is unset, the period, just
-    below it or well below it; under a cap of 0.25 no step between its
-    rows is longer than 0.25."""
+def test_a_period_map_is_the_dop853_march(forced_params):
+    """``flow_map`` is the DOP853 march of its field, bit for bit."""
     z0, T = (0.64, -0.18), forced_params.period
-    field = partial(rhs_log, forced_params)
-    for max_step in (None, T, math.nextafter(T, 0.0), 0.25):
-        cfg = IntegratorConfig(max_step=max_step)
-        times, flat = itg._dp_march(2, "dop853")(
-            field, 0.0, z0, T, None, max_step or math.inf, cfg.abs_tol,
-            cfg.rel_tol, itg._MIN_STEP_FACTOR * T, [math.inf])
-        dop853 = np.array(flat[-2:])
-        assert flow_map(forced_params, z0, cfg).tobytes() == dop853.tobytes()
-    assert np.max(np.diff(times)) <= 0.25
+    cfg = IntegratorConfig()
+    _times, flat = itg._dp_march(2, "dop853")(
+        partial(rhs_log, forced_params), 0.0, z0, T, None, cfg.abs_tol,
+        cfg.rel_tol, itg._MIN_STEP_FACTOR * T, [math.inf])
+    assert flow_map(forced_params, z0, cfg).tobytes() == np.array(flat[-2:]).tobytes()
 
 
 @pytest.mark.parametrize("params_name, z0", PERIOD_CASES)

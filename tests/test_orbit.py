@@ -7,8 +7,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from conftest import (fourier_collocation, newton_equilibrium, random_draw,
-                      seed_period_by_period)
+from conftest import (fourier_collocation, mean_by_quadrature,
+                      newton_equilibrium, random_draw, seed_period_by_period)
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
@@ -58,20 +58,19 @@ def test_seed_validates_period_count(ex1_params, cfg):
         seed_by_transient(ex1_params, np.zeros(2), 0, cfg)
 
 
-@pytest.mark.parametrize("params, start, n_periods, max_step", [
-    ("ex1_params", (0.002, 0.002), 30, None),
-    ("remark_params", (0.002, 0.002), 200, 2.0),
-    ("forced_params", (1.0, 0.5), 1, None),
-    ("forced_params", (1.0, 0.5), 2, None),
-    ("forced_params", (1.0, 0.5), 20, None)])
+@pytest.mark.parametrize("params, start, n_periods", [
+    ("ex1_params", (0.002, 0.002), 30),
+    ("remark_params", (0.002, 0.002), 200),
+    ("forced_params", (1.0, 0.5), 1),
+    ("forced_params", (1.0, 0.5), 2),
+    ("forced_params", (1.0, 0.5), 20)])
 def test_seed_matches_the_period_by_period_seed(request, params, start,
-                                                n_periods, max_step):
+                                                n_periods, cfg):
     """One run over n - 1 periods and one period map land within 1e-8 of
     n period maps, each of which restarts the step-size controller.  With
     one or two periods the runs are the same ones, so the seed and its
     contraction, max |phi_T(prev) - prev|, are equal bit for bit."""
     params = request.getfixturevalue(params)
-    cfg = IntegratorConfig(max_step=max_step)
     res = seed_by_transient(params, np.log(start), n_periods, cfg)
     z, contraction = seed_period_by_period(params, np.log(start), n_periods,
                                            cfg)
@@ -391,16 +390,13 @@ def test_a_search_without_a_diagnosis_never_heads_to_the_boundary(
     assert len(err.residual_history) == 11
 
 
-@pytest.mark.parametrize("max_step", [None, 0.25])
-def test_flat_searches_stall_instead_of_spending_the_budget(max_step):
+def test_flat_searches_stall_instead_of_spending_the_budget(cfg):
     """Draws 48 and 254 from their 30-period seeds at (3, 0.1) and
     (0.5, 2) have no orbit to find, and their defects go flat.  Plain
-    probes and monodromy runs step by the same method, capped or not, so
-    a probe no better than the current defect is rejected and each search
-    stops as a stalled line search, after 5, 18, 10 and 14 iterations,
-    not at the 25-iteration budget, which a plain Dormand-Prince probe
-    compared with a DOP853 defect used to run out."""
-    cfg = IntegratorConfig(max_step=max_step)
+    probes and monodromy runs step by the same method, so a probe no
+    better than the current defect is rejected and each search stops as
+    a stalled line search, after 5, 18, 10 and 14 iterations, not at the
+    25-iteration budget."""
     errors = []
     for i in (48, 254):
         params = random_draw(i)
@@ -938,8 +934,8 @@ def test_random_draw_traffic_is_unchanged_by_loose_probes(capsys):
 
 # --- steady-state detection ----------------------------------------------
 
-def test_steady_state_detected_for_settled_constant_system(remark_params):
-    cfg = IntegratorConfig(max_step=2.0)
+def test_steady_state_detected_for_settled_constant_system(remark_params,
+                                                          cfg):
     seed = seed_by_transient(remark_params, np.log([0.002, 0.002]), 200, cfg)
     orbit = detect_steady_state(remark_params, seed.z, cfg)
     assert orbit is not None
@@ -954,6 +950,67 @@ def test_steady_state_detected_for_settled_constant_system(remark_params):
     np.testing.assert_allclose(got, expected, rtol=1e-8)
     xs = orbit.densities.states
     assert np.max(np.var(xs, axis=0)) < 1e-12
+
+
+def _variational_oracle(params, x):
+    """M over one period of the original-frame variational equations from
+    the state x, written out here from the model equations, with the
+    rates evaluated by the coefficients, by scipy's DOP853 at
+    rtol = atol = 1e-13."""
+    from scipy.integrate import solve_ivp
+
+    k1, k2, w1, w2 = params.k1, params.k2, params.w1, params.w2
+
+    def field(t, w):
+        x1, x2 = w[:2]
+        r1, r2, b1, b2 = (float(c(t)) for c in params.coefficients().values())
+        fear = 1.0 / (1.0 + w1 * x1)
+        J = np.array([[r1 * (1.0 - 2.0 * x1 / k1) - b1 * x2, -b1 * x1],
+                      [-r2 * x2 * w1 * fear ** 2 - b2 * x2 - w2 * x2 ** 2,
+                       r2 * (fear - 2.0 * x2 / k2) - b2 * x1
+                       - 2.0 * w2 * x1 * x2]])
+        return [r1 * x1 * (1.0 - x1 / k1) - b1 * x1 * x2,
+                r2 * x2 * (fear - x2 / k2) - b2 * x1 * x2 - w2 * x1 * x2 ** 2,
+                *(J @ np.reshape(w[2:], (2, 2))).ravel()]
+
+    sol = solve_ivp(field, (0.0, params.period), [*x, 1.0, 0.0, 0.0, 1.0],
+                    method="DOP853", rtol=1e-13, atol=1e-13)
+    assert sol.success
+    return sol.y[2:, -1].reshape(2, 2)
+
+
+@pytest.mark.parametrize("params, start, n_periods, absent", [
+    ("remark_params", (0.002, 0.002), 200, 2),
+    (3, (1.0, 1.0), 30, 2),
+    (5, (0.5, 2.0), 30, 1)], ids=["remark", "draw3", "draw5"])
+def test_a_boundary_steady_state_is_linearised_at_the_boundary(
+        request, cfg, params, start, n_periods, absent):
+    """The constant-rate remark system from its 200-period seed, and random
+    draws 3 and 5, whose forced rates leave one species absent, from their
+    30-period seeds: each settles on the boundary state without species
+    i = ``absent``, x_j = k_j.  Its monodromy has M_ij = 0 exactly and the
+    closed-form diagonal, e^{T g_i} with g_i the invasion rate from
+    quadrature means, and e^{-T r_j_bar}, within 1e-14 relative; every
+    entry lies within 1e-8 max(1, |M|) of an independent integration of
+    the variational equations from that state."""
+    params = (random_draw(params) if isinstance(params, int)
+              else request.getfixturevalue(params))
+    seed = seed_by_transient(params, np.log(start), n_periods, cfg)
+    orbit = detect_steady_state(params, seed.z, cfg)
+    assert orbit is not None and orbit.stop_rule == "steady_state"
+    M, T = orbit.monodromy, params.period
+    i, j = absent - 1, 2 - absent
+    r1, r2, b1, b2 = (mean_by_quadrature(c)
+                      for c in params.coefficients().values())
+    invasion = (r1 - b1 * params.k2 if i == 0
+                else r2 / (1.0 + params.w1 * params.k1) - b2 * params.k1)
+    assert M[i, j] == 0.0
+    assert M[i, i] == pytest.approx(math.exp(T * invasion), rel=1e-14)
+    assert M[j, j] == pytest.approx(math.exp(-T * (r1, r2)[j]), rel=1e-14)
+    x = [0.0, 0.0]
+    x[j] = (params.k1, params.k2)[j]
+    ref = _variational_oracle(params, x)
+    assert np.all(np.abs(M - ref) <= 1e-8 * np.maximum(1.0, np.abs(M)))
 
 
 def test_steady_state_not_detected_mid_transient(remark_params, cfg):
