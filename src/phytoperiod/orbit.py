@@ -69,8 +69,8 @@ _LOOSE_MARGIN = 10.0          # and decides beyond this * tau (1 + max|z|)
 _MAX_NEWTON_STEP = 5.0        # trust region, in log-density units
 _ORBIT_SAMPLES = 256          # sampling resolution over one period
 _STEADY_VARIANCE_TOL = 1e-12  # sample variance of a steady state / (max x)^2
-# a steady state lies on a boundary when a density stays below this times
-# the largest sampled density
+# a steady state lies on a boundary state when each density stays within
+# this times its own carrying capacity of that state
 _BOUNDARY_DENSITY = math.sqrt(_STEADY_VARIANCE_TOL)
 _BOUND_SLACK = 1e-9
 _SEED_RUN_PERIODS = 256       # most periods one seeding run integrates
@@ -398,15 +398,22 @@ def detect_steady_state(params: ModelParams, z,
     to) its extinction axis, where the log frame has no finite fixed
     point.
 
-    A steady state on a boundary, where species i never exceeds 1e-6
-    times the largest sampled density while the other species j has
-    r_j_bar > 0, is linearised at the exact boundary state of
-    :func:`diagnose_extinction`: x_i = 0, x_j = k_j.  There M is upper or
-    lower triangular.  Its diagonal is in closed form, e^{lambda_i} with
-    the invasion exponent lambda_i and e^{-T r_j_bar}, and M_ij is 0.
-    Only the coupling entry M_ji comes from the variational run, which
-    starts at that state, so x stays there exactly.  Any other steady
-    state is linearised along the run from x = exp(z).
+    A steady state on a boundary is linearised at the exact boundary
+    state of :func:`diagnose_extinction`, x_i = 0 and x_j = k_j with
+    r_j_bar > 0, when every sampled density lies within 1e-6 of its own
+    carrying capacity of that state: x_i below 1e-6 k_i, x_j within
+    1e-6 k_j of k_j.  Each species is judged on its own scale, so an
+    interior equilibrium whose x_i is small only through its units or
+    k_i is not taken for the boundary.  There M is upper or lower
+    triangular.  Its diagonal is in closed form, e^{lambda_i} with the
+    invasion exponent lambda_i and e^{-T r_j_bar}, and M_ij is 0.  Only
+    the coupling entry M_ji comes from the variational run, which starts
+    at that state, so x stays there exactly.  Any other steady state is
+    linearised along the run from x = exp(z).  An interior equilibrium
+    that close to a boundary state lies next to a transcritical point:
+    its multiplier across the boundary, like the boundary state's, is 1
+    to within about 1e-6 times T and the rates, so the two verdicts can
+    differ only that close to the unit circle.
     """
     z = np.array(z, dtype=float)
     x0 = np.exp(z)
@@ -417,16 +424,16 @@ def detect_steady_state(params: ModelParams, z,
     if (scale > 0.0 and np.max(np.var(traj.states / scale, axis=0))
             >= _STEADY_VARIANCE_TOL):
         return None
-    # at most one species, never the largest, lies below the boundary level
-    absent = np.flatnonzero(np.max(traj.states, axis=0)
-                            < _BOUNDARY_DENSITY * scale).tolist()
     T, means = params.period, (params.r1.mean, params.r2.mean)
-    boundary = bool(absent) and means[1 - absent[0]] > 0.0
-    x = x0
-    if boundary:
-        i, j = absent[0], 1 - absent[0]
-        x = [0.0, 0.0]
-        x[j] = (params.k1, params.k2)[j]
+    k = np.array([params.k1, params.k2])
+    x, boundary = x0, False
+    for i, j in ((0, 1), (1, 0)):
+        edge = np.zeros(2)
+        edge[j] = k[j]
+        if means[j] > 0.0 and np.all(np.abs(traj.states - edge)
+                                     < _BOUNDARY_DENSITY * k):
+            x, boundary = edge, True
+            break
     _, M = variational_flow(MethodType(rhs_original, params),
                             MethodType(jac_original, params), 0.0, x, T, cfg)
     if boundary:

@@ -221,9 +221,10 @@ def grid_scan(params):
 
 def march(field, t, y, t1, h, abs_tol=1e-10, rel_tol=1e-10, method=None):
     """Run the compiled march for len(y) components from (t, y) to t1 with
-    first step h (None: the march's estimate) and no sample points, as ``integrate`` does: the variational one for an augmented
-    (field, jac) pair, else the plain one of ``method``, by default
-    Dormand-Prince 5(4).  Returns (row times, row states as tuples)."""
+    first step h (None: the march's estimate) and no sample points, as
+    ``integrate`` does: the variational one for an augmented (field, jac)
+    pair, else the plain one of ``method``, by default Dormand-Prince
+    5(4).  Returns (row times, row states as tuples)."""
     from phytoperiod.integrator import _MIN_STEP_FACTOR, _Augmented, _dp_march
 
     n = len(y)

@@ -20,7 +20,7 @@ from phytoperiod import (DomainOverflowError, IntegrationError,
                          compute_bounds, detect_steady_state,
                          diagnose_extinction, find_periodic_orbit,
                          flow_and_monodromy, flow_map, integrate, rhs_log,
-                         seed_by_transient, verify_bounds)
+                         rhs_original, seed_by_transient, verify_bounds)
 from phytoperiod.cli import parse_config
 
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "bench"))
@@ -1011,6 +1011,35 @@ def test_a_boundary_steady_state_is_linearised_at_the_boundary(
     x[j] = (params.k1, params.k2)[j]
     ref = _variational_oracle(params, x)
     assert np.all(np.abs(M - ref) <= 1e-8 * np.maximum(1.0, np.abs(M)))
+
+
+def test_a_small_interior_steady_state_is_not_taken_for_the_boundary(cfg):
+    """Constant rates with k2 = 1e-7: the stable interior equilibrium has
+    x2 near k2, far below 1e-6 x1 but not below 1e-6 k2, so it is no
+    boundary state.  Linearised at (k1, 0) its monodromy would have
+    e^{T g2(k1, 0)}, about 532, on the diagonal; along the run from the
+    seed its multipliers are exp(T eig(J)) of the Jacobian at the
+    equilibrium, here taken by central differences of the field."""
+    C = PeriodicCoefficient.constant
+    params = ModelParams(r1=C(1.0), r2=C(1.0), beta1=C(0.001),
+                         beta2=C(0.001), k1=1.0, k2=1e-7, w1=0.0, w2=0.0,
+                         period=TWO_PI)
+    seed = seed_by_transient(params, np.log([0.5, 0.5e-7]), 30, cfg)
+    orbit = detect_steady_state(params, seed.z, cfg)
+    assert orbit is not None and orbit.stop_rule == "steady_state"
+    assert orbit.monodromy[1, 0] != 0.0
+    assert orbit.stable
+    x = np.exp(seed.z)
+    J = np.empty((2, 2))
+    for c in range(2):
+        e = np.zeros(2)
+        e[c] = 1e-4 * x[c]
+        J[:, c] = (np.subtract(rhs_original(params, 0.0, x + e),
+                               rhs_original(params, 0.0, x - e))
+                   / (2.0 * e[c]))
+    expected = sorted(np.abs(np.exp(params.period * np.linalg.eigvals(J))))
+    got = sorted(abs(m) for m in orbit.floquet_multipliers)
+    np.testing.assert_allclose(got, expected, rtol=1e-7)
 
 
 def test_steady_state_not_detected_mid_transient(remark_params, cfg):
