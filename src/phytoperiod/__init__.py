@@ -3,8 +3,8 @@ competition model with a fear effect and toxin release.
 
 Provides periodic coefficient functions, the model vector fields in
 original and log coordinates, the sufficient-condition checker with its
-a priori bound ladder, adaptive Runge-Kutta integration (Dormand-Prince
-5(4) and DOP853), a shooting solver for periodic solutions with Floquet
+a priori bound ladder, adaptive Runge-Kutta integration (Hairer's
+DOP853), a shooting solver for periodic solutions with Floquet
 stability analysis, the period-averaged algebraic system, and a
 config-driven CLI.
 """

@@ -66,8 +66,8 @@ EXIT_CHECK_FAILED = 1
 EXIT_USAGE = 2
 
 _BUNDLED = {"example1": "example1.json", "remark-constant": "remark_constant.json"}
-# the one value of a config's integrator method; `integrator` picks the
-# method of each run
+# the one value of a config's integrator method, kept so that existing
+# configs parse; every run steps by DOP853
 _METHOD = "rk45-adaptive"
 _INTEGRATOR_FIELDS = {"method",
                       *(f.name for f in dataclasses.fields(IntegratorConfig))}

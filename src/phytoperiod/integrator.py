@@ -1,28 +1,28 @@
-"""Time integration: adaptive embedded Runge-Kutta pairs.
+"""Time integration: Hairer's DOP853, an adaptive embedded Runge-Kutta pair.
 
-Embedded explicit Runge-Kutta pairs with per-step error control suit the
-smooth, mildly nonlinear planar model and need no dependency.
-``integrate`` picks the method from the type of its field alone, and
-accuracy comes from the error tolerances alone: no method caps its step.
+An explicit Runge-Kutta pair with per-step error control suits the
+smooth, mildly nonlinear planar model and needs no dependency.  Every
+run steps by DOP853 (Hairer, Norsett & Wanner, sec. II.10), 12 field
+evaluations per step, from Hairer's starting-step estimate, and accuracy
+comes from the error tolerances alone: no run caps its step.
+``integrate`` picks the march from the type of its field alone:
 
-* a plain field is a trajectory run, stepped by Dormand-Prince 5(4) from
-  a first step of a thousandth of its span.  Its sampled output comes
-  from its continuous extension, so sampling never changes the steps.
-  Its rows are what ``trajectory.csv`` holds.
-* a run read only for where it ends steps by Hairer's DOP853, which takes
-  about half the field evaluations per period at the same tolerances,
-  from Hairer's starting-step estimate, and takes no samples: an
-  :class:`_Endpoint` field (``flow_map`` and the orbit seed's runs) and
-  an :class:`_Augmented` pair (the variational, or monodromy, equations).
-  A variational run keeps a record of its stages, from which DOP853's
-  order-7 dense output gives the state between its steps at 3 more field
-  evaluations per step (:meth:`_Flow.states_at`).
+* a plain field runs the plain march.  Given sample times (``t_eval``),
+  it also evaluates DOP853's order-7 dense output over each step that
+  holds one, at 3 more field evaluations per such step, so sampling
+  never changes the steps.  A run's rows are what ``trajectory.csv``
+  holds.
+* an :class:`_Augmented` pair runs the variational (monodromy)
+  equations.  The run keeps a record of its stages, from which the same
+  dense output gives the state between its steps after the run
+  (:meth:`_Flow.states_at`).
 
 The whole adaptive loop (starting step, stages, error norm, controller,
 failure checks, rows and samples) is one generated straight-line function
-per method, compiled on first use per state dimension; the variational
-one calls ``jac`` before ``field`` and writes the J Y products inline.
-``integrate`` checks its arguments, runs it once and wraps its rows.
+per kind of run, compiled on first use per state dimension; the
+variational one calls ``jac`` before ``field`` and writes the J Y
+products inline.  ``integrate`` checks its arguments, runs it once and
+wraps its rows.
 """
 
 from __future__ import annotations
@@ -50,54 +50,16 @@ __all__ = [
     "write_trajectory_csv",
 ]
 
-# The constants of both tableaux, by the names that _DP5 and _DOP853 read;
-# it is the namespace the compiled marches see them in.
-#
-# Dormand-Prince 5(4).  The 5th-order weights B equal the last row of A,
-# so the 7th stage is evaluated at the new solution and doubles as the
-# next step's 1st stage (FSAL, "first same as last").
-_TABLEAU = {
-    "C2": 1 / 5, "C3": 3 / 10, "C4": 4 / 5, "C5": 8 / 9,
-    "A21": 1 / 5,
-    "A31": 3 / 40, "A32": 9 / 40,
-    "A41": 44 / 45, "A42": -56 / 15, "A43": 32 / 9,
-    "A51": 19372 / 6561, "A52": -25360 / 2187, "A53": 64448 / 6561,
-    "A54": -212 / 729,
-    "A61": 9017 / 3168, "A62": -355 / 33, "A63": 46732 / 5247,
-    "A64": 49 / 176, "A65": -5103 / 18656,
-    "B1": 35 / 384, "B3": 500 / 1113, "B4": 125 / 192, "B5": -2187 / 6784,
-    "B6": 11 / 84,
-}
-# error weights E: 5th- minus 4th-order weights of the embedded pair
-# (B2 = B7 = 0)
-_TABLEAU |= {f"E{i}": _TABLEAU.get(f"B{i}", 0.0) - b
-             for i, b in ((1, 5179 / 57600), (3, 7571 / 16695),
-                          (4, 393 / 640), (5, -92097 / 339200),
-                          (6, 187 / 2100), (7, 1 / 40))}
-
-# Order-4 continuous extension (Shampine 1986; the coefficients of
-# Hairer's dopri5): over a step of size h from y with stages k1..k7,
-#   y(t + theta h) = y + h (k1 theta + X2 theta^2 + X3 theta^3 + X4 theta^4),
-# where Xj = Xj1 k1 + Xj3 k3 + Xj4 k4 + Xj5 k5 + Xj6 k6 + Xj7 k7 (k2 has
-# weight 0).  At theta = 1 the weights sum to the 5th-order solution.
-_TABLEAU |= zip((f"X{j}{i}" for j in (2, 3, 4) for i in (1, 3, 4, 5, 6, 7)), (
-    -8048581381 / 2820520608, 131558114200 / 32700410799,
-    -1754552775 / 470086768, 127303824393 / 49829197408,
-    -282668133 / 205662961, 40617522 / 29380423,
-    8663915743 / 2820520608, -68118460800 / 10900136933,
-    14199869525 / 1410260304, -318862633887 / 49829197408,
-    2019193451 / 616988883, -110615467 / 29380423,
-    -12715105075 / 11282082432, 87487479700 / 32700410799,
-    -10690763975 / 1880347072, 701980252875 / 199316789632,
-    -1453857185 / 822651844, 69997945 / 29380423))
-
 # Hairer's DOP853 (Hairer, Norsett & Wanner, *Solving Ordinary Differential
 # Equations I*, 2nd ed., 1993, sec. II.10; the digits of his dop853.f):
-# 12 evaluations per step.  Stage k_j (j = 2..13) is evaluated at node
-# D_Cj from the weights D_Aj_i of k_i; an absent weight is 0, and k12 and
-# k13 sit at node 1.  Row 13 holds the 8th-order weights, so k13 is
-# evaluated at the new solution and is the next step's k1 (FSAL).
-_TABLEAU |= {f"D_C{j}": c for j, c in enumerate((
+# 12 evaluations per step.  These are the only constants of the marches,
+# by the names that _DOP853 reads; _TABLEAU is the namespace the compiled
+# marches see them in.  Stage k_j (j = 2..13) is evaluated at node D_Cj
+# from the weights D_Aj_i of k_i; an absent weight is 0, and k12 and k13
+# sit at node 1.  Row 13 holds the 8th-order weights, so k13 is evaluated
+# at the new solution and is the next step's k1 (FSAL, "first same as
+# last").
+_TABLEAU = {f"D_C{j}": c for j, c in enumerate((
     0.526001519587677318785587544488e-01, 0.789002279381515978178381316732e-01,
     0.118350341907227396726757197510, 0.281649658092772603273242802490,
     0.333333333333333333333333333333, 0.25,
@@ -202,38 +164,21 @@ _TABLEAU |= {f"D_D{r}_{i}": d for r, row in enumerate((
 
 
 class _Tableau(NamedTuple):
-    """An embedded explicit Runge-Kutta method, by the names of its
-    constants in _TABLEAU.  ``stages`` lists k2, k3, ... as (node,
-    weights): k_j = field(t + node h, y + h sum_i weights[i] k_(i+1)),
-    where node None means 1 and a weight None is 0; the last stage's
-    argument is the new solution, so that stage is the next step's k1.
-    ``errors`` holds the weights of one error estimate over k1, ..., or
-    of two, the high- and low-order ones that DOP853 combines.  The step
-    factor is 0.9 enorm^``exponent``.  ``extension`` holds the weights of
-    the continuous extension's theta^2, theta^3, ... terms, or is None
-    for a method that samples nothing.  ``dense`` is DOP853's dense
-    output, evaluated after the run from its stage record: its extra
-    stages, as ``stages`` lists them, and the weights of its last four
-    coefficients over k1, ..., or None."""
+    """DOP853, by the names of its constants in _TABLEAU.  ``stages``
+    lists k2, ..., k13 as (node, weights): k_j = field(t + node h,
+    y + h sum_i weights[i] k_(i+1)), where node None means 1 and a weight
+    None is 0; the last stage's argument is the new solution, so that
+    stage is the next step's k1.  ``errors`` holds the weights over k1,
+    ... of the 5th- and the 3rd-order error estimates, which the error
+    norm combines.  The step factor is 0.9 enorm^``exponent``.
+    ``dense`` is the dense output: its extra stages k14..k16, as
+    ``stages`` lists them, and the weights of its last four coefficients
+    over k1, ..., k16."""
 
     stages: tuple
     errors: tuple
     exponent: float
-    extension: tuple | None
-    dense: tuple | None = None
-
-
-_DP5 = _Tableau(
-    stages=(("C2", ("A21",)),
-            ("C3", ("A31", "A32")),
-            ("C4", ("A41", "A42", "A43")),
-            ("C5", ("A51", "A52", "A53", "A54")),
-            (None, ("A61", "A62", "A63", "A64", "A65")),
-            (None, ("B1", None, "B3", "B4", "B5", "B6"))),
-    errors=(("E1", None, "E3", "E4", "E5", "E6", "E7"),),
-    exponent=-0.2,
-    extension=tuple((f"X{j}1", None, *(f"X{j}{i}" for i in range(3, 8)))
-                    for j in "234"))
+    dense: tuple
 
 
 def _present(*names):
@@ -247,7 +192,6 @@ _DOP853 = _Tableau(
     errors=tuple(_present(*(f"D_E{order}_{i}" for i in range(1, 13)))
                  for order in (5, 3)),
     exponent=-0.125,
-    extension=None,
     dense=(tuple((f"D_C{j}", _present(*(f"D_A{j}_{i}" for i in range(1, j))))
                  for j in (14, 15, 16)),
            tuple(_present(*(f"D_D{r}_{i}" for i in range(1, 17)))
@@ -334,23 +278,25 @@ def _from_march(times, flat_states, n, steps=None, record=None) -> Trajectory:
 
 def integrate(field, t0: float, y0, t1: float, cfg: IntegratorConfig,
               t_eval=None) -> Trajectory:
-    """Integrate y' = field(t, y) from t0 to t1.
+    """Integrate y' = field(t, y) from t0 to t1 by DOP853.
 
     ``field(t, y)`` receives the state as a tuple of floats and returns a
-    sequence of len(y0) floats.  Only the last step is clipped, so the final
-    state lands exactly on t1.  If ``t_eval`` is given, the returned
-    trajectory contains exactly t0, the distinct t_eval points strictly
-    inside (t0, t1) and t1.  Those points do not constrain the steps:
-    each is evaluated from the order-4 continuous extension of the
-    accepted step that contains it, so a run takes the same steps, and
-    ends in the same state, with or without ``t_eval``.  The run's own
-    rows are t0, every accepted step that moves t, and t1; they are the
-    result without ``t_eval`` and the result's ``steps`` with it.  The
-    span t1 - t0 must be positive and finite.  The times are taken as
-    floats, so a run from numpy-scalar times is the run from their values.
-    The field's type picks the method (see the module docstring); the two
-    private fields step by DOP853, take no ``t_eval``, and a variational
-    run's result carries the stage record of its dense output.
+    sequence of len(y0) floats.  The run starts from Hairer's estimate of
+    the first step (:func:`_first_step`), and only the last step is
+    clipped, so the final state lands exactly on t1.  If ``t_eval`` is
+    given, the returned trajectory contains exactly t0, the distinct
+    t_eval points strictly inside (t0, t1) and t1.  Those points do not
+    constrain the steps: each is evaluated from DOP853's order-7 dense
+    output over the accepted step that holds it, at 3 more field calls
+    per such step, so a run takes the same steps, and ends in the same
+    state, with or without ``t_eval``.  The run's own rows are t0, every
+    accepted step that moves t, and t1; they are the result without
+    ``t_eval`` and the result's ``steps`` with it.  The span t1 - t0 must
+    be positive and finite.  The times are taken as floats, so a run from
+    numpy-scalar times is the run from their values.  An
+    :class:`_Augmented` pair runs the variational equations; it takes no
+    ``t_eval``, and its result carries the stage record of its dense
+    output.
     """
     t0, t1 = float(t0), float(t1)
     if not t1 > t0:
@@ -364,15 +310,11 @@ def integrate(field, t0: float, y0, t1: float, cfg: IntegratorConfig,
     if not all(map(math.isfinite, y)):
         raise ValueError("initial state must be finite")
 
-    method = "dp5"
-    if type(field) is _Augmented:
-        method = "variational"
-    elif type(field) is _Endpoint:
-        field, method = field.field, "dop853"
+    kind = "variational" if type(field) is _Augmented else "plain"
     pts = []
     if t_eval is not None:
-        if method != "dp5":
-            raise ValueError("a DOP853 run takes no t_eval")
+        if kind == "variational":
+            raise ValueError("a variational run takes no t_eval")
         pts = [float(p) for p in t_eval]
         if not all(map(math.isfinite, pts)):
             raise ValueError("t_eval points must be finite")
@@ -380,14 +322,14 @@ def integrate(field, t0: float, y0, t1: float, cfg: IntegratorConfig,
         if pts and (pts[0] < t0 or pts[-1] > t1):
             raise ValueError("t_eval points must lie within [t0, t1]")
         pts = [p for p in pts if t0 < p < t1]
+        kind = "sampled"
     pts.append(math.inf)        # sentinel, beyond every step
 
     n = len(y)
-    h = (t1 - t0) * 1e-3 if method == "dp5" else None
-    row_times, row_states, *extra = _dp_march(n, method)(
-        field, t0, y, t1, h, cfg.abs_tol, cfg.rel_tol,
+    row_times, row_states, *extra = _dp_march(n, kind)(
+        field, t0, y, t1, None, cfg.abs_tol, cfg.rel_tol,
         _MIN_STEP_FACTOR * (t1 - t0), pts)
-    if method == "variational":
+    if kind == "variational":
         return _from_march(row_times, row_states, n, record=extra[0])
     steps = _from_march(row_times, row_states, n)
     if t_eval is None:
@@ -411,26 +353,6 @@ class _Augmented(tuple):
                 j21 * y11 + j22 * y21, j21 * y12 + j22 * y22)
 
 
-class _Endpoint:
-    """The field of a run read only for where it ends (a period map)."""
-
-    __slots__ = ("field",)
-
-    def __init__(self, field):
-        self.field = field
-
-
-@functools.cache
-def _dp_march(n: int, method: str):
-    """The adaptive march of an n-component state, compiled on first use
-    and kept for the process.  ``method`` is "dp5" (Dormand-Prince 5(4)),
-    "dop853" (Hairer's DOP853) or "variational" (DOP853 on the variational
-    equations, n = 6, which also keeps the stage record of its dense
-    output)."""
-    return _compile_march(n, _DP5 if method == "dp5" else _DOP853,
-                          method == "variational")
-
-
 def _max_norm(values, scale) -> float:
     """max |v_i| / scale_i, or NaN if any of those ratios is NaN."""
     norm = 0.0
@@ -443,7 +365,8 @@ def _max_norm(values, scale) -> float:
 
 def _first_step(field, t, y, k1, t1, abs_tol, rel_tol, root):
     """Hairer's starting step (Hairer, Norsett & Wanner, sec. II.4) for a
-    method of order 1/root from (t, y), where field(t, y) = k1.
+    method of order 1/root from (t, y), where field(t, y) = k1; every run
+    starts from it.
 
     With the scale s = abs_tol + rel_tol |y| and max-norms, d0 = |y / s|
     and d1 = |k1 / s|, an Euler step of h0 = 0.01 d0 / d1 (1e-6 if either
@@ -453,8 +376,8 @@ def _first_step(field, t, y, k1, t1, abs_tol, rel_tol, root):
     is max(1e-6, h0 / 1000) when max(d1, d2) <= 1e-15, and t1 - t bounds
     h0 too.  Should that evaluation raise :class:`DomainOverflowError`, d1
     or d2 not be finite or h0 not be positive, the step is (t1 - t) / 1000,
-    the first step of a Dormand-Prince run, so the estimate never changes
-    how a run fails."""
+    so a start the estimate cannot judge still runs, and the run's own
+    steps decide how it ends."""
     fallback = (t1 - t) * 1e-3
     h_max = t1 - t
     scale = [abs_tol + rel_tol * abs(v) for v in y]
@@ -472,43 +395,79 @@ def _first_step(field, t, y, k1, t1, abs_tol, rel_tol, root):
     return min(100.0 * h0, h1, h_max) if 0.0 < h1 < math.inf else fallback
 
 
-def _compile_march(n: int, tab: _Tableau, variational: bool):
-    """The adaptive integration of an n-component state by the method
-    ``tab``, as one compiled straight-line function.
+def _dense_lines(n: int) -> list[str]:
+    """The lines, unindented, that evaluate DOP853's dense output over one
+    step of an n-component state, from t, the step h, its start y0, ...,
+    its new solution o0, ... and its stages k1_0, ..., k13_0, ...: the
+    extra stages k14..k16, one call of ``field`` each, then the
+    coefficients F0_i, ..., F6_i of the interpolant of component i (see
+    _TABLEAU).  Every weighted sum runs left to right over the stages.
+    The sampled march and :func:`_dense_step` both run these lines, so the
+    two give the same coefficients to the last bit."""
+    stages, rows = _DOP853.dense
+
+    def weighed(weights, i):
+        return " + ".join(f"{w} * k{m}_{i}"
+                          for m, w in enumerate(weights, start=1) if w)
+
+    lines = []
+    for j, (node, weights) in enumerate(stages, start=14):
+        ks = "".join(f"k{j}_{i}, " for i in range(n))
+        args = "".join(f"y{i} + h * ({weighed(weights, i)}), " for i in range(n))
+        lines.append(f"{ks}= field(t + {node} * h, ({args}))")
+    for i in range(n):
+        lines += [f"F0_{i} = o{i} - y{i}",
+                  f"F1_{i} = h * k1_{i} - F0_{i}",
+                  f"F2_{i} = 2.0 * F0_{i} - h * (k1_{i} + k13_{i})",
+                  *(f"F{r}_{i} = h * ({weighed(weights, i)})"
+                    for r, weights in enumerate(rows, start=3))]
+    return lines
+
+
+@functools.cache
+def _dp_march(n: int, kind: str):
+    """The adaptive DOP853 march of an n-component state, as one compiled
+    straight-line function, built on first use and kept for the process.
+    ``kind`` is "plain", "sampled" (the plain march that also evaluates
+    the dense output at sample times) or "variational" (the variational
+    equations, n = 6, keeping the stage record of their dense output).
 
     ``march(field, t, y, t1, h, abs_tol, rel_tol, h_floor, pts)``
     integrates y' = field(t, y) from (t, y) to t1 with first step h, or,
     with h None, the one of :func:`_first_step`.  It returns the row
-    times and states, then, if ``tab`` has a continuous extension, the
-    sample times and states, the states flattened; a variational march
-    returns its stage record third instead: for every row after the
-    first, the first two components of each stage in _DENSE_STAGES of
-    the step that reached it.  ``pts`` holds the sample times inside
-    (t, t1), ascending, then the sentinel inf; a march without an
-    extension ignores it.  Every stage sum and every
-    coefficient of the continuous extension is written out per component
-    and runs left to right over plain floats, the FSAL stage is handed on
-    as the next k1, and the error norm, the controller and the failure
-    checks are inline.  A step runs from t to the time it reaches, t_new,
-    by h = t_new - t, the step actually made; the controller sizes the
-    next step from the step it tried.  The error norm is the max-norm of
-    err / (abs_tol + rel_tol max(|y|, |y_new|)); with two estimates
-    (DOP853) it is e5^2 / sqrt(e5^2 + 0.01 e3^2) of their two max-norms.
+    times and states, the states flattened, then a sampled march the
+    sample times and states and a variational one its stage record: for
+    every row after the first, the first two components of each stage in
+    _DENSE_STAGES of the step that reached it.  ``pts`` holds the sample
+    times inside (t, t1), ascending, then the sentinel inf; only a
+    sampled march reads it.  On an accepted step that holds a sample
+    time, it runs :func:`_dense_lines` (3 field calls) and takes the
+    interpolant at each such time by Horner's rule.  Every stage sum and
+    every coefficient is written out per component and runs left to right
+    over plain floats, the FSAL stage is handed on as the next k1, and
+    the error norm, the controller and the failure checks are inline.  A
+    step runs from t to the time it reaches, t_new, by h = t_new - t, the
+    step actually made; the controller sizes the next step from the step
+    it tried.  The error norm is e5^2 / sqrt(e5^2 + 0.01 e3^2) of the
+    max-norms of both estimates over abs_tol + rel_tol max(|y|, |y_new|).
     A trial stage outside the field's domain (the field raises
     :class:`DomainOverflowError`) makes the error norm NaN, so an
     overshooting trial step shrinks instead of ending the run; a start
-    outside the domain still raises.  A run ends in
-    :class:`StepUnderflowError` when its next step falls below
+    outside the domain, or a dense stage outside it, still raises.  A run
+    ends in :class:`StepUnderflowError` when its next step falls below
     ``h_floor``, or when the step it would try next leaves t where it is:
     after an accepted step that did not move t, unless the next step is
     larger, and after a rejected step whose successor has t + h round
     back to t.  Every ``min`` and ``max`` of the generic loop is written
     as the comparison the builtin makes, so the results are those of that
-    loop to the last bit.  The tableau reaches
-    the march through its namespace, never through its source text.  A
-    variational march (n = 6) takes an :class:`_Augmented` pair and
-    writes each stage's calls and products of its ``__call__`` inline.
+    loop to the last bit.  The tableau reaches the march through its
+    namespace, never through its source text.  A variational march takes
+    an :class:`_Augmented` pair and writes each stage's calls and
+    products of its ``__call__`` inline.
     """
+    sampled, variational = {"plain": (False, False), "sampled": (True, False),
+                            "variational": (False, True)}[kind]
+    tab = _DOP853
     namespace = {**_TABLEAU, "inf": math.inf, "nan": math.nan,
                  "isfinite": math.isfinite, "sqrt": math.sqrt,
                  "first_step": _first_step,
@@ -516,7 +475,6 @@ def _compile_march(n: int, tab: _Tableau, variational: bool):
                  "StepUnderflowError": StepUnderflowError,
                  "NonFiniteStateError": NonFiniteStateError}
     last = len(tab.stages) + 1      # the FSAL stage, at the new solution
-    sampled = tab.extension is not None
 
     def comps(name):
         return ", ".join(f"{name}{i}" for i in range(n)) + ","
@@ -577,30 +535,27 @@ def _compile_march(n: int, tab: _Tableau, variational: bool):
                      for i, s in enumerate(stage_sums(weights, False)))
     # per estimate, the max-norm of err / (abs_tol + rel_tol max(|y|, |y_new|));
     # a NaN ratio stays, so that it rejects the step
-    norms = ("e5", "e3") if len(tab.errors) == 2 else ("enorm",)
-    lines.append(f"        {' = '.join(norms)} = 0.0")
+    lines.append("        e5 = e3 = 0.0")
     for i in range(n):
         lines += [f"        a = abs(y{i})",
                   f"        b = abs(o{i})",
                   "        s = abs_tol + rel_tol * (b if b > a else a)"]
-        for x, e in zip("df", norms):
+        for x, e in zip("df", ("e5", "e3")):
             lines += [f"        r = abs({x}{i}) / s",
                       f"        if r > {e} or r != r:",
                       f"            {e} = r"]
-    if len(norms) == 2:
-        # e5^2 / sqrt(e5^2 + 0.01 e3^2) as e5 / sqrt(1 + 0.01 (e3/e5)^2),
-        # so that no square of a norm overflows or underflows; e5 = 0 only
-        # if every stage it weighs is finite, and e3 weighs the same stages
-        lines += ["        enorm = e5",
-                  "        if e5 > 0.0:",
-                  "            r = e3 / e5",
-                  "            enorm = e5 / sqrt(1.0 + 0.01 * r * r)"]
-    if len(tab.errors[0]) < last:
-        # the FSAL stage is in no estimate; a non-finite one rejects the
-        # step, as a weighed stage would, instead of becoming the next k1
-        lines += ["        if not (" + " and ".join(
-            f"isfinite(k{last}_{i})" for i in range(n)) + "):",
-                  "            enorm = nan"]
+    # e5^2 / sqrt(e5^2 + 0.01 e3^2) as e5 / sqrt(1 + 0.01 (e3/e5)^2), so
+    # that no square of a norm overflows or underflows; e5 = 0 only if
+    # every stage it weighs is finite, and e3 weighs the same stages.  The
+    # FSAL stage is in no estimate; a non-finite one rejects the step, as
+    # a weighed stage would, instead of becoming the next k1
+    lines += ["        enorm = e5",
+              "        if e5 > 0.0:",
+              "            r = e3 / e5",
+              "            enorm = e5 / sqrt(1.0 + 0.01 * r * r)",
+              "        if not (" + " and ".join(
+                  f"isfinite(k{last}_{i})" for i in range(n)) + "):",
+              "            enorm = nan"]
     lines[trial:] = ["        try:",
                      *(f"    {line}" for line in lines[trial:]),
                      "        except DomainOverflowError:",
@@ -622,19 +577,21 @@ def _compile_march(n: int, tab: _Tableau, variational: bool):
               "        h_adaptive = h_try * factor",
               "        if enorm <= 1.0:"]
     if sampled:
-        # one polynomial y_i + c_i1 th + ... + c_i4 th^4 per step, by Horner
-        lines.append("            if pts[i] <= t_new:")
-        for i in range(n):
-            lines.append(f"                c{i}1 = h * k1_{i}")
-            lines.extend(f"                c{i}{j} = h * (" + " + ".join(
-                f"{w} * k{m}_{i}" for m, w in enumerate(weights, start=1) if w)
-                + ")" for j, weights in enumerate(tab.extension, start=2))
-        lines += ["                while pts[i] <= t_new:",
+        # the dense output once per step that holds a sample, then its
+        # interpolant y_i + th (F0_i + (1 - th) (F1_i + th (...))) per sample
+        def horner(i):
+            expr = f"F6_{i}"
+            for r, w in zip(range(5, -1, -1), ("th", "u") * 3):
+                expr = f"F{r}_{i} + {w} * ({expr})"
+            return f"y{i} + th * ({expr})"
+        lines += ["            if pts[i] <= t_new:",
+                  *(f"                {line}" for line in _dense_lines(n)),
+                  "                while pts[i] <= t_new:",
                   "                    th = (pts[i] - t) / h",
+                  "                    u = 1.0 - th",
                   "                    times.append(pts[i])",
                   "                    states += ("
-                  + ", ".join(f"y{i} + th * (c{i}1 + th * (c{i}2 + th * "
-                              f"(c{i}3 + th * c{i}4)))" for i in range(n)) + ",)",
+                  + ", ".join(horner(i) for i in range(n)) + ",)",
                   "                    i += 1"]
     lines.append("            stalled = t_new == t")
     if variational:
@@ -677,15 +634,14 @@ def _compile_march(n: int, tab: _Tableau, variational: bool):
         lines.append("    return row_times, row_states, record")
     else:
         lines.append("    return row_times, row_states")
-    exec(compile("\n".join(lines), f"<phytoperiod march, n = {n}"
-                 f"{', variational' * variational}>", "exec"), namespace)
+    exec(compile("\n".join(lines), f"<phytoperiod march, n = {n}, {kind}>",
+                 "exec"), namespace)
     return namespace.pop("march")   # no cycle through its globals
 
 
 def flow_map(params: ModelParams, z0, cfg: IntegratorConfig) -> np.ndarray:
     """State after one period: z(T) of the log-frame flow with z(0) = z0."""
-    traj = integrate(_Endpoint(MethodType(rhs_log, params)), 0.0, z0,
-                     params.period, cfg)
+    traj = integrate(MethodType(rhs_log, params), 0.0, z0, params.period, cfg)
     return traj.final_state
 
 
@@ -753,32 +709,16 @@ def flow_and_monodromy(params: ModelParams, z0, cfg: IntegratorConfig):
 def _dense_step():
     """DOP853's dense output over one step of a planar run, as one
     compiled straight-line function, built on first use.
-    ``dense(field, t, h, y0, y1, z0, z1, *stages)`` takes the step from
-    (t, (y0, y1)) to (t + h, (z0, z1)) and its record, the two components
-    of each stage in _DENSE_STAGES in turn; it evaluates k14..k16 and
-    returns the coefficients F0, ..., F6 of the interpolant (see
-    _TABLEAU), each as its two components in turn.  Every weighted sum
-    runs left to right over the stages."""
-    stages, rows = _DOP853.dense
-
-    def weighed(weights, i):
-        return " + ".join(f"{w} * k{m}_{i}"
-                          for m, w in enumerate(weights, start=1) if w)
-
-    lines = ["def dense(field, t, h, y0, y1, z0, z1, " + ", ".join(
-        f"k{j}_{i}" for j in _DENSE_STAGES for i in (0, 1)) + "):"]
-    for j, (node, weights) in enumerate(stages, start=len(_DOP853.stages) + 2):
-        lines.append(f"    k{j}_0, k{j}_1 = field(t + {node} * h, ("
-                     + ", ".join(f"y{i} + h * ({weighed(weights, i)})"
-                                 for i in (0, 1)) + "))")
-    lines += ["    d0 = z0 - y0",
-              "    d1 = z1 - y1",
-              "    return (d0, d1, h * k1_0 - d0, h * k1_1 - d1,",
-              "            2.0 * d0 - h * (k1_0 + k13_0), "
-              "2.0 * d1 - h * (k1_1 + k13_1),",
-              *(f"            h * ({weighed(weights, i)}),"
-                for weights in rows for i in (0, 1)),
-              "    )"]
+    ``dense(field, t, h, y0, y1, o0, o1, *stages)`` takes the step from
+    (t, (y0, y1)) to (t + h, (o0, o1)) and its record, the two components
+    of each stage in _DENSE_STAGES in turn; it runs :func:`_dense_lines`
+    and returns the coefficients F0, ..., F6 of the interpolant, each as
+    its two components in turn."""
+    lines = ["def dense(field, t, h, y0, y1, o0, o1, " + ", ".join(
+        f"k{j}_{i}" for j in _DENSE_STAGES for i in (0, 1)) + "):",
+        *(f"    {line}" for line in _dense_lines(2)),
+        "    return (" + ", ".join(f"F{r}_{i}" for r in range(7)
+                                   for i in (0, 1)) + ")"]
     namespace = dict(_TABLEAU)
     exec(compile("\n".join(lines), "<phytoperiod dense output>", "exec"),
          namespace)

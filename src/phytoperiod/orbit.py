@@ -42,7 +42,7 @@ import numpy as np
 
 from .conditions import BoundReport
 from .integrator import (IntegrationError, IntegratorConfig, Trajectory,
-                         _Endpoint, flow_and_monodromy, flow_map, integrate,
+                         flow_and_monodromy, flow_map, integrate,
                          variational_flow)
 from .model import (DomainOverflowError, ModelParams, averaged_rates,
                     jac_original, rhs_log, rhs_original)
@@ -105,8 +105,8 @@ class PeriodicOrbit:
     equally spaced times from 0 to T.  For a shooting orbit they are
     exp(z0), the order-7 dense output of the monodromy run that closed
     the orbit at the 255 times inside the period, and exp(z(T)) of that
-    run; for a steady state, the samples of its original-frame
-    Dormand-Prince run from exp(z0).
+    run; for a steady state, the samples of its original-frame run from
+    exp(z0), by the same order-7 dense output.
     ``stop_rule`` says what ended the search: "tol"
     when the defect fell below ``tol``, "noise_floor" when a stalled
     line search stopped it, and "steady_state" for the constant
@@ -134,9 +134,15 @@ class PeriodicOrbit:
 
     @property
     def floquet_multipliers(self) -> tuple[complex, complex]:
-        """The roots of m^2 - tr(M) m + det(M), larger modulus first, the
-        smaller as det / the larger.  M is first scaled, exactly, by the power
-        of two above its largest entry, so no square or product overflows."""
+        """The roots of m^2 - tr(M) m + det(M), larger modulus first.  A
+        triangular M (an off-diagonal entry exactly 0) has its diagonal as
+        its roots.  Else the smaller is det / the larger, and M is first
+        scaled, exactly, by the power of two above its largest entry, so
+        no square or product overflows."""
+        (a, b), (c, d) = self.monodromy.tolist()
+        if b == 0.0 or c == 0.0:
+            big, small = (a, d) if abs(a) >= abs(d) else (d, a)
+            return complex(big), complex(small)
         s = math.ldexp(1.0, math.frexp(float(np.max(np.abs(self.monodromy))))[1])
         (a, b), (c, d) = (self.monodromy / s).tolist()
         h, disc = 0.5 * (a + d), (0.5 * (a - d)) ** 2 + b * c
@@ -209,7 +215,7 @@ def seed_by_transient(params: ModelParams, z_start, n_periods: int,
     if n_periods < 1:
         raise ValueError("n_periods must be >= 1")
     prev = np.asarray(z_start, dtype=float)
-    field = _Endpoint(MethodType(rhs_log, params))
+    field = MethodType(rhs_log, params)
     for done in range(0, n_periods - 1, _SEED_RUN_PERIODS):
         k = min(_SEED_RUN_PERIODS, n_periods - 1 - done)
         prev = integrate(field, 0.0, prev, k * params.period, cfg).final_state

@@ -219,18 +219,16 @@ def grid_scan(params):
     return np.array([zs[i], zs[j]]), float(norms[i, j]), float(zs[1] - zs[0])
 
 
-def march(field, t, y, t1, h, abs_tol=1e-10, rel_tol=1e-10, method=None):
+def march(field, t, y, t1, h, abs_tol=1e-10, rel_tol=1e-10):
     """Run the compiled march for len(y) components from (t, y) to t1 with
     first step h (None: the march's estimate) and no sample points, as
     ``integrate`` does: the variational one for an augmented (field, jac)
-    pair, else the plain one of ``method``, by default Dormand-Prince
-    5(4).  Returns (row times, row states as tuples)."""
+    pair, else the plain one.  Returns (row times, row states as tuples)."""
     from phytoperiod.integrator import _MIN_STEP_FACTOR, _Augmented, _dp_march
 
     n = len(y)
-    if type(field) is _Augmented:
-        method = "variational"
-    times, flat, *_rest = _dp_march(n, method or "dp5")(
+    kind = "variational" if type(field) is _Augmented else "plain"
+    times, flat, *_rest = _dp_march(n, kind)(
         field, t, tuple(y), t1, h, abs_tol, rel_tol,
         _MIN_STEP_FACTOR * (t1 - t), [math.inf])
     return times, [tuple(flat[i:i + n]) for i in range(0, len(flat), n)]
@@ -295,11 +293,11 @@ def order_fit(field, y0, exact, steps):
     return float(np.polyfit(np.log(steps), np.log(errors), 1)[0]), errors
 
 
-def dp5_order_fit():
-    """Fixed-step order of the Dormand-Prince step on y' = -y, y(0) = 1,
-    with h = 0.2, 0.1, 0.05 and 0.025.  Returns (slope, errors)."""
+def exp_order_fit():
+    """Fixed-step order of the plain DOP853 step on y' = -y, y(0) = 1,
+    with h = 1, 1/2, 1/3, 1/4 and 1/5.  Returns (slope, errors)."""
     return order_fit(lambda t, y: (-y[0],), (1.0,), (math.exp(-1.0),),
-                     (0.2, 0.1, 0.05, 0.025))
+                     (1.0, 0.5, 1 / 3, 0.25, 0.2))
 
 
 def seed_period_by_period(params, z_start, n_periods, cfg):

@@ -19,7 +19,7 @@ import time
 import numpy as np
 import pytest
 
-from conftest import dp5_order_fit, grid_scan
+from conftest import exp_order_fit, grid_scan
 
 from phytoperiod import (IntegratorConfig, M0_CANONICAL, M0_VARIANT_K2,
                          OrbitSearchError, averaged_equilibria,
@@ -191,10 +191,10 @@ def test_criterion_5_constant_coefficient_steady_state(remark_params):
 def test_criterion_6_numerical_integrity(ex1_params, coexist_params):
     details = []
 
-    # fixed-step Dormand-Prince order on the exponential test
-    slope, _errors = dp5_order_fit()
-    ok_order = 4.8 <= slope <= 5.2
-    details.append(f"dp5 slope {slope:.3f}")
+    # fixed-step DOP853 order on the exponential test
+    slope, _errors = exp_order_fit()
+    ok_order = 7.6 <= slope <= 8.4
+    details.append(f"dop853 slope {slope:.3f}")
 
     # log/original frame equivalence over one period from positive data
     cfg = IntegratorConfig()

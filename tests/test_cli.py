@@ -19,7 +19,7 @@ from phytoperiod.cli import (ConfigError, EXIT_CHECK_FAILED, EXIT_OK,
                              load_config, main, parse_config)
 from phytoperiod.integrator import IntegratorConfig, integrate
 from phytoperiod.model import rhs_log, rhs_original
-from phytoperiod.orbit import seed_by_transient
+from phytoperiod.orbit import diagnose_extinction, seed_by_transient
 
 from conftest import count_public_calls, run_python
 
@@ -177,19 +177,20 @@ def test_cmd_simulate_writes_csv(tmp_path):
     assert float(last[0]) == 5.0
 
 
-def test_simulate_fails_cleanly_when_the_first_step_underflows(tmp_path):
-    """A horizon of 1e-322 is finite and positive, so it parses, but the
-    first adaptive step, horizon * 1e-3, underflows to 0: ``simulate``
-    reports an integration failure with exit 1.  Run in a subprocess with
-    a timeout, so that a regression to the endless loop fails the test
-    instead of hanging the suite."""
+def test_simulate_ends_a_subnormal_horizon_in_one_step(tmp_path):
+    """A horizon of 1e-322 is finite and positive, so it parses, and the
+    estimated first step is the horizon itself: ``simulate`` exits 0 with
+    trajectory.csv holding the start and the state one DOP853 step later,
+    at t = 1e-322.  Run in a subprocess with a timeout, so that a
+    regression to an endless loop fails the test instead of hanging the
+    suite."""
     config = tmp_path / "tiny.json"
     config.write_text(json.dumps(minimal_config(horizon=1e-322)))
     proc = run_python("-m", "phytoperiod.cli", "simulate",
                       "--config", str(config), "--out", str(tmp_path))
-    assert proc.returncode == EXIT_CHECK_FAILED
-    assert "integration failed" in proc.stderr
-    assert not (tmp_path / "trajectory.csv").exists()
+    assert (proc.returncode, proc.stderr) == (EXIT_OK, "")
+    assert (tmp_path / "trajectory.csv").read_text() == (
+        "t,x1,x2\n0,1,0.5\n9.8813129168249309e-323,1,0.5\n")
 
 
 def blowup_config():
@@ -210,7 +211,7 @@ def unbounded_start_config():
 
 HORIZON_FAILURES = [
     (blowup_config, "integration failed: adaptive step underflow at "
-     "t = 0.013866016908251845 (last good time 0.013866016908251845)\n"),
+     "t = 0.013866016911447116 (last good time 0.013866016911447116)\n"),
 ]
 
 
@@ -544,9 +545,9 @@ def test_reproduce_integrates_the_horizon_once(tmp_path, monkeypatch, which):
 
 # calls per ``reproduce``; a fused or bypassed field changes them
 BUNDLE_CALLS = {
-    "example1": {"rhs_log": 10_184, "jac_log": 1_402, "rhs_original": 415,
+    "example1": {"rhs_log": 8_970, "jac_log": 1_402, "rhs_original": 386,
                  "jac_original": 0, "integrate": 23},
-    "remark-constant": {"rhs_log": 946, "jac_log": 0, "rhs_original": 87,
+    "remark-constant": {"rhs_log": 635, "jac_log": 0, "rhs_original": 82,
                         "jac_original": 50, "integrate": 4}}
 
 
@@ -639,9 +640,7 @@ def test_a_bound_field_is_built_per_call(monkeypatch, tmp_path,
         # every evaluation of the planar field ``integrate`` is given,
         # re-wrapped in its run kind so that the run steps as it would
         def counting_integrate(field, *args, **kwargs):
-            if type(field) is integrator._Endpoint:
-                field = integrator._Endpoint(counting(field.field))
-            elif type(field) is integrator._Augmented:
+            if type(field) is integrator._Augmented:
                 field = integrator._Augmented((counting(field[0]), field[1]))
             else:
                 field = counting(field)
@@ -820,6 +819,23 @@ def test_reproduce_remark_constant_steady(tmp_path):
     assert orbit_doc["orbit"]["noise_floor"] is None
     assert orbit_doc["orbit"]["stop_rule"] == "steady_state"
     assert "degenerate_steady_state" not in orbit_doc["orbit"]
+
+
+def test_remark_constant_prints_the_closed_form_multipliers(tmp_path):
+    """The boundary state (k1, 0) has a triangular monodromy whose
+    diagonal is in closed form, e^{-T r1_bar} and e^{lambda2}, and the
+    multipliers of a triangular M are read off its diagonal: the report
+    prints both bit for bit, not one ulp off as the quadratic formula
+    gives them."""
+    assert cmd_reproduce("remark-constant", tmp_path) == EXIT_OK
+    doc = json.loads(
+        (tmp_path / "remark-constant" / "orbit_report.json").read_text())
+    model = load_bundled_config("remark-constant").model
+    want = [math.exp(-model.period * model.r1.mean),
+            math.exp(diagnose_extinction(model).rate_per_period)]
+    assert want == [0.82820418130686, 0.7396420010974705]
+    assert doc["orbit"]["floquet_multipliers"] == [{"re": m, "im": 0.0}
+                                                   for m in want]
 
 
 

@@ -186,22 +186,20 @@ def private_integrator_names(source: str) -> list[str]:
 
 
 def test_private_integrator_name_scanner_flags_every_spelling():
-    source = ("from .integrator import _Endpoint, flow_map\n"
+    source = ("from .integrator import _Augmented, flow_map\n"
               "from phytoperiod.integrator import _dense_step\n"
               "from . import integrator as itg\n"
-              "x = itg._dp_march(2, 'dp5'), itg.integrate\n"
+              "x = itg._dp_march(2, 'plain'), itg.integrate\n"
               "from .model import _private\n")
     assert private_integrator_names(source) == [
-        "_Endpoint", "_dense_step", "_dp_march"]
+        "_Augmented", "_dense_step", "_dp_march"]
 
 
 @pytest.mark.parametrize("path", PACKAGE, ids=lambda p: p.name)
 def test_only_the_integrator_reads_its_private_names(path):
-    """Which method steps a run is the integrator's decision alone, so no
-    other package module reaches into it; the one exception is
-    ``orbit``'s ``_Endpoint``, the run kind of the seed's runs."""
-    allowed = ["_Endpoint"] if path.name == "orbit.py" else []
-    assert private_integrator_names(path.read_text()) == allowed
+    """Which march steps a run is the integrator's decision alone, so no
+    other package module reaches into it."""
+    assert private_integrator_names(path.read_text()) == []
 
 
 def private_names(source: str) -> list[str]:
@@ -252,17 +250,15 @@ def test_no_unreferenced_private_names():
 
 
 def test_every_tableau_coefficient_is_read():
-    """The coefficients of both tableaux, Dormand-Prince 5(4) and DOP853,
-    are the keys of one dict, which the private-name scan does not see
-    into; the stages, the error weights and the continuous extension of
-    the marches and the extra stages and weights of DOP853's dense output
+    """The coefficients of DOP853 are the keys of one dict, which the
+    private-name scan does not see into; the stages and the error weights
+    of the marches and the extra stages and weights of the dense output
     read exactly those keys, so an unused or a missing coefficient fails
     here."""
     from phytoperiod import integrator
 
-    read = set()
-    for tab in (integrator._DP5, integrator._DOP853):
-        stages, rows = tab.dense or ((), ())
-        read.update(*((node, *weights) for node, weights in tab.stages + stages),
-                    *tab.errors, *(tab.extension or ()), *rows)
+    tab = integrator._DOP853
+    stages, rows = tab.dense
+    read = set().union(*((node, *weights) for node, weights in tab.stages + stages),
+                       *tab.errors, *rows)
     assert set(integrator._TABLEAU) == read - {None}

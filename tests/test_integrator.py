@@ -3,6 +3,7 @@
 import dataclasses
 import functools
 import math
+import operator
 from functools import partial
 from importlib import resources
 
@@ -60,25 +61,32 @@ def test_zero_field_identity():
     np.testing.assert_array_equal(traj.final_state, y0)
 
 
-def test_dp5_order_fit():
-    """Global error of the fixed-step Dormand-Prince step on y' = -y
-    scales like h^5: fitted slope in [4.8, 5.2]."""
-    from conftest import dp5_order_fit
+def test_plain_dop853_order_fit():
+    """Global error of the fixed-step plain DOP853 march on y' = -y
+    scales like h^8: fitted slope in [7.6, 8.4]."""
+    from conftest import exp_order_fit
 
-    slope, errors = dp5_order_fit()
-    print(f"\n  DP5 order fit: slope = {slope:.3f}, errors = {errors}")
-    assert 4.8 <= slope <= 5.2
+    slope, errors = exp_order_fit()
+    print(f"\n  DOP853 order fit: slope = {slope:.3f}, errors = {errors}")
+    assert 7.6 <= slope <= 8.4
 
 
 def test_adaptive_tolerance_monotonicity():
-    ref_cfg = IntegratorConfig(abs_tol=1e-12, rel_tol=1e-12)
-    ref = integrate(exp_decay, 0.0, np.array([1.0]), 1.0, ref_cfg).final_state[0]
+    """y' = -y on [0, 1] against exp(-1) at tolerances 1e-4, 1e-6 and
+    1e-8: every run ends within its tolerance, and the loosest run is the
+    least exact.  DOP853 crosses [0, 1] in 2, 3 and 4 steps there, too few
+    for the error to fall decade by decade: it is 4.3e-9, 1.2e-10 and
+    3.1e-10, so the run at 1e-8 is less exact than the one at 1e-6."""
+    tols = (1e-4, 1e-6, 1e-8)
     errs = []
-    for tol in (1e-4, 1e-6, 1e-8):
+    for tol in tols:
         cfg = IntegratorConfig(abs_tol=tol, rel_tol=tol)
         val = integrate(exp_decay, 0.0, np.array([1.0]), 1.0, cfg).final_state[0]
-        errs.append(abs(val - ref))
-    assert errs[1] < errs[0] and errs[2] < errs[1]
+        errs.append(abs(val - math.exp(-1.0)))
+    print(f"\n  errors against exp(-1) at {tols}: {errs}")
+    assert all(e < tol for e, tol in zip(errs, tols))
+    assert errs[0] > max(errs[1:])
+    assert errs[2] > errs[1]
 
 
 def test_t_eval_matches_separate_integrations():
@@ -99,10 +107,12 @@ def test_dense_output_records_internal_steps():
 
 
 def test_adaptive_stepper_reuses_last_stage():
-    """Dormand-Prince is FSAL: after an accepted step its 7th stage is the
-    next step's 1st, so each step costs 6 field calls plus 1 at the start,
-    with or without sample points.  At the default tolerances y' = -y on
-    [0, 10] rejects no step."""
+    """DOP853 is FSAL: after an accepted step its 13th stage is the next
+    step's 1st, so each step costs 12 field calls, plus 1 at the start
+    and 1 for the starting step's estimate.  Sample points add the dense
+    output's 3 calls per step that holds one; with 1001 of them every
+    step holds one.  At the default tolerances y' = -y on [0, 10] rejects
+    no step."""
     calls = 0
 
     def field(t, y):
@@ -111,60 +121,70 @@ def test_adaptive_stepper_reuses_last_stage():
         return (-y[0],)
 
     steps = integrate(field, 0.0, np.array([1.0]), 10.0, IntegratorConfig())
-    assert calls == 6 * (len(steps.times) - 1) + 1
+    assert calls == 12 * (len(steps.times) - 1) + 2
     calls = 0
     integrate(field, 0.0, np.array([1.0]), 10.0, IntegratorConfig(),
               t_eval=np.linspace(0.0, 10.0, 1001))
-    assert calls == 6 * (len(steps.times) - 1) + 1
+    assert calls == 15 * (len(steps.times) - 1) + 2
 
 
-def _reference_dp_step(field, t, y, t_new, k1):
-    """Oracle: the generic Dormand-Prince step from t to t_new, by
-    h = t_new - t, every stage sum a generator over the components, in the
-    operation order the generated step keeps; the stages at node 1 are
-    evaluated at t_new."""
-    T = itg._TABLEAU
+def _sum(terms):
+    """Oracle: the sum of a sequence of floats, left to right from its
+    first term, as the generated code writes it."""
+    return functools.reduce(operator.add, terms)
+
+
+def _reference_dop853_step(field, t, y, t_new, k1):
+    """Oracle: the generic DOP853 step from t to t_new, by h = t_new - t,
+    as a loop over the tableau's stages, every stage sum a generator over
+    the components with each weight times h bound once, in the operation
+    order the generated step keeps; the stages at node 1 are evaluated at
+    t_new.  Returns y_new, the 5th- and 3rd-order error estimates and the
+    stages k1, ..., k13."""
+    T, tab = itg._TABLEAU, itg._DOP853
     h = t_new - t
-    a = h * T["A21"]
-    k2 = field(t + T["C2"] * h, tuple(yi + a * p for yi, p in zip(y, k1)))
-    a1, a2 = h * T["A31"], h * T["A32"]
-    k3 = field(t + T["C3"] * h, tuple(yi + a1 * p + a2 * q
-                                      for yi, p, q in zip(y, k1, k2)))
-    a1, a2, a3 = h * T["A41"], h * T["A42"], h * T["A43"]
-    k4 = field(t + T["C4"] * h, tuple(yi + a1 * p + a2 * q + a3 * r
-                                      for yi, p, q, r in zip(y, k1, k2, k3)))
-    a1, a2, a3, a4 = h * T["A51"], h * T["A52"], h * T["A53"], h * T["A54"]
-    k5 = field(t + T["C5"] * h, tuple(yi + a1 * p + a2 * q + a3 * r + a4 * s
-                                      for yi, p, q, r, s in zip(y, k1, k2, k3, k4)))
-    a1, a2, a3, a4, a5 = (h * T["A61"], h * T["A62"], h * T["A63"],
-                          h * T["A64"], h * T["A65"])
-    k6 = field(t_new, tuple(yi + a1 * p + a2 * q + a3 * r + a4 * s + a5 * u
-                            for yi, p, q, r, s, u in zip(y, k1, k2, k3, k4, k5)))
-    b1, b3, b4, b5, b6 = (h * T["B1"], h * T["B3"], h * T["B4"], h * T["B5"],
-                          h * T["B6"])
-    y_new = tuple(yi + b1 * p + b3 * r + b4 * s + b5 * u + b6 * v
-                  for yi, p, r, s, u, v in zip(y, k1, k3, k4, k5, k6))
-    k7 = field(t_new, y_new)
-    e1, e3, e4, e5, e6, e7 = (h * T["E1"], h * T["E3"], h * T["E4"],
-                              h * T["E5"], h * T["E6"], h * T["E7"])
-    err = tuple(e1 * p + e3 * r + e4 * s + e5 * u + e6 * v + e7 * w
-                for p, r, s, u, v, w in zip(k1, k3, k4, k5, k6, k7))
-    return y_new, err, (k1, k3, k4, k5, k6, k7)
+    ks = [tuple(k1)]
+
+    def products(weights, i):
+        return [(h * T[w]) * k[i] for w, k in zip(weights, ks) if w]
+
+    for node, weights in tab.stages:
+        arg = tuple(_sum([yi, *products(weights, i)]) for i, yi in enumerate(y))
+        ks.append(tuple(field(t + T[node] * h if node else t_new, arg)))
+    errs = tuple(tuple(_sum(products(weights, i)) for i in range(len(y)))
+                 for weights in tab.errors)
+    return arg, errs, ks
 
 
-def _dp_extension(y, h, k1, k3, k4, k5, k6, k7):
-    """Oracle: the order-4 continuous extension of one Dormand-Prince
-    step, per component the power-basis coefficients (c0, ..., c4) of
-    y(t + theta h), theta in [0, 1], from a generator over the components."""
-    T = itg._TABLEAU
-    a1, a3, a4, a5, a6, a7 = (T[f"X2{i}"] for i in (1, 3, 4, 5, 6, 7))
-    b1, b3, b4, b5, b6, b7 = (T[f"X3{i}"] for i in (1, 3, 4, 5, 6, 7))
-    d1, d3, d4, d5, d6, d7 = (T[f"X4{i}"] for i in (1, 3, 4, 5, 6, 7))
-    return [(yi, h * p,
-             h * (a1 * p + a3 * r + a4 * s + a5 * u + a6 * v + a7 * w),
-             h * (b1 * p + b3 * r + b4 * s + b5 * u + b6 * v + b7 * w),
-             h * (d1 * p + d3 * r + d4 * s + d5 * u + d6 * v + d7 * w))
-            for yi, p, r, s, u, v, w in zip(y, k1, k3, k4, k5, k6, k7)]
+def _reference_dense(field, t, h, y, y_new, ks):
+    """Oracle: DOP853's dense output over one step, from a generator per
+    component: k14..k16, then per component the coefficients F0, ..., F6
+    of the interpolant."""
+    T, (stages, rows) = itg._TABLEAU, itg._DOP853.dense
+    ks = list(ks)
+
+    def weighed(weights, i):
+        return _sum([T[w] * k[i] for w, k in zip(weights, ks) if w])
+
+    for node, weights in stages:
+        ks.append(tuple(field(t + T[node] * h,
+                              tuple(yi + h * weighed(weights, i)
+                                    for i, yi in enumerate(y)))))
+    coeffs = []
+    for i, (a, b) in enumerate(zip(y, y_new)):
+        f0 = b - a
+        coeffs.append((f0, h * ks[0][i] - f0, 2.0 * f0 - h * (ks[0][i] + ks[12][i]),
+                       *(h * weighed(weights, i) for weights in rows)))
+    return coeffs
+
+
+def _reference_interpolant(y, coeffs, th):
+    """Oracle: the interpolant of one step at theta = th, per component
+    y + th (F0 + (1 - th) (F1 + th (F2 + ... + th F6)))."""
+    u = 1.0 - th
+    return tuple(yi + th * (f0 + u * (f1 + th * (f2 + u * (f3 + th * (
+        f4 + u * (f5 + th * f6)))))) for yi, (f0, f1, f2, f3, f4, f5, f6)
+        in zip(y, coeffs))
 
 
 def _reference_norm(err, y, y_new, abs_tol, rel_tol):
@@ -180,10 +200,23 @@ def _reference_norm(err, y, y_new, abs_tol, rel_tol):
     return enorm
 
 
+def _reference_enorm(errs, y, y_new, k13, abs_tol, rel_tol):
+    """Oracle: DOP853's error norm e5^2 / sqrt(e5^2 + 0.01 e3^2) of the
+    max-norms of its two estimates, written as e5 / sqrt(1 + 0.01 r r)
+    with r = e3 / e5 when e5 > 0; NaN when the FSAL stage k13, which no
+    estimate weighs, is not finite."""
+    e5, e3 = (_reference_norm(e, y, y_new, abs_tol, rel_tol) for e in errs)
+    enorm = e5
+    if e5 > 0.0:
+        r = e3 / e5
+        enorm = e5 / math.sqrt(1.0 + 0.01 * r * r)
+    return enorm if all(map(math.isfinite, k13)) else math.nan
+
+
 def _reference_factor(enorm):
     """Oracle: the I-controller's step factor, clamped with the builtins."""
     if enorm > 0.0 and math.isfinite(enorm):
-        factor = 0.9 * enorm ** -0.2
+        factor = 0.9 * enorm ** -0.125
     elif enorm == 0.0:
         factor = 5.0
     else:
@@ -193,8 +226,9 @@ def _reference_factor(enorm):
 
 def _reference_integrate(field, t0, y0, t1, cfg, t_eval=None):
     """Oracle: the adaptive loop written as a Python loop around the
-    generic step, with ``min`` and ``max`` as builtins, samples from a
-    generator per point and the result from the public constructor."""
+    generic DOP853 step, from the first step of the estimate oracle
+    ``first_step``, with ``min`` and ``max`` as builtins, samples from the
+    generic dense output and the result from the public constructor."""
     pts = sorted({float(p) for p in t_eval or ()})
     pts = [p for p in pts if t0 < p < t1] + [math.inf]
     i = 0
@@ -202,26 +236,30 @@ def _reference_integrate(field, t0, y0, t1, cfg, t_eval=None):
     times, states = [t], [y]
     step_times, step_states = [t], [y]
     h_floor = itg._MIN_STEP_FACTOR * (t1 - t0)
-    h_adaptive = (t1 - t0) * 1e-3
-    k1 = field(t, y)
+    calls = []      # the estimate's first call is the run's k1
+    h_adaptive = first_step(lambda s, x: calls.append(field(s, x)) or calls[-1],
+                            t0, y, t1, cfg.abs_tol, cfg.rel_tol, 8)
+    k1 = calls[0]
     while t < t1:
         stalled = False
         h_try = min(h_adaptive, t1 - t)
         t_new = t1 if h_try >= t1 - t else t + h_try
         h = t_new - t       # the step made
-        y_new, err, stages = _reference_dp_step(field, t, y, t_new, k1)
-        enorm = _reference_norm(err, y, y_new, cfg.abs_tol, cfg.rel_tol)
+        try:
+            y_new, errs, stages = _reference_dop853_step(field, t, y, t_new, k1)
+            enorm = _reference_enorm(errs, y, y_new, stages[-1], cfg.abs_tol,
+                                     cfg.rel_tol)
+        except DomainOverflowError:
+            enorm = math.nan
         accepted = enorm <= 1.0
         if accepted:
             stalled = t_new == t
             if pts[i] <= t_new:
-                poly = _dp_extension(y, h, *stages)
+                coeffs = _reference_dense(field, t, h, y, y_new, stages)
                 while pts[i] <= t_new:
-                    th = (pts[i] - t) / h
                     times.append(pts[i])
-                    states.append(tuple(
-                        c0 + th * (c1 + th * (c2 + th * (c3 + th * c4)))
-                        for c0, c1, c2, c3, c4 in poly))
+                    states.append(_reference_interpolant(y, coeffs,
+                                                         (pts[i] - t) / h))
                     i += 1
             t, y = t_new, y_new
             k1 = stages[-1]
@@ -316,34 +354,34 @@ def test_generated_step_is_bit_identical_to_the_generic_step(case, t, h, tols):
     coef, y = case
     y = tuple(y)
     t1 = t + h
-    field, ref_field = _Recorder(coef, limit=8), _Recorder(coef)
+    field, ref_field = _Recorder(coef, limit=14), _Recorder(coef)
     try:
         times, states = march(field, t, y, t1, h, *tols)
     except _Enough:     # the retry's first stage is all this test needs
         times = states = None
     h = min(h, t1 - t)      # the march's first step, which reaches t1
-    ref_y, ref_err, _ref = _reference_dp_step(ref_field, t, y, t1,
-                                              ref_field(t, y))
-    assert _same_calls(field, ref_field, 7) and len(ref_field.times) == 7
-    enorm = _reference_norm(ref_err, y, ref_y, *tols)
+    ref_y, ref_errs, ref_ks = _reference_dop853_step(ref_field, t, y, t1,
+                                                     ref_field(t, y))
+    assert _same_calls(field, ref_field, 13) and len(ref_field.times) == 13
+    enorm = _reference_enorm(ref_errs, y, ref_y, ref_ks[-1], *tols)
     if enorm <= 1.0:
-        assert len(field.times) == 7 and _hex(times) == _hex([t, t1])
+        assert len(field.times) == 13 and _hex(times) == _hex([t, t1])
         assert _hex(states[-1]) == _hex(ref_y)
     else:
         retry = min(h * _reference_factor(enorm), t1 - t)
         t_new = t1 if retry >= t1 - t else t + retry
-        assert field.times[7].hex() == (t + itg._TABLEAU["C2"] * (t_new - t)).hex()
+        assert field.times[13].hex() == (t + itg._TABLEAU["D_C2"] * (t_new - t)).hex()
 
 
 @pytest.mark.parametrize("n, component", [(1, 0), (2, 0), (2, 1), (6, 0),
                                           (6, 3), (6, 5)])
 @pytest.mark.parametrize("stage", [2, 7])
 def test_the_error_norm_stops_at_the_first_nan(n, component, stage):
-    """A NaN in one component of stage k2 or k7 makes that component's
-    error NaN, and the norm NaN whatever the other ratios are: the step
-    is rejected and retried at a fifth of its size.  The tolerance puts
-    the largest other ratio at about 10, so a norm that dropped the NaN
-    would have retried at 0.57 of the size instead."""
+    """A NaN in one component of stage k2 or k7 reaches that component's
+    two error estimates and makes the norm NaN whatever the other ratios
+    are: the step is rejected and retried at a fifth of its size.  The
+    tolerance puts the norm over the other components at 10, so a norm
+    that dropped the NaN would have retried at 0.67 of the size instead."""
     calls = []
 
     def field(t, y):
@@ -354,16 +392,22 @@ def test_the_error_norm_stops_at_the_first_nan(n, component, stage):
         return tuple(k)
 
     y, h = tuple(1.0 + i for i in range(n)), 0.1
-    ref_y, ref_err, _ref = _reference_dp_step(field, 0.0, y, h, field(0.0, y))
-    assert math.isnan(ref_err[component])
-    others = [abs(e) for e in ref_err if not math.isnan(e)]
-    abs_tol = max(others) / 10.0 if others else 1e-10
-    assert math.isnan(_reference_norm(ref_err, y, ref_y, abs_tol, 0.0))
+    ref_y, errs, ks = _reference_dop853_step(field, 0.0, y, h, field(0.0, y))
+    assert all(math.isnan(e[component]) for e in errs)
+    others = [i for i in range(n) if i != component]
+
+    def norm_of_others(abs_tol):
+        def pick(v):
+            return [v[i] for i in others]
+        return _reference_enorm([pick(e) for e in errs], pick(y), pick(ref_y),
+                                pick(ks[-1]), abs_tol, 0.0)
+    abs_tol = norm_of_others(1.0) / 10.0 if others else 1e-10
+    assert math.isnan(_reference_enorm(errs, y, ref_y, ks[-1], abs_tol, 0.0))
     if others:
-        assert _reference_factor(max(others) / abs_tol) > 0.5
+        assert _reference_factor(norm_of_others(abs_tol)) > 0.5
     calls[:] = []
     march(field, 0.0, y, h, h, abs_tol, 0.0)
-    assert calls[7] == itg._TABLEAU["C2"] * (h * 0.2)
+    assert calls[13] == itg._TABLEAU["D_C2"] * (h * 0.2)
 
 
 # no shrinking: a failing draw is reported as drawn, because shrinking it
@@ -398,8 +442,8 @@ def test_integrate_is_the_generic_loop_to_the_last_bit(case, t0, span, tols,
 @pytest.mark.parametrize("n", [1, 2, 6])
 def test_sampled_runs_match_the_extension_oracle(n):
     """A run with 41 sample points in dimensions 1, 2 and 6: every sample,
-    from the extension written out per component in the march, equals
-    the oracle's polynomial per step, hex for hex."""
+    from the dense output written out per component in the march, equals
+    the oracle's interpolant per step, hex for hex."""
     coef = [(0.8, 1.0 + 0.3 * i, 0.2 - 0.1 * i) for i in range(n)]
     y0 = [0.3 - 0.1 * i for i in range(n)]
     cfg = IntegratorConfig(1e-8, 1e-8)
@@ -416,9 +460,8 @@ def test_sampled_runs_match_the_extension_oracle(n):
     (lambda t, y: (y[0] * y[0],), 0.0, [2.0], 1.0, IntegratorConfig(1e-6, 1e-6)),
     (lambda t, y: (1e308,), 0.0, [1e308], 1.0, IntegratorConfig()),
     (lambda t, y: -np.sqrt(y), 0.0, [1.0], 5.0, IntegratorConfig()),
-    (lambda t, y: (-y[0],), 1e20, [1.0], 1e20 + 1e5, IntegratorConfig()),
-    (lambda t, y: (-y[0],), 0.0, [1.0], 5e-324, IntegratorConfig())],
-    ids=["blow-up", "overflow", "nan", "stall", "first-step"])
+    (lambda t, y: (-y[0],), 1e20, [1.0], 1e20 + 1e5, IntegratorConfig())],
+    ids=["blow-up", "overflow", "nan", "stall"])
 def test_integrate_fails_as_the_generic_loop_does(field, t0, y0, t1, cfg):
     got = _outcome(lambda: integrate(field, t0, y0, t1, cfg))
     assert issubclass(got[0], IntegrationError)
@@ -426,10 +469,10 @@ def test_integrate_fails_as_the_generic_loop_does(field, t0, y0, t1, cfg):
 
 
 def test_the_step_is_built_once_per_dimension(monkeypatch):
-    """The march is compiled once per state dimension and method and kept:
-    Dormand-Prince for a plain field, DOP853 for an end-point field, and
-    the variational march, on the first
-    ``variational_flow``, which is neither plain march of 6 components."""
+    """The march is compiled once per state dimension and kind of run and
+    kept: the plain one, the sampled one for a run given ``t_eval``, and
+    the variational one on the first ``variational_flow``, which is
+    neither march of 6 components."""
     built = functools.cache(itg._dp_march.__wrapped__)
     monkeypatch.setattr(itg, "_dp_march", built)
     rotate = lambda t, y: (-y[1], y[0])
@@ -437,12 +480,12 @@ def test_the_step_is_built_once_per_dimension(monkeypatch):
     integrate(exp_decay, 0.0, [2.0], 3.0, IntegratorConfig())
     integrate(rotate, 0.0, [1.0, 0.0], 1.0, IntegratorConfig())
     assert built.cache_info().currsize == 2
-    integrate(itg._Endpoint(exp_decay), 0.0, [1.0], 1.0, IntegratorConfig())
+    integrate(exp_decay, 0.0, [1.0], 1.0, IntegratorConfig(), t_eval=[0.5])
     assert built.cache_info().currsize == 3
     rotation = (rotate, lambda t, y: ((0.0, -1.0), (1.0, 0.0)))
     variational_flow(*rotation, 0.0, [1.0, 0.0], 1.0, IntegratorConfig())
     variational_flow(*rotation, 0.0, [0.0, 1.0], 2.0, IntegratorConfig())
-    for key in ((1, "dp5"), (2, "dp5"), (1, "dop853"), (6, "variational")):
+    for key in ((1, "plain"), (2, "plain"), (1, "sampled"), (6, "variational")):
         built(*key)
     assert built.cache_info().currsize == 4
 
@@ -450,9 +493,9 @@ def test_the_step_is_built_once_per_dimension(monkeypatch):
 def test_check_builds_no_step(tmp_path):
     """The marches are built on first use, not at import, and ``check``
     integrates nothing, so it builds none, neither a plain march nor the
-    variational one; ``find-orbit`` then builds the three it runs: DOP853
-    for the seed, Dormand-Prince for the steady-state test's samples and
-    the variational march for the search."""
+    variational one; ``find-orbit`` then builds the three it runs: the
+    plain march for the seed, the sampled one for the steady-state test's
+    samples and the variational march for the search."""
     from conftest import run_python
 
     config = tmp_path / "example1.json"
@@ -464,7 +507,7 @@ cli.main(["check", "--config", {str(config)!r}, "--out", {str(tmp_path)!r}])
 print(integrator._dp_march.cache_info().currsize)
 cli.main(["find-orbit", "--config", {str(config)!r}, "--out", {str(tmp_path)!r}])
 print(integrator._dp_march.cache_info().currsize)
-for key in ((2, "dop853"), (2, "dp5"), (6, "variational")):
+for key in ((2, "plain"), (2, "sampled"), (6, "variational")):
     integrator._dp_march(*key)
 print(integrator._dp_march.cache_info().currsize)
 """)
@@ -516,17 +559,28 @@ def _sampled_and_plain(field, y0, t1, cfg, t_eval):
     return out
 
 
+def _dense_calls(rows, points):
+    """The field calls of the dense output: 3 per step of the rows that
+    holds one of the points inside (rows[0], rows[-1])."""
+    inner = [p for p in points if rows[0] < p < rows[-1]]
+    return 3 * len(set((np.searchsorted(rows, inner) - 1).tolist()))
+
+
 def test_sampling_leaves_the_steps_unchanged(forced_params):
     """Sample points are read off the steps, never landed on: a run makes
-    the same field calls and ends in the same state, bit for bit, with or
+    the same steps and ends in the same state, bit for bit, with or
     without t_eval, and a sampled run's ``steps`` are the plain run's rows
-    (t0, the accepted steps, t1), bit for bit.  The period includes
-    rejected steps."""
+    (t0, the accepted steps, t1), bit for bit.  The sampled run makes the
+    plain run's field calls plus the dense output's 3 per step that holds
+    a sample, here every step.  The period includes rejected steps."""
     field = lambda t, z: rhs_log(forced_params, t, z)
     marks = np.linspace(0.0, TWO_PI, 257)[1:-1]
     sampled, n_sampled, plain, n_plain = _sampled_and_plain(
         field, (0.64, -0.18), TWO_PI, IntegratorConfig(), marks)
-    assert n_sampled == n_plain
+    steps = len(plain.times) - 1
+    assert _dense_calls(plain.times, marks) == 3 * steps
+    assert n_sampled == n_plain + 3 * steps
+    assert n_plain > 12 * steps + 2     # rejected trial steps
     assert sampled.final_state.tobytes() == plain.final_state.tobytes()
     np.testing.assert_array_equal(sampled.times[1:-1], marks)
     assert plain.steps is None
@@ -536,13 +590,16 @@ def test_sampling_leaves_the_steps_unchanged(forced_params):
 
 
 def test_continuous_extension_is_exact_on_polynomials():
-    """DP5's order-4 extension reproduces y = t^4 from y' = 4 t^3 at every
-    sample point."""
-    field = lambda t, y: (4.0 * t ** 3,)
+    """DOP853's order-7 dense output reproduces y = t^7 from y' = 7 t^6 at
+    every sample point, to within 1e-14 of y(2) = 128: what is left is
+    the rounding of the 23 steps, where an interpolant of order 6 would
+    be off by about 1e-7."""
+    field = lambda t, y: (7.0 * t ** 6,)
     marks = np.linspace(0.0, 2.0, 201)[1:-1]
     traj = integrate(field, 0.0, [0.0], 2.0, IntegratorConfig(), t_eval=marks)
-    np.testing.assert_allclose(traj.states[1:, 0], traj.times[1:] ** 4,
-                               rtol=1e-14, atol=0.0)
+    assert len(traj.steps.times) == 24
+    np.testing.assert_allclose(traj.states[1:, 0], traj.times[1:] ** 7,
+                               rtol=0.0, atol=1e-14 * 2.0 ** 7)
 
 
 def _landed(field, y0, marks, t1):
@@ -583,7 +640,8 @@ def test_sampling_is_invariant_and_accurate_over_random_forcing(rates, consts,
                                                                 z0, grid):
     """Random sinusoidal rates (relative amplitude < 0.9, so positive) and
     random sample grids, duplicates and the end points included: the grid
-    changes neither the steps nor the end state, the returned times are
+    changes neither the steps nor the end state and adds only the dense
+    output's field calls, the returned times are
     t0, the distinct interior points and t1, and every sample lies within
     100 times the local error tolerance of a landed reference."""
     beta_scale = (1.0, 1.0, 0.3, 0.15)
@@ -594,7 +652,7 @@ def test_sampling_is_invariant_and_accurate_over_random_forcing(rates, consts,
     field = lambda t, z: rhs_log(params, t, z)
     sampled, n_sampled, plain, n_plain = _sampled_and_plain(
         field, z0, TWO_PI, IntegratorConfig(), grid)
-    assert n_sampled == n_plain
+    assert n_sampled == n_plain + _dense_calls(plain.times, grid)
     assert sampled.final_state.tobytes() == plain.final_state.tobytes()
     inner = sorted({p for p in grid if 0.0 < p < TWO_PI})
     assert list(sampled.times) == [0.0, *inner, TWO_PI]
@@ -661,14 +719,16 @@ def test_step_underflow_on_nan_producing_field():
     assert exc_info.value.t is not None
 
 
-def test_first_step_underflow_is_an_integration_failure():
-    """Over a span of 5e-324 the first step, span * 1e-3, underflows to
-    0: that is a step underflow, not an endless loop."""
-    from phytoperiod import StepUnderflowError
-
-    with pytest.raises(StepUnderflowError) as exc_info:
-        integrate(exp_decay, 0.0, [1.0], 5e-324, IntegratorConfig())
-    assert exc_info.value.t == 0.0
+def test_a_span_of_one_subnormal_ends_on_t1_in_one_step():
+    """Over a span of 5e-324 the estimated first step is the span itself,
+    so the run ends on t1 in one DOP853 step, as the generic loop does;
+    no step underflows, since the step floor, 1e-14 times the span, is
+    0."""
+    got = _outcome(lambda: integrate(exp_decay, 0.0, [1.0], 5e-324,
+                                     IntegratorConfig()))
+    assert got == _outcome(lambda: _reference_integrate(
+        exp_decay, 0.0, [1.0], 5e-324, IntegratorConfig()))
+    assert got == [_hex([0.0, 5e-324]), [_hex([1.0]), _hex([1.0])]]
 
 
 def test_model_overflow_propagates(ex1_params):
@@ -681,11 +741,13 @@ def test_model_overflow_propagates(ex1_params):
 
 
 def test_a_trial_stage_outside_the_domain_is_rejected_as_a_nan_stage():
-    """y' = -y on the domain |y| <= 3, over [0, 1e4]: the first trial step,
-    10, puts its 4th stage at -135.  A field that raises
+    """y' = -y on the domain |y| <= 3, over [0, 1e4] at tolerances of 1:
+    the steps grow until trial stages leave the domain, the first at
+    t = 21.5 with a stage at -27.5.  A field that raises
     DomainOverflowError there takes the same steps, bit for bit, as one
-    that returns NaN there: the step is rejected and shrinks, and the
-    run ends as e^-t does."""
+    that returns NaN there: each such step is rejected and shrinks, and
+    the run goes on to its end, with its sample at t = 1 within 1e-4 of
+    e^-1 (3.1e-5 measured)."""
     from phytoperiod import DomainOverflowError
 
     raised = 0
@@ -700,13 +762,13 @@ def test_a_trial_stage_outside_the_domain_is_rejected_as_a_nan_stage():
     def nan(t, y):
         return (math.nan,) if abs(y[0]) > 3.0 else (-y[0],)
 
-    runs = [integrate(field, 0.0, [1.0], 1e4, IntegratorConfig(),
+    runs = [integrate(field, 0.0, [1.0], 1e4, IntegratorConfig(1.0, 1.0),
                       t_eval=[1.0]) for field in (raising, nan)]
     assert raised > 0
     assert runs[0].steps.times.tobytes() == runs[1].steps.times.tobytes()
     assert runs[0].steps.states.tobytes() == runs[1].steps.states.tobytes()
-    assert runs[0].times[1] == 1.0
-    assert abs(runs[0].states[1, 0] - math.exp(-1.0)) < 1e-9
+    assert runs[0].times.tolist() == [0.0, 1.0, 1e4]
+    assert abs(runs[0].states[1, 0] - math.exp(-1.0)) < 1e-4
 
 
 def test_a_step_that_does_not_advance_t_is_an_underflow():
@@ -714,18 +776,18 @@ def test_a_step_that_does_not_advance_t_is_an_underflow():
     1e-14 times the span 1e5.  A step grown past an ulp is rejected, and
     the shrunk step has t + h round back to t: a step underflow at
     t = 1e20, not an endless loop of zero steps accepted and grown, in
-    the plain march, the end-point one and the variational one.  Run in
-    a subprocess with a timeout."""
+    the plain march, the sampled one and the variational one.  Run in a
+    subprocess with a timeout."""
     from conftest import run_python
 
     proc = run_python("-c", """
 from phytoperiod import (IntegratorConfig, StepUnderflowError, integrate,
                          variational_flow)
-from phytoperiod.integrator import _Endpoint
 cfg = IntegratorConfig()
 decay = lambda t, y: (-y[0],)
 for run in (lambda: integrate(decay, 1e20, [1.0], 1e20 + 1e5, cfg),
-            lambda: integrate(_Endpoint(decay), 1e20, [1.0], 1e20 + 1e5, cfg),
+            lambda: integrate(decay, 1e20, [1.0], 1e20 + 1e5, cfg,
+                              t_eval=[1e20 + 5e4]),
             lambda: variational_flow(lambda t, y: (-y[0], -y[1]),
                                      lambda t, y: ((-1.0, 0.0), (0.0, -1.0)),
                                      1e20, [1.0, 2.0], 1e20 + 1e5, cfg)):
@@ -920,7 +982,7 @@ class _RecordedPair:
 def _plain_dop853(field, t0, w0, t1, cfg):
     """The plain DOP853 march on ``field`` with the arguments ``integrate``
     gives a march that estimates its first step, and its rows."""
-    times, flat = itg._dp_march(len(w0), "dop853")(
+    times, flat = itg._dp_march(len(w0), "plain")(
         field, t0, tuple(w0), t1, None, cfg.abs_tol, cfg.rel_tol,
         itg._MIN_STEP_FACTOR * (t1 - t0), [math.inf])
     return Trajectory(np.array(times), np.reshape(flat, (-1, len(w0))))
@@ -1086,7 +1148,7 @@ def _recorded_dop853_start(case, t0, span, tols, variational):
     made = len(ref_calls) // 2 if variational else len(ref_calls)
     field, calls = make(made + 1)   # up to the k2 call
     with pytest.raises(_Enough):
-        itg._dp_march(len(y), "variational" if variational else "dop853")(
+        itg._dp_march(len(y), "variational" if variational else "plain")(
             field, t0, tuple(y), t1, None, *tols,
             itg._MIN_STEP_FACTOR * span, [math.inf])
     t_new = t1 if h >= t1 - t0 else t0 + h
@@ -1124,9 +1186,8 @@ def test_a_failed_estimate_starts_from_a_thousandth_of_the_span(variational,
                                                                 failure):
     """The starting step never decides how a run ends: when the estimate's
     one evaluation, at its Euler point, raises DomainOverflowError or
-    returns a NaN, each DOP853 march, the plain one of a period map and
-    the variational one, starts from span / 1000 as Dormand-Prince does,
-    and the run goes on to t1."""
+    returns a NaN, each march, the plain one and the variational one,
+    starts from span / 1000, and the run goes on to t1."""
     calls = []
 
     def field(t, y):
@@ -1142,7 +1203,7 @@ def test_a_failed_estimate_starts_from_a_thousandth_of_the_span(variational,
         y, _M = variational_flow(field, lambda t, y: ((-1.0, 0.0), (0.0, -2.0)),
                                  0.0, [1.0, 2.0], 2.0, cfg)
     else:
-        y = integrate(itg._Endpoint(field), 0.0, [1.0, 2.0], 2.0, cfg).final_state
+        y = integrate(field, 0.0, [1.0, 2.0], 2.0, cfg).final_state
     assert calls[2] == itg._TABLEAU["D_C2"] * (2.0 * 1e-3)
     assert y == pytest.approx([math.exp(-2.0), 2.0 * math.exp(-4.0)], rel=1e-8)
 
@@ -1189,7 +1250,7 @@ def test_a_period_map_is_the_dop853_march(forced_params):
     """``flow_map`` is the DOP853 march of its field, bit for bit."""
     z0, T = (0.64, -0.18), forced_params.period
     cfg = IntegratorConfig()
-    _times, flat = itg._dp_march(2, "dop853")(
+    _times, flat = itg._dp_march(2, "plain")(
         partial(rhs_log, forced_params), 0.0, z0, T, None, cfg.abs_tol,
         cfg.rel_tol, itg._MIN_STEP_FACTOR * T, [math.inf])
     assert flow_map(forced_params, z0, cfg).tobytes() == np.array(flat[-2:]).tobytes()
@@ -1267,17 +1328,62 @@ def test_the_variational_error_norm_keeps_a_nan(component, stage):
 
 
 def test_a_variational_run_takes_no_samples():
-    """DOP853 has no continuous extension here, so a run of an augmented
-    pair, or of an end-point field, with ``t_eval`` is a ValueError before
-    any call, with one message for both."""
+    """A variational run is sampled after the fact, from its stage record
+    (``_Flow.states_at``), so a run of an augmented pair with ``t_eval``
+    is a ValueError before any call."""
     calls = []
     field = lambda t, y: calls.append(t) or (-y[0], -y[1])
     pair = itg._Augmented((field, lambda t, y: ((-1.0, 0.0), (0.0, -1.0))))
-    for run, y0 in ((pair, [1.0, 2.0, 1.0, 0.0, 0.0, 1.0]),
-                    (itg._Endpoint(field), [1.0, 2.0])):
-        with pytest.raises(ValueError, match="^a DOP853 run takes no t_eval$"):
-            integrate(run, 0.0, y0, 1.0, IntegratorConfig(), t_eval=[0.5])
+    with pytest.raises(ValueError, match="^a variational run takes no t_eval$"):
+        integrate(pair, 0.0, [1.0, 2.0, 1.0, 0.0, 0.0, 1.0], 1.0,
+                  IntegratorConfig(), t_eval=[0.5])
     assert calls == []
+
+
+@settings(max_examples=40, deadline=None, derandomize=True, database=None)
+@given(pair=st.lists(st.tuples(_term, _term, _term), min_size=2, max_size=2),
+       y=st.lists(st.floats(-1.0, 1.0), min_size=2, max_size=2),
+       t0=st.floats(-10.0, 10.0, allow_subnormal=False),
+       h=st.floats(1e-3, 0.1),
+       grid=st.lists(st.floats(0.0, 1.0, exclude_min=True), min_size=1,
+                     max_size=8))
+def test_the_sampled_march_and_the_dense_step_share_their_bits(pair, y, t0, h,
+                                                              grid):
+    """One step of a random planar field with its Jacobian, from a state
+    and over a step small enough that the field stays bounded, taken with
+    a first step of h at a tolerance it passes: the sampled march's samples
+    inside the step, and those of ``_Flow.states_at`` from the variational
+    march's record of the same step, which ``_dense_step`` evaluates, are
+    the same to the last bit, because both run the same generated lines
+    (``_dense_lines``); the planar stages of the two marches agree
+    bit for bit."""
+    field, jac = _planar_pair(pair)
+    t1 = t0 + h
+    pts = sorted({t0 + g * (t1 - t0) for g in grid} - {t0})
+    floor = itg._MIN_STEP_FACTOR * (t1 - t0)
+    rows, _flat, times, states = itg._dp_march(2, "sampled")(
+        field, t0, tuple(y), t1, h, 1.0, 0.0, floor, [*pts, math.inf])
+    run = itg._dp_march(6, "variational")(
+        itg._Augmented((field, jac)), t0, (*y, 1.0, 0.0, 0.0, 1.0), t1, h,
+        1.0, 0.0, floor, [math.inf])
+    assert rows == run[0] == [t0, t1]
+    steps = itg._from_march(*run[:2], 6, record=run[2])
+    got = itg._Flow(steps, field).states_at(times[1:-1])
+    assert np.reshape(states[2:-2], (-1, 2)).tobytes() == got.tobytes()
+
+
+def test_there_is_one_runge_kutta_method():
+    """Every constant the marches read is a DOP853 one, and the tableau
+    holds no other method: ``_dp_march`` builds the plain, sampled and
+    variational DOP853 marches and no other kind."""
+    assert all(name.startswith("D_") for name in itg._TABLEAU)
+    assert [v for v in vars(itg).values()
+            if isinstance(v, itg._Tableau)] == [itg._DOP853]
+    for kind in ("plain", "sampled", "variational"):
+        itg._dp_march.__wrapped__(6, kind)
+    for kind in ("dp5", "dop853", "rk45"):
+        with pytest.raises(KeyError):
+            itg._dp_march.__wrapped__(2, kind)
 
 
 def _augmented_oracle(params):

@@ -672,9 +672,9 @@ def test_orbit_samples_are_as_accurate_as_a_sampled_run():
     """The samples of the 48 forced-orbits configs of bench seeds 11 and
     12, shot as ``find-orbit`` shoots them: against a re-integration of
     one period from z0 at 1e-13 tolerances, the largest error of ln x per
-    orbit has a median below 1e-9 and a maximum below 3e-9.  (Sampled by
-    a Dormand-Prince run from z0 they were 9.2e-10 and 2.4e-9; from the
-    closing monodromy run's dense output, 8.6e-10 and 2.5e-9.)"""
+    orbit has a median below 1e-9 and a maximum below 3e-9: 8.3e-10 and
+    2.8e-9.  (Sampled by a Dormand-Prince 5(4) run from z0 they were
+    9.2e-10 and 2.4e-9.)"""
     tight = IntegratorConfig(1e-13, 1e-13)
     errors = []
     for seed in (11, 12):
