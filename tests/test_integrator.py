@@ -455,13 +455,20 @@ def test_sampled_runs_match_the_extension_oracle(n):
                                                         3.0, cfg, t_eval))
 
 
+def _nan_past_t0(t, y):
+    """y' = -y at t = 0 and NaN after it, so the starting-step estimate,
+    whose one evaluation lies past t = 0, fails."""
+    return (-y[0],) if t == 0.0 else (math.nan,)
+
+
 @pytest.mark.filterwarnings("ignore:invalid value")
 @pytest.mark.parametrize("field, t0, y0, t1, cfg", [
     (lambda t, y: (y[0] * y[0],), 0.0, [2.0], 1.0, IntegratorConfig(1e-6, 1e-6)),
     (lambda t, y: (1e308,), 0.0, [1e308], 1.0, IntegratorConfig()),
     (lambda t, y: -np.sqrt(y), 0.0, [1.0], 5.0, IntegratorConfig()),
-    (lambda t, y: (-y[0],), 1e20, [1.0], 1e20 + 1e5, IntegratorConfig())],
-    ids=["blow-up", "overflow", "nan", "stall"])
+    (lambda t, y: (-y[0],), 1e20, [1.0], 1e20 + 1e5, IntegratorConfig()),
+    (_nan_past_t0, 0.0, [1.0], 5e-324, IntegratorConfig())],
+    ids=["blow-up", "overflow", "nan", "stall", "first-step"])
 def test_integrate_fails_as_the_generic_loop_does(field, t0, y0, t1, cfg):
     got = _outcome(lambda: integrate(field, t0, y0, t1, cfg))
     assert issubclass(got[0], IntegrationError)
@@ -717,6 +724,17 @@ def test_step_underflow_on_nan_producing_field():
     with pytest.raises(StepUnderflowError) as exc_info:
         integrate(field, 0.0, np.array([1.0]), 5.0, IntegratorConfig())
     assert exc_info.value.t is not None
+
+
+def test_first_step_underflow_is_an_integration_failure():
+    """Over a span of 5e-324, with a field the starting-step estimate
+    cannot judge, the fallback first step, span * 1e-3, underflows to 0:
+    that is a step underflow at t0, not an endless loop."""
+    from phytoperiod import StepUnderflowError
+
+    with pytest.raises(StepUnderflowError) as exc_info:
+        integrate(_nan_past_t0, 0.0, [1.0], 5e-324, IntegratorConfig())
+    assert exc_info.value.t == 0.0
 
 
 def test_a_span_of_one_subnormal_ends_on_t1_in_one_step():
