@@ -20,9 +20,11 @@ as bare non-convergence:
 
 * steady state: the one-period trajectory in the original frame is
   essentially constant (an equilibrium, possibly on a coordinate axis
-  where the log frame has no finite fixed point).  Detected up front
-  and characterised with the original-frame variational equations; on
-  an axis, at the exact boundary state, with the multipliers in closed
+  where the log frame has no finite fixed point).  Detected up front,
+  by a full sampled period only when a run over its first 1/32 leaves
+  the density spread small enough for a steady period, and
+  characterised with the original-frame variational equations; on an
+  axis, at the exact boundary state, with the multipliers in closed
   form.
 * extinction: one species cannot invade the state where it is absent,
   so it decays geometrically near that boundary and the Newton defect
@@ -72,6 +74,11 @@ _STEADY_VARIANCE_TOL = 1e-12  # sample variance of a steady state / (max x)^2
 # a steady state lies on a boundary state when each density stays within
 # this times its own carrying capacity of that state
 _BOUNDARY_DENSITY = math.sqrt(_STEADY_VARIANCE_TOL)
+# the steady-state test's head run and its bound (detect_steady_state)
+_HEAD_FRACTION = 32           # the head run covers 1/this of the period
+_STEADY_RADIUS = math.sqrt((_ORBIT_SAMPLES + 1) * _STEADY_VARIANCE_TOL)
+_HEAD_SPREAD = 2.0 * _STEADY_RADIUS / (1.0 - 2.0 * _STEADY_RADIUS)
+_HEAD_MARGIN = 10.0           # tolerance units between head and full run
 _BOUND_SLACK = 1e-9
 _SEED_RUN_PERIODS = 256       # most periods one seeding run integrates
 _BOUNDARY_PROGRESS = 0.99     # a boundary step must cut the defect below this
@@ -399,7 +406,21 @@ def detect_steady_state(params: ModelParams, z,
     the largest sampled density, returns the densities it integrated as
     an orbit from z with ``stop_rule`` "steady_state".  Relative to that
     density, the test does not depend on the units the densities are
-    measured in.  The linearisation is done in the original frame,
+    measured in.
+
+    A head run over the first 1/32 of the period, sampled at the same
+    times, comes first.  A steady period keeps each of its 257 samples
+    within r s of its component's mean, with r = sqrt(257e-12) =
+    1.603e-5 and s the largest sampled density, and so s is below
+    max(x0) / (1 - 2r).  So when either component spreads over the 9
+    head samples by more than 2r max(x0) / (1 - 2r) = 3.206e-5 max(x0),
+    plus 10 (abs_tol + rel_tol max(x0)) for the two runs' different
+    steps, the period is not steady and None is returned without the
+    full run.
+    Otherwise the full run and its test decide, from t = 0, so a steady
+    state's samples do not depend on the head run.
+
+    The linearisation is done in the original frame,
     which stays regular when a species sits on (or exponentially close
     to) its extinction axis, where the log frame has no finite fixed
     point.
@@ -424,8 +445,14 @@ def detect_steady_state(params: ModelParams, z,
     z = np.array(z, dtype=float)
     x0 = np.exp(z)
     ts = np.linspace(0.0, params.period, _ORBIT_SAMPLES + 1)
-    traj = integrate(MethodType(rhs_original, params), 0.0, x0, params.period,
-                     cfg, t_eval=ts[1:-1])
+    field = MethodType(rhs_original, params)
+    end = _ORBIT_SAMPLES // _HEAD_FRACTION
+    head = integrate(field, 0.0, x0, ts[end], cfg, t_eval=ts[1:end]).states
+    top = float(np.max(x0))
+    if (np.max(np.ptp(head, axis=0)) > _HEAD_SPREAD * top
+            + _HEAD_MARGIN * (cfg.abs_tol + cfg.rel_tol * top)):
+        return None
+    traj = integrate(field, 0.0, x0, params.period, cfg, t_eval=ts[1:-1])
     scale = float(np.max(traj.states))
     if (scale > 0.0 and np.max(np.var(traj.states / scale, axis=0))
             >= _STEADY_VARIANCE_TOL):
@@ -440,8 +467,8 @@ def detect_steady_state(params: ModelParams, z,
                                      < _BOUNDARY_DENSITY * k):
             x, boundary = edge, True
             break
-    _, M = variational_flow(MethodType(rhs_original, params),
-                            MethodType(jac_original, params), 0.0, x, T, cfg)
+    _, M = variational_flow(field, MethodType(jac_original, params),
+                            0.0, x, T, cfg)
     if boundary:
         M = M.copy()
         M[i, i] = math.exp(T * averaged_rates(params, *x)[i])

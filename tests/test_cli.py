@@ -545,10 +545,10 @@ def test_reproduce_integrates_the_horizon_once(tmp_path, monkeypatch, which):
 
 # calls per ``reproduce``; a fused or bypassed field changes them
 BUNDLE_CALLS = {
-    "example1": {"rhs_log": 8_970, "jac_log": 1_402, "rhs_original": 386,
+    "example1": {"rhs_log": 8_970, "jac_log": 1_402, "rhs_original": 32,
                  "jac_original": 0, "integrate": 23},
-    "remark-constant": {"rhs_log": 635, "jac_log": 0, "rhs_original": 82,
-                        "jac_original": 50, "integrate": 4}}
+    "remark-constant": {"rhs_log": 635, "jac_log": 0, "rhs_original": 99,
+                        "jac_original": 50, "integrate": 5}}
 
 
 @pytest.mark.parametrize("which", sorted(BUNDLE_CALLS))
@@ -590,15 +590,18 @@ def test_example1_decides_every_plain_probe_loose(tmp_path, monkeypatch):
 
 def test_find_orbit_calls_per_period_run(tmp_path, monkeypatch):
     """``find-orbit`` on forced_mixed.json seeds by one ``flow_map``
-    period, then takes 2 full Newton steps.  Each step's probe is the
-    monodromy run that the next iteration uses, so the search makes no
-    plain run and 3 ``flow_and_monodromy`` runs in all."""
+    period.  The steady-state test stops after its head run, 2 sampled
+    DOP853 steps over the first 1/32 of the period: 32 ``rhs_original``
+    calls.  Then the search takes 2 full Newton steps.  Each step's probe
+    is the monodromy run that the next iteration uses, so the search makes
+    no plain run and 3 ``flow_and_monodromy`` runs in all."""
     counts, _ = count_public_calls(
-        monkeypatch, ("rhs_log", "jac_log", "flow_map", "flow_and_monodromy"))
+        monkeypatch, ("rhs_log", "jac_log", "rhs_original", "flow_map",
+                      "flow_and_monodromy"))
     config = str(Path(__file__).parent / "forced_mixed.json")
     assert main(["find-orbit", "--config", config, "--out", str(tmp_path)]) == EXIT_OK
-    assert counts == {"rhs_log": 1_181, "jac_log": 798, "flow_map": 1,
-                      "flow_and_monodromy": 3}
+    assert counts == {"rhs_log": 1_181, "jac_log": 798, "rhs_original": 32,
+                      "flow_map": 1, "flow_and_monodromy": 3}
     doc = json.loads((tmp_path / "orbit_report.json").read_text())
     assert (doc["orbit"]["newton_iterations"], doc["orbit"]["stop_rule"]) == (2, "tol")
 

@@ -21,7 +21,7 @@ from phytoperiod import (DomainOverflowError, IntegrationError,
                          diagnose_extinction, find_periodic_orbit,
                          flow_and_monodromy, flow_map, integrate, rhs_log,
                          rhs_original, seed_by_transient, verify_bounds)
-from phytoperiod.cli import parse_config
+from phytoperiod.cli import load_bundled_config, parse_config
 
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "bench"))
 import workloads  # noqa: E402
@@ -1078,6 +1078,87 @@ def test_the_steady_state_test_does_not_depend_on_units(cfg):
         [0.0067107, 0.0018968], abs=1e-7)
     for a, b in zip(unit.floquet_multipliers, micro.floquet_multipliers):
         assert abs(a - b) <= 1e-8 * abs(a)
+
+
+def _steady_oracle(params, z, cfg):
+    """The steady-state verdict without the head check: one sampled
+    original-frame period from exp(z), at the 255 times inside it, is
+    steady when every component's sample variance over the square of the
+    largest sample is below 1e-12.  Returns the verdict and the samples."""
+    ts = np.linspace(0.0, params.period, 257)
+    xs = integrate(lambda t, x: rhs_original(params, t, x), 0.0, np.exp(z),
+                   params.period, cfg, t_eval=ts[1:-1]).states
+    return bool(np.max(np.var(xs / np.max(xs), axis=0)) < 1e-12), xs
+
+
+def _steady_verdicts(cases):
+    """Check ``detect_steady_state`` against :func:`_steady_oracle` from
+    each (params, z, cfg) of ``cases``: it returns None exactly when the
+    oracle finds no steady state, and a steady state's densities are the
+    oracle's samples, bit for bit.  Returns how many seeds were steady,
+    rejected by the head run alone and rejected after the full run."""
+    tally = {"steady": 0, "head": 0, "full": 0}
+    runs = 0
+
+    def counted(*args, **kwargs):
+        nonlocal runs
+        runs += 1
+        return integrate(*args, **kwargs)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(orbit_mod, "integrate", counted)
+        for params, z, cfg in cases:
+            runs = 0
+            orbit = detect_steady_state(params, z, cfg)
+            steady, xs = _steady_oracle(params, z, cfg)
+            assert (orbit is not None) == steady
+            if steady:
+                assert orbit.densities.states.tobytes() == xs.tobytes()
+            tally["steady" if steady else ("head", "full")[runs - 1]] += 1
+    return tally
+
+
+def _draw_seeds(draws):
+    cfg = IntegratorConfig()
+    for i in draws:
+        params = random_draw(i)
+        for x in _STARTS:
+            yield params, seed_by_transient(params, np.log(x), 30, cfg).z, cfg
+
+
+def test_the_head_check_keeps_every_steady_state_verdict():
+    """The head check over the first 1/32 of the period changes no
+    verdict: from the 30-period seeds of random draws 0-39 and from both
+    bundles' 5-, 30- and 200-period seeds, ``detect_steady_state`` finds
+    a steady state exactly when the full period's samples say so, with
+    those samples.  Both kinds of rejection occur."""
+    bundles = []
+    for name in ("example1", "remark-constant"):
+        config = load_bundled_config(name)
+        for n in (5, 30, 200):
+            seed = seed_by_transient(config.model, np.log(config.initial_state),
+                                     n, config.integrator)
+            bundles.append((config.model, seed.z, config.integrator))
+    tally = _steady_verdicts([*_draw_seeds(range(40)), *bundles])
+    assert tally == {"steady": 60, "head": 55, "full": 11}
+
+
+@pytest.mark.slow
+def test_the_head_check_keeps_every_verdict_of_the_sweep(capsys):
+    """The same over the 30-period seeds of all 400 random draws and the
+    seeds of the forced-orbits configs of bench seeds 1-10, each of which
+    the head run rejects alone."""
+    forced = []
+    for bench_seed in range(1, 11):
+        for doc in workloads.generate_configs("forced-orbits", bench_seed):
+            config = parse_config(doc)
+            seed = seed_by_transient(config.model, np.log(config.initial_state),
+                                     config.seed_periods, config.integrator)
+            forced.append((config.model, seed.z, config.integrator))
+    tally = _steady_verdicts(_draw_seeds(range(400)))
+    with capsys.disabled():
+        print(f"\n1,200 draw seeds: {tally}")
+    assert _steady_verdicts(forced) == {"steady": 0, "head": len(forced),
+                                        "full": 0}
 
 
 def test_extinction_diagnosis_asymptotic_rate(ex1_params):
