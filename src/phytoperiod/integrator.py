@@ -31,7 +31,6 @@ import functools
 import math
 from dataclasses import dataclass
 from types import MethodType
-from typing import NamedTuple
 
 import numpy as np
 
@@ -53,12 +52,12 @@ __all__ = [
 # Hairer's DOP853 (Hairer, Norsett & Wanner, *Solving Ordinary Differential
 # Equations I*, 2nd ed., 1993, sec. II.10; the digits of his dop853.f):
 # 12 evaluations per step.  These are the only constants of the marches,
-# by the names that _DOP853 reads; _TABLEAU is the namespace the compiled
-# marches see them in.  Stage k_j (j = 2..13) is evaluated at node D_Cj
-# from the weights D_Aj_i of k_i; an absent weight is 0, and k12 and k13
-# sit at node 1.  Row 13 holds the 8th-order weights, so k13 is evaluated
-# at the new solution and is the next step's k1 (FSAL, "first same as
-# last").
+# by the names that _STAGES, _ERRORS and _DENSE list; _TABLEAU is the
+# namespace the compiled marches see them in.  Stage k_j (j = 2..13) is
+# evaluated at node D_Cj from the weights D_Aj_i of k_i; an absent weight
+# is 0, and k12 and k13 sit at node 1.  Row 13 holds the 8th-order
+# weights, so k13 is evaluated at the new solution and is the next step's
+# k1 (FSAL, "first same as last").
 _TABLEAU = {f"D_C{j}": c for j, c in enumerate((
     0.526001519587677318785587544488e-01, 0.789002279381515978178381316732e-01,
     0.118350341907227396726757197510, 0.281649658092772603273242802490,
@@ -163,39 +162,27 @@ _TABLEAU |= {f"D_D{r}_{i}": d for r, row in enumerate((
 ), start=4) for i, d in zip((1, *range(6, 17)), row)}
 
 
-class _Tableau(NamedTuple):
-    """DOP853, by the names of its constants in _TABLEAU.  ``stages``
-    lists k2, ..., k13 as (node, weights): k_j = field(t + node h,
-    y + h sum_i weights[i] k_(i+1)), where node None means 1 and a weight
-    None is 0; the last stage's argument is the new solution, so that
-    stage is the next step's k1.  ``errors`` holds the weights over k1,
-    ... of the 5th- and the 3rd-order error estimates, which the error
-    norm combines.  The step factor is 0.9 enorm^``exponent``.
-    ``dense`` is the dense output: its extra stages k14..k16, as
-    ``stages`` lists them, and the weights of its last four coefficients
-    over k1, ..., k16."""
-
-    stages: tuple
-    errors: tuple
-    exponent: float
-    dense: tuple
-
-
 def _present(*names):
     return tuple(name if name in _TABLEAU else None for name in names)
 
 
-_DOP853 = _Tableau(
-    stages=tuple((f"D_C{j}" if j < 12 else None,
-                  _present(*(f"D_A{j}_{i}" for i in range(1, j))))
-                 for j in range(2, 14)),
-    errors=tuple(_present(*(f"D_E{order}_{i}" for i in range(1, 13)))
-                 for order in (5, 3)),
-    exponent=-0.125,
-    dense=(tuple((f"D_C{j}", _present(*(f"D_A{j}_{i}" for i in range(1, j))))
-                 for j in (14, 15, 16)),
-           tuple(_present(*(f"D_D{r}_{i}" for i in range(1, 17)))
-                 for r in (4, 5, 6, 7))))
+# The marches read DOP853 as these tuples of _TABLEAU names.  _STAGES lists
+# k2, ..., k13 as (node, weights): k_j = field(t + node h, y + h sum_i
+# weights[i] k_(i+1)), where node None means 1 and a weight None is 0; the
+# last stage's argument is the new solution, so that stage is the next
+# step's k1.  _ERRORS holds the weights over k1, ... of the 5th- and the
+# 3rd-order error estimates, which the error norm combines.  _DENSE is the
+# dense output: its extra stages k14..k16, as _STAGES lists them, and the
+# weights of its last four coefficients over k1, ..., k16.
+_STAGES = tuple((f"D_C{j}" if j < 12 else None,
+                 _present(*(f"D_A{j}_{i}" for i in range(1, j))))
+                for j in range(2, 14))
+_ERRORS = tuple(_present(*(f"D_E{order}_{i}" for i in range(1, 13)))
+                for order in (5, 3))
+_DENSE = (tuple((f"D_C{j}", _present(*(f"D_A{j}_{i}" for i in range(1, j))))
+                for j in (14, 15, 16)),
+          tuple(_present(*(f"D_D{r}_{i}" for i in range(1, 17)))
+                for r in (4, 5, 6, 7)))
 # the stages of a step that the dense output weighs: no weight falls on k2..k5
 _DENSE_STAGES = (1, *range(6, 14))
 
@@ -322,7 +309,6 @@ def integrate(field, t0: float, y0, t1: float, cfg: IntegratorConfig,
         if pts and (pts[0] < t0 or pts[-1] > t1):
             raise ValueError("t_eval points must lie within [t0, t1]")
         pts = [p for p in pts if t0 < p < t1]
-        kind = "sampled"
     pts.append(math.inf)        # sentinel, beyond every step
 
     n = len(y)
@@ -402,9 +388,9 @@ def _dense_lines(n: int) -> list[str]:
     extra stages k14..k16, one call of ``field`` each, then the
     coefficients F0_i, ..., F6_i of the interpolant of component i (see
     _TABLEAU).  Every weighted sum runs left to right over the stages.
-    The sampled march and :func:`_dense_step` both run these lines, so the
+    The plain march and :func:`_dense_step` both run these lines, so the
     two give the same coefficients to the last bit."""
-    stages, rows = _DOP853.dense
+    stages, rows = _DENSE
 
     def weighed(weights, i):
         return " + ".join(f"{w} * k{m}_{i}"
@@ -428,21 +414,23 @@ def _dense_lines(n: int) -> list[str]:
 def _dp_march(n: int, kind: str):
     """The adaptive DOP853 march of an n-component state, as one compiled
     straight-line function, built on first use and kept for the process.
-    ``kind`` is "plain", "sampled" (the plain march that also evaluates
-    the dense output at sample times) or "variational" (the variational
-    equations, n = 6, keeping the stage record of their dense output).
+    ``kind`` is "plain" (which also evaluates the dense output at sample
+    times) or "variational" (the variational equations, n = 6, keeping the
+    stage record of their dense output).
 
     ``march(field, t, y, t1, h, abs_tol, rel_tol, h_floor, pts)``
     integrates y' = field(t, y) from (t, y) to t1 with first step h, or,
     with h None, the one of :func:`_first_step`.  It returns the row
-    times and states, the states flattened, then a sampled march the
-    sample times and states and a variational one its stage record: for
-    every row after the first, the first two components of each stage in
-    _DENSE_STAGES of the step that reached it.  ``pts`` holds the sample
-    times inside (t, t1), ascending, then the sentinel inf; only a
-    sampled march reads it.  On an accepted step that holds a sample
-    time, it runs :func:`_dense_lines` (3 field calls) and takes the
-    interpolant at each such time by Horner's rule.  Every stage sum and
+    times and states, the states flattened, then a plain march the sample
+    times and states, t and t1 included, and a variational one its stage
+    record: for every row after the first, the first two components of
+    each stage in _DENSE_STAGES of the step that reached it.  ``pts``
+    holds the sample times inside (t, t1), ascending, then the sentinel
+    inf, which no step reaches; only a plain march reads it, so a plain
+    run given no sample times is the same run, row for row, as one given
+    some.  On an accepted step that holds a sample time, it runs
+    :func:`_dense_lines` (3 field calls) and takes the interpolant at
+    each such time by Horner's rule.  Every stage sum and
     every coefficient is written out per component and runs left to right
     over plain floats, the FSAL stage is handed on as the next k1, and
     the error norm, the controller and the failure checks are inline.  A
@@ -465,16 +453,14 @@ def _dp_march(n: int, kind: str):
     an :class:`_Augmented` pair and writes each stage's calls and
     products of its ``__call__`` inline.
     """
-    sampled, variational = {"plain": (False, False), "sampled": (True, False),
-                            "variational": (False, True)}[kind]
-    tab = _DOP853
+    variational = {"plain": False, "variational": True}[kind]
     namespace = {**_TABLEAU, "inf": math.inf, "nan": math.nan,
                  "isfinite": math.isfinite, "sqrt": math.sqrt,
                  "first_step": _first_step,
                  "DomainOverflowError": DomainOverflowError,
                  "StepUnderflowError": StepUnderflowError,
                  "NonFiniteStateError": NonFiniteStateError}
-    last = len(tab.stages) + 1      # the FSAL stage, at the new solution
+    last = 13       # the FSAL stage, at the new solution
 
     def comps(name):
         return ", ".join(f"{name}{i}" for i in range(n)) + ","
@@ -482,7 +468,7 @@ def _dp_march(n: int, kind: str):
     lines = ["def march(field, t, y, t1, h_adaptive, abs_tol, rel_tol, "
              "h_floor, pts):",
              *(["    times, states = [t], list(y)      # samples",
-                "    i = 0"] if sampled else []),
+                "    i = 0"] if not variational else []),
              "    row_times, row_states = [t], list(y)",
              *(["    record = []"] if variational else []),
              "    k1 = field(t, y)",
@@ -493,7 +479,7 @@ def _dp_march(n: int, kind: str):
              f"    {comps('k1_')} = k1",
              "    if h_adaptive is None:",
              "        h_adaptive = first_step(field, t, y, k1, t1, abs_tol, "
-             f"rel_tol, {-tab.exponent!r})",
+             "rel_tol, 0.125)",
              *(["    field, jac = field"] if variational else [])]
 
     def stage_sums(weights, from_y):
@@ -514,7 +500,7 @@ def _dp_march(n: int, kind: str):
               "            t_new = t1",
               "        h = t_new - t"]
     trial = len(lines)      # the stages and the error norm of a trial step
-    for j, (node, weights) in enumerate(tab.stages, start=2):
+    for j, (node, weights) in enumerate(_STAGES, start=2):
         sums = stage_sums(weights, True)
         at = f"t + {node} * h" if node else "t_new"
         if j == last or variational:   # y_new (o0, ...), a variational argument (g0, ...)
@@ -530,7 +516,7 @@ def _dp_march(n: int, kind: str):
             f"        k{j}_0, k{j}_1 = field(ts, z)",
             *(f"        k{j}_{m} = j{r}1 * {sums[c]} + j{r}2 * {sums[c + 2]}"
               for m, r, c in ((2, 1, 2), (3, 1, 3), (4, 2, 2), (5, 2, 3)))]
-    for x, weights in zip("df", tab.errors):
+    for x, weights in zip("df", _ERRORS):
         lines.extend(f"        {x}{i} = {s}"
                      for i, s in enumerate(stage_sums(weights, False)))
     # per estimate, the max-norm of err / (abs_tol + rel_tol max(|y|, |y_new|));
@@ -560,12 +546,12 @@ def _dp_march(n: int, kind: str):
                      *(f"    {line}" for line in lines[trial:]),
                      "        except DomainOverflowError:",
                      "            enorm = nan"]
-    # standard I-controller with safety factor and clamps; a non-finite
-    # error estimate (NaN stages) forces a hard shrink:
-    # h_adaptive = h_try * min(5.0, max(0.2, factor)), as the builtins
-    # compare
+    # standard I-controller with safety factor and clamps, for a method of
+    # order 8; a non-finite error estimate (NaN stages) forces a hard
+    # shrink: h_adaptive = h_try * min(5.0, max(0.2, factor)), as the
+    # builtins compare
     lines += ["        if enorm > 0.0 and enorm < inf:",
-              f"            factor = 0.9 * enorm ** {tab.exponent!r}",
+              "            factor = 0.9 * enorm ** -0.125",
               "            if not factor > 0.2:",
               "                factor = 0.2",
               "            elif not factor < 5.0:",
@@ -576,7 +562,7 @@ def _dp_march(n: int, kind: str):
               "            factor = 0.2",
               "        h_adaptive = h_try * factor",
               "        if enorm <= 1.0:"]
-    if sampled:
+    if not variational:
         # the dense output once per step that holds a sample, then its
         # interpolant y_i + th (F0_i + (1 - th) (F1_i + th (...))) per sample
         def horner(i):
@@ -626,14 +612,12 @@ def _dp_march(n: int, kind: str):
               "                f'step {h_adaptive!r} does not advance t = {t}', t=t)",
               "    row_times.append(t)",
               "    row_states += y"]
-    if sampled:
+    if variational:
+        lines.append("    return row_times, row_states, record")
+    else:
         lines += ["    times.append(t)",
                   "    states += y",
                   "    return row_times, row_states, times, states"]
-    elif variational:
-        lines.append("    return row_times, row_states, record")
-    else:
-        lines.append("    return row_times, row_states")
     exec(compile("\n".join(lines), f"<phytoperiod march, n = {n}, {kind}>",
                  "exec"), namespace)
     return namespace.pop("march")   # no cycle through its globals

@@ -115,6 +115,40 @@ def test_zero_beta1_mean_fixes_u_at_k1():
     assert root.x[1] == pytest.approx(v, rel=1e-14)
 
 
+@pytest.mark.parametrize("b2", [0.0, 0.1])
+def test_zero_beta1_r2_and_toxin_leave_g2_without_a_slope(b2):
+    """beta1_bar = r2_bar = w2 = 0: on the line u = k1, g2 = -beta2_bar k1
+    is constant in v.  It vanishes on the whole line when beta2_bar = 0,
+    which is reported, and has no root otherwise."""
+    p = ModelParams(r1=C(1.0), r2=C(0.0), beta1=PeriodicCoefficient.sinusoid(0.0, 0.2),
+                    beta2=C(b2), k1=2.0, k2=3.0, w1=0.25, w2=0.0,
+                    period=TWO_PI)
+    for v in (0.5, 4.0):
+        assert averaged_rates(p, 2.0, v) == (0.0, -b2 * 2.0)
+    if b2:
+        assert averaged_equilibria(p) == []
+    else:
+        with pytest.raises(DegenerateAveragedSystemError,
+                           match="^degenerate averaged system: g2 vanishes on "
+                                 "the whole line u = k1$"):
+            averaged_equilibria(p)
+
+
+def test_a_linear_g2_that_vanishes_on_the_line_is_degenerate():
+    """w1 = w2 = 0 makes g2 linear along g1 = 0, here v = 2 (1 - u / 4);
+    with r1_bar / beta1_bar = k2 and beta2_bar = r2_bar / k1 it vanishes
+    there identically, so the equilibria fill a segment, which is
+    reported, not solved."""
+    p = ModelParams(r1=C(1.0), r2=C(1.0), beta1=C(0.5), beta2=C(0.25),
+                    k1=4.0, k2=2.0, w1=0.0, w2=0.0, period=1.0)
+    for u in (1.0, 3.0):
+        assert averaged_rates(p, u, 2.0 * (1.0 - u / 4.0)) == (0.0, 0.0)
+    with pytest.raises(DegenerateAveragedSystemError,
+                       match="^degenerate averaged system: g2 vanishes on "
+                             "the whole line g1 = 0$"):
+        averaged_equilibria(p)
+
+
 def test_zero_r1_and_beta1_means_are_degenerate():
     """r1_bar = beta1_bar = 0 makes g1 vanish identically: the equilibria
     fill a curve, which is reported, not solved."""

@@ -135,6 +135,61 @@ def test_removed_integrator_settings_are_usage_errors(tmp_path, capsys,
     assert capsys.readouterr().err == f"config error: {message}\n"
 
 
+def _fourier_beta1(harmonics):
+    return lambda d: d["model"].__setitem__(
+        "beta1", {"kind": "fourier", "mean": 0.05, "harmonics": harmonics,
+                  "omega": 1.0})
+
+
+@pytest.mark.parametrize("mutate, message", [
+    (lambda d: [d], "config: top level must be an object"),
+    (lambda d: d["model"].__setitem__("r2", 1.0),
+     "config.model.r2: expected a tagged object"),
+    (_fourier_beta1({"1": [0.01, 0.0]}),
+     "config.model.beta1.harmonics: expected a list of [cos, sin] pairs"),
+    (_fourier_beta1("0.01"),
+     "config.model.beta1.harmonics: expected a list of [cos, sin] pairs"),
+    (lambda d: d.__setitem__("initial_state", [1.0]),
+     "config.initial_state: expected [x1, x2]"),
+    (lambda d: d.__setitem__("initial_state", {"x1": 1.0, "x2": 0.5}),
+     "config.initial_state: expected [x1, x2]"),
+    (lambda d: d.__setitem__("tolerances", {"orbit_tol": 0.0}),
+     "config.tolerances.orbit_tol: must be positive"),
+    (lambda d: d.__setitem__("tolerances", {"orbit_tol": -1e-10}),
+     "config.tolerances.orbit_tol: must be positive")],
+    ids=["top-level-list", "bare-coefficient", "harmonics-object",
+         "harmonics-string", "one-density", "state-object", "zero-orbit-tol",
+         "negative-orbit-tol"])
+def test_malformed_configs_are_usage_errors(tmp_path, capsys, mutate, message):
+    """Each malformed config raises a ConfigError with its message from
+    ``parse_config``, and through ``main`` exits with status 2 and prints
+    that message, before anything is written."""
+    data = minimal_config()
+    data = mutate(data) or data
+    with pytest.raises(ConfigError) as exc_info:
+        parse_config(data)
+    assert str(exc_info.value) == message
+    config = tmp_path / "cfg.json"
+    config.write_text(json.dumps(data))
+    out = tmp_path / "out"
+    code = main(["check", "--config", str(config), "--out", str(out)])
+    assert code == EXIT_USAGE == 2
+    assert capsys.readouterr().err == f"config error: {message}\n"
+    assert list(out.iterdir()) == []
+
+
+def test_a_missing_config_file_is_a_usage_error(tmp_path, capsys):
+    missing = tmp_path / "missing.json"
+    reason = f"[Errno 2] No such file or directory: {str(missing)!r}"
+    with pytest.raises(ConfigError) as exc_info:
+        load_config(missing)
+    assert str(exc_info.value) == f"cannot read config {missing}: {reason}"
+    code = main(["find-orbit", "--config", str(missing), "--out", str(tmp_path)])
+    assert code == EXIT_USAGE
+    assert capsys.readouterr().err == (
+        f"config error: cannot read config {missing}: {reason}\n")
+
+
 def test_load_config_reports_json_position(tmp_path):
     path = tmp_path / "broken.json"
     path.write_text('{"model": oops}')

@@ -251,14 +251,17 @@ def test_no_unreferenced_private_names():
 
 def test_every_tableau_coefficient_is_read():
     """The coefficients of DOP853 are the keys of one dict, which the
-    private-name scan does not see into; the stages and the error weights
-    of the marches and the extra stages and weights of the dense output
-    read exactly those keys, so an unused or a missing coefficient fails
-    here."""
+    private-name scan does not see into.  The compiled code reads them as
+    globals: the plain march (its stages, error weights and dense output)
+    reads exactly those keys, and so do the variational march and the
+    after-the-fact dense step together, so an unused or a missing
+    coefficient fails here."""
     from phytoperiod import integrator
 
-    tab = integrator._DOP853
-    stages, rows = tab.dense
-    read = set().union(*((node, *weights) for node, weights in tab.stages + stages),
-                       *tab.errors, *rows)
-    assert set(integrator._TABLEAU) == read - {None}
+    def read(function):
+        return {n for n in function.__code__.co_names if n.startswith("D_")}
+
+    keys = set(integrator._TABLEAU)
+    assert read(integrator._dp_march(1, "plain")) == keys
+    assert (read(integrator._dp_march(6, "variational"))
+            | read(integrator._dense_step())) == keys

@@ -134,6 +134,25 @@ def _sum(terms):
     return functools.reduce(operator.add, terms)
 
 
+def _names(row, count):
+    """Oracle: the _TABLEAU names D_<row>_1, ..., D_<row>_<count>, None for
+    each one the tableau lacks, a weight of 0."""
+    return tuple(name if name in itg._TABLEAU else None
+                 for name in (f"D_{row}_{i}" for i in range(1, count + 1)))
+
+
+# DOP853 by the names of its constants, listed apart from the generator:
+# the stages k2..k13 as (node, weights over k1..k(j-1)), node None at 1;
+# the weights of the 5th- and the 3rd-order error estimates; the dense
+# output's extra stages k14..k16 and the weights of its last four
+# coefficients over k1..k16
+_STAGES = [(f"D_C{j}" if j < 12 else None, _names(f"A{j}", j - 1))
+           for j in range(2, 14)]
+_ERRORS = [_names("E5", 12), _names("E3", 12)]
+_DENSE_EXTRA = [(f"D_C{j}", _names(f"A{j}", j - 1)) for j in (14, 15, 16)]
+_DENSE_ROWS = [_names(f"D{r}", 16) for r in (4, 5, 6, 7)]
+
+
 def _reference_dop853_step(field, t, y, t_new, k1):
     """Oracle: the generic DOP853 step from t to t_new, by h = t_new - t,
     as a loop over the tableau's stages, every stage sum a generator over
@@ -141,18 +160,18 @@ def _reference_dop853_step(field, t, y, t_new, k1):
     order the generated step keeps; the stages at node 1 are evaluated at
     t_new.  Returns y_new, the 5th- and 3rd-order error estimates and the
     stages k1, ..., k13."""
-    T, tab = itg._TABLEAU, itg._DOP853
+    T = itg._TABLEAU
     h = t_new - t
     ks = [tuple(k1)]
 
     def products(weights, i):
         return [(h * T[w]) * k[i] for w, k in zip(weights, ks) if w]
 
-    for node, weights in tab.stages:
+    for node, weights in _STAGES:
         arg = tuple(_sum([yi, *products(weights, i)]) for i, yi in enumerate(y))
         ks.append(tuple(field(t + T[node] * h if node else t_new, arg)))
     errs = tuple(tuple(_sum(products(weights, i)) for i in range(len(y)))
-                 for weights in tab.errors)
+                 for weights in _ERRORS)
     return arg, errs, ks
 
 
@@ -160,13 +179,12 @@ def _reference_dense(field, t, h, y, y_new, ks):
     """Oracle: DOP853's dense output over one step, from a generator per
     component: k14..k16, then per component the coefficients F0, ..., F6
     of the interpolant."""
-    T, (stages, rows) = itg._TABLEAU, itg._DOP853.dense
-    ks = list(ks)
+    T, ks = itg._TABLEAU, list(ks)
 
     def weighed(weights, i):
         return _sum([T[w] * k[i] for w, k in zip(weights, ks) if w])
 
-    for node, weights in stages:
+    for node, weights in _DENSE_EXTRA:
         ks.append(tuple(field(t + T[node] * h,
                               tuple(yi + h * weighed(weights, i)
                                     for i, yi in enumerate(y)))))
@@ -174,7 +192,7 @@ def _reference_dense(field, t, h, y, y_new, ks):
     for i, (a, b) in enumerate(zip(y, y_new)):
         f0 = b - a
         coeffs.append((f0, h * ks[0][i] - f0, 2.0 * f0 - h * (ks[0][i] + ks[12][i]),
-                       *(h * weighed(weights, i) for weights in rows)))
+                       *(h * weighed(weights, i) for weights in _DENSE_ROWS)))
     return coeffs
 
 
@@ -477,9 +495,9 @@ def test_integrate_fails_as_the_generic_loop_does(field, t0, y0, t1, cfg):
 
 def test_the_step_is_built_once_per_dimension(monkeypatch):
     """The march is compiled once per state dimension and kind of run and
-    kept: the plain one, the sampled one for a run given ``t_eval``, and
-    the variational one on the first ``variational_flow``, which is
-    neither march of 6 components."""
+    kept: the plain one, which a run given ``t_eval`` runs too, and the
+    variational one on the first ``variational_flow``, which is not the
+    plain march of 6 components."""
     built = functools.cache(itg._dp_march.__wrapped__)
     monkeypatch.setattr(itg, "_dp_march", built)
     rotate = lambda t, y: (-y[1], y[0])
@@ -488,21 +506,21 @@ def test_the_step_is_built_once_per_dimension(monkeypatch):
     integrate(rotate, 0.0, [1.0, 0.0], 1.0, IntegratorConfig())
     assert built.cache_info().currsize == 2
     integrate(exp_decay, 0.0, [1.0], 1.0, IntegratorConfig(), t_eval=[0.5])
-    assert built.cache_info().currsize == 3
+    assert built.cache_info().currsize == 2
     rotation = (rotate, lambda t, y: ((0.0, -1.0), (1.0, 0.0)))
     variational_flow(*rotation, 0.0, [1.0, 0.0], 1.0, IntegratorConfig())
     variational_flow(*rotation, 0.0, [0.0, 1.0], 2.0, IntegratorConfig())
-    for key in ((1, "plain"), (2, "plain"), (1, "sampled"), (6, "variational")):
+    for key in ((1, "plain"), (2, "plain"), (6, "variational")):
         built(*key)
-    assert built.cache_info().currsize == 4
+    assert built.cache_info().currsize == 3
 
 
 def test_check_builds_no_step(tmp_path):
     """The marches are built on first use, not at import, and ``check``
     integrates nothing, so it builds none, neither a plain march nor the
-    variational one; ``find-orbit`` then builds the three it runs: the
-    plain march for the seed, the sampled one for the steady-state test's
-    samples and the variational march for the search."""
+    variational one; ``find-orbit`` then builds the two it runs: the
+    plain march for the seed and the steady-state test's samples, and the
+    variational march for the search."""
     from conftest import run_python
 
     config = tmp_path / "example1.json"
@@ -514,11 +532,11 @@ cli.main(["check", "--config", {str(config)!r}, "--out", {str(tmp_path)!r}])
 print(integrator._dp_march.cache_info().currsize)
 cli.main(["find-orbit", "--config", {str(config)!r}, "--out", {str(tmp_path)!r}])
 print(integrator._dp_march.cache_info().currsize)
-for key in ((2, "plain"), (2, "sampled"), (6, "variational")):
+for key in ((2, "plain"), (6, "variational")):
     integrator._dp_march(*key)
 print(integrator._dp_march.cache_info().currsize)
 """)
-    assert proc.stdout.splitlines()[-3:] == ["0", "3", "3"], proc.stderr
+    assert proc.stdout.splitlines()[-3:] == ["0", "2", "2"], proc.stderr
 
 
 def test_numpy_array_fields_step_like_tuples():
@@ -674,6 +692,22 @@ def test_nonfinite_t_eval_rejected(bad):
                   t_eval=[bad, 0.5])
 
 
+@pytest.mark.parametrize("outside", [-0.25, math.nextafter(1.0, 2.0)])
+def test_a_t_eval_point_outside_the_span_is_rejected(outside):
+    """A sample time before t0 or after t1 is a ValueError before any field
+    call; t0 and t1 themselves are admitted."""
+    calls = []
+    field = lambda t, y: calls.append(t) or (-y[0],)
+    with pytest.raises(ValueError,
+                       match=r"^t_eval points must lie within \[t0, t1\]$"):
+        integrate(field, 0.0, [1.0], 1.0, IntegratorConfig(),
+                  t_eval=[0.5, outside])
+    assert calls == []
+    traj = integrate(field, 0.0, [1.0], 1.0, IntegratorConfig(),
+                     t_eval=[0.0, 0.5, 1.0])
+    assert traj.times.tolist() == [0.0, 0.5, 1.0]
+
+
 def test_invalid_time_span():
     with pytest.raises(ValueError):
         integrate(exp_decay, 1.0, np.array([1.0]), 1.0, IntegratorConfig())
@@ -794,8 +828,8 @@ def test_a_step_that_does_not_advance_t_is_an_underflow():
     1e-14 times the span 1e5.  A step grown past an ulp is rejected, and
     the shrunk step has t + h round back to t: a step underflow at
     t = 1e20, not an endless loop of zero steps accepted and grown, in
-    the plain march, the sampled one and the variational one.  Run in a
-    subprocess with a timeout."""
+    the plain march, with and without samples, and the variational one.
+    Run in a subprocess with a timeout."""
     from conftest import run_python
 
     proc = run_python("-c", """
@@ -1000,7 +1034,7 @@ class _RecordedPair:
 def _plain_dop853(field, t0, w0, t1, cfg):
     """The plain DOP853 march on ``field`` with the arguments ``integrate``
     gives a march that estimates its first step, and its rows."""
-    times, flat = itg._dp_march(len(w0), "plain")(
+    times, flat, *_samples = itg._dp_march(len(w0), "plain")(
         field, t0, tuple(w0), t1, None, cfg.abs_tol, cfg.rel_tol,
         itg._MIN_STEP_FACTOR * (t1 - t0), [math.inf])
     return Trajectory(np.array(times), np.reshape(flat, (-1, len(w0))))
@@ -1120,9 +1154,9 @@ def test_dop853_constants_are_scipys():
     error estimates, with every absent name a 0 and every absent node a 1."""
     from scipy.integrate._ivp import dop853_coefficients as ref
 
-    T, tab = itg._TABLEAU, itg._DOP853
+    T = itg._TABLEAU
     nodes, rows = [0.0], [[0.0] * 13]
-    for node, weights in tab.stages:
+    for node, weights in _STAGES:
         nodes.append(1.0 if node is None else T[node])
         rows.append([T[w] if w else 0.0 for w in weights]
                     + [0.0] * (13 - len(weights)))
@@ -1130,16 +1164,15 @@ def test_dop853_constants_are_scipys():
     assert rows == ref.A[:13, :13].tolist()
     assert rows[12][:12] == ref.B.tolist()
     errors = [[T[w] if w else 0.0 for w in weights] + [0.0]
-              for weights in tab.errors]
+              for weights in _ERRORS]
     assert errors == [ref.E5.tolist(), ref.E3.tolist()]
     # the dense output: nodes and weights of k14..k16, and the weights of
     # its last four coefficients over k1..k16
-    stages, coefficients = tab.dense
-    assert [T[node] for node, _ in stages] == ref.C[13:16].tolist()
+    assert [T[node] for node, _ in _DENSE_EXTRA] == ref.C[13:16].tolist()
     assert [[T[w] if w else 0.0 for w in weights] + [0.0] * (16 - len(weights))
-            for _, weights in stages] == ref.A[13:16].tolist()
+            for _, weights in _DENSE_EXTRA] == ref.A[13:16].tolist()
     assert [[T[w] if w else 0.0 for w in weights]
-            for weights in coefficients] == ref.D.tolist()
+            for weights in _DENSE_ROWS] == ref.D.tolist()
 
 
 def _recorded_dop853_start(case, t0, span, tols, variational):
@@ -1253,7 +1286,7 @@ def test_dense_output_is_scipys_dop853_interpolant(request, params_name, z0):
     worst = 0.0
     for i, (a, b) in enumerate(zip(t, t[1:])):
         h, K = b - a, np.zeros((16, 2))
-        K[[j - 1 for j in itg._DENSE_STAGES]] = record[i]
+        K[[0, *range(5, 13)]] = record[i]       # k1, k6..k13
         for s in range(13, 16):
             K[s] = rhs_log(params, a + ref.C[s] * h, y[i] + h * (ref.A[s, :s] @ K[:s]))
         dy = y[i + 1] - y[i]
@@ -1268,7 +1301,7 @@ def test_a_period_map_is_the_dop853_march(forced_params):
     """``flow_map`` is the DOP853 march of its field, bit for bit."""
     z0, T = (0.64, -0.18), forced_params.period
     cfg = IntegratorConfig()
-    _times, flat = itg._dp_march(2, "plain")(
+    _times, flat, *_samples = itg._dp_march(2, "plain")(
         partial(rhs_log, forced_params), 0.0, z0, T, None, cfg.abs_tol,
         cfg.rel_tol, itg._MIN_STEP_FACTOR * T, [math.inf])
     assert flow_map(forced_params, z0, cfg).tobytes() == np.array(flat[-2:]).tobytes()
@@ -1369,7 +1402,7 @@ def test_the_sampled_march_and_the_dense_step_share_their_bits(pair, y, t0, h,
                                                               grid):
     """One step of a random planar field with its Jacobian, from a state
     and over a step small enough that the field stays bounded, taken with
-    a first step of h at a tolerance it passes: the sampled march's samples
+    a first step of h at a tolerance it passes: the plain march's samples
     inside the step, and those of ``_Flow.states_at`` from the variational
     march's record of the same step, which ``_dense_step`` evaluates, are
     the same to the last bit, because both run the same generated lines
@@ -1379,7 +1412,7 @@ def test_the_sampled_march_and_the_dense_step_share_their_bits(pair, y, t0, h,
     t1 = t0 + h
     pts = sorted({t0 + g * (t1 - t0) for g in grid} - {t0})
     floor = itg._MIN_STEP_FACTOR * (t1 - t0)
-    rows, _flat, times, states = itg._dp_march(2, "sampled")(
+    rows, _flat, times, states = itg._dp_march(2, "plain")(
         field, t0, tuple(y), t1, h, 1.0, 0.0, floor, [*pts, math.inf])
     run = itg._dp_march(6, "variational")(
         itg._Augmented((field, jac)), t0, (*y, 1.0, 0.0, 0.0, 1.0), t1, h,
@@ -1391,17 +1424,23 @@ def test_the_sampled_march_and_the_dense_step_share_their_bits(pair, y, t0, h,
 
 
 def test_there_is_one_runge_kutta_method():
-    """Every constant the marches read is a DOP853 one, and the tableau
-    holds no other method: ``_dp_march`` builds the plain, sampled and
-    variational DOP853 marches and no other kind."""
+    """Every constant the marches read is a DOP853 one; ``_dp_march``
+    builds two kinds of DOP853 march, the plain one and the variational
+    one, and no other; and a plain run makes the same rows, bit for bit,
+    with sample times as without."""
     assert all(name.startswith("D_") for name in itg._TABLEAU)
-    assert [v for v in vars(itg).values()
-            if isinstance(v, itg._Tableau)] == [itg._DOP853]
-    for kind in ("plain", "sampled", "variational"):
+    for kind in ("plain", "variational"):
         itg._dp_march.__wrapped__(6, kind)
-    for kind in ("dp5", "dop853", "rk45"):
+    for kind in ("sampled", "dp5", "dop853", "rk45"):
         with pytest.raises(KeyError):
             itg._dp_march.__wrapped__(2, kind)
+    rotate, cfg = (lambda t, y: (-y[1], y[0])), IntegratorConfig()
+    plain = integrate(rotate, 0.0, [1.0, 0.0], 7.0, cfg)
+    sampled = integrate(rotate, 0.0, [1.0, 0.0], 7.0, cfg, t_eval=[0.5, 3.0, 6.5])
+    assert sampled.times.tolist() == [0.0, 0.5, 3.0, 6.5, 7.0]
+    assert len(plain.times) > 5
+    assert sampled.steps.times.tobytes() == plain.times.tobytes()
+    assert sampled.steps.states.tobytes() == plain.states.tobytes()
 
 
 def _augmented_oracle(params):
